@@ -40,7 +40,7 @@
 //!                    BENCH_cube_scale.json (pass --smoke for a quick
 //!                    gate-only pass that skips the file write)
 //! cube-indexes E21 — the measure axis: single-index vs full-suite fold
-//!                    cost, snapshot-v5 round-trip, and the permutation
+//!                    cost, subset-snapshot round-trip, and the permutation
 //!                    significance pass — gated on the differential
 //!                    harness (subset builds bit-equal the masked full
 //!                    build *and* direct segindex recomputation); writes
@@ -1948,7 +1948,7 @@ fn bitmap_kernels_experiment(smoke: bool) {
 /// pass over discovered contexts add on top? Every timing is gated on the
 /// differential harness — each subset build must bit-equal both the
 /// masked full build and a direct `SegIndex::compute` over the explorer's
-/// unit breakdown, and the v5 snapshot round-trip must be a byte-level
+/// unit breakdown, and the subset snapshot round-trip must be a byte-level
 /// fixed point. Writes `BENCH_cube_indexes.json`; `--smoke` runs the
 /// gates on a small dataset and skips the file write (the CI pass).
 fn cube_indexes_experiment(smoke: bool) {
@@ -2013,16 +2013,18 @@ fn cube_indexes_experiment(smoke: bool) {
         }
     }
 
-    // v5 round-trip gate: a proper subset persists as version 5 and the
-    // load → save cycle is a byte-level fixed point.
+    // Subset round-trip gate: the snapshot carries the one version word
+    // and the subset's measure set, and the load → save cycle is a
+    // byte-level fixed point.
     let subset = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
     let snap: CubeSnapshot =
         CubeSnapshot::from_db(&db, &builder_for(subset)).expect("subset snapshot builds");
     let bytes = snap.to_bytes();
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 5, "subset saves as v5");
-    let reloaded: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).expect("v5 loads");
-    assert_eq!(reloaded.to_bytes(), bytes, "v5 round-trip must be a fixed point");
-    println!("gates passed: masked-full identity, segindex differential, v5 fixed point");
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 6, "the version word");
+    let reloaded: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).expect("subset snapshot loads");
+    assert_eq!(reloaded.measures(), subset, "the snapshot names the subset");
+    assert_eq!(reloaded.to_bytes(), bytes, "subset round-trip must be a fixed point");
+    println!("gates passed: masked-full identity, segindex differential, subset fixed point");
     if smoke {
         println!("(smoke: gates only, skipping timings and the JSON write)");
         return;

@@ -161,46 +161,8 @@ impl Posting for AdaptivePosting {
         }
     }
 
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        // One leading byte names the inner representation (its own
-        // SERIAL_TAG), then the inner canonical encoding follows. Because
-        // every operation re-canonicalizes, the variant — hence the byte
-        // stream — depends only on the set content.
-        match self {
-            A::Ewah(e) => {
-                out.push(EwahBitmap::SERIAL_TAG);
-                e.write_bytes(out);
-            }
-            A::Dense(d) => {
-                out.push(DenseBitmap::SERIAL_TAG);
-                d.write_bytes(out);
-            }
-            A::Tids(t) => {
-                out.push(TidVec::SERIAL_TAG);
-                t.write_bytes(out);
-            }
-        }
-    }
-
-    fn read_bytes(bytes: &[u8]) -> Option<(Self, usize)> {
-        let (&tag, rest) = bytes.split_first()?;
-        let (posting, used) = if tag == EwahBitmap::SERIAL_TAG {
-            let (e, n) = EwahBitmap::read_bytes(rest)?;
-            (A::Ewah(e), n)
-        } else if tag == DenseBitmap::SERIAL_TAG {
-            let (d, n) = DenseBitmap::read_bytes(rest)?;
-            (A::Dense(d), n)
-        } else if tag == TidVec::SERIAL_TAG {
-            let (t, n) = TidVec::read_bytes(rest)?;
-            (A::Tids(t), n)
-        } else {
-            return None;
-        };
-        Some((posting, used + 1))
-    }
-
     fn write_slot(&self, out: &mut Vec<u8>) {
-        // v4 slots are 8-aligned, so the inner representation's tag rides
+        // Slots are 8-aligned, so the inner representation's tag rides
         // in a full little-endian u64 header word (low byte = the inner
         // SERIAL_TAG), keeping the inner word table aligned too.
         match self {
@@ -465,8 +427,8 @@ mod tests {
         let expect = AdaptivePosting::from_sorted(&[3, 5_000]);
         assert_eq!(both, expect);
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        both.write_bytes(&mut a);
-        expect.write_bytes(&mut b);
+        both.write_slot(&mut a);
+        expect.write_slot(&mut b);
         assert_eq!(a, b);
     }
 
@@ -490,12 +452,12 @@ mod tests {
     #[test]
     fn serialization_names_inner_representation() {
         let p = AdaptivePosting::from_sorted(&[1, 2, 3]);
-        let mut bytes = Vec::new();
-        p.write_bytes(&mut bytes);
-        assert_eq!(bytes[0], TidVec::SERIAL_TAG);
-        let (q, used) = AdaptivePosting::read_bytes(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(q, p);
-        assert!(AdaptivePosting::read_bytes(&[9, 1, 2]).is_none());
+        let mut slot = Vec::new();
+        p.write_slot(&mut slot);
+        // The header word carries the inner representation's tag.
+        assert_eq!(slot[..8], u64::from(TidVec::SERIAL_TAG).to_le_bytes());
+        assert_eq!(AdaptivePosting::read_slot(&slot, 3), Some(p));
+        slot[0] = 9;
+        assert!(AdaptivePosting::read_slot(&slot, 3).is_none(), "unknown inner tag");
     }
 }

@@ -101,24 +101,8 @@ impl DenseBitmap {
 impl Posting for DenseBitmap {
     const SERIAL_TAG: u8 = 2;
 
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.words.len() as u32).to_le_bytes());
-        for &w in self.words.iter() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    fn read_bytes(bytes: &[u8]) -> Option<(Self, usize)> {
-        let n = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-        let end = 4usize.checked_add(n.checked_mul(8)?)?;
-        let body = bytes.get(4..end)?;
-        let words: Vec<u64> =
-            body.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-        Some((DenseBitmap { words: words.into() }, end))
-    }
-
     fn write_slot(&self, out: &mut Vec<u8>) {
-        // The v4 slot is the bare zero-extended word table.
+        // The slot is the bare zero-extended word table.
         for &w in self.words.iter() {
             out.extend_from_slice(&w.to_le_bytes());
         }

@@ -762,31 +762,8 @@ fn validate_stream_structure(words: &[u64], universe: u32) -> bool {
 impl Posting for EwahBitmap {
     const SERIAL_TAG: u8 = 1;
 
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.card.to_le_bytes());
-        out.extend_from_slice(&(self.words.len() as u32).to_le_bytes());
-        for &w in self.words.iter() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    fn read_bytes(bytes: &[u8]) -> Option<(Self, usize)> {
-        let card = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
-        let n = u32::from_le_bytes(bytes.get(8..12)?.try_into().ok()?) as usize;
-        let end = 12usize.checked_add(n.checked_mul(8)?)?;
-        let body = bytes.get(12..end)?;
-        let words: Vec<u64> =
-            body.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-        // Reject streams whose markers overrun the buffer or whose declared
-        // cardinality disagrees with the words (bit flips, truncation).
-        if validate_stream(&words)? != card {
-            return None;
-        }
-        Some((EwahBitmap { words: words.into(), card }, end))
-    }
-
     fn write_slot(&self, out: &mut Vec<u8>) {
-        // The v4 slot is the bare word stream: cardinality and length live
+        // The slot is the bare word stream: cardinality and length live
         // in the snapshot's checksummed posting directory.
         for &w in self.words.iter() {
             out.extend_from_slice(&w.to_le_bytes());

@@ -80,7 +80,7 @@ impl Representation {
 pub trait Posting: Sized + Clone {
     /// One-byte representation tag stored in serialized headers, so a
     /// reader can verify it decodes postings with the representation that
-    /// wrote them (see [`Posting::write_bytes`]).
+    /// wrote them (see [`Posting::write_slot`]).
     const SERIAL_TAG: u8;
 
     /// Build from strictly increasing ids.
@@ -89,47 +89,11 @@ pub trait Posting: Sized + Clone {
     /// Implementations may panic if `ids` is not strictly increasing.
     fn from_sorted(ids: &[u32]) -> Self;
 
-    /// Append the canonical little-endian binary encoding of this posting.
-    ///
-    /// The default encodes the sorted id list (`u32` count, then the ids);
-    /// representations with a native word layout override it so a snapshot
-    /// round-trip is a plain memory copy. Every encoding must satisfy
-    /// `read_bytes(write_bytes(p)) == p`, and writing the decoded posting
-    /// again must reproduce the original bytes exactly (stable round-trip).
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        let ids = self.to_vec();
-        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for id in ids {
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-
-    /// Decode one posting from the front of `bytes`, returning it together
-    /// with the number of bytes consumed, or `None` on a truncated or
-    /// corrupt prefix.
-    fn read_bytes(bytes: &[u8]) -> Option<(Self, usize)> {
-        let n = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-        let end = 4usize.checked_add(n.checked_mul(4)?)?;
-        let body = bytes.get(4..end)?;
-        let mut ids = Vec::with_capacity(n);
-        let mut prev: Option<u32> = None;
-        for chunk in body.chunks_exact(4) {
-            let id = u32::from_le_bytes(chunk.try_into().ok()?);
-            if prev.is_some_and(|p| id <= p) {
-                return None;
-            }
-            prev = Some(id);
-            ids.push(id);
-        }
-        Some((Self::from_sorted(&ids), end))
-    }
-
-    /// Append this posting's snapshot-v4 *slot* encoding: the raw
-    /// fixed-width little-endian table a memory-mapped reader can serve in
-    /// place. Unlike [`Posting::write_bytes`], a slot carries no counts or
-    /// tags of its own — the cardinality lives in the snapshot's
-    /// checksummed posting directory and comes back through `card` on the
-    /// read side.
+    /// Append this posting's snapshot *slot* encoding: the raw fixed-width
+    /// little-endian table a memory-mapped reader can serve in place. A
+    /// slot carries no counts or tags of its own — the cardinality lives in
+    /// the snapshot's checksummed posting directory and comes back through
+    /// `card` on the read side.
     ///
     /// The default writes the sorted ids as little-endian `u32`s (the
     /// native [`TidVec`] layout); word-based representations override with
@@ -140,7 +104,7 @@ pub trait Posting: Sized + Clone {
         self.for_each(|id| out.extend_from_slice(&id.to_le_bytes()));
     }
 
-    /// Decode an owned posting from a v4 slot (the heap-load path). Fully
+    /// Decode an owned posting from a slot (the heap-load path). Fully
     /// validating: `None` on any structural defect or when the slot does
     /// not hold exactly `card` ids.
     fn read_slot(bytes: &[u8], card: u64) -> Option<Self> {
@@ -160,7 +124,7 @@ pub trait Posting: Sized + Clone {
         Some(Self::from_sorted(&ids))
     }
 
-    /// Borrow a posting from a mapped v4 slot (the `open_mmap` path),
+    /// Borrow a posting from a mapped slot (the `open_mmap` path),
     /// validating *structure* only — enough to guarantee that every later
     /// operation is panic-free and that every id the posting can produce
     /// is `< universe`, in time proportional to the slot's metadata rather
@@ -366,6 +330,14 @@ pub fn intersect_all<P: Posting>(postings: &[&P]) -> Option<P> {
 mod tests {
     use super::*;
 
+    /// What a snapshot stores for a posting: its slot bytes and the
+    /// directory cardinality.
+    fn slot<P: Posting>(p: &P) -> (Vec<u8>, u64) {
+        let mut bytes = Vec::new();
+        p.write_slot(&mut bytes);
+        (bytes, p.cardinality())
+    }
+
     #[test]
     fn intersect_all_empty_input() {
         assert!(intersect_all::<EwahBitmap>(&[]).is_none());
@@ -464,55 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn byte_roundtrip_all_representations() {
-        fn check<P: Posting + PartialEq + std::fmt::Debug>() {
-            for ids in [
-                vec![],
-                vec![0u32],
-                vec![0, 1, 5, 63, 64, 65, 1000],
-                (0..500).collect::<Vec<u32>>(),
-                vec![7, 1_000_000, 50_000_000],
-            ] {
-                let p = P::from_sorted(&ids);
-                let mut bytes = vec![0xAB]; // leading junk the encoder must append after
-                p.write_bytes(&mut bytes);
-                let (decoded, consumed) = P::read_bytes(&bytes[1..]).expect("decodes");
-                assert_eq!(consumed, bytes.len() - 1, "{ids:?}: trailing bytes");
-                assert_eq!(decoded, p, "{ids:?}");
-                assert_eq!(decoded.to_vec(), ids, "{ids:?}");
-                // Stable round-trip: re-encoding reproduces the same bytes.
-                let mut again = Vec::new();
-                decoded.write_bytes(&mut again);
-                assert_eq!(again, bytes[1..], "{ids:?}: encoding not stable");
-            }
-        }
-        check::<EwahBitmap>();
-        check::<DenseBitmap>();
-        check::<TidVec>();
-        check::<AdaptivePosting>();
-    }
-
-    #[test]
-    fn read_bytes_rejects_corrupt_input() {
-        // Truncated count / body.
-        assert!(EwahBitmap::read_bytes(&[1, 2]).is_none());
-        assert!(TidVec::read_bytes(&[5, 0, 0, 0, 1, 0]).is_none());
-        assert!(DenseBitmap::read_bytes(&[9, 0, 0, 0]).is_none());
-        // Non-increasing ids in the default (sorted-id) encoding.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&2u32.to_le_bytes());
-        bad.extend_from_slice(&7u32.to_le_bytes());
-        bad.extend_from_slice(&7u32.to_le_bytes());
-        assert!(TidVec::read_bytes(&bad).is_none());
-        // EWAH: declared cardinality must match the decoded words.
-        let p = EwahBitmap::from_sorted(&[1, 2, 3]);
-        let mut bytes = Vec::new();
-        p.write_bytes(&mut bytes);
-        bytes[0] ^= 1; // flip the cardinality field
-        assert!(EwahBitmap::read_bytes(&bytes).is_none());
-    }
-
-    #[test]
     fn append_sorted_matches_from_scratch_build() {
         fn check<P: Posting + PartialEq + std::fmt::Debug>() {
             for (base, delta) in [
@@ -531,10 +454,7 @@ mod tests {
                 assert_eq!(appended, scratch, "{base:?} + {delta:?}");
                 // Canonical encoding must not depend on the build path:
                 // snapshot byte-identity after an update relies on this.
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                appended.write_bytes(&mut a);
-                scratch.write_bytes(&mut b);
-                assert_eq!(a, b, "{base:?} + {delta:?}: encodings diverge");
+                assert_eq!(slot(&appended), slot(&scratch), "{base:?} + {delta:?}");
             }
         }
         check::<EwahBitmap>();
@@ -565,10 +485,7 @@ mod tests {
                 assert_eq!(shrunk.to_vec(), survivors, "{base:?} - {removed:?}");
                 // Canonical encoding must not depend on the build path:
                 // snapshot byte-identity after a retraction relies on this.
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                shrunk.write_bytes(&mut a);
-                scratch.write_bytes(&mut b);
-                assert_eq!(a, b, "{base:?} - {removed:?}: encodings diverge");
+                assert_eq!(slot(&shrunk), slot(&scratch), "{base:?} - {removed:?}");
             }
         }
         check::<EwahBitmap>();
@@ -665,20 +582,5 @@ mod tests {
         check::<DenseBitmap>("dense");
         check::<TidVec>("tidvec");
         check::<AdaptivePosting>("adaptive");
-    }
-
-    #[test]
-    fn read_bytes_consumes_prefix_only() {
-        let a = TidVec::from_sorted(&[1, 9]);
-        let b = TidVec::from_sorted(&[4]);
-        let mut bytes = Vec::new();
-        a.write_bytes(&mut bytes);
-        let split = bytes.len();
-        b.write_bytes(&mut bytes);
-        let (da, na) = TidVec::read_bytes(&bytes).unwrap();
-        assert_eq!(na, split);
-        assert_eq!(da, a);
-        let (db, _) = TidVec::read_bytes(&bytes[na..]).unwrap();
-        assert_eq!(db, b);
     }
 }

@@ -78,14 +78,16 @@ fn check_against_reference<P: Posting + PartialEq + std::fmt::Debug>(lists: &[Ve
 }
 
 /// The optimized result must serialize byte-identically to a from-scratch
-/// build of the reference answer — the bit-identity gate that makes the
-/// kernel rewrite risk-free for snapshots.
+/// build of the reference answer — slot bytes plus the directory
+/// cardinality, which is what a snapshot stores — the bit-identity gate
+/// that makes the kernel rewrite risk-free for snapshots.
 fn encodes_like_scratch<P: Posting>(got: &P, expect_ids: &[u32], what: &str) {
     let scratch = P::from_sorted(expect_ids);
     let (mut a, mut b) = (Vec::new(), Vec::new());
-    got.write_bytes(&mut a);
-    scratch.write_bytes(&mut b);
-    assert_eq!(a, b, "{what}: encoding differs from from-scratch build");
+    got.write_slot(&mut a);
+    scratch.write_slot(&mut b);
+    assert_eq!(a, b, "{what}: slot differs from from-scratch build");
+    assert_eq!(got.cardinality(), scratch.cardinality(), "{what}: cardinality");
 }
 
 fn check_all_representations(lists: &[Vec<u32>]) {

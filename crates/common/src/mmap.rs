@@ -1,7 +1,7 @@
 //! Read-only memory-mapped files and the owned-or-mapped backing store
 //! behind zero-copy snapshot serving.
 //!
-//! Snapshot format v4 lays its posting payloads out as fixed-width
+//! The snapshot format lays its posting payloads out as fixed-width
 //! little-endian tables precisely so a reader can serve them straight out
 //! of the page cache: [`MmapFile`] maps a file read-only, [`ByteRegion`]
 //! carves checked sub-ranges out of it, and [`MappedSlice`] reinterprets an

@@ -37,8 +37,8 @@
 //! `--threads N` the snapshot is served through the shared-reference
 //! [`ConcurrentCubeEngine`] (sharded cell cache, parallel top-k ranking)
 //! instead of the single-session engine; answers are bit-identical. With
-//! `--mmap`, a format-v4 snapshot is memory-mapped instead of read onto the
-//! heap: opening costs O(metadata) however large the file is.
+//! `--mmap`, the snapshot is memory-mapped instead of read onto the heap:
+//! opening costs O(metadata) however large the file is.
 
 use std::process::ExitCode;
 
@@ -91,8 +91,8 @@ verbs:
     --threads <n>        re-evaluate dirty cells on up to n threads [1]
   scube query ...        serve queries from a saved snapshot:
     --snapshot <file>    the snapshot to load (required)
-    --mmap               memory-map the snapshot (format v4) instead of
-                         loading it onto the heap — O(ms) open at any size
+    --mmap               memory-map the snapshot instead of loading it
+                         onto the heap — O(ms) open at any size
     --sa a=v,...         point query: minority coordinates (omit = *)
     --ca a=v,...         point query: context coordinates (omit = *)
     --breakdown          also print the per-unit drill-down of the cell
@@ -137,8 +137,8 @@ optional:
                          snapshot are byte-identical to the resident build's
   --closed               materialize closed cells only
   --parallel             parallel cube construction
-  --index <i1,...|all>   measure subset to fold per cell [all]; a proper
-                         subset persists as the compact snapshot v5
+  --index <i1,...|all>   measure subset to fold per cell [all]; the
+                         snapshot stores only the selected measures
   --rank <index>         ranking index for top_contexts [dissimilarity]
 ";
 
@@ -1171,7 +1171,7 @@ mod tests {
             run_query(&v)
         };
 
-        // A subset build persists as snapshot v5.
+        // A subset build records its measure set in the snapshot.
         let args: Vec<String> = [
             "--final-table",
             &p("rows.csv"),
@@ -1187,7 +1187,10 @@ mod tests {
         .collect();
         run_save(&args).unwrap();
         let bytes = std::fs::read(p("subset.scube")).unwrap();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 5, "subset saves as v5");
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 6, "the version word");
+        let subset = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
+        let saved: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(saved.measures(), subset, "the snapshot names the subset");
 
         // Point queries project one measure; unselected measures read as
         // absent from the subset store.

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Each `--snapshot name=path` loads a checksummed `.scube` snapshot (see
-//! `scube save`) and registers it under `name`. With `--mmap`, format-v4
-//! snapshots are memory-mapped instead of read onto the heap: opens are
+//! `scube save`) and registers it under `name`. With `--mmap`, snapshots
+//! are memory-mapped instead of read onto the heap: opens are
 //! O(metadata) regardless of file size and daemons serving the same file
 //! share one physical copy through the page cache. `--max-body` bounds
 //! `POST /update` payloads (default 16 MiB; suffixes `k`/`m`/`g` accepted) —
@@ -42,7 +42,7 @@ usage:
          [--listen 127.0.0.1:7007] [--workers N] [--shards N]
          [--cache N] [--update-threads N] [--max-body BYTES] [--mmap]
 
-  --mmap      memory-map format-v4 snapshots (zero-copy serving; O(ms) open)
+  --mmap      memory-map the snapshots (zero-copy serving; O(ms) open)
   --max-body  cap POST /update bodies in bytes (k/m/g suffixes; default 16m)
 
 endpoints: /healthz /cubes /stats /shutdown and per cube

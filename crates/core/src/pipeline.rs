@@ -74,27 +74,43 @@ pub struct ScubeResult {
 /// Run the full pipeline over a dataset.
 pub fn run(dataset: &Dataset, config: &ScubeConfig) -> Result<ScubeResult> {
     let ft = build_final_table(dataset, &config.units, config.min_shared)?;
-    let cube_start = Instant::now();
-    let vertical: VerticalDb = VerticalDb::build(&ft.db);
-    let cube = config.cube.build_from_vertical(&ft.db, &vertical)?;
-    let mut timings = ft.timings;
-    timings.cube = cube_start.elapsed();
     let stats = RunStats {
         n_individuals: dataset.num_individuals(),
         n_groups: dataset.num_groups(),
         n_memberships: dataset.bipartite.memberships().len(),
-        n_rows: ft.db.len(),
-        n_units: ft.db.num_units(),
-        n_cells: cube.len(),
         n_isolated: ft.isolated.len(),
+        ..Default::default()
     };
+    build_result(ft.db, &config.cube, ft.timings, stats, ft.clustering, ft.isolated)
+}
+
+/// The tail every resident run shares: build the vertical view of the
+/// encoded final table, mine the cube from it, and package both with the
+/// run's accounting. `timings` and `stats` arrive carrying what the caller
+/// measured up to here; the cube stage and the table/cube sizes are filled
+/// in.
+fn build_result(
+    db: TransactionDb,
+    builder: &CubeBuilder,
+    mut timings: StageTimings,
+    mut stats: RunStats,
+    clustering: Option<Clustering>,
+    isolated: Vec<u32>,
+) -> Result<ScubeResult> {
+    let cube_start = Instant::now();
+    let vertical: VerticalDb = VerticalDb::build(&db);
+    let cube = builder.build_from_vertical(&db, &vertical)?;
+    timings.cube = cube_start.elapsed();
+    stats.n_rows = db.len();
+    stats.n_units = db.num_units();
+    stats.n_cells = cube.len();
     Ok(ScubeResult {
         cube,
-        final_table: ft.db,
+        final_table: db,
         vertical,
-        builder: config.cube,
-        clustering: ft.clustering,
-        isolated: ft.isolated,
+        builder: *builder,
+        clustering,
+        isolated,
         timings,
         stats,
     })
@@ -109,28 +125,9 @@ pub fn run_final_table(
 ) -> Result<ScubeResult> {
     let join_start = Instant::now();
     let db = spec.encode(table)?;
-    let join = join_start.elapsed();
-    let cube_start = Instant::now();
-    let vertical: VerticalDb = VerticalDb::build(&db);
-    let built = cube.build_from_vertical(&db, &vertical)?;
-    let timings = StageTimings { join, cube: cube_start.elapsed(), ..Default::default() };
-    let stats = RunStats {
-        n_individuals: table.len(),
-        n_rows: db.len(),
-        n_units: db.num_units(),
-        n_cells: built.len(),
-        ..Default::default()
-    };
-    Ok(ScubeResult {
-        cube: built,
-        final_table: db,
-        vertical,
-        builder: *cube,
-        clustering: None,
-        isolated: Vec::new(),
-        timings,
-        stats,
-    })
+    let timings = StageTimings { join: join_start.elapsed(), ..Default::default() };
+    let stats = RunStats { n_individuals: table.len(), ..Default::default() };
+    build_result(db, cube, timings, stats, None, Vec::new())
 }
 
 /// As [`run_final_table`], streaming the table straight off a CSV file:
@@ -145,28 +142,9 @@ pub fn run_final_table_csv(
 ) -> Result<ScubeResult> {
     let join_start = Instant::now();
     let db = spec.load_csv(path)?;
-    let join = join_start.elapsed();
-    let cube_start = Instant::now();
-    let vertical: VerticalDb = VerticalDb::build(&db);
-    let built = cube.build_from_vertical(&db, &vertical)?;
-    let timings = StageTimings { join, cube: cube_start.elapsed(), ..Default::default() };
-    let stats = RunStats {
-        n_individuals: db.len(),
-        n_rows: db.len(),
-        n_units: db.num_units(),
-        n_cells: built.len(),
-        ..Default::default()
-    };
-    Ok(ScubeResult {
-        cube: built,
-        final_table: db,
-        vertical,
-        builder: *cube,
-        clustering: None,
-        isolated: Vec::new(),
-        timings,
-        stats,
-    })
+    let timings = StageTimings { join: join_start.elapsed(), ..Default::default() };
+    let stats = RunStats { n_individuals: db.len(), ..Default::default() };
+    build_result(db, cube, timings, stats, None, Vec::new())
 }
 
 /// Everything a chunked (bounded-memory) build produces. Unlike
@@ -225,12 +203,7 @@ pub fn run_final_table_csv_chunked(
 /// As [`snapshot`], for a chunked build. Byte-identical to the snapshot of
 /// the equivalent resident run.
 pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
-    let config = result.builder.config();
-    Ok(CubeSnapshot::new(result.cube.clone(), result.vertical.clone())?.with_build_config(
-        config.materialize,
-        config.atkinson_b,
-        config.measures,
-    ))
+    package(&result.cube, &result.vertical, &result.builder)
 }
 
 /// Package a finished run as a persistable [`CubeSnapshot`]: the cube plus
@@ -241,8 +214,18 @@ pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
 /// maintain the cube under the same materialization and Atkinson
 /// parameter.
 pub fn snapshot(result: &ScubeResult) -> Result<CubeSnapshot> {
-    let config = result.builder.config();
-    Ok(CubeSnapshot::new(result.cube.clone(), result.vertical.clone())?.with_build_config(
+    package(&result.cube, &result.vertical, &result.builder)
+}
+
+/// Pair a built cube with its postings and record the builder's
+/// configuration — the body of [`snapshot`] and [`snapshot_chunked`].
+fn package(
+    cube: &SegregationCube,
+    vertical: &VerticalDb,
+    builder: &CubeBuilder,
+) -> Result<CubeSnapshot> {
+    let config = builder.config();
+    Ok(CubeSnapshot::new(cube.clone(), vertical.clone())?.with_build_config(
         config.materialize,
         config.atkinson_b,
         config.measures,
@@ -272,9 +255,9 @@ pub fn update_threads(
 /// The `scube update` verb: load a snapshot file, fold final-table-shaped
 /// relations of appended (`add`) and retracted (`remove`, matched exactly)
 /// rows into it (`unit_column` names the unit id column), and save the
-/// patched snapshot back in the current format (v4). Returns the update
-/// stats; the save is atomic (temp file + rename), so the file holds the
-/// previous snapshot until the update fully succeeds.
+/// patched snapshot back. Returns the update stats; the save is atomic
+/// (temp file + rename), so the file holds the previous snapshot until the
+/// update fully succeeds.
 pub fn update_snapshot_file(
     path: impl AsRef<Path>,
     add: Option<&Relation>,

@@ -136,8 +136,8 @@ impl CubeBuilder {
 
     /// Select which segregation indexes each cell folds (default: all six,
     /// [`MeasureSet::FULL`] — the paper's full suite). A subset build
-    /// leaves the unselected `IndexValues` fields `None` and persists as
-    /// the compact snapshot v5 layout.
+    /// leaves the unselected `IndexValues` fields `None`, and its snapshot
+    /// stores only the selected measures.
     pub fn measures(mut self, measures: MeasureSet) -> Self {
         self.config.measures = measures;
         self

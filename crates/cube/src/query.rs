@@ -295,7 +295,7 @@ impl<P: Posting> CubeQueryEngine<P> {
     /// (`0` disables caching: every fallback recomputes).
     pub fn with_cache_capacity(snapshot: CubeSnapshot<P>, capacity: usize) -> Self {
         // The explorer recomputes fallback cells with the Atkinson
-        // parameter the cube was built with (recorded since snapshot v2),
+        // parameter the cube was built with (recorded in the snapshot),
         // so the fallback tier stays bit-identical to the store even for
         // non-default `b`.
         let atkinson_b = snapshot.atkinson_b();

@@ -154,8 +154,8 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
         // triples), split across shards like the cell cache.
         let bd_budget = if capacity == 0 { 0 } else { BREAKDOWN_TRIPLE_BUDGET.div_ceil(n_shards) };
         // Recompute fallback cells with the Atkinson parameter and measure
-        // set the cube was built with (recorded since snapshot v2 and v5
-        // respectively): the cold tier stays bit-identical to the store
+        // set the cube was built with (both recorded in the snapshot): the
+        // cold tier stays bit-identical to the store
         // even for non-default `b` or a partial measure suite.
         let explorer = CubeExplorer::from_vertical(vertical)
             .with_atkinson_b(atkinson_b)

@@ -8,7 +8,11 @@
 //! and the explorer fallback for non-materialized ⋆-combinations without
 //! re-mining anything.
 //!
-//! ## Format (versions 4 and 5)
+//! ## Format
+//!
+//! There is one on-disk layout, identified by the version word 6; a file
+//! carrying any other version word is rejected with an error that names
+//! the version found (re-create such a snapshot with `scube save`).
 //!
 //! All integers are little-endian; strings are `u32` length + UTF-8 bytes.
 //! The data region is laid out as fixed-width tables behind an offset
@@ -19,21 +23,26 @@
 //!
 //! ```text
 //! [0..8)    magic  "SCUBESNP"
-//! [8..12)   format version (u32, currently 4)
+//! [8..12)   format version (u32, 6)
 //! [12]      posting representation tag (Posting::SERIAL_TAG)
 //! [13..21)  FxHash checksum (u64) of bytes [24..)   — the full checksum
 //! [21..24)  zero padding
 //! [24..96)  offset directory: nine u64s
 //!             meta_off, meta_len, postdir_off, n_postings,
 //!             slots_off, slots_len, store_off, store_len, meta_sum
-//! meta      build cfg (materialization tag u8, Atkinson b f64), labels,
-//!           n_units (u32), min_support (u64), cells (sorted by (sa, ca)),
+//! meta      build cfg (materialization tag u8, Atkinson b f64, measure-set
+//!           byte: bit i = SegIndex::ALL[i]), labels, n_units (u32),
+//!           min_support (u64), cells sorted by (sa, ca) — each: sa ids,
+//!           ca ids, one tagged optional f64 per *selected* measure in
+//!           SegIndex::ALL order (tag 0 = undefined, tag 1 + f64 bits),
+//!           minority (u64), total (u64), num_units (u32) —
 //!           n_transactions (u32), v_units (u32), tid → unit map (u32 each)
 //! postdir   n_postings × (slot offset u64, slot length u64, cardinality u64)
 //! slots     posting slots (Posting::write_slot), each at an 8-aligned
 //!           file offset, zero padding between slots
-//! store     maintenance store: context totals + cell minorities, in the
-//!           same encoding as the v3 payload tail
+//! store     maintenance store: context totals, then cell minorities, each
+//!           a count followed by (key ids, ascending (unit u32, count u64)
+//!           pairs) entries in sorted key order
 //! ```
 //!
 //! `meta_sum` is an FxHash over the directory (sans itself), the meta
@@ -46,49 +55,29 @@
 //! is decoded (and validated) individually when an update dirties its
 //! entry — a small batch touches a handful of entries, never the whole
 //! store (`LazyStore`). That keeps a cold `open_mmap` at milliseconds
-//! even for multi-gigabyte snapshots. The
-//! full checksum at [13..21) covers every byte after the header and is
-//! what the heap loader checks; [`CubeSnapshot::open_mmap_verified`]
-//! checks it too for paranoid opens.
+//! even for multi-gigabyte snapshots.
 //!
-//! ## Version 5: partial measure suites
+//! The full checksum at [13..21) covers every byte after the header. The
+//! heap loader and [`CubeSnapshot::open_mmap_verified`] check it *and*
+//! `meta_sum`, through one shared parse, so corruption is caught by both
+//! or by neither; plain `open_mmap` skips the O(file) full checksum by
+//! design and therefore accepts a superset (bit rot inside a posting slot
+//! or store entry that keeps a valid structure).
 //!
-//! A cube built with a proper subset of the six indexes
-//! ([`MeasureSet`], `CubeBuilder::measures`) persists as **version 5** —
-//! same header, directory, posting, and store layout, two meta changes:
-//!
-//! * a measure-set byte (bit `i` = `SegIndex::ALL[i]`) follows the
-//!   Atkinson parameter;
-//! * cells store only coordinates + `minority u64` + `total u64` +
-//!   `num_units u32` inline; the selected measures' values follow as
-//!   columnar fixed-width tables — per measure (in `SegIndex::ALL`
-//!   order), `n_cells` × 9-byte slots (presence byte + f64 bits, zero
-//!   when absent), cells in the same sorted coordinate order.
-//!
-//! The full suite **always** writes v4 — bit-identical to pre-v5
-//! releases — and a v5 file declaring the full set is rejected as
-//! non-canonical, so each logical snapshot still has exactly one byte
-//! representation. v1–v4 readers imply [`MeasureSet::FULL`].
-//! [`CubeSnapshot::open_mmap`] accepts v5: the meta region was always
-//! heap-decoded, and posting slots stay zero-copy.
-//!
-//! Versions 1–3 (a single length-prefixed payload, no directory) still
-//! load via [`CubeSnapshot::load`]; the writer only emits v4/v5. v1 predates
-//! the build-configuration section and the maintenance store (the builder
-//! defaults `AllFrequent` / [`DEFAULT_ATKINSON_B`] apply and the store is
-//! recomputed); v2 added both; v3 marked the retraction-capable
-//! maintenance era. Unknown versions error — never panic
-//! (`tests/snapshot_compat.rs`, which also pins v1 and v3 golden bytes).
+//! A cube built with a subset of the six indexes ([`MeasureSet`],
+//! `CubeBuilder::measures`) records the subset in the measure-set byte and
+//! stores only the selected measures' values per cell.
 //!
 //! Cells are written in sorted coordinate order, postings in item order,
 //! and store entries in canonical key order, so serialization is
 //! *canonical*: saving, loading, and saving again reproduces identical
 //! bytes — and a mapped snapshot re-saves to exactly the bytes it was
-//! opened from (property-tested in `tests/snapshot_roundtrip.rs` and
-//! `tests/mmap_differential.rs`). [`CubeSnapshot::save`] writes through a
-//! same-directory temp file, fsyncs, and renames over the target, so a
+//! opened from (property-tested in `tests/snapshot_roundtrip.rs`,
+//! `tests/mmap_differential.rs`, and pinned by `tests/snapshot_format.rs`).
+//! [`CubeSnapshot::save`] writes through a same-directory temp file,
+//! fsyncs it, renames it over the target, and fsyncs the directory, so a
 //! crash mid-save leaves the previous snapshot bytes intact instead of a
-//! torn file.
+//! torn file, and a save that returned `Ok` survives a power loss.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -97,7 +86,7 @@ use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::mmap::{ByteRegion, MmapFile};
 use scube_common::{FxHashMap, Result, ScubeError};
 use scube_data::{ItemId, TransactionDb, VerticalDb};
-use scube_segindex::{IndexValues, MeasureSet, DEFAULT_ATKINSON_B};
+use scube_segindex::{IndexValues, MeasureSet, SegIndex, DEFAULT_ATKINSON_B};
 
 use crate::builder::{CubeBuilder, Materialize};
 use crate::coords::CellCoords;
@@ -105,18 +94,14 @@ use crate::cube::{CubeLabels, SegregationCube};
 use crate::update::{MaintenanceStore, UpdateBatch, UpdateOutcome, UpdateStats};
 
 const MAGIC: &[u8; 8] = b"SCUBESNP";
-const VERSION_5: u32 = 5;
-const VERSION: u32 = 4;
-const VERSION_3: u32 = 3;
-const VERSION_2: u32 = 2;
-const VERSION_1: u32 = 1;
+const VERSION: u32 = 6;
 const HEADER_LEN: usize = 8 + 4 + 1 + 8;
-/// v4 offset directory: starts 8-aligned after the header + 3 pad bytes.
+/// Offset directory: starts 8-aligned after the header + 3 pad bytes.
 const DIR_OFF: usize = HEADER_LEN + 3;
 const DIR_WORDS: usize = 9;
-/// v4 meta region: starts right after the directory.
+/// Meta region: starts right after the directory.
 const META_OFF: usize = DIR_OFF + DIR_WORDS * 8;
-/// One v4 posting-directory entry: slot offset, slot length, cardinality.
+/// One posting-directory entry: slot offset, slot length, cardinality.
 const POSTDIR_ENTRY: usize = 24;
 /// Ceiling on length-field-driven preallocations while decoding: the
 /// checksum is not cryptographic, so a crafted file could otherwise declare
@@ -139,9 +124,8 @@ pub struct CubeSnapshot<P: Posting = EwahBitmap> {
     /// re-evaluated dirty cells reproduce the original floats bit for bit.
     atkinson_b: f64,
     /// The measure subset the cube was built with — recorded so updates
-    /// re-fold exactly the selected indexes. [`MeasureSet::FULL`] persists
-    /// as format v4 (byte-identical to pre-measure-layer snapshots); any
-    /// proper subset persists as the compact v5 value-table layout.
+    /// re-fold exactly the selected indexes, and persisted as the
+    /// measure-set byte (cells store only the selected measures).
     measures: MeasureSet,
     /// The integer per-unit histograms behind every cell value, kept so
     /// updates fold deltas in instead of re-deriving from full postings.
@@ -468,20 +452,17 @@ impl<P: Posting> CubeSnapshot<P> {
         )
     }
 
-    /// The materialization strategy the cube was built with (recorded in
-    /// snapshot format v2; `AllFrequent` for loaded v1 files).
+    /// The materialization strategy the cube was built with.
     pub fn materialize(&self) -> Materialize {
         self.materialize
     }
 
-    /// The Atkinson shape parameter the cube was built with (recorded in
-    /// snapshot format v2; the default for loaded v1 files).
+    /// The Atkinson shape parameter the cube was built with.
     pub fn atkinson_b(&self) -> f64 {
         self.atkinson_b
     }
 
-    /// The measure subset the cube was built with (recorded in snapshot
-    /// format v5; [`MeasureSet::FULL`] for v1–v4 files).
+    /// The measure subset the cube was built with.
     pub fn measures(&self) -> MeasureSet {
         self.measures
     }
@@ -501,8 +482,8 @@ impl<P: Posting> CubeSnapshot<P> {
         (self.cube, self.vertical)
     }
 
-    /// Serialize into the version-4 binary format (module docs): offset
-    /// directory, meta region, posting directory, 8-aligned posting slots,
+    /// Serialize into the binary format (module docs): offset directory,
+    /// meta region, posting directory, 8-aligned posting slots,
     /// maintenance-store region. Canonical — identical snapshots produce
     /// identical bytes, whatever path (build, load, update, mmap) produced
     /// the value.
@@ -527,8 +508,7 @@ impl<P: Posting> CubeSnapshot<P> {
 
         let mut out = Vec::with_capacity(store_off + 1024);
         out.extend_from_slice(MAGIC);
-        let version = if self.measures.is_full() { VERSION } else { VERSION_5 };
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(P::SERIAL_TAG);
         out.extend_from_slice(&[0u8; 8]); // full checksum, patched below
         out.extend_from_slice(&[0u8; 3]); // padding to an 8-aligned directory
@@ -552,18 +532,15 @@ impl<P: Posting> CubeSnapshot<P> {
         encode_store(&self.maintenance, &mut out);
         let store_len = (out.len() - store_off) as u64;
         out[DIR_OFF + 7 * 8..DIR_OFF + 8 * 8].copy_from_slice(&store_len.to_le_bytes());
-        let meta_sum = checksum2(&out[DIR_OFF..DIR_OFF + 8 * 8], &out[META_OFF..slots_off]);
+        let meta_sum = checksum(&[&out[DIR_OFF..DIR_OFF + 8 * 8], &out[META_OFF..slots_off]]);
         out[DIR_OFF + 8 * 8..META_OFF].copy_from_slice(&meta_sum.to_le_bytes());
-        let full_sum = checksum(&out[DIR_OFF..]);
+        let full_sum = checksum(&[&out[DIR_OFF..]]);
         out[13..21].copy_from_slice(&full_sum.to_le_bytes());
         out
     }
 
-    /// The v4/v5 meta region: build configuration, labels, cube metadata,
-    /// cells in canonical (sa, ca) order, and the tid → unit map. A full
-    /// measure suite writes the v4 layout (values inline per cell); a
-    /// subset writes the v5 layout (measure-set byte, population summary
-    /// per cell, then one fixed-width value table per selected measure).
+    /// The meta region: build configuration, labels, cube metadata, cells
+    /// in canonical (sa, ca) order, and the tid → unit map.
     fn encode_meta(&self) -> Vec<u8> {
         let mut meta = Vec::new();
         let labels = self.cube.labels();
@@ -574,9 +551,7 @@ impl<P: Posting> CubeSnapshot<P> {
             Materialize::ClosedOnly => 1,
         });
         put_u64(&mut meta, self.atkinson_b.to_bits());
-        if !self.measures.is_full() {
-            meta.push(self.measures.bits());
-        }
+        meta.push(self.measures.bits());
 
         // Labels.
         put_u32(&mut meta, labels.num_items() as u32);
@@ -597,30 +572,16 @@ impl<P: Posting> CubeSnapshot<P> {
         let mut cells: Vec<(&CellCoords, &IndexValues)> = self.cube.cells().collect();
         cells.sort_by(|a, b| a.0.cmp(b.0));
         put_u32(&mut meta, cells.len() as u32);
-        if self.measures.is_full() {
-            for (coords, values) in &cells {
-                put_ids(&mut meta, &coords.sa);
-                put_ids(&mut meta, &coords.ca);
-                put_values(&mut meta, values);
+        let selected: Vec<SegIndex> = self.measures.iter().collect();
+        for (coords, values) in cells {
+            put_ids(&mut meta, &coords.sa);
+            put_ids(&mut meta, &coords.ca);
+            for &index in &selected {
+                put_f64_opt(&mut meta, values.get(index));
             }
-        } else {
-            // v5: coordinates + population summary inline, then one
-            // fixed-width little-endian value table per selected measure
-            // (9 bytes per cell: presence byte + f64 bits, zero when
-            // absent), in `SegIndex::ALL` order — columnar, so a reader
-            // interested in one index touches one contiguous table.
-            for (coords, values) in &cells {
-                put_ids(&mut meta, &coords.sa);
-                put_ids(&mut meta, &coords.ca);
-                put_u64(&mut meta, values.minority);
-                put_u64(&mut meta, values.total);
-                put_u32(&mut meta, values.num_units);
-            }
-            for index in self.measures.iter() {
-                for (_, values) in &cells {
-                    put_f64_slot(&mut meta, values.get(index));
-                }
-            }
+            put_u64(&mut meta, values.minority);
+            put_u64(&mut meta, values.total);
+            put_u32(&mut meta, values.num_units);
         }
 
         // Transaction space and tid → unit map.
@@ -632,189 +593,20 @@ impl<P: Posting> CubeSnapshot<P> {
         meta
     }
 
-    /// Deserialize a snapshot, verifying magic, version, representation
-    /// tag, and checksum before trusting any field. The current v4/v5
-    /// formats and legacy v1–v3 files all load; any other version is an
-    /// error, never a panic.
+    /// Deserialize a snapshot onto the heap, verifying magic, version,
+    /// representation tag, and both checksums before trusting any field,
+    /// then validating every region fully (owned postings via
+    /// [`Posting::read_slot`], [`VerticalDb::from_parts`], store coverage).
+    /// Any version word but the current one is an error, never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt("shorter than the fixed header"));
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a scube snapshot)"));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        match version {
-            VERSION | VERSION_5 => Self::from_bytes_v4(bytes, version),
-            VERSION_1 | VERSION_2 | VERSION_3 => Self::from_bytes_legacy(bytes, version),
-            _ => Err(corrupt(&format!(
-                "unsupported format version {version} (want {VERSION_1}..={VERSION_5})"
-            ))),
-        }
-    }
-
-    /// Check the representation-tag byte at offset 12 (all versions).
-    fn check_tag(bytes: &[u8]) -> Result<()> {
-        let tag = bytes[12];
-        if tag != P::SERIAL_TAG {
-            return Err(corrupt(&format!(
-                "posting representation tag {tag} does not match the requested \
-                 representation (tag {})",
-                P::SERIAL_TAG
-            )));
-        }
-        Ok(())
-    }
-
-    /// The v1–v3 single-payload decoder (fully validating; the only read
-    /// path these versions have).
-    fn from_bytes_legacy(bytes: &[u8], version: u32) -> Result<Self> {
-        Self::check_tag(bytes)?;
-        let stored_sum = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes"));
-        let payload = &bytes[HEADER_LEN..];
-        if checksum(payload) != stored_sum {
-            return Err(corrupt("checksum mismatch (truncated or corrupted payload)"));
-        }
-
-        let mut r = Reader { bytes: payload, pos: 0 };
-
-        // Build configuration (since v2; v1 predates it and gets the
-        // builder defaults).
-        let (materialize, atkinson_b) = if version >= VERSION_2 {
-            let materialize = match r.u8()? {
-                0 => Materialize::AllFrequent,
-                1 => Materialize::ClosedOnly,
-                t => return Err(corrupt(&format!("unknown materialization tag {t}"))),
-            };
-            let b = f64::from_bits(r.u64()?);
-            if !b.is_finite() {
-                return Err(corrupt("non-finite Atkinson parameter"));
-            }
-            (materialize, b)
-        } else {
-            (Materialize::default(), DEFAULT_ATKINSON_B)
-        };
-
-        // Labels. Like every length below, the declared count only seeds a
-        // *capped* preallocation: a crafted length cannot force a huge
-        // up-front allocation — the loop hits end-of-data first.
-        let n_items = r.u32()? as usize;
-        let mut items = Vec::with_capacity(n_items.min(PREALLOC_CAP));
-        for _ in 0..n_items {
-            let attr = r.str()?;
-            let value = r.str()?;
-            let is_sa = r.u8()? != 0;
-            items.push((attr, value, is_sa));
-        }
-        let labels = CubeLabels {
-            items,
-            sa_attrs: r.str_list()?,
-            ca_attrs: r.str_list()?,
-            unit_names: r.str_list()?,
-        };
-
-        // Cube metadata.
-        let n_units = r.u32()?;
-        let min_support = r.u64()?;
-
-        // Cells.
-        let n_cells = r.u32()? as usize;
-        let mut cells: FxHashMap<CellCoords, IndexValues> =
-            scube_common::hash::fx_map_with_capacity(n_cells.min(PREALLOC_CAP));
-        for _ in 0..n_cells {
-            let sa = r.ids(n_items)?;
-            let ca = r.ids(n_items)?;
-            let values = r.values()?;
-            if cells.insert(CellCoords { sa, ca }, values).is_some() {
-                return Err(corrupt("duplicate cell coordinates"));
-            }
-        }
-        let cube = SegregationCube::new(cells, labels, n_units, min_support);
-
-        // Vertical database.
-        let n_transactions = r.u32()?;
-        let v_units = r.u32()?;
-        let mut unit_of = Vec::with_capacity((n_transactions as usize).min(PREALLOC_CAP));
-        for _ in 0..n_transactions {
-            unit_of.push(r.u32()?);
-        }
-        let n_postings = r.u32()? as usize;
-        if n_postings != n_items {
-            return Err(corrupt("posting count does not match item count"));
-        }
-        let mut postings = Vec::with_capacity(n_postings.min(PREALLOC_CAP));
-        for _ in 0..n_postings {
-            let (posting, consumed) = P::read_bytes(&r.bytes[r.pos..])
-                .ok_or_else(|| corrupt("malformed posting payload"))?;
-            r.pos += consumed;
-            postings.push(posting);
-        }
-
-        // Maintenance store: stored since v2, reconstructed for v1 files.
-        let maintenance =
-            if version >= VERSION_2 { Some(decode_store(&mut r, n_items, v_units)?) } else { None };
-        if r.pos != r.bytes.len() {
-            return Err(corrupt("trailing bytes after the payload"));
-        }
-        let vertical = VerticalDb::from_parts(postings, n_transactions, unit_of, v_units)
-            .ok_or_else(|| corrupt("inconsistent vertical database parts"))?;
-
-        Self::validate_pairing(&cube, &vertical)?;
-        let maintenance = match maintenance {
-            Some(store) => {
-                if !store.covers(&cube) {
-                    return Err(corrupt("maintenance store does not cover the cube"));
-                }
-                store
-            }
-            None => MaintenanceStore::compute(&cube, &vertical),
-        };
-        Ok(CubeSnapshot {
-            cube,
-            vertical,
-            materialize,
-            atkinson_b,
-            measures: MeasureSet::FULL,
-            maintenance,
-        })
-    }
-
-    /// The v4/v5 heap decoder: verify the full checksum, walk the
-    /// directory, decode every region, and validate exactly as strictly as
-    /// the legacy path (owned postings via [`Posting::read_slot`], full
-    /// [`VerticalDb::from_parts`] and store-coverage checks).
-    fn from_bytes_v4(bytes: &[u8], version: u32) -> Result<Self> {
-        if bytes.len() < META_OFF {
-            return Err(corrupt("shorter than the fixed v4 header"));
-        }
-        Self::check_tag(bytes)?;
-        let stored_sum = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes"));
-        if checksum(&bytes[DIR_OFF..]) != stored_sum {
-            return Err(corrupt("checksum mismatch (truncated or corrupted payload)"));
-        }
-        if bytes[HEADER_LEN..DIR_OFF] != [0u8; 3] {
-            return Err(corrupt("nonzero header padding"));
-        }
-        let d = Directory::parse(bytes)?;
-        let meta = decode_meta(&bytes[META_OFF..d.postdir_off], version)?;
-        if d.n_postings != meta.n_items {
-            return Err(corrupt("posting count does not match item count"));
-        }
-        let mut postings = Vec::with_capacity(d.n_postings.min(PREALLOC_CAP));
-        for i in 0..d.n_postings {
-            let (off, len, card) = d.postdir_entry(bytes, i)?;
-            let posting = P::read_slot(&bytes[off..off + len], card)
-                .ok_or_else(|| corrupt("malformed posting slot"))?;
-            postings.push(posting);
-        }
-        let store = {
-            let mut r = Reader { bytes: &bytes[d.store_off..d.store_off + d.store_len], pos: 0 };
-            let store = decode_store(&mut r, meta.n_items, meta.v_units)?;
-            if r.pos != r.bytes.len() {
-                return Err(corrupt("trailing bytes after the maintenance store"));
-            }
-            store
-        };
+        let (d, meta) = Self::parse_preamble(bytes, true)?;
+        let postings =
+            d.postings(bytes, |off, len, card| P::read_slot(&bytes[off..off + len], card))?;
+        let store = decode_store(
+            &bytes[d.store_off..d.store_off + d.store_len],
+            meta.n_items,
+            meta.v_units,
+        )?;
         let vertical =
             VerticalDb::from_parts(postings, meta.n_transactions, meta.unit_of, meta.v_units)
                 .ok_or_else(|| corrupt("inconsistent vertical database parts"))?;
@@ -832,7 +624,55 @@ impl<P: Posting> CubeSnapshot<P> {
         })
     }
 
-    /// Map a v4 snapshot file and serve its postings zero-copy out of the
+    /// The parse every open shares: header (magic, version word,
+    /// representation tag, padding), the full checksum when `verify_full`,
+    /// the offset directory with its `meta_sum`, and the meta region.
+    /// What comes back is trusted metadata; postings and the maintenance
+    /// store are left to the caller, which is where the heap and mapped
+    /// opens differ.
+    fn parse_preamble(bytes: &[u8], verify_full: bool) -> Result<(Directory, MetaParts)> {
+        if bytes.len() < HEADER_LEN {
+            return Err(corrupt("shorter than the fixed header"));
+        }
+        if &bytes[..8] != MAGIC {
+            return Err(corrupt("bad magic (not a scube snapshot)"));
+        }
+        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        if version != VERSION {
+            return Err(corrupt(&format!(
+                "unsupported format version {version} (this build reads and writes only \
+                 version {VERSION}) — re-create the snapshot with `scube save`"
+            )));
+        }
+        if bytes.len() < META_OFF {
+            return Err(corrupt("shorter than the header and offset directory"));
+        }
+        let tag = bytes[12];
+        if tag != P::SERIAL_TAG {
+            return Err(corrupt(&format!(
+                "posting representation tag {tag} does not match the requested \
+                 representation (tag {})",
+                P::SERIAL_TAG
+            )));
+        }
+        if bytes[HEADER_LEN..DIR_OFF] != [0u8; 3] {
+            return Err(corrupt("nonzero header padding"));
+        }
+        if verify_full {
+            let stored_sum = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes"));
+            if checksum(&[&bytes[DIR_OFF..]]) != stored_sum {
+                return Err(corrupt("checksum mismatch (truncated or corrupted payload)"));
+            }
+        }
+        let d = Directory::parse(bytes)?;
+        let meta = decode_meta(&bytes[META_OFF..d.postdir_off])?;
+        if d.n_postings != meta.n_items {
+            return Err(corrupt("posting count does not match item count"));
+        }
+        Ok((d, meta))
+    }
+
+    /// Map a snapshot file and serve its postings zero-copy out of the
     /// page cache — every daemon that opens the same file shares one
     /// physical copy.
     ///
@@ -848,9 +688,9 @@ impl<P: Posting> CubeSnapshot<P> {
     /// and checks the full checksum for that.
     ///
     /// Errors (never panics, never UB) on truncated or corrupted files, on
-    /// v1–v3 files (load and re-save to convert them to v4), and on
-    /// big-endian hosts, where the fixed-width tables cannot be
-    /// reinterpreted in place — [`Self::load`] works everywhere.
+    /// any other format version, and on big-endian hosts, where the
+    /// fixed-width tables cannot be reinterpreted in place —
+    /// [`Self::load`] works everywhere.
     ///
     /// The returned snapshot behaves exactly like a loaded one: queries
     /// are answered bit-identically (`tests/mmap_differential.rs`), and
@@ -862,7 +702,12 @@ impl<P: Posting> CubeSnapshot<P> {
 
     /// As [`Self::open_mmap`], additionally verifying the full-payload
     /// checksum — an O(file) read that rules out bit rot everywhere, for
-    /// callers that prefer eager certainty over a milliseconds open.
+    /// callers that prefer eager certainty over a milliseconds open. The
+    /// header, both checksums, the directory, and the meta region go
+    /// through the same parse [`Self::load`] uses, so the two accept the
+    /// same files — short of a crafted file whose checksums were recomputed
+    /// over malformed slot or store contents, which only the heap decoder's
+    /// full validation rejects.
     pub fn open_mmap_verified(path: impl AsRef<Path>) -> Result<Self> {
         Self::open_mmap_inner(path.as_ref(), true)
     }
@@ -876,51 +721,10 @@ impl<P: Posting> CubeSnapshot<P> {
         let file = Arc::new(MmapFile::open(path)?);
         let whole = ByteRegion::whole(Arc::clone(&file));
         let bytes = file.as_bytes();
-        if bytes.len() < META_OFF {
-            return Err(corrupt("shorter than the fixed v4 header"));
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a scube snapshot)"));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if (VERSION_1..=VERSION_3).contains(&version) {
-            return Err(corrupt(&format!(
-                "format v{version} predates mapped serving — load and re-save to convert to v4"
-            )));
-        }
-        if version != VERSION && version != VERSION_5 {
-            return Err(corrupt(&format!(
-                "unsupported format version {version} (want {VERSION_1}..={VERSION_5})"
-            )));
-        }
-        Self::check_tag(bytes)?;
-        if bytes[HEADER_LEN..DIR_OFF] != [0u8; 3] {
-            return Err(corrupt("nonzero header padding"));
-        }
-        if verify_full {
-            let stored_sum = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes"));
-            if checksum(&bytes[DIR_OFF..]) != stored_sum {
-                return Err(corrupt("checksum mismatch (truncated or corrupted payload)"));
-            }
-        }
-        let d = Directory::parse(bytes)?;
-        if checksum2(&bytes[DIR_OFF..DIR_OFF + 8 * 8], &bytes[META_OFF..d.slots_off]) != d.meta_sum
-        {
-            return Err(corrupt("meta checksum mismatch (corrupted directory or meta region)"));
-        }
-        let meta = decode_meta(&bytes[META_OFF..d.postdir_off], version)?;
-        if d.n_postings != meta.n_items {
-            return Err(corrupt("posting count does not match item count"));
-        }
-        let mut postings = Vec::with_capacity(d.n_postings.min(PREALLOC_CAP));
-        for i in 0..d.n_postings {
-            let (off, len, card) = d.postdir_entry(bytes, i)?;
-            let region =
-                whole.slice(off, len).ok_or_else(|| corrupt("posting slot out of bounds"))?;
-            let posting = P::map_slot(region, card, meta.n_transactions)
-                .ok_or_else(|| corrupt("malformed posting slot"))?;
-            postings.push(posting);
-        }
+        let (d, meta) = Self::parse_preamble(bytes, verify_full)?;
+        let postings = d.postings(bytes, |off, len, card| {
+            P::map_slot(whole.slice(off, len)?, card, meta.n_transactions)
+        })?;
         // `map_slot` guaranteed every posting stays below `n_transactions`,
         // so the O(data) posting re-scan of `from_parts` is unnecessary —
         // that scan is precisely what would make a cold open O(file).
@@ -944,13 +748,15 @@ impl<P: Posting> CubeSnapshot<P> {
         })
     }
 
-    /// Write the snapshot to a file, atomically: the bytes go to a
-    /// same-directory temp file, are fsynced, and are renamed over the
-    /// target. A crash, kill, or full disk mid-save therefore never
-    /// replaces an existing snapshot with a torn one — the target path
-    /// holds either the previous bytes or the complete new ones
-    /// (`tests/snapshot_atomic_save.rs` kills a writer mid-save to prove
-    /// it). On error the temp file is removed best-effort.
+    /// Write the snapshot to a file, atomically and durably: the bytes go
+    /// to a same-directory temp file, are fsynced, and are renamed over
+    /// the target, and then the directory is fsynced. A crash, kill, or
+    /// full disk mid-save therefore never replaces an existing snapshot
+    /// with a torn one — the target path holds either the previous bytes
+    /// or the complete new ones (`tests/snapshot_atomic_save.rs` kills a
+    /// writer mid-save to prove it) — and once this returns `Ok` the new
+    /// bytes survive a power loss. On error the temp file is removed
+    /// best-effort.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         let path = path.as_ref();
         write_atomic(path, &self.to_bytes())
@@ -965,33 +771,29 @@ impl<P: Posting> CubeSnapshot<P> {
     }
 }
 
-/// FxHash over the whole payload — fast, deterministic, and plenty for
-/// detecting truncation and bit rot (this is an integrity check, not an
-/// authenticity one).
-fn checksum(payload: &[u8]) -> u64 {
+/// FxHash over the concatenated `parts` — fast, deterministic, and plenty
+/// for detecting truncation and bit rot (this is an integrity check, not
+/// an authenticity one). The full checksum hashes one part; `meta_sum`
+/// hashes two, its coverage skipping the `meta_sum` word itself.
+fn checksum(parts: &[&[u8]]) -> u64 {
     use std::hash::Hasher;
     let mut h = scube_common::hash::FxHasher::default();
-    h.write(payload);
+    let mut len = 0u64;
+    for part in parts {
+        h.write(part);
+        len += part.len() as u64;
+    }
     // Fold the length in so a truncated all-zero tail cannot collide.
-    h.write_u64(payload.len() as u64);
-    h.finish()
-}
-
-/// FxHash over two concatenated slices (the v4 `meta_sum`, whose coverage
-/// skips the `meta_sum` word itself). Length-folded like [`checksum`].
-fn checksum2(a: &[u8], b: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = scube_common::hash::FxHasher::default();
-    h.write(a);
-    h.write(b);
-    h.write_u64((a.len() + b.len()) as u64);
+    h.write_u64(len);
     h.finish()
 }
 
 /// Atomic, durable file replacement: write to a unique same-directory temp
-/// file, fsync, rename over `path`. The rename is what makes an
-/// interrupted save harmless — POSIX guarantees the target names either
-/// the old or the new bytes, never a mixture.
+/// file, fsync, rename over `path`, fsync the directory. The rename is what
+/// makes an interrupted save harmless — POSIX guarantees the target names
+/// either the old or the new bytes, never a mixture. The directory sync is
+/// what makes a returned `Ok` durable: until the directory entry itself is
+/// on disk, a power loss can still roll the rename back.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1014,7 +816,10 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        #[cfg(unix)]
+        std::fs::File::open(dir)?.sync_all()?;
+        Ok(())
     })();
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -1022,17 +827,18 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     result.map_err(io)
 }
 
-/// The v4 offset directory, parsed and cross-validated: every region must
+/// The offset directory, parsed and cross-validated: every region must
 /// tile the file exactly (header, directory, meta, posting directory,
 /// alignment padding, slots, store — in that order, no gaps, no overlap),
-/// so a reader can trust offsets before trusting contents.
+/// and directory, meta region, and posting directory must hash to
+/// `meta_sum`, so a reader can trust offsets and metadata before trusting
+/// contents.
 struct Directory {
     postdir_off: usize,
     n_postings: usize,
     slots_off: usize,
     store_off: usize,
     store_len: usize,
-    meta_sum: u64,
 }
 
 impl Directory {
@@ -1064,34 +870,50 @@ impl Directory {
         if store_off.checked_add(store_len) != Some(bytes.len() as u64) {
             return Err(bad("regions do not span the file"));
         }
+        // The regions tile the file, so `slots_off` is in bounds.
+        let covered = &bytes[META_OFF..slots_off as usize];
+        if checksum(&[&bytes[DIR_OFF..DIR_OFF + 8 * 8], covered]) != meta_sum {
+            return Err(corrupt("meta checksum mismatch (corrupted directory or meta region)"));
+        }
         Ok(Directory {
             postdir_off: postdir_off as usize,
             n_postings: n_postings as usize,
             slots_off: slots_off as usize,
             store_off: store_off as usize,
             store_len: store_len as usize,
-            meta_sum,
         })
     }
 
-    /// Entry `i` of the posting directory: absolute slot offset, slot
-    /// length, cardinality — with the slot range checked to lie inside the
-    /// slots region.
-    fn postdir_entry(&self, bytes: &[u8], i: usize) -> Result<(usize, usize, u64)> {
-        let at = self.postdir_off + i * POSTDIR_ENTRY;
-        let word =
-            |k: usize| u64::from_le_bytes(bytes[at + 8 * k..at + 8 * k + 8].try_into().expect("8"));
-        let (off, len, card) = (word(0), word(1), word(2));
-        let end = off.checked_add(len).ok_or_else(|| corrupt("posting slot overflow"))?;
-        if off < self.slots_off as u64 || end > self.store_off as u64 {
-            return Err(corrupt("posting slot outside the slots region"));
+    /// Every posting in directory order: each entry's slot range is checked
+    /// to lie inside the slots region, then handed to `decode(slot offset,
+    /// slot length, cardinality)` — the one step where the heap and mapped
+    /// opens differ.
+    fn postings<P>(
+        &self,
+        bytes: &[u8],
+        mut decode: impl FnMut(usize, usize, u64) -> Option<P>,
+    ) -> Result<Vec<P>> {
+        let mut postings = Vec::with_capacity(self.n_postings.min(PREALLOC_CAP));
+        for i in 0..self.n_postings {
+            let at = self.postdir_off + i * POSTDIR_ENTRY;
+            let word = |k: usize| {
+                u64::from_le_bytes(bytes[at + 8 * k..at + 8 * k + 8].try_into().expect("8 bytes"))
+            };
+            let (off, len, card) = (word(0), word(1), word(2));
+            let end = off.checked_add(len).ok_or_else(|| corrupt("posting slot overflow"))?;
+            if off < self.slots_off as u64 || end > self.store_off as u64 {
+                return Err(corrupt("posting slot outside the slots region"));
+            }
+            let posting = decode(off as usize, len as usize, card)
+                .ok_or_else(|| corrupt("malformed posting slot"))?;
+            postings.push(posting);
         }
-        Ok((off as usize, len as usize, card))
+        Ok(postings)
     }
 }
 
-/// The decoded v4/v5 meta region — everything but postings and the
-/// maintenance store.
+/// The decoded meta region — everything but postings and the maintenance
+/// store.
 struct MetaParts {
     materialize: Materialize,
     atkinson_b: f64,
@@ -1103,12 +925,8 @@ struct MetaParts {
     unit_of: Vec<u32>,
 }
 
-/// Decode the v4/v5 meta region (exactly; trailing bytes are an error).
-/// v4 carries no measure-set byte (the set is implicitly full) and stores
-/// every cell's six tagged-optional values inline; v5 adds the measure
-/// byte after the Atkinson parameter and moves the per-cell values into
-/// columnar fixed-width tables, one per selected measure.
-fn decode_meta(bytes: &[u8], version: u32) -> Result<MetaParts> {
+/// Decode the meta region (exactly; trailing bytes are an error).
+fn decode_meta(bytes: &[u8]) -> Result<MetaParts> {
     let mut r = Reader { bytes, pos: 0 };
 
     // Build configuration.
@@ -1121,18 +939,9 @@ fn decode_meta(bytes: &[u8], version: u32) -> Result<MetaParts> {
     if !atkinson_b.is_finite() {
         return Err(corrupt("non-finite Atkinson parameter"));
     }
-    let measures = if version >= VERSION_5 {
-        let bits = r.u8()?;
-        let set = MeasureSet::from_bits(bits)
-            .ok_or_else(|| corrupt(&format!("invalid measure-set byte {bits:#04x}")))?;
-        if set.is_full() {
-            // Canonical form: a full set is always written as v4.
-            return Err(corrupt("v5 snapshot declares the full measure set (must be v4)"));
-        }
-        set
-    } else {
-        MeasureSet::FULL
-    };
+    let bits = r.u8()?;
+    let measures = MeasureSet::from_bits(bits)
+        .ok_or_else(|| corrupt(&format!("invalid measure-set byte {bits:#04x}")))?;
 
     // Labels.
     let n_items = r.u32()? as usize;
@@ -1156,39 +965,19 @@ fn decode_meta(bytes: &[u8], version: u32) -> Result<MetaParts> {
     let n_cells = r.u32()? as usize;
     let mut cells: FxHashMap<CellCoords, IndexValues> =
         scube_common::hash::fx_map_with_capacity(n_cells.min(PREALLOC_CAP));
-    if measures.is_full() {
-        for _ in 0..n_cells {
-            let sa = r.ids(n_items)?;
-            let ca = r.ids(n_items)?;
-            let values = r.values()?;
-            if cells.insert(CellCoords { sa, ca }, values).is_some() {
-                return Err(corrupt("duplicate cell coordinates"));
-            }
+    let selected: Vec<SegIndex> = measures.iter().collect();
+    for _ in 0..n_cells {
+        let sa = r.ids(n_items)?;
+        let ca = r.ids(n_items)?;
+        let mut values = IndexValues::default();
+        for &index in &selected {
+            values.set(index, r.f64_opt()?);
         }
-    } else {
-        // v5: coordinates and counts first, in canonical cell order, then
-        // one fixed-width value column per selected measure.
-        let mut order = Vec::with_capacity(n_cells.min(PREALLOC_CAP));
-        for _ in 0..n_cells {
-            let sa = r.ids(n_items)?;
-            let ca = r.ids(n_items)?;
-            let values = IndexValues {
-                minority: r.u64()?,
-                total: r.u64()?,
-                num_units: r.u32()?,
-                ..IndexValues::default()
-            };
-            order.push((CellCoords { sa, ca }, values));
-        }
-        for index in measures.iter() {
-            for (_, values) in order.iter_mut() {
-                values.set(index, r.f64_slot()?);
-            }
-        }
-        for (coords, values) in order {
-            if cells.insert(coords, values).is_some() {
-                return Err(corrupt("duplicate cell coordinates"));
-            }
+        values.minority = r.u64()?;
+        values.total = r.u64()?;
+        values.num_units = r.u32()?;
+        if cells.insert(CellCoords { sa, ca }, values).is_some() {
+            return Err(corrupt("duplicate cell coordinates"));
         }
     }
     let cube = SegregationCube::new(cells, labels, n_units, min_support);
@@ -1217,8 +1006,7 @@ fn decode_meta(bytes: &[u8], version: u32) -> Result<MetaParts> {
 
 /// Encode the maintenance store: context totals then cell minorities, in
 /// canonical key order so serialization stays path-independent — an
-/// updated snapshot and a rebuilt one produce identical bytes. This is
-/// both the v4 store region and the tail of the v2/v3 payload.
+/// updated snapshot and a rebuilt one produce identical bytes.
 ///
 /// A partially-decoded mapped store stays canonical without decoding the
 /// rest: still-lazy entries splice their histogram bytes verbatim out of
@@ -1276,9 +1064,10 @@ fn encode_store(store: &MaintenanceStore, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a maintenance store from `r` (same validation whatever the
-/// enclosing version: sorted keys' structure, unit range, nonzero counts).
-fn decode_store(r: &mut Reader<'_>, n_items: usize, v_units: u32) -> Result<MaintenanceStore> {
+/// Decode the maintenance-store region (exactly; validating the keys'
+/// structure, the unit range, and that counts are nonzero).
+fn decode_store(bytes: &[u8], n_items: usize, v_units: u32) -> Result<MaintenanceStore> {
+    let mut r = Reader { bytes, pos: 0 };
     let mut store = MaintenanceStore::default();
     let n_contexts = r.u32()? as usize;
     for _ in 0..n_contexts {
@@ -1296,6 +1085,9 @@ fn decode_store(r: &mut Reader<'_>, n_items: usize, v_units: u32) -> Result<Main
         if store.minorities.insert(CellCoords { sa, ca }, pairs).is_some() {
             return Err(corrupt("duplicate maintenance cell"));
         }
+    }
+    if r.pos != r.bytes.len() {
+        return Err(corrupt("trailing bytes after the maintenance store"));
     }
     Ok(store)
 }
@@ -1347,35 +1139,6 @@ fn put_f64_opt(out: &mut Vec<u8>, v: Option<f64>) {
         }
         None => out.push(0),
     }
-}
-
-/// Fixed-width (9-byte) optional value for the v5 columnar tables:
-/// presence byte then the f64 bits, zero bits when absent. Fixed width
-/// keeps every column the same length, so a value can be located by
-/// `column_base + 9 * cell_index` without scanning.
-fn put_f64_slot(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        None => {
-            out.push(0);
-            out.extend_from_slice(&[0u8; 8]);
-        }
-    }
-}
-
-fn put_values(out: &mut Vec<u8>, v: &IndexValues) {
-    put_f64_opt(out, v.dissimilarity);
-    put_f64_opt(out, v.gini);
-    put_f64_opt(out, v.information);
-    put_f64_opt(out, v.isolation);
-    put_f64_opt(out, v.interaction);
-    put_f64_opt(out, v.atkinson);
-    put_u64(out, v.minority);
-    put_u64(out, v.total);
-    put_u32(out, v.num_units);
 }
 
 /// Bounds-checked little-endian payload reader.
@@ -1480,34 +1243,6 @@ impl Reader<'_> {
             _ => Err(corrupt("bad optional-value tag")),
         }
     }
-
-    /// Fixed-width counterpart of [`Self::f64_opt`] for the v5 columnar
-    /// value tables. An absent slot must carry zero payload bits so the
-    /// encoding stays canonical (one byte pattern per logical value).
-    fn f64_slot(&mut self) -> Result<Option<f64>> {
-        let tag = self.u8()?;
-        let bits = self.u64()?;
-        match tag {
-            0 if bits == 0 => Ok(None),
-            0 => Err(corrupt("absent value slot with nonzero payload")),
-            1 => Ok(Some(f64::from_bits(bits))),
-            _ => Err(corrupt("bad value-slot tag")),
-        }
-    }
-
-    fn values(&mut self) -> Result<IndexValues> {
-        Ok(IndexValues {
-            dissimilarity: self.f64_opt()?,
-            gini: self.f64_opt()?,
-            information: self.f64_opt()?,
-            isolation: self.f64_opt()?,
-            interaction: self.f64_opt()?,
-            atkinson: self.f64_opt()?,
-            minority: self.u64()?,
-            total: self.u64()?,
-            num_units: self.u32()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1538,25 +1273,33 @@ mod tests {
         b.finish()
     }
 
-    fn roundtrip<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>() {
-        let db = db();
-        let snap: CubeSnapshot<P> =
-            CubeSnapshot::from_db(&db, &CubeBuilder::new().materialize(Materialize::ClosedOnly))
-                .unwrap();
+    /// Build under `measures`, serialize, load, and re-serialize.
+    fn roundtrip<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>(measures: MeasureSet) {
+        let builder = CubeBuilder::new().materialize(Materialize::ClosedOnly).measures(measures);
+        let snap: CubeSnapshot<P> = CubeSnapshot::from_db(&db(), &builder).unwrap();
         let bytes = snap.to_bytes();
+        assert_eq!(&bytes[8..12], &VERSION.to_le_bytes());
+        assert_eq!(bytes[META_OFF + 9], measures.bits(), "the measure byte names the set");
         let loaded = CubeSnapshot::<P>::from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.measures(), measures);
         assert_eq!(loaded.cube(), snap.cube());
         assert_eq!(loaded.vertical().units(), snap.vertical().units());
         assert_eq!(loaded.vertical().postings(), snap.vertical().postings());
         // Canonical: saving the loaded snapshot reproduces the same bytes.
         assert_eq!(loaded.to_bytes(), bytes);
+        // Unselected measures are absent in every cell.
+        for (_, v) in loaded.cube().cells() {
+            for index in SegIndex::ALL.into_iter().filter(|&i| !measures.contains(i)) {
+                assert_eq!(v.get(index), None);
+            }
+        }
     }
 
     #[test]
     fn roundtrip_all_representations() {
-        roundtrip::<EwahBitmap>();
-        roundtrip::<DenseBitmap>();
-        roundtrip::<TidVec>();
+        roundtrip::<EwahBitmap>(MeasureSet::FULL);
+        roundtrip::<DenseBitmap>(MeasureSet::FULL);
+        roundtrip::<TidVec>(MeasureSet::FULL);
     }
 
     #[test]
@@ -1615,79 +1358,26 @@ mod tests {
 
     #[test]
     fn v5_subset_roundtrip_all_representations() {
-        use scube_segindex::SegIndex;
-        fn check<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>() {
-            let db = db();
-            let measures = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
-            let snap: CubeSnapshot<P> =
-                CubeSnapshot::from_db(&db, &CubeBuilder::new().measures(measures)).unwrap();
-            let bytes = snap.to_bytes();
-            assert_eq!(&bytes[8..12], &VERSION_5.to_le_bytes(), "subset builds persist as v5");
-            let loaded = CubeSnapshot::<P>::from_bytes(&bytes).unwrap();
-            assert_eq!(loaded.measures(), measures);
-            assert_eq!(loaded.cube(), snap.cube());
-            assert_eq!(loaded.vertical().postings(), snap.vertical().postings());
-            // Canonical: resaving reproduces identical bytes.
-            assert_eq!(loaded.to_bytes(), bytes);
-            // Unselected measures are absent in every cell.
-            for (_, v) in loaded.cube().cells() {
-                assert!(v.dissimilarity.is_none() && v.information.is_none());
-                assert!(v.interaction.is_none() && v.atkinson.is_none());
-            }
-        }
-        check::<EwahBitmap>();
-        check::<DenseBitmap>();
-        check::<TidVec>();
-    }
-
-    #[test]
-    fn full_measure_set_always_writes_v4() {
-        let db = db();
-        let snap: CubeSnapshot =
-            CubeSnapshot::from_db(&db, &CubeBuilder::new().measures(MeasureSet::FULL)).unwrap();
-        let bytes = snap.to_bytes();
-        assert_eq!(&bytes[8..12], &VERSION.to_le_bytes());
-        let loaded = CubeSnapshot::<EwahBitmap>::from_bytes(&bytes).unwrap();
-        assert!(loaded.measures().is_full());
-    }
-
-    #[test]
-    fn v5_declaring_full_set_is_rejected_as_non_canonical() {
-        // Take a real v4 snapshot, stamp version 5 (whose meta would then
-        // need a measure byte), and fix the checksums: the reader must
-        // reject it — a full suite has exactly one canonical encoding (v4).
-        let db = db();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
-        let mut bytes = snap.to_bytes();
-        bytes[8..12].copy_from_slice(&VERSION_5.to_le_bytes());
-        let sum = checksum(&bytes[DIR_OFF..]);
-        bytes[13..21].copy_from_slice(&sum.to_le_bytes());
-        assert!(CubeSnapshot::<EwahBitmap>::from_bytes(&bytes).is_err());
-
-        // And directly: a v5 meta region declaring the full measure byte.
-        let mut meta = Vec::new();
-        meta.push(0); // AllFrequent
-        put_u64(&mut meta, DEFAULT_ATKINSON_B.to_bits());
-        meta.push(MeasureSet::FULL.bits());
-        let err = decode_meta(&meta, VERSION_5).map(|_| ()).unwrap_err();
-        assert!(err.to_string().contains("full measure set"), "{err}");
+        let subset = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
+        roundtrip::<EwahBitmap>(subset);
+        roundtrip::<DenseBitmap>(subset);
+        roundtrip::<TidVec>(subset);
     }
 
     #[test]
     fn v5_bad_measure_byte_and_bad_slots_error() {
-        // Measure byte 0 (empty) and 0xFF (unknown bits) are both invalid.
-        for bits in [0u8, 0xFF] {
+        // Measure byte 0 (empty) and 0x40/0xFF (unknown bits) are invalid.
+        for bits in [0u8, 0x40, 0xFF] {
             let mut meta = Vec::new();
             meta.push(0);
             put_u64(&mut meta, DEFAULT_ATKINSON_B.to_bits());
             meta.push(bits);
-            assert!(decode_meta(&meta, VERSION_5).is_err(), "measure byte {bits:#04x}");
+            let err = decode_meta(&meta).map(|_| ()).unwrap_err();
+            assert!(err.to_string().contains("measure-set byte"), "{bits:#04x}: {err}");
         }
-        // An absent value slot must carry zero payload bits.
-        let mut r = Reader { bytes: &[0u8, 1, 0, 0, 0, 0, 0, 0, 0], pos: 0 };
-        assert!(r.f64_slot().is_err(), "absent slot with nonzero payload");
+        // An optional value's tag is 0 or 1, nothing else.
         let mut r = Reader { bytes: &[2u8, 0, 0, 0, 0, 0, 0, 0, 0], pos: 0 };
-        assert!(r.f64_slot().is_err(), "bad slot tag");
+        assert!(r.f64_opt().is_err(), "bad optional tag");
     }
 
     #[test]
@@ -1702,7 +1392,8 @@ mod tests {
 
         let mut bad = good.clone();
         bad[8] = 99;
-        assert!(CubeSnapshot::<EwahBitmap>::from_bytes(&bad).is_err(), "version");
+        let err = CubeSnapshot::<EwahBitmap>::from_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("version 99"), "{err}");
 
         // An EWAH snapshot must not load as TidVec.
         assert!(CubeSnapshot::<TidVec>::from_bytes(&good).is_err(), "tag");
@@ -1730,9 +1421,9 @@ mod tests {
 
     #[test]
     fn crafted_huge_lengths_error_instead_of_allocating() {
-        // A syntactically valid header and checksum around a payload whose
-        // length fields promise billions of elements: decoding must return
-        // an error (end of data), not attempt the allocation.
+        // A valid build-configuration block followed by length fields that
+        // promise billions of elements: decoding must return an error (end
+        // of data), not attempt the allocation.
         for payload in [
             u32::MAX.to_le_bytes().to_vec(), // n_items = 4 billion
             {
@@ -1749,20 +1440,18 @@ mod tests {
                 p
             },
         ] {
-            // Legacy (v3) framing: a single checksummed payload.
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(MAGIC);
-            bytes.extend_from_slice(&VERSION_3.to_le_bytes());
-            bytes.push(EwahBitmap::SERIAL_TAG);
-            bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            assert!(CubeSnapshot::<EwahBitmap>::from_bytes(&bytes).is_err());
+            let mut meta = vec![0]; // AllFrequent
+            put_u64(&mut meta, DEFAULT_ATKINSON_B.to_bits());
+            meta.push(MeasureSet::FULL.bits());
+            meta.extend_from_slice(&payload);
+            let err = decode_meta(&meta).map(|_| ()).unwrap_err();
+            assert!(err.to_string().contains("end of data"), "{err}");
         }
     }
 
     #[test]
     fn crafted_v4_directory_errors_instead_of_allocating() {
-        // A well-formed v4 header whose directory promises 2^60 postings:
+        // A well-formed header whose directory promises 2^60 postings:
         // parsing must reject the directory (regions cannot tile the
         // file), not attempt the allocation.
         let mut bytes = vec![0u8; META_OFF];
@@ -1773,7 +1462,7 @@ mod tests {
         for (i, w) in dir.iter().enumerate() {
             bytes[DIR_OFF + 8 * i..DIR_OFF + 8 * i + 8].copy_from_slice(&w.to_le_bytes());
         }
-        let sum = checksum(&bytes[DIR_OFF..]);
+        let sum = checksum(&[&bytes[DIR_OFF..]]);
         bytes[13..21].copy_from_slice(&sum.to_le_bytes());
         let err = CubeSnapshot::<EwahBitmap>::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("directory"), "{err}");
@@ -1785,6 +1474,7 @@ mod tests {
         let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
         let bytes = snap.to_bytes();
         assert_eq!(&bytes[8..12], &VERSION.to_le_bytes());
+        assert_eq!(bytes[META_OFF + 9], MeasureSet::FULL.bits(), "measure byte");
         let word = |i: usize| {
             u64::from_le_bytes(bytes[DIR_OFF + 8 * i..DIR_OFF + 8 * i + 8].try_into().unwrap())
         };

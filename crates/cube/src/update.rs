@@ -412,9 +412,9 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 /// re-evaluation from `O(Σ |full tidset|)` into `O(Σ |delta tidset| +
 /// dirty cells × populated units)`.
 ///
-/// Persisted since snapshot format v2 (canonical order: contexts by item
-/// list, cells by coordinates) so a loaded snapshot is immediately
-/// updatable; v1 files reconstruct it on load. Counts are exact integers,
+/// Persisted in the snapshot (canonical order: contexts by item list,
+/// cells by coordinates) so a loaded snapshot is immediately updatable.
+/// Counts are exact integers,
 /// so retractions *subtract* as losslessly as appends add — with a
 /// domination check turning any disagreement between store and delta into
 /// a hard error before mutation.
@@ -435,8 +435,7 @@ pub(crate) struct MaintenanceStore {
 
 impl MaintenanceStore {
     /// Derive the store from scratch — what [`crate::snapshot::CubeSnapshot::new`]
-    /// does when pairing a cube with its vertical database, and what v1
-    /// snapshot files (which predate the store) do on load.
+    /// does when pairing a cube with its vertical database.
     pub(crate) fn compute<P: Posting>(cube: &SegregationCube, vertical: &VerticalDb<P>) -> Self {
         let mut scratch = UnitScratch::new(vertical.num_units());
         let mut contexts: FxHashMap<Vec<ItemId>, Vec<(u32, u64)>> = FxHashMap::default();
@@ -950,8 +949,7 @@ fn commit_labels(cube: &mut SegregationCube, encoded: &EncodedBatch, n_units_aft
 /// closedness, promote newly-frequent itemsets, and relabel the id space
 /// when retractions shrank or reordered the dictionary. `materialize`,
 /// `atkinson_b`, and `measures` must be the configuration the cube was
-/// built with — snapshots record them (v2 for the first two, v5 for the
-/// measure set), so re-evaluated and promoted cells fold the exact same
+/// built with — snapshots record all three, so re-evaluated and promoted cells fold the exact same
 /// index subset a rebuild would.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_update<P: Posting + Send + Sync>(

@@ -125,8 +125,8 @@ fn check_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::D
 
 /// As [`check_churn_equals_rebuild`], but on a build restricted to a
 /// measure subset: the churned snapshot must stay byte-identical to a
-/// rebuild of the same subset — which for a proper subset means both
-/// sides serialize as snapshot v5, value tables and all.
+/// rebuild of the same subset — measure byte, per-cell selected values
+/// and all.
 #[allow(clippy::too_many_arguments)]
 fn check_measured_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>(
     full_rel: &Relation,
@@ -218,7 +218,8 @@ proptest! {
         // The multi-index layer under churn: random measure subsets (any
         // of the 63 non-empty sets, incl. the full suite) must survive
         // random append/retract/mixed splits byte-identically — whole
-        // snapshot, so a proper subset round-trips its v5 value tables.
+        // snapshot, so a proper subset round-trips its measure byte and
+        // selected values.
         let measures = MeasureSet::from_bits(measure_bits).expect("1..=63 is a valid set");
         let db = final_table(0.6, seed, 140);
         let full_rel = scube::final_table_relation(&db);

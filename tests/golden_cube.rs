@@ -77,7 +77,7 @@ fn cube_sheet_matches_golden() {
 
 #[test]
 fn multi_index_sheet_matches_golden() {
-    // A Gini + Isolation subset build served through a snapshot-v5 byte
+    // A Gini + Isolation subset build served through a snapshot byte
     // round-trip, reduced to the cube sheet: selected columns carry the
     // exact full-suite numbers, unselected columns are uniformly absent.
     let db = final_table();
@@ -89,9 +89,10 @@ fn multi_index_sheet_matches_golden() {
         .measures(measures);
     let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &closed).unwrap();
     let bytes = snap.to_bytes();
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 5, "subset saves as v5");
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 6, "the version word");
     let loaded: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(loaded.measures(), measures);
+    assert_eq!(loaded.to_bytes(), bytes, "load → save is a fixed point");
     check(
         "italy_multi_index_sheet.csv",
         include_str!("golden/italy_multi_index_sheet.csv"),

@@ -109,9 +109,9 @@ fn mmap_matches_heap_for_every_representation_and_strategy() {
 
 #[test]
 fn mmap_matches_heap_on_multi_index_snapshots() {
-    // A proper measure subset saves as snapshot v5; the mapped open must
-    // answer the same universe as the heap load — and the postings behind
-    // a v5 file stay zero-copy.
+    // A proper measure subset stores only the selected values per cell;
+    // the mapped open must answer the same universe as the heap load —
+    // and the postings behind it stay zero-copy.
     let subset = MeasureSet::only(SegIndex::Dissimilarity)
         .with(SegIndex::Information)
         .with(SegIndex::Atkinson);
@@ -123,12 +123,11 @@ fn mmap_matches_heap_on_multi_index_snapshots() {
     let snap: CubeSnapshot =
         CubeSnapshot::from_db(&db(), &CubeBuilder::new().measures(subset)).unwrap();
     let bytes = snap.to_bytes();
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 5, "subset saves as v5");
-    let path = save_to(&bytes, "scube_mmap_diff_v5_zero_copy.scube");
+    let path = save_to(&bytes, "scube_mmap_diff_subset_zero_copy.scube");
     let mapped: CubeSnapshot = CubeSnapshot::open_mmap(&path).unwrap();
     assert_eq!(mapped.measures(), subset, "mapped open carries the measure set");
     let mapped_heap: usize = mapped.vertical().postings().iter().map(|p| p.heap_bytes()).sum();
-    assert_eq!(mapped_heap, 0, "v5 postings are zero-copy");
+    assert_eq!(mapped_heap, 0, "subset-snapshot postings are zero-copy");
     std::fs::remove_file(&path).ok();
 }
 
@@ -186,16 +185,19 @@ fn mapped_postings_live_off_heap_until_mutated() {
 
 #[test]
 fn legacy_versions_are_rejected_by_open_mmap_with_guidance() {
-    let golden = include_bytes!("golden/snapshot_v3.scube");
-    let path = save_to(golden, "scube_mmap_diff_v3_reject.scube");
-    let err = CubeSnapshot::<EwahBitmap>::open_mmap(&path).unwrap_err();
-    assert!(err.to_string().contains("re-save"), "points at the conversion path: {err}");
-    // The heap loader happily converts it.
-    let loaded: CubeSnapshot = CubeSnapshot::load(&path).unwrap();
-    let v4_path = save_to(&loaded.to_bytes(), "scube_mmap_diff_v3_converted.scube");
-    assert!(CubeSnapshot::<EwahBitmap>::open_mmap(&v4_path).is_ok());
+    // A file from an older release: same magic, an earlier version word.
+    let mut bytes =
+        CubeSnapshot::<EwahBitmap>::from_db(&db(), &CubeBuilder::new()).unwrap().to_bytes();
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let path = save_to(&bytes, "scube_mmap_diff_old_version_reject.scube");
+    for result in
+        [CubeSnapshot::<EwahBitmap>::open_mmap(&path), CubeSnapshot::open_mmap_verified(&path)]
+    {
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains("version 3"), "names the version found: {err}");
+        assert!(err.contains("scube save"), "points at the remedy: {err}");
+    }
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&v4_path).ok();
 }
 
 #[test]
