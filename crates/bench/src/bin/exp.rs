@@ -779,12 +779,12 @@ fn cube_query_experiment() {
 
     // Every tier must agree with the in-memory full build, bit for bit,
     // before any throughput number is recorded.
-    let mut check = CubeQueryEngine::new(snapshot.clone());
+    let check = ConcurrentCubeEngine::new(snapshot.clone());
     for (coords, v) in full.cells() {
         assert_eq!(check.query(coords).expect("query succeeds"), *v, "tier divergence");
     }
 
-    let qps = |engine: &mut CubeQueryEngine, coords: &[CellCoords]| -> f64 {
+    let qps = |engine: &ConcurrentCubeEngine, coords: &[CellCoords]| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t0 = Instant::now();
@@ -797,22 +797,22 @@ fn cube_query_experiment() {
     };
 
     // Materialized-only lookups (pure hash-map tier).
-    let mut engine = CubeQueryEngine::new(snapshot.clone());
-    let materialized_qps = qps(&mut engine, &materialized);
+    let engine = ConcurrentCubeEngine::new(snapshot.clone());
+    let materialized_qps = qps(&engine, &materialized);
 
     // Full universe with the cache disabled: every miss recomputes.
-    let mut engine = CubeQueryEngine::with_cache_capacity(snapshot.clone(), 0);
-    let uncached_qps = qps(&mut engine, &workload);
+    let engine = ConcurrentCubeEngine::with_config(snapshot.clone(), scube_cube::DEFAULT_SHARDS, 0);
+    let uncached_qps = qps(&engine, &workload);
 
     // Full universe with the cache warm: misses come from the LRU. The hit
     // rate is differenced over the timed region only, so the cold warm-up
     // pass does not dilute it.
-    let mut engine = CubeQueryEngine::new(snapshot.clone());
+    let engine = ConcurrentCubeEngine::new(snapshot.clone());
     for c in &workload {
         engine.query(c).expect("warm-up succeeds");
     }
     let before = engine.stats();
-    let cached_qps = qps(&mut engine, &workload);
+    let cached_qps = qps(&engine, &workload);
     let after = engine.stats();
     let warm_hit_rate =
         1.0 - (after.explored - before.explored) as f64 / (after.total() - before.total()) as f64;

@@ -33,11 +33,10 @@
 //! `save` runs the pipeline once and persists the cube **and** its vertical
 //! postings as a checksummed binary snapshot; `query` serves point / top-k /
 //! slice queries from such a snapshot without re-mining — non-materialized
-//! ⋆-combinations are recomputed exactly from the stored postings. With
-//! `--threads N` the snapshot is served through the shared-reference
-//! [`ConcurrentCubeEngine`] (sharded cell cache, parallel top-k ranking)
-//! instead of the single-session engine; answers are bit-identical. With
-//! `--mmap`, the snapshot is memory-mapped instead of read onto the heap:
+//! ⋆-combinations are recomputed exactly from the stored postings. Every
+//! answer comes from one [`ConcurrentCubeEngine`]; `--threads N` only fans
+//! the `--top` ranking out over up to N threads, with bit-identical output.
+//! With `--mmap`, the snapshot is memory-mapped instead of read onto the heap:
 //! opening costs O(metadata) however large the file is.
 
 use std::process::ExitCode;
@@ -103,8 +102,8 @@ verbs:
     --top <k>            top-k materialized cells by --rank
     --min-total <n>      top-k population filter [1]
     --slice a=v,...      materialized cells fixing these coordinates
-    --threads <n>        serve through the concurrent (sharded) engine,
-                         ranking top-k on up to n threads [single-session]
+    --threads <n>        rank --top on up to n threads; answers are
+                         identical for any n [1]
 
 required (run / save):
   --final-table <csv>    tabular shortcut: rows already carry a unit column
@@ -558,6 +557,18 @@ fn run_save(args: &[String]) -> Result<String> {
     ))
 }
 
+/// `--threads <n>` of `update` (dirty-cell re-evaluation) and `query`
+/// (`--top` ranking): a worker count of at least 1, defaulting to 1.
+fn parse_threads(flags: &Flags) -> Result<usize> {
+    match flags.value_of("--threads")? {
+        None => Ok(1),
+        Some(s) => match s.parse() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(ScubeError::InvalidParameter(format!("bad --threads '{s}' (want >= 1)"))),
+        },
+    }
+}
+
 /// `scube update`: fold appended and/or retracted rows into a saved
 /// snapshot, re-save it.
 fn run_update(args: &[String]) -> Result<String> {
@@ -571,17 +582,7 @@ fn run_update(args: &[String]) -> Result<String> {
         ));
     }
     let unit_col = flags.value_of("--unit-col")?.unwrap_or("unitID");
-    let threads: usize = match flags.value_of("--threads")? {
-        None => 1,
-        Some(s) => match s.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                return Err(ScubeError::InvalidParameter(format!(
-                    "bad --threads '{s}' (want >= 1)"
-                )))
-            }
-        },
-    };
+    let threads = parse_threads(&flags)?;
     let add = add_path.map(Relation::read_csv_path).transpose()?;
     let remove = remove_path.map(Relation::read_csv_path).transpose()?;
     let start = std::time::Instant::now();
@@ -669,71 +670,11 @@ fn significance_lines(
     Ok(out)
 }
 
-/// How `scube query` serves a loaded snapshot: the single-session engine by
-/// default, or the shared-reference concurrent engine under `--threads N`
-/// (same answers, bit for bit; the concurrent form ranks top-k in parallel).
-enum Serving {
-    Serial(Box<CubeQueryEngine>),
-    Concurrent(Box<ConcurrentCubeEngine>, usize),
-}
-
-impl Serving {
-    fn cube(&self) -> &SegregationCube {
-        match self {
-            Serving::Serial(e) => e.cube(),
-            Serving::Concurrent(e, _) => e.cube(),
-        }
-    }
-
-    fn resolve(&self, sa: &[(&str, &str)], ca: &[(&str, &str)]) -> Result<CellCoords> {
-        match self {
-            Serving::Serial(e) => e.resolve(sa, ca),
-            Serving::Concurrent(e, _) => e.resolve(sa, ca),
-        }
-    }
-
-    fn query(&mut self, coords: &CellCoords) -> Result<IndexValues> {
-        match self {
-            Serving::Serial(e) => e.query(coords),
-            Serving::Concurrent(e, _) => e.query(coords),
-        }
-    }
-
-    fn unit_breakdown(&mut self, coords: &CellCoords) -> Vec<(u32, u64, u64)> {
-        match self {
-            Serving::Serial(e) => e.unit_breakdown(coords),
-            Serving::Concurrent(e, _) => e.unit_breakdown(coords),
-        }
-    }
-
-    fn top_k(&self, index: SegIndex, k: usize, min_total: u64) -> Result<scube_cube::RankedCells> {
-        match self {
-            Serving::Serial(e) => Ok(e.top_k(index, k, min_total)),
-            Serving::Concurrent(e, threads) => {
-                Ok(e.top_k_batch(&[index], k, min_total, *threads)?.remove(0).1)
-            }
-        }
-    }
-
-    fn slice(&self, fixed: &[(&str, &str)]) -> Vec<(CellCoords, IndexValues)> {
-        match self {
-            Serving::Serial(e) => e.slice(fixed),
-            Serving::Concurrent(e, _) => e.slice(fixed),
-        }
-    }
-}
-
 /// `scube query`: serve point / top-k / slice queries from a snapshot.
 fn run_query(args: &[String]) -> Result<String> {
     let flags = Flags::new(args)?;
     let path = flags.require("--snapshot")?;
-    let threads: Option<usize> = flags
-        .value_of("--threads")?
-        .map(|s| match s.parse() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ScubeError::InvalidParameter(format!("bad --threads '{s}' (want >= 1)"))),
-        })
-        .transpose()?;
+    let threads = parse_threads(&flags)?;
     let load_start = std::time::Instant::now();
     let snap: CubeSnapshot = if flags.has("--mmap") {
         CubeSnapshot::open_mmap(path)?
@@ -741,10 +682,7 @@ fn run_query(args: &[String]) -> Result<String> {
         CubeSnapshot::load(path)?
     };
     let loaded_in = load_start.elapsed();
-    let mut engine = match threads {
-        Some(n) => Serving::Concurrent(Box::new(ConcurrentCubeEngine::new(snap)), n),
-        None => Serving::Serial(Box::new(CubeQueryEngine::new(snap))),
-    };
+    let engine = ConcurrentCubeEngine::new(snap);
     let mut out: Vec<String> = Vec::new();
     let mut answered = false;
 
@@ -783,11 +721,11 @@ fn run_query(args: &[String]) -> Result<String> {
             }
         ));
         if flags.has("--significance") {
-            let breakdown = engine.unit_breakdown(&coords);
+            let breakdown = engine.unit_breakdown(&coords)?;
             out.extend(significance_lines(&breakdown, &values, query_index)?);
         }
         if flags.has("--breakdown") {
-            let breakdown = engine.unit_breakdown(&coords);
+            let breakdown = engine.unit_breakdown(&coords)?;
             let names = engine.cube().labels().unit_names.clone();
             for (unit, m, t) in breakdown {
                 let name =
@@ -813,7 +751,8 @@ fn run_query(args: &[String]) -> Result<String> {
             query_index.unwrap_or(SegIndex::Dissimilarity)
         };
         out.push(format!("top {k} by {rank} (population >= {min_total}):"));
-        for (coords, values, x) in engine.top_k(rank, k, min_total)? {
+        let ranked = engine.top_k_batch(&[rank], k, min_total, threads)?.remove(0).1;
+        for (coords, values, x) in ranked {
             out.push(format!(
                 "  {x:.4}  {}  (M={}, T={})",
                 engine.cube().labels().describe(&coords),
@@ -963,8 +902,7 @@ mod tests {
         assert!(answer.contains("D=1.0000"), "{answer}");
         assert!(answer.contains("edu: 3/3"), "{answer}");
 
-        // The concurrent engine (--threads) serves the same answer,
-        // breakdown included, bit for bit.
+        // --threads changes no answer, breakdown included.
         let q: Vec<String> =
             ["--snapshot", &p("cube.scube"), "--sa", "gender=F", "--breakdown", "--threads", "4"]
                 .iter()
@@ -1208,6 +1146,38 @@ mod tests {
         let slice = q(&["--snapshot", &p("subset.scube"), "--slice", "gender=F", "--index", "xpx"])
             .unwrap();
         assert!(slice.contains("xPx="), "{slice}");
+
+        // A closed subset store leaves (gender=F | *) to the fallback tier
+        // (every F row is in the north, so {F} is not closed). The answer
+        // folds the snapshot's measure subset and prints the same bytes as
+        // the masked full build, whatever --threads says.
+        std::fs::write(
+            p("regions.csv"),
+            "gender,region,unitID\nF,north,edu\nF,north,edu\nF,north,agri\nM,north,edu\n\
+             M,south,agri\nM,south,agri\nM,south,edu\n",
+        )
+        .unwrap();
+        for (flag, out) in [(Some("--closed"), "closed.scube"), (None, "all.scube")] {
+            let table = p("regions.csv");
+            let args: Vec<String> =
+                ["--final-table", &table, "--sa", "gender", "--ca", "region", "--index", "gini"]
+                    .into_iter()
+                    .chain(flag)
+                    .chain(["--snapshot", &p(out)])
+                    .map(str::to_string)
+                    .collect();
+            run_save(&args).unwrap();
+        }
+        let closed: CubeSnapshot = CubeSnapshot::load(p("closed.scube")).unwrap();
+        let women = closed.cube().labels().find_item("gender", "F").unwrap();
+        assert!(closed.cube().get(&CellCoords::new(vec![women], vec![])).is_none());
+        let masked = q(&["--snapshot", &p("all.scube"), "--sa", "gender=F"]).unwrap();
+        assert!(masked.contains("D=-") && !masked.contains("G=-"), "{masked}");
+        let closed_path = p("closed.scube");
+        for threads in [&[][..], &["--threads", "1"], &["--threads", "4"]] {
+            let args = [&["--snapshot", &closed_path, "--sa", "gender=F"], threads].concat();
+            assert_eq!(q(&args).unwrap(), masked, "{threads:?}");
+        }
 
         // A full-suite snapshot serves --significance: deterministic
         // permutation p-values per defined index, or just the --index one.

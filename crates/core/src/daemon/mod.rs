@@ -65,7 +65,9 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Cache shards per engine (see [`ConcurrentCubeEngine::with_config`]).
     pub shards: usize,
-    /// Per-engine fallback-cache weight budget.
+    /// Per-engine fallback-cache capacity in entries, split across the
+    /// shards (see [`ConcurrentCubeEngine::with_config`]; `0` disables
+    /// caching).
     pub cache_capacity: usize,
     /// Worker threads for the dirty-cell re-evaluation phase of an update.
     pub update_threads: usize,
@@ -145,31 +147,16 @@ impl CubeHandle {
             let mut serving = self.serving.lock();
             std::mem::replace(&mut *serving, Arc::new(fresh))
         };
-        self.accumulate_retired(&old.stats());
+        *self.retired.lock().unwrap_or_else(|p| p.into_inner()) += old.stats();
         self.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(stats)
     }
 
-    fn accumulate_retired(&self, s: &QueryStats) {
-        let mut retired = self.retired.lock().unwrap_or_else(|p| p.into_inner());
-        retired.materialized += s.materialized;
-        retired.cached += s.cached;
-        retired.explored += s.explored;
-        retired.breakdown_computed += s.breakdown_computed;
-        retired.breakdown_cached += s.breakdown_cached;
-    }
-
     /// Exact lifetime query-tier counters: current engine + all retired.
     pub fn lifetime_stats(&self) -> QueryStats {
-        let current = self.engine().stats();
-        let retired = self.retired.lock().unwrap_or_else(|p| p.into_inner());
-        QueryStats {
-            materialized: retired.materialized + current.materialized,
-            cached: retired.cached + current.cached,
-            explored: retired.explored + current.explored,
-            breakdown_computed: retired.breakdown_computed + current.breakdown_computed,
-            breakdown_cached: retired.breakdown_cached + current.breakdown_cached,
-        }
+        let mut total = self.engine().stats();
+        total += *self.retired.lock().unwrap_or_else(|p| p.into_inner());
+        total
     }
 
     /// Hot-swaps performed so far.
@@ -691,8 +678,12 @@ fn cell_query(handle: &CubeHandle, raw_query: &str, breakdown: bool) -> HttpResp
         Err(e) => return error_response(&e),
     };
     if breakdown {
-        let rows = engine.unit_breakdown(&coords);
-        HttpResponse::json(200, breakdown_json(engine.cube().labels(), &coords, &rows))
+        match engine.unit_breakdown(&coords) {
+            Ok(rows) => {
+                HttpResponse::json(200, breakdown_json(engine.cube().labels(), &coords, &rows))
+            }
+            Err(e) => error_response(&e),
+        }
     } else {
         match engine.query(&coords) {
             Ok(values) => {
@@ -702,8 +693,10 @@ fn cell_query(handle: &CubeHandle, raw_query: &str, breakdown: bool) -> HttpResp
                     None => values_json(&values),
                 };
                 let significance_body = if significance {
-                    let rows = engine.unit_breakdown(&coords);
-                    match significance_json(&rows, &values, index) {
+                    let tested = engine
+                        .unit_breakdown(&coords)
+                        .and_then(|rows| significance_json(&rows, &values, index));
+                    match tested {
                         Ok(body) => format!(",\"significance\":{body}"),
                         Err(e) => return error_response(&e),
                     }

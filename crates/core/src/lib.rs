@@ -97,8 +97,8 @@ pub mod prelude {
     pub use scube_common::{Result, ScubeError};
     pub use scube_cube::{
         fig1_grid, radial_series, top_contexts, CellCoords, ConcurrentCubeEngine, CubeBuilder,
-        CubeExplorer, CubeQueryEngine, CubeSnapshot, Materialize, QueryStats, SegregationCube,
-        UpdateBatch, UpdateStats,
+        CubeExplorer, CubeSnapshot, Materialize, QueryStats, SegregationCube, UpdateBatch,
+        UpdateStats,
     };
     pub use scube_data::{ChunkedBuildStats, FinalTableSpec, Relation};
     pub use scube_graph::{LabelPropParams, StocParams};

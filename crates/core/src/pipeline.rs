@@ -209,7 +209,7 @@ pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
 /// Package a finished run as a persistable [`CubeSnapshot`]: the cube plus
 /// the vertical postings it was mined from (already built by [`run`] — not
 /// reconstructed), ready for `scube save` /
-/// [`scube_cube::CubeQueryEngine`] serving without re-mining. The run's
+/// [`scube_cube::ConcurrentCubeEngine`] serving without re-mining. The run's
 /// build configuration is recorded in the snapshot, so later updates
 /// maintain the cube under the same materialization and Atkinson
 /// parameter.
@@ -417,7 +417,7 @@ mod tests {
         let snap = snapshot(&result).unwrap();
         let loaded: CubeSnapshot = CubeSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(loaded.cube(), &result.cube);
-        let mut engine = scube_cube::CubeQueryEngine::new(loaded);
+        let engine = scube_cube::ConcurrentCubeEngine::new(loaded);
         let coords = result.cube.coords_by_names(&[("gender", "F")], &[]).unwrap();
         assert_eq!(engine.query(&coords).unwrap().dissimilarity, Some(1.0));
     }

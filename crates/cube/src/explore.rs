@@ -13,12 +13,12 @@
 //! postings and the Atkinson parameter, shared freely across threads) and a
 //! **mutable** half ([`ExplorerScratch`]: two reusable [`UnitScratch`]
 //! histograms). The `&mut self` methods ([`CubeExplorer::values_at`],
-//! [`CubeExplorer::unit_breakdown`]) use the explorer's own scratch — the
-//! convenient single-threaded API — while the `_with` variants take `&self`
-//! plus an external scratch, which is what lets the concurrent serving
-//! layer ([`crate::serve::ConcurrentCubeEngine`]) share one explorer across
-//! worker threads, each with a checked-out scratch, so cold recomputation
-//! never allocates per query.
+//! [`CubeExplorer::unit_breakdown`]) lend the explorer's own scratch to the
+//! same evaluation — the convenient form for a reference computation —
+//! while the `_with` variants take `&self` plus an external scratch, which
+//! is what lets the query engine ([`crate::serve::ConcurrentCubeEngine`])
+//! share one explorer across worker threads, each with a checked-out
+//! scratch, so cold recomputation never allocates per query.
 
 use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::Result;
@@ -116,11 +116,6 @@ impl<P: Posting> CubeExplorer<P> {
         ExplorerScratch::new(self.vertical.num_units())
     }
 
-    /// Tidset of the context side (`Posting::full` when the side is `⋆`).
-    fn total_tidset(vertical: &VerticalDb<P>, coords: &CellCoords) -> P {
-        vertical.tidset(&coords.ca)
-    }
-
     /// Tidset of `A ∪ B`, reusing the already-intersected context tidset
     /// instead of re-intersecting the `ca` postings from scratch. The whole
     /// recomputation is one batched k-way AND — smallest posting first, no
@@ -135,26 +130,29 @@ impl<P: Posting> CubeExplorer<P> {
         P::intersect_many(&refs).expect("context plus non-empty SA side")
     }
 
-    /// Fill both scratch histograms and return the context's populated
-    /// units as ascending `(unit, total)` pairs; minority counts are read
-    /// from `scratch.minority` afterwards (zero when the SA side is `⋆`-free
-    /// of the unit).
-    fn fill_histograms(
+    /// Fill both scratch histograms and yield the context's populated units
+    /// as ascending `(unit, minority, total)` triples (minority zero where
+    /// the subgroup is absent from the unit). The one evaluation core: it
+    /// takes the two halves of the explorer apart, so the `&mut self` forms
+    /// can lend their own scratch while the postings stay shared.
+    fn triples<'s>(
         vertical: &VerticalDb<P>,
         coords: &CellCoords,
-        scratch: &mut ExplorerScratch,
-    ) -> Vec<(u32, u64)> {
-        let total_tids = Self::total_tidset(vertical, coords);
+        scratch: &'s mut ExplorerScratch,
+    ) -> impl Iterator<Item = (u32, u64, u64)> + 's {
+        // The context side; `Posting::full` when it is `⋆`.
+        let total_tids = vertical.tidset(&coords.ca);
         vertical.unit_histogram_into(&total_tids, &mut scratch.total);
         if coords.sa.is_empty() {
             // `A = ⋆` ⇒ minority ≡ population; mirror it into the minority
-            // scratch so callers can read both uniformly.
+            // scratch so both read uniformly.
             vertical.unit_histogram_into(&total_tids, &mut scratch.minority);
         } else {
             let minority_tids = Self::minority_tidset(vertical, coords, &total_tids);
             vertical.unit_histogram_into(&minority_tids, &mut scratch.minority);
         }
-        scratch.total.sorted_pairs()
+        let minority = &scratch.minority;
+        scratch.total.sorted_pairs().into_iter().map(move |(u, t)| (u, minority.count_of(u), t))
     }
 
     /// Evaluate the cell at `coords` through `&self` with an external
@@ -164,11 +162,7 @@ impl<P: Posting> CubeExplorer<P> {
         coords: &CellCoords,
         scratch: &mut ExplorerScratch,
     ) -> Result<IndexValues> {
-        let total_pairs = Self::fill_histograms(&self.vertical, coords, scratch);
-        let minority = &scratch.minority;
-        let counts = UnitCounts::from_triples(
-            total_pairs.iter().map(|&(u, t)| (u, minority.count_of(u), t)),
-        )?;
+        let counts = UnitCounts::from_triples(Self::triples(&self.vertical, coords, scratch))?;
         Ok(IndexValues::compute_masked(&counts, self.atkinson_b, self.measures))
     }
 
@@ -179,29 +173,20 @@ impl<P: Posting> CubeExplorer<P> {
         coords: &CellCoords,
         scratch: &mut ExplorerScratch,
     ) -> Vec<(u32, u64, u64)> {
-        let total_pairs = Self::fill_histograms(&self.vertical, coords, scratch);
-        let minority = &scratch.minority;
-        total_pairs.iter().map(|&(u, t)| (u, minority.count_of(u), t)).collect()
+        Self::triples(&self.vertical, coords, scratch).collect()
     }
 
     /// Evaluate the cell at `coords`, regardless of materialization.
     pub fn values_at(&mut self, coords: &CellCoords) -> Result<IndexValues> {
-        let CubeExplorer { vertical, atkinson_b, measures, scratch } = self;
-        let total_pairs = Self::fill_histograms(vertical, coords, scratch);
-        let minority = &scratch.minority;
-        let counts = UnitCounts::from_triples(
-            total_pairs.iter().map(|&(u, t)| (u, minority.count_of(u), t)),
-        )?;
-        Ok(IndexValues::compute_masked(&counts, *atkinson_b, *measures))
+        let counts =
+            UnitCounts::from_triples(Self::triples(&self.vertical, coords, &mut self.scratch))?;
+        Ok(IndexValues::compute_masked(&counts, self.atkinson_b, self.measures))
     }
 
     /// Per-unit `(unit, minority, total)` drill-down of a cell — what the
     /// paper's pivot-table exploration shows when expanding a cube row.
     pub fn unit_breakdown(&mut self, coords: &CellCoords) -> Vec<(u32, u64, u64)> {
-        let CubeExplorer { vertical, scratch, .. } = self;
-        let total_pairs = Self::fill_histograms(vertical, coords, scratch);
-        let minority = &scratch.minority;
-        total_pairs.iter().map(|&(u, t)| (u, minority.count_of(u), t)).collect()
+        Self::triples(&self.vertical, coords, &mut self.scratch).collect()
     }
 }
 

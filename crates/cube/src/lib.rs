@@ -27,11 +27,11 @@
 //!
 //! The cube also *serves*: [`snapshot::CubeSnapshot`] persists a built cube
 //! plus its vertical postings in a versioned, checksummed binary format,
-//! [`query::CubeQueryEngine`] answers point / top-k / slice / dice queries
-//! from the materialized store with a cached explorer fallback for
-//! non-materialized ⋆-combinations, and [`serve::ConcurrentCubeEngine`] is
-//! the same engine through `&self` — sharded cell cache, pooled explorer
-//! scratches, atomic counters — for multi-threaded serving.
+//! and [`serve::ConcurrentCubeEngine`] answers point / top-k / slice / dice
+//! queries from the materialized store with a cached explorer fallback for
+//! non-materialized ⋆-combinations, through `&self` — sharded cell cache,
+//! pooled explorer scratches, atomic counters — so the one engine serves a
+//! single caller or many threads.
 //!
 //! And it is *maintained*: an [`update::UpdateBatch`] of appended rows
 //! folds into a snapshot or a running engine in place — postings extended
@@ -54,9 +54,7 @@ pub use builder::{CubeBuilder, CubeConfig, Materialize};
 pub use coords::CellCoords;
 pub use cube::{CubeLabels, SegregationCube};
 pub use explore::{CubeExplorer, ExplorerScratch};
-pub use query::{
-    AtomicQueryStats, CubeQueryEngine, QueryStats, RankedCells, DEFAULT_CACHE_CAPACITY,
-};
+pub use query::{AtomicQueryStats, QueryStats, RankedCells, DEFAULT_CACHE_CAPACITY};
 pub use report::{fig1_grid, radial_series, to_csv, top_contexts};
 pub use serve::{ConcurrentCubeEngine, DEFAULT_SHARDS};
 pub use snapshot::CubeSnapshot;

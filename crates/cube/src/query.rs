@@ -1,39 +1,16 @@
-//! The cube serving layer: cached point, top-k, and slice/dice queries.
-//!
-//! A [`CubeQueryEngine`] answers any cell the paper's pivot-table UI can ask
-//! for, in three tiers:
-//!
-//! 1. **materialized** — exact hits in the [`SegregationCube`] store are a
-//!    hash lookup;
-//! 2. **cached** — non-materialized ⋆-combinations already computed this
-//!    session come from a bounded LRU cell cache;
-//! 3. **explored** — everything else is recomputed exactly from the
-//!    [`scube_data::VerticalDb`] postings by the [`CubeExplorer`] and
-//!    inserted into the cache.
-//!
-//! All three tiers return bit-identical values (tested in
-//! `tests/query_engine_equivalence.rs`); the tiers only change latency.
-//! Engines are built either in memory ([`CubeQueryEngine::from_db`]) or
-//! from a loaded [`CubeSnapshot`], which is the `scube save` / `scube
-//! query` serving path.
-//!
-//! This engine is the single-session (`&mut self`) form; the multi-threaded
-//! serving layer with the same tiering lives in
-//! [`crate::serve::ConcurrentCubeEngine`], and both report through the same
-//! [`QueryStats`] / [`AtomicQueryStats`] counters.
+//! What the query engine ([`crate::serve::ConcurrentCubeEngine`]) is built
+//! from and reports through: the tier counters ([`QueryStats`] /
+//! [`AtomicQueryStats`]), name-to-coordinate resolution, top-k ranking, and
+//! the bounded LRU its cache shards are made of. The three answer tiers —
+//! materialized, cached, explored — are described in [`crate::serve`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::{FxHashMap, Result, ScubeError};
-use scube_data::TransactionDb;
 use scube_segindex::{IndexValues, SegIndex};
 
-use crate::builder::CubeBuilder;
 use crate::coords::CellCoords;
-use crate::cube::{CubeLabels, SegregationCube};
-use crate::explore::CubeExplorer;
-use crate::snapshot::CubeSnapshot;
+use crate::cube::CubeLabels;
 
 /// Default cell-cache capacity: generous for interactive sessions, small
 /// next to any real cube.
@@ -71,6 +48,20 @@ impl QueryStats {
     /// Total unit-breakdown drill-downs served.
     pub fn breakdowns(&self) -> u64 {
         self.breakdown_computed + self.breakdown_cached
+    }
+}
+
+impl std::ops::AddAssign for QueryStats {
+    /// Counter-wise sum. Destructuring without `..` makes a new counter a
+    /// compile error here instead of a silently unsummed field.
+    fn add_assign(&mut self, rhs: Self) {
+        let QueryStats { materialized, cached, explored, breakdown_computed, breakdown_cached } =
+            rhs;
+        self.materialized += materialized;
+        self.cached += cached;
+        self.explored += explored;
+        self.breakdown_computed += breakdown_computed;
+        self.breakdown_cached += breakdown_cached;
     }
 }
 
@@ -126,8 +117,7 @@ impl AtomicQueryStats {
 /// Resolve attribute/value names against cube labels, enforcing attribute
 /// roles: a context attribute on the minority side (or vice versa) would
 /// silently address a cell outside the cube's coordinate space, so it is an
-/// error rather than a plausible-looking answer. Shared by the serial and
-/// concurrent engines.
+/// error rather than a plausible-looking answer.
 pub(crate) fn resolve_coords(
     labels: &CubeLabels,
     sa: &[(&str, &str)],
@@ -170,12 +160,6 @@ pub(crate) fn resolve_coords(
 /// tests pin this, including across `apply_update` invalidation).
 pub(crate) const BREAKDOWN_TRIPLE_BUDGET: usize = 1 << 20;
 
-/// The weight of one cached breakdown: its retained triples (floored at 1
-/// so empty breakdowns still occupy a slot's worth of budget).
-pub(crate) fn breakdown_weight(b: &[(u32, u64, u64)]) -> usize {
-    b.len().max(1)
-}
-
 /// Descending by index value, ties broken by canonical coordinates — a
 /// total order, so any partition of the cells ranks deterministically.
 pub(crate) fn sort_ranked(rows: &mut RankedCells, k: usize) {
@@ -186,8 +170,8 @@ pub(crate) fn sort_ranked(rows: &mut RankedCells, k: usize) {
 }
 
 /// One pass over a set of materialized cells ranking every requested index
-/// at once. Shared by the serial engine (whole store) and the concurrent
-/// engine (which chunks the store across worker threads and merges).
+/// at once: the whole store, or one worker's chunk of it (the engine then
+/// merges the chunks under [`sort_ranked`]).
 pub(crate) fn rank_cell_list<'a>(
     cells: impl IntoIterator<Item = (&'a CellCoords, &'a IndexValues)>,
     indexes: &[SegIndex],
@@ -210,209 +194,6 @@ pub(crate) fn rank_cell_list<'a>(
         sort_ranked(rows, k);
     }
     per_index
-}
-
-/// One pass over the materialized store ranking every requested index.
-pub(crate) fn rank_cells(
-    cube: &SegregationCube,
-    indexes: &[SegIndex],
-    k: usize,
-    min_total: u64,
-) -> Vec<(SegIndex, RankedCells)> {
-    rank_cell_list(cube.cells(), indexes, k, min_total)
-}
-
-/// Materialized cells fixing the given coordinates, in canonical order.
-pub(crate) fn sorted_slice(
-    cube: &SegregationCube,
-    fixed: &[(&str, &str)],
-) -> Vec<(CellCoords, IndexValues)> {
-    let mut rows: Vec<(CellCoords, IndexValues)> =
-        cube.slice(fixed).map(|(c, v)| (c.clone(), *v)).collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    rows
-}
-
-/// The materialized sub-cube over the listed attributes, in canonical order.
-pub(crate) fn sorted_dice(
-    cube: &SegregationCube,
-    attrs: &[&str],
-) -> Vec<(CellCoords, IndexValues)> {
-    let mut rows: Vec<(CellCoords, IndexValues)> =
-        cube.cells_over(attrs).map(|(c, v)| (c.clone(), *v)).collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    rows
-}
-
-/// Serves cube queries from a materialized store with a cached explorer
-/// fallback (see the module docs).
-///
-/// ```
-/// use scube_cube::{CubeBuilder, CubeQueryEngine, Materialize};
-/// use scube_data::{Attribute, Schema, TransactionDbBuilder};
-/// use scube_segindex::SegIndex;
-///
-/// let schema = Schema::new(vec![Attribute::sa("sex"), Attribute::ca("region")])?;
-/// let mut b = TransactionDbBuilder::new(schema);
-/// for (sex, region, unit) in
-///     [("F", "north", "u0"), ("F", "north", "u0"), ("M", "north", "u1"), ("M", "south", "u1")]
-/// {
-///     b.add_row(&[vec![sex], vec![region]], unit)?;
-/// }
-/// let db = b.finish();
-///
-/// // Serve a *closed* store: non-materialized ⋆-combinations fall back to
-/// // the cached explorer, with bit-identical answers.
-/// let closed = CubeBuilder::new().materialize(Materialize::ClosedOnly);
-/// let mut engine: CubeQueryEngine = CubeQueryEngine::from_db(&db, &closed)?;
-/// let women = engine.query_by_names(&[("sex", "F")], &[("region", "north")])?;
-/// assert_eq!(women.minority, 2);
-/// let top = engine.top_k(SegIndex::Dissimilarity, 3, 1);
-/// assert!(!top.is_empty());
-/// assert!(engine.stats().total() > 0);
-/// # Ok::<(), scube_common::ScubeError>(())
-/// ```
-#[derive(Debug)]
-pub struct CubeQueryEngine<P: Posting = EwahBitmap> {
-    cube: SegregationCube,
-    explorer: CubeExplorer<P>,
-    cache: LruCache<CellCoords, IndexValues>,
-    /// Per-unit drill-downs already computed this session: a breakdown of a
-    /// cell — materialized or not — is *not* stored in the cube (cells hold
-    /// only [`IndexValues`]), so without this cache every repeated
-    /// drill-down re-partitioned tidsets from scratch.
-    breakdowns: LruCache<CellCoords, Vec<(u32, u64, u64)>>,
-    stats: AtomicQueryStats,
-}
-
-impl<P: Posting> CubeQueryEngine<P> {
-    /// Serve from a snapshot (the persistent path) with the default cache.
-    pub fn new(snapshot: CubeSnapshot<P>) -> Self {
-        Self::with_cache_capacity(snapshot, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Serve from a snapshot with an explicit cell-cache capacity
-    /// (`0` disables caching: every fallback recomputes).
-    pub fn with_cache_capacity(snapshot: CubeSnapshot<P>, capacity: usize) -> Self {
-        // The explorer recomputes fallback cells with the Atkinson
-        // parameter the cube was built with (recorded in the snapshot),
-        // so the fallback tier stays bit-identical to the store even for
-        // non-default `b`.
-        let atkinson_b = snapshot.atkinson_b();
-        let (cube, vertical) = snapshot.into_parts();
-        // Breakdown values are per-unit Vecs, so that cache is bounded by
-        // an exact retained-triple budget on top of the entry capacity.
-        let breakdowns = LruCache::with_budget(capacity, BREAKDOWN_TRIPLE_BUDGET);
-        CubeQueryEngine {
-            cube,
-            explorer: CubeExplorer::from_vertical(vertical).with_atkinson_b(atkinson_b),
-            cache: LruCache::new(capacity),
-            breakdowns,
-            stats: AtomicQueryStats::default(),
-        }
-    }
-
-    /// Build cube and engine straight from a transaction database (the
-    /// in-memory path; equivalent to snapshotting and serving immediately).
-    pub fn from_db(db: &TransactionDb, builder: &CubeBuilder) -> Result<Self>
-    where
-        P: Send + Sync,
-    {
-        Ok(Self::new(CubeSnapshot::from_db(db, builder)?))
-    }
-
-    /// The materialized cube.
-    pub fn cube(&self) -> &SegregationCube {
-        &self.cube
-    }
-
-    /// Which tier answered each query so far.
-    pub fn stats(&self) -> QueryStats {
-        self.stats.load()
-    }
-
-    /// Point lookup: materialized store, then LRU cache, then exact
-    /// recomputation from postings.
-    pub fn query(&mut self, coords: &CellCoords) -> Result<IndexValues> {
-        if let Some(v) = self.cube.get(coords) {
-            self.stats.record_materialized();
-            return Ok(*v);
-        }
-        if let Some(v) = self.cache.get(coords) {
-            self.stats.record_cached();
-            return Ok(*v);
-        }
-        let v = self.explorer.values_at(coords)?;
-        self.stats.record_explored();
-        self.cache.insert(coords.clone(), v);
-        Ok(v)
-    }
-
-    /// Point lookup by attribute/value names, e.g.
-    /// `query_by_names(&[("sex", "F")], &[("region", "north")])`.
-    pub fn query_by_names(
-        &mut self,
-        sa: &[(&str, &str)],
-        ca: &[(&str, &str)],
-    ) -> Result<IndexValues> {
-        let coords = self.resolve(sa, ca)?;
-        self.query(&coords)
-    }
-
-    /// Resolve attribute/value names against the cube labels, enforcing
-    /// attribute roles: a context attribute on the minority side (or vice
-    /// versa) errors instead of addressing a cell outside the cube.
-    pub fn resolve(&self, sa: &[(&str, &str)], ca: &[(&str, &str)]) -> Result<CellCoords> {
-        resolve_coords(self.cube.labels(), sa, ca)
-    }
-
-    /// Per-unit `(unit, minority, total)` drill-down of any cell.
-    ///
-    /// Fast path: a breakdown already computed this session — including for
-    /// materialized cells, whose stored [`IndexValues`] do not carry
-    /// per-unit data — is served from the breakdown cache instead of being
-    /// re-partitioned from postings (regression-tested in
-    /// `tests/query_engine_equivalence.rs`).
-    pub fn unit_breakdown(&mut self, coords: &CellCoords) -> Vec<(u32, u64, u64)> {
-        if let Some(b) = self.breakdowns.get(coords) {
-            self.stats.record_breakdown_cached();
-            return b.clone();
-        }
-        let b = self.explorer.unit_breakdown(coords);
-        self.stats.record_breakdown_computed();
-        self.breakdowns.insert_weighted(coords.clone(), b.clone(), breakdown_weight(&b));
-        b
-    }
-
-    /// Top-k materialized cells by one index (descending), restricted to
-    /// real minorities (non-⋆ SA side) with population at least `min_total`.
-    /// `k = 0` returns all matches.
-    pub fn top_k(&self, index: SegIndex, k: usize, min_total: u64) -> RankedCells {
-        self.top_k_batch(&[index], k, min_total).remove(0).1
-    }
-
-    /// Batched top-k: one pass over the materialized store ranking every
-    /// requested index at once — what a dashboard refresh issues.
-    pub fn top_k_batch(
-        &self,
-        indexes: &[SegIndex],
-        k: usize,
-        min_total: u64,
-    ) -> Vec<(SegIndex, RankedCells)> {
-        rank_cells(&self.cube, indexes, k, min_total)
-    }
-
-    /// Slice: materialized cells fixing all the given `(attr, value)`
-    /// coordinates, in canonical (sa, ca) order.
-    pub fn slice(&self, fixed: &[(&str, &str)]) -> Vec<(CellCoords, IndexValues)> {
-        sorted_slice(&self.cube, fixed)
-    }
-
-    /// Dice: the materialized sub-cube over the listed attributes only, in
-    /// canonical (sa, ca) order.
-    pub fn dice(&self, attrs: &[&str]) -> Vec<(CellCoords, IndexValues)> {
-        sorted_dice(&self.cube, attrs)
-    }
 }
 
 const NIL: usize = usize::MAX;
@@ -438,8 +219,8 @@ struct LruEntry<K, V> {
 ///
 /// `get` and `insert` are O(1) amortized; evicted slots recycle through a
 /// free list, so once warm the cache never allocates. Capacity 0 disables
-/// it entirely. Shared with [`crate::serve`], where each shard of the
-/// concurrent engine owns one behind its own lock.
+/// it entirely. Each cache shard of [`crate::serve::ConcurrentCubeEngine`]
+/// owns one behind its own lock.
 #[derive(Debug)]
 pub(crate) struct LruCache<K, V> {
     map: FxHashMap<K, usize>,
@@ -630,8 +411,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::Materialize;
-    use scube_data::{Attribute, Schema, TransactionDbBuilder};
 
     #[test]
     fn lru_evicts_least_recent() {
@@ -813,131 +592,5 @@ mod tests {
         );
         assert_eq!(snap.total(), 4);
         assert_eq!(snap.breakdowns(), 2);
-    }
-
-    fn db() -> TransactionDb {
-        let schema =
-            Schema::new(vec![Attribute::sa("sex"), Attribute::sa("age"), Attribute::ca("region")])
-                .unwrap();
-        let mut b = TransactionDbBuilder::new(schema);
-        let rows = [
-            ("F", "young", "north", "u0"),
-            ("F", "young", "north", "u0"),
-            ("M", "old", "north", "u0"),
-            ("F", "old", "south", "u1"),
-            ("M", "young", "south", "u1"),
-            ("M", "old", "south", "u1"),
-            ("F", "young", "south", "u0"),
-            ("M", "young", "north", "u1"),
-        ];
-        for (s, a, r, u) in rows {
-            b.add_row(&[vec![s], vec![a], vec![r]], u).unwrap();
-        }
-        b.finish()
-    }
-
-    #[test]
-    fn tiers_agree_and_stats_track() {
-        let db = db();
-        let full = CubeBuilder::new().materialize(Materialize::AllFrequent).build(&db).unwrap();
-        // Closed-only store: some full-cube cells must fall back.
-        let mut engine: CubeQueryEngine =
-            CubeQueryEngine::from_db(&db, &CubeBuilder::new().materialize(Materialize::ClosedOnly))
-                .unwrap();
-        for (coords, v) in full.cells() {
-            assert_eq!(&engine.query(coords).unwrap(), v, "cold {coords:?}");
-        }
-        let cold = engine.stats();
-        assert!(cold.explored > 0, "closed store must force fallbacks");
-        assert!(cold.materialized > 0);
-        // Second pass: every fallback now comes from the cache, identically.
-        for (coords, v) in full.cells() {
-            assert_eq!(&engine.query(coords).unwrap(), v, "warm {coords:?}");
-        }
-        let warm = engine.stats();
-        assert_eq!(warm.explored, cold.explored, "no recomputation on the warm pass");
-        assert_eq!(warm.cached, cold.explored);
-        assert_eq!(warm.total(), 2 * cold.total());
-    }
-
-    #[test]
-    fn breakdown_fast_path_serves_stored_data() {
-        let db = db();
-        let mut engine: CubeQueryEngine =
-            CubeQueryEngine::from_db(&db, &CubeBuilder::new().materialize(Materialize::ClosedOnly))
-                .unwrap();
-        // A materialized cell: its IndexValues are stored, but per-unit
-        // data is not, so the first drill-down must compute...
-        let coords = engine.resolve(&[("sex", "F")], &[]).unwrap();
-        assert!(engine.cube().get(&coords).is_some(), "cell should be materialized");
-        let first = engine.unit_breakdown(&coords);
-        assert_eq!(engine.stats().breakdown_computed, 1);
-        assert_eq!(engine.stats().breakdown_cached, 0);
-        // ...and the second must come from the stored breakdown, verbatim.
-        let second = engine.unit_breakdown(&coords);
-        assert_eq!(first, second);
-        assert_eq!(engine.stats().breakdown_computed, 1, "no recomputation");
-        assert_eq!(engine.stats().breakdown_cached, 1);
-    }
-
-    #[test]
-    fn query_by_names_and_errors() {
-        let db = db();
-        let mut engine: CubeQueryEngine =
-            CubeQueryEngine::from_db(&db, &CubeBuilder::new()).unwrap();
-        let v = engine.query_by_names(&[("sex", "F")], &[("region", "north")]).unwrap();
-        assert!(v.total > 0);
-        assert!(engine.query_by_names(&[("sex", "X")], &[]).is_err());
-        assert!(engine.query_by_names(&[], &[("nope", "north")]).is_err());
-        // Role confusion is an error, not a plausible-looking answer.
-        assert!(engine.query_by_names(&[("region", "north")], &[]).is_err());
-        assert!(engine.query_by_names(&[], &[("sex", "F")]).is_err());
-    }
-
-    #[test]
-    fn top_k_matches_report() {
-        let db = db();
-        let engine: CubeQueryEngine = CubeQueryEngine::from_db(
-            &db,
-            &CubeBuilder::new().materialize(Materialize::AllFrequent),
-        )
-        .unwrap();
-        let top = engine.top_k(SegIndex::Dissimilarity, 5, 1);
-        let reference = crate::report::top_contexts(engine.cube(), SegIndex::Dissimilarity, 5, 1);
-        assert_eq!(top.len(), reference.len());
-        for ((c1, v1, x1), (c2, v2, x2)) in top.iter().zip(reference) {
-            assert_eq!(c1, c2);
-            assert_eq!(v1, v2);
-            assert_eq!(x1, &x2);
-        }
-        // Batched form agrees with the single-index form.
-        let batch = engine.top_k_batch(&[SegIndex::Dissimilarity, SegIndex::Gini], 5, 1);
-        assert_eq!(batch[0].1, top);
-        assert_eq!(batch[1].1, engine.top_k(SegIndex::Gini, 5, 1));
-    }
-
-    #[test]
-    fn slice_and_dice_shapes() {
-        let db = db();
-        let engine: CubeQueryEngine = CubeQueryEngine::from_db(
-            &db,
-            &CubeBuilder::new().materialize(Materialize::AllFrequent),
-        )
-        .unwrap();
-        let sliced = engine.slice(&[("region", "north")]);
-        assert!(!sliced.is_empty());
-        for (coords, _) in &sliced {
-            let values = engine.cube().labels().attr_values(coords, "region");
-            assert_eq!(values, vec!["north"]);
-        }
-        let diced = engine.dice(&["sex", "region"]);
-        assert!(!diced.is_empty());
-        for (coords, _) in &diced {
-            assert!(engine.cube().labels().attr_values(coords, "age").is_empty());
-        }
-        // Canonical order: sorted by (sa, ca).
-        for w in diced.windows(2) {
-            assert!((&w[0].0.sa, &w[0].0.ca) < (&w[1].0.sa, &w[1].0.ca));
-        }
     }
 }

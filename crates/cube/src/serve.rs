@@ -1,10 +1,10 @@
-//! Concurrent cube serving: the multi-analyst form of the query engine.
+//! The query engine: point, batch, top-k, slice, dice and breakdown queries
+//! over a cube snapshot.
 //!
-//! [`crate::query::CubeQueryEngine`] is single-writer — `query(&mut self)`
-//! funnels every caller through one unsharded LRU — which caps an
-//! interactive deployment at one analyst per engine. A
-//! [`ConcurrentCubeEngine`] answers the same three bit-identical tiers
-//! through `&self`, so one engine serves any number of threads:
+//! A [`ConcurrentCubeEngine`] is the one engine behind `scube query`, the
+//! `scubed` daemon and the experiments. It answers the three bit-identical
+//! tiers of [`crate::query`] through `&self`, so one engine serves one
+//! caller or any number of threads:
 //!
 //! * **materialized** — the [`SegregationCube`] store is immutable after
 //!   construction, so store hits are lock-free hash lookups;
@@ -20,10 +20,13 @@
 //!
 //! Two threads racing on the same cold cell may both recompute it; cell
 //! evaluation is pure, so both insert the *same* value and the answer stays
-//! bit-identical to the serial engine (property-tested in
+//! bit-identical to the full build (property-tested in
 //! `tests/concurrent_equivalence.rs`, stress-tested in
 //! `tests/concurrent_stress.rs`). Counters are [`AtomicQueryStats`], so no
 //! update is lost under contention.
+//!
+//! Raw [`CellCoords`] are validated on the cold paths only, so hostile ids
+//! are a [`ScubeError::InvalidParameter`] and the warm tiers pay nothing.
 
 use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::{Result, ScubeError, SpinLock};
@@ -35,9 +38,8 @@ use crate::coords::CellCoords;
 use crate::cube::SegregationCube;
 use crate::explore::{CubeExplorer, ExplorerScratch};
 use crate::query::{
-    breakdown_weight, rank_cell_list, rank_cells, resolve_coords, sort_ranked, sorted_dice,
-    sorted_slice, AtomicQueryStats, LruCache, QueryStats, RankedCells, BREAKDOWN_TRIPLE_BUDGET,
-    DEFAULT_CACHE_CAPACITY,
+    rank_cell_list, resolve_coords, sort_ranked, AtomicQueryStats, LruCache, QueryStats,
+    RankedCells, BREAKDOWN_TRIPLE_BUDGET, DEFAULT_CACHE_CAPACITY,
 };
 use crate::snapshot::CubeSnapshot;
 use crate::update::{MaintenanceStore, UpdateBatch, UpdateStats};
@@ -83,6 +85,15 @@ fn join_worker<T>(joined: std::thread::Result<T>, what: &str) -> Result<T> {
         };
         ScubeError::Inconsistent(format!("{what} worker panicked: {msg}"))
     })
+}
+
+/// Owned copies of a view's cells in canonical (sa, ca) order.
+fn canonical_rows<'a>(
+    cells: impl Iterator<Item = (&'a CellCoords, &'a IndexValues)>,
+) -> Vec<(CellCoords, IndexValues)> {
+    let mut rows: Vec<_> = cells.map(|(c, v)| (c.clone(), *v)).collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    rows
 }
 
 /// A `Sync` serving layer over a cube snapshot: shared-reference point,
@@ -297,9 +308,39 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
         self.scratches.lock().push(scratch);
     }
 
-    /// The cold tier: recompute from postings, record, insert into the
-    /// cell's shard. Called only after the store and cache tiers missed.
+    /// Reject coordinates outside this cube's coordinate space: an item id
+    /// beyond the postings would index out of bounds, and an item on the
+    /// wrong side (a context value as minority, or vice versa) addresses a
+    /// cell no build could produce — the hazard [`resolve_coords`] closes
+    /// for names, closed here for raw ids. Runs on the cold paths only:
+    /// everything in the store and the caches already passed it.
+    fn validate(&self, coords: &CellCoords) -> Result<()> {
+        let labels = self.cube.labels();
+        let n_items = self.explorer.vertical().num_items();
+        for (side, items, want_sa) in [("sa", &coords.sa, true), ("ca", &coords.ca, false)] {
+            for &item in items {
+                if item as usize >= n_items {
+                    return Err(ScubeError::InvalidParameter(format!(
+                        "{side} item {item} is outside the cube's {n_items} items"
+                    )));
+                }
+                if labels.is_sa_item(item) != want_sa {
+                    return Err(ScubeError::InvalidParameter(format!(
+                        "{side} item {item} ({}={}) belongs on the other side of the cell",
+                        labels.attr_of(item),
+                        labels.value_of(item)
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The cold tier: validate, recompute from postings, record, insert
+    /// into the cell's shard. Called only after the store and cache tiers
+    /// missed.
     fn explore(&self, coords: &CellCoords, scratch: &mut ExplorerScratch) -> Result<IndexValues> {
+        self.validate(coords)?;
         let v = self.explorer.values_at_with(coords, scratch)?;
         self.stats.record_explored();
         // Clone the key before taking the lock: critical sections stay O(1).
@@ -355,34 +396,39 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
     }
 
     /// Resolve attribute/value names against the cube labels, enforcing
-    /// attribute roles (shared with the serial engine).
+    /// attribute roles: a context attribute on the minority side (or vice
+    /// versa) errors instead of addressing a cell outside the cube.
     pub fn resolve(&self, sa: &[(&str, &str)], ca: &[(&str, &str)]) -> Result<CellCoords> {
         resolve_coords(self.cube.labels(), sa, ca)
     }
 
     /// Per-unit `(unit, minority, total)` drill-down of any cell.
     ///
-    /// Like the serial engine, repeated drill-downs — including of
-    /// materialized cells, whose stored [`IndexValues`] carry no per-unit
-    /// data — are served from a sharded breakdown cache instead of being
-    /// re-partitioned from postings on every ask.
-    pub fn unit_breakdown(&self, coords: &CellCoords) -> Vec<(u32, u64, u64)> {
+    /// Repeated drill-downs — including of materialized cells, whose stored
+    /// [`IndexValues`] carry no per-unit data — are served from a sharded
+    /// breakdown cache instead of being re-partitioned from postings on
+    /// every ask. Coordinates outside the cube are an error, as in
+    /// [`Self::query`].
+    pub fn unit_breakdown(&self, coords: &CellCoords) -> Result<Vec<(u32, u64, u64)>> {
         let shard = self.breakdown_shard_of(coords);
         // Under the lock only an O(1) `Arc` clone; the value copy for the
         // caller happens after release.
         let cached: Option<Breakdown> = shard.lock().get(coords).cloned();
         if let Some(b) = cached {
             self.stats.record_breakdown_cached();
-            return b.to_vec();
+            return Ok(b.to_vec());
         }
+        self.validate(coords)?;
         let mut scratch = self.checkout();
         let b = self.explorer.unit_breakdown_with(coords, &mut scratch);
         self.check_in(scratch);
         self.stats.record_breakdown_computed();
         let (key, value): (CellCoords, Breakdown) = (coords.clone(), b.as_slice().into());
-        let weight = breakdown_weight(&value);
+        // An entry weighs its retained triples, floored at 1 so an empty
+        // breakdown still occupies a slot's worth of the budget.
+        let weight = value.len().max(1);
         shard.lock().insert_weighted(key, value, weight);
-        b
+        Ok(b)
     }
 
     /// Answer a batch of point queries, fanning contiguous chunks out over
@@ -426,10 +472,11 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
         Ok(out)
     }
 
-    /// Top-k materialized cells by one index (descending), as in the serial
-    /// engine.
+    /// Top-k materialized cells by one index (descending), restricted to
+    /// real minorities (non-⋆ SA side) with population at least `min_total`.
+    /// `k = 0` returns all matches.
     pub fn top_k(&self, index: SegIndex, k: usize, min_total: u64) -> RankedCells {
-        rank_cells(&self.cube, &[index], k, min_total).remove(0).1
+        rank_cell_list(self.cube.cells(), &[index], k, min_total).remove(0).1
     }
 
     /// Batched top-k over the materialized store, fanned out over up to
@@ -437,7 +484,7 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
     /// ranks its chunk of cells for every requested index (keeping its
     /// local top-k), and the partial rankings merge under the same total
     /// order — so even a single-index `--top` query parallelizes, and the
-    /// output is bit-identical to the serial engine's, in `indexes` order.
+    /// output is bit-identical for any thread count, in `indexes` order.
     ///
     /// A panicking worker fails only this call with
     /// [`ScubeError::Inconsistent`]; the engine stays healthy for later
@@ -454,7 +501,7 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
     {
         let threads = clamp_threads(threads, self.cube.len());
         if threads == 1 || indexes.is_empty() {
-            return Ok(rank_cells(&self.cube, indexes, k, min_total));
+            return Ok(rank_cell_list(self.cube.cells(), indexes, k, min_total));
         }
         let cells: Vec<(&CellCoords, &IndexValues)> = self.cube.cells().collect();
         let chunk = cells.len().div_ceil(threads);
@@ -488,13 +535,13 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
     /// Slice: materialized cells fixing all the given `(attr, value)`
     /// coordinates, in canonical (sa, ca) order.
     pub fn slice(&self, fixed: &[(&str, &str)]) -> Vec<(CellCoords, IndexValues)> {
-        sorted_slice(&self.cube, fixed)
+        canonical_rows(self.cube.slice(fixed))
     }
 
     /// Dice: the materialized sub-cube over the listed attributes only, in
     /// canonical (sa, ca) order.
     pub fn dice(&self, attrs: &[&str]) -> Vec<(CellCoords, IndexValues)> {
-        sorted_dice(&self.cube, attrs)
+        canonical_rows(self.cube.cells_over(attrs))
     }
 }
 
@@ -502,7 +549,6 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
 mod tests {
     use super::*;
     use crate::builder::Materialize;
-    use crate::query::CubeQueryEngine;
     use scube_data::{Attribute, Schema, TransactionDbBuilder};
 
     fn db() -> TransactionDb {
@@ -526,25 +572,26 @@ mod tests {
         b.finish()
     }
 
-    fn engines() -> (SegregationCube, CubeQueryEngine, ConcurrentCubeEngine) {
+    /// The `AllFrequent` build (the reference every answer is compared to),
+    /// a direct explorer over the same rows, and a closed-store engine.
+    fn engines() -> (SegregationCube, CubeExplorer, ConcurrentCubeEngine) {
         let db = db();
         let full = CubeBuilder::new().materialize(Materialize::AllFrequent).build(&db).unwrap();
         let closed = CubeBuilder::new().materialize(Materialize::ClosedOnly);
-        let serial = CubeQueryEngine::from_db(&db, &closed).unwrap();
-        let concurrent = ConcurrentCubeEngine::from_db(&db, &closed).unwrap();
-        (full, serial, concurrent)
+        let engine = ConcurrentCubeEngine::from_db(&db, &closed).unwrap();
+        (full, CubeExplorer::new(&db), engine)
     }
 
     #[test]
     fn shared_ref_queries_match_serial_engine() {
-        let (full, mut serial, concurrent) = engines();
+        let (full, _, engine) = engines();
         for (coords, v) in full.cells() {
-            assert_eq!(serial.query(coords).unwrap(), *v);
-            assert_eq!(concurrent.query(coords).unwrap(), *v, "cold {coords:?}");
-            assert_eq!(concurrent.query(coords).unwrap(), *v, "warm {coords:?}");
+            assert_eq!(engine.query(coords).unwrap(), *v, "cold {coords:?}");
+            assert_eq!(engine.query(coords).unwrap(), *v, "warm {coords:?}");
         }
-        let stats = concurrent.stats();
+        let stats = engine.stats();
         assert_eq!(stats.total(), 2 * full.len() as u64);
+        assert!(stats.materialized > 0);
         assert!(stats.explored > 0, "closed store must force fallbacks");
         assert_eq!(stats.cached, stats.explored, "second pass hits the shards");
     }
@@ -587,48 +634,87 @@ mod tests {
 
     #[test]
     fn ranking_and_views_match_serial_engine() {
-        let (_, serial, concurrent) = engines();
+        let (_, _, engine) = engines();
+        let cube = engine.cube();
+        let reference = |index: SegIndex, k: usize| -> RankedCells {
+            crate::report::top_contexts(cube, index, k, 1)
+                .into_iter()
+                .map(|(c, v, x)| (c.clone(), *v, x))
+                .collect()
+        };
         let indexes =
             [SegIndex::Dissimilarity, SegIndex::Gini, SegIndex::Isolation, SegIndex::Atkinson];
+        let expected: Vec<(SegIndex, RankedCells)> =
+            indexes.iter().map(|&ix| (ix, reference(ix, 4))).collect();
         for threads in [1, 3, 8] {
-            let par = concurrent.top_k_batch(&indexes, 4, 1, threads).unwrap();
-            let ser = serial.top_k_batch(&indexes, 4, 1);
-            assert_eq!(par, ser, "threads {threads}");
+            assert_eq!(
+                engine.top_k_batch(&indexes, 4, 1, threads).unwrap(),
+                expected,
+                "threads {threads}"
+            );
             // A single index must also rank in parallel (the store is
             // chunked, not the index list) and merge bit-identically —
             // including k = 0 (return all).
             for k in [0, 3] {
                 assert_eq!(
-                    concurrent.top_k_batch(&[SegIndex::Gini], k, 1, threads).unwrap(),
-                    serial.top_k_batch(&[SegIndex::Gini], k, 1),
+                    engine.top_k_batch(&[SegIndex::Gini], k, 1, threads).unwrap(),
+                    vec![(SegIndex::Gini, reference(SegIndex::Gini, k))],
                     "single index, threads {threads}, k {k}"
                 );
             }
         }
         assert_eq!(
-            concurrent.top_k(SegIndex::Dissimilarity, 3, 1),
-            serial.top_k(SegIndex::Dissimilarity, 3, 1)
+            engine.top_k(SegIndex::Dissimilarity, 3, 1),
+            reference(SegIndex::Dissimilarity, 3)
         );
-        assert_eq!(concurrent.slice(&[("region", "north")]), serial.slice(&[("region", "north")]));
-        assert_eq!(concurrent.dice(&["sex", "region"]), serial.dice(&["sex", "region"]));
+
+        // Slice fixes its coordinates, dice drops every other attribute,
+        // and both come back in canonical (sa, ca) order.
+        let sliced = engine.slice(&[("region", "north")]);
+        assert!(!sliced.is_empty());
+        for (coords, v) in &sliced {
+            assert_eq!(cube.labels().attr_values(coords, "region"), vec!["north"]);
+            assert_eq!(cube.get(coords), Some(v));
+        }
+        let diced = engine.dice(&["sex", "region"]);
+        assert!(!diced.is_empty());
+        for (coords, v) in &diced {
+            assert!(cube.labels().attr_values(coords, "age").is_empty());
+            assert_eq!(cube.get(coords), Some(v));
+        }
+        for rows in [&sliced, &diced] {
+            for w in rows.windows(2) {
+                assert!(w[0].0 < w[1].0, "canonical order");
+            }
+        }
     }
 
     #[test]
     fn breakdown_and_names_resolve() {
-        let (_, mut serial, concurrent) = engines();
-        let coords = concurrent.resolve(&[("sex", "F")], &[("region", "north")]).unwrap();
-        let first = concurrent.unit_breakdown(&coords);
-        assert_eq!(first, serial.unit_breakdown(&coords));
-        assert_eq!(concurrent.stats().breakdown_computed, 1);
-        // Repeated drill-downs come from the sharded breakdown cache.
-        assert_eq!(concurrent.unit_breakdown(&coords), first);
-        assert_eq!(concurrent.stats().breakdown_computed, 1, "no recomputation");
-        assert_eq!(concurrent.stats().breakdown_cached, 1);
+        let (full, mut explorer, engine) = engines();
+        // A fallback cell and a materialized one: stored `IndexValues`
+        // carry no per-unit data, so both compute once and then hit the
+        // sharded breakdown cache.
+        let fallback = engine.resolve(&[("sex", "F")], &[("region", "north")]).unwrap();
+        let stored = engine.resolve(&[("sex", "F")], &[]).unwrap();
+        assert!(engine.cube().get(&stored).is_some(), "cell should be materialized");
+        for (n, coords) in [(1, &fallback), (2, &stored)] {
+            let first = engine.unit_breakdown(coords).unwrap();
+            assert_eq!(first, explorer.unit_breakdown(coords));
+            assert_eq!(engine.stats().breakdown_computed, n);
+            assert_eq!(engine.unit_breakdown(coords).unwrap(), first);
+            assert_eq!(engine.stats().breakdown_computed, n, "no recomputation");
+            assert_eq!(engine.stats().breakdown_cached, n);
+        }
         assert_eq!(
-            concurrent.query_by_names(&[("sex", "F")], &[]).unwrap(),
-            serial.query_by_names(&[("sex", "F")], &[]).unwrap()
+            engine.query_by_names(&[("sex", "F")], &[]).unwrap(),
+            *full.get(&stored).unwrap()
         );
-        assert!(concurrent.query_by_names(&[("region", "north")], &[]).is_err(), "role confusion");
+        // Unknown names and role confusion are errors, not plausible answers.
+        assert!(engine.query_by_names(&[("sex", "X")], &[]).is_err());
+        assert!(engine.query_by_names(&[], &[("nope", "north")]).is_err());
+        assert!(engine.query_by_names(&[("region", "north")], &[]).is_err(), "role confusion");
+        assert!(engine.query_by_names(&[], &[("sex", "F")]).is_err(), "role confusion");
     }
 
     #[test]
@@ -671,42 +757,75 @@ mod tests {
         }
     }
 
-    /// Regression: a worker panic (here injected via a poisoned query whose
-    /// `ItemId` is out of range for the postings store) used to abort the
-    /// whole process through `.expect("query worker panicked")`. It must
-    /// instead fail only that batch with a proper error and leave the
-    /// engine healthy for subsequent queries.
+    /// Regression: a worker panic used to abort the whole process through
+    /// `.expect("query worker panicked")`. The join must instead turn it
+    /// into an error for that one batch. Hostile coordinates no longer
+    /// panic (next test), so nothing a caller can pass makes a worker
+    /// panic; the join path is driven directly.
     #[test]
     fn worker_panic_fails_batch_not_process() {
-        let (full, _, concurrent) = engines();
+        let joined = std::thread::scope(|scope| {
+            [
+                scope.spawn(|| panic!("static payload")).join(),
+                scope.spawn(|| panic!("{} payload", "formatted")).join(),
+                scope.spawn(|| std::panic::panic_any(7u8)).join(),
+            ]
+        });
+        let messages: Vec<String> = joined
+            .into_iter()
+            .map(|j| join_worker::<()>(j, "query").unwrap_err().to_string())
+            .collect();
+        assert!(messages[0].contains("query worker panicked: static payload"), "{messages:?}");
+        assert!(messages[1].contains("query worker panicked: formatted payload"), "{messages:?}");
+        assert!(messages[2].contains("non-string panic payload"), "{messages:?}");
+        assert!(join_worker(Ok(5), "query").is_ok());
+    }
+
+    /// Item ids beyond the postings used to index out of bounds in
+    /// `VerticalDb::tidset`, and an item on the wrong side silently
+    /// addressed a cell outside the cube. Both are `InvalidParameter` from
+    /// every entry point, and a refused request costs the engine nothing.
+    #[test]
+    fn hostile_coordinates_are_errors_not_panics() {
+        let (full, _, engine) = engines();
         let good: Vec<CellCoords> = full.cells().map(|(c, _)| c.clone()).collect();
-        let poisoned = CellCoords::new(vec![u32::MAX - 1], vec![]);
-        assert!(full.get(&poisoned).is_none(), "poison must miss the store");
-
-        // Seed a batch with the poisoned query somewhere in the middle so a
-        // mid-stream worker panics while others succeed.
-        let mut batch: Vec<CellCoords> = good.clone();
-        batch.insert(good.len() / 2, poisoned.clone());
-        for threads in [2, 4, 8] {
-            let err = concurrent.query_batch(&batch, threads).unwrap_err();
-            assert!(
-                err.to_string().contains("worker panicked"),
-                "error should carry the panic: {err}"
-            );
+        let labels = engine.cube().labels();
+        let n_items = labels.num_items() as u32;
+        let sa_item = (0..n_items).find(|&i| labels.is_sa_item(i)).unwrap();
+        let ca_item = (0..n_items).find(|&i| !labels.is_sa_item(i)).unwrap();
+        let hostile = [
+            CellCoords::new(vec![9999], vec![]),
+            CellCoords::new(vec![], vec![9999]),
+            CellCoords::new(vec![sa_item, u32::MAX], vec![ca_item]),
+            CellCoords::new(vec![ca_item], vec![]),
+            CellCoords::new(vec![], vec![sa_item]),
+        ];
+        let pool_before = engine.scratches.lock().len();
+        let refused = |r: Result<()>, what: &str| match r {
+            Err(ScubeError::InvalidParameter(_)) => {}
+            other => panic!("{what}: expected InvalidParameter, got {other:?}"),
+        };
+        for bad in &hostile {
+            assert!(full.get(bad).is_none(), "hostile coordinates must miss the store");
+            refused(engine.query(bad).map(drop), "query");
+            refused(engine.unit_breakdown(bad).map(drop), "unit_breakdown");
+            // In the middle of a batch, on the in-line and the spawning path.
+            let mut batch = good.clone();
+            batch.insert(good.len() / 2, bad.clone());
+            for threads in [1, 4] {
+                refused(engine.query_batch(&batch, threads).map(drop), "query_batch");
+            }
         }
+        assert!(engine.scratches.lock().len() >= pool_before, "scratch pool shrank");
+        assert_eq!(engine.stats().breakdowns(), 0, "a refused drill-down is not counted");
 
-        // The engine is still healthy: every valid query answers, results
-        // stay bit-identical to the store, and ranking still works.
-        let after = concurrent.query_batch(&good, 4).unwrap();
+        // The engine still answers, bit-identically to the full build.
+        let after = engine.query_batch(&good, 4).unwrap();
         for (c, got) in good.iter().zip(&after) {
             assert_eq!(full.get(c), Some(got));
+            assert!(engine.unit_breakdown(c).is_ok());
         }
-        assert!(!concurrent.top_k_batch(&[SegIndex::Gini], 3, 1, 4).unwrap().is_empty());
-
-        // Single-threaded batches take the non-spawning path, where the
-        // same poison is a plain (catchable) panic in the calling thread —
-        // the daemon layer guards that with `catch_unwind`; here we only
-        // pin down that multi-threaded batches never re-panic.
+        assert!(!engine.top_k_batch(&[SegIndex::Gini], 3, 1, 4).unwrap().is_empty());
     }
 
     #[test]
@@ -722,7 +841,7 @@ mod tests {
             engine.query(coords).unwrap();
         }
         let south = engine.resolve(&[("sex", "F")], &[("region", "south")]).unwrap();
-        engine.unit_breakdown(&south);
+        engine.unit_breakdown(&south).unwrap();
         let warm = engine.stats();
 
         // Append rows that only touch the north: south contexts stay clean.
@@ -759,7 +878,7 @@ mod tests {
         // Exactness of the invalidation: the south breakdown was cached
         // before the update, its context gained nothing, so it must still
         // be served from the cache — not recomputed.
-        engine.unit_breakdown(&south);
+        engine.unit_breakdown(&south).unwrap();
         assert_eq!(
             engine.stats().breakdown_cached,
             warm.breakdown_cached + 1,
@@ -786,7 +905,7 @@ mod tests {
         let mut engine = ConcurrentCubeEngine::with_config(snap, 4, 64);
         for (coords, _) in full.cells() {
             engine.query(coords).unwrap();
-            engine.unit_breakdown(coords);
+            engine.unit_breakdown(coords).unwrap();
         }
         let check = |engine: &ConcurrentCubeEngine, when: &str| {
             for (i, shard) in engine.shards.iter().enumerate() {
@@ -835,7 +954,7 @@ mod tests {
             .unwrap();
         for (coords, v) in after_full.cells() {
             assert_eq!(engine.query(coords).unwrap(), *v, "stale {coords:?}");
-            engine.unit_breakdown(coords);
+            engine.unit_breakdown(coords).unwrap();
         }
         check(&engine, "after re-warming");
     }

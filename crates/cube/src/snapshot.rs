@@ -436,7 +436,7 @@ impl<P: Posting> CubeSnapshot<P> {
     }
 
     /// Serving-layer constructor parts: both halves plus the build
-    /// configuration and maintenance store (the concurrent engine keeps
+    /// configuration and maintenance store (the engine keeps
     /// the store so [`crate::serve::ConcurrentCubeEngine::apply_update`]
     /// folds deltas at the same cost as the snapshot path).
     pub(crate) fn into_serving_parts(
@@ -475,11 +475,6 @@ impl<P: Posting> CubeSnapshot<P> {
     /// The vertical database (item postings + tid → unit map).
     pub fn vertical(&self) -> &VerticalDb<P> {
         &self.vertical
-    }
-
-    /// Take ownership of both halves.
-    pub fn into_parts(self) -> (SegregationCube, VerticalDb<P>) {
-        (self.cube, self.vertical)
     }
 
     /// Serialize into the binary format (module docs): offset directory,

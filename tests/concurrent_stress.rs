@@ -71,7 +71,7 @@ fn stress_counters_are_exact_and_no_query_is_lost() {
                                 "thread {t} round {round} diverged at {c:?}"
                             );
                             if i % 7 == 0 {
-                                let b = engine.unit_breakdown(c);
+                                let b = engine.unit_breakdown(c).unwrap();
                                 breakdowns += 1;
                                 let m: u64 = b.iter().map(|&(_, m, _)| m).sum();
                                 let tt: u64 = b.iter().map(|&(_, _, t)| t).sum();

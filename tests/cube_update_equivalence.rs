@@ -369,7 +369,7 @@ proptest! {
             prop_assert_eq!(&engine.query(coords).expect("pre-update query"), v);
         }
         for (coords, _) in base_full.cells().take(32) {
-            engine.unit_breakdown(coords);
+            engine.unit_breakdown(coords).unwrap();
         }
 
         let batch = scube_cube::UpdateBatch::from_relation(
@@ -400,7 +400,7 @@ proptest! {
         });
         for (coords, _) in after_full.cells().take(32) {
             prop_assert_eq!(
-                engine.unit_breakdown(coords),
+                engine.unit_breakdown(coords).unwrap(),
                 explorer.unit_breakdown(coords),
                 "stale breakdown at {:?}", coords
             );
@@ -451,7 +451,7 @@ proptest! {
             prop_assert_eq!(&engine.query(coords).expect("pre-churn query"), v);
         }
         for (coords, _) in base_full.cells().take(32) {
-            engine.unit_breakdown(coords);
+            engine.unit_breakdown(coords).unwrap();
         }
 
         let mut batch = scube_cube::UpdateBatch::from_relation(
@@ -484,7 +484,7 @@ proptest! {
         });
         for (coords, _) in after_full.cells().take(32) {
             prop_assert_eq!(
-                engine.unit_breakdown(coords),
+                engine.unit_breakdown(coords).unwrap(),
                 explorer.unit_breakdown(coords),
                 "stale breakdown at {:?}", coords
             );

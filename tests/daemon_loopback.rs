@@ -112,7 +112,7 @@ fn responses_are_bit_identical_to_in_process_engine() {
     assert_eq!(resp.text().unwrap(), daemon::cells_json(&labels, &diced));
 
     let target = cells.last().unwrap();
-    let rows = reference.unit_breakdown(target);
+    let rows = reference.unit_breakdown(target).unwrap();
     let resp = client
         .get(&format!("/cubes/main/breakdown?{}", coords_query(&labels, target)))
         .expect("breakdown");

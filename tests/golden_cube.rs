@@ -131,7 +131,7 @@ fn query_engine_transcript_matches_golden() {
         .parallel(false);
     let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &closed).unwrap();
     let loaded: CubeSnapshot = CubeSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-    let mut engine = CubeQueryEngine::new(loaded);
+    let engine = ConcurrentCubeEngine::new(loaded);
 
     let mut out = String::new();
     out.push_str(&format!(

@@ -69,8 +69,8 @@ where
     // fallbacks over every single-item coordinate pair — answers
     // bit-identically through both engines.
     let coords: Vec<_> = heap.cube().cells().map(|(c, _)| c.clone()).collect();
-    let mut heap_engine = CubeQueryEngine::new(heap);
-    let mut mapped_engine = CubeQueryEngine::new(mapped);
+    let heap_engine = ConcurrentCubeEngine::new(heap);
+    let mapped_engine = ConcurrentCubeEngine::new(mapped);
     for c in &coords {
         assert_eq!(
             heap_engine.query(c).unwrap(),

@@ -15,6 +15,7 @@
 use proptest::prelude::*;
 use scube::prelude::*;
 use scube_bitmap::{AdaptivePosting, DenseBitmap, EwahBitmap, Posting, TidVec};
+use scube_cube::ConcurrentCubeEngine;
 use scube_data::TransactionDb;
 use scube_datagen::BoardsConfig;
 
@@ -194,6 +195,44 @@ proptest! {
         let rebuilt: CubeSnapshot =
             CubeSnapshot::from_db(&edited_db, &builder).expect("rebuild succeeds");
         prop_assert_eq!(snap.to_bytes(), rebuilt.to_bytes(), "snapshot bytes diverged");
+    }
+}
+
+/// The serving engine's fallback tier folds the snapshot's own measure
+/// subset: every cell a `ClosedOnly` store leaves out answers bit-equal to
+/// the masked `AllFrequent` build. (A second engine once built its explorer
+/// without the measure set and answered these cells with the full suite.)
+#[test]
+fn engine_fallback_cells_match_the_masked_full_build() {
+    let db = final_table(0.7, 0x5CBE, 300);
+    let minsup = (db.len() as u64 / 50).max(1);
+    let gini = MeasureSet::only(SegIndex::Gini);
+    for measures in [gini, gini.with(SegIndex::Isolation)] {
+        let builder = CubeBuilder::new().min_support(minsup).measures(measures);
+        let full = builder.materialize(Materialize::AllFrequent).build(&db).unwrap();
+        let closed: CubeSnapshot =
+            CubeSnapshot::from_db(&db, &builder.materialize(Materialize::ClosedOnly)).unwrap();
+        let loaded: CubeSnapshot = CubeSnapshot::from_bytes(&closed.to_bytes()).unwrap();
+        let engine = ConcurrentCubeEngine::new(loaded);
+        let mut fallback = 0;
+        for (coords, want) in full.cells().filter(|(c, _)| closed.cube().get(c).is_none()) {
+            fallback += 1;
+            let got = engine.query(coords).unwrap();
+            assert_eq!(
+                (got.minority, got.total, got.num_units),
+                (want.minority, want.total, want.num_units),
+                "{measures:?}: counts at {coords:?}"
+            );
+            for index in SegIndex::ALL {
+                assert_eq!(
+                    got.get(index).map(f64::to_bits),
+                    want.get(index).map(f64::to_bits),
+                    "{measures:?}: {index} at {coords:?}"
+                );
+            }
+        }
+        assert!(fallback > 0, "{measures:?}: the closed store must leave cells to the fallback");
+        assert_eq!(engine.stats().explored, fallback);
     }
 }
 

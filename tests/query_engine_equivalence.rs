@@ -25,7 +25,7 @@ fn engine_over_closed_store_matches_full_cube() {
         .materialize(Materialize::AllFrequent)
         .build(&db)
         .unwrap();
-    let mut engine: CubeQueryEngine = CubeQueryEngine::from_db(
+    let engine: ConcurrentCubeEngine = ConcurrentCubeEngine::from_db(
         &db,
         &CubeBuilder::new().min_support(minsup).materialize(Materialize::ClosedOnly),
     )
@@ -59,8 +59,8 @@ fn engine_over_closed_store_matches_full_cube() {
 fn engine_matches_explorer_on_non_materialized_combinations() {
     let db = final_table();
     let minsup = (db.len() as u64 / 10).max(1); // aggressive: few materialized cells
-    let mut engine: CubeQueryEngine =
-        CubeQueryEngine::from_db(&db, &CubeBuilder::new().min_support(minsup)).unwrap();
+    let engine: ConcurrentCubeEngine =
+        ConcurrentCubeEngine::from_db(&db, &CubeBuilder::new().min_support(minsup)).unwrap();
     let mut reference: CubeExplorer = CubeExplorer::new(&db);
 
     // Probe the coordinates of sampled transactions plus their ⋆
@@ -78,7 +78,7 @@ fn engine_matches_explorer_on_non_materialized_combinations() {
         assert_eq!(engine.query(coords).unwrap(), expected, "{coords:?}");
         // And the cached re-ask is identical.
         assert_eq!(engine.query(coords).unwrap(), expected, "cached {coords:?}");
-        assert_eq!(engine.unit_breakdown(coords), reference.unit_breakdown(coords));
+        assert_eq!(engine.unit_breakdown(coords).unwrap(), reference.unit_breakdown(coords));
     }
 }
 
@@ -95,8 +95,9 @@ fn eviction_pressure_does_not_change_answers() {
         .unwrap();
     let closed = CubeBuilder::new().min_support(minsup).materialize(Materialize::ClosedOnly);
     let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &closed).unwrap();
-    let mut tiny = scube_cube::CubeQueryEngine::with_cache_capacity(snap.clone(), 3);
-    let mut disabled = scube_cube::CubeQueryEngine::with_cache_capacity(snap, 0);
+    // One shard, so "capacity 3" means three cells and not three per shard.
+    let tiny = ConcurrentCubeEngine::with_config(snap.clone(), 1, 3);
+    let disabled = ConcurrentCubeEngine::with_config(snap, 1, 0);
     for round in 0..2 {
         for (coords, v) in full.cells() {
             assert_eq!(&tiny.query(coords).unwrap(), v, "tiny cache, round {round}");
@@ -123,8 +124,8 @@ fn loaded_snapshot_serves_identically() {
         .build(&db)
         .unwrap();
     let loaded: CubeSnapshot = CubeSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-    let mut from_memory = scube_cube::CubeQueryEngine::new(snap);
-    let mut from_disk = scube_cube::CubeQueryEngine::new(loaded);
+    let from_memory = ConcurrentCubeEngine::new(snap);
+    let from_disk = ConcurrentCubeEngine::new(loaded);
     for (coords, v) in full.cells() {
         assert_eq!(&from_memory.query(coords).unwrap(), v);
         assert_eq!(&from_disk.query(coords).unwrap(), v);
