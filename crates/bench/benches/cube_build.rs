@@ -1,9 +1,9 @@
 //! E1/E11: SegregationDataCubeBuilder cost — materialization strategy,
-//! parallelism, min-support, and tidset-representation ablations.
+//! parallelism, and min-support ablations. (Tidset representations are
+//! compared where they live: `benches/bitmap.rs` and `exp bitmap-kernels`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scube_bench::italy_final_table;
-use scube_bitmap::{DenseBitmap, EwahBitmap, TidVec};
 use scube_cube::{CubeBuilder, Materialize};
 use std::hint::black_box;
 
@@ -54,35 +54,6 @@ fn bench_cube(c: &mut Criterion) {
             b.iter(|| black_box(CubeBuilder::new().min_support(m).build(&db).unwrap().len()))
         });
     }
-    group.finish();
-
-    let mut group = c.benchmark_group("cube_build_representation");
-    group.sample_size(10);
-    group.bench_function("ewah", |b| {
-        b.iter(|| {
-            black_box(
-                CubeBuilder::new().min_support(minsup).build_with::<EwahBitmap>(&db).unwrap().len(),
-            )
-        })
-    });
-    group.bench_function("dense", |b| {
-        b.iter(|| {
-            black_box(
-                CubeBuilder::new()
-                    .min_support(minsup)
-                    .build_with::<DenseBitmap>(&db)
-                    .unwrap()
-                    .len(),
-            )
-        })
-    });
-    group.bench_function("tidvec", |b| {
-        b.iter(|| {
-            black_box(
-                CubeBuilder::new().min_support(minsup).build_with::<TidVec>(&db).unwrap().len(),
-            )
-        })
-    });
     group.finish();
 }
 

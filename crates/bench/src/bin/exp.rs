@@ -549,7 +549,7 @@ fn scale_experiment() {
         let fp = FpGrowth.mine(&db, minsup).unwrap();
         let t_fp = t0.elapsed();
         let t0 = Instant::now();
-        let _ec = Eclat::<scube_bitmap::EwahBitmap>::new().mine(&db, minsup).unwrap();
+        let _ec = Eclat.mine(&db, minsup).unwrap();
         let t_ec = t0.elapsed();
         let t0 = Instant::now();
         let _ap = Apriori.mine(&db, minsup).unwrap();
@@ -2107,7 +2107,7 @@ fn cube_indexes_experiment(smoke: bool) {
          \"host_threads\": {host_threads},\n  {host},\n  \"dataset\": \"italy\",\n  \
          \"companies\": {companies},\n  \"rows\": {rows},\n  \"min_support\": {minsup},\n  \
          \"cells\": {cells},\n  \"differential_gate\": \"passed\",\n  \
-         \"v5_roundtrip_gate\": \"passed\",\n  \"folds\": [\n{folds_json}\n  ],\n  \
+         \"roundtrip_gate\": \"passed\",\n  \"folds\": [\n{folds_json}\n  ],\n  \
          \"significance\": {{\"index\": \"dissimilarity\", \"permutations\": {}, \
          \"cells\": {tested}, \"total_s\": {sig_s:.6}, \"per_cell_ms\": {per_cell_ms:.4}}}\n}}\n",
         test.permutations

@@ -17,15 +17,14 @@
 //! * otherwise → [`EwahBitmap`]
 //!
 //! Every operation re-canonicalizes its result through the same rule, so
-//! the representation — and therefore the serialized encoding — is a pure
-//! function of the *set content*, never of the construction path. That is
-//! the property the snapshot layer's byte-identity tests demand, and it is
-//! what lets an Adaptive-built cube answer byte-identically to any
-//! fixed-representation build (pinned by the whole-pipeline test in
-//! `crates/cube/tests/adaptive_pipeline.rs`).
+//! the representation is a pure function of the *set content*, never of
+//! the construction path (pinned by `tests/kernel_equivalence.rs`).
+//!
+//! This is a subject of the crate's representation study — the kernel grid
+//! (`exp bitmap-kernels`) measures it against the three fixed arms — not a
+//! production type: every layer above `scube-bitmap` stores [`EwahBitmap`].
 
 use crate::{kernels, DenseBitmap, EwahBitmap, Posting, TidVec};
-use scube_common::mmap::ByteRegion;
 
 /// Sets at or below this cardinality always stay id vectors: at ≤ 64 ids a
 /// linear scan beats any decompression setup cost.
@@ -106,8 +105,8 @@ impl AdaptivePosting {
 
     /// Re-pick the representation for the current content and convert if
     /// the heuristic disagrees with the current variant. Conversions go
-    /// through canonical constructors, so the result serializes exactly as
-    /// a from-scratch build of the same set would.
+    /// through canonical constructors, so the result is exactly what a
+    /// from-scratch build of the same set would be.
     fn canon(self) -> Self {
         let target = choose(self.cardinality(), self.max_id());
         if self.kind() == target {
@@ -149,8 +148,6 @@ impl AdaptivePosting {
 }
 
 impl Posting for AdaptivePosting {
-    const SERIAL_TAG: u8 = 4;
-
     fn from_sorted(ids: &[u32]) -> Self {
         // The inner constructor validates strict monotonicity; `choose`
         // only peeks at the last element, which for valid input is the max.
@@ -158,55 +155,6 @@ impl Posting for AdaptivePosting {
             Kind::Tids => A::Tids(TidVec::from_sorted(ids)),
             Kind::Dense => A::Dense(DenseBitmap::from_sorted(ids)),
             Kind::Ewah => A::Ewah(EwahBitmap::from_sorted(ids)),
-        }
-    }
-
-    fn write_slot(&self, out: &mut Vec<u8>) {
-        // Slots are 8-aligned, so the inner representation's tag rides
-        // in a full little-endian u64 header word (low byte = the inner
-        // SERIAL_TAG), keeping the inner word table aligned too.
-        match self {
-            A::Ewah(e) => {
-                out.extend_from_slice(&u64::from(EwahBitmap::SERIAL_TAG).to_le_bytes());
-                e.write_slot(out);
-            }
-            A::Dense(d) => {
-                out.extend_from_slice(&u64::from(DenseBitmap::SERIAL_TAG).to_le_bytes());
-                d.write_slot(out);
-            }
-            A::Tids(t) => {
-                out.extend_from_slice(&u64::from(TidVec::SERIAL_TAG).to_le_bytes());
-                t.write_slot(out);
-            }
-        }
-    }
-
-    fn read_slot(bytes: &[u8], card: u64) -> Option<Self> {
-        let tag = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
-        let rest = &bytes[8..];
-        match u8::try_from(tag).ok()? {
-            t if t == EwahBitmap::SERIAL_TAG => Some(A::Ewah(EwahBitmap::read_slot(rest, card)?)),
-            t if t == DenseBitmap::SERIAL_TAG => {
-                Some(A::Dense(DenseBitmap::read_slot(rest, card)?))
-            }
-            t if t == TidVec::SERIAL_TAG => Some(A::Tids(TidVec::read_slot(rest, card)?)),
-            _ => None,
-        }
-    }
-
-    fn map_slot(region: ByteRegion, card: u64, universe: u32) -> Option<Self> {
-        let header = region.slice(0, 8)?;
-        let tag = u64::from_le_bytes(header.as_slice().try_into().ok()?);
-        let inner = region.slice(8, region.len() - 8)?;
-        match u8::try_from(tag).ok()? {
-            t if t == EwahBitmap::SERIAL_TAG => {
-                Some(A::Ewah(EwahBitmap::map_slot(inner, card, universe)?))
-            }
-            t if t == DenseBitmap::SERIAL_TAG => {
-                Some(A::Dense(DenseBitmap::map_slot(inner, card, universe)?))
-            }
-            t if t == TidVec::SERIAL_TAG => Some(A::Tids(TidVec::map_slot(inner, card, universe)?)),
-            _ => None,
         }
     }
 
@@ -426,10 +374,7 @@ mod tests {
         assert!(matches!(both, A::Tids(_)));
         let expect = AdaptivePosting::from_sorted(&[3, 5_000]);
         assert_eq!(both, expect);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        both.write_slot(&mut a);
-        expect.write_slot(&mut b);
-        assert_eq!(a, b);
+        assert_eq!(both.current_name(), expect.current_name());
     }
 
     #[test]
@@ -447,17 +392,5 @@ mod tests {
             assert_eq!(a.andnot(&b).to_vec(), ea.andnot(&eb).to_vec());
             assert_eq!(a.and_cardinality(&b), ea.and_cardinality(&eb));
         }
-    }
-
-    #[test]
-    fn serialization_names_inner_representation() {
-        let p = AdaptivePosting::from_sorted(&[1, 2, 3]);
-        let mut slot = Vec::new();
-        p.write_slot(&mut slot);
-        // The header word carries the inner representation's tag.
-        assert_eq!(slot[..8], u64::from(TidVec::SERIAL_TAG).to_le_bytes());
-        assert_eq!(AdaptivePosting::read_slot(&slot, 3), Some(p));
-        slot[0] = 9;
-        assert!(AdaptivePosting::read_slot(&slot, 3).is_none(), "unknown inner tag");
     }
 }

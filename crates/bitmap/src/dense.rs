@@ -1,24 +1,18 @@
 //! Uncompressed bitset over `Vec<u64>`.
 //!
-//! Used for small, dense universes — per-unit membership masks in the cube
-//! builder and the visited sets of graph traversals — and as the dense
-//! contender in the tidset-representation ablation (experiment E11).
-//! All boolean algebra runs through the unrolled word loops in
+//! The dense contender of this crate's representation study (model tests,
+//! kernel grid) and one arm of [`crate::AdaptivePosting`]; nothing above
+//! `scube-bitmap` stores one. All boolean algebra runs through the unrolled word loops in
 //! [`crate::kernels`], including true in-place `and_assign` (the
 //! intersection never outgrows `self`'s words) and a non-materializing
 //! `and_cardinality`.
 
 use crate::{kernels, EwahBitmap, Posting};
-use scube_common::mmap::{ByteRegion, MappedSlice, Store};
 
 /// A plain, zero-extended bitset.
-///
-/// The word table lives in a [`Store`]: heap-owned normally, borrowed from
-/// a mapped snapshot on the [`Posting::map_slot`] path; mutators copy a
-/// mapped table onto the heap first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DenseBitmap {
-    words: Store<u64>,
+    words: Vec<u64>,
 }
 
 impl DenseBitmap {
@@ -29,36 +23,34 @@ impl DenseBitmap {
 
     /// Empty bitset with room for ids `< nbits` without reallocating.
     pub fn with_capacity(nbits: usize) -> Self {
-        DenseBitmap { words: Vec::with_capacity(nbits.div_ceil(64)).into() }
+        DenseBitmap { words: Vec::with_capacity(nbits.div_ceil(64)) }
     }
 
     /// Set bit `id` (grows as needed).
     pub fn insert(&mut self, id: u32) {
         let w = id as usize / 64;
-        let words = self.words.vec_mut();
-        if w >= words.len() {
-            words.resize(w + 1, 0);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
         }
-        words[w] |= 1 << (id % 64);
+        self.words[w] |= 1 << (id % 64);
     }
 
     /// Clear bit `id` (no-op when out of range).
     pub fn remove(&mut self, id: u32) {
         let w = id as usize / 64;
         if w < self.words.len() {
-            self.words.vec_mut()[w] &= !(1 << (id % 64));
+            self.words[w] &= !(1 << (id % 64));
         }
     }
 
     /// Reset all bits, keeping capacity (workhorse-collection pattern).
     pub fn clear(&mut self) {
-        self.words.vec_mut().clear();
+        self.words.clear();
     }
 
-    /// Heap bytes used (0 when the words are served from a mapped
-    /// snapshot).
+    /// Heap bytes used.
     pub fn heap_bytes(&self) -> usize {
-        self.words.heap_capacity() * 8
+        self.words.capacity() * 8
     }
 
     /// Convert to the compressed representation (bulk block classification,
@@ -72,7 +64,7 @@ impl DenseBitmap {
     /// Build from a compressed bitmap (bulk word decompression, not
     /// per-bit inserts).
     pub fn from_ewah(e: &EwahBitmap) -> Self {
-        DenseBitmap { words: e.to_dense_words().into() }
+        DenseBitmap { words: e.to_dense_words() }
     }
 
     /// Wrap raw words, trimming trailing zeros to the canonical form.
@@ -80,7 +72,7 @@ impl DenseBitmap {
         while words.last() == Some(&0) {
             words.pop();
         }
-        DenseBitmap { words: words.into() }
+        DenseBitmap { words }
     }
 
     /// The raw zero-extended words.
@@ -89,63 +81,20 @@ impl DenseBitmap {
     }
 
     fn trim(&mut self) {
-        if self.words.last() == Some(&0) {
-            let words = self.words.vec_mut();
-            while words.last() == Some(&0) {
-                words.pop();
-            }
+        while self.words.last() == Some(&0) {
+            self.words.pop();
         }
     }
 }
 
 impl Posting for DenseBitmap {
-    const SERIAL_TAG: u8 = 2;
-
-    fn write_slot(&self, out: &mut Vec<u8>) {
-        // The slot is the bare zero-extended word table.
-        for &w in self.words.iter() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    fn read_slot(bytes: &[u8], card: u64) -> Option<Self> {
-        if !bytes.len().is_multiple_of(8) {
-            return None;
-        }
-        let words: Vec<u64> =
-            bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-        // Canonical form stores no trailing zero words, and the directory
-        // cardinality must match the set bits.
-        if words.last() == Some(&0) || kernels::popcount_words(&words) != card {
-            return None;
-        }
-        Some(DenseBitmap { words: words.into() })
-    }
-
-    fn map_slot(region: ByteRegion, _card: u64, universe: u32) -> Option<Self> {
-        let words = MappedSlice::<u64>::new(region)?;
-        let max_words = u64::from(universe).div_ceil(64);
-        if words.len() as u64 > max_words || words.last() == Some(&0) {
-            return None;
-        }
-        // Only the final word can carry bits at or above the bound.
-        let tail_bits = u64::from(universe) % 64;
-        if tail_bits != 0
-            && words.len() as u64 == max_words
-            && words.last().is_some_and(|&w| w >> tail_bits != 0)
-        {
-            return None;
-        }
-        Some(DenseBitmap { words: words.into() })
-    }
-
     fn full(n: u32) -> Self {
         let nbits = n as usize;
         let mut words = vec![u64::MAX; nbits / 64];
         if !nbits.is_multiple_of(64) {
             words.push((1u64 << (nbits % 64)) - 1);
         }
-        DenseBitmap { words: words.into() }
+        DenseBitmap { words }
     }
 
     fn from_sorted(ids: &[u32]) -> Self {
@@ -214,17 +163,15 @@ impl Posting for DenseBitmap {
 
     fn and_into(&self, other: &Self, out: &mut Self) {
         let n = self.words.len().min(other.words.len());
-        let dst = out.words.vec_mut();
-        dst.clear();
-        dst.resize(n, 0);
-        kernels::map2_into(&self.words, &other.words, dst, |a, b| a & b);
+        out.words.clear();
+        out.words.resize(n, 0);
+        kernels::map2_into(&self.words, &other.words, &mut out.words, |a, b| a & b);
         out.trim();
     }
 
     fn and_assign(&mut self, other: &Self) {
-        let words = self.words.vec_mut();
-        words.truncate(other.words.len());
-        kernels::map2_in_place(words, &other.words, |a, b| a & b);
+        self.words.truncate(other.words.len());
+        kernels::map2_in_place(&mut self.words, &other.words, |a, b| a & b);
         self.trim();
     }
 

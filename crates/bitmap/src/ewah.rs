@@ -35,7 +35,7 @@ fn decode_marker(m: u64) -> (bool, u64, u64) {
 ///
 /// The word stream lives in a [`Store`]: heap-owned on the build and
 /// update paths, borrowed straight from a mapped snapshot on the
-/// [`Posting::map_slot`] path. All kernels read through `&[u64]`, so they
+/// [`EwahBitmap::map_slot`] path. All kernels read through `&[u64]`, so they
 /// cannot tell the difference.
 #[derive(Debug, Clone, Default)]
 pub struct EwahBitmap {
@@ -759,18 +759,30 @@ fn validate_stream_structure(words: &[u64], universe: u32) -> bool {
     true
 }
 
-impl Posting for EwahBitmap {
-    const SERIAL_TAG: u8 = 1;
+impl EwahBitmap {
+    /// One-byte representation tag stored in snapshot headers, so a reader
+    /// can refuse a file whose posting slots are not EWAH word streams.
+    pub const SERIAL_TAG: u8 = 1;
 
-    fn write_slot(&self, out: &mut Vec<u8>) {
-        // The slot is the bare word stream: cardinality and length live
-        // in the snapshot's checksummed posting directory.
+    /// Append this bitmap's snapshot *slot* encoding: the bare word stream
+    /// as little-endian `u64`s, the table a memory-mapped reader serves in
+    /// place. A slot carries no counts or tags of its own — cardinality and
+    /// length live in the snapshot's checksummed posting directory and come
+    /// back through `card` on the read side.
+    ///
+    /// `read_slot(write_slot(p), p.cardinality())` reproduces `p` exactly,
+    /// and re-writing the decoded bitmap reproduces the original bytes
+    /// (stable round-trip).
+    pub fn write_slot(&self, out: &mut Vec<u8>) {
         for &w in self.words.iter() {
             out.extend_from_slice(&w.to_le_bytes());
         }
     }
 
-    fn read_slot(bytes: &[u8], card: u64) -> Option<Self> {
+    /// Decode an owned bitmap from a slot (the heap-load path). Fully
+    /// validating: `None` on any structural defect or when the stream does
+    /// not hold exactly `card` set bits.
+    pub fn read_slot(bytes: &[u8], card: u64) -> Option<Self> {
         if !bytes.len().is_multiple_of(8) {
             return None;
         }
@@ -782,14 +794,24 @@ impl Posting for EwahBitmap {
         Some(EwahBitmap { words: words.into(), card })
     }
 
-    fn map_slot(region: ByteRegion, card: u64, universe: u32) -> Option<Self> {
+    /// Borrow a bitmap from a mapped slot (the `open_mmap` path), zero-copy,
+    /// validating *structure* only — enough to guarantee that every later
+    /// operation is panic-free and that every id the bitmap can produce is
+    /// `< universe`, in time proportional to the number of markers rather
+    /// than the data. `card` comes from the checksummed posting directory
+    /// and is trusted; a slot whose actual contents disagree may answer
+    /// queries wrong, but never crashes. Callers must have checked the host
+    /// is little-endian first.
+    pub fn map_slot(region: ByteRegion, card: u64, universe: u32) -> Option<Self> {
         let words = MappedSlice::<u64>::new(region)?;
         if !validate_stream_structure(&words, universe) {
             return None;
         }
         Some(EwahBitmap { words: words.into(), card })
     }
+}
 
+impl Posting for EwahBitmap {
     fn full(n: u32) -> Self {
         let nbits = u64::from(n);
         let mut a = Appender::new();

@@ -7,18 +7,23 @@
 //!
 //! * [`EwahBitmap`] — a 64-bit word-aligned hybrid (EWAH) compressed bitmap:
 //!   runs of identical words are run-length encoded, other words are stored
-//!   verbatim. Fast `AND`/`OR`/`ANDNOT`/`XOR` by merging compressed streams;
-//!   this is the default tidset representation of the cube builder.
-//! * [`DenseBitmap`] — an uncompressed `Vec<u64>` bitset, better for small
-//!   dense universes (per-unit masks).
-//! * [`TidVec`] — a sorted vector of ids, the classical Eclat
-//!   representation; kept for the representation-ablation benchmarks.
+//!   verbatim. Fast `AND`/`OR`/`ANDNOT`/`XOR` by merging compressed streams.
+//!   This is **the** tidset of every layer above this crate — vertical
+//!   database, miner, cube, snapshot, query engine — and the only
+//!   representation with a snapshot slot codec
+//!   ([`EwahBitmap::write_slot`] / [`EwahBitmap::read_slot`] /
+//!   [`EwahBitmap::map_slot`]).
 //!
-//! All three implement the [`Posting`] trait so the mining and cube layers
-//! can be written once and benchmarked against each representation
-//! (experiment E11 of `DESIGN.md`).
-
-use scube_common::mmap::ByteRegion;
+//! The crate also owns the *representation study* that justifies that
+//! choice: three more implementations of the [`Posting`] trait, compared
+//! against EWAH by this crate's model and kernel-equivalence tests and by
+//! the kernel grid (`benches/bitmap.rs`, `exp bitmap-kernels`), and used
+//! nowhere else:
+//!
+//! * [`DenseBitmap`] — an uncompressed `Vec<u64>` bitset;
+//! * [`TidVec`] — a sorted vector of ids, the classical Eclat
+//!   representation;
+//! * [`AdaptivePosting`] — re-picks the cheapest of the three per posting.
 
 pub mod adaptive;
 pub mod dense;
@@ -32,17 +37,16 @@ pub use dense::DenseBitmap;
 pub use ewah::EwahBitmap;
 pub use tidvec::TidVec;
 
-/// Runtime-selectable posting representation, for ablation entry points and
-/// benchmark grids that enumerate representations by value.
+/// The [`Posting`] implementations by value, for the kernel grids that
+/// enumerate representations at run time.
 ///
-/// The pipeline itself is generic over [`Posting`] at compile time; this
-/// enum names the available choices. The first three map to the fixed
-/// representations; [`Representation::Adaptive`] maps to
-/// [`AdaptivePosting`], which re-picks the cheapest of the three per
-/// posting from its density and cardinality at build time.
+/// The first three name the fixed representations;
+/// [`Representation::Adaptive`] names [`AdaptivePosting`], which re-picks
+/// the cheapest of the three per posting from its density and cardinality
+/// at build time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Representation {
-    /// [`EwahBitmap`] — compressed, the pipeline default.
+    /// [`EwahBitmap`] — compressed, what the pipeline runs on.
     Ewah,
     /// [`DenseBitmap`] — uncompressed `u64` words.
     Dense,
@@ -78,77 +82,17 @@ impl Representation {
 /// Implementations must behave like an *infinite, zero-extended* bit vector:
 /// ids absent from the set read as 0 regardless of representation length.
 pub trait Posting: Sized + Clone {
-    /// One-byte representation tag stored in serialized headers, so a
-    /// reader can verify it decodes postings with the representation that
-    /// wrote them (see [`Posting::write_slot`]).
-    const SERIAL_TAG: u8;
-
     /// Build from strictly increasing ids.
     ///
     /// # Panics
     /// Implementations may panic if `ids` is not strictly increasing.
     fn from_sorted(ids: &[u32]) -> Self;
 
-    /// Append this posting's snapshot *slot* encoding: the raw fixed-width
-    /// little-endian table a memory-mapped reader can serve in place. A
-    /// slot carries no counts or tags of its own — the cardinality lives in
-    /// the snapshot's checksummed posting directory and comes back through
-    /// `card` on the read side.
-    ///
-    /// The default writes the sorted ids as little-endian `u32`s (the
-    /// native [`TidVec`] layout); word-based representations override with
-    /// their word tables. `read_slot(write_slot(p), p.cardinality())` must
-    /// reproduce `p` exactly, and re-writing the decoded posting must
-    /// reproduce the original bytes (stable round-trip).
-    fn write_slot(&self, out: &mut Vec<u8>) {
-        self.for_each(|id| out.extend_from_slice(&id.to_le_bytes()));
-    }
-
-    /// Decode an owned posting from a slot (the heap-load path). Fully
-    /// validating: `None` on any structural defect or when the slot does
-    /// not hold exactly `card` ids.
-    fn read_slot(bytes: &[u8], card: u64) -> Option<Self> {
-        if !bytes.len().is_multiple_of(4) || (bytes.len() / 4) as u64 != card {
-            return None;
-        }
-        let mut ids = Vec::with_capacity(bytes.len() / 4);
-        let mut prev: Option<u32> = None;
-        for chunk in bytes.chunks_exact(4) {
-            let id = u32::from_le_bytes(chunk.try_into().ok()?);
-            if prev.is_some_and(|p| id <= p) {
-                return None;
-            }
-            prev = Some(id);
-            ids.push(id);
-        }
-        Some(Self::from_sorted(&ids))
-    }
-
-    /// Borrow a posting from a mapped slot (the `open_mmap` path),
-    /// validating *structure* only — enough to guarantee that every later
-    /// operation is panic-free and that every id the posting can produce
-    /// is `< universe`, in time proportional to the slot's metadata rather
-    /// than its data (exception: [`TidVec`] must scan its ids, since the
-    /// ids *are* the structure). `card` comes from the checksummed posting
-    /// directory and is trusted; a slot whose actual contents disagree may
-    /// answer queries wrong, but never crashes.
-    ///
-    /// The default copies through the fully-validating
-    /// [`Posting::read_slot`]; representations with a borrowable layout
-    /// override it to adopt the region zero-copy. Callers must have
-    /// checked the host is little-endian first.
-    fn map_slot(region: ByteRegion, card: u64, universe: u32) -> Option<Self> {
-        let p = Self::read_slot(region.as_slice(), card)?;
-        let mut ok = true;
-        p.for_each(|id| ok &= id < universe);
-        ok.then_some(p)
-    }
-
     /// The full universe `{0, 1, …, n-1}`.
     ///
     /// The default materializes an id vector; compressed representations
     /// override it with O(1)-ish construction (a run of set words), which
-    /// matters because the cube builder requests the universe for every
+    /// matters because the cube layers request the universe for every
     /// empty-context lookup.
     fn full(n: u32) -> Self {
         Self::from_sorted(&(0..n).collect::<Vec<u32>>())
@@ -184,9 +128,9 @@ pub trait Posting: Sized + Clone {
     /// the matching slots, [`DenseBitmap`] clears words in place,
     /// [`EwahBitmap`] stream-differences the compressed streams). Every
     /// override must leave the set in its canonical encoding: removing ids
-    /// and rebuilding from scratch must serialize identically
-    /// (`remove_sorted_matches_from_scratch_build` below), which is what
-    /// keeps retracted snapshots byte-identical to rebuilt ones.
+    /// and rebuilding from scratch must give the same representation, word
+    /// for word (`remove_sorted_matches_from_scratch_build` below), which is
+    /// what keeps retracted snapshots byte-identical to rebuilt ones.
     ///
     /// # Panics
     /// Implementations may panic if `ids` is not strictly increasing or
@@ -329,13 +273,24 @@ pub fn intersect_all<P: Posting>(postings: &[&P]) -> Option<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scube_common::mmap::ByteRegion;
 
     /// What a snapshot stores for a posting: its slot bytes and the
     /// directory cardinality.
-    fn slot<P: Posting>(p: &P) -> (Vec<u8>, u64) {
+    fn slot(p: &EwahBitmap) -> (Vec<u8>, u64) {
         let mut bytes = Vec::new();
         p.write_slot(&mut bytes);
         (bytes, p.cardinality())
+    }
+
+    /// "Same encoding, not just same set", per arm: `EwahBitmap`'s `==` is
+    /// semantic, so it compares slot bytes; the plain vectors compare
+    /// structurally; adaptive must also have picked the same inner arm.
+    fn same_ewah(a: &EwahBitmap, b: &EwahBitmap) -> bool {
+        slot(a) == slot(b)
+    }
+    fn same_adaptive(a: &AdaptivePosting, b: &AdaptivePosting) -> bool {
+        a == b && a.current_name() == b.current_name()
     }
 
     #[test]
@@ -421,23 +376,8 @@ mod tests {
     }
 
     #[test]
-    fn serial_tags_distinct() {
-        let tags = [
-            EwahBitmap::SERIAL_TAG,
-            DenseBitmap::SERIAL_TAG,
-            TidVec::SERIAL_TAG,
-            AdaptivePosting::SERIAL_TAG,
-        ];
-        for (i, a) in tags.iter().enumerate() {
-            for b in &tags[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
-    }
-
-    #[test]
     fn append_sorted_matches_from_scratch_build() {
-        fn check<P: Posting + PartialEq + std::fmt::Debug>() {
+        fn check<P: Posting + PartialEq + std::fmt::Debug>(same_encoding: fn(&P, &P) -> bool) {
             for (base, delta) in [
                 (vec![], vec![0u32, 3]),
                 (vec![0u32, 1, 5], vec![]),
@@ -454,18 +394,18 @@ mod tests {
                 assert_eq!(appended, scratch, "{base:?} + {delta:?}");
                 // Canonical encoding must not depend on the build path:
                 // snapshot byte-identity after an update relies on this.
-                assert_eq!(slot(&appended), slot(&scratch), "{base:?} + {delta:?}");
+                assert!(same_encoding(&appended, &scratch), "{base:?} + {delta:?}");
             }
         }
-        check::<EwahBitmap>();
-        check::<DenseBitmap>();
-        check::<TidVec>();
-        check::<AdaptivePosting>();
+        check::<EwahBitmap>(same_ewah);
+        check::<DenseBitmap>(|a, b| a == b);
+        check::<TidVec>(|a, b| a == b);
+        check::<AdaptivePosting>(same_adaptive);
     }
 
     #[test]
     fn remove_sorted_matches_from_scratch_build() {
-        fn check<P: Posting + PartialEq + std::fmt::Debug>() {
+        fn check<P: Posting + PartialEq + std::fmt::Debug>(same_encoding: fn(&P, &P) -> bool) {
             for (base, removed) in [
                 (vec![0u32, 3], vec![0u32, 3]),
                 (vec![0u32, 1, 5], vec![]),
@@ -485,13 +425,13 @@ mod tests {
                 assert_eq!(shrunk.to_vec(), survivors, "{base:?} - {removed:?}");
                 // Canonical encoding must not depend on the build path:
                 // snapshot byte-identity after a retraction relies on this.
-                assert_eq!(slot(&shrunk), slot(&scratch), "{base:?} - {removed:?}");
+                assert!(same_encoding(&shrunk, &scratch), "{base:?} - {removed:?}");
             }
         }
-        check::<EwahBitmap>();
-        check::<DenseBitmap>();
-        check::<TidVec>();
-        check::<AdaptivePosting>();
+        check::<EwahBitmap>(same_ewah);
+        check::<DenseBitmap>(|a, b| a == b);
+        check::<TidVec>(|a, b| a == b);
+        check::<AdaptivePosting>(same_adaptive);
     }
 
     #[test]
@@ -520,29 +460,22 @@ mod tests {
 
     #[test]
     fn slot_roundtrip_all_representations() {
-        fn check<P: Posting + PartialEq + std::fmt::Debug>() {
-            for ids in SLOT_CASES {
-                let mut all: Vec<Vec<u32>> = vec![ids.to_vec()];
-                all.push((0..500).collect()); // dense-ish shape too
-                for ids in all {
-                    let p = P::from_sorted(&ids);
-                    let mut slot = Vec::new();
-                    p.write_slot(&mut slot);
-                    let q = P::read_slot(&slot, p.cardinality()).expect("slot decodes");
-                    assert_eq!(q, p, "{ids:?}");
-                    // Stable round-trip: re-encoding reproduces the bytes.
-                    let mut again = Vec::new();
-                    q.write_slot(&mut again);
-                    assert_eq!(again, slot, "{ids:?}: slot encoding not stable");
-                    // A cardinality that disagrees with the slot is rejected.
-                    assert!(P::read_slot(&slot, p.cardinality() + 1).is_none(), "{ids:?}");
-                }
+        for ids in SLOT_CASES {
+            let mut all: Vec<Vec<u32>> = vec![ids.to_vec()];
+            all.push((0..500).collect()); // dense-ish shape too
+            for ids in all {
+                let p = EwahBitmap::from_sorted(&ids);
+                let (slot, card) = slot(&p);
+                let q = EwahBitmap::read_slot(&slot, card).expect("slot decodes");
+                assert_eq!(q, p, "{ids:?}");
+                // Stable round-trip: re-encoding reproduces the bytes.
+                let mut again = Vec::new();
+                q.write_slot(&mut again);
+                assert_eq!(again, slot, "{ids:?}: slot encoding not stable");
+                // A cardinality that disagrees with the slot is rejected.
+                assert!(EwahBitmap::read_slot(&slot, card + 1).is_none(), "{ids:?}");
             }
         }
-        check::<EwahBitmap>();
-        check::<DenseBitmap>();
-        check::<TidVec>();
-        check::<AdaptivePosting>();
     }
 
     #[test]
@@ -552,35 +485,26 @@ mod tests {
         }
         use scube_common::mmap::MmapFile;
         use std::sync::Arc;
-        fn check<P: Posting + PartialEq + std::fmt::Debug>(name: &str) {
-            for (case, ids) in SLOT_CASES.iter().enumerate() {
-                let p = P::from_sorted(ids);
-                let mut slot = Vec::new();
-                p.write_slot(&mut slot);
-                let path = std::env::temp_dir().join(format!("scube_slot_{name}_{case}.bin"));
-                std::fs::write(&path, &slot).unwrap();
-                let file = Arc::new(MmapFile::open(&path).unwrap());
-                let universe = ids.last().map_or(0, |&m| m + 1);
-                let q =
-                    P::map_slot(ByteRegion::whole(Arc::clone(&file)), p.cardinality(), universe)
-                        .expect("mapped slot decodes");
-                assert_eq!(q.to_vec(), *ids, "{name} case {case}");
-                // A universe bound at or below the max id must be rejected:
-                // that is the check that keeps `unit_of[tid]` lookups in
-                // bounds when serving a mapped snapshot.
-                if let Some(&max) = ids.last() {
-                    assert!(
-                        P::map_slot(ByteRegion::whole(Arc::clone(&file)), p.cardinality(), max)
-                            .is_none(),
-                        "{name} case {case}: universe bound not enforced"
-                    );
-                }
-                std::fs::remove_file(&path).ok();
+        for (case, ids) in SLOT_CASES.iter().enumerate() {
+            let p = EwahBitmap::from_sorted(ids);
+            let (slot, card) = slot(&p);
+            let path = std::env::temp_dir().join(format!("scube_slot_ewah_{case}.bin"));
+            std::fs::write(&path, &slot).unwrap();
+            let file = Arc::new(MmapFile::open(&path).unwrap());
+            let universe = ids.last().map_or(0, |&m| m + 1);
+            let q = EwahBitmap::map_slot(ByteRegion::whole(Arc::clone(&file)), card, universe)
+                .expect("mapped slot decodes");
+            assert_eq!(q.to_vec(), *ids, "case {case}");
+            // A universe bound at or below the max id must be rejected:
+            // that is the check that keeps `unit_of[tid]` lookups in
+            // bounds when serving a mapped snapshot.
+            if let Some(&max) = ids.last() {
+                assert!(
+                    EwahBitmap::map_slot(ByteRegion::whole(Arc::clone(&file)), card, max).is_none(),
+                    "case {case}: universe bound not enforced"
+                );
             }
+            std::fs::remove_file(&path).ok();
         }
-        check::<EwahBitmap>("ewah");
-        check::<DenseBitmap>("dense");
-        check::<TidVec>("tidvec");
-        check::<AdaptivePosting>("adaptive");
     }
 }

@@ -6,13 +6,13 @@
 //! (exponential-search) scan that walks the small side and probes the large
 //! side in `O(|small| · log(gap))` — the classic sort-merge-join trick, and
 //! the reason a 100-element tidset can intersect a 100 000-element one
-//! without reading all 100 000 ids. Kept as the baseline in the
-//! tidset-representation ablation (experiment E11): EWAH wins on
-//! dense/clustered data, `TidVec` on very sparse data, and the benchmarks
-//! show the crossover.
+//! without reading all 100 000 ids. Kept as the sparse contender of this
+//! crate's representation study (model tests, kernel grid) and one arm of
+//! [`crate::AdaptivePosting`]; nothing above `scube-bitmap` stores one.
+//! EWAH wins on dense/clustered data, `TidVec` on very sparse data, and the
+//! kernel grid shows the crossover.
 
 use crate::Posting;
-use scube_common::mmap::{ByteRegion, MappedSlice, Store};
 
 /// Length ratio above which intersection gallops instead of merging
 /// linearly. Galloping costs ~2·log₂(gap) probes per small-side id, so it
@@ -78,13 +78,9 @@ fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 }
 
 /// Sorted vector of ids.
-///
-/// The ids live in a [`Store`]: heap-owned normally, borrowed from a
-/// mapped snapshot on the [`Posting::map_slot`] path; mutators copy a
-/// mapped store onto the heap first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TidVec {
-    ids: Store<u32>,
+    ids: Vec<u32>,
 }
 
 impl TidVec {
@@ -98,43 +94,22 @@ impl TidVec {
         &self.ids
     }
 
-    /// Heap bytes used (0 when the ids are served from a mapped snapshot).
+    /// Heap bytes used.
     pub fn heap_bytes(&self) -> usize {
-        self.ids.heap_capacity() * 4
+        self.ids.capacity() * 4
     }
 }
 
 impl Posting for TidVec {
-    // The default sorted-id encoding *is* this representation's native
-    // layout, so only the tag is needed.
-    const SERIAL_TAG: u8 = 3;
-
     fn full(n: u32) -> Self {
-        TidVec { ids: (0..n).collect::<Vec<u32>>().into() }
+        TidVec { ids: (0..n).collect() }
     }
 
     fn from_sorted(ids: &[u32]) -> Self {
         for w in ids.windows(2) {
             assert!(w[0] < w[1], "ids must be strictly increasing");
         }
-        TidVec { ids: ids.to_vec().into() }
-    }
-
-    // The default sorted-id slot encoding is also this representation's
-    // native layout, so `write_slot`/`read_slot` need no override; only
-    // `map_slot` does (to adopt the mapped ids zero-copy).
-    fn map_slot(region: ByteRegion, card: u64, universe: u32) -> Option<Self> {
-        let ids = MappedSlice::<u32>::new(region)?;
-        if ids.len() as u64 != card {
-            return None;
-        }
-        // The ids *are* the structure: one pass proves strict monotonicity
-        // and the universe bound, which keeps every later lookup (binary
-        // search, unit histogramming) panic-free.
-        if ids.windows(2).any(|w| w[0] >= w[1]) || ids.last().is_some_and(|&m| m >= universe) {
-            return None;
-        }
-        Some(TidVec { ids: ids.into() })
+        TidVec { ids: ids.to_vec() }
     }
 
     fn append_sorted(&mut self, ids: &[u32]) {
@@ -144,7 +119,7 @@ impl Posting for TidVec {
         if let (Some(&last), Some(&first)) = (self.ids.last(), ids.first()) {
             assert!(first > last, "appended ids must be strictly above the current maximum");
         }
-        self.ids.vec_mut().extend_from_slice(ids);
+        self.ids.extend_from_slice(ids);
     }
 
     fn remove_sorted(&mut self, ids: &[u32]) {
@@ -157,9 +132,8 @@ impl Posting for TidVec {
         // One in-place drain pass over the sorted vector: survivors shift
         // left past the removed slots.
         let mut j = 0;
-        let own = self.ids.vec_mut();
-        let before = own.len();
-        own.retain(|&id| {
+        let before = self.ids.len();
+        self.ids.retain(|&id| {
             if j < ids.len() && ids[j] == id {
                 j += 1;
                 false
@@ -167,23 +141,23 @@ impl Posting for TidVec {
                 true
             }
         });
-        assert_eq!(before - own.len(), ids.len(), "removed ids must all be present");
+        assert_eq!(before - self.ids.len(), ids.len(), "removed ids must all be present");
     }
 
     fn and(&self, other: &Self) -> Self {
         let mut out = Vec::new();
         intersect_into(&self.ids, &other.ids, &mut out);
-        TidVec { ids: out.into() }
+        TidVec { ids: out }
     }
 
     fn and_into(&self, other: &Self, out: &mut Self) {
-        intersect_into(&self.ids, &other.ids, out.ids.vec_mut());
+        intersect_into(&self.ids, &other.ids, &mut out.ids);
     }
 
     fn and_assign(&mut self, other: &Self) {
         // The intersection is a subsequence of `self`, so the write cursor
         // never overtakes the read cursor: safe to compact in place.
-        let ids = self.ids.vec_mut();
+        let ids = &mut self.ids;
         if other.ids.len().saturating_mul(GALLOP_RATIO) < ids.len() {
             // `self` is the large side: probe it for each id of `other` and
             // compact the hits to the front.
@@ -255,7 +229,7 @@ impl Posting for TidVec {
                     }
                     out.push(x);
                 }
-                Some(TidVec { ids: out.into() })
+                Some(TidVec { ids: out })
             }
         }
     }
@@ -282,7 +256,7 @@ impl Posting for TidVec {
         }
         out.extend_from_slice(&self.ids[i..]);
         out.extend_from_slice(&other.ids[j..]);
-        TidVec { ids: out.into() }
+        TidVec { ids: out }
     }
 
     fn andnot(&self, other: &Self) -> Self {
@@ -302,7 +276,7 @@ impl Posting for TidVec {
             }
         }
         out.extend_from_slice(&self.ids[i..]);
-        TidVec { ids: out.into() }
+        TidVec { ids: out }
     }
 
     fn cardinality(&self) -> u64 {
@@ -353,7 +327,7 @@ impl Posting for TidVec {
     }
 
     fn to_vec(&self) -> Vec<u32> {
-        self.ids.as_slice().to_vec()
+        self.ids.clone()
     }
 
     fn contains(&self, id: u32) -> bool {

@@ -1,11 +1,15 @@
 //! Model-based property tests: every `Posting` implementation must agree
-//! with `BTreeSet<u32>` on all operations, and the three implementations
-//! must agree with each other.
+//! with `BTreeSet<u32>` on all operations, and the four implementations
+//! must agree with each other. `EwahBitmap` — the one representation the
+//! layers above this crate store — is additionally pinned on its snapshot
+//! slot codec.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use scube_bitmap::{AdaptivePosting, DenseBitmap, EwahBitmap, Posting, TidVec};
+use scube_common::mmap::{ByteRegion, MmapFile};
 
 fn sorted_ids(max: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::btree_set(0..max, 0..max_len)
@@ -28,7 +32,7 @@ fn clustered_ids() -> impl Strategy<Value = Vec<u32>> {
         })
 }
 
-fn check_all_ops<P: Posting>(xs: &[u32], ys: &[u32]) {
+fn check_all_ops<P: Posting + PartialEq + std::fmt::Debug>(xs: &[u32], ys: &[u32]) {
     let sx: BTreeSet<u32> = xs.iter().copied().collect();
     let sy: BTreeSet<u32> = ys.iter().copied().collect();
     let px = P::from_sorted(xs);
@@ -61,12 +65,107 @@ fn check_all_ops<P: Posting>(xs: &[u32], ys: &[u32]) {
     let kway = P::intersect_many(&[&px, &py, &px]).expect("non-empty input");
     assert_eq!(kway.to_vec(), and, "intersect_many");
 
+    // In-place edits equal a from-scratch build of the edited set: growing
+    // `xs` from any prefix, and shrinking it by the ids it shares with `ys`.
+    let (base, tail) = xs.split_at(xs.len() / 2);
+    let mut grown = P::from_sorted(base);
+    grown.append_sorted(tail);
+    assert_eq!(grown, px, "append_sorted");
+    assert_eq!(grown.to_vec(), xs, "append_sorted ids");
+    let mut shrunk = px.clone();
+    shrunk.remove_sorted(&and);
+    assert_eq!(shrunk, P::from_sorted(&diff), "remove_sorted");
+    assert_eq!(shrunk.to_vec(), diff, "remove_sorted ids");
+
+    // The universe: `full(n)` is `{0, …, n-1}` and an identity for AND.
+    let n = (xs.len() + ys.len()) as u32;
+    let full = P::full(n);
+    assert_eq!(full.cardinality(), u64::from(n), "full({n}) cardinality");
+    assert_eq!(full.to_vec(), (0..n).collect::<Vec<u32>>(), "full({n})");
+    let universe = xs.last().map_or(0, |&m| m + 1);
+    assert_eq!(P::full(universe).and(&px), px, "full(max + 1) is an AND identity");
+
     // Membership.
     for &id in xs.iter().take(20) {
         assert!(px.contains(id), "contains({id})");
     }
     for probe in [0u32, 1, 63, 64, 65, 1_000_003] {
         assert_eq!(px.contains(probe), sx.contains(&probe), "contains probe {probe}");
+    }
+}
+
+fn slot_of(p: &EwahBitmap) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    p.write_slot(&mut bytes);
+    bytes
+}
+
+/// The snapshot slot codec: write → `read_slot` → `map_slot` → re-write is a
+/// byte fixed point that agrees with the model, whichever way the bitmap
+/// was built, and both decoders refuse what they are documented to refuse.
+fn check_ewah_slot(xs: &[u32], ys: &[u32]) {
+    let sx: BTreeSet<u32> = xs.iter().copied().collect();
+    let sy: BTreeSet<u32> = ys.iter().copied().collect();
+    let p = EwahBitmap::from_sorted(xs);
+    let slot = slot_of(&p);
+    let card = xs.len() as u64;
+    assert_eq!(slot.len() % 8, 0, "slots are whole words");
+
+    // The encoding is a function of the set, not of the build path
+    // (`EwahBitmap`'s `==` is semantic, so compare the bytes).
+    let (base, tail) = xs.split_at(xs.len() / 2);
+    let mut grown = EwahBitmap::from_sorted(base);
+    grown.append_sorted(tail);
+    assert_eq!(slot_of(&grown), slot, "append_sorted is canonical");
+    let union: Vec<u32> = sx.union(&sy).copied().collect();
+    let extra: Vec<u32> = sy.difference(&sx).copied().collect();
+    let mut shrunk = EwahBitmap::from_sorted(&union);
+    shrunk.remove_sorted(&extra);
+    assert_eq!(slot_of(&shrunk), slot, "remove_sorted is canonical");
+    let q = EwahBitmap::from_sorted(ys);
+    assert_eq!(slot_of(&p.andnot(&q).or(&p.and(&q))), slot, "op results are canonical");
+
+    // Heap decode.
+    let heap = EwahBitmap::read_slot(&slot, card).expect("own slot decodes");
+    assert_eq!(heap.to_vec(), xs, "read_slot agrees with the model");
+    assert_eq!(heap.cardinality(), card);
+    assert_eq!(slot_of(&heap), slot, "read_slot re-encodes to the same bytes");
+    assert!(EwahBitmap::read_slot(&slot, card + 1).is_none(), "wrong card (+1)");
+    if card > 0 {
+        assert!(EwahBitmap::read_slot(&slot, card - 1).is_none(), "wrong card (-1)");
+        assert!(EwahBitmap::read_slot(&slot[..slot.len() - 8], card).is_none(), "truncated");
+    }
+    assert!(EwahBitmap::read_slot(&slot[..slot.len() - 3], card).is_none(), "ragged length");
+
+    // Mapped decode (little-endian hosts only, like `open_mmap`).
+    if cfg!(target_endian = "big") {
+        return;
+    }
+    let path = std::env::temp_dir().join(format!(
+        "scube_model_slot_{}_{:?}.bin",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, &slot).unwrap();
+    let file = Arc::new(MmapFile::open(&path).unwrap());
+    std::fs::remove_file(&path).ok();
+    let universe = xs.last().map_or(0, |&m| m + 1);
+    let mapped = EwahBitmap::map_slot(ByteRegion::whole(Arc::clone(&file)), card, universe)
+        .expect("own slot maps");
+    assert_eq!(mapped.to_vec(), xs, "map_slot agrees with the model");
+    assert_eq!(mapped.cardinality(), card);
+    assert_eq!(slot_of(&mapped), slot, "map_slot re-encodes to the same bytes");
+    // Mutating a mapped bitmap copies it out and stays canonical.
+    let mut edited = mapped.clone();
+    edited.append_sorted(&[universe + 70]);
+    edited.remove_sorted(&[universe + 70]);
+    assert_eq!(slot_of(&edited), slot, "edit round trip over a mapped bitmap");
+    // A universe at or below the largest id is refused: this is the check
+    // that keeps `unit_of[tid]` in bounds when serving a mapped snapshot.
+    if let Some(&max) = xs.last() {
+        let region = || ByteRegion::whole(Arc::clone(&file));
+        assert!(EwahBitmap::map_slot(region(), card, max).is_none(), "universe = max id");
+        assert!(EwahBitmap::map_slot(region(), card, max / 2).is_none(), "universe too small");
     }
 }
 
@@ -81,6 +180,16 @@ proptest! {
     #[test]
     fn ewah_matches_model_clustered(xs in clustered_ids(), ys in clustered_ids()) {
         check_all_ops::<EwahBitmap>(&xs, &ys);
+    }
+
+    #[test]
+    fn ewah_slot_roundtrip_is_a_byte_fixed_point(xs in sorted_ids(5_000, 400), ys in sorted_ids(5_000, 400)) {
+        check_ewah_slot(&xs, &ys);
+    }
+
+    #[test]
+    fn ewah_slot_roundtrip_is_a_byte_fixed_point_clustered(xs in clustered_ids(), ys in clustered_ids()) {
+        check_ewah_slot(&xs, &ys);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! The parallel build is bit-identical to the serial one: the miner merges
 //! per-subtree outputs deterministically and cell evaluation is pure.
 
-use scube_bitmap::{EwahBitmap, Posting};
+use scube_bitmap::EwahBitmap;
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, TableMeta, TransactionDb, UnitScratch, VerticalDb};
 use scube_fpm::eclat::{mine_vertical_with_tidsets, mine_vertical_with_tidsets_parallel};
@@ -161,25 +161,16 @@ impl CubeBuilder {
         &self.config
     }
 
-    /// Build with the default (EWAH) tidset representation.
+    /// Build the cube of a horizontal database.
     pub fn build(&self, db: &TransactionDb) -> Result<SegregationCube> {
-        self.build_with::<EwahBitmap>(db)
-    }
-
-    /// Build with an explicit tidset representation (ablation entry point).
-    pub fn build_with<P: Posting + Send + Sync>(
-        &self,
-        db: &TransactionDb,
-    ) -> Result<SegregationCube> {
-        let vertical: VerticalDb<P> = VerticalDb::build(db);
-        self.build_from_vertical(db, &vertical)
+        self.build_from_vertical(db, &VerticalDb::build(db))
     }
 
     /// Build over a pre-constructed vertical database.
-    pub fn build_from_vertical<P: Posting + Send + Sync>(
+    pub fn build_from_vertical(
         &self,
         db: &TransactionDb,
-        vertical: &VerticalDb<P>,
+        vertical: &VerticalDb,
     ) -> Result<SegregationCube> {
         if db.num_units() == 0 && !db.is_empty() {
             return Err(ScubeError::Inconsistent("database has rows but no units".into()));
@@ -192,20 +183,20 @@ impl CubeBuilder {
     /// Mining, closedness, histograms, and index evaluation all run off the
     /// postings, so a chunked build's cube (and snapshot) is byte-identical
     /// to the resident path's on the same table.
-    pub fn build_streaming<P: Posting + Send + Sync>(
+    pub fn build_streaming(
         &self,
         meta: &TableMeta,
-        vertical: &VerticalDb<P>,
+        vertical: &VerticalDb,
     ) -> Result<SegregationCube> {
         self.build_from_labels(CubeLabels::from_meta(meta), vertical)
     }
 
     /// The shared build core: everything runs off the vertical database and
     /// the label snapshot (itemset → cell splits use the labels' SA roles).
-    fn build_from_labels<P: Posting + Send + Sync>(
+    fn build_from_labels(
         &self,
         labels: CubeLabels,
-        vertical: &VerticalDb<P>,
+        vertical: &VerticalDb,
     ) -> Result<SegregationCube> {
         let cfg = &self.config;
         if cfg.min_support == 0 {
@@ -225,7 +216,7 @@ impl CubeBuilder {
 
         // 1-2. Mine frequent itemsets with tidsets (fanning prefix subtrees
         // out over workers when parallel; both paths are bit-identical).
-        let mut mined: Vec<(FrequentItemset, P)> = if n_threads > 1 {
+        let mut mined: Vec<(FrequentItemset, EwahBitmap)> = if n_threads > 1 {
             mine_vertical_with_tidsets_parallel(vertical, cfg.min_support, n_threads)?
         } else {
             mine_vertical_with_tidsets(vertical, cfg.min_support)?
@@ -260,7 +251,7 @@ impl CubeBuilder {
         // Every context B of a cell (A, B) is a subset of the cell's
         // itemset, hence frequent and already mined with its tidset: index
         // the pure-context itemsets instead of re-intersecting postings.
-        let mut context_source: FxHashMap<&[ItemId], &P> = FxHashMap::default();
+        let mut context_source: FxHashMap<&[ItemId], &EwahBitmap> = FxHashMap::default();
         for ((set, tids), coords) in mined.iter().zip(&splits) {
             if coords.sa.is_empty() && !coords.ca.is_empty() {
                 context_source.insert(set.items.as_slice(), tids);
@@ -350,15 +341,16 @@ impl CubeBuilder {
         // the context's populated units.
         let atkinson_b = cfg.atkinson_b;
         let measures = cfg.measures;
-        let eval =
-            |coords: &CellCoords, tids: &P, scratch: &mut UnitScratch| -> Result<IndexValues> {
-                vertical.unit_histogram_into(tids, scratch);
-                let total = &context_hists[&coords.ca];
-                let counts = UnitCounts::from_triples(
-                    total.iter().map(|&(u, t)| (u, scratch.count_of(u), t)),
-                )?;
-                Ok(IndexValues::compute_masked(&counts, atkinson_b, measures))
-            };
+        let eval = |coords: &CellCoords,
+                    tids: &EwahBitmap,
+                    scratch: &mut UnitScratch|
+         -> Result<IndexValues> {
+            vertical.unit_histogram_into(tids, scratch);
+            let total = &context_hists[&coords.ca];
+            let counts =
+                UnitCounts::from_triples(total.iter().map(|&(u, t)| (u, scratch.count_of(u), t)))?;
+            Ok(IndexValues::compute_masked(&counts, atkinson_b, measures))
+        };
 
         let mut cells: FxHashMap<CellCoords, IndexValues> =
             scube_common::hash::fx_map_with_capacity(mined.len() + 1);

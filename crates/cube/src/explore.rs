@@ -53,14 +53,14 @@ impl ExplorerScratch {
 /// `O(Σ|tidset| + |touched units|)` rather than `O(n_units)` — the same
 /// fast path PR 1 gave the builder.
 #[derive(Debug)]
-pub struct CubeExplorer<P: Posting = EwahBitmap> {
-    vertical: VerticalDb<P>,
+pub struct CubeExplorer {
+    vertical: VerticalDb,
     atkinson_b: f64,
     measures: MeasureSet,
     scratch: ExplorerScratch,
 }
 
-impl<P: Posting> CubeExplorer<P> {
+impl CubeExplorer {
     /// Build an explorer over a database.
     pub fn new(db: &TransactionDb) -> Self {
         Self::from_vertical(VerticalDb::build(db))
@@ -69,7 +69,7 @@ impl<P: Posting> CubeExplorer<P> {
     /// Wrap an existing vertical database (e.g. one loaded from a
     /// [`crate::snapshot::CubeSnapshot`]) without touching the original
     /// horizontal data.
-    pub fn from_vertical(vertical: VerticalDb<P>) -> Self {
+    pub fn from_vertical(vertical: VerticalDb) -> Self {
         let n_units = vertical.num_units();
         CubeExplorer {
             vertical,
@@ -93,14 +93,14 @@ impl<P: Posting> CubeExplorer<P> {
     }
 
     /// The underlying vertical database.
-    pub fn vertical(&self) -> &VerticalDb<P> {
+    pub fn vertical(&self) -> &VerticalDb {
         &self.vertical
     }
 
     /// Mutable access for the update path (`crate::update` extends the
     /// postings in place). Callers must call [`Self::refresh_scratch`]
     /// afterwards if the unit count grew.
-    pub(crate) fn vertical_mut(&mut self) -> &mut VerticalDb<P> {
+    pub(crate) fn vertical_mut(&mut self) -> &mut VerticalDb {
         &mut self.vertical
     }
 
@@ -120,14 +120,18 @@ impl<P: Posting> CubeExplorer<P> {
     /// instead of re-intersecting the `ca` postings from scratch. The whole
     /// recomputation is one batched k-way AND — smallest posting first, no
     /// per-step allocation.
-    fn minority_tidset(vertical: &VerticalDb<P>, coords: &CellCoords, total_tids: &P) -> P {
+    fn minority_tidset(
+        vertical: &VerticalDb,
+        coords: &CellCoords,
+        total_tids: &EwahBitmap,
+    ) -> EwahBitmap {
         if coords.ca.is_empty() {
             return vertical.tidset(&coords.sa);
         }
-        let mut refs: Vec<&P> = Vec::with_capacity(1 + coords.sa.len());
+        let mut refs: Vec<&EwahBitmap> = Vec::with_capacity(1 + coords.sa.len());
         refs.push(total_tids);
         refs.extend(coords.sa.iter().map(|&item| vertical.posting(item)));
-        P::intersect_many(&refs).expect("context plus non-empty SA side")
+        EwahBitmap::intersect_many(&refs).expect("context plus non-empty SA side")
     }
 
     /// Fill both scratch histograms and yield the context's populated units
@@ -136,11 +140,11 @@ impl<P: Posting> CubeExplorer<P> {
     /// takes the two halves of the explorer apart, so the `&mut self` forms
     /// can lend their own scratch while the postings stay shared.
     fn triples<'s>(
-        vertical: &VerticalDb<P>,
+        vertical: &VerticalDb,
         coords: &CellCoords,
         scratch: &'s mut ExplorerScratch,
     ) -> impl Iterator<Item = (u32, u64, u64)> + 's {
-        // The context side; `Posting::full` when it is `⋆`.
+        // The context side; the full tid universe when it is `⋆`.
         let total_tids = vertical.tidset(&coords.ca);
         vertical.unit_histogram_into(&total_tids, &mut scratch.total);
         if coords.sa.is_empty() {

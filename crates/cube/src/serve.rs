@@ -28,7 +28,6 @@
 //! Raw [`CellCoords`] are validated on the cold paths only, so hostile ids
 //! are a [`ScubeError::InvalidParameter`] and the warm tiers pay nothing.
 
-use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::{Result, ScubeError, SpinLock};
 use scube_data::TransactionDb;
 use scube_segindex::{IndexValues, MeasureSet, SegIndex};
@@ -126,9 +125,9 @@ fn canonical_rows<'a>(
 /// # Ok::<(), scube_common::ScubeError>(())
 /// ```
 #[derive(Debug)]
-pub struct ConcurrentCubeEngine<P: Posting = EwahBitmap> {
+pub struct ConcurrentCubeEngine {
     cube: SegregationCube,
-    explorer: CubeExplorer<P>,
+    explorer: CubeExplorer,
     shards: Vec<Shard<IndexValues>>,
     breakdown_shards: Vec<Shard<Breakdown>>,
     scratches: SpinLock<Vec<ExplorerScratch>>,
@@ -144,10 +143,10 @@ pub struct ConcurrentCubeEngine<P: Posting = EwahBitmap> {
     maintenance: MaintenanceStore,
 }
 
-impl<P: Posting> ConcurrentCubeEngine<P> {
+impl ConcurrentCubeEngine {
     /// Serve from a snapshot with the default shard count and cache
     /// capacity.
-    pub fn new(snapshot: CubeSnapshot<P>) -> Self {
+    pub fn new(snapshot: CubeSnapshot) -> Self {
         Self::with_config(snapshot, DEFAULT_SHARDS, DEFAULT_CACHE_CAPACITY)
     }
 
@@ -155,7 +154,7 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
     /// fallback-cache capacity, split evenly across shards (rounded up, so
     /// e.g. 16 shards × capacity 100 hold up to 7 cells each; capacity 0
     /// disables caching entirely).
-    pub fn with_config(snapshot: CubeSnapshot<P>, shards: usize, capacity: usize) -> Self {
+    pub fn with_config(snapshot: CubeSnapshot, shards: usize, capacity: usize) -> Self {
         let (cube, vertical, maintenance, materialize, atkinson_b, measures) =
             snapshot.into_serving_parts();
         let n_shards = shards.max(1);
@@ -209,10 +208,7 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
     /// update, with no extra locking on the read path. Deployments that
     /// serve during updates wrap the engine in an `RwLock` (or swap an
     /// `Arc`) at the layer above.
-    pub fn apply_update(&mut self, batch: &UpdateBatch) -> Result<UpdateStats>
-    where
-        P: Send + Sync,
-    {
+    pub fn apply_update(&mut self, batch: &UpdateBatch) -> Result<UpdateStats> {
         // Dirty-cell re-evaluation is CPU-bound: clamp to min(8, host
         // cores), matching the bench configuration — more workers than
         // cores only buys scheduling overhead.
@@ -227,10 +223,7 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
         &mut self,
         batch: &UpdateBatch,
         threads: usize,
-    ) -> Result<UpdateStats>
-    where
-        P: Send + Sync,
-    {
+    ) -> Result<UpdateStats> {
         let outcome = crate::update::apply_update(
             &mut self.cube,
             self.explorer.vertical_mut(),
@@ -261,10 +254,7 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
 
     /// Build cube and engine straight from a transaction database (the
     /// in-memory path; equivalent to snapshotting and serving immediately).
-    pub fn from_db(db: &TransactionDb, builder: &CubeBuilder) -> Result<Self>
-    where
-        P: Send + Sync,
-    {
+    pub fn from_db(db: &TransactionDb, builder: &CubeBuilder) -> Result<Self> {
         Ok(Self::new(CubeSnapshot::from_db(db, builder)?))
     }
 
@@ -435,10 +425,7 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
     /// `threads` scoped worker threads (each with one checked-out scratch
     /// for its whole chunk). Results come back in input order and are
     /// bit-identical to issuing the queries serially; the first error wins.
-    pub fn query_batch(&self, coords: &[CellCoords], threads: usize) -> Result<Vec<IndexValues>>
-    where
-        P: Send + Sync,
-    {
+    pub fn query_batch(&self, coords: &[CellCoords], threads: usize) -> Result<Vec<IndexValues>> {
         let threads = clamp_threads(threads, coords.len());
         if threads == 1 {
             let mut scratch = self.checkout();
@@ -495,10 +482,7 @@ impl<P: Posting> ConcurrentCubeEngine<P> {
         k: usize,
         min_total: u64,
         threads: usize,
-    ) -> Result<Vec<(SegIndex, RankedCells)>>
-    where
-        P: Send + Sync,
-    {
+    ) -> Result<Vec<(SegIndex, RankedCells)>> {
         let threads = clamp_threads(threads, self.cube.len());
         if threads == 1 || indexes.is_empty() {
             return Ok(rank_cell_list(self.cube.cells(), indexes, k, min_total));
@@ -583,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_ref_queries_match_serial_engine() {
+    fn cold_and_warm_queries_match_the_full_cube() {
         let (full, _, engine) = engines();
         for (coords, v) in full.cells() {
             assert_eq!(engine.query(coords).unwrap(), *v, "cold {coords:?}");
@@ -633,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn ranking_and_views_match_serial_engine() {
+    fn ranking_and_views_match_report_and_store() {
         let (_, _, engine) = engines();
         let cube = engine.cube();
         let reference = |index: SegIndex, k: usize| -> RankedCells {

@@ -24,7 +24,8 @@
 //! ```text
 //! [0..8)    magic  "SCUBESNP"
 //! [8..12)   format version (u32, 6)
-//! [12]      posting representation tag (Posting::SERIAL_TAG)
+//! [12]      posting representation tag (EwahBitmap::SERIAL_TAG = 1; any
+//!           other value is an error)
 //! [13..21)  FxHash checksum (u64) of bytes [24..)   — the full checksum
 //! [21..24)  zero padding
 //! [24..96)  offset directory: nine u64s
@@ -38,7 +39,7 @@
 //!           minority (u64), total (u64), num_units (u32) —
 //!           n_transactions (u32), v_units (u32), tid → unit map (u32 each)
 //! postdir   n_postings × (slot offset u64, slot length u64, cardinality u64)
-//! slots     posting slots (Posting::write_slot), each at an 8-aligned
+//! slots     posting slots (EwahBitmap::write_slot), each at an 8-aligned
 //!           file offset, zero padding between slots
 //! store     maintenance store: context totals, then cell minorities, each
 //!           a count followed by (key ids, ascending (unit u32, count u64)
@@ -48,7 +49,7 @@
 //! `meta_sum` is an FxHash over the directory (sans itself), the meta
 //! region, and the posting directory — everything `open_mmap` must trust
 //! *eagerly*. Verifying it costs O(metadata), not O(file): posting slots
-//! are validated structurally per slot ([`Posting::map_slot`], enough to
+//! are validated structurally per slot ([`EwahBitmap::map_slot`], enough to
 //! rule out panics and out-of-universe tids, in time proportional to slot
 //! metadata), and the maintenance-store region stays raw bytes: the first
 //! update runs an O(keys) index scan over it, after which each histogram
@@ -113,9 +114,9 @@ const PREALLOC_CAP: usize = 1 << 16;
 /// built from — everything the query engine needs to serve both
 /// materialized and non-materialized cells.
 #[derive(Debug, Clone)]
-pub struct CubeSnapshot<P: Posting = EwahBitmap> {
+pub struct CubeSnapshot {
     cube: SegregationCube,
-    vertical: VerticalDb<P>,
+    vertical: VerticalDb,
     /// Materialization strategy the cube was built with — recorded so an
     /// [`UpdateBatch`] can decide whether promoted itemsets need a
     /// closedness check.
@@ -279,13 +280,13 @@ impl MaintenanceStore {
     }
 }
 
-impl<P: Posting> CubeSnapshot<P> {
+impl CubeSnapshot {
     /// Pair a cube with its vertical database.
     ///
     /// Fails when the two disagree on shape (unit count, item count): a
     /// mismatched pairing would serve materialized lookups from one dataset
     /// and explorer fallbacks from another.
-    pub fn new(cube: SegregationCube, vertical: VerticalDb<P>) -> Result<Self> {
+    pub fn new(cube: SegregationCube, vertical: VerticalDb) -> Result<Self> {
         Self::validate_pairing(&cube, &vertical)?;
         let maintenance = MaintenanceStore::compute(&cube, &vertical);
         Ok(CubeSnapshot {
@@ -300,7 +301,7 @@ impl<P: Posting> CubeSnapshot<P> {
 
     /// The shape checks behind [`Self::new`], shared with the
     /// deserializer (which carries its own, already-validated store).
-    fn validate_pairing(cube: &SegregationCube, vertical: &VerticalDb<P>) -> Result<()> {
+    fn validate_pairing(cube: &SegregationCube, vertical: &VerticalDb) -> Result<()> {
         if cube.num_units() != vertical.num_units() {
             return Err(ScubeError::Inconsistent(format!(
                 "snapshot: cube has {} units but vertical database has {}",
@@ -345,11 +346,8 @@ impl<P: Posting> CubeSnapshot<P> {
     /// Build both halves from a transaction database in one pass: the
     /// vertical database is constructed once and shared with the builder,
     /// and the builder's configuration is recorded for later updates.
-    pub fn from_db(db: &TransactionDb, builder: &CubeBuilder) -> Result<Self>
-    where
-        P: Send + Sync,
-    {
-        let vertical: VerticalDb<P> = VerticalDb::build(db);
+    pub fn from_db(db: &TransactionDb, builder: &CubeBuilder) -> Result<Self> {
+        let vertical = VerticalDb::build(db);
         let cube = builder.build_from_vertical(db, &vertical)?;
         let cfg = builder.config();
         Ok(CubeSnapshot::new(cube, vertical)?.with_build_config(
@@ -378,7 +376,7 @@ impl<P: Posting> CubeSnapshot<P> {
     /// for (sex, unit) in [("F", "u0"), ("F", "u0"), ("M", "u1")] {
     ///     b.add_row(&[vec![sex], vec!["north"]], unit)?;
     /// }
-    /// let mut snap: CubeSnapshot = CubeSnapshot::from_db(&b.finish(), &CubeBuilder::new())?;
+    /// let mut snap = CubeSnapshot::from_db(&b.finish(), &CubeBuilder::new())?;
     /// assert_eq!(snap.cube().get_by_names(&[("sex", "F")], &[]).unwrap().total, 3);
     ///
     /// // A new individual arrives — in a brand-new unit.
@@ -390,10 +388,7 @@ impl<P: Posting> CubeSnapshot<P> {
     /// assert_eq!((women.minority, women.total), (3, 4));
     /// # Ok::<(), scube_common::ScubeError>(())
     /// ```
-    pub fn apply_update(&mut self, batch: &UpdateBatch) -> Result<UpdateStats>
-    where
-        P: Send + Sync,
-    {
+    pub fn apply_update(&mut self, batch: &UpdateBatch) -> Result<UpdateStats> {
         self.apply_update_threads(batch, 1)
     }
 
@@ -405,10 +400,7 @@ impl<P: Posting> CubeSnapshot<P> {
         &mut self,
         batch: &UpdateBatch,
         threads: usize,
-    ) -> Result<UpdateStats>
-    where
-        P: Send + Sync,
-    {
+    ) -> Result<UpdateStats> {
         Ok(self.apply_update_outcome(batch, threads)?.stats)
     }
 
@@ -419,10 +411,7 @@ impl<P: Posting> CubeSnapshot<P> {
         &mut self,
         batch: &UpdateBatch,
         threads: usize,
-    ) -> Result<UpdateOutcome<P>>
-    where
-        P: Send + Sync,
-    {
+    ) -> Result<UpdateOutcome> {
         crate::update::apply_update(
             &mut self.cube,
             &mut self.vertical,
@@ -441,7 +430,7 @@ impl<P: Posting> CubeSnapshot<P> {
     /// folds deltas at the same cost as the snapshot path).
     pub(crate) fn into_serving_parts(
         self,
-    ) -> (SegregationCube, VerticalDb<P>, MaintenanceStore, Materialize, f64, MeasureSet) {
+    ) -> (SegregationCube, VerticalDb, MaintenanceStore, Materialize, f64, MeasureSet) {
         (
             self.cube,
             self.vertical,
@@ -473,7 +462,7 @@ impl<P: Posting> CubeSnapshot<P> {
     }
 
     /// The vertical database (item postings + tid → unit map).
-    pub fn vertical(&self) -> &VerticalDb<P> {
+    pub fn vertical(&self) -> &VerticalDb {
         &self.vertical
     }
 
@@ -504,7 +493,7 @@ impl<P: Posting> CubeSnapshot<P> {
         let mut out = Vec::with_capacity(store_off + 1024);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(P::SERIAL_TAG);
+        out.push(EwahBitmap::SERIAL_TAG);
         out.extend_from_slice(&[0u8; 8]); // full checksum, patched below
         out.extend_from_slice(&[0u8; 3]); // padding to an 8-aligned directory
         for word in [
@@ -591,12 +580,13 @@ impl<P: Posting> CubeSnapshot<P> {
     /// Deserialize a snapshot onto the heap, verifying magic, version,
     /// representation tag, and both checksums before trusting any field,
     /// then validating every region fully (owned postings via
-    /// [`Posting::read_slot`], [`VerticalDb::from_parts`], store coverage).
+    /// [`EwahBitmap::read_slot`], [`VerticalDb::from_parts`], store coverage).
     /// Any version word but the current one is an error, never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let (d, meta) = Self::parse_preamble(bytes, true)?;
-        let postings =
-            d.postings(bytes, |off, len, card| P::read_slot(&bytes[off..off + len], card))?;
+        let postings = d.postings(bytes, |off, len, card| {
+            EwahBitmap::read_slot(&bytes[off..off + len], card)
+        })?;
         let store = decode_store(
             &bytes[d.store_off..d.store_off + d.store_len],
             meta.n_items,
@@ -643,11 +633,10 @@ impl<P: Posting> CubeSnapshot<P> {
             return Err(corrupt("shorter than the header and offset directory"));
         }
         let tag = bytes[12];
-        if tag != P::SERIAL_TAG {
+        if tag != EwahBitmap::SERIAL_TAG {
             return Err(corrupt(&format!(
-                "posting representation tag {tag} does not match the requested \
-                 representation (tag {})",
-                P::SERIAL_TAG
+                "posting representation tag {tag} is not the EWAH tag {}",
+                EwahBitmap::SERIAL_TAG
             )));
         }
         if bytes[HEADER_LEN..DIR_OFF] != [0u8; 3] {
@@ -675,7 +664,7 @@ impl<P: Posting> CubeSnapshot<P> {
     /// milliseconds regardless of file size: the header, the offset
     /// directory, the meta region, and the posting directory are verified
     /// against `meta_sum`; each posting slot is checked *structurally*
-    /// ([`Posting::map_slot`] — panic-freedom and tid range, not content),
+    /// ([`EwahBitmap::map_slot`] — panic-freedom and tid range, not content),
     /// and the maintenance-store region is decoded and fully validated
     /// only when an update first needs it. Bit rot inside a slot that
     /// happens to keep a valid structure is the one corruption class this
@@ -718,7 +707,7 @@ impl<P: Posting> CubeSnapshot<P> {
         let bytes = file.as_bytes();
         let (d, meta) = Self::parse_preamble(bytes, verify_full)?;
         let postings = d.postings(bytes, |off, len, card| {
-            P::map_slot(whole.slice(off, len)?, card, meta.n_transactions)
+            EwahBitmap::map_slot(whole.slice(off, len)?, card, meta.n_transactions)
         })?;
         // `map_slot` guaranteed every posting stays below `n_transactions`,
         // so the O(data) posting re-scan of `from_parts` is unnecessary —
@@ -883,11 +872,11 @@ impl Directory {
     /// to lie inside the slots region, then handed to `decode(slot offset,
     /// slot length, cardinality)` — the one step where the heap and mapped
     /// opens differ.
-    fn postings<P>(
+    fn postings(
         &self,
         bytes: &[u8],
-        mut decode: impl FnMut(usize, usize, u64) -> Option<P>,
-    ) -> Result<Vec<P>> {
+        mut decode: impl FnMut(usize, usize, u64) -> Option<EwahBitmap>,
+    ) -> Result<Vec<EwahBitmap>> {
         let mut postings = Vec::with_capacity(self.n_postings.min(PREALLOC_CAP));
         for i in 0..self.n_postings {
             let at = self.postdir_off + i * POSTDIR_ENTRY;
@@ -1244,7 +1233,6 @@ impl Reader<'_> {
 mod tests {
     use super::*;
     use crate::builder::Materialize;
-    use scube_bitmap::{DenseBitmap, TidVec};
     use scube_data::{Attribute, Schema, TransactionDbBuilder};
 
     fn db() -> TransactionDb {
@@ -1269,13 +1257,13 @@ mod tests {
     }
 
     /// Build under `measures`, serialize, load, and re-serialize.
-    fn roundtrip<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>(measures: MeasureSet) {
+    fn roundtrip(measures: MeasureSet) {
         let builder = CubeBuilder::new().materialize(Materialize::ClosedOnly).measures(measures);
-        let snap: CubeSnapshot<P> = CubeSnapshot::from_db(&db(), &builder).unwrap();
+        let snap = CubeSnapshot::from_db(&db(), &builder).unwrap();
         let bytes = snap.to_bytes();
         assert_eq!(&bytes[8..12], &VERSION.to_le_bytes());
         assert_eq!(bytes[META_OFF + 9], measures.bits(), "the measure byte names the set");
-        let loaded = CubeSnapshot::<P>::from_bytes(&bytes).unwrap();
+        let loaded = CubeSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(loaded.measures(), measures);
         assert_eq!(loaded.cube(), snap.cube());
         assert_eq!(loaded.vertical().units(), snap.vertical().units());
@@ -1292,18 +1280,16 @@ mod tests {
 
     #[test]
     fn roundtrip_all_representations() {
-        roundtrip::<EwahBitmap>(MeasureSet::FULL);
-        roundtrip::<DenseBitmap>(MeasureSet::FULL);
-        roundtrip::<TidVec>(MeasureSet::FULL);
+        roundtrip(MeasureSet::FULL);
     }
 
     #[test]
     fn file_roundtrip() {
         let db = db();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+        let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
         let path = std::env::temp_dir().join("scube_snapshot_file_roundtrip.scube");
         snap.save(&path).unwrap();
-        let loaded: CubeSnapshot = CubeSnapshot::load(&path).unwrap();
+        let loaded = CubeSnapshot::load(&path).unwrap();
         assert_eq!(loaded.cube(), snap.cube());
         std::fs::remove_file(&path).ok();
     }
@@ -1311,7 +1297,7 @@ mod tests {
     #[test]
     fn mapped_update_decodes_only_dirty_store_entries() {
         let db = db();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+        let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
         let path =
             std::env::temp_dir().join(format!("scube_lazy_store_{}.scube", std::process::id()));
         snap.save(&path).unwrap();
@@ -1319,13 +1305,13 @@ mod tests {
         // Heap path: load, update, serialize — the reference bytes.
         let mut batch = UpdateBatch::new();
         batch.add_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
-        let mut heap = CubeSnapshot::<EwahBitmap>::load(&path).unwrap();
+        let mut heap = CubeSnapshot::load(&path).unwrap();
         heap.apply_update(&batch).unwrap();
         let want = heap.to_bytes();
 
         // Mapped path: the same batch only touches "north"-side entries,
         // so the "south" contexts and cells must stay undecoded ranges.
-        let mut mapped = CubeSnapshot::<EwahBitmap>::open_mmap(&path).unwrap();
+        let mut mapped = CubeSnapshot::open_mmap(&path).unwrap();
         assert!(
             !mapped.maintenance.lazy.as_ref().unwrap().indexed,
             "open stays O(metadata): not even the index scan runs"
@@ -1352,15 +1338,12 @@ mod tests {
     }
 
     #[test]
-    fn v5_subset_roundtrip_all_representations() {
-        let subset = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
-        roundtrip::<EwahBitmap>(subset);
-        roundtrip::<DenseBitmap>(subset);
-        roundtrip::<TidVec>(subset);
+    fn subset_measure_roundtrip() {
+        roundtrip(MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation));
     }
 
     #[test]
-    fn v5_bad_measure_byte_and_bad_slots_error() {
+    fn bad_measure_byte_and_bad_optional_tag_error() {
         // Measure byte 0 (empty) and 0x40/0xFF (unknown bits) are invalid.
         for bits in [0u8, 0x40, 0xFF] {
             let mut meta = Vec::new();
@@ -1378,39 +1361,41 @@ mod tests {
     #[test]
     fn rejects_wrong_magic_version_tag() {
         let db = db();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+        let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
         let good = snap.to_bytes();
 
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(CubeSnapshot::<EwahBitmap>::from_bytes(&bad).is_err(), "magic");
+        assert!(CubeSnapshot::from_bytes(&bad).is_err(), "magic");
 
         let mut bad = good.clone();
         bad[8] = 99;
-        let err = CubeSnapshot::<EwahBitmap>::from_bytes(&bad).unwrap_err();
+        let err = CubeSnapshot::from_bytes(&bad).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
 
-        // An EWAH snapshot must not load as TidVec.
-        assert!(CubeSnapshot::<TidVec>::from_bytes(&good).is_err(), "tag");
+        // Header byte 12 names the posting representation; anything but
+        // EWAH's tag is an error (the checksums do not cover the header, so
+        // the tag check is what fires).
+        let mut bad = good.clone();
+        bad[12] = EwahBitmap::SERIAL_TAG + 1;
+        let err = CubeSnapshot::from_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("representation tag 2"), "{err}");
     }
 
     #[test]
     fn rejects_corruption_and_truncation() {
         let db = db();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+        let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
         let good = snap.to_bytes();
 
         // Flip one payload byte: the checksum must catch it.
         let mut bad = good.clone();
         *bad.last_mut().unwrap() ^= 0xFF;
-        assert!(CubeSnapshot::<EwahBitmap>::from_bytes(&bad).is_err(), "bit flip");
+        assert!(CubeSnapshot::from_bytes(&bad).is_err(), "bit flip");
 
         // Truncations anywhere must error, never panic.
         for cut in [0, 5, HEADER_LEN, HEADER_LEN + 3, good.len() / 2, good.len() - 1] {
-            assert!(
-                CubeSnapshot::<EwahBitmap>::from_bytes(&good[..cut]).is_err(),
-                "truncate at {cut}"
-            );
+            assert!(CubeSnapshot::from_bytes(&good[..cut]).is_err(), "truncate at {cut}");
         }
     }
 
@@ -1445,7 +1430,7 @@ mod tests {
     }
 
     #[test]
-    fn crafted_v4_directory_errors_instead_of_allocating() {
+    fn crafted_directory_errors_instead_of_allocating() {
         // A well-formed header whose directory promises 2^60 postings:
         // parsing must reject the directory (regions cannot tile the
         // file), not attempt the allocation.
@@ -1459,14 +1444,14 @@ mod tests {
         }
         let sum = checksum(&[&bytes[DIR_OFF..]]);
         bytes[13..21].copy_from_slice(&sum.to_le_bytes());
-        let err = CubeSnapshot::<EwahBitmap>::from_bytes(&bytes).unwrap_err();
+        let err = CubeSnapshot::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("directory"), "{err}");
     }
 
     #[test]
-    fn v4_layout_directory_is_consistent() {
+    fn layout_directory_is_consistent() {
         let db = db();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+        let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
         let bytes = snap.to_bytes();
         assert_eq!(&bytes[8..12], &VERSION.to_le_bytes());
         assert_eq!(bytes[META_OFF + 9], MeasureSet::FULL.bits(), "measure byte");
@@ -1496,7 +1481,7 @@ mod tests {
         // directory → rename fails): the original bytes must be untouched
         // and no temp file may linger.
         let db = db();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+        let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
         let dir = std::env::temp_dir().join("scube_snapshot_atomic_unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.scube");
@@ -1518,13 +1503,13 @@ mod tests {
     #[test]
     fn mismatched_parts_rejected() {
         let db = db();
-        let vertical: VerticalDb = VerticalDb::build(&db);
+        let vertical = VerticalDb::build(&db);
         let cube = CubeBuilder::new().build(&db).unwrap();
         // A vertical database over different data (one fewer unit).
         let schema = Schema::new(vec![Attribute::sa("sex"), Attribute::ca("region")]).unwrap();
         let mut b = TransactionDbBuilder::new(schema);
         b.add_row(&[vec!["F"], vec!["north"]], "solo").unwrap();
-        let other: VerticalDb = VerticalDb::build(&b.finish());
+        let other = VerticalDb::build(&b.finish());
         assert!(CubeSnapshot::new(cube.clone(), other).is_err());
         assert!(CubeSnapshot::new(cube, vertical).is_ok());
     }

@@ -63,7 +63,7 @@
 //! of one *multi-valued* attribute in one row may tie-break differently
 //! than their cell order).
 
-use scube_bitmap::Posting;
+use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
 use scube_fpm::eclat::mine_vertical_with_tidsets_scoped;
@@ -268,9 +268,9 @@ pub struct UpdateStats {
 /// plus a probe deciding whether *any* coordinates — cached fallback cells
 /// included — may have been revalued.
 #[derive(Debug)]
-pub(crate) struct UpdateOutcome<P: Posting> {
+pub(crate) struct UpdateOutcome {
     pub stats: UpdateStats,
-    pub probe: DirtyProbe<P>,
+    pub probe: DirtyProbe,
 }
 
 /// Decides whether a cell's value may have changed under an applied batch:
@@ -281,14 +281,14 @@ pub(crate) struct UpdateOutcome<P: Posting> {
 /// keys from the old space are meaningless (and may even alias other cells)
 /// in the new one.
 #[derive(Debug)]
-pub(crate) struct DirtyProbe<P: Posting> {
-    add_postings: Vec<P>,
-    rem_postings: Vec<P>,
+pub(crate) struct DirtyProbe {
+    add_postings: Vec<EwahBitmap>,
+    rem_postings: Vec<EwahBitmap>,
     has_delta: bool,
     flush_all: bool,
 }
 
-impl<P: Posting> DirtyProbe<P> {
+impl DirtyProbe {
     fn clean() -> Self {
         DirtyProbe {
             add_postings: Vec::new(),
@@ -318,13 +318,13 @@ impl<P: Posting> DirtyProbe<P> {
 /// non-empty), or `None` when no appended row contains them all. One
 /// batched k-way AND: items past the delta's item range short-circuit to
 /// `None` before any intersection runs.
-fn delta_tidset<P: Posting>(postings: &[P], items: &[ItemId]) -> Option<P> {
+fn delta_tidset(postings: &[EwahBitmap], items: &[ItemId]) -> Option<EwahBitmap> {
     assert!(!items.is_empty(), "delta_tidset needs items");
-    let mut refs: Vec<&P> = Vec::with_capacity(items.len());
+    let mut refs: Vec<&EwahBitmap> = Vec::with_capacity(items.len());
     for &it in items {
         refs.push(postings.get(it as usize)?);
     }
-    let acc = P::intersect_many(&refs).expect("non-empty items");
+    let acc = EwahBitmap::intersect_many(&refs).expect("non-empty items");
     (!acc.is_empty()).then_some(acc)
 }
 
@@ -436,10 +436,10 @@ pub(crate) struct MaintenanceStore {
 impl MaintenanceStore {
     /// Derive the store from scratch — what [`crate::snapshot::CubeSnapshot::new`]
     /// does when pairing a cube with its vertical database.
-    pub(crate) fn compute<P: Posting>(cube: &SegregationCube, vertical: &VerticalDb<P>) -> Self {
+    pub(crate) fn compute(cube: &SegregationCube, vertical: &VerticalDb) -> Self {
         let mut scratch = UnitScratch::new(vertical.num_units());
         let mut contexts: FxHashMap<Vec<ItemId>, Vec<(u32, u64)>> = FxHashMap::default();
-        let mut context_tids: FxHashMap<Vec<ItemId>, P> = FxHashMap::default();
+        let mut context_tids: FxHashMap<Vec<ItemId>, EwahBitmap> = FxHashMap::default();
         for (coords, _) in cube.cells() {
             if !contexts.contains_key(&coords.ca) {
                 let tids = vertical.tidset(&coords.ca);
@@ -664,11 +664,7 @@ fn values_from_hists(
 /// smallest-first and aborting as soon as the running intersection drops
 /// below `floor` (supports only shrink under intersection, so an early
 /// sub-floor cardinality is conclusive). `None` = support below floor.
-fn tidset_if_frequent<P: Posting>(
-    vertical: &VerticalDb<P>,
-    items: &[ItemId],
-    floor: u64,
-) -> Option<P> {
+fn tidset_if_frequent(vertical: &VerticalDb, items: &[ItemId], floor: u64) -> Option<EwahBitmap> {
     let mut order: Vec<ItemId> = items.to_vec();
     order.sort_by_cached_key(|&it| vertical.posting(it).cardinality());
     let mut acc = vertical.posting(order[0]).clone();
@@ -679,7 +675,7 @@ fn tidset_if_frequent<P: Posting>(
     // kernel: the floor check needs the intermediate cardinalities, so the
     // opaque `intersect_many` doesn't apply, but the allocation profile is
     // the same (two buffers total, not one fresh posting per step).
-    let mut spare = P::from_sorted(&[]);
+    let mut spare = EwahBitmap::from_sorted(&[]);
     for &it in &order[1..] {
         acc.and_into(vertical.posting(it), &mut spare);
         std::mem::swap(&mut acc, &mut spare);
@@ -714,10 +710,10 @@ struct Removals {
 /// must reference only values and units present in the dictionary and must
 /// each claim a distinct matching row — any miss is an error, never a
 /// silent no-op.
-fn resolve_removals<P: Posting>(
+fn resolve_removals(
     batch: &UpdateBatch,
     labels: &CubeLabels,
-    vertical: &VerticalDb<P>,
+    vertical: &VerticalDb,
 ) -> Result<Option<Removals>> {
     if batch.remove_tids.is_empty() && batch.remove_rows.is_empty() {
         return Ok(None);
@@ -795,14 +791,14 @@ fn resolve_removals<P: Posting>(
 /// each candidate's post-edit support is counted as `base − retracted +
 /// appended` against the still-unmodified postings.
 #[allow(clippy::too_many_arguments)]
-fn closed_after_edit<P: Posting>(
+fn closed_after_edit(
     items: &[ItemId],
     new_support: u64,
-    vertical: &VerticalDb<P>,
+    vertical: &VerticalDb,
     removed: &[u32],
     base_rows: &[(Vec<ItemId>, UnitId)],
     added_rows: &[(Vec<ItemId>, UnitId)],
-    add_postings: &[P],
+    add_postings: &[EwahBitmap],
     n_base_items: usize,
 ) -> bool {
     debug_assert!(new_support > 0, "demotion by support precedes the closedness check");
@@ -952,16 +948,16 @@ fn commit_labels(cube: &mut SegregationCube, encoded: &EncodedBatch, n_units_aft
 /// built with — snapshots record all three, so re-evaluated and promoted cells fold the exact same
 /// index subset a rebuild would.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_update<P: Posting + Send + Sync>(
+pub(crate) fn apply_update(
     cube: &mut SegregationCube,
-    vertical: &mut VerticalDb<P>,
+    vertical: &mut VerticalDb,
     store: &mut MaintenanceStore,
     batch: &UpdateBatch,
     materialize: Materialize,
     atkinson_b: f64,
     measures: MeasureSet,
     threads: usize,
-) -> Result<UpdateOutcome<P>> {
+) -> Result<UpdateOutcome> {
     if batch.is_empty() {
         return Ok(UpdateOutcome {
             stats: UpdateStats { clean_cells: cube.len(), ..UpdateStats::default() },
@@ -1005,14 +1001,16 @@ pub(crate) fn apply_update<P: Posting + Send + Sync>(
             add_tids[it as usize].push(new_base + i as u32);
         }
     }
-    let add_postings: Vec<P> = add_tids.iter().map(|t| P::from_sorted(t)).collect();
+    let add_postings: Vec<EwahBitmap> =
+        add_tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
     let mut rem_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
     for &t in removed {
         for &it in &base_rows[t as usize].0 {
             rem_tids[it as usize].push(t);
         }
     }
-    let rem_postings: Vec<P> = rem_tids.iter().map(|t| P::from_sorted(t)).collect();
+    let rem_postings: Vec<EwahBitmap> =
+        rem_tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
 
     // Relabel plan (pre-mutation, retractions only): the edited table's
     // intern order decides the final unit ids, and cell values are float
@@ -1091,14 +1089,16 @@ pub(crate) fn apply_update<P: Posting + Send + Sync>(
     // integer sums over delta-sized tidsets. Appended tids histogram
     // through the batch rows' units, retracted tids through the still-
     // unmodified `tid → unit` map.
-    let add_all: Option<P> = (!encoded.rows.is_empty()).then(|| {
-        P::from_sorted(&(new_base..new_base + encoded.rows.len() as u32).collect::<Vec<u32>>())
+    let add_all: Option<EwahBitmap> = (!encoded.rows.is_empty()).then(|| {
+        EwahBitmap::from_sorted(
+            &(new_base..new_base + encoded.rows.len() as u32).collect::<Vec<u32>>(),
+        )
     });
-    let rem_all: Option<P> = removals.as_ref().map(|r| P::from_sorted(&r.tids));
-    struct StagedCtx<P> {
+    let rem_all: Option<EwahBitmap> = removals.as_ref().map(|r| EwahBitmap::from_sorted(&r.tids));
+    struct StagedCtx {
         totals: Vec<(u32, u64)>,
-        add: Option<P>,
-        rem: Option<P>,
+        add: Option<EwahBitmap>,
+        rem: Option<EwahBitmap>,
     }
     // A retraction that renumbers *units* changes the per-unit iteration
     // order every cell value is folded in — so even cells whose histograms
@@ -1108,7 +1108,7 @@ pub(crate) fn apply_update<P: Posting + Send + Sync>(
         .as_ref()
         .is_some_and(|p| p.unit_map.iter().enumerate().any(|(u, m)| *m != Some(u as u32)));
     let mut scratch = UnitScratch::new(n_units_after);
-    let mut staged_ctx: FxHashMap<Vec<ItemId>, StagedCtx<P>> = FxHashMap::default();
+    let mut staged_ctx: FxHashMap<Vec<ItemId>, StagedCtx> = FxHashMap::default();
     // Delta-clean contexts are skipped *before* their histograms are
     // touched, so on a mapped snapshot they stay undecoded byte ranges —
     // the point of the lazy store.
@@ -1386,7 +1386,8 @@ pub(crate) fn apply_update<P: Posting + Send + Sync>(
                 new_unit_of.push(u);
                 mapped_rows.push((mapped, u));
             }
-            let postings: Vec<P> = tids_new.iter().map(|t| P::from_sorted(t)).collect();
+            let postings: Vec<EwahBitmap> =
+                tids_new.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
             *vertical = VerticalDb::from_parts(
                 postings,
                 final_rows.len() as u32,
@@ -1602,18 +1603,18 @@ fn is_sorted_subset(a: &[ItemId], b: &[ItemId]) -> bool {
 
 /// Minority tidset of a cell, reusing the cached context tidset (`⋆`
 /// contexts intersect the SA postings directly).
-fn minority_tidset<P: Posting>(
-    vertical: &VerticalDb<P>,
-    context_tids: &FxHashMap<Vec<ItemId>, P>,
+fn minority_tidset(
+    vertical: &VerticalDb,
+    context_tids: &FxHashMap<Vec<ItemId>, EwahBitmap>,
     coords: &CellCoords,
-) -> P {
+) -> EwahBitmap {
     if coords.ca.is_empty() {
         return vertical.tidset(&coords.sa);
     }
-    let mut refs: Vec<&P> = Vec::with_capacity(1 + coords.sa.len());
+    let mut refs: Vec<&EwahBitmap> = Vec::with_capacity(1 + coords.sa.len());
     refs.push(&context_tids[&coords.ca]);
     refs.extend(coords.sa.iter().map(|&item| vertical.posting(item)));
-    P::intersect_many(&refs).expect("context plus non-empty SA side")
+    EwahBitmap::intersect_many(&refs).expect("context plus non-empty SA side")
 }
 
 /// Exact closedness of a promotion candidate in the grown database, using
@@ -1621,10 +1622,10 @@ fn minority_tidset<P: Posting>(
 /// extending the candidate with equal support must occur in *every*
 /// transaction of the candidate's tidset — in particular in the generating
 /// row — so the only possible extenders are that row's other items.
-fn is_closed<P: Posting>(
-    vertical: &VerticalDb<P>,
+fn is_closed(
+    vertical: &VerticalDb,
     items: &[ItemId],
-    tids: &P,
+    tids: &EwahBitmap,
     row_items: &[ItemId],
 ) -> bool {
     let support = tids.cardinality();
@@ -1638,7 +1639,6 @@ mod tests {
     use super::*;
     use crate::builder::CubeBuilder;
     use crate::snapshot::CubeSnapshot;
-    use scube_bitmap::{DenseBitmap, EwahBitmap, TidVec};
     use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
 
     type Row = (&'static str, &'static str, &'static str, &'static str);
@@ -1681,15 +1681,12 @@ mod tests {
         batch
     }
 
-    fn check_roundtrip<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>(
-        materialize: Materialize,
-        min_support: u64,
-    ) {
+    fn check_roundtrip(materialize: Materialize, min_support: u64) {
         let builder = CubeBuilder::new().min_support(min_support).materialize(materialize);
-        let mut updated: CubeSnapshot<P> = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut updated = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let stats = updated.apply_update(&batch(DELTA)).unwrap();
         let all: Vec<Row> = BASE.iter().chain(DELTA.iter()).copied().collect();
-        let rebuilt: CubeSnapshot<P> = CubeSnapshot::from_db(&db(&all), &builder).unwrap();
+        let rebuilt = CubeSnapshot::from_db(&db(&all), &builder).unwrap();
         assert_eq!(updated.cube(), rebuilt.cube(), "{materialize:?} minsup {min_support}");
         assert_eq!(
             updated.to_bytes(),
@@ -1708,12 +1705,8 @@ mod tests {
     #[test]
     fn update_matches_rebuild_all_representations() {
         for minsup in [1, 2, 3] {
-            check_roundtrip::<EwahBitmap>(Materialize::AllFrequent, minsup);
-            check_roundtrip::<EwahBitmap>(Materialize::ClosedOnly, minsup);
-            check_roundtrip::<DenseBitmap>(Materialize::AllFrequent, minsup);
-            check_roundtrip::<DenseBitmap>(Materialize::ClosedOnly, minsup);
-            check_roundtrip::<TidVec>(Materialize::AllFrequent, minsup);
-            check_roundtrip::<TidVec>(Materialize::ClosedOnly, minsup);
+            check_roundtrip(Materialize::AllFrequent, minsup);
+            check_roundtrip(Materialize::ClosedOnly, minsup);
         }
     }
 
@@ -1723,7 +1716,7 @@ mod tests {
         // the delta adds two more rows with that pair, promoting it (and
         // (sex=F, age=old, region=north), support 0 → 2... still below).
         let builder = CubeBuilder::new().min_support(3);
-        let mut snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let before = snap.cube().len();
         let coords = |snap: &CubeSnapshot, sa: &[(&str, &str)], ca: &[(&str, &str)]| {
             snap.cube().coords_by_names(sa, ca)
@@ -1741,7 +1734,7 @@ mod tests {
     fn clean_cells_are_not_reevaluated() {
         // A delta touching only the north leaves pure-south contexts clean.
         let builder = CubeBuilder::new().min_support(1);
-        let mut snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let south_delta: &[Row] = &[("F", "young", "north", "u0")];
         let stats = snap.apply_update(&batch(south_delta)).unwrap();
         assert!(stats.clean_cells > 0, "south-context cells must stay untouched");
@@ -1751,7 +1744,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let builder = CubeBuilder::new();
-        let mut snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let bytes = snap.to_bytes();
         let stats = snap.apply_update(&UpdateBatch::new()).unwrap();
         assert_eq!(stats, UpdateStats { clean_cells: snap.cube().len(), ..Default::default() });
@@ -1761,7 +1754,7 @@ mod tests {
     #[test]
     fn unknown_attribute_rejected_before_mutation() {
         let builder = CubeBuilder::new();
-        let mut snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let bytes = snap.to_bytes();
         let mut bad = UpdateBatch::new();
         bad.add_row(&[("sex", "F"), ("planet", "mars")], "u0");
@@ -1772,7 +1765,7 @@ mod tests {
     #[test]
     fn batch_from_relation_matches_hand_built() {
         let builder = CubeBuilder::new();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let mut rel =
             Relation::new(vec!["sex".into(), "age".into(), "region".into(), "unitID".into()])
                 .unwrap();
@@ -1797,26 +1790,21 @@ mod tests {
         // dictionary must still grow in label (schema) order, keeping the
         // updated snapshot byte-identical to a rebuild.
         let builder = CubeBuilder::new();
-        let mut snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let mut reversed = UpdateBatch::new();
         reversed.add_row(&[("region", "west"), ("age", "mid"), ("sex", "F")], "u0");
         snap.apply_update(&reversed).unwrap();
         let all: Vec<Row> = BASE.iter().copied().chain([("F", "mid", "west", "u0")]).collect();
-        let rebuilt: CubeSnapshot = CubeSnapshot::from_db(&db(&all), &builder).unwrap();
+        let rebuilt = CubeSnapshot::from_db(&db(&all), &builder).unwrap();
         assert_eq!(snap.to_bytes(), rebuilt.to_bytes());
     }
 
     /// Apply `remove` (tids) + `delta` (appends) to a BASE snapshot and
     /// require byte-identity with a from-scratch snapshot on the edited
-    /// table, for one representation × materialization × threshold.
-    fn check_churn<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>(
-        remove: &[u32],
-        delta: &[Row],
-        materialize: Materialize,
-        min_support: u64,
-    ) {
+    /// table, for one materialization × threshold.
+    fn check_churn(remove: &[u32], delta: &[Row], materialize: Materialize, min_support: u64) {
         let builder = CubeBuilder::new().min_support(min_support).materialize(materialize);
-        let mut updated: CubeSnapshot<P> = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut updated = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let mut b = batch(delta);
         for &t in remove {
             b.remove_tid(t);
@@ -1836,7 +1824,7 @@ mod tests {
             .map(|(_, r)| *r)
             .chain(delta.iter().copied())
             .collect();
-        let rebuilt: CubeSnapshot<P> = CubeSnapshot::from_db(&db(&edited), &builder).unwrap();
+        let rebuilt = CubeSnapshot::from_db(&db(&edited), &builder).unwrap();
         assert_eq!(
             updated.to_bytes(),
             rebuilt.to_bytes(),
@@ -1849,9 +1837,7 @@ mod tests {
     fn check_churn_all(remove: &[u32], delta: &[Row]) {
         for minsup in [1, 2, 3] {
             for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-                check_churn::<EwahBitmap>(remove, delta, materialize, minsup);
-                check_churn::<DenseBitmap>(remove, delta, materialize, minsup);
-                check_churn::<TidVec>(remove, delta, materialize, minsup);
+                check_churn(remove, delta, materialize, minsup);
             }
         }
     }
@@ -1903,7 +1889,7 @@ mod tests {
     fn remove_then_readd_identical_rows_is_byte_identical_to_base() {
         for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
             let builder = CubeBuilder::new().min_support(2).materialize(materialize);
-            let base: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+            let base = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
             let bytes = base.to_bytes();
             let mut snap = base.clone();
             let mut b = batch(&BASE[6..]);
@@ -1920,7 +1906,7 @@ mod tests {
             [(vec![2u32, 5], DELTA), (vec![], DELTA), (vec![0, 1, 2, 7], &[] as &[Row])]
         {
             let builder = CubeBuilder::new().min_support(1);
-            let mut serial: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+            let mut serial = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
             let mut parallel = serial.clone();
             let mut b = batch(delta);
             for &t in &remove {
@@ -1936,7 +1922,7 @@ mod tests {
     #[test]
     fn remove_by_row_match_equals_remove_by_tid() {
         let builder = CubeBuilder::new();
-        let base: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let base = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let mut by_tid = base.clone();
         let mut b1 = UpdateBatch::new();
         b1.remove_tid(0);
@@ -1966,7 +1952,7 @@ mod tests {
     #[test]
     fn bad_retractions_rejected_before_mutation() {
         let builder = CubeBuilder::new();
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let bytes = snap.to_bytes();
         // Unknown value: absent from the dictionary, can match nothing.
         let mut b = UpdateBatch::new();
@@ -2005,7 +1991,7 @@ mod tests {
         // (rows 0, 1); retracting row 1 drops it below threshold and the
         // cell must leave the store.
         let builder = CubeBuilder::new().min_support(2).materialize(Materialize::AllFrequent);
-        let mut snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         let coords = snap
             .cube()
             .coords_by_names(&[("sex", "F"), ("age", "young")], &[("region", "north")])
@@ -2038,7 +2024,7 @@ mod tests {
         b.add_row(&[vec!["a"], vec!["south"]], "u1").unwrap();
         let base_db = b.finish();
         let builder = CubeBuilder::new().min_support(1);
-        let mut updated: CubeSnapshot = CubeSnapshot::from_db(&base_db, &builder).unwrap();
+        let mut updated = CubeSnapshot::from_db(&base_db, &builder).unwrap();
         // Retract rows 0 and 1: both `a` and `b` now first-occur in row 2,
         // whose original cell order ("a" before "b") is unrecoverable from
         // the postings — old-id order says b before a.
@@ -2049,7 +2035,7 @@ mod tests {
         let mut rb = TransactionDbBuilder::new(schema);
         rb.add_row(&[vec!["a", "b"], vec!["south"]], "u1").unwrap();
         rb.add_row(&[vec!["a"], vec!["south"]], "u1").unwrap();
-        let rebuilt: CubeSnapshot = CubeSnapshot::from_db(&rb.finish(), &builder).unwrap();
+        let rebuilt = CubeSnapshot::from_db(&rb.finish(), &builder).unwrap();
 
         // Value-exactness across the possibly-different dictionaries: every
         // rebuilt cell resolves by *name* in the updated cube to identical
@@ -2091,12 +2077,12 @@ mod tests {
         // Stream the delta row by row: four updates ≡ one concatenated
         // rebuild, bit for bit.
         let builder = CubeBuilder::new().min_support(2).materialize(Materialize::ClosedOnly);
-        let mut snap: CubeSnapshot = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut snap = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
         for row in DELTA {
             snap.apply_update(&batch(&[*row])).unwrap();
         }
         let all: Vec<Row> = BASE.iter().chain(DELTA.iter()).copied().collect();
-        let rebuilt: CubeSnapshot = CubeSnapshot::from_db(&db(&all), &builder).unwrap();
+        let rebuilt = CubeSnapshot::from_db(&db(&all), &builder).unwrap();
         assert_eq!(snap.to_bytes(), rebuilt.to_bytes());
     }
 }

@@ -16,7 +16,6 @@
 //! Peak memory is therefore bounded by the *output* (postings + dictionary)
 //! plus one chunk of staged rows, never by the input table.
 
-use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::{Result, ScubeError};
 
 use crate::dictionary::{Dictionary, ItemId};
@@ -93,19 +92,19 @@ pub struct ChunkedBuildStats {
 /// Streaming builder of a [`VerticalDb`]: rows in, postings out, no
 /// horizontal table in between (see the module docs).
 #[derive(Debug)]
-pub struct VerticalDbBuilder<P: Posting = EwahBitmap> {
+pub struct VerticalDbBuilder {
     /// Dictionary/unit interning engine. Rows are encoded through
     /// [`TransactionDbBuilder::encode_row`] only — its horizontal stores
     /// (items, offsets, units) never grow on this path.
     encoder: TransactionDbBuilder,
-    vertical: VerticalDb<P>,
+    vertical: VerticalDb,
     chunk: Vec<(Vec<ItemId>, UnitId)>,
     chunk_items: usize,
     chunk_rows: usize,
     stats: ChunkedBuildStats,
 }
 
-impl<P: Posting> VerticalDbBuilder<P> {
+impl VerticalDbBuilder {
     /// Start building under the given schema, flushing every `chunk_rows`
     /// rows (clamped to at least 1).
     pub fn new(schema: Schema, chunk_rows: usize) -> Self {
@@ -170,7 +169,7 @@ impl<P: Posting> VerticalDbBuilder<P> {
     /// Flush the final partial chunk and tear down into the grown vertical
     /// database, the table metadata (dictionary, schema, unit names), and
     /// the residency stats.
-    pub fn finish(mut self) -> Result<(VerticalDb<P>, TableMeta, ChunkedBuildStats)> {
+    pub fn finish(mut self) -> Result<(VerticalDb, TableMeta, ChunkedBuildStats)> {
         self.flush()?;
         self.stats.rows = self.vertical.num_transactions() as usize;
         let (schema, dictionary, unit_names) = self.encoder.into_encoding_parts();
@@ -183,7 +182,6 @@ mod tests {
     use super::*;
     use crate::schema::Attribute;
     use crate::transactions::TransactionDb;
-    use scube_bitmap::{AdaptivePosting, DenseBitmap, TidVec};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -212,10 +210,10 @@ mod tests {
         b.finish()
     }
 
-    fn check_chunked_matches_resident<P: Posting + PartialEq + std::fmt::Debug>(chunk: usize) {
+    fn check_chunked_matches_resident(chunk: usize) {
         let db = resident();
-        let expected: VerticalDb<P> = VerticalDb::build(&db);
-        let mut b: VerticalDbBuilder<P> = VerticalDbBuilder::new(schema(), chunk);
+        let expected = VerticalDb::build(&db);
+        let mut b = VerticalDbBuilder::new(schema(), chunk);
         for (values, unit) in rows() {
             b.add_row(&values, unit).unwrap();
         }
@@ -246,16 +244,13 @@ mod tests {
     #[test]
     fn chunked_matches_resident_all_representations() {
         for chunk in [1, 2, 3, 100] {
-            check_chunked_matches_resident::<EwahBitmap>(chunk);
-            check_chunked_matches_resident::<DenseBitmap>(chunk);
-            check_chunked_matches_resident::<TidVec>(chunk);
-            check_chunked_matches_resident::<AdaptivePosting>(chunk);
+            check_chunked_matches_resident(chunk);
         }
     }
 
     #[test]
     fn empty_build_finishes() {
-        let b: VerticalDbBuilder = VerticalDbBuilder::new(schema(), 8);
+        let b = VerticalDbBuilder::new(schema(), 8);
         assert!(b.is_empty());
         let (vertical, meta, stats) = b.finish().unwrap();
         assert_eq!(vertical.num_transactions(), 0);
@@ -267,7 +262,7 @@ mod tests {
 
     #[test]
     fn encoding_errors_propagate() {
-        let mut b: VerticalDbBuilder = VerticalDbBuilder::new(schema(), 8);
+        let mut b = VerticalDbBuilder::new(schema(), 8);
         let err = b.add_row(&[vec!["F", "M"], vec![], vec![]], "u").unwrap_err();
         assert!(err.to_string().contains("single-valued"));
         let err = b.add_row(&[vec!["F"]], "u").unwrap_err();
@@ -276,7 +271,7 @@ mod tests {
 
     #[test]
     fn zero_chunk_rows_clamps_to_one() {
-        let mut b: VerticalDbBuilder = VerticalDbBuilder::new(schema(), 0);
+        let mut b = VerticalDbBuilder::new(schema(), 0);
         b.add_row(&[vec!["F"], vec!["north"], vec![]], "u").unwrap();
         let (vertical, _, stats) = b.finish().unwrap();
         assert_eq!(vertical.num_transactions(), 1);

@@ -10,7 +10,6 @@
 
 use std::path::Path;
 
-use scube_bitmap::Posting;
 use scube_common::{Result, ScubeError};
 
 use crate::chunked::{ChunkedBuildStats, TableMeta, VerticalDbBuilder};
@@ -146,11 +145,11 @@ impl FinalTableSpec {
     /// trimming) is shared with [`Self::encoder`], and so is the interning
     /// code underneath, so the output is byte-identical to the resident
     /// path's.
-    pub fn chunked_encoder<P: Posting>(
+    pub fn chunked_encoder(
         &self,
         columns: &[String],
         chunk_rows: usize,
-    ) -> Result<FinalTableEncoder<VerticalDbBuilder<P>>> {
+    ) -> Result<FinalTableEncoder<VerticalDbBuilder>> {
         let (schema, col_of_attr, unit_col) = self.resolve_columns(columns)?;
         let builder = VerticalDbBuilder::new(schema.clone(), chunk_rows);
         Ok(FinalTableEncoder { schema, col_of_attr, unit_col, builder })
@@ -174,13 +173,13 @@ impl FinalTableSpec {
     /// never need the horizontal table. Returns the vertical database, the
     /// table metadata (schema, dictionary, unit names), and the chunk
     /// residency stats.
-    pub fn load_csv_chunked<P: Posting>(
+    pub fn load_csv_chunked(
         &self,
         path: impl AsRef<Path>,
         chunk_rows: usize,
-    ) -> Result<(VerticalDb<P>, TableMeta, ChunkedBuildStats)> {
+    ) -> Result<(VerticalDb, TableMeta, ChunkedBuildStats)> {
         let mut rows = CsvRows::open_path(path)?;
-        let mut enc = self.chunked_encoder::<P>(rows.columns(), chunk_rows)?;
+        let mut enc = self.chunked_encoder(rows.columns(), chunk_rows)?;
         while let Some(row) = rows.next_row()? {
             enc.add_record(row)?;
         }
@@ -215,7 +214,7 @@ impl RowSink for TransactionDbBuilder {
     }
 }
 
-impl<P: Posting> RowSink for VerticalDbBuilder<P> {
+impl RowSink for VerticalDbBuilder {
     fn add_row<S: AsRef<str>>(&mut self, values: &[Vec<S>], unit: &str) -> Result<()> {
         VerticalDbBuilder::add_row(self, values, unit)
     }

@@ -12,8 +12,8 @@
 //! * [`dictionary`] — interning of `attr=value` items to dense `u32` ids;
 //! * [`transactions`] — the horizontal [`TransactionDb`] (one transaction
 //!   per individual, unit id carried alongside);
-//! * [`vertical`] — the item→tidset [`VerticalDb`], generic over tidset
-//!   representation ([`scube_bitmap::Posting`]);
+//! * [`vertical`] — the item→tidset [`VerticalDb`] (one
+//!   [`scube_bitmap::EwahBitmap`] per item);
 //! * [`chunked`] — bounded-memory construction: [`VerticalDbBuilder`]
 //!   grows the postings chunk by chunk without ever materializing the
 //!   horizontal table.

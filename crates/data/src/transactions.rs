@@ -14,6 +14,20 @@ use crate::schema::{AttrId, AttrRole, Schema};
 /// Unit identifier (dense, assigned by the builder).
 pub type UnitId = u32;
 
+/// `have + more` as a `u32`, or a message naming what outgrew the `u32` id
+/// space. Transaction ids and item offsets are `u32`; every place a count
+/// of either grows goes through here, so reaching 2³² is an error at the
+/// ingest boundary instead of a silent wrap.
+pub(crate) fn checked_u32(
+    have: usize,
+    more: usize,
+    what: &str,
+) -> std::result::Result<u32, String> {
+    have.checked_add(more)
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or_else(|| format!("{what}: {have} + {more} exceeds the u32 id space"))
+}
+
 /// Encoded transaction database.
 #[derive(Debug, Clone)]
 pub struct TransactionDb {
@@ -200,10 +214,16 @@ impl TransactionDbBuilder {
     ///
     /// `values[a]` holds the values of attribute `a` (one entry for single-
     /// valued attributes, several for multi-valued ones; empty = missing).
+    /// Errors, leaving the stored rows untouched, when the row is invalid or
+    /// would push the transaction or item-occurrence count past `u32`.
     pub fn add_row<S: AsRef<str>>(&mut self, values: &[Vec<S>], unit: &str) -> Result<()> {
-        let (unit_id, _) = self.encode_row(values, unit)?;
+        let (unit_id, items) = self.encode_row(values, unit)?;
+        let n_items = items.len();
+        checked_u32(self.units.len(), 1, "transactions").map_err(ScubeError::Inconsistent)?;
+        let end = checked_u32(self.items.len(), n_items, "item occurrences")
+            .map_err(ScubeError::Inconsistent)?;
         self.items.extend_from_slice(&self.scratch);
-        self.offsets.push(self.items.len() as u32);
+        self.offsets.push(end);
         self.units.push(unit_id);
         Ok(())
     }
@@ -256,6 +276,19 @@ mod tests {
             Attribute::ca("sector").multi(),
         ])
         .unwrap()
+    }
+
+    #[test]
+    fn checked_u32_rejects_counts_past_the_id_space() {
+        let max = u32::MAX as usize;
+        assert_eq!(checked_u32(max - 1, 1, "x"), Ok(u32::MAX));
+        assert_eq!(checked_u32(max, 0, "x"), Ok(u32::MAX));
+        assert_eq!(checked_u32(0, max, "x"), Ok(u32::MAX));
+        let err = checked_u32(max, 1, "transactions").unwrap_err();
+        assert!(err.contains("transactions") && err.contains("u32"), "{err}");
+        assert!(checked_u32(max - 1, 2, "x").is_err());
+        assert!(checked_u32(max + 1, 0, "x").is_err());
+        assert!(checked_u32(usize::MAX, 1, "x").is_err(), "usize overflow is caught too");
     }
 
     #[test]

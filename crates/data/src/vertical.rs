@@ -1,25 +1,24 @@
 //! Vertical (item → tidset) representation of a transaction database.
 //!
 //! The cube builder and the Eclat miner work on *postings*: for each item,
-//! the set of transaction ids containing it. The representation of a
-//! posting is generic over [`Posting`] so the EWAH / dense / tid-vector
-//! ablation (experiment E11) runs through identical code.
+//! the set of transaction ids containing it, stored as one [`EwahBitmap`]
+//! (the paper's JavaEWAH tidsets).
 
 use scube_bitmap::{EwahBitmap, Posting};
 
 use crate::dictionary::ItemId;
-use crate::transactions::{TransactionDb, UnitId};
+use crate::transactions::{checked_u32, TransactionDb, UnitId};
 
 /// Item-indexed postings plus the `tid → unit` map.
 #[derive(Debug, Clone)]
-pub struct VerticalDb<P: Posting = EwahBitmap> {
-    postings: Vec<P>,
+pub struct VerticalDb {
+    postings: Vec<EwahBitmap>,
     n_transactions: u32,
     unit_of: Vec<UnitId>,
     n_units: u32,
 }
 
-impl<P: Posting> VerticalDb<P> {
+impl VerticalDb {
     /// An empty database — no items, no transactions, no units. The
     /// starting point of chunked construction: every chunk of rows then
     /// arrives through [`Self::append_rows`], which only ever extends
@@ -38,7 +37,7 @@ impl<P: Posting> VerticalDb<P> {
                 tids[item as usize].push(t as u32);
             }
         }
-        let postings = tids.iter().map(|ids| P::from_sorted(ids)).collect();
+        let postings = tids.iter().map(|ids| EwahBitmap::from_sorted(ids)).collect();
         VerticalDb {
             postings,
             n_transactions: db.len() as u32,
@@ -53,7 +52,7 @@ impl<P: Posting> VerticalDb<P> {
     /// have one entry per transaction, every unit id must be `< n_units`,
     /// and no posting may contain a tid `>= n_transactions`.
     pub fn from_parts(
-        postings: Vec<P>,
+        postings: Vec<EwahBitmap>,
         n_transactions: u32,
         unit_of: Vec<UnitId>,
         n_units: u32,
@@ -76,9 +75,9 @@ impl<P: Posting> VerticalDb<P> {
     /// scan, which is O(total data) and would defeat a milliseconds-cold
     /// mmap open. The unit map is still checked (it is O(rows), owned, and
     /// cheap). Callers must have bounded the postings themselves: the
-    /// snapshot mmap path does so via `Posting::map_slot`'s universe check.
+    /// snapshot mmap path does so via `EwahBitmap::map_slot`'s universe check.
     pub fn from_validated_parts(
-        postings: Vec<P>,
+        postings: Vec<EwahBitmap>,
         n_transactions: u32,
         unit_of: Vec<UnitId>,
         n_units: u32,
@@ -101,8 +100,9 @@ impl<P: Posting> VerticalDb<P> {
     /// post-interning dictionary sizes).
     ///
     /// Errors (leaving `self` untouched) when a row references an item
-    /// `>= n_items_after` or a unit `>= n_units_after`, or when either
-    /// space would shrink.
+    /// `>= n_items_after` or a unit `>= n_units_after`, when either
+    /// space would shrink, or when the batch would push the transaction
+    /// count past `u32`.
     pub fn append_rows(
         &mut self,
         rows: &[(Vec<ItemId>, UnitId)],
@@ -118,11 +118,13 @@ impl<P: Posting> VerticalDb<P> {
         if n_units_after < self.n_units {
             return Err(format!("unit space cannot shrink ({} -> {n_units_after})", self.n_units));
         }
+        let n_after = checked_u32(self.n_transactions as usize, rows.len(), "transactions")?;
         let mut new_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
         for (i, (items, unit)) in rows.iter().enumerate() {
             if *unit >= n_units_after {
                 return Err(format!("row {i} references unknown unit {unit}"));
             }
+            // In range: `i < rows.len()` and `n_after` fits.
             let tid = self.n_transactions + i as u32;
             let mut prev: Option<ItemId> = None;
             for &item in items {
@@ -136,14 +138,14 @@ impl<P: Posting> VerticalDb<P> {
                 new_tids[item as usize].push(tid);
             }
         }
-        self.postings.resize_with(n_items_after, || P::from_sorted(&[]));
+        self.postings.resize_with(n_items_after, || EwahBitmap::from_sorted(&[]));
         for (item, tids) in new_tids.iter().enumerate() {
             if !tids.is_empty() {
                 self.postings[item].append_sorted(tids);
             }
         }
         self.unit_of.extend(rows.iter().map(|&(_, u)| u));
-        self.n_transactions += rows.len() as u32;
+        self.n_transactions = n_after;
         self.n_units = n_units_after;
         Ok(())
     }
@@ -209,7 +211,7 @@ impl<P: Posting> VerticalDb<P> {
                     }
                     keep.push(tid - r as u32);
                 });
-                *posting = P::from_sorted(&keep);
+                *posting = EwahBitmap::from_sorted(&keep);
             }
         }
         let mut r = 0usize;
@@ -241,12 +243,12 @@ impl<P: Posting> VerticalDb<P> {
     }
 
     /// Posting of one item.
-    pub fn posting(&self, item: ItemId) -> &P {
+    pub fn posting(&self, item: ItemId) -> &EwahBitmap {
         &self.postings[item as usize]
     }
 
     /// All item postings, indexed by item id.
-    pub fn postings(&self) -> &[P] {
+    pub fn postings(&self) -> &[EwahBitmap] {
         &self.postings
     }
 
@@ -281,13 +283,14 @@ impl<P: Posting> VerticalDb<P> {
     /// Routed through the batched k-way AND ([`Posting::intersect_many`]):
     /// smallest posting first, empty short-circuit, and no per-step posting
     /// allocation however many items the set has.
-    pub fn tidset(&self, itemset: &[ItemId]) -> P {
+    pub fn tidset(&self, itemset: &[ItemId]) -> EwahBitmap {
         match itemset {
-            [] => P::full(self.n_transactions),
+            [] => EwahBitmap::full(self.n_transactions),
             [single] => self.postings[*single as usize].clone(),
             _ => {
-                let refs: Vec<&P> = itemset.iter().map(|&it| &self.postings[it as usize]).collect();
-                P::intersect_many(&refs).expect("non-empty itemset")
+                let refs: Vec<&EwahBitmap> =
+                    itemset.iter().map(|&it| &self.postings[it as usize]).collect();
+                EwahBitmap::intersect_many(&refs).expect("non-empty itemset")
             }
         }
     }
@@ -301,11 +304,11 @@ impl<P: Posting> VerticalDb<P> {
             [single] => self.postings[*single as usize].cardinality(),
             [a, b] => self.postings[*a as usize].and_cardinality(&self.postings[*b as usize]),
             _ => {
-                let mut refs: Vec<&P> =
+                let mut refs: Vec<&EwahBitmap> =
                     itemset.iter().map(|&it| &self.postings[it as usize]).collect();
                 refs.sort_by_cached_key(|p| p.cardinality());
                 let (largest, init) = refs.split_last().expect("len >= 3");
-                match P::intersect_many(init) {
+                match EwahBitmap::intersect_many(init) {
                     Some(acc) if !acc.is_empty() => acc.and_cardinality(largest),
                     _ => 0,
                 }
@@ -316,7 +319,7 @@ impl<P: Posting> VerticalDb<P> {
     /// Per-unit head-counts of a tidset: `counts[u]` = transactions of the
     /// tidset belonging to unit `u`. This is the histogram primitive behind
     /// every cube cell.
-    pub fn unit_histogram(&self, tids: &P) -> Vec<u64> {
+    pub fn unit_histogram(&self, tids: &EwahBitmap) -> Vec<u64> {
         let mut counts = vec![0u64; self.n_units as usize];
         tids.for_each(|tid| counts[self.unit_of[tid as usize] as usize] += 1);
         counts
@@ -327,7 +330,7 @@ impl<P: Posting> VerticalDb<P> {
     /// O(|touched units|) instead of O(n_units). This is what makes cube
     /// cell evaluation O(Σ|tidset|) overall rather than
     /// O(cells × n_units).
-    pub fn unit_histogram_into(&self, tids: &P, scratch: &mut UnitScratch) {
+    pub fn unit_histogram_into(&self, tids: &EwahBitmap, scratch: &mut UnitScratch) {
         assert_eq!(
             scratch.counts.len(),
             self.n_units as usize,
@@ -411,7 +414,6 @@ mod tests {
     use super::*;
     use crate::schema::{Attribute, Schema};
     use crate::transactions::TransactionDbBuilder;
-    use scube_bitmap::{DenseBitmap, TidVec};
 
     fn small_db() -> TransactionDb {
         let schema = Schema::new(vec![Attribute::sa("g"), Attribute::ca("r")]).unwrap();
@@ -430,7 +432,7 @@ mod tests {
     #[test]
     fn postings_match_horizontal() {
         let db = small_db();
-        let v: VerticalDb = VerticalDb::build(&db);
+        let v = VerticalDb::build(&db);
         let f = item(&db, 0, "F");
         let n = item(&db, 1, "n");
         assert_eq!(v.posting(f).to_vec(), vec![0, 2, 3]);
@@ -440,7 +442,7 @@ mod tests {
     #[test]
     fn tidset_and_support() {
         let db = small_db();
-        let v: VerticalDb = VerticalDb::build(&db);
+        let v = VerticalDb::build(&db);
         let f = item(&db, 0, "F");
         let n = item(&db, 1, "n");
         assert_eq!(v.tidset(&[f, n]).to_vec(), vec![0, 3]);
@@ -453,7 +455,7 @@ mod tests {
     #[test]
     fn unit_histogram() {
         let db = small_db();
-        let v: VerticalDb = VerticalDb::build(&db);
+        let v = VerticalDb::build(&db);
         let f = item(&db, 0, "F");
         let h = v.unit_histogram(v.posting(f));
         assert_eq!(h, vec![1, 2]); // F in u0 once, in u1 twice
@@ -462,7 +464,7 @@ mod tests {
     #[test]
     fn scratch_histogram_matches_dense() {
         let db = small_db();
-        let v: VerticalDb = VerticalDb::build(&db);
+        let v = VerticalDb::build(&db);
         let f = item(&db, 0, "F");
         let n = item(&db, 1, "n");
         let mut scratch = UnitScratch::new(v.num_units());
@@ -489,7 +491,7 @@ mod tests {
     #[test]
     fn from_parts_roundtrip_and_validation() {
         let db = small_db();
-        let v: VerticalDb = VerticalDb::build(&db);
+        let v = VerticalDb::build(&db);
         let rebuilt = VerticalDb::from_parts(
             v.postings().to_vec(),
             v.num_transactions(),
@@ -508,46 +510,41 @@ mod tests {
         assert!(VerticalDb::from_parts(v.postings().to_vec(), 4, vec![0, 0, 2, 1], 2).is_none());
         // Posting tid out of range.
         let bad = vec![EwahBitmap::from_sorted(&[9])];
-        assert!(VerticalDb::<EwahBitmap>::from_parts(bad, 4, v.units().to_vec(), 2).is_none());
+        assert!(VerticalDb::from_parts(bad, 4, v.units().to_vec(), 2).is_none());
     }
 
     #[test]
     fn append_rows_matches_from_scratch_build() {
-        fn check<P: Posting + PartialEq + std::fmt::Debug>() {
-            let db = small_db();
-            let mut v: VerticalDb<P> = VerticalDb::build(&db);
-            // Two appended rows: one over existing items, one introducing
-            // item 4 ("M","s" exist; pretend a new value got id 4) and
-            // unit 2.
-            let rows = vec![(vec![0, 2], 0u32), (vec![1, 3, 4], 2u32)];
-            v.append_rows(&rows, 5, 3).unwrap();
-            assert_eq!(v.num_transactions(), 6);
-            assert_eq!(v.num_units(), 3);
-            assert_eq!(v.num_items(), 5);
-            assert_eq!(v.units(), &[0, 0, 1, 1, 0, 2]);
-            // Compare against rebuilding the concatenated data directly.
-            let base: VerticalDb<P> = VerticalDb::build(&db);
-            let mut tids: Vec<Vec<u32>> =
-                (0..base.num_items()).map(|it| base.posting(it as ItemId).to_vec()).collect();
-            tids.resize(5, Vec::new());
-            for (i, (items, _)) in rows.iter().enumerate() {
-                for &it in items {
-                    tids[it as usize].push(4 + i as u32);
-                }
-            }
-            for (it, expected) in tids.iter().enumerate() {
-                assert_eq!(&v.posting(it as ItemId).to_vec(), expected, "item {it}");
+        let db = small_db();
+        let mut v = VerticalDb::build(&db);
+        // Two appended rows: one over existing items, one introducing
+        // item 4 ("M","s" exist; pretend a new value got id 4) and
+        // unit 2.
+        let rows = vec![(vec![0, 2], 0u32), (vec![1, 3, 4], 2u32)];
+        v.append_rows(&rows, 5, 3).unwrap();
+        assert_eq!(v.num_transactions(), 6);
+        assert_eq!(v.num_units(), 3);
+        assert_eq!(v.num_items(), 5);
+        assert_eq!(v.units(), &[0, 0, 1, 1, 0, 2]);
+        // Compare against rebuilding the concatenated data directly.
+        let base = VerticalDb::build(&db);
+        let mut tids: Vec<Vec<u32>> =
+            (0..base.num_items()).map(|it| base.posting(it as ItemId).to_vec()).collect();
+        tids.resize(5, Vec::new());
+        for (i, (items, _)) in rows.iter().enumerate() {
+            for &it in items {
+                tids[it as usize].push(4 + i as u32);
             }
         }
-        check::<EwahBitmap>();
-        check::<DenseBitmap>();
-        check::<TidVec>();
+        for (it, expected) in tids.iter().enumerate() {
+            assert_eq!(&v.posting(it as ItemId).to_vec(), expected, "item {it}");
+        }
     }
 
     #[test]
     fn append_rows_rejects_bad_batches_untouched() {
         let db = small_db();
-        let mut v: VerticalDb = VerticalDb::build(&db);
+        let mut v = VerticalDb::build(&db);
         let before_units = v.units().to_vec();
         // Unknown item, unknown unit, unsorted items, shrinking spaces.
         assert!(v.append_rows(&[(vec![9], 0)], 4, 2).is_err());
@@ -561,40 +558,35 @@ mod tests {
 
     #[test]
     fn remove_rows_matches_from_scratch_build() {
-        fn check<P: Posting + PartialEq + std::fmt::Debug>() {
-            // Remove an interior row (renumbering) and a suffix row (tail
-            // surgery); both must equal a rebuild on the surviving rows.
-            for removed in [vec![1u32], vec![3u32], vec![0u32, 2], vec![2u32, 3], vec![]] {
-                let db = small_db();
-                let mut v: VerticalDb<P> = VerticalDb::build(&db);
-                v.remove_rows(&removed).unwrap();
-                let survivors: Vec<usize> =
-                    (0..4).filter(|&t| !removed.contains(&(t as u32))).collect();
-                assert_eq!(v.num_transactions(), survivors.len() as u32, "{removed:?}");
-                let expected_units: Vec<u32> = survivors.iter().map(|&t| db.units()[t]).collect();
-                assert_eq!(v.units(), &expected_units[..], "{removed:?}");
-                for it in 0..v.num_items() {
-                    let base: VerticalDb<P> = VerticalDb::build(&db);
-                    let expected: Vec<u32> = base
-                        .posting(it as ItemId)
-                        .to_vec()
-                        .into_iter()
-                        .filter_map(|t| survivors.iter().position(|&s| s as u32 == t))
-                        .map(|t| t as u32)
-                        .collect();
-                    assert_eq!(v.posting(it as ItemId).to_vec(), expected, "{removed:?} item {it}");
-                }
+        // Remove an interior row (renumbering) and a suffix row (tail
+        // surgery); both must equal a rebuild on the surviving rows.
+        for removed in [vec![1u32], vec![3u32], vec![0u32, 2], vec![2u32, 3], vec![]] {
+            let db = small_db();
+            let mut v = VerticalDb::build(&db);
+            v.remove_rows(&removed).unwrap();
+            let survivors: Vec<usize> =
+                (0..4).filter(|&t| !removed.contains(&(t as u32))).collect();
+            assert_eq!(v.num_transactions(), survivors.len() as u32, "{removed:?}");
+            let expected_units: Vec<u32> = survivors.iter().map(|&t| db.units()[t]).collect();
+            assert_eq!(v.units(), &expected_units[..], "{removed:?}");
+            for it in 0..v.num_items() {
+                let base = VerticalDb::build(&db);
+                let expected: Vec<u32> = base
+                    .posting(it as ItemId)
+                    .to_vec()
+                    .into_iter()
+                    .filter_map(|t| survivors.iter().position(|&s| s as u32 == t))
+                    .map(|t| t as u32)
+                    .collect();
+                assert_eq!(v.posting(it as ItemId).to_vec(), expected, "{removed:?} item {it}");
             }
         }
-        check::<EwahBitmap>();
-        check::<DenseBitmap>();
-        check::<TidVec>();
     }
 
     #[test]
     fn remove_rows_rejects_bad_input_untouched() {
         let db = small_db();
-        let mut v: VerticalDb = VerticalDb::build(&db);
+        let mut v = VerticalDb::build(&db);
         assert!(v.remove_rows(&[4]).is_err(), "out of range");
         assert!(v.remove_rows(&[1, 1]).is_err(), "duplicate");
         assert!(v.remove_rows(&[2, 1]).is_err(), "unsorted");
@@ -604,27 +596,12 @@ mod tests {
     #[test]
     fn transactions_reconstruct_rows() {
         let db = small_db();
-        let v: VerticalDb = VerticalDb::build(&db);
+        let v = VerticalDb::build(&db);
         let rows = v.transactions();
         assert_eq!(rows.len(), 4);
         for (t, (items, unit)) in rows.iter().enumerate() {
             assert_eq!(items.as_slice(), db.transaction(t), "row {t}");
             assert_eq!(*unit, db.units()[t], "row {t}");
-        }
-    }
-
-    #[test]
-    fn generic_over_representations() {
-        let db = small_db();
-        let e: VerticalDb<EwahBitmap> = VerticalDb::build(&db);
-        let d: VerticalDb<DenseBitmap> = VerticalDb::build(&db);
-        let t: VerticalDb<TidVec> = VerticalDb::build(&db);
-        let f = item(&db, 0, "F");
-        let n = item(&db, 1, "n");
-        for items in [vec![f], vec![n], vec![f, n]] {
-            assert_eq!(e.support(&items), d.support(&items));
-            assert_eq!(d.support(&items), t.support(&items));
-            assert_eq!(e.tidset(&items).to_vec(), t.tidset(&items).to_vec());
         }
     }
 }

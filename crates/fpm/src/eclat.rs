@@ -1,8 +1,5 @@
 //! Eclat: depth-first vertical mining over tidset intersections.
 //!
-//! Generic over the tidset representation so the EWAH/dense/tid-vector
-//! ablation (experiment E11) measures mining end-to-end with each.
-//!
 //! The DFS owns its candidate lists, so a node's tidset is *moved* into the
 //! output once its extensions are computed (no per-node clone), and the
 //! tidset-carrying entry point has a parallel twin that fans the first-level
@@ -11,7 +8,6 @@
 //! per-subtree outputs are merged back in root order, so the parallel miner
 //! is bit-identical to the serial one.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use scube_bitmap::{EwahBitmap, Posting};
@@ -21,31 +17,22 @@ use scube_data::{ItemId, TransactionDb, VerticalDb};
 use crate::itemset::{sort_canonical, FrequentItemset};
 use crate::{validate_min_support, Miner};
 
-/// The Eclat miner, parameterized by posting representation.
+/// The Eclat miner.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Eclat<P: Posting = EwahBitmap> {
-    _marker: PhantomData<P>,
-}
+pub struct Eclat;
 
-impl<P: Posting> Eclat<P> {
-    /// Create a miner with the given posting representation.
-    pub fn new() -> Self {
-        Eclat { _marker: PhantomData }
-    }
-}
-
-impl<P: Posting> Miner for Eclat<P> {
+impl Miner for Eclat {
     fn name(&self) -> &'static str {
         "eclat"
     }
 
     fn mine(&self, db: &TransactionDb, min_support: u64) -> Result<Vec<FrequentItemset>> {
         validate_min_support(min_support)?;
-        let vertical: VerticalDb<P> = VerticalDb::build(db);
+        let vertical = VerticalDb::build(db);
         let roots = frequent_roots(&vertical, min_support);
         let mut out = Vec::new();
         let mut prefix: Vec<ItemId> = Vec::new();
-        let mut scratch = P::from_sorted(&[]);
+        let mut scratch = EwahBitmap::from_sorted(&[]);
         dfs(&roots, min_support, &mut prefix, &mut out, &mut scratch);
         for set in &mut out {
             set.items.sort_unstable();
@@ -57,8 +44,8 @@ impl<P: Posting> Miner for Eclat<P> {
 
 /// Frequent single items with their postings, ascending support (smaller
 /// tidsets first keeps intermediate intersections small).
-fn frequent_roots<P: Posting>(vertical: &VerticalDb<P>, min_support: u64) -> Vec<(ItemId, P)> {
-    let mut roots: Vec<(ItemId, P)> = (0..vertical.num_items() as ItemId)
+fn frequent_roots(vertical: &VerticalDb, min_support: u64) -> Vec<(ItemId, EwahBitmap)> {
+    let mut roots: Vec<(ItemId, EwahBitmap)> = (0..vertical.num_items() as ItemId)
         .filter_map(|it| {
             let posting = vertical.posting(it);
             (posting.cardinality() >= min_support).then(|| (it, posting.clone()))
@@ -75,13 +62,13 @@ fn frequent_roots<P: Posting>(vertical: &VerticalDb<P>, min_support: u64) -> Vec
 /// allocation at all; only survivors are cloned out. Reserves the worst
 /// case up front (no regrowth in the hot loop) but gives sparsely-filled
 /// vectors back before they are held across a whole subtree recursion.
-fn join_extensions<P: Posting>(
-    tids: &P,
-    rest: &[(ItemId, P)],
+fn join_extensions(
+    tids: &EwahBitmap,
+    rest: &[(ItemId, EwahBitmap)],
     min_support: u64,
-    scratch: &mut P,
-) -> Vec<(ItemId, P)> {
-    let mut extensions: Vec<(ItemId, P)> = Vec::with_capacity(rest.len());
+    scratch: &mut EwahBitmap,
+) -> Vec<(ItemId, EwahBitmap)> {
+    let mut extensions: Vec<(ItemId, EwahBitmap)> = Vec::with_capacity(rest.len());
     for (jt, jtids) in rest {
         tids.and_into(jtids, scratch);
         if scratch.cardinality() >= min_support {
@@ -94,12 +81,12 @@ fn join_extensions<P: Posting>(
     extensions
 }
 
-fn dfs<P: Posting>(
-    candidates: &[(ItemId, P)],
+fn dfs(
+    candidates: &[(ItemId, EwahBitmap)],
     min_support: u64,
     prefix: &mut Vec<ItemId>,
     out: &mut Vec<FrequentItemset>,
-    scratch: &mut P,
+    scratch: &mut EwahBitmap,
 ) {
     for (i, (item, tids)) in candidates.iter().enumerate() {
         prefix.push(*item);
@@ -114,25 +101,25 @@ fn dfs<P: Posting>(
 
 /// Eclat that also returns each itemset's tidset — the entry point the cube
 /// builder uses, since it needs to partition every tidset by unit.
-pub fn mine_with_tidsets<P: Posting>(
+pub fn mine_with_tidsets(
     db: &TransactionDb,
     min_support: u64,
-) -> Result<Vec<(FrequentItemset, P)>> {
+) -> Result<Vec<(FrequentItemset, EwahBitmap)>> {
     validate_min_support(min_support)?;
-    let vertical: VerticalDb<P> = VerticalDb::build(db);
+    let vertical = VerticalDb::build(db);
     mine_vertical_with_tidsets(&vertical, min_support)
 }
 
 /// As [`mine_with_tidsets`], over a pre-built vertical database.
-pub fn mine_vertical_with_tidsets<P: Posting>(
-    vertical: &VerticalDb<P>,
+pub fn mine_vertical_with_tidsets(
+    vertical: &VerticalDb,
     min_support: u64,
-) -> Result<Vec<(FrequentItemset, P)>> {
+) -> Result<Vec<(FrequentItemset, EwahBitmap)>> {
     validate_min_support(min_support)?;
     let roots = frequent_roots(vertical, min_support);
     let mut out = Vec::new();
     let mut prefix = Vec::new();
-    let mut scratch = P::from_sorted(&[]);
+    let mut scratch = EwahBitmap::from_sorted(&[]);
     dfs_tids(roots, min_support, &mut prefix, &mut out, &mut scratch);
     canonicalize_tids(&mut out);
     Ok(out)
@@ -148,16 +135,16 @@ pub fn mine_vertical_with_tidsets<P: Posting>(
 /// those classes over the updated postings finds every candidate without
 /// touching the rest of the search space. Output is in the same canonical
 /// order as the full miners; duplicate scope entries are ignored.
-pub fn mine_vertical_with_tidsets_scoped<P: Posting>(
-    vertical: &VerticalDb<P>,
+pub fn mine_vertical_with_tidsets_scoped(
+    vertical: &VerticalDb,
     min_support: u64,
     scope: &[ItemId],
-) -> Result<Vec<(FrequentItemset, P)>> {
+) -> Result<Vec<(FrequentItemset, EwahBitmap)>> {
     validate_min_support(min_support)?;
     let mut scope: Vec<ItemId> = scope.to_vec();
     scope.sort_unstable();
     scope.dedup();
-    let mut roots: Vec<(ItemId, P)> = scope
+    let mut roots: Vec<(ItemId, EwahBitmap)> = scope
         .into_iter()
         .filter_map(|it| {
             let posting = vertical.posting(it);
@@ -167,14 +154,14 @@ pub fn mine_vertical_with_tidsets_scoped<P: Posting>(
     roots.sort_by_key(|(it, p)| (p.cardinality(), *it));
     let mut out = Vec::new();
     let mut prefix = Vec::new();
-    let mut scratch = P::from_sorted(&[]);
+    let mut scratch = EwahBitmap::from_sorted(&[]);
     dfs_tids(roots, min_support, &mut prefix, &mut out, &mut scratch);
     canonicalize_tids(&mut out);
     Ok(out)
 }
 
 /// One worker's claimed subtrees: `(root index, subtree output)` pairs.
-type SubtreeBatch<P> = Vec<(usize, Vec<(FrequentItemset, P)>)>;
+type SubtreeBatch = Vec<(usize, Vec<(FrequentItemset, EwahBitmap)>)>;
 
 /// As [`mine_vertical_with_tidsets`], with the first-level equivalence
 /// classes fanned out over `n_threads` scoped workers.
@@ -183,11 +170,11 @@ type SubtreeBatch<P> = Vec<(usize, Vec<(FrequentItemset, P)>)>;
 /// gives the small subtrees first, so late claims stay balanced) and the
 /// per-subtree outputs are concatenated in root order before the canonical
 /// sort — the result is bit-identical to the serial miner.
-pub fn mine_vertical_with_tidsets_parallel<P: Posting + Send + Sync>(
-    vertical: &VerticalDb<P>,
+pub fn mine_vertical_with_tidsets_parallel(
+    vertical: &VerticalDb,
     min_support: u64,
     n_threads: usize,
-) -> Result<Vec<(FrequentItemset, P)>> {
+) -> Result<Vec<(FrequentItemset, EwahBitmap)>> {
     validate_min_support(min_support)?;
     let roots = frequent_roots(vertical, min_support);
     let n_threads = n_threads.clamp(1, roots.len().max(1));
@@ -197,14 +184,14 @@ pub fn mine_vertical_with_tidsets_parallel<P: Posting + Send + Sync>(
 
     let next = AtomicUsize::new(0);
     let roots = &roots;
-    let batches: Vec<SubtreeBatch<P>> = std::thread::scope(|scope| {
+    let batches: Vec<SubtreeBatch> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_threads)
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = Vec::new();
                     // One join buffer per worker, reused across all its
                     // claimed subtrees.
-                    let mut scratch = P::from_sorted(&[]);
+                    let mut scratch = EwahBitmap::from_sorted(&[]);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= roots.len() {
@@ -232,21 +219,21 @@ pub fn mine_vertical_with_tidsets_parallel<P: Posting + Send + Sync>(
     });
 
     // Deterministic merge: subtree outputs back in root order.
-    let mut slots: Vec<Vec<(FrequentItemset, P)>> = Vec::new();
+    let mut slots: Vec<Vec<(FrequentItemset, EwahBitmap)>> = Vec::new();
     slots.resize_with(roots.len(), Vec::new);
     for batch in batches {
         for (i, out) in batch {
             slots[i] = out;
         }
     }
-    let mut out: Vec<(FrequentItemset, P)> = slots.into_iter().flatten().collect();
+    let mut out: Vec<(FrequentItemset, EwahBitmap)> = slots.into_iter().flatten().collect();
     canonicalize_tids(&mut out);
     Ok(out)
 }
 
 /// Canonical output form shared by the serial and parallel miners: items
 /// ascending within each set, sets sorted by (length, items).
-fn canonicalize_tids<P: Posting>(out: &mut [(FrequentItemset, P)]) {
+fn canonicalize_tids(out: &mut [(FrequentItemset, EwahBitmap)]) {
     for (set, _) in out.iter_mut() {
         set.items.sort_unstable();
     }
@@ -255,12 +242,12 @@ fn canonicalize_tids<P: Posting>(out: &mut [(FrequentItemset, P)]) {
     });
 }
 
-fn dfs_tids<P: Posting>(
-    mut candidates: Vec<(ItemId, P)>,
+fn dfs_tids(
+    mut candidates: Vec<(ItemId, EwahBitmap)>,
     min_support: u64,
     prefix: &mut Vec<ItemId>,
-    out: &mut Vec<(FrequentItemset, P)>,
-    scratch: &mut P,
+    out: &mut Vec<(FrequentItemset, EwahBitmap)>,
+    scratch: &mut EwahBitmap,
 ) {
     for i in 0..candidates.len() {
         let extensions = {
@@ -270,7 +257,7 @@ fn dfs_tids<P: Posting>(
         };
         // The node's tidset is done intersecting: move it into the output
         // instead of cloning it, leaving a cheap empty hole behind.
-        let tids = std::mem::replace(&mut candidates[i].1, P::full(0));
+        let tids = std::mem::replace(&mut candidates[i].1, EwahBitmap::full(0));
         out.push((FrequentItemset { items: prefix.clone(), support: tids.cardinality() }, tids));
         if !extensions.is_empty() {
             dfs_tids(extensions, min_support, prefix, out, scratch);
@@ -283,32 +270,21 @@ fn dfs_tids<P: Posting>(
 mod tests {
     use super::*;
     use crate::testutil::db_from_sets;
-    use scube_bitmap::{DenseBitmap, TidVec};
 
     #[test]
     fn matches_naive() {
         let db = db_from_sets(&[&[0, 1, 2], &[0, 1], &[0, 2], &[0], &[1, 2, 3]]);
         for minsup in 1..=3 {
-            let got = Eclat::<EwahBitmap>::new().mine(&db, minsup).unwrap();
+            let got = Eclat.mine(&db, minsup).unwrap();
             let expected = crate::naive::mine(&db, minsup).unwrap();
             assert_eq!(got, expected, "minsup {minsup}");
         }
     }
 
     #[test]
-    fn representations_agree() {
-        let db = db_from_sets(&[&[0, 1, 2, 3], &[0, 1], &[1, 2], &[0, 3], &[2, 3]]);
-        let e = Eclat::<EwahBitmap>::new().mine(&db, 2).unwrap();
-        let d = Eclat::<DenseBitmap>::new().mine(&db, 2).unwrap();
-        let t = Eclat::<TidVec>::new().mine(&db, 2).unwrap();
-        assert_eq!(e, d);
-        assert_eq!(d, t);
-    }
-
-    #[test]
     fn tidsets_are_correct() {
         let db = db_from_sets(&[&[0, 1], &[0], &[0, 1], &[1]]);
-        let result = mine_with_tidsets::<EwahBitmap>(&db, 1).unwrap();
+        let result = mine_with_tidsets(&db, 1).unwrap();
         for (set, tids) in &result {
             assert_eq!(set.support, tids.cardinality());
             // Verify against a direct scan.
@@ -325,16 +301,16 @@ mod tests {
     #[test]
     fn rejects_zero_min_support() {
         let db = db_from_sets(&[&[0]]);
-        assert!(Eclat::<EwahBitmap>::new().mine(&db, 0).is_err());
-        assert!(mine_with_tidsets::<EwahBitmap>(&db, 0).is_err());
-        let v: VerticalDb<EwahBitmap> = VerticalDb::build(&db);
+        assert!(Eclat.mine(&db, 0).is_err());
+        assert!(mine_with_tidsets(&db, 0).is_err());
+        let v = VerticalDb::build(&db);
         assert!(mine_vertical_with_tidsets_parallel(&v, 0, 4).is_err());
     }
 
     #[test]
     fn scoped_mine_is_the_touched_projection_of_the_full_mine() {
         let db = db_from_sets(&[&[0, 1, 2, 3], &[0, 1], &[1, 2], &[0, 3], &[2, 3], &[0, 1, 2]]);
-        let v: VerticalDb<EwahBitmap> = VerticalDb::build(&db);
+        let v = VerticalDb::build(&db);
         for minsup in 1..=3 {
             let full = mine_vertical_with_tidsets(&v, minsup).unwrap();
             for scope in [vec![], vec![1], vec![0, 2], vec![0, 1, 2, 3], vec![3, 3, 0]] {
@@ -365,7 +341,7 @@ mod tests {
             &[3],
             &[0, 2, 3],
         ]);
-        let v: VerticalDb<EwahBitmap> = VerticalDb::build(&db);
+        let v = VerticalDb::build(&db);
         for minsup in 1..=4 {
             let serial = mine_vertical_with_tidsets(&v, minsup).unwrap();
             for threads in [1, 2, 3, 8, 64] {

@@ -7,8 +7,8 @@
 //!
 //! * [`FpGrowth`] — the reference miner: FP-tree construction plus
 //!   recursive conditional-tree mining;
-//! * [`Eclat`] — vertical mining by tidset intersection, generic over the
-//!   [`scube_bitmap::Posting`] representation (EWAH / dense / tid-vector);
+//! * [`Eclat`] — vertical mining by intersection of
+//!   [`scube_bitmap::EwahBitmap`] tidsets;
 //! * [`Apriori`] — the classical level-wise baseline, kept for the
 //!   efficiency comparison (experiment E11);
 //! * [`naive`] — an intentionally simple exponential oracle used by tests;

@@ -1,9 +1,8 @@
 //! Property tests: all miners agree with the brute-force oracle (and hence
 //! with each other) on random databases, for both all-frequent and closed
-//! mining, across tidset representations.
+//! mining.
 
 use proptest::prelude::*;
-use scube_bitmap::{DenseBitmap, EwahBitmap, TidVec};
 use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
 use scube_fpm::{naive, Apriori, Eclat, FpGrowth, Miner};
 
@@ -33,7 +32,7 @@ proptest! {
         let db = db_from_sets(&sets);
         let expected = naive::mine(&db, minsup).unwrap();
         let fp = FpGrowth.mine(&db, minsup).unwrap();
-        let ec = Eclat::<EwahBitmap>::new().mine(&db, minsup).unwrap();
+        let ec = Eclat.mine(&db, minsup).unwrap();
         let ap = Apriori.mine(&db, minsup).unwrap();
         prop_assert_eq!(&fp, &expected, "fpgrowth");
         prop_assert_eq!(&ec, &expected, "eclat");
@@ -45,19 +44,9 @@ proptest! {
         let db = db_from_sets(&sets);
         let expected = naive::mine_closed(&db, minsup).unwrap();
         let fp = FpGrowth.mine_closed(&db, minsup).unwrap();
-        let ec = Eclat::<EwahBitmap>::new().mine_closed(&db, minsup).unwrap();
+        let ec = Eclat.mine_closed(&db, minsup).unwrap();
         prop_assert_eq!(&fp, &expected);
         prop_assert_eq!(&ec, &expected);
-    }
-
-    #[test]
-    fn eclat_representation_invariance(sets in random_db(), minsup in 1u64..4) {
-        let db = db_from_sets(&sets);
-        let e = Eclat::<EwahBitmap>::new().mine(&db, minsup).unwrap();
-        let d = Eclat::<DenseBitmap>::new().mine(&db, minsup).unwrap();
-        let t = Eclat::<TidVec>::new().mine(&db, minsup).unwrap();
-        prop_assert_eq!(&e, &d);
-        prop_assert_eq!(&d, &t);
     }
 
     #[test]

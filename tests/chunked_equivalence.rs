@@ -2,8 +2,7 @@
 //! snapshot produced by the streaming path (`VerticalDbBuilder` staging
 //! tid-order chunks + `CubeBuilder::build_streaming`) must be
 //! **byte-identical** to the resident path's (`TransactionDbBuilder` +
-//! `CubeSnapshot::from_db`) — across every posting representation
-//! (EWAH / dense / tid-vector / adaptive), both materializations, and
+//! `CubeSnapshot::from_db`) — across both materializations and
 //! adversarial chunk sizes: 1 (a flush per row), a prime that never
 //! divides the row count evenly, and one larger than the whole table
 //! (a single flush at `finish`). Whole-snapshot identity covers the cube
@@ -11,7 +10,6 @@
 //! order, and the recorded build config in one comparison.
 
 use proptest::prelude::*;
-use scube_bitmap::{AdaptivePosting, DenseBitmap, EwahBitmap, Posting, TidVec};
 use scube_cube::{CubeBuilder, CubeSnapshot, Materialize};
 use scube_data::{Attribute, Schema, TransactionDbBuilder, VerticalDbBuilder};
 
@@ -36,24 +34,18 @@ fn values(row: &Row) -> (Vec<Vec<String>>, String) {
     (vec![vec![format!("g{sa}")], vec![format!("r{ca}")], sectors], format!("u{unit}"))
 }
 
-fn resident_bytes<P>(rows: &[Row], builder: &CubeBuilder) -> Vec<u8>
-where
-    P: Posting + Send + Sync,
-{
+fn resident_bytes(rows: &[Row], builder: &CubeBuilder) -> Vec<u8> {
     let mut b = TransactionDbBuilder::new(schema());
     for row in rows {
         let (vals, unit) = values(row);
         b.add_row(&vals, &unit).expect("row encodes");
     }
     let db = b.finish();
-    CubeSnapshot::<P>::from_db(&db, builder).expect("resident snapshot builds").to_bytes()
+    CubeSnapshot::from_db(&db, builder).expect("resident snapshot builds").to_bytes()
 }
 
-fn chunked_bytes<P>(rows: &[Row], builder: &CubeBuilder, chunk_rows: usize) -> Vec<u8>
-where
-    P: Posting + Send + Sync,
-{
-    let mut b: VerticalDbBuilder<P> = VerticalDbBuilder::new(schema(), chunk_rows);
+fn chunked_bytes(rows: &[Row], builder: &CubeBuilder, chunk_rows: usize) -> Vec<u8> {
+    let mut b = VerticalDbBuilder::new(schema(), chunk_rows);
     for row in rows {
         let (vals, unit) = values(row);
         b.add_row(&vals, &unit).expect("row encodes");
@@ -69,16 +61,13 @@ where
         .to_bytes()
 }
 
-fn check<P>(rows: &[Row], materialize: Materialize)
-where
-    P: Posting + Send + Sync,
-{
+fn check(rows: &[Row], materialize: Materialize) {
     let builder = CubeBuilder::new().min_support(1).materialize(materialize);
-    let want = resident_bytes::<P>(rows, &builder);
+    let want = resident_bytes(rows, &builder);
     // Chunk sizes: one flush per row, a prime that leaves a ragged final
     // chunk, and one big enough that `finish` does the only flush.
     for chunk_rows in [1, 7, rows.len() + 1] {
-        let got = chunked_bytes::<P>(rows, &builder, chunk_rows);
+        let got = chunked_bytes(rows, &builder, chunk_rows);
         assert_eq!(
             got,
             want,
@@ -96,10 +85,7 @@ proptest! {
         rows in proptest::collection::vec((0u8..3, 0u8..3, 0u8..8, 0u8..5), 1..40),
     ) {
         for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-            check::<EwahBitmap>(&rows, materialize);
-            check::<DenseBitmap>(&rows, materialize);
-            check::<TidVec>(&rows, materialize);
-            check::<AdaptivePosting>(&rows, materialize);
+            check(&rows, materialize);
         }
     }
 }

@@ -1,14 +1,12 @@
 //! Property test for the concurrent serving layer: N threads querying the
 //! full cell universe through a shared `ConcurrentCubeEngine` (`&self`)
 //! must produce results bit-identical to the `AllFrequent` full build of
-//! the same data — for every posting representation (EWAH / dense /
-//! tid-vector), on datagen registries of varying planted skew, and under
+//! the same data, on datagen registries of varying planted skew, and under
 //! eviction pressure (shard capacity far below the fallback set, so shards
 //! churn mid-workload).
 
 use proptest::prelude::*;
 use scube::prelude::*;
-use scube_bitmap::{DenseBitmap, EwahBitmap, Posting, TidVec};
 use scube_cube::ConcurrentCubeEngine;
 use scube_data::TransactionDb;
 use scube_datagen::BoardsConfig;
@@ -25,17 +23,17 @@ fn final_table(sector_bias: f64, seed: u64, n_companies: usize) -> TransactionDb
         .db
 }
 
-/// Full build vs closed-store engine over one representation: same
-/// universe, bit-identical answers through `query_batch`, interleaved
-/// shared-`&self` stripes, and a shard cache under eviction pressure.
-fn check_representation<P: Posting + Send + Sync>(db: &TransactionDb, minsup: u64, what: &str) {
+/// Full build vs closed-store engine: same universe, bit-identical answers
+/// through `query_batch`, interleaved shared-`&self` stripes, and a shard
+/// cache under eviction pressure.
+fn check_serving(db: &TransactionDb, minsup: u64) {
     let full = CubeBuilder::new()
         .min_support(minsup)
         .materialize(Materialize::AllFrequent)
-        .build_with::<P>(db)
+        .build(db)
         .expect("full cube builds");
     let closed = CubeBuilder::new().min_support(minsup).materialize(Materialize::ClosedOnly);
-    let snap: CubeSnapshot<P> = CubeSnapshot::from_db(db, &closed).expect("snapshot builds");
+    let snap = CubeSnapshot::from_db(db, &closed).expect("snapshot builds");
 
     let mut universe: Vec<CellCoords> = full.cells().map(|(c, _)| c.clone()).collect();
     universe.sort();
@@ -48,8 +46,8 @@ fn check_representation<P: Posting + Send + Sync>(db: &TransactionDb, minsup: u6
     // 1. Batched fan-out over scoped threads, default shard config.
     let engine = ConcurrentCubeEngine::new(snap.clone());
     let batch = engine.query_batch(&universe, THREADS).expect("batch succeeds");
-    assert_eq!(batch, expected, "{what}: query_batch vs full build");
-    assert_eq!(engine.stats().total(), universe.len() as u64, "{what}: lost stats updates");
+    assert_eq!(batch, expected, "query_batch vs full build");
+    assert_eq!(engine.stats().total(), universe.len() as u64, "lost stats updates");
 
     // 2. Raw shared-`&self` access: interleaved stripes so every thread
     //    touches every shard, cold and warm rounds.
@@ -63,14 +61,14 @@ fn check_representation<P: Posting + Send + Sync>(db: &TransactionDb, minsup: u6
                         assert_eq!(
                             engine.query(c).expect("query succeeds"),
                             *v,
-                            "{what}: round {round}, {c:?}"
+                            "round {round}, {c:?}"
                         );
                     }
                 });
             }
         });
     }
-    assert_eq!(engine.stats().total(), 2 * universe.len() as u64, "{what}: stats after stripes");
+    assert_eq!(engine.stats().total(), 2 * universe.len() as u64, "stats after stripes");
 
     // 3. Eviction pressure: total capacity a quarter of the fallback set
     //    (split over 8 shards), so cells are evicted and recomputed
@@ -78,7 +76,7 @@ fn check_representation<P: Posting + Send + Sync>(db: &TransactionDb, minsup: u6
     let tiny = ConcurrentCubeEngine::with_config(snap.clone(), 8, (fallback / 4).max(8));
     for _ in 0..2 {
         let batch = tiny.query_batch(&universe, THREADS).expect("tiny-cache batch succeeds");
-        assert_eq!(batch, expected, "{what}: eviction pressure changed answers");
+        assert_eq!(batch, expected, "eviction pressure changed answers");
     }
 }
 
@@ -96,8 +94,6 @@ proptest! {
         let bias = [0.0, 0.5, 1.0][bias_idx];
         let db = final_table(bias, seed, 250);
         let minsup = (db.len() as u64 / 50).max(1);
-        check_representation::<EwahBitmap>(&db, minsup, "ewah");
-        check_representation::<DenseBitmap>(&db, minsup, "dense");
-        check_representation::<TidVec>(&db, minsup, "tidvec");
+        check_serving(&db, minsup);
     }
 }

@@ -100,19 +100,3 @@ fn cube_csv_sheet_is_well_formed() {
         assert!(m <= t);
     }
 }
-
-#[test]
-fn ablation_representations_agree_end_to_end() {
-    use scube_bitmap::{DenseBitmap, TidVec};
-    let db = final_table();
-    let builder = CubeBuilder::new().min_support(25).materialize(Materialize::AllFrequent);
-    let ewah = builder.build(&db).unwrap();
-    let dense = builder.build_with::<DenseBitmap>(&db).unwrap();
-    let tidvec = builder.build_with::<TidVec>(&db).unwrap();
-    assert_eq!(ewah.len(), dense.len());
-    assert_eq!(dense.len(), tidvec.len());
-    for (coords, v) in ewah.cells() {
-        assert_eq!(dense.get(coords), Some(v));
-        assert_eq!(tidvec.get(coords), Some(v));
-    }
-}

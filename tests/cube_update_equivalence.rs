@@ -1,8 +1,7 @@
 //! Property tests for incremental cube maintenance: folding an
 //! `UpdateBatch` of appended rows *and retractions* into a built snapshot
 //! must be **bit-identical** to a full rebuild on the edited data —
-//! snapshot bytes and all — for every posting representation (EWAH /
-//! dense / tid-vector) and both materializations, on datagen registries of
+//! snapshot bytes and all — for both materializations, on datagen registries of
 //! varying planted skew, delta sizes, and churn shapes (append-only,
 //! delete-only, mixed; suffix and scattered removals; removals that drain
 //! whole contexts or re-add identical rows). The concurrent serving engine
@@ -14,7 +13,6 @@
 
 use proptest::prelude::*;
 use scube::prelude::*;
-use scube_bitmap::{DenseBitmap, EwahBitmap, Posting, TidVec};
 use scube_data::{FinalTableSpec, TransactionDb};
 use scube_datagen::BoardsConfig;
 
@@ -32,7 +30,7 @@ fn spec_of(db: &TransactionDb) -> FinalTableSpec {
     FinalTableSpec::from_schema(db.schema(), "unitID")
 }
 
-fn check_update_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>(
+fn check_update_equals_rebuild(
     full_rel: &Relation,
     spec: &FinalTableSpec,
     base_rows: usize,
@@ -46,8 +44,7 @@ fn check_update_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::
     let full_db = spec.encode(full_rel).expect("all rows encode");
 
     let builder = CubeBuilder::new().min_support(min_support).materialize(materialize);
-    let mut updated: CubeSnapshot<P> =
-        CubeSnapshot::from_db(&base_db, &builder).expect("base snapshot builds");
+    let mut updated = CubeSnapshot::from_db(&base_db, &builder).expect("base snapshot builds");
     let batch =
         scube_cube::UpdateBatch::from_relation(&delta_rel, updated.cube().labels(), "unitID")
             .expect("delta rows resolve");
@@ -59,8 +56,7 @@ fn check_update_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::
         "{what}: stats partition the cell store"
     );
 
-    let rebuilt: CubeSnapshot<P> =
-        CubeSnapshot::from_db(&full_db, &builder).expect("full snapshot builds");
+    let rebuilt = CubeSnapshot::from_db(&full_db, &builder).expect("full snapshot builds");
     assert_eq!(updated.cube(), rebuilt.cube(), "{what}: cube diverged");
     assert_eq!(updated.to_bytes(), rebuilt.to_bytes(), "{what}: snapshot bytes diverged");
 }
@@ -80,7 +76,7 @@ fn filter_rows(rel: &Relation, keep: impl Fn(usize) -> bool) -> Relation {
 /// byte-identity with a from-scratch snapshot on the edited table, with
 /// the dirty-cell phase fanned over worker threads.
 #[allow(clippy::too_many_arguments)]
-fn check_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>(
+fn check_churn_equals_rebuild(
     full_rel: &Relation,
     spec: &FinalTableSpec,
     base_rows: usize,
@@ -95,8 +91,7 @@ fn check_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::D
     let base_db = spec.encode(&base_rel).expect("base rows encode");
 
     let builder = CubeBuilder::new().min_support(min_support).materialize(materialize);
-    let mut updated: CubeSnapshot<P> =
-        CubeSnapshot::from_db(&base_db, &builder).expect("base snapshot builds");
+    let mut updated = CubeSnapshot::from_db(&base_db, &builder).expect("base snapshot builds");
     let mut batch =
         scube_cube::UpdateBatch::from_relation(&delta_rel, updated.cube().labels(), "unitID")
             .expect("delta rows resolve");
@@ -117,8 +112,7 @@ fn check_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::D
         edited_rel.push_row(row.to_vec()).expect("row shapes match");
     }
     let edited_db = spec.encode(&edited_rel).expect("edited rows encode");
-    let rebuilt: CubeSnapshot<P> =
-        CubeSnapshot::from_db(&edited_db, &builder).expect("edited snapshot builds");
+    let rebuilt = CubeSnapshot::from_db(&edited_db, &builder).expect("edited snapshot builds");
     assert_eq!(updated.cube(), rebuilt.cube(), "{what}: cube diverged");
     assert_eq!(updated.to_bytes(), rebuilt.to_bytes(), "{what}: snapshot bytes diverged");
 }
@@ -128,7 +122,7 @@ fn check_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::D
 /// rebuild of the same subset — measure byte, per-cell selected values
 /// and all.
 #[allow(clippy::too_many_arguments)]
-fn check_measured_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>(
+fn check_measured_churn_equals_rebuild(
     full_rel: &Relation,
     spec: &FinalTableSpec,
     measures: MeasureSet,
@@ -145,8 +139,7 @@ fn check_measured_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + st
 
     let builder =
         CubeBuilder::new().min_support(min_support).materialize(materialize).measures(measures);
-    let mut updated: CubeSnapshot<P> =
-        CubeSnapshot::from_db(&base_db, &builder).expect("base snapshot builds");
+    let mut updated = CubeSnapshot::from_db(&base_db, &builder).expect("base snapshot builds");
     let mut batch =
         scube_cube::UpdateBatch::from_relation(&delta_rel, updated.cube().labels(), "unitID")
             .expect("delta rows resolve");
@@ -161,8 +154,7 @@ fn check_measured_churn_equals_rebuild<P: Posting + Send + Sync + PartialEq + st
         edited_rel.push_row(row.to_vec()).expect("row shapes match");
     }
     let edited_db = spec.encode(&edited_rel).expect("edited rows encode");
-    let rebuilt: CubeSnapshot<P> =
-        CubeSnapshot::from_db(&edited_db, &builder).expect("edited snapshot builds");
+    let rebuilt = CubeSnapshot::from_db(&edited_db, &builder).expect("edited snapshot builds");
     assert_eq!(updated.cube(), rebuilt.cube(), "{what}: cube diverged");
     assert_eq!(updated.to_bytes(), rebuilt.to_bytes(), "{what}: snapshot bytes diverged");
 }
@@ -194,14 +186,8 @@ proptest! {
             (0..base_rows as u32).step_by(remove_every).collect()
         };
         for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-            check_churn_equals_rebuild::<EwahBitmap>(
-                &full_rel, &spec, base_rows, &remove, minsup, materialize, threads, "ewah",
-            );
-            check_churn_equals_rebuild::<DenseBitmap>(
-                &full_rel, &spec, base_rows, &remove, minsup, materialize, threads, "dense",
-            );
-            check_churn_equals_rebuild::<TidVec>(
-                &full_rel, &spec, base_rows, &remove, minsup, materialize, threads, "tidvec",
+            check_churn_equals_rebuild(
+                &full_rel, &spec, base_rows, &remove, minsup, materialize, threads, "churn",
             );
         }
     }
@@ -233,13 +219,9 @@ proptest! {
             (0..base_rows as u32).step_by(remove_every).collect()
         };
         for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-            check_measured_churn_equals_rebuild::<EwahBitmap>(
+            check_measured_churn_equals_rebuild(
                 &full_rel, &spec, measures, base_rows, &remove, minsup, materialize, threads,
-                "ewah",
-            );
-            check_measured_churn_equals_rebuild::<TidVec>(
-                &full_rel, &spec, measures, base_rows, &remove, minsup, materialize, threads,
-                "tidvec",
+                "measured churn",
             );
         }
     }
@@ -264,7 +246,7 @@ proptest! {
             .collect();
         prop_assert!(!remove.is_empty());
         for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-            check_churn_equals_rebuild::<EwahBitmap>(
+            check_churn_equals_rebuild(
                 &full_rel, &spec, full_rel.len(), &remove, minsup, materialize, 2, "drain",
             );
         }
@@ -320,14 +302,8 @@ proptest! {
         let minsup = (db.len() as u64 / 50).max(1);
         let base_rows = full_rel.len() - (full_rel.len() * delta_pct / 100).max(1);
         for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-            check_update_equals_rebuild::<EwahBitmap>(
-                &full_rel, &spec, base_rows, minsup, materialize, "ewah",
-            );
-            check_update_equals_rebuild::<DenseBitmap>(
-                &full_rel, &spec, base_rows, minsup, materialize, "dense",
-            );
-            check_update_equals_rebuild::<TidVec>(
-                &full_rel, &spec, base_rows, minsup, materialize, "tidvec",
+            check_update_equals_rebuild(
+                &full_rel, &spec, base_rows, minsup, materialize, "append",
             );
         }
     }

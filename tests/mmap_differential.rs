@@ -1,17 +1,15 @@
 //! Differential proof that the mmap engine is the heap engine: for every
-//! posting representation × materialization strategy, a snapshot opened
-//! with `open_mmap` must re-save to the exact bytes of the file it was
+//! materialization strategy, a snapshot opened with `open_mmap` must re-save to the exact bytes of the file it was
 //! opened from, answer the full query universe identically to the
 //! heap-loaded snapshot, and fold updates to bit-identical results. On
 //! top of that, truncated and corrupted files must make `open_mmap` error
 //! cleanly — never panic, never UB.
 
 use scube::prelude::*;
-use scube_bitmap::{AdaptivePosting, DenseBitmap, EwahBitmap, Posting, TidVec};
 use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
 
 /// A database a bit richer than the compat golden: three attributes, four
-/// units, enough rows that every representation exercises real payloads.
+/// units, enough rows that the postings carry real payloads.
 fn db() -> TransactionDb {
     let schema =
         Schema::new(vec![Attribute::sa("sex"), Attribute::sa("age"), Attribute::ca("sector")])
@@ -37,33 +35,30 @@ fn save_to(bytes: &[u8], name: &str) -> std::path::PathBuf {
     path
 }
 
-fn check_rep<P>(rep: &str, materialize: Materialize, measures: MeasureSet)
-where
-    P: Posting + Send + Sync + PartialEq + std::fmt::Debug,
-{
+fn check_opens(what: &str, materialize: Materialize, measures: MeasureSet) {
     let db = db();
-    let snap: CubeSnapshot<P> =
+    let snap =
         CubeSnapshot::from_db(&db, &CubeBuilder::new().materialize(materialize).measures(measures))
             .unwrap();
     let tag = measures.bits();
     let path =
-        std::env::temp_dir().join(format!("scube_mmap_diff_{rep}_{materialize:?}_{tag}.scube"));
+        std::env::temp_dir().join(format!("scube_mmap_diff_{what}_{materialize:?}_{tag}.scube"));
     snap.save(&path).unwrap();
     let file_bytes = std::fs::read(&path).unwrap();
 
-    let heap: CubeSnapshot<P> = CubeSnapshot::load(&path).unwrap();
-    let mapped: CubeSnapshot<P> = CubeSnapshot::open_mmap(&path).unwrap();
-    let verified: CubeSnapshot<P> = CubeSnapshot::open_mmap_verified(&path).unwrap();
+    let heap = CubeSnapshot::load(&path).unwrap();
+    let mapped = CubeSnapshot::open_mmap(&path).unwrap();
+    let verified = CubeSnapshot::open_mmap_verified(&path).unwrap();
 
     // Re-save is byte-identical to the opened file, for every open path.
-    assert_eq!(heap.to_bytes(), file_bytes, "{rep} heap re-save");
-    assert_eq!(mapped.to_bytes(), file_bytes, "{rep} mapped re-save");
-    assert_eq!(verified.to_bytes(), file_bytes, "{rep} verified re-save");
+    assert_eq!(heap.to_bytes(), file_bytes, "{what} heap re-save");
+    assert_eq!(mapped.to_bytes(), file_bytes, "{what} mapped re-save");
+    assert_eq!(verified.to_bytes(), file_bytes, "{what} verified re-save");
 
     // The cube halves agree exactly.
-    assert_eq!(mapped.cube(), heap.cube(), "{rep}");
-    assert_eq!(mapped.vertical().units(), heap.vertical().units(), "{rep}");
-    assert_eq!(mapped.vertical().postings(), heap.vertical().postings(), "{rep}");
+    assert_eq!(mapped.cube(), heap.cube(), "{what}");
+    assert_eq!(mapped.vertical().units(), heap.vertical().units(), "{what}");
+    assert_eq!(mapped.vertical().postings(), heap.vertical().postings(), "{what}");
 
     // The full query universe — every materialized cell plus explorer
     // fallbacks over every single-item coordinate pair — answers
@@ -75,7 +70,7 @@ where
         assert_eq!(
             heap_engine.query(c).unwrap(),
             mapped_engine.query(c).unwrap(),
-            "{rep} cell {c:?}"
+            "{what} cell {c:?}"
         );
     }
     let n_items = heap_engine.cube().labels().num_items();
@@ -89,7 +84,7 @@ where
             assert_eq!(
                 heap_engine.query(&c).unwrap(),
                 mapped_engine.query(&c).unwrap(),
-                "{rep} fallback {c:?}"
+                "{what} fallback {c:?}"
             );
         }
     }
@@ -100,10 +95,7 @@ where
 #[test]
 fn mmap_matches_heap_for_every_representation_and_strategy() {
     for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-        check_rep::<EwahBitmap>("ewah", materialize, MeasureSet::FULL);
-        check_rep::<DenseBitmap>("dense", materialize, MeasureSet::FULL);
-        check_rep::<TidVec>("tidvec", materialize, MeasureSet::FULL);
-        check_rep::<AdaptivePosting>("adaptive", materialize, MeasureSet::FULL);
+        check_opens("full", materialize, MeasureSet::FULL);
     }
 }
 
@@ -116,15 +108,14 @@ fn mmap_matches_heap_on_multi_index_snapshots() {
         .with(SegIndex::Information)
         .with(SegIndex::Atkinson);
     for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-        check_rep::<EwahBitmap>("ewah", materialize, subset);
-        check_rep::<AdaptivePosting>("adaptive", materialize, subset);
+        check_opens("subset", materialize, subset);
     }
 
     let snap: CubeSnapshot =
         CubeSnapshot::from_db(&db(), &CubeBuilder::new().measures(subset)).unwrap();
     let bytes = snap.to_bytes();
     let path = save_to(&bytes, "scube_mmap_diff_subset_zero_copy.scube");
-    let mapped: CubeSnapshot = CubeSnapshot::open_mmap(&path).unwrap();
+    let mapped = CubeSnapshot::open_mmap(&path).unwrap();
     assert_eq!(mapped.measures(), subset, "mapped open carries the measure set");
     let mapped_heap: usize = mapped.vertical().postings().iter().map(|p| p.heap_bytes()).sum();
     assert_eq!(mapped_heap, 0, "subset-snapshot postings are zero-copy");
@@ -140,8 +131,8 @@ fn mapped_updates_match_heap_updates_bit_for_bit() {
     let path = std::env::temp_dir().join("scube_mmap_diff_update.scube");
     snap.save(&path).unwrap();
 
-    let mut heap: CubeSnapshot = CubeSnapshot::load(&path).unwrap();
-    let mut mapped: CubeSnapshot = CubeSnapshot::open_mmap(&path).unwrap();
+    let mut heap = CubeSnapshot::load(&path).unwrap();
+    let mut mapped = CubeSnapshot::open_mmap(&path).unwrap();
 
     // An update that appends rows (new unit included) — the mapped
     // snapshot must materialize its deferred maintenance store, copy the
@@ -156,7 +147,7 @@ fn mapped_updates_match_heap_updates_bit_for_bit() {
     assert_eq!(heap.to_bytes(), mapped.to_bytes(), "post-update bytes");
 
     // The concurrent engine path materializes the deferred store too.
-    let reopened: CubeSnapshot = CubeSnapshot::open_mmap(&path).unwrap();
+    let reopened = CubeSnapshot::open_mmap(&path).unwrap();
     let mut engine = ConcurrentCubeEngine::new(reopened);
     engine.apply_update(&batch).unwrap();
     let coords = engine.cube().coords_by_names(&[("sex", "F")], &[]).unwrap();
@@ -168,12 +159,12 @@ fn mapped_updates_match_heap_updates_bit_for_bit() {
 #[test]
 fn mapped_postings_live_off_heap_until_mutated() {
     let db = db();
-    let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+    let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
     let path = std::env::temp_dir().join("scube_mmap_diff_heap_bytes.scube");
     snap.save(&path).unwrap();
 
-    let heap: CubeSnapshot = CubeSnapshot::load(&path).unwrap();
-    let mapped: CubeSnapshot = CubeSnapshot::open_mmap(&path).unwrap();
+    let heap = CubeSnapshot::load(&path).unwrap();
+    let mapped = CubeSnapshot::open_mmap(&path).unwrap();
     let heap_bytes = |s: &CubeSnapshot| -> usize {
         s.vertical().postings().iter().map(|p| p.heap_bytes()).sum()
     };
@@ -186,13 +177,10 @@ fn mapped_postings_live_off_heap_until_mutated() {
 #[test]
 fn legacy_versions_are_rejected_by_open_mmap_with_guidance() {
     // A file from an older release: same magic, an earlier version word.
-    let mut bytes =
-        CubeSnapshot::<EwahBitmap>::from_db(&db(), &CubeBuilder::new()).unwrap().to_bytes();
+    let mut bytes = CubeSnapshot::from_db(&db(), &CubeBuilder::new()).unwrap().to_bytes();
     bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
     let path = save_to(&bytes, "scube_mmap_diff_old_version_reject.scube");
-    for result in
-        [CubeSnapshot::<EwahBitmap>::open_mmap(&path), CubeSnapshot::open_mmap_verified(&path)]
-    {
+    for result in [CubeSnapshot::open_mmap(&path), CubeSnapshot::open_mmap_verified(&path)] {
         let err = result.unwrap_err().to_string();
         assert!(err.contains("version 3"), "names the version found: {err}");
         assert!(err.contains("scube save"), "points at the remedy: {err}");
@@ -203,7 +191,7 @@ fn legacy_versions_are_rejected_by_open_mmap_with_guidance() {
 #[test]
 fn truncated_and_corrupted_mmap_opens_error_never_panic() {
     let db = db();
-    let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+    let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
     let good = snap.to_bytes();
 
     // Every truncation point: open_mmap must error (directory, meta
@@ -211,10 +199,7 @@ fn truncated_and_corrupted_mmap_opens_error_never_panic() {
     let path = std::env::temp_dir().join("scube_mmap_diff_trunc.scube");
     for cut in (0..good.len()).step_by(7).chain([good.len() - 1]) {
         std::fs::write(&path, &good[..cut]).unwrap();
-        assert!(
-            CubeSnapshot::<EwahBitmap>::open_mmap(&path).is_err(),
-            "truncate at {cut} must error"
-        );
+        assert!(CubeSnapshot::open_mmap(&path).is_err(), "truncate at {cut} must error");
     }
 
     // Flipping any byte of the meta-checksummed prefix (directory, meta
@@ -224,7 +209,7 @@ fn truncated_and_corrupted_mmap_opens_error_never_panic() {
         let mut bad = good.clone();
         bad[at] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
-        assert!(CubeSnapshot::<EwahBitmap>::open_mmap(&path).is_err(), "flip at {at} must error");
+        assert!(CubeSnapshot::open_mmap(&path).is_err(), "flip at {at} must error");
     }
 
     // A flipped byte *anywhere* is caught by the verified open.
@@ -233,14 +218,26 @@ fn truncated_and_corrupted_mmap_opens_error_never_panic() {
         bad[at] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
         assert!(
-            CubeSnapshot::<EwahBitmap>::open_mmap_verified(&path).is_err(),
+            CubeSnapshot::open_mmap_verified(&path).is_err(),
             "verified flip at {at} must error"
         );
     }
 
-    // Wrong representation tag.
-    std::fs::write(&path, &good).unwrap();
-    assert!(CubeSnapshot::<TidVec>::open_mmap(&path).is_err(), "tag mismatch");
+    // Header byte 12 is the posting representation tag: anything but
+    // EWAH's 1 is an error on every open.
+    for tag in [0u8, 2, 3, 4, 0xFF] {
+        let mut bad = good.clone();
+        bad[12] = tag;
+        std::fs::write(&path, &bad).unwrap();
+        for (open, result) in [
+            ("load", CubeSnapshot::load(&path)),
+            ("open_mmap", CubeSnapshot::open_mmap(&path)),
+            ("open_mmap_verified", CubeSnapshot::open_mmap_verified(&path)),
+        ] {
+            let err = result.expect_err("foreign tag must error").to_string();
+            assert!(err.contains(&format!("representation tag {tag}")), "{open}: {err}");
+        }
+    }
 
     std::fs::remove_file(&path).ok();
 }

@@ -1,11 +1,9 @@
 //! Property test for the parallel build pipeline: parallel mining plus
 //! parallel cube evaluation must produce *identical* cells to the serial
-//! path, for every posting representation (EWAH / dense / tid-vector), on
-//! datagen registries of varying planted skew.
+//! path, on datagen registries of varying planted skew.
 
 use proptest::prelude::*;
 use scube::prelude::*;
-use scube_bitmap::{DenseBitmap, EwahBitmap, Posting, TidVec};
 use scube_data::TransactionDb;
 use scube_datagen::BoardsConfig;
 
@@ -26,7 +24,7 @@ fn assert_identical(a: &SegregationCube, b: &SegregationCube, what: &str) {
     }
 }
 
-fn build<P: Posting + Send + Sync>(
+fn build(
     db: &TransactionDb,
     min_support: u64,
     materialize: Materialize,
@@ -36,7 +34,7 @@ fn build<P: Posting + Send + Sync>(
         .min_support(min_support)
         .materialize(materialize)
         .parallel(parallel)
-        .build_with::<P>(db)
+        .build(db)
         .expect("cube builds")
 }
 
@@ -55,21 +53,9 @@ proptest! {
         let db = final_table(bias, seed, 250);
         let minsup = (db.len() as u64 / 50).max(1);
         for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-            let serial = build::<EwahBitmap>(&db, minsup, materialize, false);
-            let parallel = build::<EwahBitmap>(&db, minsup, materialize, true);
-            assert_identical(&serial, &parallel, "ewah serial vs parallel");
-
-            let dense_serial = build::<DenseBitmap>(&db, minsup, materialize, false);
-            let dense_parallel = build::<DenseBitmap>(&db, minsup, materialize, true);
-            assert_identical(&dense_serial, &dense_parallel, "dense serial vs parallel");
-
-            let tid_serial = build::<TidVec>(&db, minsup, materialize, false);
-            let tid_parallel = build::<TidVec>(&db, minsup, materialize, true);
-            assert_identical(&tid_serial, &tid_parallel, "tidvec serial vs parallel");
-
-            // Cross-representation: all three agree with each other too.
-            assert_identical(&serial, &dense_serial, "ewah vs dense");
-            assert_identical(&serial, &tid_serial, "ewah vs tidvec");
+            let serial = build(&db, minsup, materialize, false);
+            let parallel = build(&db, minsup, materialize, true);
+            assert_identical(&serial, &parallel, "serial vs parallel");
         }
     }
 }

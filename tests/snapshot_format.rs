@@ -22,7 +22,6 @@ use std::hash::Hasher;
 use std::path::PathBuf;
 
 use scube::prelude::*;
-use scube_bitmap::EwahBitmap;
 use scube_common::hash::FxHasher;
 use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
 
@@ -38,8 +37,6 @@ const MEASURE_BYTE: usize = META_OFF + 1 + 8;
 /// In the goldens the first cell is the apex — two empty coordinate lists
 /// at 272 — so its first optional-value tag sits right behind them.
 const FIRST_VALUE_TAG: usize = 280;
-
-type Snap = CubeSnapshot<EwahBitmap>;
 
 /// The exact database both golden snapshots are built from.
 fn golden_db() -> TransactionDb {
@@ -68,7 +65,7 @@ fn subset() -> MeasureSet {
 }
 
 /// The ClosedOnly build of [`golden_db`] under `measures`.
-fn golden_build(measures: MeasureSet) -> Snap {
+fn golden_build(measures: MeasureSet) -> CubeSnapshot {
     let builder = CubeBuilder::new().materialize(Materialize::ClosedOnly).measures(measures);
     CubeSnapshot::from_db(&golden_db(), &builder).unwrap()
 }
@@ -121,9 +118,13 @@ fn repatch_both_sums(bytes: &mut [u8]) {
 
 /// Open `bytes` through a mapped path (`open_mmap_verified` when
 /// `verified`, plain `open_mmap` otherwise), via a temp file.
-fn open_mapped(name: &str, bytes: &[u8], verified: bool) -> scube_common::Result<Snap> {
+fn open_mapped(name: &str, bytes: &[u8], verified: bool) -> scube_common::Result<CubeSnapshot> {
     let path = temp_file(name, bytes);
-    let result = if verified { Snap::open_mmap_verified(&path) } else { Snap::open_mmap(&path) };
+    let result = if verified {
+        CubeSnapshot::open_mmap_verified(&path)
+    } else {
+        CubeSnapshot::open_mmap(&path)
+    };
     std::fs::remove_file(&path).ok();
     result
 }
@@ -148,7 +149,7 @@ fn golden_pins_round_trip_byte_for_byte() {
              GOLDEN_BLESS=1 and review the diff"
         );
 
-        let loaded = Snap::from_bytes(&golden).expect("golden loads");
+        let loaded = CubeSnapshot::from_bytes(&golden).expect("golden loads");
         assert_eq!(loaded.measures(), measures, "{name} carries the measure set");
         assert_eq!(loaded.materialize(), Materialize::ClosedOnly, "{name} carries the config");
         let rebuilt = golden_build(measures);
@@ -171,13 +172,13 @@ fn golden_truncations_and_corruptions_error_never_panic() {
     for (name, _) in goldens() {
         let golden = read_golden(name);
         for cut in 0..golden.len() {
-            assert!(Snap::from_bytes(&golden[..cut]).is_err(), "{name}: truncate at {cut}");
+            assert!(CubeSnapshot::from_bytes(&golden[..cut]).is_err(), "{name}: truncate at {cut}");
         }
         // A flipped byte anywhere fails a checksum or a bounds check.
         for at in [0, 9, 14, 40, 97, golden.len() / 2, golden.len() - 1] {
             let mut bad = golden.clone();
             bad[at] ^= 0xFF;
-            assert!(Snap::from_bytes(&bad).is_err(), "{name}: flip at {at}");
+            assert!(CubeSnapshot::from_bytes(&bad).is_err(), "{name}: flip at {at}");
         }
     }
 }
@@ -189,7 +190,7 @@ fn every_other_version_word_is_rejected_by_both_opens() {
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let named = format!("version {version} ");
-        let err = Snap::from_bytes(&bytes).expect_err("heap open must reject").to_string();
+        let err = CubeSnapshot::from_bytes(&bytes).expect_err("heap open must reject").to_string();
         assert!(err.contains(&named) && err.contains("scube save"), "heap, {version}: {err}");
         if cfg!(target_endian = "big") {
             continue; // mapped opens are little-endian-host only
@@ -208,7 +209,7 @@ fn malformed_meta_fields_are_decode_errors() {
     // Each defect is planted behind recomputed checksums, so it is the
     // decoder — not a checksum — that must reject it, on every open path.
     let reject = |bytes: &[u8], needle: &str| {
-        let err = Snap::from_bytes(bytes).expect_err(needle).to_string();
+        let err = CubeSnapshot::from_bytes(bytes).expect_err(needle).to_string();
         assert!(err.contains(needle), "heap: {err}");
         if cfg!(target_endian = "little") {
             for verified in [false, true] {
@@ -263,7 +264,7 @@ fn heap_and_verified_mapped_opens_agree_on_every_mutant() {
                     repatch_full_sum(&mut mutant);
                 }
                 let what = format!("byte {at} ^ {mask:#04x}, full sum repatched: {repatch}");
-                let heap = Snap::from_bytes(&mutant);
+                let heap = CubeSnapshot::from_bytes(&mutant);
                 let verified = open_mapped("sweep", &mutant, true);
                 match (heap, verified) {
                     (Ok(h), Ok(v)) => {

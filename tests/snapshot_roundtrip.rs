@@ -1,11 +1,9 @@
 //! Property test for cube snapshot persistence: `save → load` must be
-//! bit-identical for every posting representation (EWAH / dense /
-//! tid-vector) on datagen registries of varying planted skew — mirroring
+//! bit-identical on datagen registries of varying planted skew — mirroring
 //! `tests/parallel_serial_equivalence.rs` for the serving layer.
 
 use proptest::prelude::*;
 use scube::prelude::*;
-use scube_bitmap::{DenseBitmap, EwahBitmap, Posting, TidVec};
 use scube_data::TransactionDb;
 use scube_datagen::BoardsConfig;
 
@@ -19,14 +17,11 @@ fn final_table(sector_bias: f64, seed: u64, n_companies: usize) -> TransactionDb
         .db
 }
 
-fn roundtrip<P>(db: &TransactionDb, min_support: u64, materialize: Materialize)
-where
-    P: Posting + Send + Sync + PartialEq + std::fmt::Debug,
-{
+fn roundtrip(db: &TransactionDb, min_support: u64, materialize: Materialize) {
     let builder = CubeBuilder::new().min_support(min_support).materialize(materialize);
-    let snap = scube_cube::CubeSnapshot::<P>::from_db(db, &builder).expect("snapshot builds");
+    let snap = scube_cube::CubeSnapshot::from_db(db, &builder).expect("snapshot builds");
     let bytes = snap.to_bytes();
-    let loaded = scube_cube::CubeSnapshot::<P>::from_bytes(&bytes).expect("snapshot loads");
+    let loaded = scube_cube::CubeSnapshot::from_bytes(&bytes).expect("snapshot loads");
 
     // The cube half: cells, labels, metadata — all bit-identical.
     assert_eq!(loaded.cube(), snap.cube(), "cube halves differ");
@@ -55,9 +50,7 @@ proptest! {
         let db = final_table(bias, seed, 250);
         let minsup = (db.len() as u64 / 50).max(1);
         for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-            roundtrip::<EwahBitmap>(&db, minsup, materialize);
-            roundtrip::<DenseBitmap>(&db, minsup, materialize);
-            roundtrip::<TidVec>(&db, minsup, materialize);
+            roundtrip(&db, minsup, materialize);
         }
     }
 }
