@@ -1125,7 +1125,7 @@ mod tests {
         .collect();
         run_save(&args).unwrap();
         let bytes = std::fs::read(p("subset.scube")).unwrap();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 6, "the version word");
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 7, "the version word");
         let subset = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
         let saved: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(saved.measures(), subset, "the snapshot names the subset");

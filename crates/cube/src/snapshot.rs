@@ -10,9 +10,12 @@
 //!
 //! ## Format
 //!
-//! There is one on-disk layout, identified by the version word 6; a file
+//! There is one on-disk layout, identified by the version word 7; a file
 //! carrying any other version word is rejected with an error that names
-//! the version found (re-create such a snapshot with `scube save`).
+//! the version found (re-create such a snapshot with `scube save`). Word 6
+//! is the same layout with cell values folded in unit order; it is refused
+//! because updating such a file with this build's pair-order fold would
+//! leave clean cells a last bit away from a rebuild.
 //!
 //! All integers are little-endian; strings are `u32` length + UTF-8 bytes.
 //! The data region is laid out as fixed-width tables behind an offset
@@ -23,7 +26,7 @@
 //!
 //! ```text
 //! [0..8)    magic  "SCUBESNP"
-//! [8..12)   format version (u32, 6)
+//! [8..12)   format version (u32, 7)
 //! [12]      posting representation tag (EwahBitmap::SERIAL_TAG = 1; any
 //!           other value is an error)
 //! [13..21)  FxHash checksum (u64) of bytes [24..)   — the full checksum
@@ -95,7 +98,7 @@ use crate::cube::{CubeLabels, SegregationCube};
 use crate::update::{MaintenanceStore, UpdateBatch, UpdateOutcome, UpdateStats};
 
 const MAGIC: &[u8; 8] = b"SCUBESNP";
-const VERSION: u32 = 6;
+const VERSION: u32 = 7;
 const HEADER_LEN: usize = 8 + 4 + 1 + 8;
 /// Offset directory: starts 8-aligned after the header + 3 pad bytes.
 const DIR_OFF: usize = HEADER_LEN + 3;

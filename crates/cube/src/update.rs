@@ -43,10 +43,15 @@
 //! errors on underflow — happens **before** any mutation, so a rejected
 //! batch or an inconsistent store leaves the snapshot untouched, byte for
 //! byte. Dirty cells are re-evaluated with the same [`UnitScratch`]
-//! machinery as [`crate::builder::CubeBuilder`] — identical integer
-//! histograms, hence identical index values — and large dirty sets fan out
-//! over scoped worker threads with per-worker scratches (cell evaluation is
-//! pure, so the parallel update is bit-identical to the serial one).
+//! machinery and the same index fold as [`crate::builder::CubeBuilder`] —
+//! identical integer histograms, hence identical index values — and large
+//! dirty sets fan out over scoped worker threads with per-worker scratches
+//! (cell evaluation is pure, so the parallel update is bit-identical to the
+//! serial one). The fold reads a histogram as a *multiset* of `(m, t)`
+//! pairs and orders them itself (`scube_segindex::indexes`), so a value
+//! depends on no unit id and no visit order: a cell whose histogram the
+//! delta did not touch keeps floats that a rebuild would reproduce to the
+//! bit, however the batch renumbers the units.
 //!
 //! **Dictionary maintenance.** Appends extend the label dictionary at the
 //! tail in first-seen order, matching a rebuild on base-then-delta rows.
@@ -55,7 +60,8 @@
 //! removes a value's last row (the value leaves the dictionary) or its
 //! first row (its intern position moves) triggers a relabeling pass that
 //! renumbers items, units, cells, postings, and store entries exactly as a
-//! rebuild would assign them. Tail retractions that empty nothing skip the
+//! rebuild would assign them — a pure renaming, which by the invariance
+//! above dirties no cell. Tail retractions that empty nothing skip the
 //! pass — survivors keep their ids and the postings shrink in place. The
 //! within-row tie-break is attribute-major, then prior id, which matches a
 //! rebuild's interning for single-valued-per-row attributes (the shape of
@@ -637,9 +643,8 @@ fn merge_sub(base: &mut Vec<(u32, u64)>, delta: &[(u32, u64)]) -> Result<()> {
 }
 
 /// Index values from stored histograms: triples over the context's
-/// populated units in ascending order, minority counts merged in (absent
-/// unit ⇒ 0) — the same integer sequence the builder feeds
-/// [`UnitCounts::from_triples`].
+/// populated units, minority counts merged in (absent unit ⇒ 0) — the
+/// same `(m, t)` multiset the builder feeds [`UnitCounts::from_triples`].
 fn values_from_hists(
     context: &[(u32, u64)],
     minority: &[(u32, u64)],
@@ -893,27 +898,6 @@ fn compute_relabel(first_item: &[u32], first_unit: &[u32], item_attr_pos: &[usiz
     }
 }
 
-/// Histogram pairs reordered into a post-relabel unit order. Borrowed
-/// through unchanged when no retraction relabels the units (the common
-/// case — appends, and any retraction keeping every unit's first row), so
-/// the hot dirty-cell loop copies nothing then.
-fn reorder_units<'p>(
-    pairs: &'p [(u32, u64)],
-    map: Option<&[Option<UnitId>]>,
-) -> std::borrow::Cow<'p, [(u32, u64)]> {
-    match map {
-        None => std::borrow::Cow::Borrowed(pairs),
-        Some(map) => {
-            let mut out: Vec<(u32, u64)> = pairs
-                .iter()
-                .map(|&(u, c)| (map[u as usize].expect("populated unit survives"), c))
-                .collect();
-            out.sort_unstable_by_key(|&(u, _)| u);
-            std::borrow::Cow::Owned(out)
-        }
-    }
-}
-
 /// Remap cell coordinates through an item permutation (re-sorting each
 /// side: the permutation need not be monotone).
 fn remap_coords(coords: &CellCoords, item_map: &[Option<ItemId>]) -> CellCoords {
@@ -1013,20 +997,15 @@ pub(crate) fn apply_update(
         rem_tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
 
     // Relabel plan (pre-mutation, retractions only): the edited table's
-    // intern order decides the final unit ids, and cell values are float
-    // folds over per-unit triples *in unit order* — so re-evaluation must
-    // iterate the post-relabel order to reproduce a rebuild's floats bit
-    // for bit, even though the histograms are permutation-equal. This
-    // holds for *every* selected measure, not only Atkinson: the D/H/xPx/
-    // xPy sums and Gini's sort-then-prefix-scan all accumulate f64s in
-    // unit-visit order, so a permuted histogram can drift by 1 ULP. The
-    // `reorder_units` pass below is what keeps each index in the
-    // `MeasureSet` byte-identical to a rebuild (regression-tested per
-    // index in `tests/multi_index_equivalence.rs`). Only the
-    // first-occurrence scan runs here — O(Σ row width), no row or label
-    // clones — so the (common) identity outcome costs no materialization;
-    // the relabeling commit path reconstructs the edited rows when, and
-    // only when, the ids actually change.
+    // intern order decides the final item and unit ids. Ids never reach a
+    // cell *value* — the index fold reads a histogram as a multiset of
+    // `(m, t)` pairs and orders them itself — so the plan only renames:
+    // labels, postings, coordinates and store keys at commit, no float is
+    // recomputed because of it. Only the first-occurrence scan runs here —
+    // O(Σ row width), no row or label clones — so the (common) identity
+    // outcome costs no materialization; the relabeling commit path
+    // reconstructs the edited rows when, and only when, the ids actually
+    // change.
     let plan: Option<Relabel> = removals.as_ref().map(|rem| {
         let mut first_item = vec![u32::MAX; n_items_after];
         let mut first_unit = vec![u32::MAX; n_units_after as usize];
@@ -1076,7 +1055,6 @@ pub(crate) fn apply_update(
             .collect();
         compute_relabel(&first_item, &first_unit, &item_attr_pos)
     });
-    let unit_remap: Option<&[Option<UnitId>]> = plan.as_ref().map(|p| p.unit_map.as_slice());
     // A dictionary-relabeling retraction rebuilds both store maps under
     // new ids wholesale, so nothing can stay lazy: decode the rest up
     // front, while a corrupt mapped entry can still error before mutation.
@@ -1100,13 +1078,6 @@ pub(crate) fn apply_update(
         add: Option<EwahBitmap>,
         rem: Option<EwahBitmap>,
     }
-    // A retraction that renumbers *units* changes the per-unit iteration
-    // order every cell value is folded in — so even cells whose histograms
-    // are untouched must be re-folded to reproduce a rebuild's floats bit
-    // for bit. Items renumbering alone never affects values.
-    let units_relabeled = plan
-        .as_ref()
-        .is_some_and(|p| p.unit_map.iter().enumerate().any(|(u, m)| *m != Some(u as u32)));
     let mut scratch = UnitScratch::new(n_units_after);
     let mut staged_ctx: FxHashMap<Vec<ItemId>, StagedCtx> = FxHashMap::default();
     // Delta-clean contexts are skipped *before* their histograms are
@@ -1115,7 +1086,7 @@ pub(crate) fn apply_update(
     for ca in store.context_keys() {
         let add = if ca.is_empty() { add_all.clone() } else { delta_tidset(&add_postings, &ca) };
         let rem = if ca.is_empty() { rem_all.clone() } else { delta_tidset(&rem_postings, &ca) };
-        if add.is_none() && rem.is_none() && !units_relabeled {
+        if add.is_none() && rem.is_none() {
             continue;
         }
         store.ensure_context(&ca)?;
@@ -1181,8 +1152,7 @@ pub(crate) fn apply_update(
                     return Ok(CellFate::Demote);
                 }
             }
-            let totals = reorder_units(&sc.totals, unit_remap);
-            let counts = UnitCounts::from_triples(totals.iter().map(|&(u, t)| (u, t, t)))?;
+            let counts = UnitCounts::from_triples(sc.totals.iter().map(|&(u, t)| (u, t, t)))?;
             Ok(CellFate::Keep(None, IndexValues::compute_masked(&counts, atkinson_b, measures)))
         } else {
             let mut minority = store
@@ -1241,12 +1211,7 @@ pub(crate) fn apply_update(
                     return Ok(CellFate::Demote);
                 }
             }
-            let values = values_from_hists(
-                &reorder_units(&sc.totals, unit_remap),
-                &reorder_units(&minority, unit_remap),
-                atkinson_b,
-                measures,
-            )?;
+            let values = values_from_hists(&sc.totals, &minority, atkinson_b, measures)?;
             Ok(CellFate::Keep(Some(minority), values))
         }
     };
@@ -1864,6 +1829,97 @@ mod tests {
     fn retraction_emptying_a_unit_matches_rebuild() {
         // Rows 3, 4, 5, 7 are all of u1: the unit disappears.
         check_churn_all(&[3, 4, 5, 7], &[]);
+    }
+
+    /// Every (sex, age, role) shape in both regions over units `u1`/`u2`,
+    /// behind a north-only head (`with_head`): one row of `u2`, then the
+    /// only three rows of `u0`. The head interns `u2, u0, u1`; retracting
+    /// it drops `u0` and *swaps* the survivors (`u1 → 0`, `u2 → 1`) while
+    /// no south context gains or loses a row. The 36 SA itemsets keep 72
+    /// cells dirty (`⋆` and north contexts), enough for `threads > 1` to
+    /// really fan out.
+    fn north_only_head_db(with_head: bool) -> TransactionDb {
+        let schema = Schema::new(vec![
+            Attribute::sa("sex"),
+            Attribute::sa("age"),
+            Attribute::sa("role"),
+            Attribute::ca("region"),
+        ])
+        .unwrap();
+        let mut b = TransactionDbBuilder::new(schema);
+        let mut add = |sex: &str, age: &str, role: &str, region: &str, unit: &str| {
+            b.add_row(&[vec![sex], vec![age], vec![role], vec![region]], unit).unwrap();
+        };
+        if with_head {
+            add("F", "young", "clerk", "north", "u2");
+            add("F", "young", "clerk", "north", "u0");
+            add("M", "old", "chief", "north", "u0");
+            add("F", "old", "clerk", "north", "u0");
+        }
+        for region in ["north", "south"] {
+            let mut shape = 0;
+            for sex in ["F", "M"] {
+                for age in ["young", "old"] {
+                    for role in ["clerk", "chief", "owner"] {
+                        // 1–3 copies per shape, alternating units: uneven
+                        // two-unit histograms in every context.
+                        for copy in 0..=shape % 3 {
+                            let unit = if (shape + copy) % 2 == 0 { "u1" } else { "u2" };
+                            add(sex, age, role, region, unit);
+                        }
+                        shape += 1;
+                    }
+                }
+            }
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn unit_renumbering_retraction_dirties_only_what_its_delta_touches() {
+        let mut retract_head = UpdateBatch::new();
+        retract_head.remove_tid(0).remove_tid(1).remove_tid(2).remove_tid(3);
+        for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
+            let builder = CubeBuilder::new().min_support(1).materialize(materialize);
+            let base = CubeSnapshot::from_db(&north_only_head_db(true), &builder).unwrap();
+            let rebuilt = CubeSnapshot::from_db(&north_only_head_db(false), &builder).unwrap();
+            for threads in 1..=4 {
+                let mut updated = base.clone();
+                let stats = updated.apply_update_threads(&retract_head, threads).unwrap();
+                assert_eq!(stats.dropped_units, 1, "u0 leaves; u1 and u2 swap ids");
+                assert!(stats.dirty_cells >= 64, "{materialize:?}: workers fan out: {stats:?}");
+                assert!(
+                    stats.clean_cells > 0,
+                    "{materialize:?}: south cells stay clean: {stats:?}"
+                );
+                assert_eq!(
+                    updated.to_bytes(),
+                    rebuilt.to_bytes(),
+                    "{materialize:?}, {threads} threads: snapshot bytes diverge from a rebuild"
+                );
+            }
+        }
+
+        // The engine still flushes *every* cached entry after a relabel —
+        // keys from the old id space may alias other cells — including the
+        // breakdown of a south cell whose value the update left alone.
+        let builder = CubeBuilder::new().min_support(1);
+        let mut engine = crate::serve::ConcurrentCubeEngine::new(
+            CubeSnapshot::from_db(&north_only_head_db(true), &builder).unwrap(),
+        );
+        let south = |engine: &crate::serve::ConcurrentCubeEngine| {
+            engine.resolve(&[("sex", "F")], &[("region", "south")]).unwrap()
+        };
+        engine.unit_breakdown(&south(&engine)).unwrap();
+        engine.unit_breakdown(&south(&engine)).unwrap();
+        let warm = engine.stats();
+        assert_eq!(warm.breakdown_cached, 1, "the second drill-down is served from the cache");
+        let stats = engine.apply_update(&retract_head).unwrap();
+        assert!(stats.clean_cells > 0);
+        engine.unit_breakdown(&south(&engine)).unwrap();
+        let after = engine.stats();
+        assert_eq!(after.breakdown_cached, warm.breakdown_cached, "the cache was flushed");
+        assert_eq!(after.breakdown_computed, warm.breakdown_computed + 1);
     }
 
     #[test]

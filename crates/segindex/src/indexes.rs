@@ -1,4 +1,25 @@
 //! The six segregation indexes and the batch evaluator.
+//!
+//! Every index is a function of the *multiset* of a histogram's
+//! `(m_i, t_i)` pairs, so there is one kernel, `fold`, behind every public
+//! entry point: it counts the pairs exactly (an integer sort brings equal
+//! pairs together, equal neighbours collapse into one run with a
+//! multiplicity), puts the distinct pairs into a canonical order (ascending
+//! `m/t`, compared exactly in integers, then ascending `t`), and
+//! accumulates all selected measures in a single pass over the runs. Two
+//! consequences the rest of the workspace relies on:
+//!
+//! * **Order invariance by construction.** The unit ids never enter the
+//!   fold and the pair order is re-derived from the pairs themselves, so
+//!   any permutation or renumbering of the units yields the same floats to
+//!   the bit — which is why the update path never re-folds a cell whose
+//!   histogram did not change.
+//! * **Transcendental work is per distinct pair.** With one unit per
+//!   company a cell has thousands of units but a few hundred distinct
+//!   pairs; the `ln`/`powf` calls run once per run, not once per unit.
+//!
+//! Each measure owns its accumulator, so selecting a subset never changes
+//! the bits of a selected value.
 
 use crate::counts::UnitCounts;
 
@@ -9,61 +30,6 @@ pub const DEFAULT_ATKINSON_B: f64 = 0.5;
 /// Clamp tiny floating-point excursions back into `[0, 1]`.
 fn clamp01(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
-}
-
-/// Dissimilarity index `D ∈ [0,1]`.
-///
-/// `D = ½ Σ |m_i/M − (t_i−m_i)/(T−M)|`: the share of either group that
-/// would have to relocate for all units to mirror the overall minority
-/// proportion. 0 on a perfectly even distribution, 1 under complete
-/// segregation. `None` when `M = 0` or `M = T`.
-pub fn dissimilarity(c: &UnitCounts) -> Option<f64> {
-    let m_total = c.minority() as f64;
-    let maj_total = (c.total() - c.minority()) as f64;
-    if c.minority() == 0 || c.minority() == c.total() {
-        return None;
-    }
-    let sum: f64 = c
-        .cells()
-        .iter()
-        .map(|u| {
-            let minority_share = u.minority as f64 / m_total;
-            let majority_share = (u.total - u.minority) as f64 / maj_total;
-            (minority_share - majority_share).abs()
-        })
-        .sum();
-    Some(clamp01(sum / 2.0))
-}
-
-/// Gini segregation index `G ∈ [0,1]`.
-///
-/// `G = Σ_i Σ_j t_i t_j |p_i − p_j| / (2 T² P(1−P))`. Computed in
-/// `O(n log n)` by sorting units on `p_i` and using prefix sums (the naive
-/// double sum is quadratic; at the paper's scale — millions of individuals
-/// mapped to thousands of units — that matters). `None` when `M = 0` or
-/// `M = T`.
-pub fn gini(c: &UnitCounts) -> Option<f64> {
-    if c.minority() == 0 || c.minority() == c.total() {
-        return None;
-    }
-    let t_total = c.total() as f64;
-    let p = c.minority() as f64 / t_total;
-
-    let mut units: Vec<(f64, f64)> =
-        c.cells().iter().map(|u| (u.minority as f64 / u.total as f64, u.total as f64)).collect();
-    units.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-    // Σ_{i<j} t_i t_j (p_j − p_i)  with prefix sums over sorted p.
-    let mut weight_prefix = 0.0; // Σ_{i<j} t_i
-    let mut weighted_p_prefix = 0.0; // Σ_{i<j} t_i p_i
-    let mut num = 0.0;
-    for &(p_j, t_j) in &units {
-        num += t_j * (p_j * weight_prefix - weighted_p_prefix);
-        weight_prefix += t_j;
-        weighted_p_prefix += t_j * p_j;
-    }
-    let den = t_total * t_total * p * (1.0 - p);
-    Some(clamp01(num / den))
 }
 
 /// Binary entropy `−(p ln p + (1−p) ln (1−p))`, with `0·ln 0 = 0`.
@@ -78,26 +44,152 @@ fn entropy(p: f64) -> f64 {
     e
 }
 
+/// `units` units of a histogram sharing one `(minority, total)` pair.
+struct Run {
+    minority: u64,
+    total: u64,
+    units: u64,
+}
+
+/// The distinct `(m, t)` pairs of `c` with their multiplicities, in the
+/// canonical order: ascending `m/t` — compared exactly by
+/// cross-multiplication, never through a rounded quotient — then ascending
+/// `t`. The order is total on distinct pairs (equal share and equal `t`
+/// force equal `m`), so the result depends on nothing but the multiset.
+///
+/// Equal pairs are found by sorting `t·2⁶⁴ + m` as plain integers, the
+/// cheapest exact order there is, so only the distinct pairs pay for the
+/// two-multiplication comparison: with thousands of board-sized units that
+/// is tens of runs.
+fn canonical_runs(c: &UnitCounts) -> Vec<Run> {
+    let mut keys: Vec<u128> =
+        c.cells().iter().map(|u| u128::from(u.total) << 64 | u128::from(u.minority)).collect();
+    keys.sort_unstable();
+    let equal_keys = || keys.chunk_by(|a, b| a == b);
+    // Counted first so the runs take one allocation of the exact size: at
+    // 20 units a growing `Vec` cost more than the fold's arithmetic.
+    let mut runs = Vec::with_capacity(equal_keys().count());
+    runs.extend(equal_keys().map(|run| Run {
+        minority: run[0] as u64,
+        total: (run[0] >> 64) as u64,
+        units: run.len() as u64,
+    }));
+    runs.sort_unstable_by(|a: &Run, b: &Run| {
+        let lhs = u128::from(a.minority) * u128::from(b.total);
+        let rhs = u128::from(b.minority) * u128::from(a.total);
+        lhs.cmp(&rhs).then(a.total.cmp(&b.total))
+    });
+    runs
+}
+
+/// The one index kernel (see the module docs): every selected measure of
+/// `c`, folded over the distinct `(m, t)` pairs in canonical order.
+///
+/// A run of `k` equal pairs enters each sum as one term scaled by exact
+/// integer products (`k·m`, `k·t` — both bounded by `T`); for Gini it is
+/// one super-unit of weight `k·t`, exact because units with equal shares
+/// contribute nothing to `Σ|p_i − p_j|` among themselves.
+fn fold(c: &UnitCounts, atkinson_b: f64, measures: MeasureSet) -> IndexValues {
+    let mut out = IndexValues {
+        minority: c.minority(),
+        total: c.total(),
+        num_units: c.num_units() as u32,
+        ..IndexValues::default()
+    };
+    // Exposure (`xPx`, `xPy`) is defined for `M > 0`; the four evenness
+    // indexes also need `M < T`.
+    if c.minority() == 0 {
+        return out;
+    }
+    let evenness = c.minority() < c.total();
+    let d = evenness && measures.contains(SegIndex::Dissimilarity);
+    let g = evenness && measures.contains(SegIndex::Gini);
+    let h = evenness && measures.contains(SegIndex::Information);
+    let xpx = measures.contains(SegIndex::Isolation);
+    let xpy = measures.contains(SegIndex::Interaction);
+    let a =
+        evenness && measures.contains(SegIndex::Atkinson) && atkinson_b > 0.0 && atkinson_b < 1.0;
+    // An evenness-only set on an `A = ⋆` cell (`M = T`) defines nothing:
+    // skip the sort.
+    if !(d || g || h || xpx || xpy || a) {
+        return out;
+    }
+
+    let m_total = c.minority() as f64;
+    let t_total = c.total() as f64;
+    let maj_total = (c.total() - c.minority()) as f64;
+    let p_total = m_total / t_total;
+    let e_total = entropy(p_total);
+
+    let (mut d_sum, mut h_sum, mut xpx_sum, mut xpy_sum, mut a_sum) = (0.0, 0.0, 0.0, 0.0, 0.0);
+    // Gini: Σ_{i<j} w_i w_j (p_j − p_i) by prefix sums over ascending p.
+    let (mut g_num, mut weight_prefix, mut weighted_p_prefix) = (0.0, 0.0, 0.0);
+    for Run { minority: m, total: t, units: k } in canonical_runs(c) {
+        let p = m as f64 / t as f64;
+        let weight = (k * t) as f64;
+        let minority_share = (k * m) as f64 / m_total;
+        if d {
+            d_sum += (minority_share - (k * (t - m)) as f64 / maj_total).abs();
+        }
+        if g {
+            g_num += weight * (p * weight_prefix - weighted_p_prefix);
+            weight_prefix += weight;
+            weighted_p_prefix += weight * p;
+        }
+        if h {
+            h_sum += weight * (e_total - entropy(p));
+        }
+        if xpx {
+            xpx_sum += minority_share * p;
+        }
+        if xpy {
+            xpy_sum += minority_share * ((t - m) as f64 / t as f64);
+        }
+        if a {
+            a_sum += (1.0 - p).powf(1.0 - atkinson_b) * p.powf(atkinson_b) * weight;
+        }
+    }
+
+    out.dissimilarity = d.then(|| clamp01(d_sum / 2.0));
+    out.gini = g.then(|| clamp01(g_num / (t_total * t_total * p_total * (1.0 - p_total))));
+    out.information = h.then(|| clamp01(h_sum / (t_total * e_total)));
+    out.isolation = xpx.then(|| clamp01(xpx_sum));
+    out.interaction = xpy.then(|| clamp01(xpy_sum));
+    out.atkinson = a.then(|| {
+        let inner = (a_sum / (p_total * t_total)).powf(1.0 / (1.0 - atkinson_b));
+        clamp01(1.0 - (p_total / (1.0 - p_total)) * inner)
+    });
+    out
+}
+
+/// Dissimilarity index `D ∈ [0,1]`.
+///
+/// `D = ½ Σ |m_i/M − (t_i−m_i)/(T−M)|`: the share of either group that
+/// would have to relocate for all units to mirror the overall minority
+/// proportion. 0 on a perfectly even distribution, 1 under complete
+/// segregation. `None` when `M = 0` or `M = T`.
+pub fn dissimilarity(c: &UnitCounts) -> Option<f64> {
+    SegIndex::Dissimilarity.compute(c)
+}
+
+/// Gini segregation index `G ∈ [0,1]`.
+///
+/// `G = Σ_i Σ_j t_i t_j |p_i − p_j| / (2 T² P(1−P))`. The naive double sum
+/// is quadratic in the unit count; the fold orders the *distinct*
+/// `(m, t)` pairs by share and prefix-sums over them, a run of equal pairs
+/// counting as one super-unit, so the cost is one sort of the pairs plus a
+/// pass over the distinct ones. `None` when `M = 0` or `M = T`.
+pub fn gini(c: &UnitCounts) -> Option<f64> {
+    SegIndex::Gini.compute(c)
+}
+
 /// Information index (Theil's H) `∈ [0,1]`.
 ///
 /// `H = Σ t_i (E − E_i) / (T·E)` where `E` is the entropy of the overall
 /// minority split and `E_i` the entropy within unit `i`. `None` when
 /// `M = 0` or `M = T` (then `E = 0`).
 pub fn information(c: &UnitCounts) -> Option<f64> {
-    if c.minority() == 0 || c.minority() == c.total() {
-        return None;
-    }
-    let t_total = c.total() as f64;
-    let e = entropy(c.minority() as f64 / t_total);
-    let sum: f64 = c
-        .cells()
-        .iter()
-        .map(|u| {
-            let e_i = entropy(u.minority as f64 / u.total as f64);
-            u.total as f64 * (e - e_i)
-        })
-        .sum();
-    Some(clamp01(sum / (t_total * e)))
+    SegIndex::Information.compute(c)
 }
 
 /// Isolation index `xPx`.
@@ -106,16 +198,7 @@ pub fn information(c: &UnitCounts) -> Option<f64> {
 /// share of the unit a random minority member finds around them. Ranges in
 /// `[P, 1]`; `None` when `M = 0`.
 pub fn isolation(c: &UnitCounts) -> Option<f64> {
-    if c.minority() == 0 {
-        return None;
-    }
-    let m_total = c.minority() as f64;
-    let sum: f64 = c
-        .cells()
-        .iter()
-        .map(|u| (u.minority as f64 / m_total) * (u.minority as f64 / u.total as f64))
-        .sum();
-    Some(clamp01(sum))
+    SegIndex::Isolation.compute(c)
 }
 
 /// Interaction index `xPy`.
@@ -123,16 +206,7 @@ pub fn isolation(c: &UnitCounts) -> Option<f64> {
 /// `xPy = Σ (m_i/M)((t_i−m_i)/t_i)`: the exposure of minority members to
 /// the majority. For binary groups `xPx + xPy = 1`. `None` when `M = 0`.
 pub fn interaction(c: &UnitCounts) -> Option<f64> {
-    if c.minority() == 0 {
-        return None;
-    }
-    let m_total = c.minority() as f64;
-    let sum: f64 = c
-        .cells()
-        .iter()
-        .map(|u| (u.minority as f64 / m_total) * ((u.total - u.minority) as f64 / u.total as f64))
-        .sum();
-    Some(clamp01(sum))
+    SegIndex::Interaction.compute(c)
 }
 
 /// Atkinson index `A(b) ∈ [0,1]` with shape parameter `b ∈ (0,1)`.
@@ -142,21 +216,7 @@ pub fn interaction(c: &UnitCounts) -> Option<f64> {
 /// `b = 0.5` (the default) treats both symmetrically. `None` when `M = 0`,
 /// `M = T`, or `b` outside `(0,1)`.
 pub fn atkinson(c: &UnitCounts, b: f64) -> Option<f64> {
-    if c.minority() == 0 || c.minority() == c.total() || !(0.0..1.0).contains(&b) || b == 0.0 {
-        return None;
-    }
-    let t_total = c.total() as f64;
-    let p = c.minority() as f64 / t_total;
-    let sum: f64 = c
-        .cells()
-        .iter()
-        .map(|u| {
-            let p_i = u.minority as f64 / u.total as f64;
-            (1.0 - p_i).powf(1.0 - b) * p_i.powf(b) * u.total as f64
-        })
-        .sum();
-    let inner = (sum / (p * t_total)).powf(1.0 / (1.0 - b));
-    Some(clamp01(1.0 - (p / (1.0 - p)) * inner))
+    fold(c, b, MeasureSet::only(SegIndex::Atkinson)).atkinson
 }
 
 /// Correlation ratio (eta², also `V`) — exposure adjusted for the overall
@@ -205,16 +265,11 @@ impl SegIndex {
         SegIndex::Atkinson,
     ];
 
-    /// Compute this index over a histogram.
+    /// Compute this index over a histogram (Atkinson with the default
+    /// shape), bit-equal to the same field of any [`IndexValues`] fold
+    /// that selects it.
     pub fn compute(self, c: &UnitCounts) -> Option<f64> {
-        match self {
-            SegIndex::Dissimilarity => dissimilarity(c),
-            SegIndex::Gini => gini(c),
-            SegIndex::Information => information(c),
-            SegIndex::Isolation => isolation(c),
-            SegIndex::Interaction => interaction(c),
-            SegIndex::Atkinson => atkinson(c, DEFAULT_ATKINSON_B),
-        }
+        fold(c, DEFAULT_ATKINSON_B, MeasureSet::only(self)).get(self)
     }
 
     /// Short display name used in report headers.
@@ -404,17 +459,7 @@ pub struct IndexValues {
 impl IndexValues {
     /// Evaluate every index over the histogram, with the given Atkinson `b`.
     pub fn compute_with(c: &UnitCounts, atkinson_b: f64) -> IndexValues {
-        IndexValues {
-            dissimilarity: dissimilarity(c),
-            gini: gini(c),
-            information: information(c),
-            isolation: isolation(c),
-            interaction: interaction(c),
-            atkinson: atkinson(c, atkinson_b),
-            minority: c.minority(),
-            total: c.total(),
-            num_units: c.num_units() as u32,
-        }
+        fold(c, atkinson_b, MeasureSet::FULL)
     }
 
     /// Evaluate every index with the default Atkinson shape.
@@ -424,27 +469,12 @@ impl IndexValues {
 
     /// Evaluate only the selected indexes; unselected fields stay `None`.
     ///
-    /// With [`MeasureSet::FULL`] this is bit-for-bit identical to
-    /// [`IndexValues::compute_with`] — each fold runs the exact same code
-    /// path over the exact same histogram.
+    /// A selected value is bit-for-bit what [`IndexValues::compute_with`]
+    /// and the standalone index functions return for it: one kernel folds
+    /// them all, each measure into its own accumulator, so the selection
+    /// decides which sums run and never what a sum adds up to.
     pub fn compute_masked(c: &UnitCounts, atkinson_b: f64, measures: MeasureSet) -> IndexValues {
-        let sel = |i: SegIndex, v: fn(&UnitCounts) -> Option<f64>| {
-            measures.contains(i).then(|| v(c)).flatten()
-        };
-        IndexValues {
-            dissimilarity: sel(SegIndex::Dissimilarity, dissimilarity),
-            gini: sel(SegIndex::Gini, gini),
-            information: sel(SegIndex::Information, information),
-            isolation: sel(SegIndex::Isolation, isolation),
-            interaction: sel(SegIndex::Interaction, interaction),
-            atkinson: measures
-                .contains(SegIndex::Atkinson)
-                .then(|| atkinson(c, atkinson_b))
-                .flatten(),
-            minority: c.minority(),
-            total: c.total(),
-            num_units: c.num_units() as u32,
-        }
+        fold(c, atkinson_b, measures)
     }
 
     /// Overall minority proportion `P`, when defined.
@@ -453,7 +483,7 @@ impl IndexValues {
     }
 
     /// Set one index value — the write half of [`Self::get`], used by the
-    /// columnar snapshot decoder to reassemble cells from value tables.
+    /// snapshot decoder to reassemble a cell from its tagged measures.
     pub fn set(&mut self, index: SegIndex, value: Option<f64>) {
         match index {
             SegIndex::Dissimilarity => self.dissimilarity = value,

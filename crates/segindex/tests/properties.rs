@@ -1,8 +1,68 @@
 //! Property tests for the segregation indexes: range bounds, invariances,
-//! and the social-science axioms the literature states for them.
+//! the social-science axioms the literature states for them, and the two
+//! contracts of the one fold kernel — bit-level invariance under any
+//! reordering or renumbering of the units, and agreement with the textbook
+//! per-unit formulas ([`reference`], the oracle).
 
 use proptest::prelude::*;
-use scube_segindex::{atkinson, IndexValues, SegIndex, UnitCounts};
+use scube_segindex::{atkinson, IndexValues, MeasureSet, SegIndex, UnitCounts};
+
+/// The textbook per-unit formulas (Massey & Denton), one pass per index in
+/// unit-visit order with Gini sorting `(p_i, t_i)` as floats — what the
+/// crate computed before the pair-multiset kernel, kept as its oracle.
+mod reference {
+    use scube_segindex::{SegIndex, UnitCounts};
+
+    fn entropy(p: f64) -> f64 {
+        let mut e = 0.0;
+        if p > 0.0 {
+            e -= p * p.ln();
+        }
+        if p < 1.0 {
+            e -= (1.0 - p) * (1.0 - p).ln();
+        }
+        e
+    }
+
+    pub fn compute(index: SegIndex, c: &UnitCounts, atkinson_b: f64) -> Option<f64> {
+        let (m_total, t_total) = (c.minority() as f64, c.total() as f64);
+        let evenness_defined = c.minority() != 0 && c.minority() != c.total();
+        let p = m_total / t_total;
+        let units = || c.cells().iter().map(|u| (u.minority as f64, u.total as f64));
+        let value = match index {
+            SegIndex::Isolation | SegIndex::Interaction if c.minority() == 0 => return None,
+            SegIndex::Isolation => units().map(|(m, t)| (m / m_total) * (m / t)).sum(),
+            SegIndex::Interaction => units().map(|(m, t)| (m / m_total) * ((t - m) / t)).sum(),
+            _ if !evenness_defined => return None,
+            SegIndex::Dissimilarity => {
+                let maj_total = t_total - m_total;
+                units().map(|(m, t)| (m / m_total - (t - m) / maj_total).abs()).sum::<f64>() / 2.0
+            }
+            SegIndex::Gini => {
+                let mut sorted: Vec<(f64, f64)> = units().map(|(m, t)| (m / t, t)).collect();
+                sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let (mut num, mut weight_prefix, mut weighted_p_prefix) = (0.0, 0.0, 0.0);
+                for (p_j, t_j) in sorted {
+                    num += t_j * (p_j * weight_prefix - weighted_p_prefix);
+                    weight_prefix += t_j;
+                    weighted_p_prefix += t_j * p_j;
+                }
+                num / (t_total * t_total * p * (1.0 - p))
+            }
+            SegIndex::Information => {
+                let e = entropy(p);
+                units().map(|(m, t)| t * (e - entropy(m / t))).sum::<f64>() / (t_total * e)
+            }
+            SegIndex::Atkinson => {
+                let b = atkinson_b;
+                let sum: f64 =
+                    units().map(|(m, t)| (1.0 - m / t).powf(1.0 - b) * (m / t).powf(b) * t).sum();
+                1.0 - (p / (1.0 - p)) * (sum / (p * t_total)).powf(1.0 / (1.0 - b))
+            }
+        };
+        Some(value.clamp(0.0, 1.0))
+    }
+}
 
 /// Random histogram with at least one mixed unit so indexes are defined.
 fn histogram() -> impl Strategy<Value = Vec<(u64, u64)>> {
@@ -15,6 +75,53 @@ fn histogram() -> impl Strategy<Value = Vec<(u64, u64)>> {
 
 fn counts(pairs: &[(u64, u64)]) -> UnitCounts {
     UnitCounts::from_pairs(pairs.iter().copied()).unwrap()
+}
+
+/// `(raw, t)` draws to valid `(m, t)` pairs with `m` uniform in `0..=t`.
+fn to_pairs(draws: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    draws.into_iter().map(|(raw, t)| (raw % (t + 1), t)).collect()
+}
+
+/// Board-like: up to `max_units` units of 1–12 people — ≤ 90 distinct
+/// pairs, so nearly every unit collides with another.
+fn board_like(max_units: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
+    proptest::collection::vec((any::<u64>(), 1u64..=12), 1..max_units).prop_map(to_pairs)
+}
+
+/// Sector-like: a few dozen units of up to a million people.
+fn sector_like() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    proptest::collection::vec((any::<u64>(), 1u64..=1_000_000), 1..30).prop_map(to_pairs)
+}
+
+/// Every pair different: unit `i` has `1000 + i` people.
+fn all_distinct() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    proptest::collection::vec(any::<u64>(), 1..2_000).prop_map(|raw| {
+        to_pairs(raw.into_iter().enumerate().map(|(i, r)| (r, 1_000 + i as u64)).collect())
+    })
+}
+
+/// Cheap deterministic Fisher–Yates.
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut s = seed;
+    for i in (1..items.len()).rev() {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        items.swap(i, (s >> 33) as usize % (i + 1));
+    }
+}
+
+/// The kernel against the oracle on one histogram: same definedness, and
+/// defined values within 1e-12 (the two sum in different orders, so the
+/// last bits may differ; nothing more may).
+fn assert_agrees_with_reference(c: &UnitCounts, atkinson_b: f64) {
+    let folded = IndexValues::compute_with(c, atkinson_b);
+    for idx in SegIndex::ALL {
+        match (folded.get(idx), reference::compute(idx, c, atkinson_b)) {
+            (Some(got), Some(want)) => {
+                assert!((got - want).abs() <= 1e-12, "{idx}: kernel {got} vs reference {want}")
+            }
+            (got, want) => assert_eq!(got, want, "{idx}: definedness differs"),
+        }
+    }
 }
 
 proptest! {
@@ -107,23 +214,52 @@ proptest! {
     }
 
     #[test]
-    fn unit_order_does_not_matter(pairs in histogram(), seed in any::<u64>()) {
-        let c1 = counts(&pairs);
+    fn unit_order_does_not_matter(
+        spread in histogram(),
+        colliding in board_like(200),
+        seed in any::<u64>(),
+        b in 0.05f64..0.95,
+    ) {
+        // Shuffling the units, or giving them other ids, leaves every
+        // value of every measure subset identical **to the bit**: the fold
+        // sees a multiset of pairs, never a unit id or a visit order.
+        let pairs: Vec<(u64, u64)> = spread.into_iter().chain(colliding).collect();
+        let n = pairs.len() as u32;
         let mut shuffled = pairs.clone();
-        // Cheap deterministic shuffle.
-        let n = shuffled.len();
-        let mut s = seed;
-        for i in (1..n).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (s >> 33) as usize % (i + 1);
-            shuffled.swap(i, j);
-        }
-        let c2 = counts(&shuffled);
-        for idx in SegIndex::ALL {
-            match (idx.compute(&c1), idx.compute(&c2)) {
-                (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{idx}"),
-                (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
+        shuffle(&mut shuffled, seed);
+        let base = counts(&pairs);
+        let variants = [
+            counts(&shuffled),
+            UnitCounts::from_triples(
+                pairs.iter().enumerate().map(|(i, &(m, t))| ((n - i as u32) * 3, m, t)),
+            )
+            .unwrap(),
+        ];
+        let bits = |v: &IndexValues| SegIndex::ALL.map(|idx| v.get(idx).map(f64::to_bits));
+        for bitset in 1u8..=63 {
+            let set = MeasureSet::from_bits(bitset).unwrap();
+            let want = bits(&IndexValues::compute_masked(&base, b, set));
+            for variant in &variants {
+                prop_assert_eq!(bits(&IndexValues::compute_masked(variant, b, set)), want);
             }
+        }
+        for idx in SegIndex::ALL {
+            let want = idx.compute(&base).map(f64::to_bits);
+            for variant in &variants {
+                prop_assert_eq!(idx.compute(variant).map(f64::to_bits), want, "{}", idx);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_agrees_with_reference(
+        board in board_like(5_000),
+        sector in sector_like(),
+        distinct in all_distinct(),
+        b in 0.2f64..0.8,
+    ) {
+        for pairs in [board, sector, distinct] {
+            assert_agrees_with_reference(&counts(&pairs), b);
         }
     }
 
@@ -169,4 +305,28 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn kernel_agrees_with_reference_on_degenerate_histograms() {
+    let cases: [&[(u64, u64)]; 8] = [
+        &[],                               // no population
+        &[(0, 10), (0, 20), (0, 10)],      // M = 0
+        &[(10, 10), (20, 20), (10, 10)],   // M = T: every m_i = t_i
+        &[(3, 10)],                        // one unit
+        &[(0, 7)],                         // one unit, no minority
+        &[(7, 7)],                         // one unit, all minority
+        &[(4, 4), (0, 9), (4, 4), (0, 9)], // complete segregation, repeated pairs
+        &[(1, 2), (2, 4), (3, 6), (1, 2)], // equal shares at different sizes
+    ];
+    for pairs in cases {
+        for b in [0.3, 0.5] {
+            assert_agrees_with_reference(&counts(pairs), b);
+        }
+    }
+    // Zero-population units are dropped before the fold sees them.
+    let with_empty = counts(&[(0, 0), (2, 5), (0, 0), (1, 5), (0, 0)]);
+    assert_eq!(with_empty.num_units(), 2);
+    assert_agrees_with_reference(&with_empty, 0.5);
+    assert_eq!(IndexValues::compute(&with_empty), IndexValues::compute(&counts(&[(2, 5), (1, 5)])));
 }

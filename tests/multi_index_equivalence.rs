@@ -4,12 +4,12 @@
 //! [`UnitCounts`], reassembled here from the raw transactions (an
 //! independent reference path that never touches the cube's fold code).
 //! Property-tested across materializations × skew-varying datagen
-//! registries, plus a renumbering regression: after a retraction relabels
-//! the unit space, order-sensitive folds must re-derive from histograms in
-//! *post-relabel* unit order for every index (the PR 5 1-ULP class — `D`,
-//! `H`, `xPx`, `xPy` accumulate f64 in unit-visit order and Gini
-//! prefix-scans a sort of it, so a stale visit order is a silent
-//! last-bit divergence, not an obviously wrong number).
+//! registries, plus a renumbering case: after a retraction relabels the
+//! unit space, every index of every cell — re-folded by the update or left
+//! untouched by it — must still equal the reference computed under the
+//! *post-relabel* numbering. The fold is a function of the multiset of
+//! `(m, t)` pairs, so this holds by construction; the test is what would
+//! notice a fold that let unit ids or visit order back in.
 
 use proptest::prelude::*;
 use scube::prelude::*;
@@ -140,15 +140,15 @@ proptest! {
     }
 
     #[test]
-    fn relabeling_update_re_derives_every_index_in_new_unit_order(
+    fn relabeling_update_is_bit_exact_against_the_renumbered_reference(
         seed in any::<u64>(),
         measure_bits in 1u8..=63,
         threads in 1usize..=4,
     ) {
-        // Retract every row of the first unit: survivors renumber, and the
-        // incremental path must re-fold each selected index over histograms
-        // in the *new* unit order. A fold that walks stale order differs in
-        // the last ULP — the bit-exact reference comparison catches it.
+        // Retract every row of the first unit: survivors renumber, and
+        // every selected index of every cell must equal the reference
+        // folded under the *new* numbering. A fold sensitive to unit order
+        // would differ in the last ULP — the bit-exact comparison catches it.
         let measures = MeasureSet::from_bits(measure_bits).expect("valid set");
         let db = final_table(0.8, seed, 100);
         let full_rel = scube::final_table_relation(&db);

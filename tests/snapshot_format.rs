@@ -26,7 +26,7 @@ use scube_common::hash::FxHasher;
 use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
 
 /// The one version word this build reads and writes.
-const VERSION: u32 = 6;
+const VERSION: u32 = 7;
 /// Layout constants (see the `scube_cube::snapshot` module docs): the
 /// offset directory's nine words start at 24, the meta region at 96, and
 /// the meta region opens with the build configuration — materialization
@@ -186,7 +186,7 @@ fn golden_truncations_and_corruptions_error_never_panic() {
 #[test]
 fn every_other_version_word_is_rejected_by_both_opens() {
     let good = golden_build(MeasureSet::FULL).to_bytes();
-    for version in [0u32, 1, 2, 3, 4, 5, 7, 99, u32::MAX] {
+    for version in [0u32, 1, 2, 3, 4, 5, 6, 8, 99, u32::MAX] {
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let named = format!("version {version} ");
