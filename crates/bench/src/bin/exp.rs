@@ -2020,7 +2020,7 @@ fn cube_indexes_experiment(smoke: bool) {
     let snap: CubeSnapshot =
         CubeSnapshot::from_db(&db, &builder_for(subset)).expect("subset snapshot builds");
     let bytes = snap.to_bytes();
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 7, "the version word");
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 8, "the version word");
     let reloaded: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).expect("subset snapshot loads");
     assert_eq!(reloaded.measures(), subset, "the snapshot names the subset");
     assert_eq!(reloaded.to_bytes(), bytes, "subset round-trip must be a fixed point");

@@ -17,6 +17,7 @@
 //! scube query --snapshot cube.scube [--mmap] [--sa gender=F] [--ca region=north]
 //!             [--breakdown] [--top 10 --rank dissimilarity --min-total 100]
 //!             [--slice gender=F,region=north] [--threads 4]
+//! scube inspect --snapshot cube.scube
 //! ```
 //!
 //! `--units` selects the scenario: a group attribute name (tabular units),
@@ -47,7 +48,7 @@ use scube_common::ScubeError;
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let verb = match args.first().map(String::as_str) {
-        Some("save") | Some("query") | Some("run") | Some("update") => args.remove(0),
+        Some("save" | "query" | "run" | "update" | "inspect") => args.remove(0),
         _ => "run".to_string(),
     };
     if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
@@ -58,6 +59,7 @@ fn main() -> ExitCode {
         "save" => run_save(&args),
         "query" => run_query(&args),
         "update" => run_update(&args),
+        "inspect" => run_inspect(&args),
         _ => run(&args),
     };
     match outcome {
@@ -88,6 +90,10 @@ verbs:
                          (give --add, --remove, or both)
     --unit-col <col>     the unit column of --add/--remove [unitID]
     --threads <n>        re-evaluate dirty cells on up to n threads [1]
+  scube inspect ...      say what a saved snapshot is made of: region sizes
+                         and shares, cell / posting / unit counts, and a
+                         census of the maintenance store's histograms
+    --snapshot <file>    the snapshot to inspect (required)
   scube query ...        serve queries from a saved snapshot:
     --snapshot <file>    the snapshot to load (required)
     --mmap               memory-map the snapshot instead of loading it
@@ -606,6 +612,14 @@ fn run_update(args: &[String]) -> Result<String> {
     ))
 }
 
+/// `scube inspect`: the census of a saved snapshot.
+fn run_inspect(args: &[String]) -> Result<String> {
+    let flags = Flags::new(args)?;
+    let path = flags.require("--snapshot")?;
+    let census = scube_cube::snapshot::inspect(path)?;
+    Ok(format!("{path}: {census}").trim_end().to_string())
+}
+
 fn fmt_opt(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.4}")).unwrap_or_else(|| "-".into())
 }
@@ -980,6 +994,15 @@ mod tests {
             .collect();
         assert_eq!(run_query(&q).unwrap(), heap_answer, "mapped serving must match");
 
+        // The inspector accounts for every byte of the file it names.
+        let census = run_inspect(&["--snapshot".to_string(), p("cube.scube")]).unwrap();
+        let file_len = std::fs::metadata(p("cube.scube")).unwrap().len();
+        assert!(census.contains(&format!("format version 8, {file_len} bytes")), "{census}");
+        let sum = census.lines().find(|l| l.contains("regions sum")).expect("a regions-sum line");
+        assert!(sum.contains(&format!(" {file_len} B")), "{census}");
+        assert!(census.contains("3 cells, 2 postings, 6 transactions, 2 units"), "{census}");
+        assert!(run_inspect(&["--snapshot".to_string(), p("rows.csv")]).is_err(), "not a snapshot");
+
         // The run verb takes the same shortcut and writes reports.
         let args: Vec<String> =
             ["--final-table", &p("rows.csv"), "--sa", "gender", "--out", &p("out")]
@@ -1125,7 +1148,7 @@ mod tests {
         .collect();
         run_save(&args).unwrap();
         let bytes = std::fs::read(p("subset.scube")).unwrap();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 7, "the version word");
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 8, "the version word");
         let subset = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
         let saved: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(saved.measures(), subset, "the snapshot names the subset");

@@ -44,6 +44,7 @@ pub mod builder;
 pub mod coords;
 pub mod cube;
 pub mod explore;
+pub mod histogram;
 pub mod query;
 pub mod report;
 pub mod serve;
@@ -57,5 +58,5 @@ pub use explore::{CubeExplorer, ExplorerScratch};
 pub use query::{AtomicQueryStats, QueryStats, RankedCells, DEFAULT_CACHE_CAPACITY};
 pub use report::{fig1_grid, radial_series, to_csv, top_contexts};
 pub use serve::{ConcurrentCubeEngine, DEFAULT_SHARDS};
-pub use snapshot::CubeSnapshot;
+pub use snapshot::{CubeSnapshot, SnapshotCensus, StoreCensus};
 pub use update::{UpdateBatch, UpdateStats};

@@ -263,6 +263,12 @@ impl ConcurrentCubeEngine {
         &self.cube
     }
 
+    /// The maintenance store, for tests that pin what queries leave alone.
+    #[cfg(test)]
+    pub(crate) fn maintenance(&self) -> &MaintenanceStore {
+        &self.maintenance
+    }
+
     /// Number of cell-cache shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

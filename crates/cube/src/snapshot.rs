@@ -10,23 +10,25 @@
 //!
 //! ## Format
 //!
-//! There is one on-disk layout, identified by the version word 7; a file
+//! There is one on-disk layout, identified by the version word 8; a file
 //! carrying any other version word is rejected with an error that names
-//! the version found (re-create such a snapshot with `scube save`). Word 6
-//! is the same layout with cell values folded in unit order; it is refused
-//! because updating such a file with this build's pair-order fold would
-//! leave clean cells a last bit away from a rebuild.
+//! the version found (re-create such a snapshot with `scube save`). Word 7
+//! is the same layout with the store's histograms as fixed-width
+//! `(unit u32, count u64)` pairs — 12 bytes a pair where an entry of
+//! [`crate::histogram`] takes about 2 — and word 6 additionally folded
+//! cell values in unit order.
 //!
-//! All integers are little-endian; strings are `u32` length + UTF-8 bytes.
-//! The data region is laid out as fixed-width tables behind an offset
-//! directory, so a reader can either *decode* the file onto the heap
+//! Fixed-width integers are little-endian; strings are `u32` length +
+//! UTF-8 bytes. Everything but the store is laid out as fixed-width
+//! tables behind an offset directory, so a reader can either *decode* the
+//! file onto the heap
 //! ([`CubeSnapshot::load`], any host) or *map* it and serve postings
 //! straight out of the page cache ([`CubeSnapshot::open_mmap`],
 //! little-endian hosts — N daemons then share one physical copy):
 //!
 //! ```text
 //! [0..8)    magic  "SCUBESNP"
-//! [8..12)   format version (u32, 7)
+//! [8..12)   format version (u32, 8)
 //! [12]      posting representation tag (EwahBitmap::SERIAL_TAG = 1; any
 //!           other value is an error)
 //! [13..21)  FxHash checksum (u64) of bytes [24..)   — the full checksum
@@ -45,8 +47,10 @@
 //! slots     posting slots (EwahBitmap::write_slot), each at an 8-aligned
 //!           file offset, zero padding between slots
 //! store     maintenance store: context totals, then cell minorities, each
-//!           a count followed by (key ids, ascending (unit u32, count u64)
-//!           pairs) entries in sorted key order
+//!           a u32 count followed by (key ids, histogram entry) records in
+//!           sorted key order — an entry being `varint n_pairs, varint
+//!           payload_len, payload` of delta-varint (unit gap, count − 1)
+//!           pairs, see [`crate::histogram`]
 //! ```
 //!
 //! `meta_sum` is an FxHash over the directory (sans itself), the meta
@@ -54,12 +58,14 @@
 //! *eagerly*. Verifying it costs O(metadata), not O(file): posting slots
 //! are validated structurally per slot ([`EwahBitmap::map_slot`], enough to
 //! rule out panics and out-of-universe tids, in time proportional to slot
-//! metadata), and the maintenance-store region stays raw bytes: the first
-//! update runs an O(keys) index scan over it, after which each histogram
-//! is decoded (and validated) individually when an update dirties its
-//! entry — a small batch touches a handful of entries, never the whole
-//! store (`LazyStore`). That keeps a cold `open_mmap` at milliseconds
-//! even for multi-gigabyte snapshots.
+//! metadata), and the maintenance-store region is attached unscanned. The
+//! first update runs an O(keys) scan over it — every key parsed and
+//! validated, every entry stepped over by its `payload_len` and filed as a
+//! slice of the mapping — after which an entry is decoded (and thereby
+//! validated) exactly when an update dirties it: a small batch touches a
+//! handful of entries, never the whole store, and a re-save copies the
+//! untouched slices out verbatim. That keeps a cold `open_mmap` at
+//! milliseconds even for multi-gigabyte snapshots.
 //!
 //! The full checksum at [13..21) covers every byte after the header. The
 //! heap loader and [`CubeSnapshot::open_mmap_verified`] check it *and*
@@ -83,11 +89,13 @@
 //! crash mid-save leaves the previous snapshot bytes intact instead of a
 //! torn file, and a save that returned `Ok` survives a power loss.
 
+use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
 use scube_bitmap::{EwahBitmap, Posting};
-use scube_common::mmap::{ByteRegion, MmapFile};
+use scube_common::mmap::{ByteRegion, MappedSlice, MmapFile, Store};
 use scube_common::{FxHashMap, Result, ScubeError};
 use scube_data::{ItemId, TransactionDb, VerticalDb};
 use scube_segindex::{IndexValues, MeasureSet, SegIndex, DEFAULT_ATKINSON_B};
@@ -95,10 +103,11 @@ use scube_segindex::{IndexValues, MeasureSet, SegIndex, DEFAULT_ATKINSON_B};
 use crate::builder::{CubeBuilder, Materialize};
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
+use crate::histogram;
 use crate::update::{MaintenanceStore, UpdateBatch, UpdateOutcome, UpdateStats};
 
 const MAGIC: &[u8; 8] = b"SCUBESNP";
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 const HEADER_LEN: usize = 8 + 4 + 1 + 8;
 /// Offset directory: starts 8-aligned after the header + 3 pad bytes.
 const DIR_OFF: usize = HEADER_LEN + 3;
@@ -133,152 +142,23 @@ pub struct CubeSnapshot {
     measures: MeasureSet,
     /// The integer per-unit histograms behind every cell value, kept so
     /// updates fold deltas in instead of re-deriving from full postings.
-    /// Mapped snapshots leave it lazy ([`LazyStore`]): entries decode one
-    /// by one as updates dirty them.
+    /// Mapped snapshots attach it unscanned; entries decode one by one as
+    /// updates dirty them.
     maintenance: MaintenanceStore,
 }
 
-/// The undecoded remainder of a mapped snapshot's maintenance-store
-/// region. `open_mmap` attaches the raw region without even scanning it —
-/// queries never touch the store, so a cold open stays O(metadata). The
-/// first update runs the O(keys) *index* scan ([`MaintenanceStore::
-/// ensure_indexed`]): every key is parsed and validated, every histogram
-/// blob is bounds-checked and recorded as a byte range, nothing is
-/// decoded. From then on each entry moves from a range here to a decoded
-/// map entry exactly when an update dirties it — a small [`UpdateBatch`]
-/// on a million-context store decodes a handful of histograms, not the
-/// store. Histogram contents are validated per entry at decode time (unit
-/// range, ascending units, nonzero counts — the same [`Reader::pairs`]
-/// rejections the eager loaders apply), so corruption in an entry is
-/// caught the moment that entry is first trusted.
-#[derive(Debug, Clone)]
-pub(crate) struct LazyStore {
-    region: ByteRegion,
-    n_items: usize,
-    n_units: u32,
-    /// Context key → byte range of its totals blob (count prefix
-    /// included) within `region`. Keys here and in the decoded map are
-    /// disjoint.
-    pub(crate) ctx_ranges: FxHashMap<Vec<ItemId>, (usize, usize)>,
-    /// Cell coordinates → byte range of its minority blob.
-    pub(crate) min_ranges: FxHashMap<CellCoords, (usize, usize)>,
-    /// False until the index scan has run (the maps above are empty and
-    /// the whole region is still authoritative).
-    pub(crate) indexed: bool,
-}
-
 impl MaintenanceStore {
-    /// A store whose entries all still live in a mapped region,
-    /// undecoded and unscanned.
-    pub(crate) fn deferred(region: ByteRegion, n_items: usize, n_units: u32) -> Self {
-        MaintenanceStore {
-            contexts: FxHashMap::default(),
-            minorities: FxHashMap::default(),
-            lazy: Some(LazyStore {
-                region,
-                n_items,
-                n_units,
-                ctx_ranges: FxHashMap::default(),
-                min_ranges: FxHashMap::default(),
-                indexed: false,
-            }),
-        }
-    }
-
-    /// Build the per-entry byte index over a mapped store region: parse
-    /// (and validate) every key, bounds-check and skip every histogram
-    /// blob, record its range. O(keys + entry count), no histogram
-    /// decoding. No-op for heap stores and already-indexed regions.
-    pub(crate) fn ensure_indexed(&mut self) -> Result<()> {
-        let Some(lazy) = &mut self.lazy else { return Ok(()) };
-        if lazy.indexed {
-            return Ok(());
-        }
-        let mut r = Reader { bytes: lazy.region.as_slice(), pos: 0 };
-        let n_contexts = r.u32()? as usize;
-        for _ in 0..n_contexts {
-            let key = r.ids(lazy.n_items)?;
-            let range = r.skip_pairs()?;
-            if lazy.ctx_ranges.insert(key, range).is_some() {
-                return Err(corrupt("duplicate maintenance context"));
-            }
-        }
-        let n_minorities = r.u32()? as usize;
-        for _ in 0..n_minorities {
-            let sa = r.ids(lazy.n_items)?;
-            let ca = r.ids(lazy.n_items)?;
-            let range = r.skip_pairs()?;
-            if lazy.min_ranges.insert(CellCoords { sa, ca }, range).is_some() {
-                return Err(corrupt("duplicate maintenance cell"));
-            }
-        }
-        if r.pos != r.bytes.len() {
-            return Err(corrupt("trailing bytes after the maintenance store"));
-        }
-        lazy.indexed = true;
-        Ok(())
-    }
-
-    /// Decode one histogram blob out of a lazy region, validating it
-    /// exactly as the eager loader would.
-    fn decode_lazy_pairs(lazy: &LazyStore, range: (usize, usize)) -> Result<Vec<(u32, u64)>> {
-        let blob = lazy
-            .region
-            .as_slice()
-            .get(range.0..range.1)
-            .ok_or_else(|| corrupt("histogram range out of bounds"))?;
-        let mut r = Reader { bytes: blob, pos: 0 };
-        let pairs = r.pairs(lazy.n_units)?;
-        if r.pos != blob.len() {
-            return Err(corrupt("trailing bytes in a histogram blob"));
-        }
-        Ok(pairs)
-    }
-
-    /// Move a context's totals from the lazy region into the decoded map
-    /// if they are still lazy; no-op when already decoded or absent.
-    pub(crate) fn ensure_context(&mut self, ca: &[ItemId]) -> Result<()> {
-        if self.contexts.contains_key(ca) {
-            return Ok(());
-        }
-        if let Some(lazy) = &mut self.lazy {
-            if let Some(range) = lazy.ctx_ranges.remove(ca) {
-                let pairs = Self::decode_lazy_pairs(lazy, range)?;
-                self.contexts.insert(ca.to_vec(), pairs);
-            }
-        }
-        Ok(())
-    }
-
-    /// Move a cell's minority counts from the lazy region into the
-    /// decoded map if they are still lazy; no-op otherwise.
-    pub(crate) fn ensure_minority(&mut self, coords: &CellCoords) -> Result<()> {
-        if self.minorities.contains_key(coords) {
-            return Ok(());
-        }
-        if let Some(lazy) = &mut self.lazy {
-            if let Some(range) = lazy.min_ranges.remove(coords) {
-                let pairs = Self::decode_lazy_pairs(lazy, range)?;
-                self.minorities.insert(coords.clone(), pairs);
-            }
-        }
-        Ok(())
-    }
-
-    /// Decode every still-lazy entry and drop the mapped region — what
-    /// the wholesale relabel path needs (it rebuilds both maps under new
-    /// ids, so nothing may stay as bytes).
-    pub(crate) fn materialize_all(&mut self) -> Result<()> {
-        self.ensure_indexed()?;
-        let Some(mut lazy) = self.lazy.take() else { return Ok(()) };
-        for (key, range) in std::mem::take(&mut lazy.ctx_ranges) {
-            let pairs = Self::decode_lazy_pairs(&lazy, range)?;
-            self.contexts.insert(key, pairs);
-        }
-        for (coords, range) in std::mem::take(&mut lazy.min_ranges) {
-            let pairs = Self::decode_lazy_pairs(&lazy, range)?;
-            self.minorities.insert(coords, pairs);
-        }
+    /// File a mapped store region's entries into the two maps: parse (and
+    /// validate) every key, bounds-check and step over every entry, keep
+    /// it as a slice of the mapping. O(keys), nothing inside an entry is
+    /// read. No-op for heap stores and already-scanned regions; on error
+    /// the region stays attached and unscanned.
+    pub(crate) fn scan(&mut self, n_items: usize) -> Result<()> {
+        let Some(region) = &self.unscanned else { return Ok(()) };
+        *self = read_store(region.as_slice(), n_items, |entry| {
+            let slice = region.slice(entry.start, entry.len()).expect("entry lies in the region");
+            Store::Mapped(MappedSlice::new(slice).expect("bytes have no alignment"))
+        })?;
         Ok(())
     }
 }
@@ -492,8 +372,11 @@ impl CubeSnapshot {
             put_u64(&mut postdir, posting.cardinality());
         }
         let store_off = slots_off + slots.len();
+        let store_len = store_len(&self.maintenance);
 
-        let mut out = Vec::with_capacity(store_off + 1024);
+        // Every length is known by now: one allocation of the final size,
+        // no growth while the store — most of the file — is appended.
+        let mut out = Vec::with_capacity(store_off + store_len);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(EwahBitmap::SERIAL_TAG);
@@ -507,7 +390,7 @@ impl CubeSnapshot {
             slots_off as u64,
             slots.len() as u64,
             store_off as u64,
-            0, // store length, patched below
+            store_len as u64,
             0, // meta checksum, patched below
         ] {
             put_u64(&mut out, word);
@@ -517,8 +400,7 @@ impl CubeSnapshot {
         out.resize(slots_off, 0); // alignment padding before the first slot
         out.extend_from_slice(&slots);
         encode_store(&self.maintenance, &mut out);
-        let store_len = (out.len() - store_off) as u64;
-        out[DIR_OFF + 7 * 8..DIR_OFF + 8 * 8].copy_from_slice(&store_len.to_le_bytes());
+        debug_assert_eq!(out.len(), store_off + store_len, "the reservation was exact");
         let meta_sum = checksum(&[&out[DIR_OFF..DIR_OFF + 8 * 8], &out[META_OFF..slots_off]]);
         out[DIR_OFF + 8 * 8..META_OFF].copy_from_slice(&meta_sum.to_le_bytes());
         let full_sum = checksum(&[&out[DIR_OFF..]]);
@@ -583,18 +465,18 @@ impl CubeSnapshot {
     /// Deserialize a snapshot onto the heap, verifying magic, version,
     /// representation tag, and both checksums before trusting any field,
     /// then validating every region fully (owned postings via
-    /// [`EwahBitmap::read_slot`], [`VerticalDb::from_parts`], store coverage).
+    /// [`EwahBitmap::read_slot`], [`VerticalDb::from_parts`], store coverage,
+    /// every store entry decoded once and dropped).
     /// Any version word but the current one is an error, never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let (d, meta) = Self::parse_preamble(bytes, true)?;
         let postings = d.postings(bytes, |off, len, card| {
             EwahBitmap::read_slot(&bytes[off..off + len], card)
         })?;
-        let store = decode_store(
-            &bytes[d.store_off..d.store_off + d.store_len],
-            meta.n_items,
-            meta.v_units,
-        )?;
+        let store_bytes = &bytes[d.store_off..d.store_off + d.store_len];
+        let store = read_store(store_bytes, meta.n_items, |entry| {
+            Store::Owned(store_bytes[entry].to_vec())
+        })?;
         let vertical =
             VerticalDb::from_parts(postings, meta.n_transactions, meta.unit_of, meta.v_units)
                 .ok_or_else(|| corrupt("inconsistent vertical database parts"))?;
@@ -602,6 +484,7 @@ impl CubeSnapshot {
         if !store.covers(&meta.cube) {
             return Err(corrupt("maintenance store does not cover the cube"));
         }
+        store.validate_entries(meta.v_units)?;
         Ok(CubeSnapshot {
             cube: meta.cube,
             vertical,
@@ -668,11 +551,12 @@ impl CubeSnapshot {
     /// directory, the meta region, and the posting directory are verified
     /// against `meta_sum`; each posting slot is checked *structurally*
     /// ([`EwahBitmap::map_slot`] — panic-freedom and tid range, not content),
-    /// and the maintenance-store region is decoded and fully validated
-    /// only when an update first needs it. Bit rot inside a slot that
-    /// happens to keep a valid structure is the one corruption class this
-    /// cannot catch — [`Self::open_mmap_verified`] reads the whole file
-    /// and checks the full checksum for that.
+    /// and the maintenance-store region is scanned when an update first
+    /// needs it, its entries validated one by one as updates dirty them.
+    /// Bit rot inside a slot that happens to keep a valid structure is the
+    /// one corruption class this cannot catch —
+    /// [`Self::open_mmap_verified`] reads the whole file and checks the
+    /// full checksum for that.
     ///
     /// Errors (never panics, never UB) on truncated or corrupted files, on
     /// any other format version, and on big-endian hosts, where the
@@ -731,7 +615,7 @@ impl CubeSnapshot {
             materialize: meta.materialize,
             atkinson_b: meta.atkinson_b,
             measures: meta.measures,
-            maintenance: MaintenanceStore::deferred(store_region, meta.n_items, meta.v_units),
+            maintenance: MaintenanceStore { unscanned: Some(store_region), ..Default::default() },
         })
     }
 
@@ -755,6 +639,163 @@ impl CubeSnapshot {
         let bytes =
             std::fs::read(path).map_err(|e| ScubeError::io_at(path.display().to_string(), e))?;
         Self::from_bytes(&bytes)
+    }
+}
+
+/// What a snapshot file is made of — the answer to "what is in this
+/// 110 MB file" ([`inspect`], `scube inspect --snapshot f`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SnapshotCensus {
+    /// The format version word.
+    pub version: u32,
+    /// File length in bytes.
+    pub file_bytes: u64,
+    /// The regions that tile the file, in file order, with their lengths:
+    /// header + offset directory, meta, posting directory, alignment
+    /// padding, posting slots, maintenance store.
+    pub regions: Vec<(&'static str, u64)>,
+    /// Bytes of the unit-name list inside the meta region.
+    pub unit_name_bytes: u64,
+    /// Bytes of the tid → unit map inside the meta region.
+    pub tid_unit_bytes: u64,
+    /// Materialized cells.
+    pub cells: usize,
+    /// Item postings.
+    pub postings: usize,
+    /// Transactions (input rows).
+    pub transactions: u32,
+    /// Organizational units.
+    pub units: u32,
+    /// The store's context-totals entries.
+    pub contexts: StoreCensus,
+    /// The store's cell-minority entries.
+    pub minorities: StoreCensus,
+}
+
+/// Census of one half of the maintenance store.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreCensus {
+    /// Histogram entries.
+    pub entries: u64,
+    /// `(unit, count)` pairs over all entries.
+    pub pairs: u64,
+    /// Bytes of the keys (item-id lists).
+    pub key_bytes: u64,
+    /// Bytes of the entries.
+    pub entry_bytes: u64,
+    /// Pairs in the smallest, the median and the largest entry.
+    pub pairs_per_entry: (u64, u64, u64),
+    /// Pairs whose count is exactly 1.
+    pub count_one: u64,
+    /// Pairs whose unit gap fits one varint byte (≤ 127).
+    pub one_byte_gaps: u64,
+    /// The largest count.
+    pub max_count: u64,
+}
+
+/// Take the census of a snapshot file. Everything but the store comes from
+/// the offset directory and the meta region — O(metadata), verified against
+/// `meta_sum` like any mapped open; the store census is one sequential
+/// scan through the same validating decoder loads and updates use, so a
+/// file this accepts has a well-formed store.
+pub fn inspect(path: impl AsRef<Path>) -> Result<SnapshotCensus> {
+    let file = MmapFile::open(path.as_ref())?;
+    let bytes = file.as_bytes();
+    let (d, meta) = CubeSnapshot::parse_preamble(bytes, false)?;
+    let postdir_end = d.postdir_off + d.n_postings * POSTDIR_ENTRY;
+    let names = &meta.cube.labels().unit_names;
+    let mut contexts = (StoreCensus::default(), Vec::new());
+    let mut minorities = (StoreCensus::default(), Vec::new());
+    let store = &bytes[d.store_off..d.store_off + d.store_len];
+    let ids = |n: usize| 4 + 4 * n as u64;
+    scan_store(store, meta.n_items, |key, entry| {
+        let ((census, sizes), key_bytes) = match &key {
+            StoreKey::Context(ca) => (&mut contexts, ids(ca.len())),
+            StoreKey::Minority(c) => (&mut minorities, ids(c.sa.len()) + ids(c.ca.len())),
+        };
+        let pairs = histogram::decode(&store[entry.clone()], meta.v_units)?;
+        census.entries += 1;
+        census.pairs += pairs.len() as u64;
+        census.key_bytes += key_bytes;
+        census.entry_bytes += entry.len() as u64;
+        sizes.push(pairs.len() as u64);
+        let mut next = 0u32;
+        for &(unit, count) in &pairs {
+            census.count_one += u64::from(count == 1);
+            census.one_byte_gaps += u64::from(unit - next <= 127);
+            census.max_count = census.max_count.max(count);
+            next = unit + 1;
+        }
+        Ok(())
+    })?;
+    for (census, sizes) in [&mut contexts, &mut minorities] {
+        sizes.sort_unstable();
+        if let (Some(&min), Some(&max)) = (sizes.first(), sizes.last()) {
+            census.pairs_per_entry = (min, sizes[sizes.len() / 2], max);
+        }
+    }
+    Ok(SnapshotCensus {
+        version: VERSION,
+        file_bytes: bytes.len() as u64,
+        regions: vec![
+            ("header + directory", META_OFF as u64),
+            ("meta", (d.postdir_off - META_OFF) as u64),
+            ("posting directory", (postdir_end - d.postdir_off) as u64),
+            ("alignment padding", (d.slots_off - postdir_end) as u64),
+            ("posting slots", (d.store_off - d.slots_off) as u64),
+            ("maintenance store", d.store_len as u64),
+        ],
+        unit_name_bytes: 4 + names.iter().map(|n| 4 + n.len() as u64).sum::<u64>(),
+        tid_unit_bytes: 4 * u64::from(meta.n_transactions),
+        cells: meta.cube.len(),
+        postings: d.n_postings,
+        transactions: meta.n_transactions,
+        units: meta.v_units,
+        contexts: contexts.0,
+        minorities: minorities.0,
+    })
+}
+
+impl fmt::Display for SnapshotCensus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let share = |part: u64, whole: u64| 100.0 * part as f64 / (whole.max(1)) as f64;
+        writeln!(f, "format version {}, {} bytes", self.version, self.file_bytes)?;
+        for &(name, len) in &self.regions {
+            writeln!(f, "  {name:<20}{len:>14} B {:>5.1} %", share(len, self.file_bytes))?;
+        }
+        let tiled: u64 = self.regions.iter().map(|&(_, len)| len).sum();
+        writeln!(f, "  {:<20}{tiled:>14} B", "regions sum")?;
+        writeln!(
+            f,
+            "inside meta: unit names {} B ({:.1} %), tid -> unit map {} B ({:.1} %)",
+            self.unit_name_bytes,
+            share(self.unit_name_bytes, self.file_bytes),
+            self.tid_unit_bytes,
+            share(self.tid_unit_bytes, self.file_bytes)
+        )?;
+        writeln!(
+            f,
+            "{} cells, {} postings, {} transactions, {} units",
+            self.cells, self.postings, self.transactions, self.units
+        )?;
+        for (name, c) in [("contexts", &self.contexts), ("minorities", &self.minorities)] {
+            let (min, median, max) = c.pairs_per_entry;
+            writeln!(
+                f,
+                "store {name}: entries {}, pairs {}, key bytes {}, entry bytes {} ({:.2} B/pair), \
+                 pairs per entry min {min} / median {median} / max {max}, count = 1 {:.1} %, \
+                 one-byte gaps {:.1} %, max count {}",
+                c.entries,
+                c.pairs,
+                c.key_bytes,
+                c.entry_bytes,
+                c.entry_bytes as f64 / c.pairs.max(1) as f64,
+                share(c.count_one, c.pairs),
+                share(c.one_byte_gaps, c.pairs),
+                c.max_count
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -991,91 +1032,100 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts> {
     })
 }
 
-/// Encode the maintenance store: context totals then cell minorities, in
+/// Exact length of the store region [`encode_store`] writes.
+fn store_len(store: &MaintenanceStore) -> usize {
+    if let Some(region) = &store.unscanned {
+        return region.len();
+    }
+    let ids = |n: usize| 4 + 4 * n;
+    let contexts: usize = store.contexts.iter().map(|(ca, e)| ids(ca.len()) + e.len()).sum();
+    let minorities: usize =
+        store.minorities.iter().map(|(c, e)| ids(c.sa.len()) + ids(c.ca.len()) + e.len()).sum();
+    4 + contexts + 4 + minorities
+}
+
+/// Write the maintenance store: context totals then cell minorities, in
 /// canonical key order so serialization stays path-independent — an
-/// updated snapshot and a rebuilt one produce identical bytes.
-///
-/// A partially-decoded mapped store stays canonical without decoding the
-/// rest: still-lazy entries splice their histogram bytes verbatim out of
-/// the mapped region (they came from this writer, so the bytes *are* the
-/// canonical encoding), interleaved with re-encoded decoded entries in
-/// one sorted key order. An untouched region skips even the merge and is
-/// spliced whole.
-/// A store key paired with `Some(byte range)` when it lives undecoded in
-/// the lazy region, `None` when it was decoded (and possibly mutated).
-type KeyedRanges<'a, K> = Vec<(&'a K, Option<(usize, usize)>)>;
-
+/// updated snapshot and a rebuilt one produce identical bytes. An entry is
+/// copied as it stands, whether it is owned or still a slice of a mapped
+/// file (it came from this writer, so its bytes *are* the canonical
+/// encoding); a region no update has scanned is copied whole.
 fn encode_store(store: &MaintenanceStore, out: &mut Vec<u8>) {
-    if let Some(lazy) = &store.lazy {
-        if !lazy.indexed {
-            debug_assert!(store.contexts.is_empty() && store.minorities.is_empty());
-            out.extend_from_slice(lazy.region.as_slice());
-            return;
-        }
+    if let Some(region) = &store.unscanned {
+        debug_assert!(store.contexts.is_empty() && store.minorities.is_empty());
+        out.extend_from_slice(region.as_slice());
+        return;
     }
-    let lazy_bytes = store.lazy.as_ref().map(|l| l.region.as_slice());
-    let splice = |out: &mut Vec<u8>, range: (usize, usize)| {
-        out.extend_from_slice(
-            &lazy_bytes.expect("lazy range implies lazy region")[range.0..range.1],
-        );
-    };
-
-    let mut ctx_keys: KeyedRanges<Vec<ItemId>> = store.contexts.keys().map(|k| (k, None)).collect();
-    if let Some(lazy) = &store.lazy {
-        ctx_keys.extend(lazy.ctx_ranges.iter().map(|(k, &r)| (k, Some(r))));
+    let mut contexts: Vec<(&Vec<ItemId>, &Store<u8>)> = store.contexts.iter().collect();
+    contexts.sort_unstable_by_key(|&(ca, _)| ca);
+    put_u32(out, contexts.len() as u32);
+    for (ca, entry) in contexts {
+        put_ids(out, ca);
+        out.extend_from_slice(entry);
     }
-    ctx_keys.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    put_u32(out, ctx_keys.len() as u32);
-    for (key, range) in ctx_keys {
-        put_ids(out, key);
-        match range {
-            None => put_pairs(out, &store.contexts[key]),
-            Some(r) => splice(out, r),
-        }
-    }
-
-    let mut cell_keys: KeyedRanges<CellCoords> =
-        store.minorities.keys().map(|k| (k, None)).collect();
-    if let Some(lazy) = &store.lazy {
-        cell_keys.extend(lazy.min_ranges.iter().map(|(k, &r)| (k, Some(r))));
-    }
-    cell_keys.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    put_u32(out, cell_keys.len() as u32);
-    for (coords, range) in cell_keys {
+    let mut minorities: Vec<(&CellCoords, &Store<u8>)> = store.minorities.iter().collect();
+    minorities.sort_unstable_by_key(|&(coords, _)| coords);
+    put_u32(out, minorities.len() as u32);
+    for (coords, entry) in minorities {
         put_ids(out, &coords.sa);
         put_ids(out, &coords.ca);
-        match range {
-            None => put_pairs(out, &store.minorities[coords]),
-            Some(r) => splice(out, r),
-        }
+        out.extend_from_slice(entry);
     }
 }
 
-/// Decode the maintenance-store region (exactly; validating the keys'
-/// structure, the unit range, and that counts are nonzero).
-fn decode_store(bytes: &[u8], n_items: usize, v_units: u32) -> Result<MaintenanceStore> {
+/// Whose histogram a store record holds.
+enum StoreKey {
+    Context(Vec<ItemId>),
+    Minority(CellCoords),
+}
+
+/// The one walk over a store region: every key parsed and validated,
+/// every entry bounds-checked and stepped over by its header, `visit`
+/// handed the key and the entry's byte range within `bytes`. O(keys);
+/// what an entry holds is the visitor's business ([`histogram::decode`]).
+fn scan_store(
+    bytes: &[u8],
+    n_items: usize,
+    mut visit: impl FnMut(StoreKey, Range<usize>) -> Result<()>,
+) -> Result<()> {
     let mut r = Reader { bytes, pos: 0 };
-    let mut store = MaintenanceStore::default();
     let n_contexts = r.u32()? as usize;
     for _ in 0..n_contexts {
         let key = r.ids(n_items)?;
-        let pairs = r.pairs(v_units)?;
-        if store.contexts.insert(key, pairs).is_some() {
-            return Err(corrupt("duplicate maintenance context"));
-        }
+        visit(StoreKey::Context(key), r.entry()?)?;
     }
     let n_minorities = r.u32()? as usize;
     for _ in 0..n_minorities {
         let sa = r.ids(n_items)?;
         let ca = r.ids(n_items)?;
-        let pairs = r.pairs(v_units)?;
-        if store.minorities.insert(CellCoords { sa, ca }, pairs).is_some() {
-            return Err(corrupt("duplicate maintenance cell"));
-        }
+        visit(StoreKey::Minority(CellCoords { sa, ca }), r.entry()?)?;
     }
     if r.pos != r.bytes.len() {
         return Err(corrupt("trailing bytes after the maintenance store"));
     }
+    Ok(())
+}
+
+/// File a store region's entries under their keys, each held as `hold`
+/// makes of its byte range (an owned copy for heap loads, a slice of the
+/// mapping for mapped ones). Duplicate keys are errors.
+fn read_store(
+    bytes: &[u8],
+    n_items: usize,
+    hold: impl Fn(Range<usize>) -> Store<u8>,
+) -> Result<MaintenanceStore> {
+    let mut store = MaintenanceStore::default();
+    scan_store(bytes, n_items, |key, entry| {
+        let fresh = match key {
+            StoreKey::Context(ca) => store.contexts.insert(ca, hold(entry)).is_none(),
+            StoreKey::Minority(coords) => store.minorities.insert(coords, hold(entry)).is_none(),
+        };
+        if fresh {
+            Ok(())
+        } else {
+            Err(corrupt("duplicate maintenance-store key"))
+        }
+    })?;
     Ok(store)
 }
 
@@ -1107,14 +1157,6 @@ fn put_ids(out: &mut Vec<u8>, ids: &[ItemId]) {
     put_u32(out, ids.len() as u32);
     for &id in ids {
         put_u32(out, id);
-    }
-}
-
-fn put_pairs(out: &mut Vec<u8>, pairs: &[(u32, u64)]) {
-    put_u32(out, pairs.len() as u32);
-    for &(unit, count) in pairs {
-        put_u32(out, unit);
-        put_u64(out, count);
     }
 }
 
@@ -1188,39 +1230,12 @@ impl Reader<'_> {
         Ok(out)
     }
 
-    /// Skip an ascending-pairs blob without decoding it, returning its
-    /// byte range (count prefix included) within the reader's buffer —
-    /// the structural half of [`Self::pairs`], used by the lazy store's
-    /// index scan.
-    fn skip_pairs(&mut self) -> Result<(usize, usize)> {
+    /// Step over the histogram entry at the cursor, returning its byte
+    /// range within the reader's buffer.
+    fn entry(&mut self) -> Result<Range<usize>> {
         let start = self.pos;
-        let n = self.u32()? as usize;
-        let len = n.checked_mul(12).ok_or_else(|| corrupt("length overflow"))?;
-        self.take(len)?;
-        Ok((start, self.pos))
-    }
-
-    /// Ascending `(unit, count)` pairs over known units, counts nonzero.
-    fn pairs(&mut self, n_units: u32) -> Result<Vec<(u32, u64)>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(PREALLOC_CAP));
-        let mut prev: Option<u32> = None;
-        for _ in 0..n {
-            let unit = self.u32()?;
-            let count = self.u64()?;
-            if unit >= n_units {
-                return Err(corrupt("histogram references an unknown unit"));
-            }
-            if prev.is_some_and(|p| unit <= p) {
-                return Err(corrupt("histogram units not strictly increasing"));
-            }
-            if count == 0 {
-                return Err(corrupt("histogram stores a zero count"));
-            }
-            prev = Some(unit);
-            out.push((unit, count));
-        }
-        Ok(out)
+        self.pos += histogram::entry_len(&self.bytes[start..])?;
+        Ok(start..self.pos)
     }
 
     fn f64_opt(&mut self) -> Result<Option<f64>> {
@@ -1238,25 +1253,32 @@ mod tests {
     use crate::builder::Materialize;
     use scube_data::{Attribute, Schema, TransactionDbBuilder};
 
-    fn db() -> TransactionDb {
+    type Row = (&'static str, &'static str, &'static str, &'static str);
+
+    const ROWS: [Row; 8] = [
+        ("F", "young", "north", "u0"),
+        ("F", "young", "north", "u0"),
+        ("M", "old", "north", "u0"),
+        ("F", "old", "south", "u1"),
+        ("M", "young", "south", "u1"),
+        ("M", "old", "south", "u1"),
+        ("F", "young", "south", "u0"),
+        ("M", "young", "north", "u1"),
+    ];
+
+    fn db_of(rows: &[Row]) -> TransactionDb {
         let schema =
             Schema::new(vec![Attribute::sa("sex"), Attribute::sa("age"), Attribute::ca("region")])
                 .unwrap();
         let mut b = TransactionDbBuilder::new(schema);
-        let rows = [
-            ("F", "young", "north", "u0"),
-            ("F", "young", "north", "u0"),
-            ("M", "old", "north", "u0"),
-            ("F", "old", "south", "u1"),
-            ("M", "young", "south", "u1"),
-            ("M", "old", "south", "u1"),
-            ("F", "young", "south", "u0"),
-            ("M", "young", "north", "u1"),
-        ];
         for (s, a, r, u) in rows {
-            b.add_row(&[vec![s], vec![a], vec![r]], u).unwrap();
+            b.add_row(&[vec![*s], vec![*a], vec![*r]], u).unwrap();
         }
         b.finish()
+    }
+
+    fn db() -> TransactionDb {
+        db_of(&ROWS)
     }
 
     /// Build under `measures`, serialize, load, and re-serialize.
@@ -1298,45 +1320,52 @@ mod tests {
     }
 
     #[test]
-    fn mapped_update_decodes_only_dirty_store_entries() {
-        let db = db();
-        let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
+    fn mapped_update_reencodes_only_dirty_store_entries() {
+        let snap = CubeSnapshot::from_db(&db(), &CubeBuilder::new()).unwrap();
         let path =
-            std::env::temp_dir().join(format!("scube_lazy_store_{}.scube", std::process::id()));
+            std::env::temp_dir().join(format!("scube_mapped_store_{}.scube", std::process::id()));
         snap.save(&path).unwrap();
+        let file = std::fs::read(&path).unwrap();
 
-        // Heap path: load, update, serialize — the reference bytes.
+        // Open is O(metadata): the store region is attached, not scanned —
+        // and queries, materialized or explored, leave it that way.
+        let mut mapped = CubeSnapshot::open_mmap(&path).unwrap();
+        let untouched = |store: &MaintenanceStore| {
+            store.unscanned.is_some() && store.contexts.is_empty() && store.minorities.is_empty()
+        };
+        assert!(untouched(&mapped.maintenance), "not even the key scan runs at open");
+        let engine = crate::serve::ConcurrentCubeEngine::new(mapped.clone());
+        engine.query_by_names(&[("sex", "F")], &[("region", "north")]).unwrap();
+        engine.query_by_names(&[("sex", "F"), ("age", "old")], &[("region", "north")]).unwrap();
+        engine.top_k(SegIndex::Dissimilarity, 3, 1);
+        assert!(untouched(engine.maintenance()), "queries never touch the store");
+        assert_eq!(mapped.to_bytes(), file, "an unscanned region re-saves verbatim");
+
+        // One appended row in the north: `⋆` and north contexts are dirty,
+        // south ones are not.
         let mut batch = UpdateBatch::new();
         batch.add_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
-        let mut heap = CubeSnapshot::load(&path).unwrap();
-        heap.apply_update(&batch).unwrap();
-        let want = heap.to_bytes();
-
-        // Mapped path: the same batch only touches "north"-side entries,
-        // so the "south" contexts and cells must stay undecoded ranges.
-        let mut mapped = CubeSnapshot::open_mmap(&path).unwrap();
-        assert!(
-            !mapped.maintenance.lazy.as_ref().unwrap().indexed,
-            "open stays O(metadata): not even the index scan runs"
-        );
         mapped.apply_update(&batch).unwrap();
-        let lazy = mapped.maintenance.lazy.as_ref().expect("undirtied entries stay mapped");
-        assert!(lazy.indexed);
-        assert!(!lazy.ctx_ranges.is_empty(), "delta-clean contexts stay undecoded");
-        assert!(!lazy.min_ranges.is_empty(), "delta-clean cells stay undecoded");
-        assert!(!mapped.maintenance.contexts.is_empty(), "dirty contexts were decoded and updated");
-        // Decoded and lazy key sets partition the store.
-        for ca in mapped.maintenance.contexts.keys() {
-            assert!(!lazy.ctx_ranges.contains_key(ca), "context {ca:?} both decoded and lazy");
+        let store = &mapped.maintenance;
+        assert!(store.unscanned.is_none(), "the first update scanned the region");
+        let south = mapped.cube().labels().find_item("region", "south").unwrap();
+        let entries =
+            store.contexts.iter().chain(store.minorities.iter().map(|(coords, e)| (&coords.ca, e)));
+        let (mut clean, mut dirty) = (0, 0);
+        for (ca, entry) in entries {
+            let is_clean = ca.contains(&south);
+            assert_eq!(entry.is_mapped(), is_clean, "context {ca:?}: only dirtied entries move");
+            *(if is_clean { &mut clean } else { &mut dirty }) += 1;
         }
-        for coords in mapped.maintenance.minorities.keys() {
-            assert!(!lazy.min_ranges.contains_key(coords), "cell both decoded and lazy");
-        }
-        // The mixed writer (re-encoded dirty entries + verbatim-spliced
-        // clean ranges) is still canonical: byte-identical to the heap
-        // path's fully-decoded store.
-        assert_eq!(mapped.to_bytes(), want, "partially-decoded store serializes canonically");
-        assert_eq!(mapped.cube(), heap.cube());
+        assert!(clean > 0 && dirty > 0, "{clean} clean, {dirty} dirty");
+
+        // Mapped slices copied out verbatim beside re-encoded entries are
+        // still canonical: byte-identical to a rebuild on the edited rows.
+        let mut edited = ROWS.to_vec();
+        edited.push(("F", "young", "north", "u0"));
+        let rebuilt = CubeSnapshot::from_db(&db_of(&edited), &CubeBuilder::new()).unwrap();
+        assert_eq!(mapped.to_bytes(), rebuilt.to_bytes(), "mixed store serializes canonically");
+        assert_eq!(mapped.cube(), rebuilt.cube());
         std::fs::remove_file(&path).ok();
     }
 

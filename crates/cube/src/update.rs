@@ -70,6 +70,7 @@
 //! than their cell order).
 
 use scube_bitmap::{EwahBitmap, Posting};
+use scube_common::mmap::{ByteRegion, Store};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
 use scube_fpm::eclat::mine_vertical_with_tidsets_scoped;
@@ -78,6 +79,7 @@ use scube_segindex::{IndexValues, MeasureSet, UnitCounts};
 use crate::builder::Materialize;
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
+use crate::histogram;
 
 /// Widest frequent-item row projection whose subsets are enumerated
 /// directly; wider rows fall back to the scoped Eclat re-mine.
@@ -416,27 +418,32 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 /// transactions and adding, after which the recomputed index values equal
 /// a from-scratch rebuild bit for bit. This is what turns dirty-cell
 /// re-evaluation from `O(Σ |full tidset|)` into `O(Σ |delta tidset| +
-/// dirty cells × populated units)`.
+/// dirty cells × populated units)`. Counts are exact integers, so
+/// retractions *subtract* as losslessly as appends add — with a domination
+/// check turning any disagreement between store and delta into a hard
+/// error before mutation.
 ///
-/// Persisted in the snapshot (canonical order: contexts by item list,
-/// cells by coordinates) so a loaded snapshot is immediately updatable.
-/// Counts are exact integers,
-/// so retractions *subtract* as losslessly as appends add — with a
-/// domination check turning any disagreement between store and delta into
-/// a hard error before mutation.
+/// A histogram has **one form — its canonical bytes**
+/// ([`crate::histogram`], about 2 B per pair): the same entry is what
+/// [`Self::compute`] produces, what the snapshot file stores (canonical
+/// order: contexts by item list, cells by coordinates), what a mapped
+/// snapshot serves in place ([`Store::Mapped`]) and what the heap holds
+/// ([`Store::Owned`]). `(unit, count)` pairs exist only transiently: an
+/// update decodes — and thereby validates — exactly the entries its delta
+/// dirties, and re-encodes them at commit; everything else stays bytes,
+/// and a mapped entry no update has dirtied is never copied at all.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MaintenanceStore {
-    /// Distinct cell contexts → ascending `(unit, total)` pairs.
-    pub(crate) contexts: FxHashMap<Vec<ItemId>, Vec<(u32, u64)>>,
-    /// Cells with a non-`⋆` SA side → ascending `(unit, minority)` pairs.
-    pub(crate) minorities: FxHashMap<CellCoords, Vec<(u32, u64)>>,
-    /// The still-undecoded remainder of a mapped snapshot's store region.
-    /// `None` for heap-built and heap-loaded stores. When present, the two
-    /// maps above hold only the entries an update has dirtied so far; the
-    /// rest stay as byte ranges into the mapped file (see
-    /// [`crate::snapshot::LazyStore`]) and the decoded and lazy key sets
-    /// are disjoint.
-    pub(crate) lazy: Option<crate::snapshot::LazyStore>,
+    /// Distinct cell contexts → entry of the `(unit, total)` pairs.
+    pub(crate) contexts: FxHashMap<Vec<ItemId>, Store<u8>>,
+    /// Cells with a non-`⋆` SA side → entry of the `(unit, minority)` pairs.
+    pub(crate) minorities: FxHashMap<CellCoords, Store<u8>>,
+    /// The store region of a mapped snapshot no update has looked at yet:
+    /// `open_mmap` attaches it without scanning (queries never touch the
+    /// store, so a cold open stays O(metadata)) and the maps above are
+    /// empty. The first update's [`Self::scan`] files every entry into
+    /// them as a mapped slice and drops this.
+    pub(crate) unscanned: Option<ByteRegion>,
 }
 
 impl MaintenanceStore {
@@ -444,132 +451,94 @@ impl MaintenanceStore {
     /// does when pairing a cube with its vertical database.
     pub(crate) fn compute(cube: &SegregationCube, vertical: &VerticalDb) -> Self {
         let mut scratch = UnitScratch::new(vertical.num_units());
-        let mut contexts: FxHashMap<Vec<ItemId>, Vec<(u32, u64)>> = FxHashMap::default();
+        let mut contexts: FxHashMap<Vec<ItemId>, Store<u8>> = FxHashMap::default();
         let mut context_tids: FxHashMap<Vec<ItemId>, EwahBitmap> = FxHashMap::default();
         for (coords, _) in cube.cells() {
             if !contexts.contains_key(&coords.ca) {
                 let tids = vertical.tidset(&coords.ca);
                 vertical.unit_histogram_into(&tids, &mut scratch);
-                contexts.insert(coords.ca.clone(), scratch.sorted_pairs());
+                contexts.insert(coords.ca.clone(), encode_entry(&scratch.sorted_pairs()));
                 context_tids.insert(coords.ca.clone(), tids);
             }
         }
-        let mut minorities: FxHashMap<CellCoords, Vec<(u32, u64)>> = FxHashMap::default();
+        let mut minorities: FxHashMap<CellCoords, Store<u8>> = FxHashMap::default();
         for (coords, _) in cube.cells() {
             if coords.sa.is_empty() {
                 continue;
             }
             let tids = minority_tidset(vertical, &context_tids, coords);
             vertical.unit_histogram_into(&tids, &mut scratch);
-            minorities.insert(coords.clone(), scratch.sorted_pairs());
+            minorities.insert(coords.clone(), encode_entry(&scratch.sorted_pairs()));
         }
-        MaintenanceStore { contexts, minorities, lazy: None }
+        MaintenanceStore { contexts, minorities, unscanned: None }
     }
 
-    /// Structural consistency against a cube: every cell's context has
-    /// totals, every non-`⋆`-SA cell has minority counts dominated by its
-    /// context's totals (minority units are populated units with
-    /// `m ≤ t`), and nothing else is stored. Loaded snapshots are
-    /// validated with this before any update trusts the store, so a
-    /// crafted store errors up front instead of failing mid-update.
-    ///
-    /// Still-lazy entries of a mapped store count toward presence (their
-    /// keys were parsed and validated by the index scan); their histogram
-    /// contents — including the domination invariant — are checked
-    /// entry-by-entry when an update first decodes them, the same per-entry
-    /// rejections the eager loaders apply up front.
+    /// Key-level consistency against a cube: every cell's context has
+    /// totals, every non-`⋆`-SA cell has minority counts, and nothing else
+    /// is stored. What the entries *hold* is [`Self::validate_entries`]'
+    /// business (heap loads, eagerly) or is checked entry by entry as an
+    /// update decodes what its delta dirties (mapped opens).
     pub(crate) fn covers(&self, cube: &SegregationCube) -> bool {
         let mut want_min = 0usize;
-        let mut want_ctx: FxHashMap<&[ItemId], ()> = FxHashMap::default();
+        let mut want_ctx: FxHashSet<&[ItemId]> = FxHashSet::default();
         for (coords, _) in cube.cells() {
-            want_ctx.insert(&coords.ca, ());
+            want_ctx.insert(&coords.ca);
             if coords.sa.is_empty() {
                 continue;
             }
-            if !self.has_minority(coords) || !self.has_context(&coords.ca) {
+            if !self.minorities.contains_key(coords) {
                 return false;
-            }
-            if let (Some(minority), Some(totals)) =
-                (self.minorities.get(coords), self.contexts.get(&coords.ca))
-            {
-                let mut ti = totals.iter().peekable();
-                for &(mu, mc) in minority {
-                    while ti.next_if(|&&(tu, _)| tu < mu).is_some() {}
-                    match ti.peek() {
-                        Some(&&(tu, tc)) if tu == mu && mc <= tc => {}
-                        _ => return false,
-                    }
-                }
             }
             want_min += 1;
         }
-        self.num_minorities() == want_min
-            && self.num_contexts() == want_ctx.len()
-            && want_ctx.keys().all(|ca| self.has_context(ca))
+        self.minorities.len() == want_min
+            && self.contexts.len() == want_ctx.len()
+            && want_ctx.iter().all(|&ca| self.contexts.contains_key(ca))
     }
 
-    /// Whether `ca` has totals, decoded or still lazy.
-    pub(crate) fn has_context(&self, ca: &[ItemId]) -> bool {
-        self.contexts.contains_key(ca)
-            || self.lazy.as_ref().is_some_and(|l| l.ctx_ranges.contains_key(ca))
-    }
-
-    /// Whether `coords` has minority counts, decoded or still lazy.
-    pub(crate) fn has_minority(&self, coords: &CellCoords) -> bool {
-        self.minorities.contains_key(coords)
-            || self.lazy.as_ref().is_some_and(|l| l.min_ranges.contains_key(coords))
-    }
-
-    fn num_contexts(&self) -> usize {
-        self.contexts.len() + self.lazy.as_ref().map_or(0, |l| l.ctx_ranges.len())
-    }
-
-    fn num_minorities(&self) -> usize {
-        self.minorities.len() + self.lazy.as_ref().map_or(0, |l| l.min_ranges.len())
-    }
-
-    /// Every context key, decoded and lazy (the store must be indexed
-    /// first — [`Self::ensure_indexed`] — or lazy keys are invisible).
-    fn context_keys(&self) -> Vec<Vec<ItemId>> {
-        debug_assert!(self.lazy.as_ref().is_none_or(|l| l.indexed));
-        let mut keys: Vec<Vec<ItemId>> = self.contexts.keys().cloned().collect();
-        if let Some(l) = &self.lazy {
-            keys.extend(l.ctx_ranges.keys().cloned());
+    /// Decode every entry once — range-checking its units against
+    /// `n_units` — and require each cell's minority counts to be dominated
+    /// by its context's totals (minority units are populated units with
+    /// `m ≤ t`); the decoded forms are dropped as the walk moves on. Heap
+    /// loads run this up front, so a crafted store errors at load instead
+    /// of mid-update; so does a relabeling update, which is about to
+    /// rewrite every entry. The store must [`Self::covers`] its cube.
+    pub(crate) fn validate_entries(&self, n_units: u32) -> Result<()> {
+        let mut cells_of: FxHashMap<&[ItemId], Vec<&Store<u8>>> = FxHashMap::default();
+        for (coords, minority) in &self.minorities {
+            cells_of.entry(&coords.ca).or_default().push(minority);
         }
-        keys
-    }
-
-    /// Insert context totals, superseding any lazy entry under the key.
-    pub(crate) fn insert_context(&mut self, ca: Vec<ItemId>, totals: Vec<(u32, u64)>) {
-        if let Some(l) = &mut self.lazy {
-            l.ctx_ranges.remove(&ca);
+        for (ca, totals) in &self.contexts {
+            let totals = histogram::decode(totals, n_units)?;
+            for minority in cells_of.get(ca.as_slice()).into_iter().flatten() {
+                if !dominated(&histogram::decode(minority, n_units)?, &totals) {
+                    return Err(not_dominated());
+                }
+            }
         }
-        self.contexts.insert(ca, totals);
+        Ok(())
     }
+}
 
-    /// Insert cell minority counts, superseding any lazy entry.
-    pub(crate) fn insert_minority(&mut self, coords: CellCoords, minority: Vec<(u32, u64)>) {
-        if let Some(l) = &mut self.lazy {
-            l.min_ranges.remove(&coords);
-        }
-        self.minorities.insert(coords, minority);
-    }
+/// A histogram in the one form the store keeps it in.
+fn encode_entry(pairs: &[(u32, u64)]) -> Store<u8> {
+    Store::Owned(histogram::encode(pairs))
+}
 
-    /// Drop a cell's minority counts, decoded or lazy.
-    pub(crate) fn remove_minority(&mut self, coords: &CellCoords) {
-        self.minorities.remove(coords);
-        if let Some(l) = &mut self.lazy {
-            l.min_ranges.remove(coords);
-        }
-    }
+/// Whether every `minority` unit is a `totals` unit with `m ≤ t` (both
+/// ascending by unit).
+fn dominated(minority: &[(u32, u64)], totals: &[(u32, u64)]) -> bool {
+    let mut ti = totals.iter().peekable();
+    minority.iter().all(|&(mu, mc)| {
+        while ti.next_if(|&&(tu, _)| tu < mu).is_some() {}
+        matches!(ti.peek(), Some(&&(tu, tc)) if tu == mu && mc <= tc)
+    })
+}
 
-    /// Keep exactly the contexts `keep` accepts, decoded and lazy alike.
-    pub(crate) fn retain_contexts(&mut self, keep: impl Fn(&Vec<ItemId>) -> bool) {
-        self.contexts.retain(|ca, _| keep(ca));
-        if let Some(l) = &mut self.lazy {
-            l.ctx_ranges.retain(|ca, _| keep(ca));
-        }
-    }
+fn not_dominated() -> ScubeError {
+    ScubeError::Inconsistent(
+        "snapshot: a cell's minority histogram is not dominated by its context's totals".into(),
+    )
 }
 
 /// Add `delta` into `base`, both ascending by unit (a sorted merge; counts
@@ -693,9 +662,10 @@ fn tidset_if_frequent(vertical: &VerticalDb, items: &[ItemId], floor: u64) -> Op
 
 /// Per-dirty-cell staging outcome, decided before any mutation.
 enum CellFate {
-    /// The cell survives: its staged minority histogram (`None` for `⋆`-SA
-    /// cells, which store none) and the re-evaluated values.
-    Keep(Option<Vec<(u32, u64)>>, IndexValues),
+    /// The cell survives: the entry of its staged minority histogram
+    /// (`None` for `⋆`-SA cells, which store none) and the re-evaluated
+    /// values.
+    Keep(Option<Store<u8>>, IndexValues),
     /// The cell is evicted: its support fell below `min_support`, or its
     /// itemset lost closedness under [`Materialize::ClosedOnly`].
     Demote,
@@ -953,11 +923,11 @@ pub(crate) fn apply_update(
     // is mutated, so a rejected batch, an inconsistent store, or a
     // subtraction underflow leaves the snapshot exactly as it was.
     //
-    // A mapped store is *indexed* here — an O(keys) structural scan — not
-    // decoded: each histogram stays as bytes in the mapped file until this
-    // update (or a later one) dirties its entry, so a small batch decodes
-    // only the contexts and cells it touches.
-    store.ensure_indexed()?;
+    // A mapped store is *scanned* here — O(keys), entries stepped over —
+    // not decoded: each histogram stays a slice of the mapped file until
+    // this update (or a later one) dirties its entry, so a small batch
+    // decodes only the contexts and cells it touches.
+    store.scan(cube.labels().num_items())?;
     if !store.covers(cube) {
         return Err(ScubeError::Inconsistent(
             "update: maintenance store does not cover the cube".into(),
@@ -966,6 +936,7 @@ pub(crate) fn apply_update(
     let encoded = encode_batch(batch, cube.labels())?;
     let removals = resolve_removals(batch, cube.labels(), vertical)?;
     let old_n = vertical.num_transactions();
+    let n_base_units = vertical.num_units();
     let n_base_items = cube.labels().num_items();
     let n_items_after = n_base_items + encoded.new_items.len();
     let n_units_after = (cube.labels().unit_names.len() + encoded.new_units.len()) as u32;
@@ -1055,11 +1026,11 @@ pub(crate) fn apply_update(
             .collect();
         compute_relabel(&first_item, &first_unit, &item_attr_pos)
     });
-    // A dictionary-relabeling retraction rebuilds both store maps under
-    // new ids wholesale, so nothing can stay lazy: decode the rest up
-    // front, while a corrupt mapped entry can still error before mutation.
+    // A dictionary-relabeling retraction rewrites every store entry under
+    // new ids at commit: validate them all now, while a corrupt mapped
+    // entry can still error before mutation.
     if plan.as_ref().is_some_and(|p| !p.identity) {
-        store.materialize_all()?;
+        store.validate_entries(n_base_units)?;
     }
 
     // Phase 1 — stage the dirty context histograms: `hist(edited) =
@@ -1074,26 +1045,26 @@ pub(crate) fn apply_update(
     });
     let rem_all: Option<EwahBitmap> = removals.as_ref().map(|r| EwahBitmap::from_sorted(&r.tids));
     struct StagedCtx {
+        /// The stored totals, decoded: what the stored minorities of the
+        /// context's cells must be dominated by.
+        base: Vec<(u32, u64)>,
+        /// The totals after the delta.
         totals: Vec<(u32, u64)>,
         add: Option<EwahBitmap>,
         rem: Option<EwahBitmap>,
     }
     let mut scratch = UnitScratch::new(n_units_after);
     let mut staged_ctx: FxHashMap<Vec<ItemId>, StagedCtx> = FxHashMap::default();
-    // Delta-clean contexts are skipped *before* their histograms are
-    // touched, so on a mapped snapshot they stay undecoded byte ranges —
-    // the point of the lazy store.
-    for ca in store.context_keys() {
-        let add = if ca.is_empty() { add_all.clone() } else { delta_tidset(&add_postings, &ca) };
-        let rem = if ca.is_empty() { rem_all.clone() } else { delta_tidset(&rem_postings, &ca) };
+    // Delta-clean contexts are skipped *before* their entries are looked
+    // into, so on a mapped snapshot they stay slices of the file.
+    for (ca, entry) in &store.contexts {
+        let add = if ca.is_empty() { add_all.clone() } else { delta_tidset(&add_postings, ca) };
+        let rem = if ca.is_empty() { rem_all.clone() } else { delta_tidset(&rem_postings, ca) };
         if add.is_none() && rem.is_none() {
             continue;
         }
-        store.ensure_context(&ca)?;
-        let totals = store.contexts.get(&ca).ok_or_else(|| {
-            ScubeError::Inconsistent("update: context missing from maintenance store".into())
-        })?;
-        let mut new_totals = totals.clone();
+        let base = histogram::decode(entry, n_base_units)?;
+        let mut new_totals = base.clone();
         if let Some(a) = &add {
             scratch.clear();
             a.for_each(|t| scratch.bump(encoded.rows[(t - new_base) as usize].1));
@@ -1104,7 +1075,7 @@ pub(crate) fn apply_update(
             r.for_each(|t| scratch.bump(vertical.unit_of(t)));
             merge_sub(&mut new_totals, &scratch.sorted_pairs())?;
         }
-        staged_ctx.insert(ca, StagedCtx { totals: new_totals, add, rem });
+        staged_ctx.insert(ca.clone(), StagedCtx { base, totals: new_totals, add, rem });
     }
 
     // Phase 2 — stage every dirty cell: advance its minority histogram by
@@ -1118,15 +1089,6 @@ pub(crate) fn apply_update(
         .filter(|(coords, _)| staged_ctx.contains_key(&coords.ca))
         .map(|(coords, _)| coords.clone())
         .collect();
-    // Decode each dirty cell's minority histogram now, serially: the
-    // evaluation closure below borrows the store immutably (it fans out
-    // over scoped threads), so lazy entries must already be in the map by
-    // the time it runs. Clean cells stay undecoded.
-    for coords in &dirty_cells {
-        if !coords.sa.is_empty() {
-            store.ensure_minority(coords)?;
-        }
-    }
     let eval_one = |coords: &CellCoords, scratch: &mut UnitScratch| -> Result<CellFate> {
         let sc = &staged_ctx[&coords.ca];
         if coords.sa.is_empty() {
@@ -1155,13 +1117,16 @@ pub(crate) fn apply_update(
             let counts = UnitCounts::from_triples(sc.totals.iter().map(|&(u, t)| (u, t, t)))?;
             Ok(CellFate::Keep(None, IndexValues::compute_masked(&counts, atkinson_b, measures)))
         } else {
-            let mut minority = store
-                .minorities
-                .get(coords)
-                .ok_or_else(|| {
-                    ScubeError::Inconsistent("update: cell missing from maintenance store".into())
-                })?
-                .clone();
+            let entry = store.minorities.get(coords).ok_or_else(|| {
+                ScubeError::Inconsistent("update: cell missing from maintenance store".into())
+            })?;
+            // Decoding validates the entry itself; domination by the
+            // context's stored totals is the one thing only the pair of
+            // them can show.
+            let mut minority = histogram::decode(entry, n_base_units)?;
+            if !dominated(&minority, &sc.base) {
+                return Err(not_dominated());
+            }
             if let Some(a) = &sc.add {
                 let mut delta = a.clone();
                 for &item in &coords.sa {
@@ -1212,7 +1177,7 @@ pub(crate) fn apply_update(
                 }
             }
             let values = values_from_hists(&sc.totals, &minority, atkinson_b, measures)?;
-            Ok(CellFate::Keep(Some(minority), values))
+            Ok(CellFate::Keep(Some(encode_entry(&minority)), values))
         }
     };
     let n_workers = threads.max(1).min(dirty_cells.len().max(1));
@@ -1258,12 +1223,12 @@ pub(crate) fn apply_update(
             match fate {
                 CellFate::Demote => {
                     cells.remove(&coords);
-                    store.remove_minority(&coords);
+                    store.minorities.remove(&coords);
                     stats.demoted_cells += 1;
                 }
                 CellFate::Keep(minority, values) => {
                     if let Some(m) = minority {
-                        store.insert_minority(coords.clone(), m);
+                        store.minorities.insert(coords.clone(), m);
                     }
                     cells.insert(coords, values);
                     stats.dirty_cells += 1;
@@ -1271,13 +1236,13 @@ pub(crate) fn apply_update(
             }
         }
         for (ca, sc) in staged_ctx {
-            store.insert_context(ca, sc.totals);
+            store.contexts.insert(ca, encode_entry(&sc.totals));
         }
         // Contexts no longer referenced by any cell leave the store,
         // exactly as a rebuild's store (derived from surviving cells)
         // would have it.
         let live: FxHashSet<Vec<ItemId>> = cells.keys().map(|c| c.ca.clone()).collect();
-        store.retain_contexts(|ca| live.contains(ca));
+        store.contexts.retain(|ca, _| live.contains(ca));
     }
 
     // Mutate the vertical database and labels; relabel when retraction
@@ -1385,27 +1350,28 @@ pub(crate) fn apply_update(
                     cells.insert(remap_coords(&coords, &relabel.item_map), v);
                 }
             }
-            debug_assert!(store.lazy.is_none(), "relabel path materializes the store up front");
-            let remap_pairs = |pairs: &mut Vec<(u32, u64)>| {
+            // Decode → rename → re-encode, one entry at a time.
+            let remap_entry = |entry: Store<u8>| {
+                let mut pairs = histogram::decode(&entry, n_units_after)
+                    .expect("every store entry was validated before mutation");
                 for p in pairs.iter_mut() {
                     p.0 = relabel.unit_map[p.0 as usize].expect("populated unit survives");
                 }
                 pairs.sort_unstable_by_key(|&(u, _)| u);
+                encode_entry(&pairs)
             };
             store.contexts = std::mem::take(&mut store.contexts)
                 .into_iter()
-                .map(|(ca, mut pairs)| {
+                .map(|(ca, entry)| {
                     let mut ca: Vec<ItemId> = ca.iter().map(|&it| map_item(it)).collect();
                     ca.sort_unstable();
-                    remap_pairs(&mut pairs);
-                    (ca, pairs)
+                    (ca, remap_entry(entry))
                 })
                 .collect();
             store.minorities = std::mem::take(&mut store.minorities)
                 .into_iter()
-                .map(|(coords, mut pairs)| {
-                    remap_pairs(&mut pairs);
-                    (remap_coords(&coords, &relabel.item_map), pairs)
+                .map(|(coords, entry)| {
+                    (remap_coords(&coords, &relabel.item_map), remap_entry(entry))
                 })
                 .collect();
             // The appended rows in the new id space seed promotion.
@@ -1509,25 +1475,26 @@ pub(crate) fn apply_update(
         {
             continue;
         }
-        // An existing-but-clean context may still be a lazy byte range;
-        // decode it rather than re-deriving the totals from full postings.
-        store.ensure_context(&coords.ca)?;
-        if !store.contexts.contains_key(&coords.ca) {
-            let ctx_tids = vertical.tidset(&coords.ca);
-            vertical.unit_histogram_into(&ctx_tids, &mut scratch);
-            let pairs = scratch.sorted_pairs();
-            store.insert_context(coords.ca.clone(), pairs);
-        }
-        let totals = &store.contexts[&coords.ca];
+        // An existing context gained the candidate's generating row, so
+        // its entry is one this update just encoded.
+        let totals = match store.contexts.get(&coords.ca) {
+            Some(entry) => histogram::decode(entry, vertical.num_units())?,
+            None => {
+                let ctx_tids = vertical.tidset(&coords.ca);
+                vertical.unit_histogram_into(&ctx_tids, &mut scratch);
+                let pairs = scratch.sorted_pairs();
+                store.contexts.insert(coords.ca.clone(), encode_entry(&pairs));
+                pairs
+            }
+        };
         let values = if coords.sa.is_empty() {
             let counts = UnitCounts::from_triples(totals.iter().map(|&(u, t)| (u, t, t)))?;
             IndexValues::compute_masked(&counts, atkinson_b, measures)
         } else {
             vertical.unit_histogram_into(&tids, &mut scratch);
             let minority = scratch.sorted_pairs();
-            let values = values_from_hists(totals, &minority, atkinson_b, measures)?;
-            store.minorities.insert(coords.clone(), minority);
-            values
+            store.minorities.insert(coords.clone(), encode_entry(&minority));
+            values_from_hists(&totals, &minority, atkinson_b, measures)?
         };
         promoted.push((coords, values));
     }

@@ -1,6 +1,7 @@
 //! Quickstart: build a segregation data cube from a dozen in-memory rows.
 //!
-//! Run with: `cargo run --example quickstart`
+//! Run with: `cargo run --example quickstart` (add a file name to also
+//! save the cube as a snapshot).
 //!
 //! Walks the whole SCube flow on data small enough to check by eye:
 //! individuals with gender/age, companies with a sector, memberships, a
@@ -97,5 +98,12 @@ fn main() -> Result<()> {
     // Direct cell lookups.
     let women = result.cube.get_by_names(&[("gender", "F")], &[]).expect("cell exists");
     println!("\nWomen across sector units: D = {:.3}", women.dissimilarity.unwrap());
+
+    // `quickstart <file>` also persists the cube and its postings as a
+    // snapshot, ready for `scube query` / `scube inspect --snapshot <file>`.
+    if let Some(path) = std::env::args().nth(1) {
+        scube::snapshot(&result)?.save(&path)?;
+        println!("\nSnapshot saved to {path}");
+    }
     Ok(())
 }

@@ -13,6 +13,18 @@
 //! * Under single-byte mutations of everything the opens trust eagerly,
 //!   `from_bytes` and `open_mmap_verified` always agree — both error, or
 //!   both open to equal snapshots — and nothing ever panics.
+//! * The store's histogram codec (`scube_cube::histogram`) is pinned from
+//!   both ends. One property: an entry and its histogram are two views of
+//!   one thing — `decode(encode(h)) == h` for random ascending histograms
+//!   (empty ones, counts past 2³², the unit `u32::MAX − 1`),
+//!   `encode(decode(b)) == b` for every byte string the decoder accepts,
+//!   and no byte mutation makes it panic — which is what "one logical
+//!   snapshot, one byte representation" rests on. And hostile bytes: every
+//!   malformed entry the format can hold, planted behind recomputed
+//!   checksums so that only the decoder can object — at load through
+//!   `from_bytes` and, through `open_mmap`, at the first update that
+//!   trusts the entry: before anything is mutated, the snapshot still
+//!   re-saving to the file's bytes.
 //!
 //! To regenerate the goldens after an *intentional* format change:
 //! `GOLDEN_BLESS=1 cargo test -p scube --test snapshot_format` and review
@@ -21,12 +33,14 @@
 use std::hash::Hasher;
 use std::path::PathBuf;
 
+use proptest::prelude::*;
 use scube::prelude::*;
 use scube_common::hash::FxHasher;
+use scube_cube::histogram;
 use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
 
 /// The one version word this build reads and writes.
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 /// Layout constants (see the `scube_cube::snapshot` module docs): the
 /// offset directory's nine words start at 24, the meta region at 96, and
 /// the meta region opens with the build configuration — materialization
@@ -186,7 +200,7 @@ fn golden_truncations_and_corruptions_error_never_panic() {
 #[test]
 fn every_other_version_word_is_rejected_by_both_opens() {
     let good = golden_build(MeasureSet::FULL).to_bytes();
-    for version in [0u32, 1, 2, 3, 4, 5, 6, 8, 99, u32::MAX] {
+    for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 9, 99, u32::MAX] {
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let named = format!("version {version} ");
@@ -287,4 +301,227 @@ fn heap_and_verified_mapped_opens_agree_on_every_mutant() {
     // Only a mutated-then-repatched full checksum restores a valid file.
     assert_eq!(opened, 8 * 3, "the 8 full-checksum bytes × 3 masks reopen once repatched");
     assert!(rejected > 0);
+}
+
+/// A random histogram: gaps and counts drawn small (the common one-byte
+/// case), medium, or huge, optionally stretched to end at the last unit a
+/// `u32::MAX`-unit universe has.
+fn histograms() -> impl Strategy<Value = Vec<(u32, u64)>> {
+    let pair = (0u8..8, 0u32..200, 0u32..1 << 20, 0u8..8, 1u64..200, any::<u64>());
+    (proptest::collection::vec(pair, 0..40), any::<bool>()).prop_map(|(draws, to_the_end)| {
+        let mut pairs: Vec<(u32, u64)> = Vec::new();
+        let mut next = 0u64;
+        for (gap_kind, small_gap, big_gap, count_kind, small_count, big_count) in draws {
+            let gap = if gap_kind < 6 { small_gap } else { big_gap };
+            let unit = next + u64::from(gap);
+            if unit >= u64::from(u32::MAX) {
+                break;
+            }
+            let count = match count_kind {
+                0..=3 => 1,
+                4..=6 => small_count,
+                _ => big_count.max(1 << 32),
+            };
+            pairs.push((unit as u32, count));
+            next = unit + 1;
+        }
+        if to_the_end && next < u64::from(u32::MAX) {
+            pairs.push((u32::MAX - 1, u64::MAX));
+        }
+        pairs
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn an_entry_and_its_histogram_are_one_thing(
+        pairs in histograms(),
+        edits in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..4),
+        cut in any::<u32>(),
+    ) {
+        let entry = histogram::encode(&pairs);
+        prop_assert_eq!(histogram::entry_len(&entry).unwrap(), entry.len());
+        prop_assert_eq!(&histogram::decode(&entry, u32::MAX).unwrap(), &pairs);
+        // The universe is checked: one unit fewer than the last one needs.
+        if let Some(&(last, _)) = pairs.last() {
+            prop_assert!(histogram::decode(&entry, last).is_err());
+        }
+
+        // Mutants — overwritten bytes, then a truncation — never panic,
+        // and whatever is still accepted is still canonical.
+        let mut mutant = entry.clone();
+        for (at, byte) in edits {
+            let at = at as usize % mutant.len();
+            mutant[at] = byte;
+        }
+        for candidate in [&mutant[..], &mutant[..cut as usize % (mutant.len() + 1)]] {
+            let _ = histogram::entry_len(candidate);
+            if let Ok(decoded) = histogram::decode(candidate, u32::MAX) {
+                prop_assert_eq!(&histogram::encode(&decoded)[..], candidate);
+            }
+        }
+    }
+}
+
+/// One store record: its raw key bytes and its entry bytes.
+#[derive(Clone)]
+struct Record {
+    key: Vec<u8>,
+    entry: Vec<u8>,
+}
+
+/// Split a snapshot into everything before the store and the store's
+/// context and minority records (`id_lists` = 1 and 2 key lists each).
+fn split(bytes: &[u8]) -> (Vec<u8>, Vec<Record>, Vec<Record>) {
+    let store_off =
+        u64::from_le_bytes(bytes[DIR_OFF + 48..DIR_OFF + 56].try_into().unwrap()) as usize;
+    let mut pos = store_off;
+    let mut section = |id_lists: usize| {
+        let n = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        pos += 4;
+        let mut records = Vec::new();
+        for _ in 0..n {
+            let key_start = pos;
+            for _ in 0..id_lists {
+                let ids = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+                pos += 4 + 4 * ids;
+            }
+            let len = histogram::entry_len(&bytes[pos..]).unwrap();
+            records.push(Record {
+                key: bytes[key_start..pos].to_vec(),
+                entry: bytes[pos..pos + len].to_vec(),
+            });
+            pos += len;
+        }
+        records
+    };
+    let contexts = section(1);
+    let minorities = section(2);
+    assert_eq!(pos, bytes.len(), "the store is the file's last region");
+    (bytes[..store_off].to_vec(), contexts, minorities)
+}
+
+/// Put a snapshot back together around (possibly doctored) store records:
+/// store length, `meta_sum` and the full checksum are recomputed, so what
+/// the records hold is the only thing left to object to.
+fn assemble(head: &[u8], contexts: &[Record], minorities: &[Record]) -> Vec<u8> {
+    let mut bytes = head.to_vec();
+    for section in [contexts, minorities] {
+        bytes.extend_from_slice(&(section.len() as u32).to_le_bytes());
+        for record in section {
+            bytes.extend_from_slice(&record.key);
+            bytes.extend_from_slice(&record.entry);
+        }
+    }
+    let store_len = (bytes.len() - head.len()) as u64;
+    bytes[DIR_OFF + 56..DIR_OFF + 64].copy_from_slice(&store_len.to_le_bytes());
+    repatch_both_sums(&mut bytes);
+    bytes
+}
+
+/// `from_bytes` must refuse `bytes` at load; `open_mmap` attaches the store
+/// unread, so there the first update must refuse it — before mutating
+/// anything. Both errors must name `needle`.
+fn refused_by_both_opens(what: &str, bytes: &[u8], needle: &str) {
+    let err = CubeSnapshot::from_bytes(bytes).expect_err(what).to_string();
+    assert!(err.contains(needle), "{what}, heap load: {err}");
+    if cfg!(target_endian = "big") {
+        return; // mapped opens are little-endian-host only
+    }
+    let path = temp_file("hostile_store", bytes);
+    let mut mapped = CubeSnapshot::open_mmap(&path).expect("the mapped open reads no entry");
+    let cube_before = mapped.cube().clone();
+    // One appended northern row dirties the `⋆` and north contexts and
+    // every cell under them.
+    let mut batch = UpdateBatch::new();
+    batch.add_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
+    let err = mapped.apply_update(&batch).expect_err(what).to_string();
+    assert!(err.contains(needle), "{what}, first update: {err}");
+    assert_eq!(mapped.cube(), &cube_before, "{what}: the cube is untouched");
+    assert_eq!(mapped.to_bytes(), bytes, "{what}: the snapshot still re-saves to the file");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn hostile_store_entries_are_refused_by_both_opens() {
+    let good = CubeSnapshot::from_db(&golden_db(), &CubeBuilder::new()).unwrap().to_bytes();
+    let (head, contexts, minorities) = split(&good);
+    assert_eq!(assemble(&head, &contexts, &minorities), good, "split and assemble are inverses");
+    // The `⋆` context sorts first, and every non-empty batch dirties it.
+    assert_eq!(contexts[0].key, [0, 0, 0, 0], "the first context is the apex");
+    assert_eq!(histogram::decode(&contexts[0].entry, 2).unwrap(), [(0, 4), (1, 4)]);
+
+    // 2³², and nine continuation bytes before a tenth that decides
+    // between u64::MAX (0x01) and overflow.
+    let two_to_the_32: &[u8] = &[0x80, 0x80, 0x80, 0x80, 0x10];
+    let ten_byte = |last: u8| [&[0xff; 9][..], &[last]].concat();
+    // An entry from raw parts: the two header varints (each < 128 here)
+    // and the payload.
+    let entry = |n_pairs: u8, payload: &[&[u8]]| {
+        let payload = payload.concat();
+        [&[n_pairs, payload.len() as u8][..], &payload].concat()
+    };
+    let hostile: Vec<(&str, Vec<u8>, &str)> = vec![
+        ("an over-long gap varint", entry(1, &[&[0x80, 0x00, 3]]), "over-long"),
+        ("an over-long n_pairs varint", vec![0x81, 0x00, 2, 0, 3], "over-long"),
+        ("a gap varint past u64", entry(1, &[&ten_byte(0x02), &[3]]), "overflows"),
+        ("an eleven-byte varint", entry(1, &[&ten_byte(0x81), &[0, 3]]), "overflows"),
+        ("a gap past u32::MAX", entry(1, &[two_to_the_32, &[3]]), "unknown unit"),
+        ("a gap past u64::MAX", entry(2, &[&[0, 3], &ten_byte(0x01), &[3]]), "unknown unit"),
+        ("a unit equal to n_units", entry(1, &[&[2, 7]]), "unknown unit"),
+        ("a gap onto n_units", entry(2, &[&[0, 3, 1, 3]]), "unknown unit"),
+        ("count - 1 == u64::MAX", entry(1, &[&[0], &ten_byte(0x01)]), "count overflows"),
+        ("fewer pairs than n_pairs", entry(2, &[&[0, 3]]), "fewer pairs"),
+        ("a payload that ends mid-pair", entry(2, &[&[0, 3, 0]]), "fewer pairs"),
+        ("more pairs than n_pairs", entry(1, &[&[0, 3, 0, 3]]), "more pairs"),
+        ("truncation inside a count varint", entry(1, &[&[0, 0x80]]), "truncated"),
+        ("truncation inside the second pair", entry(2, &[&[0, 3, 0, 0x80]]), "truncated"),
+    ];
+    for (what, entry, needle) in hostile {
+        let mut contexts = contexts.clone();
+        contexts[0].entry = entry;
+        refused_by_both_opens(what, &assemble(&head, &contexts, &minorities), needle);
+    }
+
+    // A payload_len that runs past the region: the last record of the file
+    // claims more payload than the file has left.
+    let mut long = minorities.clone();
+    let last = long.last_mut().unwrap();
+    last.entry = vec![1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 3];
+    refused_by_both_opens(
+        "payload_len past the region",
+        &assemble(&head, &contexts, &long),
+        "runs past",
+    );
+    // …and one that swallows the records behind it instead.
+    let mut greedy = contexts.clone();
+    greedy[0].entry[1] += 1;
+    refused_by_both_opens(
+        "payload_len into the next record",
+        &assemble(&head, &greedy, &minorities),
+        "snapshot:",
+    );
+
+    // A minority entry its context does not dominate: (sex=F | ⋆) claims 5
+    // women in unit 0, which holds 4 people; (sex=F | north) claims 2 in
+    // unit 1, where the north has 1. Both are well-formed entries.
+    let apex_cell = minorities.iter().position(|r| r.key.ends_with(&[0, 0, 0, 0])).unwrap();
+    let north = 2u32; // sex=F 0, age=young 1, region=north 2: first-seen order
+    let north_cell = minorities
+        .iter()
+        .position(|r| r.key.ends_with(&[&1u32.to_le_bytes()[..], &north.to_le_bytes()].concat()))
+        .unwrap();
+    for (cell, pairs) in [(apex_cell, vec![(0, 5), (1, 1)]), (north_cell, vec![(1, 2)])] {
+        let mut minorities = minorities.clone();
+        let stored = histogram::decode(&minorities[cell].entry, 2).unwrap();
+        assert_ne!(stored, pairs);
+        minorities[cell].entry = histogram::encode(&pairs);
+        refused_by_both_opens(
+            "a minority entry not dominated by its context",
+            &assemble(&head, &contexts, &minorities),
+            "not dominated",
+        );
+    }
 }
