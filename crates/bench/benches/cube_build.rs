@@ -1,6 +1,5 @@
 //! E1/E11: SegregationDataCubeBuilder cost — materialization strategy,
-//! parallelism, and min-support ablations. (Tidset representations are
-//! compared where they live: `benches/bitmap.rs` and `exp bitmap-kernels`.)
+//! parallelism, and min-support ablations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scube_bench::italy_final_table;

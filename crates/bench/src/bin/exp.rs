@@ -21,10 +21,6 @@
 //! cube-serve   E16 — concurrent sharded serving; writes BENCH_cube_serve.json
 //! cube-update  E17 — incremental delta ingest vs full rebuild; writes
 //!                    BENCH_cube_update.json
-//! bitmap-kernels E18 — posting kernels vs the scalar reference over a
-//!                    kernel × representation × density grid; writes
-//!                    BENCH_bitmap_kernels.json (pass --smoke for a quick
-//!                    correctness-gated pass that skips the file write)
 //! cube-daemon  E19 — scubed loopback serving: closed-loop client sweep
 //!                    against a live daemon, gated on bit-identity with the
 //!                    in-process engine; writes BENCH_cube_serve_daemon.json
@@ -140,10 +136,6 @@ fn main() {
     }
     if run("cube-update") {
         cube_update_experiment();
-        matched = true;
-    }
-    if run("bitmap-kernels") {
-        bitmap_kernels_experiment(args.iter().any(|a| a == "--smoke"));
         matched = true;
     }
     if run("cube-daemon") {
@@ -1659,285 +1651,6 @@ fn cube_update_experiment() {
     );
     std::fs::write("BENCH_cube_update.json", &json).expect("write BENCH_cube_update.json");
     println!("\nwrote BENCH_cube_update.json");
-}
-
-/// E18 — posting-kernel microbenchmarks: every optimized kernel (pairwise
-/// AND, streaming `and_cardinality`, batched 8-way `intersect_all`) timed
-/// against the scalar sorted-vector reference over a representation ×
-/// density grid, every cell gated on exact equality with the reference
-/// answer before its timing is recorded. Writes
-/// `BENCH_bitmap_kernels.json`; `--smoke` runs a reduced grid and skips
-/// the file write (the CI correctness pass).
-fn bitmap_kernels_experiment(smoke: bool) {
-    use scube_bitmap::{AdaptivePosting, DenseBitmap, EwahBitmap, Posting, Representation, TidVec};
-
-    banner("E18", "posting kernels vs scalar reference (writes BENCH_bitmap_kernels.json)");
-    let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    // Deterministic generator (xorshift64*) — the exp binary carries no
-    // rand dependency, and the grid must be reproducible run to run.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-    }
-    // Sorted ids with gaps in `1..=max_gap` (max_gap = 1 ⇒ a solid run).
-    let gen_ids = |seed: u64, len: usize, max_gap: u64| -> Vec<u32> {
-        let mut rng = Rng(seed | 1);
-        let mut ids = Vec::with_capacity(len);
-        let mut cur = 0u64;
-        for _ in 0..len {
-            cur += 1 + rng.next() % max_gap;
-            ids.push(cur as u32);
-        }
-        ids
-    };
-    // Alternating solid runs and long gaps (EWAH's favourite shape).
-    let gen_clustered = |seed: u64, clusters: usize, run: usize, gap: u64| -> Vec<u32> {
-        let mut rng = Rng(seed | 1);
-        let mut ids = Vec::with_capacity(clusters * run);
-        let mut cur = 0u64;
-        for _ in 0..clusters {
-            cur += 64 + rng.next() % gap;
-            for k in 0..run as u64 {
-                ids.push((cur + k) as u32);
-            }
-            cur += run as u64;
-        }
-        ids
-    };
-    let merge_sorted = |a: &[u32], b: &[u32]| -> Vec<u32> {
-        let mut out: Vec<u32> = a.iter().chain(b.iter()).copied().collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    };
-
-    // Grid axes: density family × representation × kernel. Each family is
-    // 8 lists (pairwise kernels use the first two, the batched AND all 8);
-    // a shared base keeps the 8-way intersection non-trivial.
-    let scale = if smoke { 16 } else { 1 };
-    let families: Vec<(&str, Vec<Vec<u32>>)> = vec![
-        ("sparse", (0..8).map(|i| gen_ids(11 + i, 4_000 / scale, 900)).collect()),
-        (
-            "clustered",
-            (0..8)
-                .map(|i| {
-                    let base = gen_clustered(7, 160 / scale, 220, 9_000);
-                    merge_sorted(&base, &gen_clustered(31 + i, 40 / scale.min(8), 90, 30_000))
-                })
-                .collect(),
-        ),
-        ("dense_runs", (0..8).map(|i| gen_ids(101 + i, 200_000 / scale, 2)).collect()),
-        (
-            "skewed",
-            // One tiny probe list against 7 big ones: the galloping case.
-            std::iter::once(gen_ids(5, 160.max(160 / scale), 6_000))
-                .chain((0..7).map(|i| gen_ids(201 + i, 120_000 / scale, 4)))
-                .collect(),
-        ),
-    ];
-
-    let (iters, reps) = if smoke { (2usize, 1usize) } else { (30, 3) };
-    let time_ns = |f: &mut dyn FnMut() -> u64| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let mut acc = 0u64;
-            for _ in 0..iters {
-                acc = acc.wrapping_add(f());
-            }
-            std::hint::black_box(acc);
-            best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
-        }
-        best * 1e9
-    };
-
-    struct Cell {
-        kernel: &'static str,
-        representation: &'static str,
-        density: &'static str,
-        scalar_ns: f64,
-        kernel_ns: f64,
-        speedup: f64,
-        /// `Some((pairwise_ns, batched_vs_pairwise))` for the batched AND.
-        pairwise: Option<(f64, f64)>,
-    }
-
-    // One representation's three rows of the grid for one density family.
-    // Every timing is preceded by an exact-equality gate against the
-    // scalar reference — a mismatch aborts the experiment.
-    fn run_rep<P: Posting>(
-        representation: &'static str,
-        density: &'static str,
-        lists: &[Vec<u32>],
-        time_ns: &dyn Fn(&mut dyn FnMut() -> u64) -> f64,
-    ) -> Vec<Cell> {
-        let postings: Vec<P> = lists.iter().map(|ids| P::from_sorted(ids)).collect();
-        let refs: Vec<&P> = postings.iter().collect();
-        let slices: Vec<&[u32]> = lists.iter().map(|v| v.as_slice()).collect();
-        let (a, b) = (&slices[0], &slices[1]);
-        let (pa, pb) = (&postings[0], &postings[1]);
-        let mut cells = Vec::new();
-
-        // Pairwise AND (through the buffer-reusing and_into kernel).
-        let expect = scube_bitmap::reference::intersect_sorted(a, b);
-        assert_eq!(pa.and(pb).to_vec(), expect, "{representation}/{density}: and != scalar");
-        let scalar_ns =
-            time_ns(&mut || scube_bitmap::reference::intersect_sorted(a, b).len() as u64);
-        let mut out = P::from_sorted(&[]);
-        let kernel_ns = time_ns(&mut || {
-            pa.and_into(pb, &mut out);
-            out.cardinality()
-        });
-        cells.push(Cell {
-            kernel: "and",
-            representation,
-            density,
-            scalar_ns,
-            kernel_ns,
-            speedup: scalar_ns / kernel_ns,
-            pairwise: None,
-        });
-
-        // Streaming intersection cardinality (never materializes).
-        let count = scube_bitmap::reference::intersect_cardinality_sorted(a, b);
-        assert_eq!(pa.and_cardinality(pb), count, "{representation}/{density}: and_cardinality");
-        let scalar_ns =
-            time_ns(&mut || scube_bitmap::reference::intersect_cardinality_sorted(a, b));
-        let kernel_ns = time_ns(&mut || pa.and_cardinality(pb));
-        cells.push(Cell {
-            kernel: "and_cardinality",
-            representation,
-            density,
-            scalar_ns,
-            kernel_ns,
-            speedup: scalar_ns / kernel_ns,
-            pairwise: None,
-        });
-
-        // Batched 8-way AND vs the scalar fold, plus the old pairwise
-        // posting fold (what intersect_all did before the batched kernel).
-        let expect =
-            scube_bitmap::reference::intersect_all_sorted(&slices).expect("families are non-empty");
-        let got = scube_bitmap::intersect_all(&refs).expect("non-empty input");
-        assert_eq!(got.to_vec(), expect, "{representation}/{density}: intersect_all");
-        let scalar_ns = time_ns(&mut || {
-            scube_bitmap::reference::intersect_all_sorted(&slices)
-                .map(|v| v.len() as u64)
-                .unwrap_or(0)
-        });
-        let kernel_ns = time_ns(&mut || {
-            scube_bitmap::intersect_all(&refs).map(|p| p.cardinality()).unwrap_or(0)
-        });
-        let pairwise_ns = time_ns(&mut || {
-            let mut acc = postings[0].clone();
-            for p in &postings[1..] {
-                if acc.is_empty() {
-                    break;
-                }
-                acc = acc.and(p);
-            }
-            acc.cardinality()
-        });
-        cells.push(Cell {
-            kernel: "intersect_all8",
-            representation,
-            density,
-            scalar_ns,
-            kernel_ns,
-            speedup: scalar_ns / kernel_ns,
-            pairwise: Some((pairwise_ns, pairwise_ns / kernel_ns)),
-        });
-        cells
-    }
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for (density, lists) in &families {
-        for rep in Representation::ALL {
-            let rep_cells = match rep {
-                Representation::Ewah => run_rep::<EwahBitmap>(rep.name(), density, lists, &time_ns),
-                Representation::Dense => {
-                    run_rep::<DenseBitmap>(rep.name(), density, lists, &time_ns)
-                }
-                Representation::TidVec => run_rep::<TidVec>(rep.name(), density, lists, &time_ns),
-                Representation::Adaptive => {
-                    run_rep::<AdaptivePosting>(rep.name(), density, lists, &time_ns)
-                }
-            };
-            cells.extend(rep_cells);
-        }
-    }
-
-    let mut table = TextTable::new()
-        .header(["kernel", "repr", "density", "scalar", "kernel", "speedup"])
-        .aligns(vec![
-            Align::Left,
-            Align::Left,
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ]);
-    for c in &cells {
-        table.row([
-            c.kernel.to_string(),
-            c.representation.to_string(),
-            c.density.to_string(),
-            format!("{:.1} µs", c.scalar_ns / 1e3),
-            format!("{:.1} µs", c.kernel_ns / 1e3),
-            format!("{:.2}x", c.speedup),
-        ]);
-    }
-    print!("{}", table.render());
-
-    let best = cells.iter().max_by(|a, b| a.speedup.total_cmp(&b.speedup)).expect("grid ran");
-    println!(
-        "\nbest cell: {} / {} / {} at {:.2}x over scalar (every cell equality-gated)",
-        best.kernel, best.representation, best.density, best.speedup
-    );
-
-    if smoke {
-        println!("smoke mode: correctness gates passed; skipping BENCH_bitmap_kernels.json");
-        return;
-    }
-
-    let mut cells_json = String::new();
-    for c in &cells {
-        if !cells_json.is_empty() {
-            cells_json.push_str(",\n");
-        }
-        let extra = match c.pairwise {
-            Some((p_ns, ratio)) => {
-                format!(", \"pairwise_ns\": {p_ns:.0}, \"batched_vs_pairwise\": {ratio:.3}")
-            }
-            None => String::new(),
-        };
-        cells_json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"representation\": \"{}\", \"density\": \"{}\", \
-             \"scalar_ns\": {:.0}, \"kernel_ns\": {:.0}, \"speedup\": {:.3}, \
-             \"equal_scalar\": true{extra}}}",
-            c.kernel, c.representation, c.density, c.scalar_ns, c.kernel_ns, c.speedup,
-        ));
-    }
-    let host = host_json();
-    let json = format!(
-        "{{\n  \"experiment\": \"bitmap_kernels\",\n  \"generated_by\": \
-         \"cargo run -p scube-bench --release --bin exp -- bitmap-kernels\",\n  \
-         \"host_threads\": {host_threads},\n  {host},\n  \
-         \"timing\": {{\"iters\": {iters}, \"reps\": {reps}, \"statistic\": \"best\"}},\n  \
-         \"best_cell\": {{\"kernel\": \"{}\", \"representation\": \"{}\", \
-         \"density\": \"{}\", \"speedup\": {:.3}}},\n  \"cells\": [\n{cells_json}\n  ]\n}}\n",
-        best.kernel, best.representation, best.density, best.speedup,
-    );
-    std::fs::write("BENCH_bitmap_kernels.json", &json).expect("write BENCH_bitmap_kernels.json");
-    println!("wrote BENCH_bitmap_kernels.json ({} cells)", cells.len());
 }
 
 /// E13 (extension) — permutation significance of discovered contexts:

@@ -14,7 +14,6 @@
 //! are never stored. Binary operations merge the two compressed streams in
 //! `O(stored words)` without decompressing to a dense form.
 
-use crate::Posting;
 use scube_common::mmap::{ByteRegion, MappedSlice, Store};
 
 const RUN_MAX: u64 = (1 << 32) - 1;
@@ -513,129 +512,36 @@ impl EwahBitmap {
         self.binary_op(other, BinOp::Xor)
     }
 
-    /// Decompress into plain zero-extended words (no trailing zero words):
-    /// bulk `copy_from_slice` / fill per segment, not a per-bit walk.
-    pub(crate) fn to_dense_words(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for seg in RawSegs::new(&self.words) {
-            match seg {
-                Seg::Clean { ones, nwords } => {
-                    let v = if ones { u64::MAX } else { 0 };
-                    out.resize(out.len() + nwords as usize, v);
-                }
-                Seg::Lit(words) => out.extend_from_slice(words),
-            }
-        }
-        while out.last() == Some(&0) {
-            out.pop();
-        }
-        out
-    }
-
-    /// Largest id in the set, or `None` when empty. One pass over the
-    /// compressed segments (no decompression).
-    pub(crate) fn max_id(&self) -> Option<u32> {
+    /// Position of the highest set bit, or `None` when empty. One pass over
+    /// the compressed segments (no decompression).
+    ///
+    /// The position is the stream's own, with no narrowing to the `u32` id
+    /// type: a decoded slot can hold bits at or past 2³², which
+    /// [`EwahBitmap::iter`] would alias onto small ids, so this is what a
+    /// loader compares against its universe before trusting the ids
+    /// (saturating, since the stream may come from a hostile file).
+    pub fn max_id(&self) -> Option<u64> {
         let mut word_index = 0u64;
-        let mut max: Option<u64> = None;
+        let mut max = None;
         for seg in RawSegs::new(&self.words) {
             match seg {
                 Seg::Clean { ones, nwords } => {
+                    word_index = word_index.saturating_add(nwords);
                     if ones {
-                        max = Some((word_index + nwords) * 64 - 1);
-                    }
-                    word_index += nwords;
-                }
-                Seg::Lit(words) => {
-                    for (i, &w) in words.iter().enumerate() {
-                        if w != 0 {
-                            let wi = word_index + i as u64;
-                            max = Some(wi * 64 + 63 - u64::from(w.leading_zeros()));
-                        }
-                    }
-                    word_index += words.len() as u64;
-                }
-            }
-        }
-        max.map(|m| m as u32)
-    }
-
-    /// Intersection cardinality against a plain zero-extended word array,
-    /// streaming over the compressed segments (the mixed EWAH×dense kernel
-    /// of [`crate::AdaptivePosting`]).
-    pub(crate) fn and_cardinality_words(&self, words: &[u64]) -> u64 {
-        let mut wi = 0usize;
-        let mut count = 0u64;
-        for seg in RawSegs::new(&self.words) {
-            if wi >= words.len() {
-                break;
-            }
-            match seg {
-                Seg::Clean { ones, nwords } => {
-                    if ones {
-                        let n = (nwords as usize).min(words.len() - wi);
-                        count += crate::kernels::popcount_words(&words[wi..wi + n]);
-                    }
-                    wi += nwords as usize;
-                }
-                Seg::Lit(lw) => {
-                    let n = lw.len().min(words.len() - wi);
-                    count += crate::kernels::and_popcount_words(&lw[..n], &words[wi..wi + n]);
-                    wi += lw.len();
-                }
-            }
-        }
-        count
-    }
-
-    /// Filter a strictly increasing id slice by membership in this bitmap:
-    /// ids for which `contains` is `keep` survive, in one streaming pass
-    /// over the compressed segments (the mixed tidvec×EWAH kernel of
-    /// [`crate::AdaptivePosting`]).
-    pub(crate) fn filter_sorted_ids(&self, ids: &[u32], keep: bool) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        let mut word_index = 0u64;
-        for seg in RawSegs::new(&self.words) {
-            if i == ids.len() {
-                break;
-            }
-            let nwords = match seg {
-                Seg::Clean { nwords, .. } => nwords,
-                Seg::Lit(words) => words.len() as u64,
-            };
-            let end_bit = (word_index + nwords) * 64;
-            match seg {
-                Seg::Clean { ones, .. } => {
-                    if ones == keep {
-                        while i < ids.len() && u64::from(ids[i]) < end_bit {
-                            out.push(ids[i]);
-                            i += 1;
-                        }
-                    } else {
-                        while i < ids.len() && u64::from(ids[i]) < end_bit {
-                            i += 1;
-                        }
+                        max = Some(word_index.saturating_mul(64) - 1);
                     }
                 }
                 Seg::Lit(words) => {
-                    while i < ids.len() && u64::from(ids[i]) < end_bit {
-                        let id = u64::from(ids[i]);
-                        let w = words[((id / 64) - word_index) as usize];
-                        if (w >> (id % 64)) & 1 == u64::from(keep) {
-                            out.push(ids[i]);
-                        }
-                        i += 1;
+                    if let Some(i) = words.iter().rposition(|&w| w != 0) {
+                        let top = 63 - u64::from(words[i].leading_zeros());
+                        let wi = word_index.saturating_add(i as u64);
+                        max = Some(wi.saturating_mul(64).saturating_add(top));
                     }
+                    word_index = word_index.saturating_add(words.len() as u64);
                 }
             }
-            word_index += nwords;
         }
-        // Ids past the stored end read as 0, so they survive iff filtering
-        // for absence.
-        if !keep {
-            out.extend_from_slice(&ids[i..]);
-        }
-        out
+        max
     }
 }
 
@@ -781,7 +687,9 @@ impl EwahBitmap {
 
     /// Decode an owned bitmap from a slot (the heap-load path). Fully
     /// validating: `None` on any structural defect or when the stream does
-    /// not hold exactly `card` set bits.
+    /// not hold exactly `card` set bits. Bit *positions* are not bounded
+    /// here — a slot may set bits past any universe, or past 2³² — so a
+    /// loader checks [`EwahBitmap::max_id`] before trusting the ids.
     pub fn read_slot(bytes: &[u8], card: u64) -> Option<Self> {
         if !bytes.len().is_multiple_of(8) {
             return None;
@@ -811,8 +719,14 @@ impl EwahBitmap {
     }
 }
 
-impl Posting for EwahBitmap {
-    fn full(n: u32) -> Self {
+/// The set algebra every layer above this crate calls. A bitmap behaves like
+/// an *infinite, zero-extended* bit vector: ids absent from the set read as
+/// 0 regardless of how many words are stored.
+impl EwahBitmap {
+    /// The full universe `{0, 1, …, n-1}`: a run of set words plus at most
+    /// one literal, not an id walk — the cube layers request the universe
+    /// for every empty-context lookup.
+    pub fn full(n: u32) -> Self {
         let nbits = u64::from(n);
         let mut a = Appender::new();
         a.push_clean(true, nbits / 64);
@@ -822,7 +736,11 @@ impl Posting for EwahBitmap {
         a.finish()
     }
 
-    fn from_sorted(ids: &[u32]) -> Self {
+    /// Build from strictly increasing ids.
+    ///
+    /// # Panics
+    /// If `ids` is not strictly increasing.
+    pub fn from_sorted(ids: &[u32]) -> Self {
         let mut out = Appender::new();
         let mut cur_word_idx = 0u64;
         let mut cur_word = 0u64;
@@ -846,7 +764,18 @@ impl Posting for EwahBitmap {
         out.finish()
     }
 
-    fn append_sorted(&mut self, ids: &[u32]) {
+    /// Extend the set in place with strictly increasing ids, all larger
+    /// than every id already present — the shape of a delta-ingest append,
+    /// where new transaction ids always follow the existing ones.
+    ///
+    /// An id at or below the current maximum is not rejected: the append is
+    /// a stream union, so such an id is simply added (or, when already
+    /// present, absorbed) and the result is still the canonical encoding of
+    /// the union.
+    ///
+    /// # Panics
+    /// If `ids` is not strictly increasing.
+    pub fn append_sorted(&mut self, ids: &[u32]) {
         if ids.is_empty() {
             return;
         }
@@ -858,7 +787,19 @@ impl Posting for EwahBitmap {
         *self = self.or(&EwahBitmap::from_sorted(ids));
     }
 
-    fn remove_sorted(&mut self, ids: &[u32]) {
+    /// Remove strictly increasing ids from the set, all of which must be
+    /// present — the shape of a delta-retract, where the caller already
+    /// intersected the removal set with this posting.
+    ///
+    /// The result is the canonical encoding: removing ids and rebuilding
+    /// from scratch give the same word stream
+    /// (`remove_sorted_matches_from_scratch_build`), which is what keeps
+    /// retracted snapshots byte-identical to rebuilt ones.
+    ///
+    /// # Panics
+    /// If `ids` is not strictly increasing or contains an id not present in
+    /// the set.
+    pub fn remove_sorted(&mut self, ids: &[u32]) {
         if ids.is_empty() {
             return;
         }
@@ -866,7 +807,7 @@ impl Posting for EwahBitmap {
         // A real assert (not debug-only): the check is one streaming pass
         // over the compressed words, and silently dropping an absent id
         // would desynchronize the caller's histograms from the postings in
-        // release builds — matching Dense/TidVec, which always panic.
+        // release builds.
         assert_eq!(self.and_cardinality(&removal), removal.card, "removed ids must all be present");
         // Stream difference: both compressed streams merge word by word
         // without decompressing, and the Appender re-compresses greedily,
@@ -876,39 +817,100 @@ impl Posting for EwahBitmap {
         *self = self.binary_op(&removal, BinOp::AndNot);
     }
 
-    fn and(&self, other: &Self) -> Self {
+    /// Set intersection.
+    #[must_use]
+    pub fn and(&self, other: &Self) -> Self {
         self.binary_op(other, BinOp::And)
     }
 
-    fn or(&self, other: &Self) -> Self {
+    /// Set union.
+    #[must_use]
+    pub fn or(&self, other: &Self) -> Self {
         self.binary_op(other, BinOp::Or)
     }
 
-    fn andnot(&self, other: &Self) -> Self {
+    /// Set difference (`self \ other`).
+    #[must_use]
+    pub fn andnot(&self, other: &Self) -> Self {
         self.binary_op(other, BinOp::AndNot)
     }
 
-    fn cardinality(&self) -> u64 {
+    /// Number of ids in the set (a stored field, not a popcount).
+    pub fn cardinality(&self) -> u64 {
         self.card
     }
 
-    fn for_each(&self, mut f: impl FnMut(u32)) {
+    /// True when the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.card == 0
+    }
+
+    /// Visit every id in increasing order.
+    pub fn for_each(&self, mut f: impl FnMut(u32)) {
         for id in self.iter() {
             f(id);
         }
     }
 
-    fn and_into(&self, other: &Self, out: &mut Self) {
-        // Reuse `out`'s word buffer for the merge output; this plus the
-        // trait's ping-pong `intersect_many` default is the allocation-free
-        // k-way path for EWAH (the intersection of compressed streams can
-        // outgrow either input's storage, so true in-place is not possible,
-        // but buffer recycling gets the same steady-state behavior).
+    /// Collect the ids into a vector (ascending).
+    pub fn to_vec(&self) -> Vec<u32> {
+        let mut v = Vec::with_capacity(self.card as usize);
+        self.for_each(|id| v.push(id));
+        v
+    }
+
+    /// Intersection into a caller-owned accumulator, reusing its storage.
+    ///
+    /// This is the allocation-free building block of the batched k-way AND:
+    /// [`EwahBitmap::intersect_many`] ping-pongs two accumulators through
+    /// it, so any number of steps costs at most two buffers. (The
+    /// intersection of compressed streams can outgrow either input's
+    /// storage, so true in-place is not possible, but buffer recycling gets
+    /// the same steady-state behavior.)
+    pub fn and_into(&self, other: &Self, out: &mut Self) {
         let buf = out.words.take_vec();
         *out = self.binary_op_with_buffer(other, BinOp::And, buf);
     }
 
-    fn and_cardinality(&self, other: &Self) -> u64 {
+    /// In-place intersection (`*self &= other`).
+    pub fn and_assign(&mut self, other: &Self) {
+        *self = self.and(other);
+    }
+
+    /// Batched k-way intersection: smallest-cardinality first (the running
+    /// intersection can only shrink), empty short-circuit, and **no per-step
+    /// posting allocation** — two accumulators ping-pong through
+    /// [`EwahBitmap::and_into`], so k steps cost at most two buffers
+    /// regardless of k.
+    ///
+    /// `None` when `postings` is empty (an empty *intersection* of zero sets
+    /// would be the full universe, which a posting cannot represent without
+    /// knowing `n`).
+    pub fn intersect_many(postings: &[&Self]) -> Option<Self> {
+        match postings {
+            [] => None,
+            [one] => Some((*one).clone()),
+            _ => {
+                let mut order: Vec<&Self> = postings.to_vec();
+                order.sort_by_key(|p| p.card);
+                let mut acc = order[0].clone();
+                let mut spare = EwahBitmap::new();
+                for p in &order[1..] {
+                    if acc.is_empty() {
+                        break;
+                    }
+                    acc.and_into(p, &mut spare);
+                    std::mem::swap(&mut acc, &mut spare);
+                }
+                Some(acc)
+            }
+        }
+    }
+
+    /// Cardinality of the intersection, without materializing it — the hot
+    /// operation of support counting in Eclat and of per-unit histograms in
+    /// the cube builder.
+    pub fn and_cardinality(&self, other: &Self) -> u64 {
         // Streaming count: like binary_op(And) but without building output.
         // Clean runs annihilate (zeros) or popcount the other side's
         // literal block wholesale (ones); literal×literal blocks run
@@ -960,7 +962,8 @@ impl Posting for EwahBitmap {
         count
     }
 
-    fn contains(&self, id: u32) -> bool {
+    /// Membership test, one pass over the compressed segments.
+    pub fn contains(&self, id: u32) -> bool {
         let target_word = u64::from(id) / 64;
         let bit = u64::from(id) % 64;
         let mut word_index = 0u64;
@@ -1268,5 +1271,17 @@ mod tests {
         let b = bm(&ids);
         assert_eq!(b.to_vec(), ids);
         assert!(b.contains(u32::MAX));
+        assert_eq!(b.max_id(), Some(u64::from(u32::MAX)));
+        assert_eq!(EwahBitmap::new().max_id(), None);
+        assert_eq!(bm(&[3, 64]).max_id(), Some(64));
+        assert_eq!(EwahBitmap::full(128).max_id(), Some(127));
+        // Past the limit: a decoded slot with its one bit at 2³² iterates
+        // as id 0 (positions narrow to `u32`), but `max_id` reports the
+        // position the stream really holds.
+        let slot: Vec<u8> =
+            [encode_marker(false, 1 << 26, 1), 1u64].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let past = EwahBitmap::read_slot(&slot, 1).expect("structurally valid");
+        assert_eq!(past.to_vec(), vec![0]);
+        assert_eq!(past.max_id(), Some(1 << 32));
     }
 }

@@ -1,17 +1,16 @@
-//! Word-level kernels shared by the posting representations.
+//! Word-level kernels under the EWAH stream merges.
 //!
 //! Every routine here works on plain `&[u64]` slices and is written as a
 //! straight-line loop over fixed-width chunks (`chunks_exact`), the shape
 //! LLVM's autovectorizer reliably turns into SIMD on both x86-64 and
 //! aarch64 — `std::simd` is nightly-only, so this is the portable way to
 //! get vector code on stable. The kernels are *pure word transforms*: they
-//! never trim trailing zeros or track cardinality; callers own the
-//! representation invariants.
+//! never trim trailing zeros or track cardinality; the caller owns the
+//! encoding invariants.
 //!
-//! [`DenseBitmap`](crate::DenseBitmap) routes its boolean algebra through
-//! these, and [`EwahBitmap`](crate::EwahBitmap) uses them for
-//! literal-run × literal-run blocks inside its compressed-stream merge, so
-//! one set of hot loops serves both representations.
+//! [`EwahBitmap`](crate::EwahBitmap) uses them for literal-run ×
+//! literal-run blocks inside its compressed-stream merge and for bulk
+//! popcounts of literal stretches.
 
 /// Width of the unrolled inner loops, in 64-bit words (a 512-bit stripe).
 const LANES: usize = 8;
@@ -73,23 +72,6 @@ pub fn map2_into(a: &[u64], b: &[u64], out: &mut [u64], f: impl Fn(u64, u64) -> 
     }
 }
 
-/// `a[i] = f(a[i], b[i])` in place over the overlapping prefix.
-#[inline]
-pub fn map2_in_place(a: &mut [u64], b: &[u64], f: impl Fn(u64, u64) -> u64) {
-    let n = a.len().min(b.len());
-    let (a, b) = (&mut a[..n], &b[..n]);
-    let mut ca = a.chunks_exact_mut(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xs, ys) in (&mut ca).zip(&mut cb) {
-        for (x, y) in xs.iter_mut().zip(ys) {
-            *x = f(*x, *y);
-        }
-    }
-    for (x, y) in ca.into_remainder().iter_mut().zip(cb.remainder()) {
-        *x = f(*x, *y);
-    }
-}
-
 /// `out[i] = !src[i]` (used by the EWAH merge when a ones-run meets a
 /// literal block under AND-NOT / XOR).
 #[inline]
@@ -127,9 +109,6 @@ mod tests {
         let b: Vec<u64> = (0..90u64).map(|i| i.rotate_left(13) ^ 0xABCD).collect();
         let mut out = vec![0u64; 90];
         map2_into(&a, &b, &mut out, |x, y| x & !y);
-        let mut in_place = a[..90].to_vec();
-        map2_in_place(&mut in_place, &b, |x, y| x & !y);
-        assert_eq!(out, in_place);
         for i in 0..90 {
             assert_eq!(out[i], a[i] & !b[i]);
         }

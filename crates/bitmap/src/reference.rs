@@ -1,14 +1,10 @@
 //! Scalar reference implementations over sorted id vectors.
 //!
 //! Every optimized kernel in this crate — the unrolled word loops, the
-//! galloping merges, the compressed-stream block paths, the batched k-way
-//! AND — is pinned against these deliberately boring linear merges, both by
-//! the differential property tests (`tests/kernel_equivalence.rs`) and by
-//! the `exp bitmap-kernels` experiment, whose every grid cell is gated on
-//! exact equality with this module before a timing is recorded. The
-//! reference is also the *old* side of the experiment's old-vs-new ratios:
-//! it is precisely the scalar, one-element-at-a-time scan the
-//! representations used before the kernel work.
+//! compressed-stream block paths, the batched k-way AND — is pinned against
+//! these deliberately boring linear merges by the differential property
+//! tests (`tests/kernel_equivalence.rs`): one element at a time, one fresh
+//! vector per step, nothing to get wrong.
 
 /// Linear-merge intersection of two strictly increasing id slices.
 pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -46,8 +42,7 @@ pub fn intersect_cardinality_sorted(a: &[u32], b: &[u32]) -> u64 {
     n
 }
 
-/// Pairwise-fold k-way intersection: each step materializes a fresh vector,
-/// exactly like the pre-kernel `intersect_all`.
+/// Pairwise-fold k-way intersection: each step materializes a fresh vector.
 pub fn intersect_all_sorted(lists: &[&[u32]]) -> Option<Vec<u32>> {
     let (first, rest) = lists.split_first()?;
     let mut acc = first.to_vec();

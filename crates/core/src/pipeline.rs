@@ -171,7 +171,7 @@ pub struct ChunkedBuild {
 /// As [`run_final_table_csv`], but through the chunked builder: rows
 /// stream off the CSV in tid order, are interned and staged at most
 /// `chunk_rows` at a time, and each full chunk is folded into the
-/// vertical postings by tail-append (`Posting::append_sorted`).
+/// vertical postings by tail-append (`EwahBitmap::append_sorted`).
 /// The horizontal table never exists; peak memory is the postings plus one
 /// chunk. The resulting cube — and any snapshot saved from it — is
 /// **byte-identical** to the resident build's on the same table, because

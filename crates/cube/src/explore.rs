@@ -20,7 +20,7 @@
 //! share one explorer across worker threads, each with a checked-out
 //! scratch, so cold recomputation never allocates per query.
 
-use scube_bitmap::{EwahBitmap, Posting};
+use scube_bitmap::EwahBitmap;
 use scube_common::Result;
 use scube_data::{TransactionDb, UnitScratch, VerticalDb};
 use scube_segindex::{IndexValues, MeasureSet, UnitCounts, DEFAULT_ATKINSON_B};

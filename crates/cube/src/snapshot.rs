@@ -94,7 +94,7 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use scube_bitmap::{EwahBitmap, Posting};
+use scube_bitmap::EwahBitmap;
 use scube_common::mmap::{ByteRegion, MappedSlice, MmapFile, Store};
 use scube_common::{FxHashMap, Result, ScubeError};
 use scube_data::{ItemId, TransactionDb, VerticalDb};
@@ -1304,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_representations() {
+    fn roundtrip_full_suite() {
         roundtrip(MeasureSet::FULL);
     }
 

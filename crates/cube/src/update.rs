@@ -6,7 +6,7 @@
 //! artifact instead: an [`UpdateBatch`] of appended rows and retractions
 //! (by tid or by exact row match) is folded into the existing
 //! [`VerticalDb`] — postings extended at their tails via
-//! [`Posting::append_sorted`], shrunk via [`Posting::remove_sorted`] — and
+//! [`EwahBitmap::append_sorted`], shrunk via [`EwahBitmap::remove_sorted`] — and
 //! only the affected cells are recomputed. The result is **bit-identical**
 //! to a full rebuild on the edited data (property-tested in
 //! `tests/cube_update_equivalence.rs`) because the maintenance store holds
@@ -69,7 +69,7 @@
 //! of one *multi-valued* attribute in one row may tie-break differently
 //! than their cell order).
 
-use scube_bitmap::{EwahBitmap, Posting};
+use scube_bitmap::EwahBitmap;
 use scube_common::mmap::{ByteRegion, Store};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
@@ -1635,7 +1635,7 @@ mod tests {
     }
 
     #[test]
-    fn update_matches_rebuild_all_representations() {
+    fn update_matches_rebuild_every_strategy_and_support() {
         for minsup in [1, 2, 3] {
             check_roundtrip(Materialize::AllFrequent, minsup);
             check_roundtrip(Materialize::ClosedOnly, minsup);

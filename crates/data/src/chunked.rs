@@ -10,7 +10,7 @@
 //! cannot drift), staged in a bounded chunk, and folded into the postings
 //! via [`VerticalDb::append_rows`]. Chunks arrive in ascending tid order,
 //! so every flush is a pure posting tail-append
-//! ([`scube_bitmap::Posting::append_sorted`]) — no merge sort, and the
+//! ([`scube_bitmap::EwahBitmap::append_sorted`]) — no merge sort, and the
 //! grown postings are byte-identical to a one-shot build's.
 //!
 //! Peak memory is therefore bounded by the *output* (postings + dictionary)
@@ -242,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_matches_resident_all_representations() {
+    fn chunked_matches_resident_every_chunk_size() {
         for chunk in [1, 2, 3, 100] {
             check_chunked_matches_resident(chunk);
         }

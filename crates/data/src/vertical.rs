@@ -4,7 +4,7 @@
 //! the set of transaction ids containing it, stored as one [`EwahBitmap`]
 //! (the paper's JavaEWAH tidsets).
 
-use scube_bitmap::{EwahBitmap, Posting};
+use scube_bitmap::EwahBitmap;
 
 use crate::dictionary::ItemId;
 use crate::transactions::{checked_u32, TransactionDb, UnitId};
@@ -60,11 +60,11 @@ impl VerticalDb {
         if unit_of.len() != n_transactions as usize || unit_of.iter().any(|&u| u >= n_units) {
             return None;
         }
-        let mut max_tid = None::<u32>;
-        for p in &postings {
-            p.for_each(|tid| max_tid = Some(max_tid.map_or(tid, |m| m.max(tid))));
-        }
-        if max_tid.is_some_and(|m| m >= n_transactions) {
+        // The highest set *bit*, not the highest iterated tid: a decoded
+        // slot can hold bits at or past 2³², which iteration would alias
+        // onto small tids and let through.
+        let universe = u64::from(n_transactions);
+        if postings.iter().any(|p| p.max_id().is_some_and(|m| m >= universe)) {
             return None;
         }
         Some(VerticalDb { postings, n_transactions, unit_of, n_units })
@@ -93,7 +93,7 @@ impl VerticalDb {
     ///
     /// Each row holds sorted, deduplicated item ids and a unit id; rows are
     /// assigned the next transaction ids in order, so every existing
-    /// posting is extended at its tail ([`Posting::append_sorted`]) rather
+    /// posting is extended at its tail ([`EwahBitmap::append_sorted`]) rather
     /// than rebuilt. `n_items_after` / `n_units_after` widen the item and
     /// unit spaces for ids first seen in the batch (empty postings are
     /// created for new items that happen not to appear — callers pass the
@@ -158,7 +158,7 @@ impl VerticalDb {
     /// edited data would assign, so snapshot byte-identity survives
     /// retraction. When the removed set is a suffix of the tid space the
     /// renumbering is the identity and every affected posting shrinks in
-    /// place via [`Posting::remove_sorted`]; otherwise the postings are
+    /// place via [`EwahBitmap::remove_sorted`]; otherwise the postings are
     /// rebuilt from the surviving rows in one pass. Items are never dropped
     /// here even when their posting empties — dictionary garbage collection
     /// is the cube layer's relabeling concern.
@@ -280,7 +280,7 @@ impl VerticalDb {
     /// Tidset of an itemset (intersection of item postings), or the
     /// universe when the itemset is empty.
     ///
-    /// Routed through the batched k-way AND ([`Posting::intersect_many`]):
+    /// Routed through the batched k-way AND ([`EwahBitmap::intersect_many`]):
     /// smallest posting first, empty short-circuit, and no per-step posting
     /// allocation however many items the set has.
     pub fn tidset(&self, itemset: &[ItemId]) -> EwahBitmap {
@@ -511,6 +511,24 @@ mod tests {
         // Posting tid out of range.
         let bad = vec![EwahBitmap::from_sorted(&[9])];
         assert!(VerticalDb::from_parts(bad, 4, v.units().to_vec(), 2).is_none());
+    }
+
+    /// Slots whose set bits lie at or past 2³²: `read_slot` accepts them
+    /// (the card matches) and iteration truncates the positions to `u32`,
+    /// so they read back as small, in-range tids.
+    #[test]
+    fn from_parts_rejects_postings_aliasing_past_the_universe() {
+        let slot = |words: &[u64]| words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        let marker = |run: u64, lit: u64| (run << 1) | (lit << 33);
+        // Bit 2³² alone: 2²⁶ zero words, then one literal with bit 0.
+        let wrapped = EwahBitmap::read_slot(&slot(&[marker(1 << 26, 1), 1]), 1).unwrap();
+        assert_eq!(wrapped.to_vec(), vec![0], "the alias the bound check must see through");
+        assert!(VerticalDb::from_parts(vec![wrapped], 1, vec![0], 1).is_none());
+        // Bit 2³² + 5 beside the real tid 3.
+        let words = [marker(0, 1), 1 << 3, marker((1 << 26) - 1, 1), 1 << 5];
+        let beside = EwahBitmap::read_slot(&slot(&words), 2).unwrap();
+        assert_eq!(beside.to_vec(), vec![3, 5]);
+        assert!(VerticalDb::from_parts(vec![beside], 6, vec![0; 6], 1).is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use scube_bitmap::{EwahBitmap, Posting};
+use scube_bitmap::EwahBitmap;
 use scube_common::Result;
 use scube_data::{ItemId, TransactionDb, VerticalDb};
 

@@ -84,7 +84,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     #[test]
-    fn concurrent_serving_is_bit_identical_across_representations(
+    fn concurrent_serving_is_bit_identical_on_random_tables(
         bias_idx in 0usize..3,
         seed in any::<u64>(),
     ) {

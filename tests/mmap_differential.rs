@@ -93,7 +93,7 @@ fn check_opens(what: &str, materialize: Materialize, measures: MeasureSet) {
 }
 
 #[test]
-fn mmap_matches_heap_for_every_representation_and_strategy() {
+fn mmap_matches_heap_for_every_strategy() {
     for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
         check_opens("full", materialize, MeasureSet::FULL);
     }

@@ -42,7 +42,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn parallel_build_is_bit_identical_across_representations(
+    fn parallel_build_is_bit_identical_on_random_tables(
         bias_idx in 0usize..3,
         seed in any::<u64>(),
     ) {

@@ -525,3 +525,63 @@ fn hostile_store_entries_are_refused_by_both_opens() {
         );
     }
 }
+
+/// A posting slot whose set bits lie at or past 2³² decodes (the
+/// cardinality matches) and *iterates* as small tids — positions narrow to
+/// `u32` — so every check that walks tids sees an honest posting, while the
+/// stream kernels would intersect it at its real positions. The heap load
+/// must bound a posting by its highest set bit, as the mapped opens do.
+#[test]
+fn a_posting_aliasing_past_the_universe_is_refused_by_every_open() {
+    let good = golden_build(MeasureSet::FULL);
+    let bytes = good.to_bytes();
+    let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let put = |bytes: &mut [u8], at: usize, word: u64| {
+        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    };
+    // Directory words 2..=6: postdir_off, n_postings, slots_off, slots_len,
+    // store_off.
+    let dir = |i: usize| word(&bytes, DIR_OFF + 8 * i);
+    let (postdir_off, n_postings) = (dir(2) as usize, dir(3) as usize);
+    let (slots_off, slots_len, store_off) = (dir(4) as usize, dir(5), dir(6) as usize);
+    let marker = |run: u64, lit: u64| (run << 1) | (lit << 33);
+    let refused = |what: &str, bytes: &[u8]| {
+        let err = CubeSnapshot::from_bytes(bytes).expect_err(what).to_string();
+        assert!(err.contains("inconsistent vertical database"), "{what}, heap: {err}");
+        if cfg!(target_endian = "little") {
+            for verified in [false, true] {
+                let err = open_mapped("alias", bytes, verified).expect_err(what).to_string();
+                assert!(err.contains("malformed posting slot"), "{what}, mapped: {err}");
+            }
+        }
+    };
+
+    // The whole first posting moved up by 2²⁶ words: same length, same
+    // cardinality, same tids under iteration. Slots sit outside `meta_sum`.
+    assert_eq!(word(&bytes, postdir_off) as usize, slots_off, "the first slot opens the region");
+    assert_eq!(word(&bytes, slots_off), marker(0, 1), "fixture: one literal word");
+    let mut wrapped = bytes.clone();
+    put(&mut wrapped, slots_off, marker(1 << 26, 1));
+    repatch_full_sum(&mut wrapped);
+    refused("every tid past 2^32", &wrapped);
+
+    // The last posting's highest tid moved to bit 2³² + tid, beside the
+    // real ones: the slot grows by a marker and a literal, so its directory
+    // entry, the slots length and the store offset move with it.
+    let ids: Vec<u32> = good.vertical().postings().last().unwrap().iter().collect();
+    let (&high, low) = ids.split_last().unwrap();
+    assert!(!low.is_empty() && high < 64, "fixture: one literal word, several tids");
+    let low_word = low.iter().fold(0u64, |w, &tid| w | 1 << tid);
+    let slot = [marker(0, 1), low_word, marker((1 << 26) - 1, 1), 1u64 << high];
+    let entry = postdir_off + 24 * (n_postings - 1);
+    let slot_off = word(&bytes, entry) as usize;
+    let mut beside = bytes[..slot_off].to_vec();
+    beside.extend(slot.iter().flat_map(|w| w.to_le_bytes()));
+    beside.extend_from_slice(&bytes[store_off..]);
+    let grown = (beside.len() - bytes.len()) as u64;
+    put(&mut beside, entry + 8, 8 * slot.len() as u64);
+    put(&mut beside, DIR_OFF + 8 * 5, slots_len + grown);
+    put(&mut beside, DIR_OFF + 8 * 6, store_off as u64 + grown);
+    repatch_both_sums(&mut beside);
+    refused("one tid past 2^32 beside real ones", &beside);
+}

@@ -39,7 +39,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn snapshot_roundtrip_is_bit_identical_across_representations(
+    fn snapshot_roundtrip_is_bit_identical_on_random_tables(
         bias_idx in 0usize..3,
         seed in any::<u64>(),
     ) {
