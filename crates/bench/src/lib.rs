@@ -34,8 +34,9 @@ pub fn fmt(v: Option<f64>) -> String {
 /// Best-effort host fingerprint as `(cpu_model, arch-os)` — e.g.
 /// `("AMD EPYC 7B13", "x86_64-linux")`. The CPU model comes from
 /// `/proc/cpuinfo` on Linux and degrades to `"unknown"` elsewhere.
-/// Recorded in every `BENCH_*.json` so perf trajectories accumulated
-/// across PRs can be grouped by the machine that produced them.
+/// Recorded in the `benchmark/` reports and in `BENCH_cube_scale.json`, so
+/// numbers accumulated across PRs can be grouped by the machine that
+/// produced them.
 pub fn host_fingerprint() -> (String, String) {
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()

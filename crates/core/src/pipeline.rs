@@ -232,26 +232,6 @@ fn package(
     ))
 }
 
-/// Incremental maintenance: fold a batch of appended rows and retractions
-/// into a built snapshot in place — postings extended at their tails (or
-/// shrunk), newly-frequent itemsets promoted, below-threshold cells
-/// demoted, exactly the dirty cells re-evaluated. Bit-identical to
-/// re-running the pipeline on the edited data, at a fraction of the cost
-/// (see `scube_cube::update`).
-pub fn update(snapshot: &mut CubeSnapshot, batch: &UpdateBatch) -> Result<UpdateStats> {
-    snapshot.apply_update(batch)
-}
-
-/// As [`update`], fanning dirty-cell re-evaluation over up to `threads`
-/// scoped worker threads — bit-identical to the serial form.
-pub fn update_threads(
-    snapshot: &mut CubeSnapshot,
-    batch: &UpdateBatch,
-    threads: usize,
-) -> Result<UpdateStats> {
-    snapshot.apply_update_threads(batch, threads)
-}
-
 /// The `scube update` verb: load a snapshot file, fold final-table-shaped
 /// relations of appended (`add`) and retracted (`remove`, matched exactly)
 /// rows into it (`unit_column` names the unit id column), and save the

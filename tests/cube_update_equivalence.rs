@@ -98,7 +98,9 @@ fn check_churn_equals_rebuild(
     for &t in remove {
         batch.remove_tid(t);
     }
+    let serial_stats = updated.clone().apply_update(&batch).expect("serial churn applies");
     let stats = updated.apply_update_threads(&batch, threads).expect("churn applies");
+    assert_eq!(stats, serial_stats, "{what}: {threads} workers must report the serial stats");
     assert_eq!(stats.rows_added, delta_rel.len(), "{what}");
     assert_eq!(stats.rows_removed, remove.len(), "{what}");
     assert_eq!(

@@ -168,7 +168,7 @@ proptest! {
                 kept.push_row(row.to_vec()).expect("row shapes match");
             }
         }
-        let stats = scube::update_threads(&mut snap, &batch, threads).expect("relabel applies");
+        let stats = snap.apply_update_threads(&batch, threads).expect("relabel applies");
         prop_assert!(stats.dropped_units >= 1, "the drained unit must leave the dictionary");
 
         // Reference: reassemble histograms from the *edited* table, whose
