@@ -1,13 +1,15 @@
 //! `scubed`: the long-running serving daemon over [`ConcurrentCubeEngine`].
 //!
-//! A [`Daemon`] owns a registry of named cubes, each a [`CubeHandle`]
-//! pairing a *master* [`CubeSnapshot`] (the mutable owner that absorbs
-//! [`UpdateBatch`]es through the incremental `apply_update` maintenance
-//! path) with a *serving* engine behind an atomically swappable `Arc`.
-//! Readers clone the `Arc` (O(1), wait-free after the spinlock) and answer
-//! from an engine that never mutates, so a concurrent `POST /update` can
-//! never produce a torn answer: every response is bit-identical to either
-//! the complete pre-update or the complete post-update engine.
+//! A [`Daemon`] owns a registry of named cubes, each a [`CubeHandle`]: one
+//! immutable serving engine behind an atomically swappable `Arc`, so every
+//! cube is resident once. `POST /update` applies an [`UpdateBatch`] to a
+//! private clone of the served [`CubeSnapshot`] through the incremental
+//! `apply_update` maintenance path, builds a fresh engine from the clone
+//! and swaps it in; a failed update drops the clone and leaves the served
+//! state untouched. Readers clone the `Arc` (O(1), wait-free after the
+//! spinlock), so a concurrent update can never produce a torn answer:
+//! every response is bit-identical to either the complete pre-update or
+//! the complete post-update engine.
 //!
 //! # Endpoints
 //!
@@ -92,11 +94,12 @@ impl Default for DaemonConfig {
     }
 }
 
-/// One resident cube: master snapshot + hot-swappable serving engine.
+/// One resident cube: a hot-swappable serving engine, held once.
 pub struct CubeHandle {
-    /// The mutable owner; `POST /update` applies batches here through the
-    /// incremental maintenance path, then publishes a fresh engine.
-    master: Mutex<CubeSnapshot>,
+    /// Serializes `POST /update`s. It guards no data — each update works
+    /// on its own clone of the served snapshot — so a lock poisoned by a
+    /// contained panic is simply taken over.
+    writer: Mutex<()>,
     /// The engine readers answer from. Swapped atomically (under a brief
     /// spinlock; readers only clone the `Arc`).
     serving: SpinLock<Arc<ConcurrentCubeEngine>>,
@@ -111,13 +114,10 @@ pub struct CubeHandle {
 
 impl CubeHandle {
     fn new(snapshot: CubeSnapshot, config: &DaemonConfig) -> CubeHandle {
-        let engine = ConcurrentCubeEngine::with_config(
-            snapshot.clone(),
-            config.shards,
-            config.cache_capacity,
-        );
+        let engine =
+            ConcurrentCubeEngine::with_config(snapshot, config.shards, config.cache_capacity);
         CubeHandle {
-            master: Mutex::new(snapshot),
+            writer: Mutex::new(()),
             serving: SpinLock::new(Arc::new(engine)),
             retired: Mutex::new(QueryStats::default()),
             swaps: AtomicU64::new(0),
@@ -132,24 +132,20 @@ impl CubeHandle {
         Arc::clone(&self.serving.lock())
     }
 
-    /// Apply `batch` to the master snapshot and atomically publish a fresh
-    /// engine. Readers holding the old engine finish their in-flight
-    /// queries against it; new requests see the new engine.
-    pub fn update(&self, batch: &UpdateBatch, threads: usize) -> Result<UpdateStats> {
-        // A panic inside a previous update (after catch_unwind) poisons the
-        // mutex; keep serving rather than turning every later update into
-        // a 500 — apply_update validates inputs before mutating.
-        let mut master = self.master.lock().unwrap_or_else(|p| p.into_inner());
-        let stats = master.apply_update_threads(batch, threads)?;
-        let fresh =
-            ConcurrentCubeEngine::with_config(master.clone(), self.shards, self.cache_capacity);
-        let old = {
-            let mut serving = self.serving.lock();
-            std::mem::replace(&mut *serving, Arc::new(fresh))
-        };
+    /// Apply `batch` to a private clone of the served snapshot and
+    /// atomically publish a fresh engine built from it; returns the
+    /// update's stats and this swap's number (1 for the first). Readers
+    /// holding the old engine finish their in-flight queries against it;
+    /// new requests see the new engine. An error or panic drops the clone,
+    /// so the served state is either entirely old or entirely new.
+    pub fn update(&self, batch: &UpdateBatch, threads: usize) -> Result<(UpdateStats, u64)> {
+        let _writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
+        let mut next = self.engine().snapshot();
+        let stats = next.apply_update_threads(batch, threads)?;
+        let fresh = ConcurrentCubeEngine::with_config(next, self.shards, self.cache_capacity);
+        let old = std::mem::replace(&mut *self.serving.lock(), Arc::new(fresh));
         *self.retired.lock().unwrap_or_else(|p| p.into_inner()) += old.stats();
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        Ok(stats)
+        Ok((stats, self.swaps.fetch_add(1, Ordering::Relaxed) + 1))
     }
 
     /// Exact lifetime query-tier counters: current engine + all retired.
@@ -975,7 +971,7 @@ fn update(state: &State, handle: &CubeHandle, body: &[u8]) -> HttpResponse {
         Err(e) => return bad_request(&e),
     };
     match handle.update(&batch, threads.unwrap_or(state.config.update_threads)) {
-        Ok(stats) => HttpResponse::json(200, update_stats_json(&stats, handle.swap_count())),
+        Ok((stats, swaps)) => HttpResponse::json(200, update_stats_json(&stats, swaps)),
         Err(e) => error_response(&e),
     }
 }

@@ -27,6 +27,24 @@ use scube_segindex::{IndexValues, MeasureSet, UnitCounts, DEFAULT_ATKINSON_B};
 
 use crate::coords::CellCoords;
 
+/// Tidset of `A ∪ B` given the already-intersected context tidset of `B`,
+/// instead of re-intersecting the `ca` postings from scratch: one batched
+/// k-way AND, smallest posting first, no per-step allocation (`⋆` contexts
+/// intersect the SA postings directly).
+pub(crate) fn minority_tidset(
+    vertical: &VerticalDb,
+    coords: &CellCoords,
+    context: &EwahBitmap,
+) -> EwahBitmap {
+    if coords.ca.is_empty() {
+        return vertical.tidset(&coords.sa);
+    }
+    let mut refs: Vec<&EwahBitmap> = Vec::with_capacity(1 + coords.sa.len());
+    refs.push(context);
+    refs.extend(coords.sa.iter().map(|&item| vertical.posting(item)));
+    EwahBitmap::intersect_many(&refs).expect("context plus non-empty SA side")
+}
+
 /// The mutable half of cell evaluation: two reusable per-unit histograms
 /// (minority and population). One scratch per worker thread lets any number
 /// of threads evaluate cells through a shared [`CubeExplorer`] without a
@@ -97,41 +115,10 @@ impl CubeExplorer {
         &self.vertical
     }
 
-    /// Mutable access for the update path (`crate::update` extends the
-    /// postings in place). Callers must call [`Self::refresh_scratch`]
-    /// afterwards if the unit count grew.
-    pub(crate) fn vertical_mut(&mut self) -> &mut VerticalDb {
-        &mut self.vertical
-    }
-
-    /// Re-size the explorer's own scratch to the (possibly grown) unit
-    /// count after an update.
-    pub(crate) fn refresh_scratch(&mut self) {
-        self.scratch = ExplorerScratch::new(self.vertical.num_units());
-    }
-
     /// A fresh scratch sized for this explorer's database (what a worker
     /// thread checks out before calling the `_with` methods).
     pub fn new_scratch(&self) -> ExplorerScratch {
         ExplorerScratch::new(self.vertical.num_units())
-    }
-
-    /// Tidset of `A ∪ B`, reusing the already-intersected context tidset
-    /// instead of re-intersecting the `ca` postings from scratch. The whole
-    /// recomputation is one batched k-way AND — smallest posting first, no
-    /// per-step allocation.
-    fn minority_tidset(
-        vertical: &VerticalDb,
-        coords: &CellCoords,
-        total_tids: &EwahBitmap,
-    ) -> EwahBitmap {
-        if coords.ca.is_empty() {
-            return vertical.tidset(&coords.sa);
-        }
-        let mut refs: Vec<&EwahBitmap> = Vec::with_capacity(1 + coords.sa.len());
-        refs.push(total_tids);
-        refs.extend(coords.sa.iter().map(|&item| vertical.posting(item)));
-        EwahBitmap::intersect_many(&refs).expect("context plus non-empty SA side")
     }
 
     /// Fill both scratch histograms and yield the context's populated units
@@ -152,7 +139,7 @@ impl CubeExplorer {
             // scratch so both read uniformly.
             vertical.unit_histogram_into(&total_tids, &mut scratch.minority);
         } else {
-            let minority_tids = Self::minority_tidset(vertical, coords, &total_tids);
+            let minority_tids = minority_tidset(vertical, coords, &total_tids);
             vertical.unit_histogram_into(&minority_tids, &mut scratch.minority);
         }
         let minority = &scratch.minority;

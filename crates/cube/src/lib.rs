@@ -34,11 +34,13 @@
 //! single caller or many threads.
 //!
 //! And it is *maintained*: an [`update::UpdateBatch`] of appended rows
-//! folds into a snapshot or a running engine in place — postings extended
-//! at their tails, newly-frequent itemsets promoted, only dirty cells
-//! recomputed from incrementally maintained integer histograms —
+//! folds into a snapshot in place — postings extended at their tails,
+//! newly-frequent itemsets promoted, only dirty cells recomputed from
+//! incrementally maintained integer histograms —
 //! bit-identical to a full rebuild on the concatenated data at a fraction
-//! of the cost (the streaming-ingest path; see [`update`]).
+//! of the cost (the streaming-ingest path; see [`update`]). A served engine
+//! is immutable: it is updated by applying the batch to its
+//! [`serve::ConcurrentCubeEngine::snapshot`] and serving a fresh engine.
 
 pub mod builder;
 pub mod coords;

@@ -155,9 +155,8 @@ pub(crate) fn resolve_coords(
 /// entry weighs its own triple count, tracked by [`LruCache`]'s
 /// `used_weight` counter) rather than by dividing the budget by the
 /// worst-case breakdown length — short breakdowns no longer waste
-/// capacity, and the counter is decremented for every eviction,
-/// replacement, and `retain`-dropped entry (budget-exactness regression
-/// tests pin this, including across `apply_update` invalidation).
+/// capacity, and the counter is decremented for every eviction and
+/// replacement (budget-exactness regression tests pin this).
 pub(crate) const BREAKDOWN_TRIPLE_BUDGET: usize = 1 << 20;
 
 /// Descending by index value, ties broken by canonical coordinates — a
@@ -212,10 +211,10 @@ struct LruEntry<K, V> {
 /// *weight* (`weight_budget`; unlimited unless configured, weight 1 per
 /// entry unless given). The breakdown caches weigh entries by their
 /// retained triples, so the byte budget is enforced **exactly**: the
-/// running `used_weight` counter is decremented for every evicted entry,
-/// every in-place replacement, and every entry dropped by [`Self::retain`]
-/// — any drift would permanently shrink (or overrun) the effective
-/// capacity, which the budget-exactness tests pin down.
+/// running `used_weight` counter is decremented for every evicted entry
+/// and every in-place replacement — any drift would permanently shrink (or
+/// overrun) the effective capacity, which the budget-exactness tests pin
+/// down.
 ///
 /// `get` and `insert` are O(1) amortized; evicted slots recycle through a
 /// free list, so once warm the cache never allocates. Capacity 0 disables
@@ -339,34 +338,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
         Some(&self.entry(i).value)
     }
 
-    /// Drop every entry the predicate rejects, preserving the recency
-    /// order (and weights) of the survivors. Used by the update path to
-    /// invalidate exactly the dirty cached cells; O(len), which is
-    /// negligible next to the update itself.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
-        let mut order = Vec::with_capacity(self.map.len());
-        let mut i = self.head;
-        while i != NIL {
-            order.push(i);
-            i = self.entry(i).next;
-        }
-        let mut slots = std::mem::take(&mut self.entries);
-        self.map.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.used_weight = 0;
-        // Reinsert survivors least-recent first, so the recency list comes
-        // back in the original order; dropped entries return their weight
-        // by never being re-counted.
-        for &i in order.iter().rev() {
-            let e = slots[i].take().expect("recency list links each slot once");
-            if keep(&e.key, &e.value) {
-                self.insert_weighted(e.key, e.value, e.weight);
-            }
-        }
-    }
-
     pub(crate) fn insert(&mut self, key: K, value: V) {
         self.insert_weighted(key, value, 1);
     }
@@ -455,35 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_retain_preserves_recency_order() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
-        for k in 0..4 {
-            c.insert(k, k * 10);
-        }
-        assert_eq!(c.get(&0), Some(&0)); // 0 now most recent
-        c.retain(|&k, _| k != 1 && k != 3);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(&1), None);
-        assert_eq!(c.get(&3), None);
-        assert_eq!(c.get(&0), Some(&0));
-        assert_eq!(c.get(&2), Some(&20));
-        // Recency survived the rebuild: filling the two free slots then one
-        // more evicts 2 (least recent of the survivors), not 0.
-        c.insert(5, 50);
-        c.insert(6, 60);
-        assert_eq!(c.get(&0), Some(&0));
-        c.insert(7, 70);
-        assert_eq!(c.get(&2), None, "2 was the eviction candidate");
-        assert_eq!(c.get(&0), Some(&0));
-        // Retain-all and retain-none are both fine.
-        c.retain(|_, _| true);
-        assert_eq!(c.len(), 4);
-        c.retain(|_, _| false);
-        assert_eq!(c.len(), 0);
-        assert_eq!(c.get(&0), None);
-    }
-
-    #[test]
     fn lru_eviction_order_under_churn() {
         let mut c: LruCache<u32, u32> = LruCache::new(3);
         for k in 0..10 {
@@ -526,12 +468,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_accounting_is_exact_under_churn_and_retain() {
+    fn budget_accounting_is_exact_under_churn() {
         // The audit scenario: the tracked used_weight must equal the sum
         // of live entry weights after arbitrary interleavings of inserts,
-        // replacements, capacity evictions, budget evictions, and retain —
-        // any drift would permanently shrink (or overrun) the effective
-        // cache capacity.
+        // replacements, capacity evictions and budget evictions — any
+        // drift would permanently shrink (or overrun) the effective cache
+        // capacity.
         let mut c: LruCache<u32, u32> = LruCache::with_budget(8, 64);
         for round in 0..400u32 {
             let k = round % 13;
@@ -541,33 +483,7 @@ mod tests {
             if round % 5 == 0 {
                 c.get(&(round % 7));
             }
-            if round % 11 == 0 {
-                // Invalidate a slice of the keys, as apply_update does.
-                c.retain(|&k, _| k % 3 != 0);
-                assert!(c.weight_invariant_holds(), "round {round}: retain drifted");
-            }
         }
-        c.retain(|_, _| false);
-        assert_eq!(c.used_weight(), 0, "empty cache must account zero weight");
-        assert!(c.weight_invariant_holds());
-    }
-
-    #[test]
-    fn weighted_retain_preserves_weights_and_recency() {
-        let mut c: LruCache<u32, u32> = LruCache::with_budget(10, 100);
-        c.insert_weighted(1, 10, 30);
-        c.insert_weighted(2, 20, 30);
-        c.insert_weighted(3, 30, 30);
-        assert_eq!(c.used_weight(), 90);
-        c.retain(|&k, _| k != 2);
-        assert_eq!(c.used_weight(), 60, "dropped entry must return its weight");
-        // Survivors keep their weights: 60 + 50 overruns the budget of
-        // 100, so the least-recent survivor (1) is evicted — exactly one.
-        c.insert_weighted(4, 40, 50);
-        assert_eq!(c.get(&1), None);
-        assert_eq!(c.get(&3), Some(&30));
-        assert_eq!(c.used_weight(), 80);
-        assert!(c.weight_invariant_holds());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::query::{
     RankedCells, BREAKDOWN_TRIPLE_BUDGET, DEFAULT_CACHE_CAPACITY,
 };
 use crate::snapshot::CubeSnapshot;
-use crate::update::{MaintenanceStore, UpdateBatch, UpdateStats};
+use crate::update::MaintenanceStore;
 
 /// Default shard count of the fallback cell cache: enough that a handful of
 /// worker threads rarely collide, small enough to be negligible memory.
@@ -133,10 +133,10 @@ pub struct ConcurrentCubeEngine {
     scratches: SpinLock<Vec<ExplorerScratch>>,
     stats: AtomicQueryStats,
     /// Build configuration and maintenance store carried over from the
-    /// snapshot, so [`Self::apply_update`] maintains the cube under the
-    /// parameters it was built with, at delta cost. A mapped snapshot
-    /// hands the store over undecoded; updates index it once and then
-    /// decode exactly the entries they dirty.
+    /// snapshot and never read by a query: [`Self::snapshot`] hands them
+    /// back so an update maintains the cube under the parameters it was
+    /// built with, at delta cost. A mapped snapshot's store stays
+    /// undecoded.
     materialize: Materialize,
     atkinson_b: f64,
     measures: MeasureSet,
@@ -192,64 +192,41 @@ impl ConcurrentCubeEngine {
         }
     }
 
-    /// Fold a batch of appended rows and retractions into the serving
-    /// engine: the cube and postings are updated in place (bit-identical
-    /// to a full rebuild on the edited data, see [`crate::update`]) and
-    /// **exactly** the dirty cache entries — fallback cells and breakdowns
-    /// whose context gained or lost transactions — are invalidated, shard
-    /// by shard; clean cached values stay resident and stay correct. When
-    /// a retraction relabels the id space (values or units dropped or
-    /// reordered, materialized cells demoted away), every cached entry is
-    /// invalidated: pre-update coordinates are meaningless — and may alias
-    /// different cells — under the new ids.
+    /// The snapshot this engine serves — cube, postings, maintenance store
+    /// and build configuration, cloned; the inverse of
+    /// [`Self::with_config`]. The engine is immutable, so this is how a
+    /// served cube is updated: apply the batch to the returned snapshot,
+    /// then serve a fresh engine built from it. An update that fails
+    /// leaves this engine as it was.
     ///
-    /// Taking `&mut self` is what makes the swap atomic: the borrow
-    /// checker guarantees no in-flight query can observe a half-applied
-    /// update, with no extra locking on the read path. Deployments that
-    /// serve during updates wrap the engine in an `RwLock` (or swap an
-    /// `Arc`) at the layer above.
-    pub fn apply_update(&mut self, batch: &UpdateBatch) -> Result<UpdateStats> {
-        // Dirty-cell re-evaluation is CPU-bound: clamp to min(8, host
-        // cores), matching the bench configuration — more workers than
-        // cores only buys scheduling overhead.
-        let threads = std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(1);
-        self.apply_update_threads(batch, threads)
-    }
-
-    /// As [`Self::apply_update`], with an explicit worker-thread count for
-    /// the dirty-cell re-evaluation phase (answers are bit-identical for
-    /// any count).
-    pub fn apply_update_threads(
-        &mut self,
-        batch: &UpdateBatch,
-        threads: usize,
-    ) -> Result<UpdateStats> {
-        let outcome = crate::update::apply_update(
-            &mut self.cube,
-            self.explorer.vertical_mut(),
-            &mut self.maintenance,
-            batch,
+    /// ```
+    /// use scube_cube::{ConcurrentCubeEngine, CubeBuilder, UpdateBatch};
+    /// use scube_data::{Attribute, Schema, TransactionDbBuilder};
+    ///
+    /// let schema = Schema::new(vec![Attribute::sa("sex"), Attribute::ca("region")])?;
+    /// let mut b = TransactionDbBuilder::new(schema);
+    /// for (sex, unit) in [("F", "u0"), ("M", "u1")] {
+    ///     b.add_row(&[vec![sex], vec!["north"]], unit)?;
+    /// }
+    /// let engine = ConcurrentCubeEngine::from_db(&b.finish(), &CubeBuilder::new())?;
+    ///
+    /// let mut next = engine.snapshot();
+    /// let mut batch = UpdateBatch::new();
+    /// batch.add_row(&[("sex", "F"), ("region", "north")], "u1");
+    /// next.apply_update(&batch)?;
+    /// let engine = ConcurrentCubeEngine::new(next);
+    /// assert_eq!(engine.query_by_names(&[("sex", "F")], &[])?.minority, 2);
+    /// # Ok::<(), scube_common::ScubeError>(())
+    /// ```
+    pub fn snapshot(&self) -> CubeSnapshot {
+        CubeSnapshot::from_serving_parts((
+            self.cube.clone(),
+            self.explorer.vertical().clone(),
+            self.maintenance.clone(),
             self.materialize,
             self.atkinson_b,
             self.measures,
-            threads,
-        )?;
-        // The unit space may have grown or shrunk: refresh every pooled
-        // scratch (and the explorer's own) to the new size.
-        self.explorer.refresh_scratch();
-        let pool_size = self.scratches.lock().len();
-        *self.scratches.lock() = (0..pool_size).map(|_| self.explorer.new_scratch()).collect();
-        // Surgical invalidation: a cached value is stale iff its context
-        // gained transactions — the same dirtiness rule the update itself
-        // used for materialized cells.
-        let probe = &outcome.probe;
-        for shard in &self.shards {
-            shard.lock().retain(|coords, _| !probe.is_dirty(coords));
-        }
-        for shard in &self.breakdown_shards {
-            shard.lock().retain(|coords, _| !probe.is_dirty(coords));
-        }
-        Ok(outcome.stats)
+        ))
     }
 
     /// Build cube and engine straight from a transaction database (the
@@ -261,12 +238,6 @@ impl ConcurrentCubeEngine {
     /// The materialized cube.
     pub fn cube(&self) -> &SegregationCube {
         &self.cube
-    }
-
-    /// The maintenance store, for tests that pin what queries leave alone.
-    #[cfg(test)]
-    pub(crate) fn maintenance(&self) -> &MaintenanceStore {
-        &self.maintenance
     }
 
     /// Number of cell-cache shards.
@@ -818,135 +789,31 @@ mod tests {
         assert!(!engine.top_k_batch(&[SegIndex::Gini], 3, 1, 4).unwrap().is_empty());
     }
 
+    /// `snapshot` is the inverse of `with_config`: warm both caches (and,
+    /// for the mapped open, leave the store unscanned), and the engine
+    /// still hands back exactly the bytes it was built from.
     #[test]
-    fn apply_update_invalidates_exactly_the_dirty_entries() {
+    fn snapshot_round_trips_after_warm_queries() {
         let db = db();
         let closed = CubeBuilder::new().materialize(Materialize::ClosedOnly);
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &closed).unwrap();
-        let base_full =
-            CubeBuilder::new().materialize(Materialize::AllFrequent).build(&db).unwrap();
-        let mut engine = ConcurrentCubeEngine::new(snap);
-        // Warm every fallback cell (and one breakdown) before the update.
-        for (coords, _) in base_full.cells() {
-            engine.query(coords).unwrap();
-        }
-        let south = engine.resolve(&[("sex", "F")], &[("region", "south")]).unwrap();
-        engine.unit_breakdown(&south).unwrap();
-        let warm = engine.stats();
-
-        // Append rows that only touch the north: south contexts stay clean.
-        let mut batch = UpdateBatch::new();
-        batch.add_row(&[("sex", "F"), ("age", "old"), ("region", "north")], "u0");
-        batch.add_row(&[("sex", "M"), ("age", "old"), ("region", "north")], "u2");
-        let stats = engine.apply_update(&batch).unwrap();
-        assert_eq!(stats.rows_added, 2);
-        assert_eq!(stats.new_units, 1);
-        assert!(stats.clean_cells > 0);
-
-        // Every answer now matches a rebuild of the concatenated data.
-        let mut b = TransactionDbBuilder::new(db.schema().clone());
-        for (items, unit) in db.iter() {
-            let labels: Vec<Vec<String>> = {
-                let mut per_attr = vec![Vec::new(); db.schema().len()];
-                for &it in items {
-                    let attr = db.dictionary().attr_of(it);
-                    per_attr[attr as usize].push(db.dictionary().value_of(it).to_string());
-                }
-                per_attr
-            };
-            b.add_row(&labels, db.unit_name(unit)).unwrap();
-        }
-        b.add_row(&[vec!["F"], vec!["old"], vec!["north"]], "u0").unwrap();
-        b.add_row(&[vec!["M"], vec!["old"], vec!["north"]], "u2").unwrap();
-        let grown = b.finish();
-        let after_full =
-            CubeBuilder::new().materialize(Materialize::AllFrequent).build(&grown).unwrap();
-        for (coords, v) in after_full.cells() {
-            assert_eq!(engine.query(coords).unwrap(), *v, "stale {coords:?}");
-        }
-
-        // Exactness of the invalidation: the south breakdown was cached
-        // before the update, its context gained nothing, so it must still
-        // be served from the cache — not recomputed.
-        engine.unit_breakdown(&south).unwrap();
-        assert_eq!(
-            engine.stats().breakdown_cached,
-            warm.breakdown_cached + 1,
-            "clean breakdown must still be cached"
-        );
-    }
-
-    #[test]
-    fn cache_budget_accounting_survives_apply_update() {
-        // The PR-4 audit scenario: warm the sharded cell and breakdown
-        // caches, churn the snapshot (appends + a demoting retraction),
-        // let retain-based invalidation run, then verify every shard's
-        // tracked weight still equals the sum of its live entry weights.
-        // Drift here would silently shrink the effective cache capacity
-        // for the rest of the process lifetime.
-        let db = db();
-        let closed = CubeBuilder::new().materialize(Materialize::ClosedOnly).min_support(2);
-        let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &closed).unwrap();
-        let full = CubeBuilder::new()
-            .min_support(2)
-            .materialize(Materialize::AllFrequent)
-            .build(&db)
-            .unwrap();
-        let mut engine = ConcurrentCubeEngine::with_config(snap, 4, 64);
-        for (coords, _) in full.cells() {
-            engine.query(coords).unwrap();
-            engine.unit_breakdown(coords).unwrap();
-        }
-        let check = |engine: &ConcurrentCubeEngine, when: &str| {
-            for (i, shard) in engine.shards.iter().enumerate() {
-                assert!(shard.lock().weight_invariant_holds(), "{when}: cell shard {i} drifted");
+        let heap: CubeSnapshot = CubeSnapshot::from_db(&db, &closed).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("scube_engine_snapshot_{}.scube", std::process::id()));
+        heap.save(&path).unwrap();
+        let mapped = CubeSnapshot::open_mmap(&path).unwrap();
+        let full = CubeBuilder::new().materialize(Materialize::AllFrequent).build(&db).unwrap();
+        for (what, snap) in [("heap", heap), ("mapped", mapped)] {
+            let bytes = snap.to_bytes();
+            let engine = ConcurrentCubeEngine::with_config(snap, 4, 64);
+            for (coords, _) in full.cells() {
+                engine.query(coords).unwrap();
+                engine.unit_breakdown(coords).unwrap();
             }
-            for (i, shard) in engine.breakdown_shards.iter().enumerate() {
-                assert!(
-                    shard.lock().weight_invariant_holds(),
-                    "{when}: breakdown shard {i} drifted"
-                );
-            }
-        };
-        check(&engine, "after warm-up");
-
-        // Mixed churn: one append, one retraction (row 1 backs a
-        // support-2 cell, so something demotes).
-        let mut batch = UpdateBatch::new();
-        batch.add_row(&[("sex", "F"), ("age", "old"), ("region", "north")], "u0");
-        batch.remove_tid(1);
-        let stats = engine.apply_update(&batch).unwrap();
-        assert_eq!((stats.rows_added, stats.rows_removed), (1, 1));
-        check(&engine, "after apply_update invalidation");
-
-        // And again after re-warming on the post-churn universe.
-        let mut b = TransactionDbBuilder::new(db.schema().clone());
-        for (t, (items, unit)) in db.iter().enumerate() {
-            if t == 1 {
-                continue;
-            }
-            let labels: Vec<Vec<String>> = {
-                let mut per_attr = vec![Vec::new(); db.schema().len()];
-                for &it in items {
-                    let attr = db.dictionary().attr_of(it);
-                    per_attr[attr as usize].push(db.dictionary().value_of(it).to_string());
-                }
-                per_attr
-            };
-            b.add_row(&labels, db.unit_name(unit)).unwrap();
+            let stats = engine.stats();
+            assert!(stats.explored > 0 && stats.breakdown_computed > 0, "{what}: caches warm");
+            assert_eq!(engine.snapshot().to_bytes(), bytes, "{what}");
         }
-        b.add_row(&[vec!["F"], vec!["old"], vec!["north"]], "u0").unwrap();
-        let grown = b.finish();
-        let after_full = CubeBuilder::new()
-            .min_support(2)
-            .materialize(Materialize::AllFrequent)
-            .build(&grown)
-            .unwrap();
-        for (coords, v) in after_full.cells() {
-            assert_eq!(engine.query(coords).unwrap(), *v, "stale {coords:?}");
-            engine.unit_breakdown(coords).unwrap();
-        }
-        check(&engine, "after re-warming");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

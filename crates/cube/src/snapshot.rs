@@ -104,7 +104,7 @@ use crate::builder::{CubeBuilder, Materialize};
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
 use crate::histogram;
-use crate::update::{MaintenanceStore, UpdateBatch, UpdateOutcome, UpdateStats};
+use crate::update::{MaintenanceStore, UpdateBatch, UpdateStats};
 
 const MAGIC: &[u8; 8] = b"SCUBESNP";
 const VERSION: u32 = 8;
@@ -121,6 +121,11 @@ const POSTDIR_ENTRY: usize = 24;
 /// a 4-billion-element vector and abort the process on allocation instead
 /// of returning a decode error. Vectors still grow to any genuine size.
 const PREALLOC_CAP: usize = 1 << 16;
+
+/// A snapshot taken apart for serving: cube, postings, maintenance store,
+/// materialization, Atkinson parameter, measure set.
+pub(crate) type ServingParts =
+    (SegregationCube, VerticalDb, MaintenanceStore, Materialize, f64, MeasureSet);
 
 /// A persistable pairing of a built cube with the vertical database it was
 /// built from — everything the query engine needs to serve both
@@ -284,17 +289,6 @@ impl CubeSnapshot {
         batch: &UpdateBatch,
         threads: usize,
     ) -> Result<UpdateStats> {
-        Ok(self.apply_update_outcome(batch, threads)?.stats)
-    }
-
-    /// As [`Self::apply_update_threads`], also returning the dirtiness
-    /// probe the serving layers use to invalidate exactly the affected
-    /// cache entries.
-    pub(crate) fn apply_update_outcome(
-        &mut self,
-        batch: &UpdateBatch,
-        threads: usize,
-    ) -> Result<UpdateOutcome> {
         crate::update::apply_update(
             &mut self.cube,
             &mut self.vertical,
@@ -307,13 +301,11 @@ impl CubeSnapshot {
         )
     }
 
-    /// Serving-layer constructor parts: both halves plus the build
-    /// configuration and maintenance store (the engine keeps
-    /// the store so [`crate::serve::ConcurrentCubeEngine::apply_update`]
-    /// folds deltas at the same cost as the snapshot path).
-    pub(crate) fn into_serving_parts(
-        self,
-    ) -> (SegregationCube, VerticalDb, MaintenanceStore, Materialize, f64, MeasureSet) {
+    /// Serving-layer constructor parts: both halves plus the maintenance
+    /// store and build configuration, which the engine carries untouched
+    /// so [`crate::serve::ConcurrentCubeEngine::snapshot`] can hand them
+    /// back through [`Self::from_serving_parts`].
+    pub(crate) fn into_serving_parts(self) -> ServingParts {
         (
             self.cube,
             self.vertical,
@@ -322,6 +314,12 @@ impl CubeSnapshot {
             self.atkinson_b,
             self.measures,
         )
+    }
+
+    /// The inverse of [`Self::into_serving_parts`].
+    pub(crate) fn from_serving_parts(parts: ServingParts) -> Self {
+        let (cube, vertical, maintenance, materialize, atkinson_b, measures) = parts;
+        CubeSnapshot { cube, vertical, materialize, atkinson_b, measures, maintenance }
     }
 
     /// The materialization strategy the cube was built with.
@@ -1338,7 +1336,7 @@ mod tests {
         engine.query_by_names(&[("sex", "F")], &[("region", "north")]).unwrap();
         engine.query_by_names(&[("sex", "F"), ("age", "old")], &[("region", "north")]).unwrap();
         engine.top_k(SegIndex::Dissimilarity, 3, 1);
-        assert!(untouched(engine.maintenance()), "queries never touch the store");
+        assert!(untouched(&engine.snapshot().maintenance), "queries never touch the store");
         assert_eq!(mapped.to_bytes(), file, "an unscanned region re-saves verbatim");
 
         // One appended row in the north: `⋆` and north contexts are dirty,

@@ -74,11 +74,13 @@ use scube_common::mmap::{ByteRegion, Store};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
 use scube_fpm::eclat::mine_vertical_with_tidsets_scoped;
+use scube_fpm::itemset::is_sorted_subset;
 use scube_segindex::{IndexValues, MeasureSet, UnitCounts};
 
 use crate::builder::Materialize;
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
+use crate::explore::minority_tidset;
 use crate::histogram;
 
 /// Widest frequent-item row projection whose subsets are enumerated
@@ -272,56 +274,6 @@ pub struct UpdateStats {
     pub clean_cells: usize,
 }
 
-/// Everything an engine needs to fold an update into its caches: the stats
-/// plus a probe deciding whether *any* coordinates — cached fallback cells
-/// included — may have been revalued.
-#[derive(Debug)]
-pub(crate) struct UpdateOutcome {
-    pub stats: UpdateStats,
-    pub probe: DirtyProbe,
-}
-
-/// Decides whether a cell's value may have changed under an applied batch:
-/// true iff the cell's context tidset gained appended transactions or lost
-/// retracted ones (the stored postings cover delta tids only). When the
-/// update relabeled the id space — retractions dropped or reordered items
-/// or units — *every* pre-update coordinate is reported dirty, since cached
-/// keys from the old space are meaningless (and may even alias other cells)
-/// in the new one.
-#[derive(Debug)]
-pub(crate) struct DirtyProbe {
-    add_postings: Vec<EwahBitmap>,
-    rem_postings: Vec<EwahBitmap>,
-    has_delta: bool,
-    flush_all: bool,
-}
-
-impl DirtyProbe {
-    fn clean() -> Self {
-        DirtyProbe {
-            add_postings: Vec::new(),
-            rem_postings: Vec::new(),
-            has_delta: false,
-            flush_all: false,
-        }
-    }
-
-    /// True when `coords` was (possibly) revalued by the update. `⋆`
-    /// contexts are always dirty under a non-empty batch — the population
-    /// universe changed.
-    pub fn is_dirty(&self, coords: &CellCoords) -> bool {
-        if self.flush_all {
-            return true;
-        }
-        if !self.has_delta {
-            return false;
-        }
-        coords.ca.is_empty()
-            || delta_tidset(&self.add_postings, &coords.ca).is_some()
-            || delta_tidset(&self.rem_postings, &coords.ca).is_some()
-    }
-}
-
 /// Non-empty intersection of the delta postings of `items` (which must be
 /// non-empty), or `None` when no appended row contains them all. One
 /// batched k-way AND: items past the delta's item range short-circuit to
@@ -466,7 +418,7 @@ impl MaintenanceStore {
             if coords.sa.is_empty() {
                 continue;
             }
-            let tids = minority_tidset(vertical, &context_tids, coords);
+            let tids = minority_tidset(vertical, coords, &context_tids[&coords.ca]);
             vertical.unit_histogram_into(&tids, &mut scratch);
             minorities.insert(coords.clone(), encode_entry(&scratch.sorted_pairs()));
         }
@@ -649,7 +601,7 @@ fn tidset_if_frequent(vertical: &VerticalDb, items: &[ItemId], floor: u64) -> Op
     // kernel: the floor check needs the intermediate cardinalities, so the
     // opaque `intersect_many` doesn't apply, but the allocation profile is
     // the same (two buffers total, not one fresh posting per step).
-    let mut spare = EwahBitmap::from_sorted(&[]);
+    let mut spare = EwahBitmap::new();
     for &it in &order[1..] {
         acc.and_into(vertical.posting(it), &mut spare);
         std::mem::swap(&mut acc, &mut spare);
@@ -911,12 +863,9 @@ pub(crate) fn apply_update(
     atkinson_b: f64,
     measures: MeasureSet,
     threads: usize,
-) -> Result<UpdateOutcome> {
+) -> Result<UpdateStats> {
     if batch.is_empty() {
-        return Ok(UpdateOutcome {
-            stats: UpdateStats { clean_cells: cube.len(), ..UpdateStats::default() },
-            probe: DirtyProbe::clean(),
-        });
+        return Ok(UpdateStats { clean_cells: cube.len(), ..UpdateStats::default() });
     }
     let min_support = cube.min_support();
     // All fallible validation and histogram staging happens before anything
@@ -948,8 +897,7 @@ pub(crate) fn apply_update(
     // *final* numbering — retractions renumber survivors first) and the
     // retracted tids containing it (pre-update numbering). The two sides
     // are only ever intersected within themselves, so the mixed numbering
-    // is sound. They decide dirtiness for materialized cells here and for
-    // engine caches later.
+    // is sound. They decide which cells are dirty.
     let mut add_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
     for (i, (items, _)) in encoded.rows.iter().enumerate() {
         for &it in items {
@@ -1247,7 +1195,6 @@ pub(crate) fn apply_update(
 
     // Mutate the vertical database and labels; relabel when retraction
     // shrank or reordered the dictionary.
-    let mut relabeled = false;
     let promo_rows: Vec<(Vec<ItemId>, UnitId)>;
     match plan {
         None => {
@@ -1298,7 +1245,6 @@ pub(crate) fn apply_update(
             }
             let mut ext_units = cube.labels().unit_names.clone();
             ext_units.extend(encoded.new_units.iter().cloned());
-            relabeled = true;
             stats.dropped_items = n_items_after - relabel.n_new_items;
             stats.dropped_units = n_units_after as usize - relabel.n_new_units as usize;
             let map_item =
@@ -1462,7 +1408,7 @@ pub(crate) fn apply_update(
                 continue;
             }
         }
-        let coords = split_by_labels(items, cube.labels());
+        let coords = CellCoords::split_sorted(items, |it| cube.labels().is_sa_item(it));
         if cube.get(&coords).is_some() {
             continue;
         }
@@ -1507,46 +1453,7 @@ pub(crate) fn apply_update(
     }
 
     stats.clean_cells = cube.len() - stats.dirty_cells - stats.promoted_cells;
-    let probe = DirtyProbe { add_postings, rem_postings, has_delta: true, flush_all: relabeled };
-    Ok(UpdateOutcome { stats, probe })
-}
-
-/// Split a sorted itemset into `(A, B)` coordinates by label roles (the
-/// update-path twin of [`CellCoords::from_itemset`], which needs the
-/// original database).
-fn split_by_labels(items: &[ItemId], labels: &CubeLabels) -> CellCoords {
-    let mut sa = Vec::new();
-    let mut ca = Vec::new();
-    for &item in items {
-        if labels.is_sa_item(item) {
-            sa.push(item);
-        } else {
-            ca.push(item);
-        }
-    }
-    CellCoords { sa, ca }
-}
-
-/// `a ⊆ b` over sorted id slices.
-fn is_sorted_subset(a: &[ItemId], b: &[ItemId]) -> bool {
-    let mut it = b.iter();
-    a.iter().all(|x| it.by_ref().any(|y| y == x))
-}
-
-/// Minority tidset of a cell, reusing the cached context tidset (`⋆`
-/// contexts intersect the SA postings directly).
-fn minority_tidset(
-    vertical: &VerticalDb,
-    context_tids: &FxHashMap<Vec<ItemId>, EwahBitmap>,
-    coords: &CellCoords,
-) -> EwahBitmap {
-    if coords.ca.is_empty() {
-        return vertical.tidset(&coords.sa);
-    }
-    let mut refs: Vec<&EwahBitmap> = Vec::with_capacity(1 + coords.sa.len());
-    refs.push(&context_tids[&coords.ca]);
-    refs.extend(coords.sa.iter().map(|&item| vertical.posting(item)));
-    EwahBitmap::intersect_many(&refs).expect("context plus non-empty SA side")
+    Ok(stats)
 }
 
 /// Exact closedness of a promotion candidate in the grown database, using
@@ -1866,27 +1773,6 @@ mod tests {
                 );
             }
         }
-
-        // The engine still flushes *every* cached entry after a relabel —
-        // keys from the old id space may alias other cells — including the
-        // breakdown of a south cell whose value the update left alone.
-        let builder = CubeBuilder::new().min_support(1);
-        let mut engine = crate::serve::ConcurrentCubeEngine::new(
-            CubeSnapshot::from_db(&north_only_head_db(true), &builder).unwrap(),
-        );
-        let south = |engine: &crate::serve::ConcurrentCubeEngine| {
-            engine.resolve(&[("sex", "F")], &[("region", "south")]).unwrap()
-        };
-        engine.unit_breakdown(&south(&engine)).unwrap();
-        engine.unit_breakdown(&south(&engine)).unwrap();
-        let warm = engine.stats();
-        assert_eq!(warm.breakdown_cached, 1, "the second drill-down is served from the cache");
-        let stats = engine.apply_update(&retract_head).unwrap();
-        assert!(stats.clean_cells > 0);
-        engine.unit_breakdown(&south(&engine)).unwrap();
-        let after = engine.stats();
-        assert_eq!(after.breakdown_cached, warm.breakdown_cached, "the cache was flushed");
-        assert_eq!(after.breakdown_computed, warm.breakdown_computed + 1);
     }
 
     #[test]

@@ -4,12 +4,10 @@
 //! snapshot bytes and all — for both materializations, on datagen registries of
 //! varying planted skew, delta sizes, and churn shapes (append-only,
 //! delete-only, mixed; suffix and scattered removals; removals that drain
-//! whole contexts or re-add identical rows). The concurrent serving engine
-//! must answer the post-update universe identically too, which exercises
-//! the cache invalidation: values cached before the update must either
-//! survive (clean contexts) or be dropped (dirty contexts, and *all*
-//! entries when a demoting update relabels the id space), never served
-//! stale.
+//! whole contexts or re-add identical rows). A served cube is updated the
+//! way `scubed` does it — apply the batch to a warm engine's `snapshot()`,
+//! serve a fresh engine — and that engine must answer the post-update
+//! universe identically too, from several threads.
 
 use proptest::prelude::*;
 use scube::prelude::*;
@@ -340,9 +338,9 @@ proptest! {
             .expect("post-update full cube");
 
         let snap: CubeSnapshot = CubeSnapshot::from_db(&base_db, &closed).expect("snapshot");
-        let mut engine = ConcurrentCubeEngine::new(snap);
-        // Warm every tier — and a few breakdowns — *before* the update, so
-        // stale entries exist and must be invalidated (or proven clean).
+        let engine = ConcurrentCubeEngine::new(snap);
+        // Warm every tier — and a few breakdowns — *before* the update:
+        // nothing the old engine cached may reach the fresh one.
         for (coords, v) in base_full.cells() {
             prop_assert_eq!(&engine.query(coords).expect("pre-update query"), v);
         }
@@ -356,7 +354,9 @@ proptest! {
             "unitID",
         )
         .expect("delta rows resolve");
-        engine.apply_update(&batch).expect("engine update applies");
+        let mut next = engine.snapshot();
+        next.apply_update(&batch).expect("update applies");
+        let engine = ConcurrentCubeEngine::new(next);
 
         // Every post-update universe cell — cached before or not — must
         // now answer with the rebuilt values, through shared references.
@@ -392,9 +392,8 @@ proptest! {
     ) {
         // A mixed churn batch — scattered retractions (demotions, possible
         // relabeling) plus a small appended tail — applied to a warm
-        // concurrent engine: every post-update answer, asked from several
-        // threads, must match a rebuild on the edited table; nothing
-        // cached pre-update may leak through the invalidation.
+        // engine's snapshot: every answer of the fresh engine, asked from
+        // several threads, must match a rebuild on the edited table.
         let db = final_table(0.7, seed, 120);
         let full_rel = scube::final_table_relation(&db);
         let spec = spec_of(&db);
@@ -423,7 +422,7 @@ proptest! {
             .expect("post-churn full cube");
 
         let snap: CubeSnapshot = CubeSnapshot::from_db(&base_db, &closed).expect("snapshot");
-        let mut engine = ConcurrentCubeEngine::new(snap);
+        let engine = ConcurrentCubeEngine::new(snap);
         // Warm every tier — and a few breakdowns — before the churn.
         for (coords, v) in base_full.cells() {
             prop_assert_eq!(&engine.query(coords).expect("pre-churn query"), v);
@@ -441,8 +440,10 @@ proptest! {
         for &t in &remove {
             batch.remove_tid(t);
         }
-        let stats = engine.apply_update(&batch).expect("engine churn applies");
+        let mut next = engine.snapshot();
+        let stats = next.apply_update(&batch).expect("churn applies");
         prop_assert_eq!(stats.rows_removed, remove.len());
+        let engine = ConcurrentCubeEngine::new(next);
 
         let mut explorer: CubeExplorer = CubeExplorer::new(&edited_db);
         std::thread::scope(|scope| {

@@ -421,8 +421,8 @@ fn oversized_update_bodies_get_413_naming_the_configured_cap() {
 }
 
 /// A daemon serving a memory-mapped snapshot answers byte-identically to
-/// the in-process heap engine, and `POST /update` still works (the mapped
-/// snapshot materializes its deferred maintenance store on first write).
+/// the in-process heap engine, and `POST /update` still works (the first
+/// update scans the mapped store region and decodes only what it dirties).
 #[test]
 fn mmap_served_daemon_matches_heap_daemon() {
     let snap = snapshot();
@@ -461,6 +461,105 @@ fn mmap_served_daemon_matches_heap_daemon() {
     assert_eq!(client.post("/shutdown", b"").unwrap().status, 200);
     server.join().unwrap().unwrap();
     std::fs::remove_file(&path).ok();
+}
+
+/// N clients each `POST` one append at the same moment: updates serialize
+/// on the writer lock, so the replies number the swaps exactly `1..=N` —
+/// each taken under that lock, never a later swap's count — and `/stats`
+/// reports N.
+#[test]
+fn concurrent_updates_number_their_swaps_exactly() {
+    const N: usize = 6;
+    let config = DaemonConfig { workers: N + 2, ..DaemonConfig::default() };
+    let (addr, server) = spawn_daemon(snapshot(), config);
+    let start = std::sync::Barrier::new(N);
+    let mut swaps: Vec<u64> = std::thread::scope(|scope| {
+        let posters: Vec<_> = (0..N)
+            .map(|i| {
+                let (addr, start) = (&addr, &start);
+                scope.spawn(move || {
+                    let mut client = HttpClient::connect(addr).expect("connect");
+                    let body = format!(
+                        "{{\"add\":[{{\"unit\":\"u_swap{i}\",\"values\":[[\"gender\",\"F\"]]}}]}}"
+                    );
+                    start.wait();
+                    let resp = client.post("/update", body.as_bytes()).expect("update");
+                    assert_eq!(resp.status, 200, "{:?}", resp.text());
+                    let doc = Json::parse(resp.text().unwrap()).expect("valid JSON");
+                    doc.get("swaps").unwrap().as_u64().unwrap()
+                })
+            })
+            .collect();
+        posters.into_iter().map(|p| p.join().expect("poster")).collect()
+    });
+    swaps.sort_unstable();
+    assert_eq!(swaps, (1..=N as u64).collect::<Vec<_>>(), "each reply names its own swap");
+
+    let mut client = HttpClient::connect(&addr).expect("connect");
+    let doc = Json::parse(client.get("/stats").unwrap().text().unwrap()).expect("valid JSON");
+    let main = doc.get("cubes").unwrap().get("main").unwrap();
+    assert_eq!(main.get("swaps").unwrap().as_u64(), Some(N as u64));
+    assert_eq!(client.post("/shutdown", b"").unwrap().status, 200);
+    server.join().unwrap().unwrap();
+}
+
+/// A valid-JSON batch that `apply_update` rejects is a 400 that changes
+/// nothing: every served answer stays byte-identical and no swap is
+/// counted. The next valid update then lands byte-identical to the same
+/// batch applied in process.
+#[test]
+fn rejected_updates_leave_the_served_cube_untouched() {
+    let snap = snapshot();
+    let n_rows = snap.vertical().num_transactions();
+    let labels = snap.cube().labels().clone();
+    let mut paths: Vec<String> = vec!["/query?sa=&ca=".into(), "/topk?index=gini&k=5".into()];
+    for (coords, _) in snap.cube().cells().step_by(9).take(12) {
+        paths.push(format!("/query?{}", coords_query(&labels, coords)));
+        paths.push(format!("/breakdown?{}", coords_query(&labels, coords)));
+    }
+    let (addr, server) = spawn_daemon(snap.clone(), test_config());
+    let mut client = HttpClient::connect(&addr).expect("connect");
+    let answers = |client: &mut HttpClient| -> Vec<Vec<u8>> {
+        paths.iter().map(|p| client.get(p).expect("read").body).collect()
+    };
+    let swaps = |client: &mut HttpClient| {
+        let doc = Json::parse(client.get("/cubes").unwrap().text().unwrap()).unwrap();
+        doc.get("cubes").unwrap().as_arr().unwrap()[0].get("swaps").unwrap().as_u64()
+    };
+    let before = answers(&mut client);
+    for (what, body) in [
+        ("out-of-range tid", format!("{{\"remove_tids\":[{n_rows}]}}")),
+        (
+            "absent value",
+            r#"{"remove":[{"unit":"u0","values":[["gender","no-such-gender"]]}]}"#.to_string(),
+        ),
+    ] {
+        let resp = client.post("/update", body.as_bytes()).expect("update");
+        assert_eq!(resp.status, 400, "{what}: {:?}", resp.text());
+        assert_eq!(answers(&mut client), before, "{what}: served answers moved");
+        assert_eq!(swaps(&mut client), Some(0), "{what}: no swap");
+    }
+
+    let mut batch = UpdateBatch::new();
+    batch.add_row(&[("gender", "F")], "u_after").remove_tid(0);
+    let mut reference = snap;
+    let stats = reference.apply_update_threads(&batch, 2).expect("reference update");
+    let resp = client
+        .post(
+            "/update",
+            br#"{"add":[{"unit":"u_after","values":[["gender","F"]]}],"remove_tids":[0],"threads":2}"#,
+        )
+        .expect("valid update");
+    assert_eq!(resp.text().unwrap(), daemon::update_stats_json(&stats, 1));
+    let reference = ConcurrentCubeEngine::new(reference);
+    let labels = reference.cube().labels();
+    for (coords, _) in reference.cube().cells().step_by(9).take(12) {
+        let resp = client.get(&format!("/query?{}", coords_query(labels, coords))).expect("query");
+        let values = reference.query(coords).expect("reference query");
+        assert_eq!(resp.text().unwrap(), daemon::cell_json(labels, coords, &values));
+    }
+    assert_eq!(client.post("/shutdown", b"").unwrap().status, 200);
+    server.join().unwrap().unwrap();
 }
 
 /// Byte-level robustness over a real socket: corrupted or truncated

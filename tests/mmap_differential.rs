@@ -135,9 +135,9 @@ fn mapped_updates_match_heap_updates_bit_for_bit() {
     let mut mapped = CubeSnapshot::open_mmap(&path).unwrap();
 
     // An update that appends rows (new unit included) — the mapped
-    // snapshot must materialize its deferred maintenance store, copy the
-    // touched postings onto the heap, and land bit-identical to the heap
-    // path.
+    // snapshot must scan its attached store region, decode only the
+    // entries it dirties, copy the touched postings onto the heap, and
+    // land bit-identical to the heap path.
     let mut batch = UpdateBatch::new();
     batch.add_row(&[("sex", "F"), ("age", "old"), ("sector", "tech")], "u9");
     batch.add_row(&[("sex", "M"), ("age", "young"), ("sector", "retail")], "u0");
@@ -146,10 +146,13 @@ fn mapped_updates_match_heap_updates_bit_for_bit() {
     assert_eq!(heap_stats.rows_added, mapped_stats.rows_added);
     assert_eq!(heap.to_bytes(), mapped.to_bytes(), "post-update bytes");
 
-    // The concurrent engine path materializes the deferred store too.
-    let reopened = CubeSnapshot::open_mmap(&path).unwrap();
-    let mut engine = ConcurrentCubeEngine::new(reopened);
-    engine.apply_update(&batch).unwrap();
+    // The daemon's path — update the served engine's snapshot, serve a
+    // fresh engine — lands on the same bytes and answers.
+    let served = ConcurrentCubeEngine::new(CubeSnapshot::open_mmap(&path).unwrap());
+    let mut next = served.snapshot();
+    next.apply_update(&batch).unwrap();
+    assert_eq!(next.to_bytes(), heap.to_bytes(), "served-update bytes");
+    let engine = ConcurrentCubeEngine::new(next);
     let coords = engine.cube().coords_by_names(&[("sex", "F")], &[]).unwrap();
     assert_eq!(engine.query(&coords).unwrap(), *heap.cube().get(&coords).unwrap());
 
