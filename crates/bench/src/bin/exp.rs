@@ -719,7 +719,7 @@ fn cube_scale_experiment(smoke: bool) {
             assert_eq!(
                 snapshot.to_bytes(),
                 chunked.to_bytes(),
-                "chunked build must re-encode byte-identical to the resident build"
+                "chunked build must re-encode byte-identical to the resident reference"
             );
         }
 

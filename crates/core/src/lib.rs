@@ -73,8 +73,8 @@ pub mod wizard;
 pub use daemon::{Daemon, DaemonConfig};
 pub use inputs::{Dataset, GroupsSpec, IndividualsSpec, MembershipSpec};
 pub use pipeline::{
-    run, run_final_table, run_final_table_csv, run_final_table_csv_chunked, run_snapshots,
-    snapshot, snapshot_chunked, update_snapshot_file, ChunkedBuild, ScubeConfig, ScubeResult,
+    run, run_final_table, run_final_table_csv_chunked, run_snapshots, snapshot, snapshot_chunked,
+    update_snapshot_file, ChunkedBuild, ScubeConfig, ScubeResult,
 };
 pub use table_builder::{build_final_table, final_table_relation, FinalTable, UnitStrategy};
 pub use unit_assignment::ClusteringMethod;
@@ -85,8 +85,8 @@ pub use wizard::Wizard;
 pub mod prelude {
     pub use crate::inputs::{Dataset, GroupsSpec, IndividualsSpec, MembershipSpec};
     pub use crate::pipeline::{
-        run, run_final_table, run_final_table_csv, run_final_table_csv_chunked, run_snapshots,
-        snapshot, snapshot_chunked, update_snapshot_file, ChunkedBuild, ScubeConfig, ScubeResult,
+        run, run_final_table, run_final_table_csv_chunked, run_snapshots, snapshot,
+        snapshot_chunked, update_snapshot_file, ChunkedBuild, ScubeConfig, ScubeResult,
     };
     pub use crate::table_builder::UnitStrategy;
     pub use crate::unit_assignment::ClusteringMethod;

@@ -3,13 +3,23 @@
 //! `inputs → GraphBuilder → GraphClustering → TableBuilder →
 //! SegregationDataCubeBuilder → Visualizer`, with the pre-processing
 //! stages skipped when data already carries a `unitID` (tabular scenario).
+//!
+//! The input picks the build. The graph and registry scenarios build
+//! resident ([`run`]), because their joined table is itself an output
+//! ([`ScubeResult::final_table`], the Visualizer's `final_table.csv`). A
+//! final table — a CSV ([`run_final_table_csv_chunked`]) or an in-memory
+//! [`Relation`] ([`run_final_table`]) — streams through the chunked builder
+//! and never exists as a horizontal table.
 
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use scube_common::Result;
 use scube_cube::{CubeBuilder, CubeSnapshot, SegregationCube, UpdateBatch, UpdateStats};
-use scube_data::{ChunkedBuildStats, FinalTableSpec, Relation, TransactionDb, VerticalDb};
+use scube_data::{
+    ChunkedBuildStats, FinalTableSpec, Relation, TableMeta, TransactionDb, VerticalDb,
+    DEFAULT_CHUNK_ROWS,
+};
 use scube_graph::Clustering;
 
 use crate::inputs::Dataset;
@@ -74,43 +84,27 @@ pub struct ScubeResult {
 /// Run the full pipeline over a dataset.
 pub fn run(dataset: &Dataset, config: &ScubeConfig) -> Result<ScubeResult> {
     let ft = build_final_table(dataset, &config.units, config.min_shared)?;
+    let mut timings = ft.timings;
+    let cube_start = Instant::now();
+    let vertical: VerticalDb = VerticalDb::build(&ft.db);
+    let cube = config.cube.build_from_vertical(&ft.db, &vertical)?;
+    timings.cube = cube_start.elapsed();
     let stats = RunStats {
         n_individuals: dataset.num_individuals(),
         n_groups: dataset.num_groups(),
         n_memberships: dataset.bipartite.memberships().len(),
+        n_rows: ft.db.len(),
+        n_units: ft.db.num_units(),
+        n_cells: cube.len(),
         n_isolated: ft.isolated.len(),
-        ..Default::default()
     };
-    build_result(ft.db, &config.cube, ft.timings, stats, ft.clustering, ft.isolated)
-}
-
-/// The tail every resident run shares: build the vertical view of the
-/// encoded final table, mine the cube from it, and package both with the
-/// run's accounting. `timings` and `stats` arrive carrying what the caller
-/// measured up to here; the cube stage and the table/cube sizes are filled
-/// in.
-fn build_result(
-    db: TransactionDb,
-    builder: &CubeBuilder,
-    mut timings: StageTimings,
-    mut stats: RunStats,
-    clustering: Option<Clustering>,
-    isolated: Vec<u32>,
-) -> Result<ScubeResult> {
-    let cube_start = Instant::now();
-    let vertical: VerticalDb = VerticalDb::build(&db);
-    let cube = builder.build_from_vertical(&db, &vertical)?;
-    timings.cube = cube_start.elapsed();
-    stats.n_rows = db.len();
-    stats.n_units = db.num_units();
-    stats.n_cells = cube.len();
     Ok(ScubeResult {
         cube,
-        final_table: db,
+        final_table: ft.db,
         vertical,
-        builder: *builder,
-        clustering,
-        isolated,
+        builder: config.cube,
+        clustering: ft.clustering,
+        isolated: ft.isolated,
         timings,
         stats,
     })
@@ -118,40 +112,27 @@ fn build_result(
 
 /// Run on data that already carries a `unitID` column (the pipeline's
 /// shortcut path: "the pre-processing steps … do not need to be performed").
+/// The rows go through the chunked builder in [`DEFAULT_CHUNK_ROWS`]-row
+/// chunks, exactly as [`run_final_table_csv_chunked`] takes them off a file.
 pub fn run_final_table(
     table: &Relation,
     spec: &FinalTableSpec,
     cube: &CubeBuilder,
-) -> Result<ScubeResult> {
+) -> Result<ChunkedBuild> {
     let join_start = Instant::now();
-    let db = spec.encode(table)?;
-    let timings = StageTimings { join: join_start.elapsed(), ..Default::default() };
-    let stats = RunStats { n_individuals: table.len(), ..Default::default() };
-    build_result(db, cube, timings, stats, None, Vec::new())
+    let mut enc = spec.chunked_encoder(table.columns(), DEFAULT_CHUNK_ROWS)?;
+    for row in table.rows() {
+        enc.add_record(row)?;
+    }
+    let ingested = enc.into_builder().finish()?;
+    build_chunked(ingested, cube, join_start.elapsed())
 }
 
-/// As [`run_final_table`], streaming the table straight off a CSV file:
-/// records pass one at a time through [`scube_data::CsvRows`] into the
-/// dictionary encoder, so peak staging memory is one record — the string
-/// table is never resident as a whole. This is the ingest path for final
-/// tables of millions of rows (`scube save --final-table big.csv`).
-pub fn run_final_table_csv(
-    path: impl AsRef<Path>,
-    spec: &FinalTableSpec,
-    cube: &CubeBuilder,
-) -> Result<ScubeResult> {
-    let join_start = Instant::now();
-    let db = spec.load_csv(path)?;
-    let timings = StageTimings { join: join_start.elapsed(), ..Default::default() };
-    let stats = RunStats { n_individuals: db.len(), ..Default::default() };
-    build_result(db, cube, timings, stats, None, Vec::new())
-}
-
-/// Everything a chunked (bounded-memory) build produces. Unlike
-/// [`ScubeResult`] there is no `final_table`: the horizontal
-/// [`TransactionDb`] is never materialized on this path — only the
-/// vertical postings, the cube, and the label metadata exist, so peak
-/// memory is bounded by the *output*, not the input table.
+/// Everything a final-table build produces. Unlike [`ScubeResult`] there
+/// is no `final_table`: the input already is one, and the horizontal
+/// [`TransactionDb`] is never materialized — only the vertical postings,
+/// the cube, and the label metadata exist, so peak memory is bounded by
+/// the *output*, not the input table.
 #[derive(Debug)]
 pub struct ChunkedBuild {
     /// The segregation data cube.
@@ -168,15 +149,14 @@ pub struct ChunkedBuild {
     pub stats: RunStats,
 }
 
-/// As [`run_final_table_csv`], but through the chunked builder: rows
-/// stream off the CSV in tid order, are interned and staged at most
-/// `chunk_rows` at a time, and each full chunk is folded into the
-/// vertical postings by tail-append (`EwahBitmap::append_sorted`).
-/// The horizontal table never exists; peak memory is the postings plus one
-/// chunk. The resulting cube — and any snapshot saved from it — is
-/// **byte-identical** to the resident build's on the same table, because
-/// both paths intern through the same code in the same first-occurrence
-/// order and tids arrive pre-sorted.
+/// As [`run_final_table`], straight off a CSV file (`scube run/save
+/// --final-table`): rows stream in tid order, are interned and staged at
+/// most `chunk_rows` at a time, and each full chunk is tail-appended into
+/// the vertical postings. Neither the string table nor the horizontal one
+/// ever exists; peak memory is the postings plus one chunk. The cube — and
+/// any snapshot saved from it — is **byte-identical** to the resident
+/// reference (`FinalTableSpec::load_csv` + `CubeSnapshot::from_db`):
+/// both intern through the same code in the same order.
 pub fn run_final_table_csv_chunked(
     path: impl AsRef<Path>,
     spec: &FinalTableSpec,
@@ -184,24 +164,34 @@ pub fn run_final_table_csv_chunked(
     chunk_rows: usize,
 ) -> Result<ChunkedBuild> {
     let join_start = Instant::now();
-    let (vertical, meta, chunk_stats): (VerticalDb, _, _) =
-        spec.load_csv_chunked(path, chunk_rows)?;
-    let join = join_start.elapsed();
-    let cube_start = Instant::now();
-    let built = cube.build_streaming(&meta, &vertical)?;
-    let timings = StageTimings { join, cube: cube_start.elapsed(), ..Default::default() };
-    let stats = RunStats {
-        n_individuals: vertical.num_transactions() as usize,
-        n_rows: vertical.num_transactions() as usize,
-        n_units: meta.num_units(),
-        n_cells: built.len(),
-        ..Default::default()
-    };
-    Ok(ChunkedBuild { cube: built, vertical, builder: *cube, chunk_stats, timings, stats })
+    let ingested = spec.load_csv_chunked(path, chunk_rows)?;
+    build_chunked(ingested, cube, join_start.elapsed())
 }
 
-/// As [`snapshot`], for a chunked build. Byte-identical to the snapshot of
-/// the equivalent resident run.
+/// The tail both final-table builds share: mine the cube off the chunked
+/// ingest's postings and package it with the run's accounting (`join` is
+/// the ingest time).
+fn build_chunked(
+    (vertical, meta, chunk_stats): (VerticalDb, TableMeta, ChunkedBuildStats),
+    builder: &CubeBuilder,
+    join: Duration,
+) -> Result<ChunkedBuild> {
+    let cube_start = Instant::now();
+    let cube = builder.build_streaming(&meta, &vertical)?;
+    let timings = StageTimings { join, cube: cube_start.elapsed(), ..Default::default() };
+    let n_rows = vertical.num_transactions() as usize;
+    let stats = RunStats {
+        n_individuals: n_rows,
+        n_rows,
+        n_units: meta.num_units(),
+        n_cells: cube.len(),
+        ..Default::default()
+    };
+    Ok(ChunkedBuild { cube, vertical, builder: *builder, chunk_stats, timings, stats })
+}
+
+/// As [`snapshot`], for a final-table build. Byte-identical to
+/// `CubeSnapshot::from_db` on the encoded table.
 pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
     package(&result.cube, &result.vertical, &result.builder)
 }
@@ -367,6 +357,10 @@ mod tests {
         let v = result.cube.get_by_names(&[("gender", "F")], &[]).unwrap();
         assert_eq!(v.dissimilarity, Some(1.0));
         assert_eq!(result.stats.n_units, 2);
+        // The chunked shortcut saves the resident reference's bytes.
+        let reference =
+            CubeSnapshot::from_db(&spec.encode(&table).unwrap(), &CubeBuilder::new()).unwrap();
+        assert_eq!(snapshot_chunked(&result).unwrap().to_bytes(), reference.to_bytes());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * `cube.csv` — one row per cell, all indexes (Fig. 5 top);
 //! * `top_contexts.csv` — contexts ranked by an index;
-//! * `final_table.csv` — the Fig. 3 final table;
+//! * `final_table.csv` — the Fig. 3 final table (not for a final-table
+//!   input, which already is one);
 //! * `summary.md` — run statistics and the Fig. 1-style grid when the
 //!   schema has at least two SA attributes and one CA attribute.
 
@@ -14,10 +15,12 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use scube_common::{Result, ScubeError};
-use scube_cube::report;
+use scube_cube::{report, SegregationCube};
+use scube_data::TransactionDb;
 use scube_segindex::SegIndex;
 
 use crate::pipeline::{ChunkedBuild, ScubeResult};
+use crate::stats::{RunStats, StageTimings};
 use crate::table_builder::final_table_relation;
 
 /// Writes a [`ScubeResult`] as a directory of reports.
@@ -55,17 +58,37 @@ impl Visualizer {
         self
     }
 
-    /// Write every artefact; returns the paths written.
+    /// Write every artefact of a pipeline run; returns the paths written.
     pub fn write_all(&self, result: &ScubeResult) -> Result<Vec<PathBuf>> {
+        self.write_sheets(&result.cube, &result.stats, &result.timings, Some(&result.final_table))
+    }
+
+    /// Write the artefacts of a final-table build: those of
+    /// [`Self::write_all`] minus `final_table.csv`, because the input
+    /// already is the final table.
+    pub fn write_chunked(&self, result: &ChunkedBuild) -> Result<Vec<PathBuf>> {
+        self.write_sheets(&result.cube, &result.stats, &result.timings, None)
+    }
+
+    /// The body of [`Self::write_all`] and [`Self::write_chunked`]:
+    /// `final_table.csv` is written only when the run carries the joined
+    /// table.
+    fn write_sheets(
+        &self,
+        cube: &SegregationCube,
+        stats: &RunStats,
+        timings: &StageTimings,
+        final_table: Option<&TransactionDb>,
+    ) -> Result<Vec<PathBuf>> {
         std::fs::create_dir_all(&self.out_dir)
             .map_err(|e| ScubeError::io_at(self.out_dir.display().to_string(), e))?;
         let mut written = Vec::new();
 
         // Sheet 1: the cube.
-        written.push(self.write_file("cube.csv", &report::to_csv(&result.cube))?);
+        written.push(self.write_file("cube.csv", &report::to_csv(cube))?);
 
         // Sheet 2: ranked contexts.
-        let top = report::top_contexts(&result.cube, self.rank_index, self.top_k, self.min_total);
+        let top = report::top_contexts(cube, self.rank_index, self.top_k, self.min_total);
         let mut rows = vec![vec![
             "context".to_string(),
             self.rank_index.name().to_string(),
@@ -74,7 +97,7 @@ impl Visualizer {
         ]];
         for (coords, values, x) in &top {
             rows.push(vec![
-                result.cube.labels().describe(coords),
+                cube.labels().describe(coords),
                 format!("{x:.4}"),
                 values.minority.to_string(),
                 values.total.to_string(),
@@ -84,60 +107,21 @@ impl Visualizer {
         written.push(self.write_file("top_contexts.csv", &csv)?);
 
         // Sheet 3: the final table.
-        let mut buf = Vec::new();
-        final_table_relation(&result.final_table).write_csv(&mut buf)?;
-        written.push(self.write_file(
-            "final_table.csv",
-            std::str::from_utf8(&buf).expect("CSV output is UTF-8"),
-        )?);
+        if let Some(db) = final_table {
+            let mut buf = Vec::new();
+            final_table_relation(db).write_csv(&mut buf)?;
+            written.push(self.write_file(
+                "final_table.csv",
+                std::str::from_utf8(&buf).expect("CSV output is UTF-8"),
+            )?);
+        }
 
         // Summary with run stats and a Fig. 1 grid when meaningful.
-        written.push(self.write_file(
-            "summary.md",
-            &self.summary(&result.cube, &result.stats, &result.timings),
-        )?);
+        written.push(self.write_file("summary.md", &self.summary(cube, stats, timings))?);
         Ok(written)
     }
 
-    /// Write the artefacts of a chunked (bounded-memory) build. Same
-    /// output as [`Self::write_all`] minus `final_table.csv` — dumping the
-    /// horizontal table back out is exactly the residency the chunked path
-    /// exists to avoid.
-    pub fn write_chunked(&self, result: &ChunkedBuild) -> Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(&self.out_dir)
-            .map_err(|e| ScubeError::io_at(self.out_dir.display().to_string(), e))?;
-        let mut written = Vec::new();
-        written.push(self.write_file("cube.csv", &report::to_csv(&result.cube))?);
-        let top = report::top_contexts(&result.cube, self.rank_index, self.top_k, self.min_total);
-        let mut rows = vec![vec![
-            "context".to_string(),
-            self.rank_index.name().to_string(),
-            "M".to_string(),
-            "T".to_string(),
-        ]];
-        for (coords, values, x) in &top {
-            rows.push(vec![
-                result.cube.labels().describe(coords),
-                format!("{x:.4}"),
-                values.minority.to_string(),
-                values.total.to_string(),
-            ]);
-        }
-        let csv = scube_common::csv::to_string(rows.iter().map(|r| r.iter()));
-        written.push(self.write_file("top_contexts.csv", &csv)?);
-        written.push(self.write_file(
-            "summary.md",
-            &self.summary(&result.cube, &result.stats, &result.timings),
-        )?);
-        Ok(written)
-    }
-
-    fn summary(
-        &self,
-        cube: &scube_cube::SegregationCube,
-        stats: &crate::stats::RunStats,
-        timings: &crate::stats::StageTimings,
-    ) -> String {
+    fn summary(&self, cube: &SegregationCube, stats: &RunStats, timings: &StageTimings) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "# SCube run summary\n");
         let _ = writeln!(s, "| metric | value |");

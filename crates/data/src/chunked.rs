@@ -74,7 +74,7 @@ impl TableMeta {
 }
 
 /// What the chunked build held resident at its fullest moment — the
-/// numbers a `--chunk-rows` run reports so scale logs are self-describing.
+/// numbers a `--final-table` run reports so scale logs are self-describing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChunkedBuildStats {
     /// Configured chunk capacity (rows per flush).

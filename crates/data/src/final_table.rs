@@ -156,9 +156,10 @@ impl FinalTableSpec {
     }
 
     /// Read a CSV file and encode it, streaming record by record — the
-    /// string table is never resident as a whole, so this is safe for
-    /// inputs far larger than memory would allow via
-    /// [`Relation::read_csv_path`].
+    /// string table is never resident as a whole, but the encoded
+    /// horizontal table is. This is the resident reference the chunked
+    /// build ([`Self::load_csv_chunked`]) is gated byte-identical against;
+    /// no CLI path reads through it.
     pub fn load_csv(&self, path: impl AsRef<Path>) -> Result<TransactionDb> {
         let mut rows = CsvRows::open_path(path)?;
         let mut enc = self.encoder(rows.columns())?;
@@ -169,8 +170,8 @@ impl FinalTableSpec {
     }
 
     /// Read a CSV file straight into postings, chunk by chunk: the
-    /// bounded-memory counterpart of [`Self::load_csv`] for builds that
-    /// never need the horizontal table. Returns the vertical database, the
+    /// bounded-memory counterpart of [`Self::load_csv`] and the ingest of
+    /// every `--final-table` build. Returns the vertical database, the
     /// table metadata (schema, dictionary, unit names), and the chunk
     /// residency stats.
     pub fn load_csv_chunked(
