@@ -20,8 +20,8 @@
 //!
 //! Two threads racing on the same cold cell may both recompute it; cell
 //! evaluation is pure, so both insert the *same* value and the answer stays
-//! bit-identical to the full build (property-tested in
-//! `tests/concurrent_equivalence.rs`, stress-tested in
+//! bit-identical to the full build (checked by the model-based test
+//! `tests/cube_model.rs`, stress-tested in
 //! `tests/concurrent_stress.rs`). Counters are [`AtomicQueryStats`], so no
 //! update is lost under contention.
 //!

@@ -82,8 +82,8 @@
 //! and store entries in canonical key order, so serialization is
 //! *canonical*: saving, loading, and saving again reproduces identical
 //! bytes — and a mapped snapshot re-saves to exactly the bytes it was
-//! opened from (property-tested in `tests/snapshot_roundtrip.rs`,
-//! `tests/mmap_differential.rs`, and pinned by `tests/snapshot_format.rs`).
+//! opened from (checked by the model-based test `tests/cube_model.rs` after
+//! every save and open, and pinned by `tests/snapshot_format.rs`).
 //! [`CubeSnapshot::save`] writes through a same-directory temp file,
 //! fsyncs it, renames it over the target, and fsyncs the directory, so a
 //! crash mid-save leaves the previous snapshot bytes intact instead of a
@@ -283,7 +283,7 @@ impl CubeSnapshot {
     /// As [`Self::apply_update`], fanning dirty-cell re-evaluation over up
     /// to `threads` scoped worker threads (per-worker scratches,
     /// deterministic results — the parallel update is bit-identical to the
-    /// serial one, property-tested in `tests/cube_update_equivalence.rs`).
+    /// serial one, checked on every update of `tests/cube_model.rs`).
     pub fn apply_update_threads(
         &mut self,
         batch: &UpdateBatch,
@@ -562,7 +562,7 @@ impl CubeSnapshot {
     /// [`Self::load`] works everywhere.
     ///
     /// The returned snapshot behaves exactly like a loaded one: queries
-    /// are answered bit-identically (`tests/mmap_differential.rs`), and
+    /// are answered bit-identically (`tests/cube_model.rs`), and
     /// mutation (`apply_update`) transparently copies the touched postings
     /// onto the heap.
     pub fn open_mmap(path: impl AsRef<Path>) -> Result<Self> {
@@ -988,6 +988,11 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts> {
     // Cube metadata and cells.
     let n_units = r.u32()?;
     let min_support = r.u64()?;
+    // The builder refuses 0, so no valid file carries it; an update on such
+    // a cube would commit its cells before the miner rejected the support.
+    if min_support == 0 {
+        return Err(corrupt("min_support 0 (a cube is built with at least 1)"));
+    }
     let n_cells = r.u32()? as usize;
     let mut cells: FxHashMap<CellCoords, IndexValues> =
         scube_common::hash::fx_map_with_capacity(n_cells.min(PREALLOC_CAP));

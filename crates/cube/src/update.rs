@@ -8,11 +8,12 @@
 //! [`VerticalDb`] — postings extended at their tails via
 //! [`EwahBitmap::append_sorted`], shrunk via [`EwahBitmap::remove_sorted`] — and
 //! only the affected cells are recomputed. The result is **bit-identical**
-//! to a full rebuild on the edited data (property-tested in
-//! `tests/cube_update_equivalence.rs`) because the maintenance store holds
-//! exact integer sufficient statistics, and integers subtract as exactly as
-//! they add: `hist(edited) = hist(base) + hist(appended Δ) −
-//! hist(retracted Δ)`. The structural facts that bound the work:
+//! to a full rebuild on the edited data (the model-based test
+//! `tests/cube_model.rs` checks it after every operation) because the
+//! maintenance store holds exact integer sufficient statistics, and
+//! integers subtract as exactly as they add: `hist(edited) = hist(base) +
+//! hist(appended Δ) − hist(retracted Δ)`. The structural facts that bound
+//! the work:
 //!
 //! 1. **Dirtiness is decided by the context alone.** A cell `(A | B)` is
 //!    evaluated from the per-unit histograms of `tidset(B)` (population)
@@ -64,10 +65,12 @@
 //! above dirties no cell. Tail retractions that empty nothing skip the
 //! pass — survivors keep their ids and the postings shrink in place. The
 //! within-row tie-break is attribute-major, then prior id, which matches a
-//! rebuild's interning for single-valued-per-row attributes (the shape of
-//! every final table in this workspace; simultaneously re-first-seen values
-//! of one *multi-valued* attribute in one row may tie-break differently
-//! than their cell order).
+//! rebuild's interning whenever a row lists each attribute's values in
+//! dictionary order: always for single-valued attributes, and for
+//! multi-valued ones as `final_table_relation` writes them (the datagen
+//! final tables have two). Values of one multi-valued attribute listed out
+//! of that order and re-first-seen together in one row may tie-break
+//! differently than their cell order.
 
 use scube_bitmap::EwahBitmap;
 use scube_common::mmap::{ByteRegion, Store};
@@ -96,16 +99,17 @@ const MAX_SUBSET_WIDTH: usize = 16;
 /// pre-update tid, or by exact row match via [`Self::remove_row`]) apply to
 /// the *existing* rows; the edited table a batch produces is
 /// `(base ∖ retracted) ⧺ appended`, and the updated snapshot is
-/// byte-identical to a rebuild on it for final tables whose attributes are
-/// single-valued per row — the shape of every final-table spec in this
-/// workspace. For *multi-valued* attributes there is one narrow exception:
-/// a retraction that makes two values of one attribute first-occur
-/// simultaneously in the same surviving row cannot recover that row's
-/// original cell order (the vertical database stores sets, not sequences),
-/// so the relabeled dictionary may order those two values differently than
-/// a rebuild would intern them. Every cell *value* is still exact — item
-/// ids never enter the index math — only the serialized dictionary order
-/// can differ (pinned by `multi_valued_relabel_caveat_is_value_exact`).
+/// byte-identical to a rebuild on it whenever every multi-valued cell lists
+/// its values in dictionary order, as `final_table_relation` writes them
+/// (single-valued attributes always do). Otherwise there is one narrow
+/// exception: a retraction that makes two values of one attribute
+/// first-occur simultaneously in the same surviving row cannot recover that
+/// row's original cell order (the vertical database stores sets, not
+/// sequences), so the relabeled dictionary may order those two values
+/// differently than a rebuild would intern them. Every cell *value* is
+/// still exact — item ids never enter the index math — only the serialized
+/// dictionary order can differ (pinned by
+/// `multi_valued_relabel_caveat_is_value_exact`).
 ///
 /// ```
 /// use scube_cube::UpdateBatch;

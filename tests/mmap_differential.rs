@@ -178,20 +178,6 @@ fn mapped_postings_live_off_heap_until_mutated() {
 }
 
 #[test]
-fn legacy_versions_are_rejected_by_open_mmap_with_guidance() {
-    // A file from an older release: same magic, an earlier version word.
-    let mut bytes = CubeSnapshot::from_db(&db(), &CubeBuilder::new()).unwrap().to_bytes();
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-    let path = save_to(&bytes, "scube_mmap_diff_old_version_reject.scube");
-    for result in [CubeSnapshot::open_mmap(&path), CubeSnapshot::open_mmap_verified(&path)] {
-        let err = result.unwrap_err().to_string();
-        assert!(err.contains("version 3"), "names the version found: {err}");
-        assert!(err.contains("scube save"), "points at the remedy: {err}");
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn truncated_and_corrupted_mmap_opens_error_never_panic() {
     let db = db();
     let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();

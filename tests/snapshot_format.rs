@@ -9,7 +9,13 @@
 //! * Every other version word is rejected, with the version named, by the
 //!   heap and the mapped opens alike.
 //! * Malformed meta fields (measure byte, optional-value tag,
-//!   materialization tag) are decode errors even behind valid checksums.
+//!   materialization tag, a `min_support` of 0) are decode errors even
+//!   behind valid checksums, and a foreign posting representation tag in
+//!   the header is refused by name — by the heap and both mapped opens.
+//! * Truncated or flipped files error and never panic: every cut and
+//!   scattered flips through the heap decoder; a sweep of cuts and flips
+//!   of the eagerly trusted prefix through plain `open_mmap`, which skips
+//!   the full checksum; flips anywhere through `open_mmap_verified`.
 //! * Under single-byte mutations of everything the opens trust eagerly,
 //!   `from_bytes` and `open_mmap_verified` always agree — both error, or
 //!   both open to equal snapshots — and nothing ever panics.
@@ -51,6 +57,9 @@ const MEASURE_BYTE: usize = META_OFF + 1 + 8;
 /// In the goldens the first cell is the apex — two empty coordinate lists
 /// at 272 — so its first optional-value tag sits right behind them.
 const FIRST_VALUE_TAG: usize = 280;
+/// Ahead of the apex's lists: the cell count (u32), and before it the
+/// `min_support` word (u64).
+const MIN_SUPPORT: usize = FIRST_VALUE_TAG - 8 - 4 - 8;
 
 /// The exact database both golden snapshots are built from.
 fn golden_db() -> TransactionDb {
@@ -194,6 +203,28 @@ fn golden_truncations_and_corruptions_error_never_panic() {
             bad[at] ^= 0xFF;
             assert!(CubeSnapshot::from_bytes(&bad).is_err(), "{name}: flip at {at}");
         }
+        if cfg!(target_endian = "big") {
+            continue; // mapped opens are little-endian-host only
+        }
+        // Plain `open_mmap` skips the full checksum, yet every cut fails the
+        // directory, `meta_sum`, a slot bound or the store bound.
+        for cut in (0..golden.len()).step_by(7).chain([golden.len() - 1]) {
+            let opened = open_mapped("truncated", &golden[..cut], false);
+            assert!(opened.is_err(), "{name}: mapped, truncate at {cut}");
+        }
+        // A flip in the prefix `meta_sum` covers (directory, meta, posting
+        // directory and its padding) fails the plain mapped open; a flip
+        // anywhere fails the verified one.
+        let slots_off = u64::from_le_bytes(golden[DIR_OFF + 32..DIR_OFF + 40].try_into().unwrap());
+        let slots_off = slots_off as usize;
+        let prefix = [24, 50, META_OFF, 100, slots_off - 1].map(|at| (at, false));
+        let anywhere = [30, 99, slots_off + 3, golden.len() - 1].map(|at| (at, true));
+        for (at, verified) in prefix.into_iter().chain(anywhere) {
+            let mut bad = golden.clone();
+            bad[at] ^= 0xFF;
+            let opened = open_mapped("flipped", &bad, verified);
+            assert!(opened.is_err(), "{name}: mapped (verified: {verified}), flip at {at}");
+        }
     }
 }
 
@@ -254,6 +285,21 @@ fn malformed_meta_fields_are_decode_errors() {
     bad[META_OFF] = 7;
     repatch_both_sums(&mut bad);
     reject(&bad, "materialization");
+
+    // `min_support` 0: the builder refuses it, so no file may carry it.
+    assert_eq!(good[MIN_SUPPORT..MIN_SUPPORT + 8], 1u64.to_le_bytes(), "the golden's support");
+    let mut bad = good.clone();
+    bad[MIN_SUPPORT..MIN_SUPPORT + 8].copy_from_slice(&0u64.to_le_bytes());
+    repatch_both_sums(&mut bad);
+    reject(&bad, "min_support");
+
+    // Header byte 12, outside both checksums, is the posting representation
+    // tag: anything but EWAH's 1 is refused by name.
+    for tag in [0u8, 2, 3, 4, 0xFF] {
+        let mut bad = good.clone();
+        bad[12] = tag;
+        reject(&bad, &format!("representation tag {tag}"));
+    }
 
     // And the re-patching itself is sound: an untouched file still opens.
     let mut same = good.clone();
