@@ -196,9 +196,10 @@ pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
     package(&result.cube, &result.vertical, &result.builder)
 }
 
-/// Package a finished run as a persistable [`CubeSnapshot`]: the cube plus
-/// the vertical postings it was mined from (already built by [`run`] — not
-/// reconstructed), ready for `scube save` /
+/// Package a finished run as a persistable [`CubeSnapshot`]: the cube —
+/// with the maintenance store its build emitted — plus the vertical
+/// postings it was mined from, both carried over from [`run`], not
+/// reconstructed, ready for `scube save` /
 /// [`scube_cube::ConcurrentCubeEngine`] serving without re-mining. The run's
 /// build configuration is recorded in the snapshot, so later updates
 /// maintain the cube under the same materialization and Atkinson

@@ -18,12 +18,17 @@
 //!    reusable [`UnitScratch`] histograms, iterating only the context's
 //!    populated units — O(Σ|tidset| + Σ|touched|) overall instead of
 //!    O(cells × n_units) — chunked over `std::thread::scope` when
-//!    `parallel` is on.
+//!    `parallel` is on. The same walk emits the cube's maintenance store:
+//!    each cell's `m > 0` pairs, already ascending, become its minority
+//!    entry, and the context lists become the context entries. Each mined
+//!    tidset is dropped once its cell is evaluated, so the store grows as
+//!    the tidsets it replaces are freed.
 //!
 //! The parallel build is bit-identical to the serial one: the miner merges
 //! per-subtree outputs deterministically and cell evaluation is pure.
 
 use scube_bitmap::EwahBitmap;
+use scube_common::mmap::Store;
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, TableMeta, TransactionDb, UnitScratch, VerticalDb};
 use scube_fpm::eclat::{mine_vertical_with_tidsets, mine_vertical_with_tidsets_parallel};
@@ -32,6 +37,7 @@ use scube_segindex::{IndexValues, MeasureSet, UnitCounts, DEFAULT_ATKINSON_B};
 
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
+use crate::update::{encode_entry, MaintenanceStore};
 
 /// Cell materialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,6 +87,10 @@ impl Default for CubeConfig {
 /// Compact per-context population histogram: ascending `(unit, total)`
 /// pairs over the context's populated units only.
 type ContextHist = Vec<(u32, u64)>;
+
+/// One evaluated cell: coordinates, values, and its minority store entry
+/// (`None` when the SA side is `⋆`).
+type Evaluated = (CellCoords, IndexValues, Option<Store<u8>>);
 
 /// Builds [`SegregationCube`]s.
 ///
@@ -274,18 +284,8 @@ impl CubeBuilder {
         // Per-context histograms as compact ascending (unit, total) lists,
         // computed in parallel with per-worker scratch buffers.
         let hist_of = |coords: &CellCoords, scratch: &mut UnitScratch| -> ContextHist {
-            match context_source.get(coords.ca.as_slice()) {
-                Some(tids) => {
-                    vertical.unit_histogram_into(tids, scratch);
-                    scratch.sorted_pairs()
-                }
-                // Unreachable for miner-produced cells; kept as a safety
-                // net for exotic materializations.
-                None => {
-                    vertical.unit_histogram_into(&vertical.tidset(&coords.ca), scratch);
-                    scratch.sorted_pairs()
-                }
-            }
+            vertical.unit_histogram_into(context_source[coords.ca.as_slice()], scratch);
+            scratch.sorted_pairs()
         };
         let mut context_hists: FxHashMap<Vec<ItemId>, ContextHist> =
             scube_common::hash::fx_map_with_capacity(distinct_contexts.len() + 1);
@@ -337,66 +337,82 @@ impl CubeBuilder {
             splits.retain(|_| *keep_iter.next().expect("mask covers splits"));
         }
 
-        // 4. Evaluate cells: per-worker scratch histograms, iterating only
-        // the context's populated units.
+        // 4. Evaluate cells, consuming each mined tidset as its cell is
+        // evaluated, and emit the store in the same walk: the context's
+        // ascending `(unit, total)` list visits the cell's minority units in
+        // order, so its `m > 0` pairs are the minority entry, sorted for free.
         let atkinson_b = cfg.atkinson_b;
         let measures = cfg.measures;
-        let eval = |coords: &CellCoords,
+        let eval = |coords: CellCoords,
                     tids: &EwahBitmap,
-                    scratch: &mut UnitScratch|
-         -> Result<IndexValues> {
+                    scratch: &mut UnitScratch,
+                    pairs: &mut Vec<(u32, u64)>|
+         -> Result<Evaluated> {
             vertical.unit_histogram_into(tids, scratch);
-            let total = &context_hists[&coords.ca];
+            pairs.clear();
+            let keep_pairs = !coords.sa.is_empty();
             let counts =
-                UnitCounts::from_triples(total.iter().map(|&(u, t)| (u, scratch.count_of(u), t)))?;
-            Ok(IndexValues::compute_masked(&counts, atkinson_b, measures))
+                UnitCounts::from_triples(context_hists[&coords.ca].iter().map(|&(u, t)| {
+                    let m = scratch.count_of(u);
+                    if keep_pairs && m > 0 {
+                        pairs.push((u, m));
+                    }
+                    (u, m, t)
+                }))?;
+            let minority = keep_pairs.then(|| encode_entry(pairs));
+            Ok((coords, IndexValues::compute_masked(&counts, atkinson_b, measures), minority))
         };
 
         let mut cells: FxHashMap<CellCoords, IndexValues> =
             scube_common::hash::fx_map_with_capacity(mined.len() + 1);
+        let mut store = MaintenanceStore::default();
+        let mut file = |(coords, values, minority): Evaluated| {
+            if let Some(entry) = minority {
+                store.minorities.insert(coords.clone(), entry);
+            }
+            cells.insert(coords, values);
+        };
         if n_threads > 1 && mined.len() > 256 {
             let chunk = mined.len().div_ceil(n_threads);
-            let results: Vec<Result<Vec<(CellCoords, IndexValues)>>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = mined
-                        .chunks(chunk)
-                        .zip(splits.chunks(chunk))
-                        .map(|(mined_chunk, split_chunk)| {
-                            let eval = &eval;
-                            scope.spawn(move || {
-                                let mut scratch = UnitScratch::new(n_units as u32);
-                                mined_chunk
-                                    .iter()
-                                    .zip(split_chunk.iter())
-                                    .map(|((_, tids), coords)| {
-                                        Ok((coords.clone(), eval(coords, tids, &mut scratch)?))
-                                    })
-                                    .collect()
-                            })
+            let mut work = mined.into_iter().zip(splits);
+            let owned: Vec<Vec<_>> =
+                (0..n_threads).map(|_| work.by_ref().take(chunk).collect()).collect();
+            let results: Vec<Result<Vec<Evaluated>>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = owned
+                    .into_iter()
+                    .map(|work| {
+                        let eval = &eval;
+                        scope.spawn(move || {
+                            let mut scratch = UnitScratch::new(n_units as u32);
+                            let mut pairs = Vec::new();
+                            work.into_iter()
+                                .map(|((_, tids), coords)| {
+                                    eval(coords, &tids, &mut scratch, &mut pairs)
+                                })
+                                .collect()
                         })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-                });
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+            });
             for r in results {
-                cells.extend(r?);
+                r?.into_iter().for_each(&mut file);
             }
         } else {
             let mut scratch = UnitScratch::new(n_units as u32);
-            for ((_, tids), coords) in mined.iter().zip(splits.iter()) {
-                cells.insert(coords.clone(), eval(coords, tids, &mut scratch)?);
+            let mut pairs = Vec::new();
+            for ((_, tids), coords) in mined.into_iter().zip(splits) {
+                file(eval(coords, &tids, &mut scratch, &mut pairs)?);
             }
         }
-
         // Apex cell (⋆ | ⋆): whole population vs itself.
-        let apex_counts = UnitCounts::from_triples(
-            population.iter().enumerate().filter(|&(_, &t)| t > 0).map(|(u, &t)| (u as u32, t, t)),
-        )?;
-        cells.insert(
-            CellCoords::apex(),
-            IndexValues::compute_masked(&apex_counts, atkinson_b, measures),
-        );
+        let apex =
+            UnitCounts::from_triples(context_hists[&Vec::new()].iter().map(|&(u, t)| (u, t, t)))?;
+        cells.insert(CellCoords::apex(), IndexValues::compute_masked(&apex, atkinson_b, measures));
+        store.contexts =
+            context_hists.into_iter().map(|(ca, totals)| (ca, encode_entry(&totals))).collect();
 
-        Ok(SegregationCube::new(cells, labels, vertical.num_units(), cfg.min_support))
+        Ok(SegregationCube::new(cells, labels, vertical.num_units(), cfg.min_support, store))
     }
 }
 
@@ -550,6 +566,102 @@ mod tests {
             for idx in SegIndex::ALL {
                 let expected = if set.contains(idx) { reference.get(idx) } else { None };
                 assert_eq!(v.get(idx).map(f64::to_bits), expected.map(f64::to_bits), "{idx}");
+            }
+        }
+    }
+
+    /// 300 rows over 9 units with a multi-valued `sector` (one or two
+    /// values a row): over 256 mined itemsets and 64 contexts at support 2,
+    /// so both parallel fan-outs of the builder really split.
+    fn multi_valued_db() -> TransactionDb {
+        let schema = Schema::new(vec![
+            Attribute::sa("sex"),
+            Attribute::sa("age"),
+            Attribute::ca("region"),
+            Attribute::ca("sector").multi(),
+            Attribute::ca("size"),
+        ])
+        .unwrap();
+        let mut b = TransactionDbBuilder::new(schema);
+        let mut state = 0x2545_f491_u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((state >> 33) % n) as usize
+        };
+        let sectors = ["agri", "edu", "energy", "retail", "transport"];
+        for _ in 0..300 {
+            let (first, second) = (next(5), next(5));
+            let mut sector = vec![sectors[first]];
+            if next(3) == 0 && second != first {
+                sector.push(sectors[second]);
+            }
+            let row = [
+                vec![["F", "M"][next(2)]],
+                vec![["young", "mid", "old"][next(3)]],
+                vec![["north", "south", "east", "west"][next(4)]],
+                sector,
+                vec![["small", "large", "huge"][next(3)]],
+            ];
+            b.add_row(&row, &format!("u{}", next(9))).unwrap();
+        }
+        b.finish()
+    }
+
+    /// Ascending `(unit, count)` pairs of the rows holding every item of
+    /// `items`, counted off the horizontal rows — no posting, no miner.
+    fn counted_from_rows(db: &TransactionDb, items: &[ItemId]) -> Vec<(u32, u64)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for (row, unit) in db.iter() {
+            if items.iter().all(|it| row.contains(it)) {
+                *counts.entry(unit).or_insert(0u64) += 1;
+            }
+        }
+        counts.into_iter().collect()
+    }
+
+    #[test]
+    fn store_matches_histograms_counted_from_rows() {
+        use scube_segindex::SegIndex;
+        let subset = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
+        for (name, db, min_support) in
+            [("sample", sample_db(), 1), ("multi-valued", multi_valued_db(), 2)]
+        {
+            for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
+                for threads in [1, 2, 3] {
+                    for measures in [MeasureSet::FULL, subset] {
+                        let cube = CubeBuilder::new()
+                            .min_support(min_support)
+                            .materialize(materialize)
+                            .measures(measures)
+                            .parallel(threads > 1)
+                            .threads(threads)
+                            .build(&db)
+                            .unwrap();
+                        let case = format!("{name} {materialize:?} threads {threads} {measures:?}");
+                        let n_units = cube.num_units();
+                        let decode =
+                            |entry: &[u8]| crate::histogram::decode(entry, n_units).unwrap();
+                        let store = &cube.store;
+                        let contexts: FxHashSet<&[ItemId]> =
+                            cube.cells().map(|(c, _)| c.ca.as_slice()).collect();
+                        assert_eq!(store.contexts.len(), contexts.len(), "{case}: context keys");
+                        for ca in contexts {
+                            let entry = store.contexts.get(ca).expect("every context stored");
+                            assert_eq!(decode(entry), counted_from_rows(&db, ca), "{case}: {ca:?}");
+                        }
+                        let cells: Vec<&CellCoords> =
+                            cube.cells().map(|(c, _)| c).filter(|c| !c.sa.is_empty()).collect();
+                        assert_eq!(store.minorities.len(), cells.len(), "{case}: minority keys");
+                        for coords in cells {
+                            let entry = store.minorities.get(coords).expect("every cell stored");
+                            let want = counted_from_rows(&db, &coords.union());
+                            assert_eq!(decode(entry), want, "{case}: {coords:?}");
+                        }
+                        if name == "multi-valued" && materialize == Materialize::AllFrequent {
+                            assert!(cube.len() > 257 && store.contexts.len() > 64, "{case}");
+                        }
+                    }
+                }
             }
         }
     }

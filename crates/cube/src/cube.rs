@@ -5,6 +5,7 @@ use scube_data::{ItemId, TransactionDb};
 use scube_segindex::IndexValues;
 
 use crate::coords::CellCoords;
+use crate::update::MaintenanceStore;
 
 /// Self-describing label set copied from the source database, so a cube can
 /// be rendered (or serialized) after the database is gone.
@@ -126,12 +127,28 @@ impl CubeLabels {
 }
 
 /// A materialized segregation data cube.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SegregationCube {
     cells: FxHashMap<CellCoords, IndexValues>,
     labels: CubeLabels,
     n_units: u32,
     min_support: u64,
+    /// The histograms behind the cell values. Emitted by the builder's
+    /// fold or read back by the snapshot decoder — never re-derived — and
+    /// mutated in place by updates.
+    pub(crate) store: MaintenanceStore,
+}
+
+/// Equal cells, labels and build parameters: the store is how the values
+/// were reached, not what they are, so a mapped cube whose store region is
+/// still unscanned equals its heap twin.
+impl PartialEq for SegregationCube {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells == other.cells
+            && self.labels == other.labels
+            && self.n_units == other.n_units
+            && self.min_support == other.min_support
+    }
 }
 
 impl SegregationCube {
@@ -140,8 +157,9 @@ impl SegregationCube {
         labels: CubeLabels,
         n_units: u32,
         min_support: u64,
+        store: MaintenanceStore,
     ) -> Self {
-        SegregationCube { cells, labels, n_units, min_support }
+        SegregationCube { cells, labels, n_units, min_support, store }
     }
 
     /// Number of materialized cells.

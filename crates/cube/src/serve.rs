@@ -41,7 +41,6 @@ use crate::query::{
     RankedCells, BREAKDOWN_TRIPLE_BUDGET, DEFAULT_CACHE_CAPACITY,
 };
 use crate::snapshot::CubeSnapshot;
-use crate::update::MaintenanceStore;
 
 /// Default shard count of the fallback cell cache: enough that a handful of
 /// worker threads rarely collide, small enough to be negligible memory.
@@ -132,15 +131,14 @@ pub struct ConcurrentCubeEngine {
     breakdown_shards: Vec<Shard<Breakdown>>,
     scratches: SpinLock<Vec<ExplorerScratch>>,
     stats: AtomicQueryStats,
-    /// Build configuration and maintenance store carried over from the
-    /// snapshot and never read by a query: [`Self::snapshot`] hands them
-    /// back so an update maintains the cube under the parameters it was
-    /// built with, at delta cost. A mapped snapshot's store stays
+    /// Build configuration carried over from the snapshot and never read
+    /// by a query: [`Self::snapshot`] hands it back so an update maintains
+    /// the cube under the parameters it was built with. The cube's
+    /// maintenance store rides along the same way; a mapped one stays
     /// undecoded.
     materialize: Materialize,
     atkinson_b: f64,
     measures: MeasureSet,
-    maintenance: MaintenanceStore,
 }
 
 impl ConcurrentCubeEngine {
@@ -155,8 +153,7 @@ impl ConcurrentCubeEngine {
     /// e.g. 16 shards × capacity 100 hold up to 7 cells each; capacity 0
     /// disables caching entirely).
     pub fn with_config(snapshot: CubeSnapshot, shards: usize, capacity: usize) -> Self {
-        let (cube, vertical, maintenance, materialize, atkinson_b, measures) =
-            snapshot.into_serving_parts();
+        let (cube, vertical, materialize, atkinson_b, measures) = snapshot.into_serving_parts();
         let n_shards = shards.max(1);
         let per_shard = if capacity == 0 { 0 } else { capacity.div_ceil(n_shards) };
         // Breakdown values are per-unit Vecs, so that cache is bounded by
@@ -188,7 +185,6 @@ impl ConcurrentCubeEngine {
             materialize,
             atkinson_b,
             measures,
-            maintenance,
         }
     }
 
@@ -222,7 +218,6 @@ impl ConcurrentCubeEngine {
         CubeSnapshot::from_serving_parts((
             self.cube.clone(),
             self.explorer.vertical().clone(),
-            self.maintenance.clone(),
             self.materialize,
             self.atkinson_b,
             self.measures,

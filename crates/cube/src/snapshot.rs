@@ -122,10 +122,9 @@ const POSTDIR_ENTRY: usize = 24;
 /// of returning a decode error. Vectors still grow to any genuine size.
 const PREALLOC_CAP: usize = 1 << 16;
 
-/// A snapshot taken apart for serving: cube, postings, maintenance store,
-/// materialization, Atkinson parameter, measure set.
-pub(crate) type ServingParts =
-    (SegregationCube, VerticalDb, MaintenanceStore, Materialize, f64, MeasureSet);
+/// A snapshot taken apart for serving: cube (its store included),
+/// postings, materialization, Atkinson parameter, measure set.
+pub(crate) type ServingParts = (SegregationCube, VerticalDb, Materialize, f64, MeasureSet);
 
 /// A persistable pairing of a built cube with the vertical database it was
 /// built from — everything the query engine needs to serve both
@@ -145,11 +144,6 @@ pub struct CubeSnapshot {
     /// re-fold exactly the selected indexes, and persisted as the
     /// measure-set byte (cells store only the selected measures).
     measures: MeasureSet,
-    /// The integer per-unit histograms behind every cell value, kept so
-    /// updates fold deltas in instead of re-deriving from full postings.
-    /// Mapped snapshots attach it unscanned; entries decode one by one as
-    /// updates dirty them.
-    maintenance: MaintenanceStore,
 }
 
 impl MaintenanceStore {
@@ -169,27 +163,14 @@ impl MaintenanceStore {
 }
 
 impl CubeSnapshot {
-    /// Pair a cube with its vertical database.
+    /// Pair a cube with its vertical database. The cube carries the
+    /// maintenance store its build emitted; nothing is re-derived here.
     ///
-    /// Fails when the two disagree on shape (unit count, item count): a
-    /// mismatched pairing would serve materialized lookups from one dataset
-    /// and explorer fallbacks from another.
+    /// Fails when the two disagree on shape (unit count, item count), or
+    /// when the store does not cover the cube's cells: a mismatched pairing
+    /// would serve materialized lookups from one dataset and explorer
+    /// fallbacks from another.
     pub fn new(cube: SegregationCube, vertical: VerticalDb) -> Result<Self> {
-        Self::validate_pairing(&cube, &vertical)?;
-        let maintenance = MaintenanceStore::compute(&cube, &vertical);
-        Ok(CubeSnapshot {
-            cube,
-            vertical,
-            materialize: Materialize::default(),
-            atkinson_b: DEFAULT_ATKINSON_B,
-            measures: MeasureSet::FULL,
-            maintenance,
-        })
-    }
-
-    /// The shape checks behind [`Self::new`], shared with the
-    /// deserializer (which carries its own, already-validated store).
-    fn validate_pairing(cube: &SegregationCube, vertical: &VerticalDb) -> Result<()> {
         if cube.num_units() != vertical.num_units() {
             return Err(ScubeError::Inconsistent(format!(
                 "snapshot: cube has {} units but vertical database has {}",
@@ -211,7 +192,17 @@ impl CubeSnapshot {
                 cube.num_units()
             )));
         }
-        Ok(())
+        // A mapped store region is checked when an update first scans it.
+        if cube.store.unscanned.is_none() && !cube.store.covers(&cube) {
+            return Err(corrupt("maintenance store does not cover the cube"));
+        }
+        Ok(CubeSnapshot {
+            cube,
+            vertical,
+            materialize: Materialize::default(),
+            atkinson_b: DEFAULT_ATKINSON_B,
+            measures: MeasureSet::FULL,
+        })
     }
 
     /// Record the build configuration (materialization strategy, Atkinson
@@ -289,37 +280,35 @@ impl CubeSnapshot {
         batch: &UpdateBatch,
         threads: usize,
     ) -> Result<UpdateStats> {
-        crate::update::apply_update(
+        // Detached for the walk, so cells and labels stay readable beside
+        // it; a failed update has mutated nothing but the region scan.
+        let mut store = std::mem::take(&mut self.cube.store);
+        let stats = crate::update::apply_update(
             &mut self.cube,
             &mut self.vertical,
-            &mut self.maintenance,
+            &mut store,
             batch,
             self.materialize,
             self.atkinson_b,
             self.measures,
             threads,
-        )
+        );
+        self.cube.store = store;
+        stats
     }
 
-    /// Serving-layer constructor parts: both halves plus the maintenance
-    /// store and build configuration, which the engine carries untouched
-    /// so [`crate::serve::ConcurrentCubeEngine::snapshot`] can hand them
-    /// back through [`Self::from_serving_parts`].
+    /// Serving-layer constructor parts: both halves plus the build
+    /// configuration, which the engine carries untouched so
+    /// [`crate::serve::ConcurrentCubeEngine::snapshot`] can hand them back
+    /// through [`Self::from_serving_parts`].
     pub(crate) fn into_serving_parts(self) -> ServingParts {
-        (
-            self.cube,
-            self.vertical,
-            self.maintenance,
-            self.materialize,
-            self.atkinson_b,
-            self.measures,
-        )
+        (self.cube, self.vertical, self.materialize, self.atkinson_b, self.measures)
     }
 
     /// The inverse of [`Self::into_serving_parts`].
     pub(crate) fn from_serving_parts(parts: ServingParts) -> Self {
-        let (cube, vertical, maintenance, materialize, atkinson_b, measures) = parts;
-        CubeSnapshot { cube, vertical, materialize, atkinson_b, measures, maintenance }
+        let (cube, vertical, materialize, atkinson_b, measures) = parts;
+        CubeSnapshot { cube, vertical, materialize, atkinson_b, measures }
     }
 
     /// The materialization strategy the cube was built with.
@@ -370,7 +359,7 @@ impl CubeSnapshot {
             put_u64(&mut postdir, posting.cardinality());
         }
         let store_off = slots_off + slots.len();
-        let store_len = store_len(&self.maintenance);
+        let store_len = store_len(&self.cube.store);
 
         // Every length is known by now: one allocation of the final size,
         // no growth while the store — most of the file — is appended.
@@ -397,7 +386,7 @@ impl CubeSnapshot {
         out.extend_from_slice(&postdir);
         out.resize(slots_off, 0); // alignment padding before the first slot
         out.extend_from_slice(&slots);
-        encode_store(&self.maintenance, &mut out);
+        encode_store(&self.cube.store, &mut out);
         debug_assert_eq!(out.len(), store_off + store_len, "the reservation was exact");
         let meta_sum = checksum(&[&out[DIR_OFF..DIR_OFF + 8 * 8], &out[META_OFF..slots_off]]);
         out[DIR_OFF + 8 * 8..META_OFF].copy_from_slice(&meta_sum.to_le_bytes());
@@ -472,25 +461,20 @@ impl CubeSnapshot {
             EwahBitmap::read_slot(&bytes[off..off + len], card)
         })?;
         let store_bytes = &bytes[d.store_off..d.store_off + d.store_len];
-        let store = read_store(store_bytes, meta.n_items, |entry| {
+        let mut cube = meta.cube;
+        cube.store = read_store(store_bytes, meta.n_items, |entry| {
             Store::Owned(store_bytes[entry].to_vec())
         })?;
         let vertical =
             VerticalDb::from_parts(postings, meta.n_transactions, meta.unit_of, meta.v_units)
                 .ok_or_else(|| corrupt("inconsistent vertical database parts"))?;
-        Self::validate_pairing(&meta.cube, &vertical)?;
-        if !store.covers(&meta.cube) {
-            return Err(corrupt("maintenance store does not cover the cube"));
-        }
-        store.validate_entries(meta.v_units)?;
-        Ok(CubeSnapshot {
-            cube: meta.cube,
-            vertical,
-            materialize: meta.materialize,
-            atkinson_b: meta.atkinson_b,
-            measures: meta.measures,
-            maintenance: store,
-        })
+        let snapshot = CubeSnapshot::new(cube, vertical)?.with_build_config(
+            meta.materialize,
+            meta.atkinson_b,
+            meta.measures,
+        );
+        snapshot.cube.store.validate_entries(meta.v_units)?;
+        Ok(snapshot)
     }
 
     /// The parse every open shares: header (magic, version word,
@@ -604,17 +588,15 @@ impl CubeSnapshot {
             meta.v_units,
         )
         .ok_or_else(|| corrupt("inconsistent vertical database parts"))?;
-        Self::validate_pairing(&meta.cube, &vertical)?;
-        let store_region =
-            whole.slice(d.store_off, d.store_len).ok_or_else(|| corrupt("store out of bounds"))?;
-        Ok(CubeSnapshot {
-            cube: meta.cube,
-            vertical,
-            materialize: meta.materialize,
-            atkinson_b: meta.atkinson_b,
-            measures: meta.measures,
-            maintenance: MaintenanceStore { unscanned: Some(store_region), ..Default::default() },
-        })
+        let mut cube = meta.cube;
+        cube.store.unscanned = Some(
+            whole.slice(d.store_off, d.store_len).ok_or_else(|| corrupt("store out of bounds"))?,
+        );
+        Ok(CubeSnapshot::new(cube, vertical)?.with_build_config(
+            meta.materialize,
+            meta.atkinson_b,
+            meta.measures,
+        ))
     }
 
     /// Write the snapshot to a file, atomically and durably: the bytes go
@@ -1011,7 +993,7 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts> {
             return Err(corrupt("duplicate cell coordinates"));
         }
     }
-    let cube = SegregationCube::new(cells, labels, n_units, min_support);
+    let cube = SegregationCube::new(cells, labels, n_units, min_support, Default::default());
 
     // Transaction space and tid → unit map.
     let n_transactions = r.u32()?;
@@ -1336,12 +1318,12 @@ mod tests {
         let untouched = |store: &MaintenanceStore| {
             store.unscanned.is_some() && store.contexts.is_empty() && store.minorities.is_empty()
         };
-        assert!(untouched(&mapped.maintenance), "not even the key scan runs at open");
+        assert!(untouched(&mapped.cube.store), "not even the key scan runs at open");
         let engine = crate::serve::ConcurrentCubeEngine::new(mapped.clone());
         engine.query_by_names(&[("sex", "F")], &[("region", "north")]).unwrap();
         engine.query_by_names(&[("sex", "F"), ("age", "old")], &[("region", "north")]).unwrap();
         engine.top_k(SegIndex::Dissimilarity, 3, 1);
-        assert!(untouched(&engine.snapshot().maintenance), "queries never touch the store");
+        assert!(untouched(&engine.snapshot().cube.store), "queries never touch the store");
         assert_eq!(mapped.to_bytes(), file, "an unscanned region re-saves verbatim");
 
         // One appended row in the north: `⋆` and north contexts are dirty,
@@ -1349,7 +1331,7 @@ mod tests {
         let mut batch = UpdateBatch::new();
         batch.add_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
         mapped.apply_update(&batch).unwrap();
-        let store = &mapped.maintenance;
+        let store = &mapped.cube.store;
         assert!(store.unscanned.is_none(), "the first update scanned the region");
         let south = mapped.cube().labels().find_item("region", "south").unwrap();
         let entries =

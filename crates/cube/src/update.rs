@@ -83,7 +83,6 @@ use scube_segindex::{IndexValues, MeasureSet, UnitCounts};
 use crate::builder::Materialize;
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
-use crate::explore::minority_tidset;
 use crate::histogram;
 
 /// Widest frequent-item row projection whose subsets are enumerated
@@ -362,8 +361,11 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 }
 
 /// The cube's *sufficient statistics*: the integer per-unit histograms
-/// every cell value is computed from, kept alongside the cube so updates
-/// never have to re-derive them from the full postings.
+/// every cell value is computed from, kept inside the cube so updates
+/// never have to re-derive them from the full postings. There is one
+/// derivation: the builder's fold emits each entry from the histograms it
+/// evaluates the cell with; a snapshot carries the store and never
+/// reconstructs it.
 ///
 /// Per distinct context `B`, the ascending `(unit, total)` pairs of
 /// `tidset(B)`; per materialized cell with a non-`⋆` minority side, the
@@ -381,7 +383,7 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 ///
 /// A histogram has **one form — its canonical bytes**
 /// ([`crate::histogram`], about 2 B per pair): the same entry is what
-/// [`Self::compute`] produces, what the snapshot file stores (canonical
+/// the builder emits, what the snapshot file stores (canonical
 /// order: contexts by item list, cells by coordinates), what a mapped
 /// snapshot serves in place ([`Store::Mapped`]) and what the heap holds
 /// ([`Store::Owned`]). `(unit, count)` pairs exist only transiently: an
@@ -403,32 +405,6 @@ pub(crate) struct MaintenanceStore {
 }
 
 impl MaintenanceStore {
-    /// Derive the store from scratch — what [`crate::snapshot::CubeSnapshot::new`]
-    /// does when pairing a cube with its vertical database.
-    pub(crate) fn compute(cube: &SegregationCube, vertical: &VerticalDb) -> Self {
-        let mut scratch = UnitScratch::new(vertical.num_units());
-        let mut contexts: FxHashMap<Vec<ItemId>, Store<u8>> = FxHashMap::default();
-        let mut context_tids: FxHashMap<Vec<ItemId>, EwahBitmap> = FxHashMap::default();
-        for (coords, _) in cube.cells() {
-            if !contexts.contains_key(&coords.ca) {
-                let tids = vertical.tidset(&coords.ca);
-                vertical.unit_histogram_into(&tids, &mut scratch);
-                contexts.insert(coords.ca.clone(), encode_entry(&scratch.sorted_pairs()));
-                context_tids.insert(coords.ca.clone(), tids);
-            }
-        }
-        let mut minorities: FxHashMap<CellCoords, Store<u8>> = FxHashMap::default();
-        for (coords, _) in cube.cells() {
-            if coords.sa.is_empty() {
-                continue;
-            }
-            let tids = minority_tidset(vertical, coords, &context_tids[&coords.ca]);
-            vertical.unit_histogram_into(&tids, &mut scratch);
-            minorities.insert(coords.clone(), encode_entry(&scratch.sorted_pairs()));
-        }
-        MaintenanceStore { contexts, minorities, unscanned: None }
-    }
-
     /// Key-level consistency against a cube: every cell's context has
     /// totals, every non-`⋆`-SA cell has minority counts, and nothing else
     /// is stored. What the entries *hold* is [`Self::validate_entries`]'
@@ -477,7 +453,7 @@ impl MaintenanceStore {
 }
 
 /// A histogram in the one form the store keeps it in.
-fn encode_entry(pairs: &[(u32, u64)]) -> Store<u8> {
+pub(crate) fn encode_entry(pairs: &[(u32, u64)]) -> Store<u8> {
     Store::Owned(histogram::encode(pairs))
 }
 

@@ -6,9 +6,10 @@
 //! structure (FP-trees, tidset postings, cube coordinates) uses instead of
 //! strings.
 
-use scube_common::FxHashMap;
+use scube_common::{FxHashMap, Result};
 
 use crate::schema::AttrId;
+use crate::transactions::next_id;
 
 /// Dense id of an interned `(attribute, value)` item.
 pub type ItemId = u32;
@@ -33,14 +34,15 @@ impl Dictionary {
     }
 
     /// Intern `(attr, value)`, returning its id (existing or fresh).
-    pub fn intern(&mut self, attr: AttrId, value: &str) -> ItemId {
+    /// Errors, interning nothing, when a fresh id would not fit a `u32`.
+    pub fn intern(&mut self, attr: AttrId, value: &str) -> Result<ItemId> {
         if let Some(&id) = self.lookup.get(&(attr, value.to_string())) {
-            return id;
+            return Ok(id);
         }
-        let id = self.items.len() as ItemId;
+        let id = next_id(self.items.len(), "dictionary items")?;
         self.items.push(ItemInfo { attr, value: value.to_string() });
         self.lookup.insert((attr, value.to_string()), id);
-        id
+        Ok(id)
     }
 
     /// Id of an already-interned item.
@@ -87,9 +89,9 @@ mod tests {
     #[test]
     fn interning_is_idempotent() {
         let mut d = Dictionary::new();
-        let a = d.intern(0, "female");
-        let b = d.intern(0, "female");
-        let c = d.intern(1, "female"); // same value, different attribute
+        let a = d.intern(0, "female").unwrap();
+        let b = d.intern(0, "female").unwrap();
+        let c = d.intern(1, "female").unwrap(); // same value, different attribute
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(d.len(), 2);
@@ -98,7 +100,7 @@ mod tests {
     #[test]
     fn reverse_lookup() {
         let mut d = Dictionary::new();
-        let id = d.intern(3, "north");
+        let id = d.intern(3, "north").unwrap();
         assert_eq!(d.attr_of(id), 3);
         assert_eq!(d.value_of(id), "north");
         assert_eq!(d.get(3, "north"), Some(id));
@@ -108,9 +110,9 @@ mod tests {
     #[test]
     fn items_of_attr_filters() {
         let mut d = Dictionary::new();
-        let a = d.intern(0, "f");
-        let _b = d.intern(1, "x");
-        let c = d.intern(0, "m");
+        let a = d.intern(0, "f").unwrap();
+        let _b = d.intern(1, "x").unwrap();
+        let c = d.intern(0, "m").unwrap();
         assert_eq!(d.items_of_attr(0), vec![a, c]);
     }
 }

@@ -28,6 +28,13 @@ pub(crate) fn checked_u32(
         .ok_or_else(|| format!("{what}: {have} + {more} exceeds the u32 id space"))
 }
 
+/// The dense id of the next entry interned after `have` others — checked,
+/// so an interner errors before pushing an entry whose id (or count) would
+/// wrap past `u32`.
+pub(crate) fn next_id(have: usize, what: &str) -> Result<u32> {
+    checked_u32(have, 1, what).map(|count| count - 1).map_err(ScubeError::Inconsistent)
+}
+
 /// Encoded transaction database.
 #[derive(Debug, Clone)]
 pub struct TransactionDb {
@@ -155,15 +162,16 @@ impl TransactionDbBuilder {
         self.len() == 0
     }
 
-    /// Intern a unit name, returning its dense id.
-    pub fn intern_unit(&mut self, name: &str) -> UnitId {
+    /// Intern a unit name, returning its dense id. Errors, interning
+    /// nothing, when the id would not fit a `u32`.
+    pub fn intern_unit(&mut self, name: &str) -> Result<UnitId> {
         if let Some(&u) = self.unit_lookup.get(name) {
-            return u;
+            return Ok(u);
         }
-        let u = self.unit_names.len() as UnitId;
+        let u = next_id(self.unit_names.len(), "units")?;
         self.unit_names.push(name.to_string());
         self.unit_lookup.insert(name.to_string(), u);
-        u
+        Ok(u)
     }
 
     /// Validate and dictionary-encode one row *without* appending it to the
@@ -201,12 +209,12 @@ impl TransactionDbBuilder {
                 if v.is_empty() {
                     continue; // missing value ⇒ no item
                 }
-                self.scratch.push(self.dictionary.intern(attr, v));
+                self.scratch.push(self.dictionary.intern(attr, v)?);
             }
         }
         self.scratch.sort_unstable();
         self.scratch.dedup();
-        let unit_id = self.intern_unit(unit);
+        let unit_id = self.intern_unit(unit)?;
         Ok((unit_id, &self.scratch))
     }
 
@@ -289,6 +297,16 @@ mod tests {
         assert!(checked_u32(max - 1, 2, "x").is_err());
         assert!(checked_u32(max + 1, 0, "x").is_err());
         assert!(checked_u32(usize::MAX, 1, "x").is_err(), "usize overflow is caught too");
+    }
+
+    #[test]
+    fn next_id_errors_at_the_u32_boundary() {
+        let max = u32::MAX as usize;
+        assert_eq!(next_id(0, "x").unwrap(), 0);
+        assert_eq!(next_id(max - 1, "x").unwrap(), u32::MAX - 1, "the last id whose count fits");
+        let err = next_id(max, "units").unwrap_err().to_string();
+        assert!(err.contains("units") && err.contains("u32"), "{err}");
+        assert!(next_id(usize::MAX, "items").is_err());
     }
 
     #[test]

@@ -316,20 +316,12 @@ impl VerticalDb {
         }
     }
 
-    /// Per-unit head-counts of a tidset: `counts[u]` = transactions of the
-    /// tidset belonging to unit `u`. This is the histogram primitive behind
-    /// every cube cell.
-    pub fn unit_histogram(&self, tids: &EwahBitmap) -> Vec<u64> {
-        let mut counts = vec![0u64; self.n_units as usize];
-        tids.for_each(|tid| counts[self.unit_of[tid as usize] as usize] += 1);
-        counts
-    }
-
-    /// As [`unit_histogram`](Self::unit_histogram), but into a reusable
-    /// [`UnitScratch`]: no allocation, and the subsequent reset costs
-    /// O(|touched units|) instead of O(n_units). This is what makes cube
-    /// cell evaluation O(Σ|tidset|) overall rather than
-    /// O(cells × n_units).
+    /// Per-unit head-counts of a tidset into a reusable [`UnitScratch`]:
+    /// after the call, `scratch.count_of(u)` = transactions of the tidset
+    /// belonging to unit `u`. This is the histogram primitive behind every
+    /// cube cell. No allocation, and the subsequent reset costs
+    /// O(|touched units|) instead of O(n_units), which is what makes cube
+    /// cell evaluation O(Σ|tidset|) overall rather than O(cells × n_units).
     pub fn unit_histogram_into(&self, tids: &EwahBitmap, scratch: &mut UnitScratch) {
         assert_eq!(
             scratch.counts.len(),
@@ -452,13 +444,23 @@ mod tests {
         assert_eq!(v.tidset(&[]).cardinality(), 4);
     }
 
+    /// Per-unit head-counts of `tids`, counted densely off the tid → unit
+    /// map: the reference the scratch fill is compared against.
+    fn dense_histogram(v: &VerticalDb, tids: &EwahBitmap) -> Vec<u64> {
+        let mut counts = vec![0u64; v.num_units() as usize];
+        tids.for_each(|tid| counts[v.unit_of(tid) as usize] += 1);
+        counts
+    }
+
     #[test]
     fn unit_histogram() {
         let db = small_db();
         let v = VerticalDb::build(&db);
         let f = item(&db, 0, "F");
-        let h = v.unit_histogram(v.posting(f));
-        assert_eq!(h, vec![1, 2]); // F in u0 once, in u1 twice
+        let mut scratch = UnitScratch::new(v.num_units());
+        v.unit_histogram_into(v.posting(f), &mut scratch);
+        assert_eq!(scratch.counts(), &[1, 2]); // F in u0 once, in u1 twice
+        assert_eq!(dense_histogram(&v, v.posting(f)), vec![1, 2]);
     }
 
     #[test]
@@ -470,7 +472,7 @@ mod tests {
         let mut scratch = UnitScratch::new(v.num_units());
         for items in [vec![f], vec![n], vec![f, n], vec![]] {
             let tids = v.tidset(&items);
-            let dense = v.unit_histogram(&tids);
+            let dense = dense_histogram(&v, &tids);
             v.unit_histogram_into(&tids, &mut scratch);
             assert_eq!(scratch.counts(), &dense[..], "{items:?}");
             let pairs = scratch.sorted_pairs();
