@@ -116,14 +116,6 @@ impl CubeLabels {
     pub fn find_item(&self, attr: &str, value: &str) -> Option<ItemId> {
         self.items.iter().position(|(a, v, _)| a == attr && v == value).map(|i| i as ItemId)
     }
-
-    /// Append a new item label, returning its id (delta ingest: values
-    /// first seen in an [`crate::update::UpdateBatch`] extend the
-    /// dictionary at the tail, never renumbering existing items).
-    pub(crate) fn push_item(&mut self, attr: String, value: String, is_sa: bool) -> ItemId {
-        self.items.push((attr, value, is_sa));
-        (self.items.len() - 1) as ItemId
-    }
 }
 
 /// A materialized segregation data cube.
@@ -135,7 +127,7 @@ pub struct SegregationCube {
     min_support: u64,
     /// The histograms behind the cell values. Emitted by the builder's
     /// fold or read back by the snapshot decoder — never re-derived — and
-    /// mutated in place by updates.
+    /// changed only by an update's commit.
     pub(crate) store: MaintenanceStore,
 }
 
@@ -217,12 +209,13 @@ impl SegregationCube {
         self.cells.iter()
     }
 
-    /// Mutable view of the update path (`crate::update`): labels, cell
-    /// store, and the global unit count, in one borrow.
+    /// Mutable view of the update commit (`crate::update`): labels, cells,
+    /// the global unit count and the maintenance store, in one borrow.
     pub(crate) fn update_parts(
         &mut self,
-    ) -> (&mut CubeLabels, &mut FxHashMap<CellCoords, IndexValues>, &mut u32) {
-        (&mut self.labels, &mut self.cells, &mut self.n_units)
+    ) -> (&mut CubeLabels, &mut FxHashMap<CellCoords, IndexValues>, &mut u32, &mut MaintenanceStore)
+    {
+        (&mut self.labels, &mut self.cells, &mut self.n_units, &mut self.store)
     }
 
     /// Cells whose coordinates only use the listed attributes (the cells of

@@ -60,8 +60,8 @@ type Shard<V> = SpinLock<LruCache<CellCoords, V>>;
 /// tests exercise real threads even on a 1-CPU host), never more than one
 /// per item. A runaway request (`--threads 1000000`) must not translate
 /// into thousands of OS threads — `thread::scope` aborts on spawn failure
-/// rather than returning an error.
-fn clamp_threads(requested: usize, items: usize) -> usize {
+/// rather than returning an error. Update staging fans out through it too.
+pub(crate) fn clamp_threads(requested: usize, items: usize) -> usize {
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     requested.max(1).min((8 * host).max(8)).min(items.max(1))
 }

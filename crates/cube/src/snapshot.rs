@@ -104,7 +104,7 @@ use crate::builder::{CubeBuilder, Materialize};
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
 use crate::histogram;
-use crate::update::{MaintenanceStore, UpdateBatch, UpdateStats};
+use crate::update::{MaintenanceStore, UpdateBatch, UpdateConfig, UpdateStats};
 
 const MAGIC: &[u8; 8] = b"SCUBESNP";
 const VERSION: u32 = 8;
@@ -244,7 +244,8 @@ impl CubeSnapshot {
     /// the edited data for single-valued-per-row attributes; see
     /// [`UpdateBatch`] for the narrow multi-valued dictionary-order caveat
     /// (cell values are exact in every case) and [`crate::update`] for the
-    /// machinery.
+    /// machinery. Every fallible step runs before the first mutation, so an
+    /// `Err` leaves the snapshot's bytes as they were.
     ///
     /// ```
     /// use scube_cube::{CubeBuilder, CubeSnapshot, UpdateBatch};
@@ -271,8 +272,9 @@ impl CubeSnapshot {
         self.apply_update_threads(batch, 1)
     }
 
-    /// As [`Self::apply_update`], fanning dirty-cell re-evaluation over up
-    /// to `threads` scoped worker threads (per-worker scratches,
+    /// As [`Self::apply_update`], fanning dirty-cell and promotion staging
+    /// over up to `threads` scoped worker threads (clamped to the host, as
+    /// query batches are; per-worker scratches,
     /// deterministic results — the parallel update is bit-identical to the
     /// serial one, checked on every update of `tests/cube_model.rs`).
     pub fn apply_update_threads(
@@ -280,21 +282,18 @@ impl CubeSnapshot {
         batch: &UpdateBatch,
         threads: usize,
     ) -> Result<UpdateStats> {
-        // Detached for the walk, so cells and labels stay readable beside
-        // it; a failed update has mutated nothing but the region scan.
-        let mut store = std::mem::take(&mut self.cube.store);
-        let stats = crate::update::apply_update(
-            &mut self.cube,
-            &mut self.vertical,
-            &mut store,
-            batch,
-            self.materialize,
-            self.atkinson_b,
-            self.measures,
-            threads,
-        );
-        self.cube.store = store;
-        stats
+        // A mapped store is *scanned* first — O(keys), entries stepped
+        // over, not decoded: it changes the store's representation, not its
+        // content, and is the one mutation before staging. Each histogram
+        // stays a slice of the mapped file until an update dirties it.
+        self.cube.store.scan(self.cube.labels().num_items())?;
+        let cfg = UpdateConfig {
+            materialize: self.materialize,
+            atkinson_b: self.atkinson_b,
+            measures: self.measures,
+        };
+        let staged = crate::update::stage(&self.cube, &self.vertical, batch, cfg, threads)?;
+        Ok(staged.commit(&mut self.cube, &mut self.vertical))
     }
 
     /// Serving-layer constructor parts: both halves plus the build

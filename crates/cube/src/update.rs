@@ -34,49 +34,59 @@
 //! 3. **Promotions are subsets of single appended rows.** An itemset that
 //!    becomes newly frequent — or newly closed — must have gained ids,
 //!    hence be contained in some *one* appended row (this survives mixed
-//!    batches: a net gain requires an appended occurrence). Each row's
-//!    frequent-item projection is enumerated as candidates, with
-//!    [`scube_fpm::eclat::mine_vertical_with_tidsets_scoped`] as the
-//!    class-level fallback for pathologically wide rows. Supports are
-//!    counted over the full updated postings, so promotion is exact.
+//!    batches: a net gain requires an appended occurrence). Each distinct
+//!    frequent-item projection of a row is walked level-wise (Apriori: a
+//!    `k + 1`-set is counted only when all its `k`-subsets are frequent), so
+//!    no row is too wide. A candidate is then staged exactly like a dirty
+//!    cell — its base histogram counted from postings instead of decoded
+//!    from the store, advanced by the same deltas, put to the same
+//!    closedness test with its generating row as the witness — so
+//!    promotion is exact.
 //!
-//! All histogram staging — including the dominated subtraction, which hard-
-//! errors on underflow — happens **before** any mutation, so a rejected
-//! batch or an inconsistent store leaves the snapshot untouched, byte for
-//! byte. Dirty cells are re-evaluated with the same [`UnitScratch`]
-//! machinery and the same index fold as [`crate::builder::CubeBuilder`] —
-//! identical integer histograms, hence identical index values — and large
-//! dirty sets fan out over scoped worker threads with per-worker scratches
-//! (cell evaluation is pure, so the parallel update is bit-identical to the
-//! serial one). The fold reads a histogram as a *multiset* of `(m, t)`
-//! pairs and orders them itself (`scube_segindex::indexes`), so a value
-//! depends on no unit id and no visit order: a cell whose histogram the
-//! delta did not touch keeps floats that a rebuild would reproduce to the
-//! bit, however the batch renumbers the units.
+//! **Stage, then commit.** Every fallible step of an update — validation,
+//! the dominated subtraction (which hard-errors on underflow), closedness,
+//! the index folds, promotions included — runs in `stage`, which reads the
+//! cube, postings and store through shared references only. It sees the
+//! *edited* table through the unmodified base postings plus delta-sized
+//! postings of the appended and retracted rows: `|edited(X)| = |base(X)| −
+//! |rem(X)| + |add(X)|`. The one `&mut` step, `StagedUpdate::commit`,
+//! cannot fail, and has one path for every batch: retracted rows out,
+//! appended rows in, staged labels, cells and store entries pushed, unused
+//! contexts dropped, and a rename when the ids moved. So a rejected batch
+//! or an inconsistent store leaves the snapshot untouched, byte for byte.
+//! Cells are staged with the same [`UnitScratch`] machinery and the same
+//! index fold as [`crate::builder::CubeBuilder`] — identical integer
+//! histograms, hence identical index values — and large dirty sets fan out
+//! over scoped worker threads with per-worker scratches (staging is pure, so
+//! the parallel update is bit-identical to the serial one). The fold reads a
+//! histogram as a *multiset* of `(m, t)` pairs and orders them itself
+//! (`scube_segindex::indexes`), so a value depends on no unit id and no visit
+//! order: a cell whose histogram the delta did not touch keeps floats that a
+//! rebuild would reproduce to the bit, however the batch renumbers the units.
 //!
 //! **Dictionary maintenance.** Appends extend the label dictionary at the
 //! tail in first-seen order, matching a rebuild on base-then-delta rows.
 //! Retractions may *shrink or reorder* it: a rebuild on the edited table
 //! interns values and units by first occurrence, so a retraction that
 //! removes a value's last row (the value leaves the dictionary) or its
-//! first row (its intern position moves) triggers a relabeling pass that
-//! renumbers items, units, cells, postings, and store entries exactly as a
-//! rebuild would assign them — a pure renaming, which by the invariance
-//! above dirties no cell. Tail retractions that empty nothing skip the
-//! pass — survivors keep their ids and the postings shrink in place. The
-//! within-row tie-break is attribute-major, then prior id, which matches a
-//! rebuild's interning whenever a row lists each attribute's values in
-//! dictionary order: always for single-valued attributes, and for
-//! multi-valued ones as `final_table_relation` writes them (the datagen
-//! final tables have two). Values of one multi-valued attribute listed out
-//! of that order and re-first-seen together in one row may tie-break
-//! differently than their cell order.
+//! first row (its intern position moves) makes the commit end with a
+//! *rename*: `VerticalDb::rename` permutes the postings and maps the
+//! `tid → unit` map, and labels, cell coordinates and store keys and units
+//! are remapped to the ids a rebuild would assign. Nothing is rebuilt, and
+//! by the invariance above the rename dirties no cell. Retractions that move
+//! no first occurrence and empty nothing skip it. The within-row tie-break
+//! is attribute-major, then prior id, which matches a rebuild's interning
+//! whenever a row lists each attribute's values in dictionary order: always
+//! for single-valued attributes, and for multi-valued ones as
+//! `final_table_relation` writes them (the datagen final tables have two).
+//! Values of one multi-valued attribute listed out of that order and
+//! re-first-seen together in one row may tie-break differently than their
+//! cell order.
 
 use scube_bitmap::EwahBitmap;
 use scube_common::mmap::{ByteRegion, Store};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
-use scube_fpm::eclat::mine_vertical_with_tidsets_scoped;
 use scube_fpm::itemset::is_sorted_subset;
 use scube_segindex::{IndexValues, MeasureSet, UnitCounts};
 
@@ -84,10 +94,7 @@ use crate::builder::Materialize;
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
 use crate::histogram;
-
-/// Widest frequent-item row projection whose subsets are enumerated
-/// directly; wider rows fall back to the scoped Eclat re-mine.
-const MAX_SUBSET_WIDTH: usize = 16;
+use crate::serve::clamp_threads;
 
 /// A batch of appended individuals and retractions, expressed in label
 /// space (`attribute = value` pairs plus a unit name), waiting to be folded
@@ -277,20 +284,6 @@ pub struct UpdateStats {
     pub clean_cells: usize,
 }
 
-/// Non-empty intersection of the delta postings of `items` (which must be
-/// non-empty), or `None` when no appended row contains them all. One
-/// batched k-way AND: items past the delta's item range short-circuit to
-/// `None` before any intersection runs.
-fn delta_tidset(postings: &[EwahBitmap], items: &[ItemId]) -> Option<EwahBitmap> {
-    assert!(!items.is_empty(), "delta_tidset needs items");
-    let mut refs: Vec<&EwahBitmap> = Vec::with_capacity(items.len());
-    for &it in items {
-        refs.push(postings.get(it as usize)?);
-    }
-    let acc = EwahBitmap::intersect_many(&refs).expect("non-empty items");
-    (!acc.is_empty()).then_some(acc)
-}
-
 /// A batch encoded against the cube's labels: dictionary-encoded rows plus
 /// the new labels they introduced, in first-seen (intern) order.
 struct EncodedBatch {
@@ -388,7 +381,7 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 /// snapshot serves in place ([`Store::Mapped`]) and what the heap holds
 /// ([`Store::Owned`]). `(unit, count)` pairs exist only transiently: an
 /// update decodes — and thereby validates — exactly the entries its delta
-/// dirties, and re-encodes them at commit; everything else stays bytes,
+/// dirties, and re-encodes them while staging; everything else stays bytes,
 /// and a mapped entry no update has dirtied is never copied at all.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MaintenanceStore {
@@ -481,26 +474,14 @@ fn merge_add(base: &mut Vec<(u32, u64)>, delta: &[(u32, u64)]) {
         return;
     }
     let mut out = Vec::with_capacity(base.len() + delta.len());
-    let (mut i, mut j) = (0, 0);
-    while i < base.len() && j < delta.len() {
-        match base[i].0.cmp(&delta[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(base[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(delta[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((base[i].0, base[i].1 + delta[j].1));
-                i += 1;
-                j += 1;
-            }
+    let mut d = delta.iter().peekable();
+    for &(u, c) in base.iter() {
+        while let Some(&pair) = d.next_if(|&&(du, _)| du < u) {
+            out.push(pair);
         }
+        out.push((u, c + d.next_if(|&&(du, _)| du == u).map_or(0, |&(_, dc)| dc)));
     }
-    out.extend_from_slice(&base[i..]);
-    out.extend_from_slice(&delta[j..]);
+    out.extend(d);
     *base = out;
 }
 
@@ -566,49 +547,22 @@ fn values_from_hists(
     Ok(IndexValues::compute_masked(&counts, atkinson_b, measures))
 }
 
-/// Tidset and support of `items` over the full postings, intersecting
-/// smallest-first and aborting as soon as the running intersection drops
-/// below `floor` (supports only shrink under intersection, so an early
-/// sub-floor cardinality is conclusive). `None` = support below floor.
-fn tidset_if_frequent(vertical: &VerticalDb, items: &[ItemId], floor: u64) -> Option<EwahBitmap> {
-    let mut order: Vec<ItemId> = items.to_vec();
-    order.sort_by_cached_key(|&it| vertical.posting(it).cardinality());
-    let mut acc = vertical.posting(order[0]).clone();
-    if acc.cardinality() < floor {
-        return None;
-    }
-    // Ping-pong two accumulators through the buffer-reusing `and_into`
-    // kernel: the floor check needs the intermediate cardinalities, so the
-    // opaque `intersect_many` doesn't apply, but the allocation profile is
-    // the same (two buffers total, not one fresh posting per step).
-    let mut spare = EwahBitmap::new();
-    for &it in &order[1..] {
-        acc.and_into(vertical.posting(it), &mut spare);
-        std::mem::swap(&mut acc, &mut spare);
-        if acc.cardinality() < floor {
-            return None;
-        }
-    }
-    Some(acc)
+/// The build configuration an update re-folds under. Snapshots record all
+/// three, so staged cells fold exactly the index subset a rebuild would.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UpdateConfig {
+    pub(crate) materialize: Materialize,
+    pub(crate) atkinson_b: f64,
+    pub(crate) measures: MeasureSet,
 }
 
-/// Per-dirty-cell staging outcome, decided before any mutation.
-enum CellFate {
-    /// The cell survives: the entry of its staged minority histogram
-    /// (`None` for `⋆`-SA cells, which store none) and the re-evaluated
-    /// values.
-    Keep(Option<Store<u8>>, IndexValues),
-    /// The cell is evicted: its support fell below `min_support`, or its
-    /// itemset lost closedness under [`Materialize::ClosedOnly`].
-    Demote,
-}
-
-/// Resolved retractions plus the reconstructed base rows they were matched
-/// against (the rows are reused for closedness witnesses and relabeling).
+/// Resolved retractions plus the base rows they were matched against.
+#[derive(Default)]
 struct Removals {
     /// Sorted, distinct retracted tids, in pre-update numbering.
     tids: Vec<u32>,
-    /// Every base row: sorted item ids + unit.
+    /// Every base row (sorted item ids + unit) when the batch retracts,
+    /// empty otherwise: closedness witnesses and the relabel scan read it.
     base_rows: Vec<(Vec<ItemId>, UnitId)>,
 }
 
@@ -621,9 +575,9 @@ fn resolve_removals(
     batch: &UpdateBatch,
     labels: &CubeLabels,
     vertical: &VerticalDb,
-) -> Result<Option<Removals>> {
+) -> Result<Removals> {
     if batch.remove_tids.is_empty() && batch.remove_rows.is_empty() {
-        return Ok(None);
+        return Ok(Removals::default());
     }
     let n = vertical.num_transactions();
     let mut claimed: FxHashSet<u32> = FxHashSet::default();
@@ -688,175 +642,608 @@ fn resolve_removals(
     }
     let mut tids: Vec<u32> = claimed.into_iter().collect();
     tids.sort_unstable();
-    Ok(Some(Removals { tids, base_rows }))
+    Ok(Removals { tids, base_rows })
 }
 
-/// Exact closedness of an existing cell's itemset in the *edited* database,
-/// decided before any mutation. An extender `j` must appear in **every**
-/// post-edit transaction of the itemset — in particular in one witness
-/// transaction — so the only candidates are the witness row's other items;
-/// each candidate's post-edit support is counted as `base − retracted +
-/// appended` against the still-unmodified postings.
-#[allow(clippy::too_many_arguments)]
-fn closed_after_edit(
-    items: &[ItemId],
-    new_support: u64,
-    vertical: &VerticalDb,
-    removed: &[u32],
-    base_rows: &[(Vec<ItemId>, UnitId)],
-    added_rows: &[(Vec<ItemId>, UnitId)],
-    add_postings: &[EwahBitmap],
-    n_base_items: usize,
-) -> bool {
-    debug_assert!(new_support > 0, "demotion by support precedes the closedness check");
-    let tids_base = vertical.tidset(items);
-    let mut surviving: Option<u32> = None;
-    tids_base.for_each(|t| {
-        if surviving.is_none() && removed.binary_search(&t).is_err() {
-            surviving = Some(t);
+/// The appended and the retracted transactions holding an itemset: the two
+/// delta-sized tidsets an edit moves it by.
+#[derive(Clone)]
+struct Delta {
+    /// Final numbering: appended rows follow the survivors.
+    add: EwahBitmap,
+    /// Pre-update numbering.
+    rem: EwahBitmap,
+}
+
+/// The edited table `(base ∖ retracted) ⧺ appended`, read through the
+/// unmodified base postings plus per-item postings of the two deltas. The
+/// sides are only ever intersected within themselves, so their different
+/// numberings never meet. Every support, histogram and closedness test an
+/// update stages comes from here: `|edited(X)| = |base(X)| − |rem(X)| +
+/// |add(X)|`.
+struct EditView<'a> {
+    vertical: &'a VerticalDb,
+    /// The batch's rows, encoded; row `i` becomes tid `new_base + i`.
+    encoded: EncodedBatch,
+    removals: Removals,
+    /// Per item, the appended tids holding it.
+    add: Vec<EwahBitmap>,
+    /// Per item, the retracted tids holding it.
+    rem: Vec<EwahBitmap>,
+    /// Every appended and every retracted tid: the `⋆` context's delta.
+    all: Delta,
+    new_base: u32,
+    n_units_after: u32,
+}
+
+impl<'a> EditView<'a> {
+    fn new(vertical: &'a VerticalDb, encoded: EncodedBatch, removals: Removals) -> Result<Self> {
+        let new_base = vertical.num_transactions() - removals.tids.len() as u32;
+        let n_after = u32::try_from(new_base as usize + encoded.rows.len()).map_err(|_| {
+            ScubeError::InvalidParameter("update: the edited table exceeds u32 rows".into())
+        })?;
+        let n_items_after = vertical.num_items() + encoded.new_items.len();
+        let mut add_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
+        for (i, (items, _)) in encoded.rows.iter().enumerate() {
+            for &it in items {
+                add_tids[it as usize].push(new_base + i as u32);
+            }
         }
-    });
-    let witness: Option<&[ItemId]> = match surviving {
-        Some(t) => Some(&base_rows[t as usize].0),
-        None => added_rows.iter().map(|(r, _)| r.as_slice()).find(|r| is_sorted_subset(items, r)),
-    };
-    let Some(witness) = witness else {
-        // new_support > 0 guarantees a witness; treat the impossible as
-        // closed so the rebuild-identity tests would expose the breach.
-        return true;
-    };
-    let add_union = delta_tidset(add_postings, items);
-    for &j in witness {
-        if items.contains(&j) {
-            continue;
+        let mut rem_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
+        for &t in &removals.tids {
+            for &it in &removals.base_rows[t as usize].0 {
+                rem_tids[it as usize].push(t);
+            }
         }
-        let added = add_union.as_ref().map_or(0, |a| a.and_cardinality(&add_postings[j as usize]));
-        let (base_cnt, removed_in) = if (j as usize) < n_base_items {
-            let a = tids_base.and(vertical.posting(j));
-            let mut rem_in = 0u64;
-            a.for_each(|t| {
-                if removed.binary_search(&t).is_ok() {
-                    rem_in += 1;
-                }
-            });
-            (a.cardinality(), rem_in)
-        } else {
-            (0, 0)
+        let postings =
+            |tids: Vec<Vec<u32>>| tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
+        let all = Delta {
+            add: EwahBitmap::from_sorted(&(new_base..n_after).collect::<Vec<u32>>()),
+            rem: EwahBitmap::from_sorted(&removals.tids),
         };
-        if base_cnt - removed_in + added == new_support {
-            return false;
+        Ok(EditView {
+            vertical,
+            n_units_after: vertical.num_units() + encoded.new_units.len() as u32,
+            encoded,
+            removals,
+            add: postings(add_tids),
+            rem: postings(rem_tids),
+            all,
+            new_base,
+        })
+    }
+
+    /// `add(X)` and `rem(X)`; for `X = ⋆`, every appended and retracted tid.
+    fn delta(&self, items: &[ItemId]) -> Delta {
+        if items.is_empty() {
+            return self.all.clone();
+        }
+        // One batched k-way AND per side.
+        let side = |postings: &[EwahBitmap]| {
+            let refs: Vec<&EwahBitmap> = items.iter().map(|&it| &postings[it as usize]).collect();
+            EwahBitmap::intersect_many(&refs).expect("items is not empty")
+        };
+        Delta { add: side(&self.add), rem: side(&self.rem) }
+    }
+
+    /// Whether no item of `items` is batch-new: a new item has no base
+    /// transactions.
+    fn in_base(&self, items: &[ItemId]) -> bool {
+        items.iter().all(|&it| (it as usize) < self.vertical.num_items())
+    }
+
+    /// `base(X)`: the base transactions holding `items`.
+    fn base_tidset(&self, items: &[ItemId]) -> EwahBitmap {
+        if self.in_base(items) {
+            self.vertical.tidset(items)
+        } else {
+            EwahBitmap::new()
         }
     }
-    true
+
+    /// `|edited(X)|`, with no tidset of the full table materialized.
+    fn support(&self, items: &[ItemId]) -> u64 {
+        let base = if self.in_base(items) { self.vertical.support(items) } else { 0 };
+        let d = self.delta(items);
+        base - d.rem.cardinality() + d.add.cardinality()
+    }
+
+    /// Per-unit counts of base transactions, ascending by unit.
+    fn count(&self, base: &EwahBitmap, scratch: &mut UnitScratch) -> Vec<(u32, u64)> {
+        scratch.clear();
+        base.for_each(|t| scratch.bump(self.vertical.unit_of(t)));
+        scratch.sorted_pairs()
+    }
+
+    /// Move a base histogram to the edited table: `+ hist(add) − hist(rem)`,
+    /// exact integer sums over delta-sized tidsets. Appended tids histogram
+    /// through the batch rows' units, retracted ones through the base
+    /// `tid → unit` map; the subtraction hard-errors unless dominated.
+    fn advance(
+        &self,
+        hist: &mut Vec<(u32, u64)>,
+        delta: &Delta,
+        scratch: &mut UnitScratch,
+    ) -> Result<()> {
+        scratch.clear();
+        delta.add.for_each(|t| scratch.bump(self.encoded.rows[(t - self.new_base) as usize].1));
+        merge_add(hist, &scratch.sorted_pairs());
+        merge_sub(hist, &self.count(&delta.rem, scratch))
+    }
+
+    /// A context's staged totals from its base totals.
+    fn stage_context(
+        &self,
+        base: Vec<(u32, u64)>,
+        delta: Delta,
+        scratch: &mut UnitScratch,
+    ) -> Result<StagedCtx> {
+        let mut totals = base.clone();
+        self.advance(&mut totals, &delta, scratch)?;
+        Ok(StagedCtx { base, totals, delta })
+    }
+
+    /// An edited transaction holding `items` (given `base(X)`): its first
+    /// surviving base row, else an appended one. Only asked after a
+    /// retraction, when the base rows are at hand.
+    fn surviving_row(&self, items: &[ItemId], base: &EwahBitmap) -> &[ItemId] {
+        let removed = &self.removals.tids;
+        match base.iter().find(|t| removed.binary_search(t).is_err()) {
+            Some(t) => &self.removals.base_rows[t as usize].0,
+            None => self
+                .encoded
+                .rows
+                .iter()
+                .map(|(row, _)| row.as_slice())
+                .find(|row| is_sorted_subset(items, row))
+                // Support > 0 guarantees a row; treat the impossible as
+                // closed so the rebuild-identity tests would expose it.
+                .unwrap_or(&[]),
+        }
+    }
+
+    /// Exact closedness of `items` (edited support `support`, base tidset
+    /// `base`, delta `delta`) in the edited table. An extender `j` must
+    /// occur in **every** edited transaction holding `items`, in particular
+    /// in `witness`, one of them — so only the witness's other items are
+    /// tried, each by `|base(X)∩Pⱼ| − |rem(X)∩remPⱼ| + |add(X)∩addPⱼ|`,
+    /// without materializing a tidset. A demotion passes its surviving
+    /// row, a promotion its generating appended row.
+    fn closed_after_edit(
+        &self,
+        items: &[ItemId],
+        base: &EwahBitmap,
+        delta: &Delta,
+        support: u64,
+        witness: &[ItemId],
+    ) -> bool {
+        !witness.iter().filter(|j| items.binary_search(j).is_err()).any(|&j| {
+            let kept =
+                self.vertical.postings().get(j as usize).map_or(0, |p| base.and_cardinality(p));
+            kept - delta.rem.and_cardinality(&self.rem[j as usize])
+                + delta.add.and_cardinality(&self.add[j as usize])
+                == support
+        })
+    }
 }
 
-/// The item/unit renumbering a retraction induces: a rebuild on the edited
+/// A context's totals, staged.
+struct StagedCtx {
+    /// The base totals: decoded from the store (what the stored minorities
+    /// of its cells must be dominated by), or counted from postings for a
+    /// context a promotion creates.
+    base: Vec<(u32, u64)>,
+    /// The totals after the edit.
+    totals: Vec<(u32, u64)>,
+    delta: Delta,
+}
+
+/// A cell that survives staging: the entry of its minority histogram
+/// (`None` for `⋆`-SA cells, which store none) and its values.
+type StagedCell = (Option<Store<u8>>, IndexValues);
+
+/// Where a staged cell's base minority histogram comes from.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// A materialized cell: decoded from the store.
+    Stored,
+    /// A promotion candidate: counted from postings. The appended row
+    /// (batch index) that generates it is its closedness witness.
+    Promoted(usize),
+}
+
+/// The read-only state the cell phases share.
+struct Stager<'a> {
+    view: EditView<'a>,
+    cube: &'a SegregationCube,
+    cfg: UpdateConfig,
+    /// Staged totals of every context the edit touches.
+    contexts: FxHashMap<Vec<ItemId>, StagedCtx>,
+}
+
+impl Stager<'_> {
+    /// Stage one cell in the edited table: advance its base minority
+    /// histogram by the delta, decide support and closedness, and fold its
+    /// values from the staged integer histograms (the builder's fold, so
+    /// the floats are a rebuild's). `None` = not a cell after the edit.
+    fn stage_cell(
+        &self,
+        coords: &CellCoords,
+        origin: Origin,
+        scratch: &mut UnitScratch,
+    ) -> Result<Option<StagedCell>> {
+        let view = &self.view;
+        let ctx = &self.contexts[&coords.ca];
+        let items = coords.union();
+        let own_delta;
+        let delta = if coords.sa.is_empty() {
+            &ctx.delta
+        } else {
+            own_delta = view.delta(&items);
+            &own_delta
+        };
+        // A stored cell's support is the sum of its advanced histogram; a
+        // promotion's needs only cardinalities, so its histogram is counted
+        // once the cell is known to stay. `A = ⋆` ⇒ minority ≡ population
+        // (the builder's apex path).
+        let mut base: Option<EwahBitmap> = None;
+        let mut minority = match origin {
+            Origin::Stored if !coords.sa.is_empty() => {
+                Some(self.stored_minority(coords, ctx, delta, scratch)?)
+            }
+            _ => None,
+        };
+        let support = match origin {
+            Origin::Stored => minority.as_deref().unwrap_or(&ctx.totals).iter().map(|p| p.1).sum(),
+            Origin::Promoted(_) => {
+                let base = base.insert(view.base_tidset(&items));
+                base.cardinality() - delta.rem.cardinality() + delta.add.cardinality()
+            }
+        };
+        if !items.is_empty() {
+            if support < self.cube.min_support() {
+                return Ok(None);
+            }
+            // A stored cell can lose closedness only if it lost rows.
+            let may_open = matches!(origin, Origin::Promoted(_)) || !delta.rem.is_empty();
+            if self.cfg.materialize == Materialize::ClosedOnly && may_open {
+                let base = base.get_or_insert_with(|| view.base_tidset(&items));
+                let witness = match origin {
+                    Origin::Promoted(r) => &view.encoded.rows[r].0,
+                    Origin::Stored => view.surviving_row(&items, base),
+                };
+                if !view.closed_after_edit(&items, base, delta, support, witness) {
+                    return Ok(None);
+                }
+            }
+        }
+        if let (Origin::Promoted(_), Some(base)) = (origin, &base) {
+            if !coords.sa.is_empty() {
+                let mut hist = view.count(base, scratch);
+                view.advance(&mut hist, delta, scratch)?;
+                minority = Some(hist);
+            }
+        }
+        let hist = minority.as_deref().unwrap_or(&ctx.totals);
+        let values = values_from_hists(&ctx.totals, hist, self.cfg.atkinson_b, self.cfg.measures)?;
+        Ok(Some((minority.as_deref().map(encode_entry), values)))
+    }
+
+    /// A stored cell's minority histogram, decoded (which validates the
+    /// entry), checked against its context's stored totals — domination is
+    /// what only the pair shows — and advanced by the delta.
+    fn stored_minority(
+        &self,
+        coords: &CellCoords,
+        ctx: &StagedCtx,
+        delta: &Delta,
+        scratch: &mut UnitScratch,
+    ) -> Result<Vec<(u32, u64)>> {
+        let entry = self.cube.store.minorities.get(coords).ok_or_else(|| {
+            ScubeError::Inconsistent("update: cell missing from maintenance store".into())
+        })?;
+        let mut hist = histogram::decode(entry, self.view.vertical.num_units())?;
+        if !dominated(&hist, &ctx.base) {
+            return Err(not_dominated());
+        }
+        self.view.advance(&mut hist, delta, scratch)?;
+        Ok(hist)
+    }
+}
+
+/// Run `stage_one` over `jobs` on up to `threads` scoped workers — clamped
+/// like query batches, so a hostile thread count cannot exhaust the host —
+/// each with its own scratch. Results come back in job order, and staging
+/// is pure, so the parallel pass is bit-identical to the serial one.
+fn fan_out<J: Sync, R: Send>(
+    jobs: &[J],
+    threads: usize,
+    n_units: u32,
+    stage_one: impl Fn(&J, &mut UnitScratch) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let n_workers = clamp_threads(threads, jobs.len());
+    if n_workers == 1 || jobs.len() < 64 {
+        let mut scratch = UnitScratch::new(n_units);
+        return jobs.iter().map(|job| stage_one(job, &mut scratch)).collect();
+    }
+    let stage_one = &stage_one;
+    let parts: Vec<Result<Vec<R>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .chunks(jobs.len().div_ceil(n_workers))
+            .map(|part| {
+                scope.spawn(move || {
+                    let mut scratch = UnitScratch::new(n_units);
+                    part.iter().map(|job| stage_one(job, &mut scratch)).collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("update worker panicked")).collect()
+    });
+    let mut out = Vec::with_capacity(jobs.len());
+    for part in parts {
+        out.extend(part?);
+    }
+    Ok(out)
+}
+
+/// Phase: stage every context whose tidset the edit touches. Delta-clean
+/// contexts are skipped *before* their entries are looked into, so on a
+/// mapped snapshot they stay slices of the file.
+fn stage_contexts(
+    view: &EditView,
+    store: &MaintenanceStore,
+) -> Result<FxHashMap<Vec<ItemId>, StagedCtx>> {
+    let mut scratch = UnitScratch::new(view.n_units_after);
+    let mut staged = FxHashMap::default();
+    for (ca, entry) in &store.contexts {
+        let delta = view.delta(ca);
+        if delta.add.is_empty() && delta.rem.is_empty() {
+            continue;
+        }
+        let base = histogram::decode(entry, view.vertical.num_units())?;
+        staged.insert(ca.clone(), view.stage_context(base, delta, &mut scratch)?);
+    }
+    Ok(staged)
+}
+
+/// Phase: stage every cell of a touched context (`None` = demoted).
+fn stage_dirty_cells(
+    stager: &Stager,
+    threads: usize,
+) -> Result<Vec<(CellCoords, Option<StagedCell>)>> {
+    let dirty: Vec<CellCoords> = stager
+        .cube
+        .cells()
+        .filter(|(coords, _)| stager.contexts.contains_key(&coords.ca))
+        .map(|(coords, _)| coords.clone())
+        .collect();
+    let staged = fan_out(&dirty, threads, stager.view.n_units_after, |coords, scratch| {
+        stager.stage_cell(coords, Origin::Stored, scratch)
+    })?;
+    Ok(dirty.into_iter().zip(staged).collect())
+}
+
+/// Phase: stage the promotions. Each candidate's context is staged first —
+/// counted from postings when no cell had it — and the candidate itself is
+/// then a dirty cell whose base histogram is counted instead of decoded.
+fn stage_promotions(
+    stager: &mut Stager,
+    dirty: &[(CellCoords, Option<StagedCell>)],
+    threads: usize,
+) -> Result<Vec<(CellCoords, StagedCell)>> {
+    let demoted: FxHashSet<&CellCoords> =
+        dirty.iter().filter(|(_, staged)| staged.is_none()).map(|(coords, _)| coords).collect();
+    let candidates = promotion_candidates(&stager.view, stager.cube, &demoted);
+    let view = &stager.view;
+    let mut scratch = UnitScratch::new(view.n_units_after);
+    for (coords, _) in &candidates {
+        if !stager.contexts.contains_key(&coords.ca) {
+            let base = view.count(&view.base_tidset(&coords.ca), &mut scratch);
+            let ctx = view.stage_context(base, view.delta(&coords.ca), &mut scratch)?;
+            stager.contexts.insert(coords.ca.clone(), ctx);
+        }
+    }
+    let stager = &*stager;
+    let staged = fan_out(&candidates, threads, stager.view.n_units_after, |(coords, r), s| {
+        stager.stage_cell(coords, Origin::Promoted(*r), s)
+    })?;
+    Ok(candidates.into_iter().zip(staged).filter_map(|((c, _), s)| Some((c, s?))).collect())
+}
+
+/// The promotion candidates: itemsets frequent in the edited table that are
+/// not cells yet, each paired with an appended row holding it. A newly
+/// frequent (or newly closed) itemset gained rows, so it lies inside one
+/// appended row — mixed batches included, since a net gain needs an
+/// appended occurrence. Each distinct frequent-item projection of a row is
+/// walked level-wise (Apriori: a `k + 1`-set is counted only when all its
+/// `k`-subsets are frequent), so the walk costs the row's frequent subsets
+/// and their border, whatever the row's width. A kept cell is frequent by
+/// construction and costs no count.
+fn promotion_candidates(
+    view: &EditView,
+    cube: &SegregationCube,
+    demoted: &FxHashSet<&CellCoords>,
+) -> Vec<(CellCoords, usize)> {
+    let min_support = cube.min_support();
+    let n_base_items = view.vertical.num_items();
+    let is_sa = |it: ItemId| match (it as usize).checked_sub(n_base_items) {
+        None => cube.labels().is_sa_item(it),
+        Some(new) => view.encoded.new_items[new].2,
+    };
+    let coords_of = |items: &[ItemId]| CellCoords::split_sorted(items, is_sa);
+    let mut memo: FxHashMap<Vec<ItemId>, bool> = FxHashMap::default();
+    let mut frequent = |items: &[ItemId]| {
+        if let Some(&known) = memo.get(items) {
+            return known;
+        }
+        let coords = coords_of(items);
+        let known = (cube.get(&coords).is_some() && !demoted.contains(&coords))
+            || view.support(items) >= min_support;
+        memo.insert(items.to_vec(), known);
+        known
+    };
+    let mut seen_projections: FxHashSet<Vec<ItemId>> = FxHashSet::default();
+    let mut seen: FxHashSet<Vec<ItemId>> = FxHashSet::default();
+    let mut candidates = Vec::new();
+    for (r, (row, _)) in view.encoded.rows.iter().enumerate() {
+        let projection: Vec<ItemId> =
+            row.iter().copied().filter(|&it| view.support(&[it]) >= min_support).collect();
+        // Categorical deltas repeat row shapes heavily: one walk per
+        // distinct projection bounds the work by shape count.
+        if projection.is_empty() || !seen_projections.insert(projection.clone()) {
+            continue;
+        }
+        let mut level: Vec<Vec<ItemId>> = projection.iter().map(|&it| vec![it]).collect();
+        while !level.is_empty() {
+            for items in &level {
+                if seen.insert(items.clone()) {
+                    let coords = coords_of(items);
+                    if cube.get(&coords).is_none() {
+                        candidates.push((coords, r));
+                    }
+                }
+            }
+            level = next_level(&level, &mut frequent);
+        }
+    }
+    candidates
+}
+
+/// The Apriori join of one level: the `k + 1`-sets whose `k`-subsets all lie
+/// in `level` (lexicographically sorted, each set ascending), kept when
+/// `frequent`. The result is sorted the same way.
+fn next_level(
+    level: &[Vec<ItemId>],
+    frequent: &mut impl FnMut(&[ItemId]) -> bool,
+) -> Vec<Vec<ItemId>> {
+    let members: FxHashSet<&[ItemId]> = level.iter().map(Vec::as_slice).collect();
+    let mut next = Vec::new();
+    for (i, x) in level.iter().enumerate() {
+        let prefix = &x[..x.len() - 1];
+        for y in level[i + 1..].iter().take_while(|y| y.starts_with(prefix)) {
+            let mut z = x.clone();
+            z.push(y[y.len() - 1]);
+            // Dropping either of the last two items leaves `y` or `x`.
+            let subsets_frequent = (0..z.len() - 2).all(|drop| {
+                let mut sub = z.clone();
+                sub.remove(drop);
+                members.contains(sub.as_slice())
+            });
+            if subsets_frequent && frequent(&z) {
+                next.push(z);
+            }
+        }
+    }
+    next
+}
+
+/// The item/unit renaming a retraction induces: a rebuild on the edited
 /// table interns dictionary entries in first-occurrence order (attribute-
 /// major within a row), so items and units whose first occurrence moved —
-/// or disappeared — get new ids. Identity for pure appends and for tail
-/// retractions that empty nothing.
+/// or disappeared — get new ids.
 struct Relabel {
     /// Old item id → new id (`None` = the value left the dictionary).
     item_map: Vec<Option<ItemId>>,
     /// Old unit id → new id (`None` = the unit lost its last row).
     unit_map: Vec<Option<UnitId>>,
-    n_new_items: usize,
-    n_new_units: u32,
-    identity: bool,
 }
 
-/// Derive the relabeling from the edited table's first-occurrence arrays
-/// (old id space; `u32::MAX` = never occurs) and each item's attribute
-/// rank. Ties inside one row order attribute-major (SA attributes in label
-/// order, then CA attributes — the schema order every final-table spec
-/// declares) and by old id within an attribute, which matches a rebuild's
-/// interning for single-valued-per-row attributes (the shape of every
-/// final table in this workspace).
-fn compute_relabel(first_item: &[u32], first_unit: &[u32], item_attr_pos: &[usize]) -> Relabel {
-    let n_items = first_item.len();
-    let n_units = first_unit.len();
-    let mut order: Vec<ItemId> =
-        (0..n_items as ItemId).filter(|&it| first_item[it as usize] != u32::MAX).collect();
-    order.sort_unstable_by_key(|&it| (first_item[it as usize], item_attr_pos[it as usize], it));
-    let mut item_map = vec![None; n_items];
-    for (new, &old) in order.iter().enumerate() {
-        item_map[old as usize] = Some(new as ItemId);
+/// Phase: the relabel plan, or `None` when every id keeps its meaning (pure
+/// appends, and retractions that move no first occurrence and empty
+/// nothing). Ids never reach a cell *value* — the index fold reads a
+/// histogram as a multiset of `(m, t)` pairs and orders them itself — so
+/// the plan only renames at commit; no float is recomputed because of it.
+/// Only a first-occurrence scan runs here, O(Σ row width). Ties inside one
+/// row order attribute-major (SA attributes in label order, then CA
+/// attributes — the schema order every final-table spec declares) and by
+/// old id within an attribute, which matches a rebuild's interning for
+/// single-valued-per-row attributes (the shape of every final table in
+/// this workspace).
+fn relabel_plan(view: &EditView, labels: &CubeLabels) -> Option<Relabel> {
+    let removals = &view.removals;
+    if removals.tids.is_empty() {
+        return None;
     }
-    let mut uorder: Vec<UnitId> =
-        (0..n_units as UnitId).filter(|&u| first_unit[u as usize] != u32::MAX).collect();
-    uorder.sort_unstable_by_key(|&u| first_unit[u as usize]);
-    let mut unit_map = vec![None; n_units];
-    for (new, &old) in uorder.iter().enumerate() {
-        unit_map[old as usize] = Some(new as UnitId);
+    // First occurrence (edited tid) of every item and unit, old id space;
+    // `u32::MAX` = never occurs.
+    let n_base_items = labels.num_items();
+    let mut first_item = vec![u32::MAX; n_base_items + view.encoded.new_items.len()];
+    let mut first_unit = vec![u32::MAX; view.n_units_after as usize];
+    let survivors = removals
+        .base_rows
+        .iter()
+        .enumerate()
+        .filter(|(t, _)| removals.tids.binary_search(&(*t as u32)).is_err())
+        .map(|(_, row)| row);
+    for (t, (row, unit)) in survivors.chain(&view.encoded.rows).enumerate() {
+        for &it in row {
+            first_item[it as usize] = first_item[it as usize].min(t as u32);
+        }
+        first_unit[*unit as usize] = first_unit[*unit as usize].min(t as u32);
     }
-    let identity = item_map.iter().enumerate().all(|(i, m)| *m == Some(i as ItemId))
-        && unit_map.iter().enumerate().all(|(u, m)| *m == Some(u as UnitId));
-    Relabel {
-        item_map,
-        unit_map,
-        n_new_items: order.len(),
-        n_new_units: uorder.len() as u32,
-        identity,
-    }
-}
-
-/// Remap cell coordinates through an item permutation (re-sorting each
-/// side: the permutation need not be monotone).
-fn remap_coords(coords: &CellCoords, item_map: &[Option<ItemId>]) -> CellCoords {
-    let map = |ids: &[ItemId]| {
-        let mut out: Vec<ItemId> =
-            ids.iter().map(|&it| item_map[it as usize].expect("cell item survives")).collect();
-        out.sort_unstable();
-        out
+    let attr_pos: FxHashMap<&str, usize> = labels
+        .sa_attrs
+        .iter()
+        .chain(&labels.ca_attrs)
+        .enumerate()
+        .map(|(i, a)| (a.as_str(), i))
+        .collect();
+    let item_attr_pos = |it: usize| match it.checked_sub(n_base_items) {
+        None => attr_pos[labels.attr_of(it as ItemId)],
+        Some(new) => attr_pos[view.encoded.new_items[new].0.as_str()],
     };
-    CellCoords { sa: map(&coords.sa), ca: map(&coords.ca) }
+    let item_map = first_seen_ids(&first_item, item_attr_pos);
+    // A row has one unit, so no two units first occur together.
+    let unit_map = first_seen_ids(&first_unit, |_| 0);
+    let identity = |map: &[Option<u32>]| map.iter().enumerate().all(|(i, m)| *m == Some(i as u32));
+    (!identity(&item_map) || !identity(&unit_map)).then_some(Relabel { item_map, unit_map })
 }
 
-/// Append the batch's new labels and commit the grown unit count (the
-/// non-relabeling commit path).
-fn commit_labels(cube: &mut SegregationCube, encoded: &EncodedBatch, n_units_after: u32) {
-    let (labels, _, n_units) = cube.update_parts();
-    for (attr, value, is_sa) in &encoded.new_items {
-        labels.push_item(attr.clone(), value.clone(), *is_sa);
+/// New ids in first-occurrence order, ties by `rank` then old id; `None`
+/// for what never occurs (`first` is `u32::MAX`).
+fn first_seen_ids(first: &[u32], rank: impl Fn(usize) -> usize) -> Vec<Option<u32>> {
+    let mut order: Vec<usize> = (0..first.len()).filter(|&i| first[i] != u32::MAX).collect();
+    order.sort_unstable_by_key(|&i| (first[i], rank(i), i));
+    let mut map = vec![None; first.len()];
+    for (new, &old) in order.iter().enumerate() {
+        map[old] = Some(new as u32);
     }
-    labels.unit_names.extend(encoded.new_units.iter().cloned());
-    *n_units = n_units_after;
+    map
 }
 
-/// Fold `batch` into `(cube, vertical, store)` in place (see the module
-/// docs): stage exact histogram deltas (addition for appends, dominated
-/// subtraction for retractions) before any mutation, re-evaluate exactly
-/// the dirty cells — fanned over `threads` scoped workers when the dirty
-/// set is large — demote cells that fell below `min_support` or lost
-/// closedness, promote newly-frequent itemsets, and relabel the id space
-/// when retractions shrank or reordered the dictionary. `materialize`,
-/// `atkinson_b`, and `measures` must be the configuration the cube was
-/// built with — snapshots record all three, so re-evaluated and promoted cells fold the exact same
-/// index subset a rebuild would.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_update(
-    cube: &mut SegregationCube,
-    vertical: &mut VerticalDb,
-    store: &mut MaintenanceStore,
+/// A batch staged against a cube: everything the update changes, computed
+/// from shared references alone. [`Self::commit`] applies it and cannot
+/// fail; dropping it instead leaves the cube as it was.
+pub(crate) struct StagedUpdate {
+    /// Retracted tids, pre-update numbering.
+    removed: Vec<u32>,
+    /// The appended rows and the labels they introduce (pre-relabel ids).
+    encoded: EncodedBatch,
+    /// The entry of every context the edit touches or a promotion creates.
+    contexts: Vec<(Vec<ItemId>, Store<u8>)>,
+    /// Every cell of a touched context (`None` = demoted).
+    dirty: Vec<(CellCoords, Option<StagedCell>)>,
+    /// Newly materialized cells.
+    promoted: Vec<(CellCoords, StagedCell)>,
+    /// The renaming the retractions induce, when ids move.
+    relabel: Option<Relabel>,
+}
+
+/// Stage `batch` against the cube, its postings and its store through shared
+/// references only, along the update's phases: encode → resolve removals →
+/// relabel plan → stage contexts → stage dirty cells (re-evaluate or
+/// demote) → stage promotions. Every fallible step of an update is here,
+/// so an `Err` leaves the snapshot byte for byte as it was. `cfg` must be
+/// the configuration the cube was built with. Dirty cells and promotions
+/// fan out over up to `threads` scoped workers.
+pub(crate) fn stage(
+    cube: &SegregationCube,
+    vertical: &VerticalDb,
     batch: &UpdateBatch,
-    materialize: Materialize,
-    atkinson_b: f64,
-    measures: MeasureSet,
+    cfg: UpdateConfig,
     threads: usize,
-) -> Result<UpdateStats> {
-    if batch.is_empty() {
-        return Ok(UpdateStats { clean_cells: cube.len(), ..UpdateStats::default() });
-    }
-    let min_support = cube.min_support();
-    // All fallible validation and histogram staging happens before anything
-    // is mutated, so a rejected batch, an inconsistent store, or a
-    // subtraction underflow leaves the snapshot exactly as it was.
-    //
-    // A mapped store is *scanned* here — O(keys), entries stepped over —
-    // not decoded: each histogram stays a slice of the mapped file until
-    // this update (or a later one) dirties its entry, so a small batch
-    // decodes only the contexts and cells it touches.
-    store.scan(cube.labels().num_items())?;
+) -> Result<StagedUpdate> {
+    let store = &cube.store;
     if !store.covers(cube) {
         return Err(ScubeError::Inconsistent(
             "update: maintenance store does not cover the cube".into(),
@@ -864,593 +1251,139 @@ pub(crate) fn apply_update(
     }
     let encoded = encode_batch(batch, cube.labels())?;
     let removals = resolve_removals(batch, cube.labels(), vertical)?;
-    let old_n = vertical.num_transactions();
-    let n_base_units = vertical.num_units();
-    let n_base_items = cube.labels().num_items();
-    let n_items_after = n_base_items + encoded.new_items.len();
-    let n_units_after = (cube.labels().unit_names.len() + encoded.new_units.len()) as u32;
-    let removed: &[u32] = removals.as_ref().map_or(&[], |r| &r.tids);
-    let base_rows: &[(Vec<ItemId>, UnitId)] = removals.as_ref().map_or(&[], |r| &r.base_rows);
-    let new_base = old_n - removed.len() as u32;
-
-    // Delta postings: per item, the appended tids containing it (in their
-    // *final* numbering — retractions renumber survivors first) and the
-    // retracted tids containing it (pre-update numbering). The two sides
-    // are only ever intersected within themselves, so the mixed numbering
-    // is sound. They decide which cells are dirty.
-    let mut add_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
-    for (i, (items, _)) in encoded.rows.iter().enumerate() {
-        for &it in items {
-            add_tids[it as usize].push(new_base + i as u32);
-        }
+    let view = EditView::new(vertical, encoded, removals)?;
+    let relabel = relabel_plan(&view, cube.labels());
+    // A renaming commit re-encodes every store entry under new unit ids:
+    // validate them all now, while a corrupt mapped entry can still error.
+    if relabel.is_some() {
+        store.validate_entries(vertical.num_units())?;
     }
-    let add_postings: Vec<EwahBitmap> =
-        add_tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
-    let mut rem_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
-    for &t in removed {
-        for &it in &base_rows[t as usize].0 {
-            rem_tids[it as usize].push(t);
-        }
-    }
-    let rem_postings: Vec<EwahBitmap> =
-        rem_tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
+    let contexts = stage_contexts(&view, store)?;
+    let mut stager = Stager { view, cube, cfg, contexts };
+    let dirty = stage_dirty_cells(&stager, threads)?;
+    let promoted = stage_promotions(&mut stager, &dirty, threads)?;
+    let Stager { view, contexts, .. } = stager;
+    Ok(StagedUpdate {
+        removed: view.removals.tids,
+        encoded: view.encoded,
+        contexts: contexts.into_iter().map(|(ca, ctx)| (ca, encode_entry(&ctx.totals))).collect(),
+        dirty,
+        promoted,
+        relabel,
+    })
+}
 
-    // Relabel plan (pre-mutation, retractions only): the edited table's
-    // intern order decides the final item and unit ids. Ids never reach a
-    // cell *value* — the index fold reads a histogram as a multiset of
-    // `(m, t)` pairs and orders them itself — so the plan only renames:
-    // labels, postings, coordinates and store keys at commit, no float is
-    // recomputed because of it. Only the first-occurrence scan runs here —
-    // O(Σ row width), no row or label clones — so the (common) identity
-    // outcome costs no materialization; the relabeling commit path
-    // reconstructs the edited rows when, and only when, the ids actually
-    // change.
-    let plan: Option<Relabel> = removals.as_ref().map(|rem| {
-        let mut first_item = vec![u32::MAX; n_items_after];
-        let mut first_unit = vec![u32::MAX; n_units_after as usize];
-        let mut t = 0u32;
-        let mut r = 0usize;
-        let mut visit = |row: &[ItemId], unit: UnitId, t: u32| {
-            for &it in row {
-                if first_item[it as usize] == u32::MAX {
-                    first_item[it as usize] = t;
-                }
-            }
-            if first_unit[unit as usize] == u32::MAX {
-                first_unit[unit as usize] = t;
-            }
+impl StagedUpdate {
+    /// Apply the staged update — the one `&mut` step, with no error path.
+    /// Retracted rows leave the postings and appended rows join them; the
+    /// new labels, cells and store entries are pushed and contexts no cell
+    /// uses leave the store, exactly as a rebuild's store would have it;
+    /// then, only when the retractions moved ids, everything is renamed to
+    /// the ids a rebuild would intern.
+    pub(crate) fn commit(
+        self,
+        cube: &mut SegregationCube,
+        vertical: &mut VerticalDb,
+    ) -> UpdateStats {
+        let StagedUpdate { removed, encoded, contexts, dirty, promoted, relabel } = self;
+        let mut stats = UpdateStats {
+            rows_added: encoded.rows.len(),
+            rows_removed: removed.len(),
+            new_items: encoded.new_items.len(),
+            new_units: encoded.new_units.len(),
+            promoted_cells: promoted.len(),
+            ..UpdateStats::default()
         };
-        for (old_t, (row, unit)) in rem.base_rows.iter().enumerate() {
-            if r < rem.tids.len() && rem.tids[r] as usize == old_t {
-                r += 1;
-                continue;
-            }
-            visit(row, *unit, t);
-            t += 1;
-        }
-        for (row, unit) in &encoded.rows {
-            visit(row, *unit, t);
-            t += 1;
-        }
-        // Attribute rank of every item — old ones from the labels, batch-
-        // new ones from the encoded batch (no label-table clone).
-        let attr_pos: FxHashMap<&str, usize> = cube
-            .labels()
-            .sa_attrs
-            .iter()
-            .chain(cube.labels().ca_attrs.iter())
-            .enumerate()
-            .map(|(i, a)| (a.as_str(), i))
-            .collect();
-        let item_attr_pos: Vec<usize> = (0..n_items_after)
-            .map(|it| {
-                let attr = if it < n_base_items {
-                    cube.labels().attr_of(it as ItemId)
-                } else {
-                    encoded.new_items[it - n_base_items].0.as_str()
-                };
-                attr_pos[attr]
-            })
-            .collect();
-        compute_relabel(&first_item, &first_unit, &item_attr_pos)
-    });
-    // A dictionary-relabeling retraction rewrites every store entry under
-    // new ids at commit: validate them all now, while a corrupt mapped
-    // entry can still error before mutation.
-    if plan.as_ref().is_some_and(|p| !p.identity) {
-        store.validate_entries(n_base_units)?;
-    }
-
-    // Phase 1 — stage the dirty context histograms: `hist(edited) =
-    // hist(base) + hist(appended Δ) − hist(retracted Δ)`, all exact
-    // integer sums over delta-sized tidsets. Appended tids histogram
-    // through the batch rows' units, retracted tids through the still-
-    // unmodified `tid → unit` map.
-    let add_all: Option<EwahBitmap> = (!encoded.rows.is_empty()).then(|| {
-        EwahBitmap::from_sorted(
-            &(new_base..new_base + encoded.rows.len() as u32).collect::<Vec<u32>>(),
-        )
-    });
-    let rem_all: Option<EwahBitmap> = removals.as_ref().map(|r| EwahBitmap::from_sorted(&r.tids));
-    struct StagedCtx {
-        /// The stored totals, decoded: what the stored minorities of the
-        /// context's cells must be dominated by.
-        base: Vec<(u32, u64)>,
-        /// The totals after the delta.
-        totals: Vec<(u32, u64)>,
-        add: Option<EwahBitmap>,
-        rem: Option<EwahBitmap>,
-    }
-    let mut scratch = UnitScratch::new(n_units_after);
-    let mut staged_ctx: FxHashMap<Vec<ItemId>, StagedCtx> = FxHashMap::default();
-    // Delta-clean contexts are skipped *before* their entries are looked
-    // into, so on a mapped snapshot they stay slices of the file.
-    for (ca, entry) in &store.contexts {
-        let add = if ca.is_empty() { add_all.clone() } else { delta_tidset(&add_postings, ca) };
-        let rem = if ca.is_empty() { rem_all.clone() } else { delta_tidset(&rem_postings, ca) };
-        if add.is_none() && rem.is_none() {
-            continue;
-        }
-        let base = histogram::decode(entry, n_base_units)?;
-        let mut new_totals = base.clone();
-        if let Some(a) = &add {
-            scratch.clear();
-            a.for_each(|t| scratch.bump(encoded.rows[(t - new_base) as usize].1));
-            merge_add(&mut new_totals, &scratch.sorted_pairs());
-        }
-        if let Some(r) = &rem {
-            scratch.clear();
-            r.for_each(|t| scratch.bump(vertical.unit_of(t)));
-            merge_sub(&mut new_totals, &scratch.sorted_pairs())?;
-        }
-        staged_ctx.insert(ca.clone(), StagedCtx { base, totals: new_totals, add, rem });
-    }
-
-    // Phase 2 — stage every dirty cell: advance its minority histogram by
-    // the delta tidsets, decide demotion (support floor; closedness under
-    // ClosedOnly when the cell's own tidset shrank), and recompute its
-    // values from the staged integer histograms. Cells are independent, so
-    // large dirty sets fan out over scoped worker threads with per-worker
-    // scratches; results are pure, hence bit-identical to the serial pass.
-    let dirty_cells: Vec<CellCoords> = cube
-        .cells()
-        .filter(|(coords, _)| staged_ctx.contains_key(&coords.ca))
-        .map(|(coords, _)| coords.clone())
-        .collect();
-    let eval_one = |coords: &CellCoords, scratch: &mut UnitScratch| -> Result<CellFate> {
-        let sc = &staged_ctx[&coords.ca];
-        if coords.sa.is_empty() {
-            // `A = ⋆` ⇒ minority ≡ population (the builder's apex path).
-            let support: u64 = sc.totals.iter().map(|&(_, t)| t).sum();
-            if !coords.ca.is_empty() {
-                if support < min_support {
-                    return Ok(CellFate::Demote);
-                }
-                if materialize == Materialize::ClosedOnly
-                    && sc.rem.is_some()
-                    && !closed_after_edit(
-                        &coords.ca,
-                        support,
-                        vertical,
-                        removed,
-                        base_rows,
-                        &encoded.rows,
-                        &add_postings,
-                        n_base_items,
-                    )
-                {
-                    return Ok(CellFate::Demote);
-                }
-            }
-            let counts = UnitCounts::from_triples(sc.totals.iter().map(|&(u, t)| (u, t, t)))?;
-            Ok(CellFate::Keep(None, IndexValues::compute_masked(&counts, atkinson_b, measures)))
-        } else {
-            let entry = store.minorities.get(coords).ok_or_else(|| {
-                ScubeError::Inconsistent("update: cell missing from maintenance store".into())
-            })?;
-            // Decoding validates the entry itself; domination by the
-            // context's stored totals is the one thing only the pair of
-            // them can show.
-            let mut minority = histogram::decode(entry, n_base_units)?;
-            if !dominated(&minority, &sc.base) {
-                return Err(not_dominated());
-            }
-            if let Some(a) = &sc.add {
-                let mut delta = a.clone();
-                for &item in &coords.sa {
-                    if delta.is_empty() {
-                        break;
-                    }
-                    delta = delta.and(&add_postings[item as usize]);
-                }
-                if !delta.is_empty() {
-                    scratch.clear();
-                    delta.for_each(|t| scratch.bump(encoded.rows[(t - new_base) as usize].1));
-                    merge_add(&mut minority, &scratch.sorted_pairs());
-                }
-            }
-            let mut shrank = false;
-            if let Some(r) = &sc.rem {
-                let mut delta = r.clone();
-                for &item in &coords.sa {
-                    if delta.is_empty() {
-                        break;
-                    }
-                    delta = delta.and(&rem_postings[item as usize]);
-                }
-                if !delta.is_empty() {
-                    shrank = true;
-                    scratch.clear();
-                    delta.for_each(|t| scratch.bump(vertical.unit_of(t)));
-                    merge_sub(&mut minority, &scratch.sorted_pairs())?;
-                }
-            }
-            let support: u64 = minority.iter().map(|&(_, m)| m).sum();
-            if support < min_support {
-                return Ok(CellFate::Demote);
-            }
-            if materialize == Materialize::ClosedOnly && shrank {
-                let union = coords.union();
-                if !closed_after_edit(
-                    &union,
-                    support,
-                    vertical,
-                    removed,
-                    base_rows,
-                    &encoded.rows,
-                    &add_postings,
-                    n_base_items,
-                ) {
-                    return Ok(CellFate::Demote);
-                }
-            }
-            let values = values_from_hists(&sc.totals, &minority, atkinson_b, measures)?;
-            Ok(CellFate::Keep(Some(encode_entry(&minority)), values))
-        }
-    };
-    let n_workers = threads.max(1).min(dirty_cells.len().max(1));
-    let fates: Vec<(CellCoords, CellFate)> = if n_workers > 1 && dirty_cells.len() >= 64 {
-        let chunk = dirty_cells.len().div_ceil(n_workers);
-        let results: Vec<Result<Vec<(CellCoords, CellFate)>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = dirty_cells
-                .chunks(chunk)
-                .map(|cells| {
-                    let eval_one = &eval_one;
-                    scope.spawn(move || {
-                        let mut scratch = UnitScratch::new(n_units_after);
-                        cells.iter().map(|c| Ok((c.clone(), eval_one(c, &mut scratch)?))).collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("update worker panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(dirty_cells.len());
-        for r in results {
-            out.extend(r?);
-        }
-        out
-    } else {
-        let mut scratch = UnitScratch::new(n_units_after);
-        dirty_cells
-            .iter()
-            .map(|c| Ok((c.clone(), eval_one(c, &mut scratch)?)))
-            .collect::<Result<Vec<_>>>()?
-    };
-
-    // ---- Commit. Everything below applies already-validated state. ----
-    let mut stats = UpdateStats {
-        rows_added: encoded.rows.len(),
-        rows_removed: removed.len(),
-        new_items: encoded.new_items.len(),
-        new_units: encoded.new_units.len(),
-        ..UpdateStats::default()
-    };
-    {
-        let (_, cells, _) = cube.update_parts();
-        for (coords, fate) in fates {
-            match fate {
-                CellFate::Demote => {
+        let n_items = vertical.num_items() + encoded.new_items.len();
+        let n_units = vertical.num_units() + encoded.new_units.len() as u32;
+        vertical.remove_rows(&removed).expect("staged retractions are sorted, distinct, in range");
+        vertical.append_rows(&encoded.rows, n_items, n_units).expect("staged rows fit the spaces");
+        let (labels, cells, n_units_now, store) = cube.update_parts();
+        labels.items.extend(encoded.new_items);
+        labels.unit_names.extend(encoded.new_units);
+        *n_units_now = n_units;
+        store.contexts.extend(contexts);
+        let mut kept = promoted;
+        for (coords, staged) in dirty {
+            match staged {
+                Some(cell) => kept.push((coords, cell)),
+                None => {
                     cells.remove(&coords);
                     store.minorities.remove(&coords);
                     stats.demoted_cells += 1;
                 }
-                CellFate::Keep(minority, values) => {
-                    if let Some(m) = minority {
-                        store.minorities.insert(coords.clone(), m);
-                    }
-                    cells.insert(coords, values);
-                    stats.dirty_cells += 1;
-                }
             }
         }
-        for (ca, sc) in staged_ctx {
-            store.contexts.insert(ca, encode_entry(&sc.totals));
-        }
-        // Contexts no longer referenced by any cell leave the store,
-        // exactly as a rebuild's store (derived from surviving cells)
-        // would have it.
-        let live: FxHashSet<Vec<ItemId>> = cells.keys().map(|c| c.ca.clone()).collect();
-        store.contexts.retain(|ca, _| live.contains(ca));
-    }
-
-    // Mutate the vertical database and labels; relabel when retraction
-    // shrank or reordered the dictionary.
-    let promo_rows: Vec<(Vec<ItemId>, UnitId)>;
-    match plan {
-        None => {
-            vertical
-                .append_rows(&encoded.rows, n_items_after, n_units_after)
-                .map_err(|e| ScubeError::Inconsistent(format!("update: {e}")))?;
-            commit_labels(cube, &encoded, n_units_after);
-            promo_rows = encoded.rows.clone();
-        }
-        Some(relabel) if relabel.identity => {
-            // Retraction that moves no first occurrence and empties
-            // nothing (any tail retraction, and interior ones with stable
-            // dictionaries): postings shrink in place — `remove_sorted`
-            // for tails, a renumbering rebuild for interiors — and every
-            // surviving id keeps its meaning.
-            let rem = removals.as_ref().expect("plan implies removals");
-            vertical
-                .remove_rows(&rem.tids)
-                .map_err(|e| ScubeError::Inconsistent(format!("update: {e}")))?;
-            vertical
-                .append_rows(&encoded.rows, n_items_after, n_units_after)
-                .map_err(|e| ScubeError::Inconsistent(format!("update: {e}")))?;
-            commit_labels(cube, &encoded, n_units_after);
-            promo_rows = encoded.rows.clone();
-        }
-        Some(relabel) => {
-            // Dictionary-shrinking or -reordering retraction: rebuild the
-            // id space the way a from-scratch build on the edited table
-            // would intern it, then rebuild postings, labels, cells, and
-            // store under the new ids. Only now — when the ids actually
-            // change — are the edited rows and extended label tables
-            // materialized.
-            let rem = removals.as_ref().expect("plan implies removals");
-            let mut final_rows: Vec<(Vec<ItemId>, UnitId)> =
-                Vec::with_capacity(new_base as usize + encoded.rows.len());
-            let mut r = 0usize;
-            for (t, row) in rem.base_rows.iter().enumerate() {
-                if r < rem.tids.len() && rem.tids[r] as usize == t {
-                    r += 1;
-                    continue;
-                }
-                final_rows.push(row.clone());
+        stats.dirty_cells = kept.len() - stats.promoted_cells;
+        for (coords, (minority, values)) in kept {
+            if let Some(minority) = minority {
+                store.minorities.insert(coords.clone(), minority);
             }
-            final_rows.extend(encoded.rows.iter().cloned());
-            let mut ext_items = cube.labels().items.clone();
-            for (a, v, sa) in &encoded.new_items {
-                ext_items.push((a.clone(), v.clone(), *sa));
-            }
-            let mut ext_units = cube.labels().unit_names.clone();
-            ext_units.extend(encoded.new_units.iter().cloned());
-            stats.dropped_items = n_items_after - relabel.n_new_items;
-            stats.dropped_units = n_units_after as usize - relabel.n_new_units as usize;
-            let map_item =
-                |it: ItemId| relabel.item_map[it as usize].expect("occurring item survives");
-            let mut new_unit_of: Vec<UnitId> = Vec::with_capacity(final_rows.len());
-            let mut tids_new: Vec<Vec<u32>> = vec![Vec::new(); relabel.n_new_items];
-            let mut mapped_rows: Vec<(Vec<ItemId>, UnitId)> = Vec::with_capacity(final_rows.len());
-            for (t, (row, unit)) in final_rows.iter().enumerate() {
-                let mut mapped: Vec<ItemId> = row.iter().map(|&it| map_item(it)).collect();
-                mapped.sort_unstable();
-                for &it in &mapped {
-                    tids_new[it as usize].push(t as u32);
-                }
-                let u = relabel.unit_map[*unit as usize].expect("occurring unit survives");
-                new_unit_of.push(u);
-                mapped_rows.push((mapped, u));
-            }
-            let postings: Vec<EwahBitmap> =
-                tids_new.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
-            *vertical = VerticalDb::from_parts(
-                postings,
-                final_rows.len() as u32,
-                new_unit_of,
-                relabel.n_new_units,
-            )
-            .ok_or_else(|| {
-                ScubeError::Inconsistent("update: rebuilt vertical parts inconsistent".into())
-            })?;
-            {
-                let (labels, cells, n_units) = cube.update_parts();
-                let mut new_items =
-                    vec![(String::new(), String::new(), false); relabel.n_new_items];
-                for (old, entry) in ext_items.into_iter().enumerate() {
-                    if let Some(new) = relabel.item_map[old] {
-                        new_items[new as usize] = entry;
-                    }
-                }
-                labels.items = new_items;
-                let mut new_names = vec![String::new(); relabel.n_new_units as usize];
-                for (old, name) in ext_units.into_iter().enumerate() {
-                    if let Some(new) = relabel.unit_map[old] {
-                        new_names[new as usize] = name;
-                    }
-                }
-                labels.unit_names = new_names;
-                *n_units = relabel.n_new_units;
-                let old_cells = std::mem::take(cells);
-                for (coords, v) in old_cells {
-                    cells.insert(remap_coords(&coords, &relabel.item_map), v);
-                }
-            }
-            // Decode → rename → re-encode, one entry at a time.
-            let remap_entry = |entry: Store<u8>| {
-                let mut pairs = histogram::decode(&entry, n_units_after)
-                    .expect("every store entry was validated before mutation");
-                for p in pairs.iter_mut() {
-                    p.0 = relabel.unit_map[p.0 as usize].expect("populated unit survives");
-                }
-                pairs.sort_unstable_by_key(|&(u, _)| u);
-                encode_entry(&pairs)
-            };
-            store.contexts = std::mem::take(&mut store.contexts)
-                .into_iter()
-                .map(|(ca, entry)| {
-                    let mut ca: Vec<ItemId> = ca.iter().map(|&it| map_item(it)).collect();
-                    ca.sort_unstable();
-                    (ca, remap_entry(entry))
-                })
-                .collect();
-            store.minorities = std::mem::take(&mut store.minorities)
-                .into_iter()
-                .map(|(coords, entry)| {
-                    (remap_coords(&coords, &relabel.item_map), remap_entry(entry))
-                })
-                .collect();
-            // The appended rows in the new id space seed promotion.
-            promo_rows = mapped_rows.split_off(new_base as usize);
-        }
-    }
-
-    // Phase 3 — promotions over the mutated (and possibly relabeled)
-    // database: newly-frequent (or newly-closed) itemsets are subsets of
-    // single appended rows, so enumerate each row's frequent-item
-    // projection — deduplicated, with one generating row remembered as the
-    // closedness witness. Wide rows fall back to the scoped Eclat re-mine
-    // over their items. Retraction-only batches have no rows here and skip
-    // the phase entirely (supports only shrink, and non-closed itemsets
-    // stay non-closed when both sides of an equal-support pair lose the
-    // same transactions).
-    let mut candidates: FxHashMap<Vec<ItemId>, usize> = FxHashMap::default();
-    let mut seen_projections: FxHashSet<Vec<ItemId>> = FxHashSet::default();
-    let mut wide_items: Vec<ItemId> = Vec::new();
-    let mut wide_rows: Vec<usize> = Vec::new();
-    for (r, (items, _)) in promo_rows.iter().enumerate() {
-        let frequent: Vec<ItemId> = items
-            .iter()
-            .copied()
-            .filter(|&it| vertical.posting(it).cardinality() >= min_support)
-            .collect();
-        // Categorical deltas repeat row shapes heavily; one enumeration
-        // per *distinct* frequent-item projection bounds the subset work
-        // by shape count, not batch size.
-        if frequent.is_empty() || !seen_projections.insert(frequent.clone()) {
-            continue;
-        }
-        if frequent.len() > MAX_SUBSET_WIDTH {
-            wide_items.extend_from_slice(&frequent);
-            wide_rows.push(r);
-            continue;
-        }
-        for mask in 1u32..(1 << frequent.len()) {
-            let subset: Vec<ItemId> = frequent
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| mask & (1 << i) != 0)
-                .map(|(_, &it)| it)
-                .collect();
-            candidates.entry(subset).or_insert(r);
-        }
-    }
-    if !wide_items.is_empty() {
-        for (set, _) in mine_vertical_with_tidsets_scoped(vertical, min_support, &wide_items)? {
-            // Attribute each mined itemset to a wide row containing it (it
-            // may be a cross-row combination that gained nothing — those
-            // are filtered below by the delta-gain check).
-            if let Some(&r) =
-                wide_rows.iter().find(|&&r| is_sorted_subset(&set.items, &promo_rows[r].0))
-            {
-                candidates.entry(set.items).or_insert(r);
-            }
-        }
-    }
-
-    // Candidates are visited smallest-first so an infrequent itemset
-    // prunes its supersets without touching a posting (Apriori
-    // monotonicity); surviving ones intersect smallest-posting-first with
-    // a sub-threshold abort. Promoted cells get fresh store entries from
-    // their full tidsets — new contexts too — exactly as a rebuild would
-    // compute them.
-    let mut scratch = UnitScratch::new(vertical.num_units());
-    let mut promoted: Vec<(CellCoords, IndexValues)> = Vec::new();
-    let mut ordered: Vec<(&Vec<ItemId>, usize)> =
-        candidates.iter().map(|(items, &row)| (items, row)).collect();
-    ordered.sort_unstable_by_key(|(items, _)| items.len());
-    let mut infrequent: FxHashSet<&[ItemId]> = FxHashSet::default();
-    for (items, row) in ordered {
-        if items.len() > 1 {
-            let mut sub: Vec<ItemId> = items[1..].to_vec();
-            let mut pruned = infrequent.contains(&sub[..]);
-            for i in 0..items.len() - 1 {
-                if pruned {
-                    break;
-                }
-                sub[i] = items[i];
-                // sub now misses items[i + 1] (it holds the other items in
-                // sorted order).
-                pruned = infrequent.contains(&sub[..]);
-            }
-            if pruned {
-                infrequent.insert(items.as_slice());
-                continue;
-            }
-        }
-        let coords = CellCoords::split_sorted(items, |it| cube.labels().is_sa_item(it));
-        if cube.get(&coords).is_some() {
-            continue;
-        }
-        let Some(tids) = tidset_if_frequent(vertical, items, min_support) else {
-            infrequent.insert(items.as_slice());
-            continue;
-        };
-        if materialize == Materialize::ClosedOnly
-            && !is_closed(vertical, items, &tids, &promo_rows[row].0)
-        {
-            continue;
-        }
-        // An existing context gained the candidate's generating row, so
-        // its entry is one this update just encoded.
-        let totals = match store.contexts.get(&coords.ca) {
-            Some(entry) => histogram::decode(entry, vertical.num_units())?,
-            None => {
-                let ctx_tids = vertical.tidset(&coords.ca);
-                vertical.unit_histogram_into(&ctx_tids, &mut scratch);
-                let pairs = scratch.sorted_pairs();
-                store.contexts.insert(coords.ca.clone(), encode_entry(&pairs));
-                pairs
-            }
-        };
-        let values = if coords.sa.is_empty() {
-            let counts = UnitCounts::from_triples(totals.iter().map(|&(u, t)| (u, t, t)))?;
-            IndexValues::compute_masked(&counts, atkinson_b, measures)
-        } else {
-            vertical.unit_histogram_into(&tids, &mut scratch);
-            let minority = scratch.sorted_pairs();
-            store.minorities.insert(coords.clone(), encode_entry(&minority));
-            values_from_hists(&totals, &minority, atkinson_b, measures)?
-        };
-        promoted.push((coords, values));
-    }
-    {
-        let (_, cells, _) = cube.update_parts();
-        for (coords, values) in promoted {
             cells.insert(coords, values);
-            stats.promoted_cells += 1;
         }
+        let live: FxHashSet<&[ItemId]> = cells.keys().map(|c| c.ca.as_slice()).collect();
+        store.contexts.retain(|ca, _| live.contains(ca.as_slice()));
+        if let Some(plan) = relabel {
+            stats.dropped_items = plan.item_map.iter().filter(|m| m.is_none()).count();
+            stats.dropped_units = plan.unit_map.iter().filter(|m| m.is_none()).count();
+            vertical.rename(&plan.item_map, &plan.unit_map);
+            rename_cube(cube, &plan);
+        }
+        stats.clean_cells = cube.len() - stats.dirty_cells - stats.promoted_cells;
+        stats
     }
-
-    stats.clean_cells = cube.len() - stats.dirty_cells - stats.promoted_cells;
-    Ok(stats)
 }
 
-/// Exact closedness of a promotion candidate in the grown database, using
-/// its generating appended row to keep the check O(row width): an item
-/// extending the candidate with equal support must occur in *every*
-/// transaction of the candidate's tidset — in particular in the generating
-/// row — so the only possible extenders are that row's other items.
-fn is_closed(
-    vertical: &VerticalDb,
-    items: &[ItemId],
-    tids: &EwahBitmap,
-    row_items: &[ItemId],
-) -> bool {
-    let support = tids.cardinality();
-    !row_items
-        .iter()
-        .any(|j| !items.contains(j) && vertical.posting(*j).and_cardinality(tids) == support)
+/// Rename a committed cube under `plan`: labels, cell coordinates and store
+/// keys by the item map, the units inside every store entry by the unit
+/// map. Every entry was validated at staging, so its decode cannot fail.
+fn rename_cube(cube: &mut SegregationCube, plan: &Relabel) {
+    let (labels, cells, n_units, store) = cube.update_parts();
+    labels.items = permute(std::mem::take(&mut labels.items), &plan.item_map);
+    labels.unit_names = permute(std::mem::take(&mut labels.unit_names), &plan.unit_map);
+    let n_old_units = std::mem::replace(n_units, labels.unit_names.len() as u32);
+    let items = |ids: &[ItemId]| remap_items(ids, &plan.item_map);
+    let coords = |c: &CellCoords| CellCoords { sa: items(&c.sa), ca: items(&c.ca) };
+    let entry = |entry: Store<u8>| {
+        let mut pairs = histogram::decode(&entry, n_old_units)
+            .expect("store entries were validated at staging");
+        for p in pairs.iter_mut() {
+            p.0 = plan.unit_map[p.0 as usize].expect("populated unit survives");
+        }
+        pairs.sort_unstable_by_key(|&(u, _)| u);
+        encode_entry(&pairs)
+    };
+    *cells = std::mem::take(cells).into_iter().map(|(c, v)| (coords(&c), v)).collect();
+    store.contexts = std::mem::take(&mut store.contexts)
+        .into_iter()
+        .map(|(ca, e)| (items(&ca), entry(e)))
+        .collect();
+    store.minorities = std::mem::take(&mut store.minorities)
+        .into_iter()
+        .map(|(c, e)| (coords(&c), entry(e)))
+        .collect();
+}
+
+/// Reorder `entries` by `map` (old index → new index, `None` = dropped);
+/// the kept indices map onto `0..n`.
+fn permute<T>(entries: Vec<T>, map: &[Option<u32>]) -> Vec<T> {
+    let mut out: Vec<Option<T>> =
+        std::iter::repeat_with(|| None).take(map.iter().flatten().count()).collect();
+    for (entry, new) in entries.into_iter().zip(map) {
+        if let Some(new) = new {
+            out[*new as usize] = Some(entry);
+        }
+    }
+    out.into_iter().map(|e| e.expect("the kept ids map onto 0..n")).collect()
+}
+
+/// Remap sorted item ids through a renaming (re-sorting: the renaming need
+/// not be monotone).
+fn remap_items(ids: &[ItemId], item_map: &[Option<ItemId>]) -> Vec<ItemId> {
+    let mut out: Vec<ItemId> =
+        ids.iter().map(|&it| item_map[it as usize].expect("cell item survives")).collect();
+    out.sort_unstable();
+    out
 }
 
 #[cfg(test)]
@@ -1796,15 +1729,66 @@ mod tests {
         {
             let builder = CubeBuilder::new().min_support(1);
             let mut serial = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
-            let mut parallel = serial.clone();
+            let parallel = serial.clone();
             let mut b = batch(delta);
             for &t in &remove {
                 b.remove_tid(t);
             }
             let s1 = serial.apply_update_threads(&b, 1).unwrap();
-            let s2 = parallel.apply_update_threads(&b, 8).unwrap();
-            assert_eq!(s1, s2, "stats must agree");
-            assert_eq!(serial.to_bytes(), parallel.to_bytes(), "bytes must agree");
+            // A hostile count is clamped to the host, not spawned.
+            for threads in [8, usize::MAX] {
+                let mut parallel = parallel.clone();
+                let s2 = parallel.apply_update_threads(&b, threads).unwrap();
+                assert_eq!(s1, s2, "{threads} threads: stats must agree");
+                assert_eq!(serial.to_bytes(), parallel.to_bytes(), "{threads}: bytes must agree");
+            }
+        }
+    }
+
+    #[test]
+    fn promotion_from_a_row_wider_than_sixteen_frequent_items() {
+        // Eighteen values of one multi-valued attribute, each frequent at
+        // min_support 2; only `v00` and `v01` ever co-occur, once. A row
+        // holding every value promotes {v00, v01} and leaves every other
+        // pair at support 1, so the walk must go past the row's width.
+        let values: Vec<String> = (0..18).map(|i| format!("v{i:02}")).collect();
+        let schema =
+            Schema::new(vec![Attribute::sa("lang").multi(), Attribute::ca("region")]).unwrap();
+        let mut base: Vec<(Vec<&str>, &str)> = Vec::new();
+        for (i, v) in values.iter().enumerate() {
+            base.push((vec![v.as_str()], if i % 2 == 0 { "u0" } else { "u1" }));
+            base.push((vec![v.as_str()], "u1"));
+        }
+        base.push((vec!["v00", "v01"], "u0"));
+        let wide: Vec<&str> = values.iter().map(String::as_str).collect();
+        let db = |rows: &[(Vec<&str>, &str)]| {
+            let mut b = TransactionDbBuilder::new(schema.clone());
+            for (langs, unit) in rows {
+                b.add_row(&[langs.clone(), vec!["north"]], unit).unwrap();
+            }
+            b.finish()
+        };
+        let mut batch = UpdateBatch::new();
+        let pairs: Vec<(&str, &str)> =
+            wide.iter().map(|&v| ("lang", v)).chain([("region", "north")]).collect();
+        batch.add_row(&pairs, "u0");
+        let mut edited = base.clone();
+        edited.push((wide.clone(), "u0"));
+        for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
+            let builder = CubeBuilder::new().min_support(2).materialize(materialize);
+            let mut snap = CubeSnapshot::from_db(&db(&base), &builder).unwrap();
+            let stats = snap.apply_update(&batch).unwrap();
+            assert!(stats.promoted_cells > 0, "{materialize:?}: {stats:?}");
+            let pair = |a: &str, b: &str| {
+                let sa = [("lang", a), ("lang", b)];
+                let cube = snap.cube();
+                cube.get_by_names(&sa, &[]).is_some()
+                    || cube.get_by_names(&sa, &[("region", "north")]).is_some()
+            };
+            assert!(pair("v00", "v01"), "{materialize:?}: the pair is promoted");
+            assert!(!pair("v02", "v03"), "{materialize:?}: other pairs stay infrequent");
+            let rebuilt = CubeSnapshot::from_db(&db(&edited), &builder).unwrap();
+            assert_eq!(snap.to_bytes(), rebuilt.to_bytes(), "{materialize:?}: bytes diverge");
         }
     }
 

@@ -161,7 +161,7 @@ impl VerticalDb {
     /// place via [`EwahBitmap::remove_sorted`]; otherwise the postings are
     /// rebuilt from the surviving rows in one pass. Items are never dropped
     /// here even when their posting empties — dictionary garbage collection
-    /// is the cube layer's relabeling concern.
+    /// is [`Self::rename`]'s.
     ///
     /// Errors (leaving `self` untouched) when `tids` is unsorted, contains
     /// duplicates, or references a transaction `>= n_transactions`.
@@ -229,10 +229,40 @@ impl VerticalDb {
         Ok(())
     }
 
+    /// Rename items and units in place — the dictionary half of a
+    /// retraction that shrank or reordered it. `item_map[old]` and
+    /// `unit_map[old]` give the new ids, `None` for an item or unit that
+    /// left the dictionary; the kept ids must map onto `0..n`. Postings
+    /// move and `unit_of` is mapped; no posting is re-encoded and no tid
+    /// changes, so the result equals [`Self::build`] on the renamed rows.
+    ///
+    /// # Panics
+    ///
+    /// When a map has the wrong length or is not onto `0..n`, when a
+    /// dropped item still has transactions, or when a transaction belongs
+    /// to a dropped unit.
+    pub fn rename(&mut self, item_map: &[Option<ItemId>], unit_map: &[Option<UnitId>]) {
+        assert_eq!(item_map.len(), self.postings.len(), "one item_map entry per item");
+        assert_eq!(unit_map.len(), self.n_units as usize, "one unit_map entry per unit");
+        let mut postings: Vec<Option<EwahBitmap>> =
+            std::iter::repeat_with(|| None).take(item_map.iter().flatten().count()).collect();
+        for (posting, new) in std::mem::take(&mut self.postings).into_iter().zip(item_map) {
+            match new {
+                Some(new) => postings[*new as usize] = Some(posting),
+                None => assert!(posting.is_empty(), "a dropped item has no transactions"),
+            }
+        }
+        self.postings = postings.into_iter().map(|p| p.expect("item_map is onto 0..n")).collect();
+        for unit in &mut self.unit_of {
+            *unit = unit_map[*unit as usize].expect("a unit with transactions is kept");
+        }
+        self.n_units = unit_map.iter().flatten().count() as u32;
+    }
+
     /// Reconstruct the horizontal rows: per transaction, its sorted item
     /// ids plus its unit. One pass over every posting — the retraction
-    /// path uses this to match removal rows, pick closedness witnesses,
-    /// and re-derive dictionary intern order.
+    /// path uses this to match removal rows and closedness witnesses and
+    /// to re-derive dictionary intern order.
     pub fn transactions(&self) -> Vec<(Vec<ItemId>, UnitId)> {
         let mut rows: Vec<(Vec<ItemId>, UnitId)> =
             self.unit_of.iter().map(|&u| (Vec::new(), u)).collect();
@@ -601,6 +631,25 @@ mod tests {
                 assert_eq!(v.posting(it as ItemId).to_vec(), expected, "{removed:?} item {it}");
             }
         }
+        // Rename after an interior removal. Rows 0 and 1 leave: the M value
+        // and unit u0 are dropped, and a rebuild on the survivors
+        // `(F s u1), (F n u1)` interns F = 0, s = 1, n = 2 and u1 = 0.
+        let mut v = VerticalDb::build(&small_db());
+        v.remove_rows(&[0, 1]).unwrap();
+        v.rename(&[Some(0), Some(2), None, Some(1)], &[None, Some(0)]);
+        let schema = Schema::new(vec![Attribute::sa("g"), Attribute::ca("r")]).unwrap();
+        let mut b = TransactionDbBuilder::new(schema);
+        b.add_row(&[vec!["F"], vec!["s"]], "u1").unwrap();
+        b.add_row(&[vec!["F"], vec!["n"]], "u1").unwrap();
+        let rebuilt = VerticalDb::build(&b.finish());
+        let bytes = |v: &VerticalDb| {
+            let mut out = Vec::new();
+            for posting in v.postings() {
+                posting.write_slot(&mut out);
+            }
+            (out, v.units().to_vec(), v.num_transactions(), v.num_units(), v.num_items())
+        };
+        assert_eq!(bytes(&v), bytes(&rebuilt), "rename after an interior removal");
     }
 
     #[test]

@@ -125,41 +125,6 @@ pub fn mine_vertical_with_tidsets(
     Ok(out)
 }
 
-/// As [`mine_vertical_with_tidsets`], restricted to the first-level Eclat
-/// equivalence classes rooted at the given `scope` items: enumerates every
-/// frequent itemset composed **solely** of scope items, with its tidset.
-///
-/// This is the promotion step of incremental cube maintenance: after a
-/// batch of appended rows, any newly-frequent (or newly-closed) itemset
-/// consists entirely of items that occur in the batch, so re-mining only
-/// those classes over the updated postings finds every candidate without
-/// touching the rest of the search space. Output is in the same canonical
-/// order as the full miners; duplicate scope entries are ignored.
-pub fn mine_vertical_with_tidsets_scoped(
-    vertical: &VerticalDb,
-    min_support: u64,
-    scope: &[ItemId],
-) -> Result<Vec<(FrequentItemset, EwahBitmap)>> {
-    validate_min_support(min_support)?;
-    let mut scope: Vec<ItemId> = scope.to_vec();
-    scope.sort_unstable();
-    scope.dedup();
-    let mut roots: Vec<(ItemId, EwahBitmap)> = scope
-        .into_iter()
-        .filter_map(|it| {
-            let posting = vertical.posting(it);
-            (posting.cardinality() >= min_support).then(|| (it, posting.clone()))
-        })
-        .collect();
-    roots.sort_by_key(|(it, p)| (p.cardinality(), *it));
-    let mut out = Vec::new();
-    let mut prefix = Vec::new();
-    let mut scratch = EwahBitmap::from_sorted(&[]);
-    dfs_tids(roots, min_support, &mut prefix, &mut out, &mut scratch);
-    canonicalize_tids(&mut out);
-    Ok(out)
-}
-
 /// One worker's claimed subtrees: `(root index, subtree output)` pairs.
 type SubtreeBatch = Vec<(usize, Vec<(FrequentItemset, EwahBitmap)>)>;
 
@@ -305,28 +270,6 @@ mod tests {
         assert!(mine_with_tidsets(&db, 0).is_err());
         let v = VerticalDb::build(&db);
         assert!(mine_vertical_with_tidsets_parallel(&v, 0, 4).is_err());
-    }
-
-    #[test]
-    fn scoped_mine_is_the_touched_projection_of_the_full_mine() {
-        let db = db_from_sets(&[&[0, 1, 2, 3], &[0, 1], &[1, 2], &[0, 3], &[2, 3], &[0, 1, 2]]);
-        let v = VerticalDb::build(&db);
-        for minsup in 1..=3 {
-            let full = mine_vertical_with_tidsets(&v, minsup).unwrap();
-            for scope in [vec![], vec![1], vec![0, 2], vec![0, 1, 2, 3], vec![3, 3, 0]] {
-                let scoped = mine_vertical_with_tidsets_scoped(&v, minsup, &scope).unwrap();
-                let expected: Vec<_> = full
-                    .iter()
-                    .filter(|(set, _)| set.items.iter().all(|it| scope.contains(it)))
-                    .cloned()
-                    .collect();
-                assert_eq!(scoped.len(), expected.len(), "minsup {minsup} scope {scope:?}");
-                for ((s_set, s_tids), (e_set, e_tids)) in scoped.iter().zip(&expected) {
-                    assert_eq!(s_set, e_set, "minsup {minsup} scope {scope:?}");
-                    assert_eq!(s_tids.to_vec(), e_tids.to_vec(), "minsup {minsup}");
-                }
-            }
-        }
     }
 
     #[test]
