@@ -13,11 +13,15 @@
 //! * `distinct`: every pair different — no collisions, the sort is pure
 //!   overhead over a per-unit pass. Units this large mean rows ≫ units,
 //!   where the histogram kernel and not the fold is the cost.
+//!
+//! `context-runs-board` folds the `board` histogram the way a cube cell
+//! is folded: its `(unit, t)` list held once as a [`ContextTotals`] run
+//! table, and only the `m > 0` units passed per fold.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scube_segindex::{IndexValues, SegIndex, UnitCounts};
+use scube_segindex::{ContextTotals, IndexValues, MeasureSet, SegIndex, UnitCounts};
 use std::hint::black_box;
 
 /// `n_units` units whose size is drawn by `size(rng, unit)`, minority
@@ -48,6 +52,13 @@ fn bench_indexes(c: &mut Criterion) {
         let board = histogram(n, 42, |rng, _| rng.random_range(1..=12u64));
         group.bench_with_input(BenchmarkId::new("all-six-board", n), &board, |b, counts| {
             b.iter(|| black_box(IndexValues::compute(counts)))
+        });
+        let totals = ContextTotals::new(board.cells().iter().map(|u| (u.unit, u.total)).collect())
+            .expect("valid context");
+        let minority: Vec<(u32, u64)> =
+            board.cells().iter().filter(|u| u.minority > 0).map(|u| (u.unit, u.minority)).collect();
+        group.bench_with_input(BenchmarkId::new("context-runs-board", n), &minority, |b, pairs| {
+            b.iter(|| black_box(totals.fold(pairs, 0.5, MeasureSet::FULL)))
         });
         // Distinct sizes make distinct pairs.
         let distinct = histogram(n, 42, |_, unit| 1_000 + unit);

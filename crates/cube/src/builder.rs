@@ -12,17 +12,22 @@
 //!    Context tidsets are *reused from the miner's output* (a cell's
 //!    context `B` is a subset of its itemset, hence itself frequent and
 //!    already mined), so no posting is ever re-intersected; histograms are
-//!    computed once per distinct context and cached as compact
-//!    `(unit, total)` lists;
-//! 4. evaluate all six indexes per cell ([`IndexValues`]) into per-worker
-//!    reusable [`UnitScratch`] histograms, iterating only the context's
-//!    populated units — O(Σ|tidset| + Σ|touched|) overall instead of
-//!    O(cells × n_units) — chunked over `std::thread::scope` when
-//!    `parallel` is on. The same walk emits the cube's maintenance store:
-//!    each cell's `m > 0` pairs, already ascending, become its minority
-//!    entry, and the context lists become the context entries. Each mined
-//!    tidset is dropped once its cell is evaluated, so the store grows as
-//!    the tidsets it replaces are freed.
+//!    computed once per distinct context and cached as its run table
+//!    ([`ContextTotals`]: the ascending `(unit, total)` list plus its
+//!    `(t, k)` runs);
+//! 4. evaluate the selected indexes per cell ([`IndexValues`]) from the
+//!    context's run table and the cell's minority units, counted into
+//!    per-worker reusable [`UnitScratch`] histograms and chunked over
+//!    `std::thread::scope` when `parallel` is on. A cell costs
+//!    O(|tidset|) for its histogram, a sort of its touched (minority)
+//!    units, a galloping lookup of their totals in the context list, a
+//!    sort of their `(t, m)` keys and a pass over the context's runs —
+//!    never a per-unit histogram or sort of the whole context; an `A = ⋆`
+//!    cell folds the context's runs alone. The same pairs are the cube's
+//!    maintenance store: each cell's ascending `m > 0` pairs become its
+//!    minority entry, and the context lists become the context entries.
+//!    Each mined tidset is dropped once its cell is evaluated, so the store
+//!    grows as the tidsets it replaces are freed.
 //!
 //! The parallel build is bit-identical to the serial one: the miner merges
 //! per-subtree outputs deterministically and cell evaluation is pure.
@@ -33,7 +38,7 @@ use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, TableMeta, TransactionDb, UnitScratch, VerticalDb};
 use scube_fpm::eclat::{mine_vertical_with_tidsets, mine_vertical_with_tidsets_parallel};
 use scube_fpm::itemset::FrequentItemset;
-use scube_segindex::{IndexValues, MeasureSet, UnitCounts, DEFAULT_ATKINSON_B};
+use scube_segindex::{ContextTotals, IndexValues, MeasureSet, DEFAULT_ATKINSON_B};
 
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
@@ -84,9 +89,8 @@ impl Default for CubeConfig {
     }
 }
 
-/// Compact per-context population histogram: ascending `(unit, total)`
-/// pairs over the context's populated units only.
-type ContextHist = Vec<(u32, u64)>;
+/// One context: its CA items and its run table.
+type Context = (Vec<ItemId>, ContextTotals);
 
 /// One evaluated cell: coordinates, values, and its minority store entry
 /// (`None` when the SA side is `⋆`).
@@ -281,26 +285,28 @@ impl CubeBuilder {
             }
         }
 
-        // Per-context histograms as compact ascending (unit, total) lists,
+        // Per-context run tables over compact ascending (unit, total) lists,
         // computed in parallel with per-worker scratch buffers.
-        let hist_of = |coords: &CellCoords, scratch: &mut UnitScratch| -> ContextHist {
+        let hist_of = |coords: &CellCoords, scratch: &mut UnitScratch| {
             vertical.unit_histogram_into(context_source[coords.ca.as_slice()], scratch);
-            scratch.sorted_pairs()
+            ContextTotals::new(scratch.sorted_pairs())
         };
-        let mut context_hists: FxHashMap<Vec<ItemId>, ContextHist> =
+        let mut context_hists: FxHashMap<Vec<ItemId>, ContextTotals> =
             scube_common::hash::fx_map_with_capacity(distinct_contexts.len() + 1);
         context_hists.insert(
             Vec::new(),
-            population
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| t > 0)
-                .map(|(u, &t)| (u as u32, t))
-                .collect(),
+            ContextTotals::new(
+                population
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &t)| t > 0)
+                    .map(|(u, &t)| (u as u32, t))
+                    .collect(),
+            )?,
         );
         if n_threads > 1 && distinct_contexts.len() > 64 {
             let chunk = distinct_contexts.len().div_ceil(n_threads);
-            let results: Vec<Vec<(Vec<ItemId>, ContextHist)>> = std::thread::scope(|scope| {
+            let results: Vec<Result<Vec<Context>>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = distinct_contexts
                     .chunks(chunk)
                     .map(|ctx_chunk| {
@@ -309,7 +315,9 @@ impl CubeBuilder {
                             let mut scratch = UnitScratch::new(n_units as u32);
                             ctx_chunk
                                 .iter()
-                                .map(|coords| (coords.ca.clone(), hist_of(coords, &mut scratch)))
+                                .map(|coords| {
+                                    Ok((coords.ca.clone(), hist_of(coords, &mut scratch)?))
+                                })
                                 .collect()
                         })
                     })
@@ -317,12 +325,12 @@ impl CubeBuilder {
                 handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
             });
             for r in results {
-                context_hists.extend(r);
+                context_hists.extend(r?);
             }
         } else {
             let mut scratch = UnitScratch::new(n_units as u32);
             for coords in &distinct_contexts {
-                context_hists.insert(coords.ca.clone(), hist_of(coords, &mut scratch));
+                context_hists.insert(coords.ca.clone(), hist_of(coords, &mut scratch)?);
             }
         }
         drop(distinct_contexts);
@@ -338,9 +346,11 @@ impl CubeBuilder {
         }
 
         // 4. Evaluate cells, consuming each mined tidset as its cell is
-        // evaluated, and emit the store in the same walk: the context's
-        // ascending `(unit, total)` list visits the cell's minority units in
-        // order, so its `m > 0` pairs are the minority entry, sorted for free.
+        // evaluated, and emit the store from the same pairs: the cell's
+        // touched units, sorted, are its ascending `m > 0` pairs — the
+        // minority entry, and what the cell folds from beside the context's
+        // runs. An `A = ⋆` cell's minority is its context: it folds the runs
+        // alone.
         let atkinson_b = cfg.atkinson_b;
         let measures = cfg.measures;
         let eval = |coords: CellCoords,
@@ -348,19 +358,14 @@ impl CubeBuilder {
                     scratch: &mut UnitScratch,
                     pairs: &mut Vec<(u32, u64)>|
          -> Result<Evaluated> {
+            let context = &context_hists[&coords.ca];
+            if coords.sa.is_empty() {
+                return Ok((coords, context.fold_whole(atkinson_b, measures), None));
+            }
             vertical.unit_histogram_into(tids, scratch);
-            pairs.clear();
-            let keep_pairs = !coords.sa.is_empty();
-            let counts =
-                UnitCounts::from_triples(context_hists[&coords.ca].iter().map(|&(u, t)| {
-                    let m = scratch.count_of(u);
-                    if keep_pairs && m > 0 {
-                        pairs.push((u, m));
-                    }
-                    (u, m, t)
-                }))?;
-            let minority = keep_pairs.then(|| encode_entry(pairs));
-            Ok((coords, IndexValues::compute_masked(&counts, atkinson_b, measures), minority))
+            scratch.sorted_pairs_into(pairs);
+            let values = context.fold(pairs, atkinson_b, measures)?;
+            Ok((coords, values, Some(encode_entry(pairs))))
         };
 
         let mut cells: FxHashMap<CellCoords, IndexValues> =
@@ -406,11 +411,12 @@ impl CubeBuilder {
             }
         }
         // Apex cell (⋆ | ⋆): whole population vs itself.
-        let apex =
-            UnitCounts::from_triples(context_hists[&Vec::new()].iter().map(|&(u, t)| (u, t, t)))?;
-        cells.insert(CellCoords::apex(), IndexValues::compute_masked(&apex, atkinson_b, measures));
-        store.contexts =
-            context_hists.into_iter().map(|(ca, totals)| (ca, encode_entry(&totals))).collect();
+        let apex = context_hists[&Vec::new()].fold_whole(atkinson_b, measures);
+        cells.insert(CellCoords::apex(), apex);
+        store.contexts = context_hists
+            .into_iter()
+            .map(|(ca, totals)| (ca, encode_entry(totals.units())))
+            .collect();
 
         Ok(SegregationCube::new(cells, labels, vertical.num_units(), cfg.min_support, store))
     }
@@ -420,6 +426,7 @@ impl CubeBuilder {
 mod tests {
     use super::*;
     use scube_data::{Attribute, Schema, TransactionDbBuilder};
+    use scube_segindex::UnitCounts;
 
     /// 40 individuals across 2 units, engineered so that women concentrate
     /// in unit u0 within the north and are even in the south.
@@ -656,6 +663,22 @@ mod tests {
                             let entry = store.minorities.get(coords).expect("every cell stored");
                             let want = counted_from_rows(&db, &coords.union());
                             assert_eq!(decode(entry), want, "{case}: {coords:?}");
+                        }
+                        // The run-table fold ≡ the per-unit fold of the
+                        // histograms counted from rows, `m = 0` units and
+                        // `A = ⋆` cells included.
+                        for (coords, values) in cube.cells() {
+                            let totals = counted_from_rows(&db, &coords.ca);
+                            let minority = counted_from_rows(&db, &coords.union());
+                            let m_of =
+                                |u: u32| minority.iter().find(|p| p.0 == u).map_or(0, |p| p.1);
+                            let counts = UnitCounts::from_triples(
+                                totals.iter().map(|&(u, t)| (u, m_of(u), t)),
+                            )
+                            .unwrap();
+                            let want =
+                                IndexValues::compute_masked(&counts, DEFAULT_ATKINSON_B, measures);
+                            assert_eq!(values, &want, "{case}: values of {coords:?}");
                         }
                         if name == "multi-valued" && materialize == Materialize::AllFrequent {
                             assert!(cube.len() > 257 && store.contexts.len() > 64, "{case}");

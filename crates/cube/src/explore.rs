@@ -12,18 +12,19 @@
 //! The explorer splits cleanly into an **immutable** half (the vertical
 //! postings and the Atkinson parameter, shared freely across threads) and a
 //! **mutable** half ([`ExplorerScratch`]: two reusable [`UnitScratch`]
-//! histograms). The `&mut self` methods ([`CubeExplorer::values_at`],
-//! [`CubeExplorer::unit_breakdown`]) lend the explorer's own scratch to the
-//! same evaluation — the convenient form for a reference computation —
-//! while the `_with` variants take `&self` plus an external scratch, which
-//! is what lets the query engine ([`crate::serve::ConcurrentCubeEngine`])
-//! share one explorer across worker threads, each with a checked-out
-//! scratch, so cold recomputation never allocates per query.
+//! histograms and the cell's minority pairs). The `&mut self` methods
+//! ([`CubeExplorer::values_at`], [`CubeExplorer::unit_breakdown`]) lend the
+//! explorer's own scratch to the same evaluation — the convenient form for
+//! a reference computation — while the `_with` variants take `&self` plus
+//! an external scratch, which is what lets the query engine
+//! ([`crate::serve::ConcurrentCubeEngine`]) share one explorer across
+//! worker threads, each with a checked-out scratch, so cold recomputation
+//! never allocates per query.
 
 use scube_bitmap::EwahBitmap;
 use scube_common::Result;
 use scube_data::{TransactionDb, UnitScratch, VerticalDb};
-use scube_segindex::{IndexValues, MeasureSet, UnitCounts, DEFAULT_ATKINSON_B};
+use scube_segindex::{ContextTotals, IndexValues, MeasureSet, DEFAULT_ATKINSON_B};
 
 use crate::coords::CellCoords;
 
@@ -46,19 +47,24 @@ pub(crate) fn minority_tidset(
 }
 
 /// The mutable half of cell evaluation: two reusable per-unit histograms
-/// (minority and population). One scratch per worker thread lets any number
-/// of threads evaluate cells through a shared [`CubeExplorer`] without a
-/// single histogram allocation.
+/// (minority and population) and the buffer of the cell's minority pairs.
+/// One scratch per worker thread lets any number of threads evaluate cells
+/// through a shared [`CubeExplorer`] without a single histogram allocation.
 #[derive(Debug, Clone)]
 pub struct ExplorerScratch {
     minority: UnitScratch,
     total: UnitScratch,
+    pairs: Vec<(u32, u64)>,
 }
 
 impl ExplorerScratch {
     /// Scratch for databases with `n_units` organizational units.
     pub fn new(n_units: u32) -> Self {
-        ExplorerScratch { minority: UnitScratch::new(n_units), total: UnitScratch::new(n_units) }
+        ExplorerScratch {
+            minority: UnitScratch::new(n_units),
+            total: UnitScratch::new(n_units),
+            pairs: Vec::new(),
+        }
     }
 }
 
@@ -68,8 +74,9 @@ impl ExplorerScratch {
 /// [`ExplorerScratch`]; concurrent callers use [`Self::values_at_with`] /
 /// [`Self::unit_breakdown_with`] through `&self` with per-worker scratches.
 /// Either way a query allocates no per-unit arrays and costs
-/// `O(Σ|tidset| + |touched units|)` rather than `O(n_units)` — the same
-/// fast path PR 1 gave the builder.
+/// `O(Σ|tidset| + |touched units|)` rather than `O(n_units)`, and folds the
+/// cell from its context's run table ([`ContextTotals`]) and its minority
+/// pairs — the builder's fold, so the floats are the materialized cell's.
 #[derive(Debug)]
 pub struct CubeExplorer {
     vertical: VerticalDb,
@@ -121,29 +128,58 @@ impl CubeExplorer {
         ExplorerScratch::new(self.vertical.num_units())
     }
 
-    /// Fill both scratch histograms and yield the context's populated units
-    /// as ascending `(unit, minority, total)` triples (minority zero where
-    /// the subgroup is absent from the unit). The one evaluation core: it
-    /// takes the two halves of the explorer apart, so the `&mut self` forms
-    /// can lend their own scratch while the postings stay shared.
-    fn triples<'s>(
+    /// Fill the scratch histograms — the minority one only when the SA
+    /// side is not `⋆` — and return the context's populated units as
+    /// ascending `(unit, total)` pairs. The one evaluation core: it takes
+    /// the two halves of the explorer apart, so the `&mut self` forms can
+    /// lend their own scratch while the postings stay shared.
+    fn histograms(
         vertical: &VerticalDb,
         coords: &CellCoords,
-        scratch: &'s mut ExplorerScratch,
-    ) -> impl Iterator<Item = (u32, u64, u64)> + 's {
+        scratch: &mut ExplorerScratch,
+    ) -> Vec<(u32, u64)> {
         // The context side; the full tid universe when it is `⋆`.
         let total_tids = vertical.tidset(&coords.ca);
         vertical.unit_histogram_into(&total_tids, &mut scratch.total);
-        if coords.sa.is_empty() {
-            // `A = ⋆` ⇒ minority ≡ population; mirror it into the minority
-            // scratch so both read uniformly.
-            vertical.unit_histogram_into(&total_tids, &mut scratch.minority);
-        } else {
+        if !coords.sa.is_empty() {
             let minority_tids = minority_tidset(vertical, coords, &total_tids);
             vertical.unit_histogram_into(&minority_tids, &mut scratch.minority);
         }
+        scratch.total.sorted_pairs()
+    }
+
+    /// The cell's values: its context's run table, folded with the cell's
+    /// sorted minority pairs (`A = ⋆` ⇒ minority ≡ population, the runs
+    /// alone).
+    fn values(
+        vertical: &VerticalDb,
+        coords: &CellCoords,
+        scratch: &mut ExplorerScratch,
+        atkinson_b: f64,
+        measures: MeasureSet,
+    ) -> Result<IndexValues> {
+        let context = ContextTotals::new(Self::histograms(vertical, coords, scratch))?;
+        if coords.sa.is_empty() {
+            return Ok(context.fold_whole(atkinson_b, measures));
+        }
+        scratch.minority.sorted_pairs_into(&mut scratch.pairs);
+        context.fold(&scratch.pairs, atkinson_b, measures)
+    }
+
+    /// Ascending `(unit, minority, total)` triples over the context's
+    /// populated units (minority zero where the subgroup is absent).
+    fn triples(
+        vertical: &VerticalDb,
+        coords: &CellCoords,
+        scratch: &mut ExplorerScratch,
+    ) -> Vec<(u32, u64, u64)> {
+        let totals = Self::histograms(vertical, coords, scratch);
+        let star = coords.sa.is_empty();
         let minority = &scratch.minority;
-        scratch.total.sorted_pairs().into_iter().map(move |(u, t)| (u, minority.count_of(u), t))
+        totals
+            .into_iter()
+            .map(|(u, t)| (u, if star { t } else { minority.count_of(u) }, t))
+            .collect()
     }
 
     /// Evaluate the cell at `coords` through `&self` with an external
@@ -153,8 +189,7 @@ impl CubeExplorer {
         coords: &CellCoords,
         scratch: &mut ExplorerScratch,
     ) -> Result<IndexValues> {
-        let counts = UnitCounts::from_triples(Self::triples(&self.vertical, coords, scratch))?;
-        Ok(IndexValues::compute_masked(&counts, self.atkinson_b, self.measures))
+        Self::values(&self.vertical, coords, scratch, self.atkinson_b, self.measures)
     }
 
     /// Per-unit `(unit, minority, total)` drill-down through `&self` with
@@ -164,20 +199,18 @@ impl CubeExplorer {
         coords: &CellCoords,
         scratch: &mut ExplorerScratch,
     ) -> Vec<(u32, u64, u64)> {
-        Self::triples(&self.vertical, coords, scratch).collect()
+        Self::triples(&self.vertical, coords, scratch)
     }
 
     /// Evaluate the cell at `coords`, regardless of materialization.
     pub fn values_at(&mut self, coords: &CellCoords) -> Result<IndexValues> {
-        let counts =
-            UnitCounts::from_triples(Self::triples(&self.vertical, coords, &mut self.scratch))?;
-        Ok(IndexValues::compute_masked(&counts, self.atkinson_b, self.measures))
+        Self::values(&self.vertical, coords, &mut self.scratch, self.atkinson_b, self.measures)
     }
 
     /// Per-unit `(unit, minority, total)` drill-down of a cell — what the
     /// paper's pivot-table exploration shows when expanding a cube row.
     pub fn unit_breakdown(&mut self, coords: &CellCoords) -> Vec<(u32, u64, u64)> {
-        Self::triples(&self.vertical, coords, &mut self.scratch).collect()
+        Self::triples(&self.vertical, coords, &mut self.scratch)
     }
 }
 

@@ -88,7 +88,7 @@ use scube_common::mmap::{ByteRegion, Store};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
 use scube_fpm::itemset::is_sorted_subset;
-use scube_segindex::{IndexValues, MeasureSet, UnitCounts};
+use scube_segindex::{ContextTotals, IndexValues, MeasureSet};
 
 use crate::builder::Materialize;
 use crate::coords::CellCoords;
@@ -369,10 +369,12 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 /// transactions and adding, after which the recomputed index values equal
 /// a from-scratch rebuild bit for bit. This is what turns dirty-cell
 /// re-evaluation from `O(Σ |full tidset|)` into `O(Σ |delta tidset| +
-/// dirty cells × populated units)`. Counts are exact integers, so
-/// retractions *subtract* as losslessly as appends add — with a domination
-/// check turning any disagreement between store and delta into a hard
-/// error before mutation.
+/// dirty contexts' units + dirty cells × (minority units + context runs))`:
+/// a cell folds from its context's run table ([`ContextTotals`]) and its
+/// own minority pairs, never a pass over every context unit. Counts are
+/// exact integers, so retractions *subtract* as losslessly as appends add —
+/// with a domination check turning any disagreement between store and
+/// delta into a hard error before mutation.
 ///
 /// A histogram has **one form — its canonical bytes**
 /// ([`crate::histogram`], about 2 B per pair): the same entry is what
@@ -522,29 +524,6 @@ fn merge_sub(base: &mut Vec<(u32, u64)>, delta: &[(u32, u64)]) -> Result<()> {
     }
     *base = out;
     Ok(())
-}
-
-/// Index values from stored histograms: triples over the context's
-/// populated units, minority counts merged in (absent unit ⇒ 0) — the
-/// same `(m, t)` multiset the builder feeds [`UnitCounts::from_triples`].
-fn values_from_hists(
-    context: &[(u32, u64)],
-    minority: &[(u32, u64)],
-    atkinson_b: f64,
-    measures: MeasureSet,
-) -> Result<IndexValues> {
-    let mut mi = minority.iter().peekable();
-    let counts = UnitCounts::from_triples(context.iter().map(|&(u, t)| {
-        let m = match mi.peek() {
-            Some(&&(mu, mc)) if mu == u => {
-                mi.next();
-                mc
-            }
-            _ => 0,
-        };
-        (u, m, t)
-    }))?;
-    Ok(IndexValues::compute_masked(&counts, atkinson_b, measures))
 }
 
 /// The build configuration an update re-folds under. Snapshots record all
@@ -780,7 +759,7 @@ impl<'a> EditView<'a> {
     ) -> Result<StagedCtx> {
         let mut totals = base.clone();
         self.advance(&mut totals, &delta, scratch)?;
-        Ok(StagedCtx { base, totals, delta })
+        Ok(StagedCtx { base, totals: ContextTotals::new(totals)?, delta })
     }
 
     /// An edited transaction holding `items` (given `base(X)`): its first
@@ -833,8 +812,8 @@ struct StagedCtx {
     /// of its cells must be dominated by), or counted from postings for a
     /// context a promotion creates.
     base: Vec<(u32, u64)>,
-    /// The totals after the edit.
-    totals: Vec<(u32, u64)>,
+    /// The totals after the edit, as the run table its cells fold from.
+    totals: ContextTotals,
     delta: Delta,
 }
 
@@ -894,7 +873,10 @@ impl Stager<'_> {
             _ => None,
         };
         let support = match origin {
-            Origin::Stored => minority.as_deref().unwrap_or(&ctx.totals).iter().map(|p| p.1).sum(),
+            Origin::Stored => match &minority {
+                Some(hist) => hist.iter().map(|p| p.1).sum(),
+                None => ctx.totals.total(),
+            },
             Origin::Promoted(_) => {
                 let base = base.insert(view.base_tidset(&items));
                 base.cardinality() - delta.rem.cardinality() + delta.add.cardinality()
@@ -924,8 +906,11 @@ impl Stager<'_> {
                 minority = Some(hist);
             }
         }
-        let hist = minority.as_deref().unwrap_or(&ctx.totals);
-        let values = values_from_hists(&ctx.totals, hist, self.cfg.atkinson_b, self.cfg.measures)?;
+        let (b, measures) = (self.cfg.atkinson_b, self.cfg.measures);
+        let values = match &minority {
+            Some(hist) => ctx.totals.fold(hist, b, measures)?,
+            None => ctx.totals.fold_whole(b, measures),
+        };
         Ok(Some((minority.as_deref().map(encode_entry), values)))
     }
 
@@ -1266,7 +1251,10 @@ pub(crate) fn stage(
     Ok(StagedUpdate {
         removed: view.removals.tids,
         encoded: view.encoded,
-        contexts: contexts.into_iter().map(|(ca, ctx)| (ca, encode_entry(&ctx.totals))).collect(),
+        contexts: contexts
+            .into_iter()
+            .map(|(ca, ctx)| (ca, encode_entry(ctx.totals.units())))
+            .collect(),
         dirty,
         promoted,
         relabel,

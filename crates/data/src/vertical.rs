@@ -418,8 +418,16 @@ impl UnitScratch {
 
     /// `(unit, count)` pairs of the touched units, ascending by unit.
     pub fn sorted_pairs(&mut self) -> Vec<(UnitId, u64)> {
+        let mut pairs = Vec::with_capacity(self.touched.len());
+        self.sorted_pairs_into(&mut pairs);
+        pairs
+    }
+
+    /// [`Self::sorted_pairs`] into a reused buffer, replacing its contents.
+    pub fn sorted_pairs_into(&mut self, pairs: &mut Vec<(UnitId, u64)>) {
         self.touched.sort_unstable();
-        self.touched.iter().map(|&u| (u, self.counts[u as usize])).collect()
+        pairs.clear();
+        pairs.extend(self.touched.iter().map(|&u| (u, self.counts[u as usize])));
     }
 
     /// Zero the touched entries (cheaper than clearing the whole array).

@@ -1,13 +1,25 @@
 //! The six segregation indexes and the batch evaluator.
 //!
 //! Every index is a function of the *multiset* of a histogram's
-//! `(m_i, t_i)` pairs, so there is one kernel, `fold`, behind every public
-//! entry point: it counts the pairs exactly (an integer sort brings equal
-//! pairs together, equal neighbours collapse into one run with a
-//! multiplicity), puts the distinct pairs into a canonical order (ascending
-//! `m/t`, compared exactly in integers, then ascending `t`), and
-//! accumulates all selected measures in a single pass over the runs. Two
-//! consequences the rest of the workspace relies on:
+//! `(m_i, t_i)` pairs — of its **run table**, the distinct pairs with their
+//! multiplicities — so there is one kernel, `fold`, behind every public
+//! entry point. It takes the runs in a canonical order (ascending `m/t`,
+//! compared exactly in integers, then ascending `t`) and accumulates all
+//! selected measures in a single pass over them. Two producers feed it,
+//! and both count pairs exactly (an integer sort of keys with `t` in the
+//! high half and `m` in the low one brings equal pairs together, equal
+//! neighbours collapse into one run) and share the one canonical sort:
+//!
+//! * **per unit** — a [`UnitCounts`] histogram, every unit's key sorted
+//!   (the standalone index functions and [`IndexValues::compute_masked`]);
+//! * **from the context's runs** — [`ContextTotals`] holds a context's
+//!   `(t, k)` runs once, and a cube cell sorts only its minority units'
+//!   keys and subtracts each minority run's `k` from its context run to
+//!   leave the `m = 0` runs (`A = ⋆` cells fold the context's runs with
+//!   `m = t`).
+//!
+//! Both yield the same multiset in the same order, so they agree to the
+//! bit. Two consequences the rest of the workspace relies on:
 //!
 //! * **Order invariance by construction.** The unit ids never enter the
 //!   fold and the pair order is re-derived from the pairs themselves, so
@@ -15,11 +27,13 @@
 //!   the bit — which is why the update path never re-folds a cell whose
 //!   histogram did not change.
 //! * **Transcendental work is per distinct pair.** With one unit per
-//!   company a cell has thousands of units but a few hundred distinct
+//!   company a cell has thousands of units but a few dozen distinct
 //!   pairs; the `ln`/`powf` calls run once per run, not once per unit.
 //!
 //! Each measure owns its accumulator, so selecting a subset never changes
 //! the bits of a selected value.
+
+use scube_common::{Result, ScubeError};
 
 use crate::counts::UnitCounts;
 
@@ -51,57 +65,70 @@ struct Run {
     units: u64,
 }
 
-/// The distinct `(m, t)` pairs of `c` with their multiplicities, in the
-/// canonical order: ascending `m/t` — compared exactly by
-/// cross-multiplication, never through a rounded quotient — then ascending
-/// `t`. The order is total on distinct pairs (equal share and equal `t`
-/// force equal `m`), so the result depends on nothing but the multiset.
-///
-/// Equal pairs are found by sorting `t·2⁶⁴ + m` as plain integers, the
-/// cheapest exact order there is, so only the distinct pairs pay for the
+/// Collapse sorted pair keys — `t` in the high half, `m` in the low one,
+/// split back by `split` — into runs, appended to `runs` in ascending
+/// `(t, m)` order. Sorting the keys as plain integers is the cheapest
+/// exact way to bring equal pairs together.
+fn collapse_sorted<K: Copy + Eq>(keys: &[K], split: impl Fn(K) -> (u64, u64), runs: &mut Vec<Run>) {
+    runs.extend(keys.chunk_by(|a, b| a == b).map(|run| {
+        let (total, minority) = split(run[0]);
+        Run { minority, total, units: run.len() as u64 }
+    }));
+}
+
+/// The one canonical order of distinct pairs: ascending `m/t` — compared
+/// exactly by cross-multiplication, never through a rounded quotient —
+/// then ascending `t`. The order is total on distinct pairs (equal share
+/// and equal `t` force equal `m`), so the kernel's input depends on
+/// nothing but the multiset, whichever producer built it.
+fn canonical_order(runs: &mut [Run]) {
+    runs.sort_unstable_by(|a: &Run, b: &Run| {
+        let lhs = u128::from(a.minority) * u128::from(b.total);
+        let rhs = u128::from(b.minority) * u128::from(a.total);
+        lhs.cmp(&rhs).then(a.total.cmp(&b.total))
+    });
+}
+
+/// The per-unit producer: the distinct `(m, t)` pairs of `c` with their
+/// multiplicities, in canonical order. Only the distinct pairs pay for the
 /// two-multiplication comparison: with thousands of board-sized units that
 /// is tens of runs.
 fn canonical_runs(c: &UnitCounts) -> Vec<Run> {
     let mut keys: Vec<u128> =
         c.cells().iter().map(|u| u128::from(u.total) << 64 | u128::from(u.minority)).collect();
     keys.sort_unstable();
-    let equal_keys = || keys.chunk_by(|a, b| a == b);
     // Counted first so the runs take one allocation of the exact size: at
     // 20 units a growing `Vec` cost more than the fold's arithmetic.
-    let mut runs = Vec::with_capacity(equal_keys().count());
-    runs.extend(equal_keys().map(|run| Run {
-        minority: run[0] as u64,
-        total: (run[0] >> 64) as u64,
-        units: run.len() as u64,
-    }));
-    runs.sort_unstable_by(|a: &Run, b: &Run| {
-        let lhs = u128::from(a.minority) * u128::from(b.total);
-        let rhs = u128::from(b.minority) * u128::from(a.total);
-        lhs.cmp(&rhs).then(a.total.cmp(&b.total))
-    });
+    let mut runs = Vec::with_capacity(keys.chunk_by(|a, b| a == b).count());
+    collapse_sorted(&keys, |k| ((k >> 64) as u64, k as u64), &mut runs);
+    canonical_order(&mut runs);
     runs
 }
 
 /// The one index kernel (see the module docs): every selected measure of
-/// `c`, folded over the distinct `(m, t)` pairs in canonical order.
+/// a histogram with totals `M`, `T` and `n` units, folded over its
+/// distinct `(m, t)` pairs in canonical order. `runs` produces them; it is
+/// only called when some selected measure is defined.
 ///
 /// A run of `k` equal pairs enters each sum as one term scaled by exact
 /// integer products (`k·m`, `k·t` — both bounded by `T`); for Gini it is
 /// one super-unit of weight `k·t`, exact because units with equal shares
 /// contribute nothing to `Σ|p_i − p_j|` among themselves.
-fn fold(c: &UnitCounts, atkinson_b: f64, measures: MeasureSet) -> IndexValues {
-    let mut out = IndexValues {
-        minority: c.minority(),
-        total: c.total(),
-        num_units: c.num_units() as u32,
-        ..IndexValues::default()
-    };
+fn fold(
+    minority: u64,
+    total: u64,
+    num_units: u32,
+    runs: impl FnOnce() -> Vec<Run>,
+    atkinson_b: f64,
+    measures: MeasureSet,
+) -> IndexValues {
+    let mut out = IndexValues { minority, total, num_units, ..IndexValues::default() };
     // Exposure (`xPx`, `xPy`) is defined for `M > 0`; the four evenness
     // indexes also need `M < T`.
-    if c.minority() == 0 {
+    if minority == 0 {
         return out;
     }
-    let evenness = c.minority() < c.total();
+    let evenness = minority < total;
     let d = evenness && measures.contains(SegIndex::Dissimilarity);
     let g = evenness && measures.contains(SegIndex::Gini);
     let h = evenness && measures.contains(SegIndex::Information);
@@ -115,16 +142,16 @@ fn fold(c: &UnitCounts, atkinson_b: f64, measures: MeasureSet) -> IndexValues {
         return out;
     }
 
-    let m_total = c.minority() as f64;
-    let t_total = c.total() as f64;
-    let maj_total = (c.total() - c.minority()) as f64;
+    let m_total = minority as f64;
+    let t_total = total as f64;
+    let maj_total = (total - minority) as f64;
     let p_total = m_total / t_total;
     let e_total = entropy(p_total);
 
     let (mut d_sum, mut h_sum, mut xpx_sum, mut xpy_sum, mut a_sum) = (0.0, 0.0, 0.0, 0.0, 0.0);
     // Gini: Σ_{i<j} w_i w_j (p_j − p_i) by prefix sums over ascending p.
     let (mut g_num, mut weight_prefix, mut weighted_p_prefix) = (0.0, 0.0, 0.0);
-    for Run { minority: m, total: t, units: k } in canonical_runs(c) {
+    for Run { minority: m, total: t, units: k } in runs() {
         let p = m as f64 / t as f64;
         let weight = (k * t) as f64;
         let minority_share = (k * m) as f64 / m_total;
@@ -160,6 +187,162 @@ fn fold(c: &UnitCounts, atkinson_b: f64, measures: MeasureSet) -> IndexValues {
         clamp01(1.0 - (p_total / (1.0 - p_total)) * inner)
     });
     out
+}
+
+/// Fold a per-unit histogram through the kernel.
+fn fold_counts(c: &UnitCounts, atkinson_b: f64, measures: MeasureSet) -> IndexValues {
+    let runs = || canonical_runs(c);
+    fold(c.minority(), c.total(), c.num_units() as u32, runs, atkinson_b, measures)
+}
+
+/// A context's population, held as the run table a cube cell folds from:
+/// its ascending `(unit, t)` list, that list's `(t, k)` runs (ascending
+/// `t`, `k` units each) and `T`. Built once per context, it folds any cell
+/// of the context from the cell's minority units alone — the `m = 0` units
+/// are whatever the minority leaves of each `(t, k)` run — so a cell costs
+/// its minority units plus the context's runs, never a pass over every
+/// context unit.
+///
+/// ```
+/// use scube_segindex::{ContextTotals, IndexValues, MeasureSet, UnitCounts};
+///
+/// let totals = ContextTotals::new(vec![(0, 10), (3, 10), (7, 20)])?;
+/// let cell = totals.fold(&[(3, 8), (7, 5)], 0.5, MeasureSet::FULL)?;
+/// let per_unit = UnitCounts::from_triples([(0, 0, 10), (3, 8, 10), (7, 5, 20)])?;
+/// assert_eq!(cell, IndexValues::compute_masked(&per_unit, 0.5, MeasureSet::FULL));
+/// # Ok::<(), scube_common::ScubeError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct ContextTotals {
+    units: Vec<(u32, u64)>,
+    runs: Vec<(u64, u64)>,
+    total: u64,
+}
+
+impl ContextTotals {
+    /// The run table of a context given as strictly ascending `(unit, t)`
+    /// pairs with every `t > 0` and `T` within the cube's `u32` row space
+    /// (so a cell's `(t, m)` key packs into 64 bits); anything else is an
+    /// `Err`.
+    pub fn new(units: Vec<(u32, u64)>) -> Result<Self> {
+        let mut total = 0u64;
+        // The sizes are sorted and collapsed in place: one allocation, cut
+        // to the run count once it is known.
+        let mut runs = Vec::with_capacity(units.len());
+        for (i, &(u, t)) in units.iter().enumerate() {
+            if t == 0 {
+                return Err(ScubeError::Inconsistent(format!("context unit {u} has total 0")));
+            }
+            if i > 0 && units[i - 1].0 >= u {
+                return Err(ScubeError::Inconsistent(format!(
+                    "context units not strictly ascending at unit {u}"
+                )));
+            }
+            total = total.saturating_add(t);
+            if total > u64::from(u32::MAX) {
+                return Err(ScubeError::Inconsistent(
+                    "context population exceeds the u32 row space".into(),
+                ));
+            }
+            runs.push((t, 1));
+        }
+        runs.sort_unstable();
+        runs.dedup_by(|next: &mut (u64, u64), run: &mut (u64, u64)| {
+            let same = next.0 == run.0;
+            run.1 += u64::from(same);
+            same
+        });
+        runs.shrink_to_fit();
+        Ok(ContextTotals { units, runs, total })
+    }
+
+    /// The ascending `(unit, t)` list.
+    pub fn units(&self) -> &[(u32, u64)] {
+        &self.units
+    }
+
+    /// `T`: the context's population.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// The values of a cell of this context whose minority is the strictly
+    /// ascending `(unit, m)` pairs with `0 < m ≤ t` (the context's units
+    /// absent from the list have `m = 0`): bit-equal to
+    /// [`IndexValues::compute_masked`] over the per-unit histogram.
+    ///
+    /// Each minority unit's `t` is found by a galloping cursor over the
+    /// list, only the minority keys are sorted, and each minority run's
+    /// `k` is subtracted from its context run to leave the `m = 0` runs. A
+    /// unit absent from the context, `m = 0`, `m > t` or a non-ascending
+    /// list is an `Err`.
+    pub fn fold(
+        &self,
+        minority: &[(u32, u64)],
+        atkinson_b: f64,
+        measures: MeasureSet,
+    ) -> Result<IndexValues> {
+        let mut keys: Vec<u64> = Vec::with_capacity(minority.len());
+        let mut cursor = 0usize;
+        let mut m_total = 0u64;
+        for &(u, m) in minority {
+            let rest = &self.units[cursor..];
+            let mut bound = 1;
+            while bound < rest.len() && rest[bound].0 < u {
+                bound *= 2;
+            }
+            let window = &rest[..rest.len().min(bound + 1)];
+            let Ok(i) = window.binary_search_by_key(&u, |&(unit, _)| unit) else {
+                return Err(ScubeError::Inconsistent(format!(
+                    "minority unit {u} is not an ascending unit of the context"
+                )));
+            };
+            let t = rest[i].1;
+            if m == 0 || m > t {
+                return Err(ScubeError::Inconsistent(format!(
+                    "unit {u}: minority {m} is not in 1..={t}"
+                )));
+            }
+            cursor += i + 1;
+            m_total += m;
+            keys.push(t << 32 | m);
+        }
+        let runs = || {
+            keys.sort_unstable();
+            let distinct = keys.chunk_by(|a, b| a == b).count();
+            let mut runs = Vec::with_capacity(distinct + self.runs.len());
+            collapse_sorted(&keys, |k| (k >> 32, k & u64::from(u32::MAX)), &mut runs);
+            // Minority runs ascend by `t`: walk them beside the context's
+            // runs and leave each `t`'s remaining units at `m = 0`.
+            let mut next = 0;
+            for &(t, mut k) in &self.runs {
+                while next < runs.len() && runs[next].total == t {
+                    k -= runs[next].units;
+                    next += 1;
+                }
+                if k > 0 {
+                    runs.push(Run { minority: 0, total: t, units: k });
+                }
+            }
+            canonical_order(&mut runs);
+            runs
+        };
+        let n = self.units.len() as u32;
+        Ok(fold(m_total, self.total, n, runs, atkinson_b, measures))
+    }
+
+    /// The values of the context's own `A = ⋆` cell (minority ≡
+    /// population, every unit at `m = t`), folded from the runs alone.
+    pub fn fold_whole(&self, atkinson_b: f64, measures: MeasureSet) -> IndexValues {
+        let runs = || {
+            let mut runs: Vec<Run> =
+                self.runs.iter().map(|&(t, k)| Run { minority: t, total: t, units: k }).collect();
+            canonical_order(&mut runs);
+            runs
+        };
+        let n = self.units.len() as u32;
+        fold(self.total, self.total, n, runs, atkinson_b, measures)
+    }
 }
 
 /// Dissimilarity index `D ∈ [0,1]`.
@@ -216,7 +399,7 @@ pub fn interaction(c: &UnitCounts) -> Option<f64> {
 /// `b = 0.5` (the default) treats both symmetrically. `None` when `M = 0`,
 /// `M = T`, or `b` outside `(0,1)`.
 pub fn atkinson(c: &UnitCounts, b: f64) -> Option<f64> {
-    fold(c, b, MeasureSet::only(SegIndex::Atkinson)).atkinson
+    fold_counts(c, b, MeasureSet::only(SegIndex::Atkinson)).atkinson
 }
 
 /// Correlation ratio (eta², also `V`) — exposure adjusted for the overall
@@ -269,7 +452,7 @@ impl SegIndex {
     /// shape), bit-equal to the same field of any [`IndexValues`] fold
     /// that selects it.
     pub fn compute(self, c: &UnitCounts) -> Option<f64> {
-        fold(c, DEFAULT_ATKINSON_B, MeasureSet::only(self)).get(self)
+        fold_counts(c, DEFAULT_ATKINSON_B, MeasureSet::only(self)).get(self)
     }
 
     /// Short display name used in report headers.
@@ -459,7 +642,7 @@ pub struct IndexValues {
 impl IndexValues {
     /// Evaluate every index over the histogram, with the given Atkinson `b`.
     pub fn compute_with(c: &UnitCounts, atkinson_b: f64) -> IndexValues {
-        fold(c, atkinson_b, MeasureSet::FULL)
+        fold_counts(c, atkinson_b, MeasureSet::FULL)
     }
 
     /// Evaluate every index with the default Atkinson shape.
@@ -474,7 +657,7 @@ impl IndexValues {
     /// them all, each measure into its own accumulator, so the selection
     /// decides which sums run and never what a sum adds up to.
     pub fn compute_masked(c: &UnitCounts, atkinson_b: f64, measures: MeasureSet) -> IndexValues {
-        fold(c, atkinson_b, measures)
+        fold_counts(c, atkinson_b, measures)
     }
 
     /// Overall minority proportion `P`, when defined.

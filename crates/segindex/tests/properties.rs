@@ -1,11 +1,13 @@
 //! Property tests for the segregation indexes: range bounds, invariances,
-//! the social-science axioms the literature states for them, and the two
+//! the social-science axioms the literature states for them, and the
 //! contracts of the one fold kernel — bit-level invariance under any
-//! reordering or renumbering of the units, and agreement with the textbook
-//! per-unit formulas ([`reference`], the oracle).
+//! reordering or renumbering of the units, agreement with the textbook
+//! per-unit formulas ([`reference`], the oracle), and bit-level agreement of
+//! its two run producers (the per-unit [`UnitCounts`] histogram and a
+//! context's [`ContextTotals`] run table plus a cell's minority units).
 
 use proptest::prelude::*;
-use scube_segindex::{atkinson, IndexValues, MeasureSet, SegIndex, UnitCounts};
+use scube_segindex::{atkinson, ContextTotals, IndexValues, MeasureSet, SegIndex, UnitCounts};
 
 /// The textbook per-unit formulas (Massey & Denton), one pass per index in
 /// unit-visit order with Gini sorting `(p_i, t_i)` as floats — what the
@@ -121,6 +123,40 @@ fn assert_agrees_with_reference(c: &UnitCounts, atkinson_b: f64) {
             }
             (got, want) => assert_eq!(got, want, "{idx}: definedness differs"),
         }
+    }
+}
+
+/// `(m, t)` pairs as a cube cell sees them: a context of units `3i + 1`
+/// (gaps between the ids, so a cursor cannot get lucky) held as a run
+/// table, and the cell's ascending `m > 0` units.
+fn split_cell(pairs: &[(u64, u64)]) -> (ContextTotals, Vec<(u32, u64)>) {
+    let unit = |i: usize| 3 * i as u32 + 1;
+    let context = pairs.iter().enumerate().map(|(i, &(_, t))| (unit(i), t)).collect();
+    let minority = pairs
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.0 > 0)
+        .map(|(i, &(m, _))| (unit(i), m))
+        .collect();
+    (ContextTotals::new(context).expect("valid context"), minority)
+}
+
+/// The run-table entry against the per-unit fold on one histogram: every
+/// one of the 63 measure subsets, to the bit, for the cell and for the
+/// context's own `A = ⋆` cell (every unit at `m = t`).
+fn assert_run_table_matches_per_unit(pairs: &[(u64, u64)], b: f64) {
+    let (context, minority) = split_cell(pairs);
+    let per_unit = counts(pairs);
+    let whole = counts(&pairs.iter().map(|&(_, t)| (t, t)).collect::<Vec<_>>());
+    let bits = |v: &IndexValues| {
+        (SegIndex::ALL.map(|idx| v.get(idx).map(f64::to_bits)), v.minority, v.total, v.num_units)
+    };
+    for bitset in 1u8..=63 {
+        let set = MeasureSet::from_bits(bitset).unwrap();
+        let cell = context.fold(&minority, b, set).expect("a valid cell folds");
+        assert_eq!(bits(&cell), bits(&IndexValues::compute_masked(&per_unit, b, set)), "{set}");
+        let star = context.fold_whole(b, set);
+        assert_eq!(bits(&star), bits(&IndexValues::compute_masked(&whole, b, set)), "⋆ {set}");
     }
 }
 
@@ -329,4 +365,70 @@ fn kernel_agrees_with_reference_on_degenerate_histograms() {
     assert_eq!(with_empty.num_units(), 2);
     assert_agrees_with_reference(&with_empty, 0.5);
     assert_eq!(IndexValues::compute(&with_empty), IndexValues::compute(&counts(&[(2, 5), (1, 5)])));
+}
+
+proptest! {
+    // Each case folds three histograms of up to 5 000 units 252 ways.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn run_table_fold_matches_per_unit_fold_to_the_bit(
+        board in board_like(5_000),
+        sector in sector_like(),
+        distinct in all_distinct(),
+        b in 0.05f64..0.95,
+    ) {
+        for pairs in [board, sector, distinct] {
+            assert_run_table_matches_per_unit(&pairs, b);
+        }
+    }
+}
+
+#[test]
+fn run_table_fold_matches_per_unit_fold_on_degenerate_histograms() {
+    let cases: [&[(u64, u64)]; 7] = [
+        &[(0, 10), (0, 20), (0, 10)],              // M = 0
+        &[(10, 10), (20, 20), (10, 10)],           // M = T
+        &[(3, 10)],                                // one unit
+        &[(0, 7)],                                 // one unit, no minority
+        &[(7, 7)],                                 // one unit, all minority
+        &[(4, 4), (0, 9), (4, 4), (0, 4), (9, 9)], // every minority unit at m = t
+        &[(1, 2), (2, 4), (0, 4), (3, 6), (1, 2)], // equal shares, a drained run
+    ];
+    for pairs in cases {
+        for b in [0.3, 0.5] {
+            assert_run_table_matches_per_unit(pairs, b);
+        }
+    }
+    // An empty context: no population, nothing defined, no panic.
+    let empty = ContextTotals::new(Vec::new()).unwrap();
+    assert_eq!(empty.fold(&[], 0.5, MeasureSet::FULL).unwrap(), IndexValues::default());
+    assert_eq!(empty.fold_whole(0.5, MeasureSet::FULL), IndexValues::default());
+}
+
+#[test]
+fn run_table_rejects_what_is_not_a_cell_of_its_context() {
+    let context = ContextTotals::new(vec![(1, 5), (3, 5), (5, 8)]).unwrap();
+    let fold = |minority: &[(u32, u64)]| context.fold(minority, 0.5, MeasureSet::FULL);
+    assert!(fold(&[(1, 2), (5, 8)]).is_ok());
+    for (case, minority) in [
+        ("absent unit", &[(2, 1)][..]),
+        ("absent unit between present ones", &[(1, 2), (2, 1), (3, 1)]),
+        ("absent unit past the last", &[(1, 2), (7, 1)]),
+        ("m > t", &[(3, 6)]),
+        ("m = 0", &[(1, 0)]),
+        ("descending", &[(3, 1), (1, 1)]),
+        ("repeated unit", &[(1, 1), (1, 1)]),
+    ] {
+        assert!(fold(minority).is_err(), "{case}");
+    }
+    for (case, units) in [
+        ("t = 0", vec![(1, 5), (2, 0)]),
+        ("unsorted units", vec![(3, 5), (1, 5)]),
+        ("repeated unit", vec![(1, 5), (1, 5)]),
+        ("T past the u32 row space", vec![(1, u64::from(u32::MAX)), (2, 1)]),
+        ("t past u64", vec![(1, u64::MAX), (2, u64::MAX)]),
+    ] {
+        assert!(ContextTotals::new(units).is_err(), "{case}");
+    }
 }
