@@ -38,6 +38,7 @@
 
 use std::time::Instant;
 
+use scube::daemon::json::escape;
 use scube::prelude::*;
 use scube_bench::{estonia_dataset, fmt, italy_dataset, italy_final_table};
 use scube_common::table::{Align, TextTable};
@@ -100,11 +101,9 @@ fn main() {
 }
 
 /// The host-fingerprint fields of `BENCH_cube_scale.json`, as a
-/// ready-to-splice JSON fragment (values escaped).
-fn host_json() -> String {
-    let (cpu, arch) = scube_bench::host_fingerprint();
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    format!("\"host_cpu\": \"{}\",\n  \"host_arch\": \"{}\"", esc(&cpu), esc(&arch))
+/// ready-to-splice JSON fragment (values escaped by the daemon's escaper).
+fn host_json(cpu: &str, arch: &str) -> String {
+    format!("\"host_cpu\": \"{}\",\n  \"host_arch\": \"{}\"", escape(cpu), escape(arch))
 }
 
 fn banner(id: &str, title: &str) {
@@ -687,12 +686,7 @@ fn cube_scale_experiment(smoke: bool) {
                 .expect("chunked build");
             assert_eq!(cb.stats.n_rows, rows, "chunked ingest must see every emitted row");
             let ChunkedBuild { cube, vertical, .. } = cb;
-            let config = builder.config();
-            CubeSnapshot::new(cube, vertical).expect("snapshot assembles").with_build_config(
-                config.materialize,
-                config.atkinson_b,
-                config.measures,
-            )
+            CubeSnapshot::new(cube, vertical).expect("snapshot assembles")
         });
         let chunked_build_s = t0.elapsed().as_secs_f64();
         let cells = chunked.cube().len();
@@ -852,7 +846,8 @@ fn cube_scale_experiment(smoke: bool) {
         return;
     }
 
-    let host = host_json();
+    let (cpu, arch) = scube_bench::host_fingerprint();
+    let host = host_json(&cpu, &arch);
     let json = format!(
         "{{\n  \"experiment\": \"cube_scale\",\n  \"generated_by\": \
          \"cargo run -p scube-bench --release --bin exp -- cube-scale\",\n  \
@@ -860,4 +855,18 @@ fn cube_scale_experiment(smoke: bool) {
     );
     std::fs::write("BENCH_cube_scale.json", &json).expect("write BENCH_cube_scale.json");
     println!("\nwrote BENCH_cube_scale.json ({} scales)", scales.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use scube::daemon::json::Json;
+
+    #[test]
+    fn host_json_is_valid_for_any_brand_string() {
+        let cpu = "a \"quoted\" \\ brand\nwith a \u{1} control";
+        let doc = format!("{{{}}}", super::host_json(cpu, "x86_64"));
+        let json = Json::parse(&doc).expect("the fragment parses");
+        assert_eq!(json.get("host_cpu").and_then(Json::as_str), Some(cpu));
+        assert_eq!(json.get("host_arch").and_then(Json::as_str), Some("x86_64"));
+    }
 }

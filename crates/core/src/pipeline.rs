@@ -66,10 +66,9 @@ pub struct ScubeResult {
     /// The vertical (item → tidset) view the cube was mined from, kept so
     /// [`snapshot`] and explorers never rebuild it.
     pub vertical: VerticalDb,
-    /// The cube builder the run used, kept so [`snapshot`] records the
-    /// build configuration (materialization, Atkinson parameter) —
-    /// without it, later `scube update`s would maintain the cube under
-    /// the wrong parameters.
+    /// The cube builder the run used. It does not decide what [`snapshot`]
+    /// records — the cube carries its own build parameters — and is kept
+    /// for callers that assemble this struct by literal.
     pub builder: CubeBuilder,
     /// The clustering behind the units (graph scenarios).
     pub clustering: Option<Clustering>,
@@ -139,7 +138,10 @@ pub struct ChunkedBuild {
     pub cube: SegregationCube,
     /// The vertical (item → tidset) view, grown chunk by chunk.
     pub vertical: VerticalDb,
-    /// The cube builder the run used (recorded into snapshots).
+    /// The cube builder the run used. It does not decide what
+    /// [`snapshot_chunked`] records — the cube carries its own build
+    /// parameters — and is kept for callers that assemble this struct by
+    /// literal.
     pub builder: CubeBuilder,
     /// Chunk accounting: rows, flushes, peak staged rows/items.
     pub chunk_stats: ChunkedBuildStats,
@@ -193,34 +195,17 @@ fn build_chunked(
 /// As [`snapshot`], for a final-table build. Byte-identical to
 /// `CubeSnapshot::from_db` on the encoded table.
 pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
-    package(&result.cube, &result.vertical, &result.builder)
+    CubeSnapshot::new(result.cube.clone(), result.vertical.clone())
 }
 
 /// Package a finished run as a persistable [`CubeSnapshot`]: the cube —
-/// with the maintenance store its build emitted — plus the vertical
-/// postings it was mined from, both carried over from [`run`], not
-/// reconstructed, ready for `scube save` /
-/// [`scube_cube::ConcurrentCubeEngine`] serving without re-mining. The run's
-/// build configuration is recorded in the snapshot, so later updates
-/// maintain the cube under the same materialization and Atkinson
-/// parameter.
+/// with the maintenance store its build emitted and the parameters it was
+/// built under — plus the vertical postings it was mined from, both carried
+/// over from [`run`], not reconstructed, ready for `scube save` /
+/// [`scube_cube::ConcurrentCubeEngine`] serving without re-mining. Later
+/// updates maintain the cube under its own parameters.
 pub fn snapshot(result: &ScubeResult) -> Result<CubeSnapshot> {
-    package(&result.cube, &result.vertical, &result.builder)
-}
-
-/// Pair a built cube with its postings and record the builder's
-/// configuration — the body of [`snapshot`] and [`snapshot_chunked`].
-fn package(
-    cube: &SegregationCube,
-    vertical: &VerticalDb,
-    builder: &CubeBuilder,
-) -> Result<CubeSnapshot> {
-    let config = builder.config();
-    Ok(CubeSnapshot::new(cube.clone(), vertical.clone())?.with_build_config(
-        config.materialize,
-        config.atkinson_b,
-        config.measures,
-    ))
+    CubeSnapshot::new(result.cube.clone(), result.vertical.clone())
 }
 
 /// The `scube update` verb: load a snapshot file, fold final-table-shaped

@@ -219,6 +219,13 @@ impl CubeBuilder {
         if vertical.num_units() == 0 && vertical.num_transactions() > 0 {
             return Err(ScubeError::Inconsistent("database has rows but no units".into()));
         }
+        if labels.unit_names.len() != vertical.num_units() as usize {
+            return Err(ScubeError::Inconsistent(format!(
+                "{} unit names for {} units in the vertical database",
+                labels.unit_names.len(),
+                vertical.num_units()
+            )));
+        }
 
         let n_threads = if cfg.parallel {
             cfg.threads.unwrap_or_else(|| {
@@ -418,7 +425,7 @@ impl CubeBuilder {
             .map(|(ca, totals)| (ca, encode_entry(totals.units())))
             .collect();
 
-        Ok(SegregationCube::new(cells, labels, vertical.num_units(), cfg.min_support, store))
+        Ok(SegregationCube::new(cells, labels, cfg, store))
     }
 }
 

@@ -2,8 +2,9 @@
 
 use scube_common::FxHashMap;
 use scube_data::{ItemId, TransactionDb};
-use scube_segindex::IndexValues;
+use scube_segindex::{IndexValues, MeasureSet};
 
+use crate::builder::{CubeConfig, Materialize};
 use crate::coords::CellCoords;
 use crate::update::MaintenanceStore;
 
@@ -118,13 +119,19 @@ impl CubeLabels {
     }
 }
 
-/// A materialized segregation data cube.
+/// A materialized segregation data cube and the parameters it was built
+/// under (min-support, materialization, Atkinson `b`, measure set). The
+/// builder and the snapshot decoder set them; updates, the engine's
+/// explorer and snapshots read them from here, so a cube paired with its
+/// postings by hand is maintained exactly as a rebuild would be.
 #[derive(Debug, Clone)]
 pub struct SegregationCube {
     cells: FxHashMap<CellCoords, IndexValues>,
     labels: CubeLabels,
-    n_units: u32,
     min_support: u64,
+    materialize: Materialize,
+    atkinson_b: f64,
+    measures: MeasureSet,
     /// The histograms behind the cell values. Emitted by the builder's
     /// fold or read back by the snapshot decoder — never re-derived — and
     /// changed only by an update's commit.
@@ -138,20 +145,30 @@ impl PartialEq for SegregationCube {
     fn eq(&self, other: &Self) -> bool {
         self.cells == other.cells
             && self.labels == other.labels
-            && self.n_units == other.n_units
             && self.min_support == other.min_support
+            && self.materialize == other.materialize
+            && self.atkinson_b.to_bits() == other.atkinson_b.to_bits()
+            && self.measures == other.measures
     }
 }
 
 impl SegregationCube {
+    /// A cube built under `config` (only its build parameters are kept).
     pub(crate) fn new(
         cells: FxHashMap<CellCoords, IndexValues>,
         labels: CubeLabels,
-        n_units: u32,
-        min_support: u64,
+        config: &CubeConfig,
         store: MaintenanceStore,
     ) -> Self {
-        SegregationCube { cells, labels, n_units, min_support, store }
+        SegregationCube {
+            cells,
+            labels,
+            min_support: config.min_support,
+            materialize: config.materialize,
+            atkinson_b: config.atkinson_b,
+            measures: config.measures,
+            store,
+        }
     }
 
     /// Number of materialized cells.
@@ -169,14 +186,30 @@ impl SegregationCube {
         &self.labels
     }
 
-    /// Number of organizational units the indexes were computed over.
+    /// Number of organizational units the indexes were computed over: one
+    /// per unit name.
     pub fn num_units(&self) -> u32 {
-        self.n_units
+        self.labels.unit_names.len() as u32
     }
 
     /// The min-support the cube was built with.
     pub fn min_support(&self) -> u64 {
         self.min_support
+    }
+
+    /// The materialization strategy the cube was built with.
+    pub fn materialize(&self) -> Materialize {
+        self.materialize
+    }
+
+    /// The Atkinson shape parameter the cube was built with.
+    pub fn atkinson_b(&self) -> f64 {
+        self.atkinson_b
+    }
+
+    /// The measure subset the cube was built with (cells fold only these).
+    pub fn measures(&self) -> MeasureSet {
+        self.measures
     }
 
     /// Exact-cell lookup.
@@ -209,13 +242,12 @@ impl SegregationCube {
         self.cells.iter()
     }
 
-    /// Mutable view of the update commit (`crate::update`): labels, cells,
-    /// the global unit count and the maintenance store, in one borrow.
+    /// Mutable view of the update commit (`crate::update`): labels, cells
+    /// and the maintenance store, in one borrow.
     pub(crate) fn update_parts(
         &mut self,
-    ) -> (&mut CubeLabels, &mut FxHashMap<CellCoords, IndexValues>, &mut u32, &mut MaintenanceStore)
-    {
-        (&mut self.labels, &mut self.cells, &mut self.n_units, &mut self.store)
+    ) -> (&mut CubeLabels, &mut FxHashMap<CellCoords, IndexValues>, &mut MaintenanceStore) {
+        (&mut self.labels, &mut self.cells, &mut self.store)
     }
 
     /// Cells whose coordinates only use the listed attributes (the cells of

@@ -30,9 +30,9 @@
 
 use scube_common::{Result, ScubeError, SpinLock};
 use scube_data::TransactionDb;
-use scube_segindex::{IndexValues, MeasureSet, SegIndex};
+use scube_segindex::{IndexValues, SegIndex};
 
-use crate::builder::{CubeBuilder, Materialize};
+use crate::builder::CubeBuilder;
 use crate::coords::CellCoords;
 use crate::cube::SegregationCube;
 use crate::explore::{CubeExplorer, ExplorerScratch};
@@ -131,14 +131,6 @@ pub struct ConcurrentCubeEngine {
     breakdown_shards: Vec<Shard<Breakdown>>,
     scratches: SpinLock<Vec<ExplorerScratch>>,
     stats: AtomicQueryStats,
-    /// Build configuration carried over from the snapshot and never read
-    /// by a query: [`Self::snapshot`] hands it back so an update maintains
-    /// the cube under the parameters it was built with. The cube's
-    /// maintenance store rides along the same way; a mapped one stays
-    /// undecoded.
-    materialize: Materialize,
-    atkinson_b: f64,
-    measures: MeasureSet,
 }
 
 impl ConcurrentCubeEngine {
@@ -153,7 +145,7 @@ impl ConcurrentCubeEngine {
     /// e.g. 16 shards × capacity 100 hold up to 7 cells each; capacity 0
     /// disables caching entirely).
     pub fn with_config(snapshot: CubeSnapshot, shards: usize, capacity: usize) -> Self {
-        let (cube, vertical, materialize, atkinson_b, measures) = snapshot.into_serving_parts();
+        let CubeSnapshot { cube, vertical } = snapshot;
         let n_shards = shards.max(1);
         let per_shard = if capacity == 0 { 0 } else { capacity.div_ceil(n_shards) };
         // Breakdown values are per-unit Vecs, so that cache is bounded by
@@ -161,12 +153,11 @@ impl ConcurrentCubeEngine {
         // triples), split across shards like the cell cache.
         let bd_budget = if capacity == 0 { 0 } else { BREAKDOWN_TRIPLE_BUDGET.div_ceil(n_shards) };
         // Recompute fallback cells with the Atkinson parameter and measure
-        // set the cube was built with (both recorded in the snapshot): the
-        // cold tier stays bit-identical to the store
-        // even for non-default `b` or a partial measure suite.
+        // set the cube was built with: the cold tier stays bit-identical to
+        // the store even for non-default `b` or a partial measure suite.
         let explorer = CubeExplorer::from_vertical(vertical)
-            .with_atkinson_b(atkinson_b)
-            .with_measures(measures);
+            .with_atkinson_b(cube.atkinson_b())
+            .with_measures(cube.measures());
         // Seed the scratch pool for the host's parallelism so even the
         // first wave of cold queries finds a scratch waiting; the pool
         // still grows (one allocation, once) if more threads ever query
@@ -182,14 +173,12 @@ impl ConcurrentCubeEngine {
                 .collect(),
             scratches: SpinLock::new(scratches),
             stats: AtomicQueryStats::default(),
-            materialize,
-            atkinson_b,
-            measures,
         }
     }
 
-    /// The snapshot this engine serves — cube, postings, maintenance store
-    /// and build configuration, cloned; the inverse of
+    /// The snapshot this engine serves — the cube (its maintenance store
+    /// and build parameters included; a mapped store stays undecoded) and
+    /// its postings, cloned; the inverse of
     /// [`Self::with_config`]. The engine is immutable, so this is how a
     /// served cube is updated: apply the batch to the returned snapshot,
     /// then serve a fresh engine built from it. An update that fails
@@ -215,13 +204,7 @@ impl ConcurrentCubeEngine {
     /// # Ok::<(), scube_common::ScubeError>(())
     /// ```
     pub fn snapshot(&self) -> CubeSnapshot {
-        CubeSnapshot::from_serving_parts((
-            self.cube.clone(),
-            self.explorer.vertical().clone(),
-            self.materialize,
-            self.atkinson_b,
-            self.measures,
-        ))
+        CubeSnapshot { cube: self.cube.clone(), vertical: self.explorer.vertical().clone() }
     }
 
     /// Build cube and engine straight from a transaction database (the

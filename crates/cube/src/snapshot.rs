@@ -3,10 +3,13 @@
 //! SCube's whole point is *interactive* exploration of a materialized cube,
 //! but a cube used to die with the process: every session re-mined and
 //! re-built. A [`CubeSnapshot`] persists everything a serving session needs
-//! — the [`SegregationCube`] (cells + [`crate::cube::CubeLabels`]) *and* the
+//! — the [`SegregationCube`] (cells, [`crate::cube::CubeLabels`], the
+//! maintenance store and the parameters it was built under) *and* the
 //! [`VerticalDb`] postings behind it — so `load` restores both exact lookups
 //! and the explorer fallback for non-materialized ⋆-combinations without
-//! re-mining anything.
+//! re-mining anything. The snapshot adds nothing of its own: the cube
+//! records how it was built, so any pairing of a cube with its postings
+//! saves, serves and updates under the cube's own parameters.
 //!
 //! ## Format
 //!
@@ -37,7 +40,8 @@
 //!             meta_off, meta_len, postdir_off, n_postings,
 //!             slots_off, slots_len, store_off, store_len, meta_sum
 //! meta      build cfg (materialization tag u8, Atkinson b f64, measure-set
-//!           byte: bit i = SegIndex::ALL[i]), labels, n_units (u32),
+//!           byte: bit i = SegIndex::ALL[i]), labels, n_units (u32, equal
+//!           to the number of unit names),
 //!           min_support (u64), cells sorted by (sa, ca) — each: sa ids,
 //!           ca ids, one tagged optional f64 per *selected* measure in
 //!           SegIndex::ALL order (tag 0 = undefined, tag 1 + f64 bits),
@@ -98,13 +102,13 @@ use scube_bitmap::EwahBitmap;
 use scube_common::mmap::{ByteRegion, MappedSlice, MmapFile, Store};
 use scube_common::{FxHashMap, Result, ScubeError};
 use scube_data::{ItemId, TransactionDb, VerticalDb};
-use scube_segindex::{IndexValues, MeasureSet, SegIndex, DEFAULT_ATKINSON_B};
+use scube_segindex::{IndexValues, MeasureSet, SegIndex};
 
-use crate::builder::{CubeBuilder, Materialize};
+use crate::builder::{CubeBuilder, CubeConfig, Materialize};
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
 use crate::histogram;
-use crate::update::{MaintenanceStore, UpdateBatch, UpdateConfig, UpdateStats};
+use crate::update::{MaintenanceStore, UpdateBatch, UpdateStats};
 
 const MAGIC: &[u8; 8] = b"SCUBESNP";
 const VERSION: u32 = 8;
@@ -122,28 +126,16 @@ const POSTDIR_ENTRY: usize = 24;
 /// of returning a decode error. Vectors still grow to any genuine size.
 const PREALLOC_CAP: usize = 1 << 16;
 
-/// A snapshot taken apart for serving: cube (its store included),
-/// postings, materialization, Atkinson parameter, measure set.
-pub(crate) type ServingParts = (SegregationCube, VerticalDb, Materialize, f64, MeasureSet);
-
 /// A persistable pairing of a built cube with the vertical database it was
 /// built from — everything the query engine needs to serve both
-/// materialized and non-materialized cells.
+/// materialized and non-materialized cells. The cube records how it was
+/// built (materialization, Atkinson parameter, measure set, min-support),
+/// so updates re-fold, the engine's explorer recomputes and the file
+/// stores exactly what a rebuild under those parameters would.
 #[derive(Debug, Clone)]
 pub struct CubeSnapshot {
-    cube: SegregationCube,
-    vertical: VerticalDb,
-    /// Materialization strategy the cube was built with — recorded so an
-    /// [`UpdateBatch`] can decide whether promoted itemsets need a
-    /// closedness check.
-    materialize: Materialize,
-    /// Atkinson shape parameter the cube was built with — recorded so
-    /// re-evaluated dirty cells reproduce the original floats bit for bit.
-    atkinson_b: f64,
-    /// The measure subset the cube was built with — recorded so updates
-    /// re-fold exactly the selected indexes, and persisted as the
-    /// measure-set byte (cells store only the selected measures).
-    measures: MeasureSet,
+    pub(crate) cube: SegregationCube,
+    pub(crate) vertical: VerticalDb,
 }
 
 impl MaintenanceStore {
@@ -164,7 +156,8 @@ impl MaintenanceStore {
 
 impl CubeSnapshot {
     /// Pair a cube with its vertical database. The cube carries the
-    /// maintenance store its build emitted; nothing is re-derived here.
+    /// maintenance store its build emitted and the parameters it was built
+    /// under; nothing is re-derived or filled in here.
     ///
     /// Fails when the two disagree on shape (unit count, item count), or
     /// when the store does not cover the cube's cells: a mismatched pairing
@@ -185,63 +178,27 @@ impl CubeSnapshot {
                 vertical.num_items()
             )));
         }
-        if cube.labels().unit_names.len() != cube.num_units() as usize {
-            return Err(ScubeError::Inconsistent(format!(
-                "snapshot: {} unit names for {} units",
-                cube.labels().unit_names.len(),
-                cube.num_units()
-            )));
-        }
         // A mapped store region is checked when an update first scans it.
         if cube.store.unscanned.is_none() && !cube.store.covers(&cube) {
             return Err(corrupt("maintenance store does not cover the cube"));
         }
-        Ok(CubeSnapshot {
-            cube,
-            vertical,
-            materialize: Materialize::default(),
-            atkinson_b: DEFAULT_ATKINSON_B,
-            measures: MeasureSet::FULL,
-        })
-    }
-
-    /// Record the build configuration (materialization strategy, Atkinson
-    /// parameter, and measure subset) the cube was built with.
-    /// [`Self::from_db`] does this automatically; use it when pairing a
-    /// cube and vertical database by hand so later [`Self::apply_update`]
-    /// calls maintain the cube under the same parameters.
-    pub fn with_build_config(
-        mut self,
-        materialize: Materialize,
-        atkinson_b: f64,
-        measures: MeasureSet,
-    ) -> Self {
-        self.materialize = materialize;
-        self.atkinson_b = atkinson_b;
-        self.measures = measures;
-        self
+        Ok(CubeSnapshot { cube, vertical })
     }
 
     /// Build both halves from a transaction database in one pass: the
-    /// vertical database is constructed once and shared with the builder,
-    /// and the builder's configuration is recorded for later updates.
+    /// vertical database is constructed once and shared with the builder.
     pub fn from_db(db: &TransactionDb, builder: &CubeBuilder) -> Result<Self> {
         let vertical = VerticalDb::build(db);
         let cube = builder.build_from_vertical(db, &vertical)?;
-        let cfg = builder.config();
-        Ok(CubeSnapshot::new(cube, vertical)?.with_build_config(
-            cfg.materialize,
-            cfg.atkinson_b,
-            cfg.measures,
-        ))
+        CubeSnapshot::new(cube, vertical)
     }
 
     /// Fold a batch of appended rows and retractions into the snapshot in
     /// place: postings extended at their tails (or shrunk), newly-frequent
     /// itemsets promoted, below-threshold or no-longer-closed cells
-    /// demoted, and exactly the dirty cells re-evaluated under the
-    /// recorded build configuration — bit-identical to a full rebuild on
-    /// the edited data for single-valued-per-row attributes; see
+    /// demoted, and exactly the dirty cells re-evaluated under the cube's
+    /// own build parameters — bit-identical to a full rebuild on the edited
+    /// data for single-valued-per-row attributes; see
     /// [`UpdateBatch`] for the narrow multi-valued dictionary-order caveat
     /// (cell values are exact in every case) and [`crate::update`] for the
     /// machinery. Every fallible step runs before the first mutation, so an
@@ -287,42 +244,23 @@ impl CubeSnapshot {
         // content, and is the one mutation before staging. Each histogram
         // stays a slice of the mapped file until an update dirties it.
         self.cube.store.scan(self.cube.labels().num_items())?;
-        let cfg = UpdateConfig {
-            materialize: self.materialize,
-            atkinson_b: self.atkinson_b,
-            measures: self.measures,
-        };
-        let staged = crate::update::stage(&self.cube, &self.vertical, batch, cfg, threads)?;
+        let staged = crate::update::stage(&self.cube, &self.vertical, batch, threads)?;
         Ok(staged.commit(&mut self.cube, &mut self.vertical))
-    }
-
-    /// Serving-layer constructor parts: both halves plus the build
-    /// configuration, which the engine carries untouched so
-    /// [`crate::serve::ConcurrentCubeEngine::snapshot`] can hand them back
-    /// through [`Self::from_serving_parts`].
-    pub(crate) fn into_serving_parts(self) -> ServingParts {
-        (self.cube, self.vertical, self.materialize, self.atkinson_b, self.measures)
-    }
-
-    /// The inverse of [`Self::into_serving_parts`].
-    pub(crate) fn from_serving_parts(parts: ServingParts) -> Self {
-        let (cube, vertical, materialize, atkinson_b, measures) = parts;
-        CubeSnapshot { cube, vertical, materialize, atkinson_b, measures }
     }
 
     /// The materialization strategy the cube was built with.
     pub fn materialize(&self) -> Materialize {
-        self.materialize
+        self.cube.materialize()
     }
 
     /// The Atkinson shape parameter the cube was built with.
     pub fn atkinson_b(&self) -> f64 {
-        self.atkinson_b
+        self.cube.atkinson_b()
     }
 
     /// The measure subset the cube was built with.
     pub fn measures(&self) -> MeasureSet {
-        self.measures
+        self.cube.measures()
     }
 
     /// The materialized cube.
@@ -401,12 +339,12 @@ impl CubeSnapshot {
         let labels = self.cube.labels();
 
         // Build configuration.
-        meta.push(match self.materialize {
+        meta.push(match self.materialize() {
             Materialize::AllFrequent => 0,
             Materialize::ClosedOnly => 1,
         });
-        put_u64(&mut meta, self.atkinson_b.to_bits());
-        meta.push(self.measures.bits());
+        put_u64(&mut meta, self.atkinson_b().to_bits());
+        meta.push(self.measures().bits());
 
         // Labels.
         put_u32(&mut meta, labels.num_items() as u32);
@@ -427,7 +365,7 @@ impl CubeSnapshot {
         let mut cells: Vec<(&CellCoords, &IndexValues)> = self.cube.cells().collect();
         cells.sort_by(|a, b| a.0.cmp(b.0));
         put_u32(&mut meta, cells.len() as u32);
-        let selected: Vec<SegIndex> = self.measures.iter().collect();
+        let selected: Vec<SegIndex> = self.measures().iter().collect();
         for (coords, values) in cells {
             put_ids(&mut meta, &coords.sa);
             put_ids(&mut meta, &coords.ca);
@@ -467,11 +405,7 @@ impl CubeSnapshot {
         let vertical =
             VerticalDb::from_parts(postings, meta.n_transactions, meta.unit_of, meta.v_units)
                 .ok_or_else(|| corrupt("inconsistent vertical database parts"))?;
-        let snapshot = CubeSnapshot::new(cube, vertical)?.with_build_config(
-            meta.materialize,
-            meta.atkinson_b,
-            meta.measures,
-        );
+        let snapshot = CubeSnapshot::new(cube, vertical)?;
         snapshot.cube.store.validate_entries(meta.v_units)?;
         Ok(snapshot)
     }
@@ -591,11 +525,7 @@ impl CubeSnapshot {
         cube.store.unscanned = Some(
             whole.slice(d.store_off, d.store_len).ok_or_else(|| corrupt("store out of bounds"))?,
         );
-        Ok(CubeSnapshot::new(cube, vertical)?.with_build_config(
-            meta.materialize,
-            meta.atkinson_b,
-            meta.measures,
-        ))
+        CubeSnapshot::new(cube, vertical)
     }
 
     /// Write the snapshot to a file, atomically and durably: the bytes go
@@ -922,9 +852,6 @@ impl Directory {
 /// The decoded meta region — everything but postings and the maintenance
 /// store.
 struct MetaParts {
-    materialize: Materialize,
-    atkinson_b: f64,
-    measures: MeasureSet,
     cube: SegregationCube,
     n_items: usize,
     n_transactions: u32,
@@ -966,8 +893,15 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts> {
         unit_names: r.str_list()?,
     };
 
-    // Cube metadata and cells.
+    // Cube metadata and cells. The unit count is stored beside the
+    // unit-name list it must agree with.
     let n_units = r.u32()?;
+    if n_units as usize != labels.unit_names.len() {
+        return Err(corrupt(&format!(
+            "n_units {n_units} disagrees with {} unit names",
+            labels.unit_names.len()
+        )));
+    }
     let min_support = r.u64()?;
     // The builder refuses 0, so no valid file carries it; an update on such
     // a cube would commit its cells before the miner rejected the support.
@@ -992,7 +926,9 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts> {
             return Err(corrupt("duplicate cell coordinates"));
         }
     }
-    let cube = SegregationCube::new(cells, labels, n_units, min_support, Default::default());
+    let config =
+        CubeConfig { min_support, materialize, atkinson_b, measures, ..Default::default() };
+    let cube = SegregationCube::new(cells, labels, &config, Default::default());
 
     // Transaction space and tid → unit map.
     let n_transactions = r.u32()?;
@@ -1004,16 +940,7 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts> {
     if r.pos != r.bytes.len() {
         return Err(corrupt("trailing bytes in the meta region"));
     }
-    Ok(MetaParts {
-        materialize,
-        atkinson_b,
-        measures,
-        cube,
-        n_items,
-        n_transactions,
-        v_units,
-        unit_of,
-    })
+    Ok(MetaParts { cube, n_items, n_transactions, v_units, unit_of })
 }
 
 /// Exact length of the store region [`encode_store`] writes.
@@ -1234,8 +1161,8 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::Materialize;
     use scube_data::{Attribute, Schema, TransactionDbBuilder};
+    use scube_segindex::DEFAULT_ATKINSON_B;
 
     type Row = (&'static str, &'static str, &'static str, &'static str);
 
@@ -1526,7 +1453,28 @@ mod tests {
         let mut b = TransactionDbBuilder::new(schema);
         b.add_row(&[vec!["F"], vec!["north"]], "solo").unwrap();
         let other = VerticalDb::build(&b.finish());
+        assert!(CubeBuilder::new().build_from_vertical(&db, &other).is_err());
         assert!(CubeSnapshot::new(cube.clone(), other).is_err());
         assert!(CubeSnapshot::new(cube, vertical).is_ok());
+
+        // A hand pairing carries the cube's own build parameters: it saves
+        // the bytes `from_db` saves and updates to the cube it updates to.
+        let builder = CubeBuilder::new()
+            .materialize(Materialize::ClosedOnly)
+            .atkinson_b(0.25)
+            .measures(MeasureSet::only(SegIndex::Gini).with(SegIndex::Atkinson));
+        let cube = builder.build(&db).unwrap();
+        let mut paired = CubeSnapshot::new(cube, VerticalDb::build(&db)).unwrap();
+        let mut reference = CubeSnapshot::from_db(&db, &builder).unwrap();
+        assert_eq!(paired.to_bytes(), reference.to_bytes(), "paired by hand");
+        let mut batch = UpdateBatch::new();
+        batch.add_row(&[("sex", "F"), ("age", "old"), ("region", "north")], "u0");
+        paired.apply_update(&batch).unwrap();
+        reference.apply_update(&batch).unwrap();
+        assert_eq!(paired.cube(), reference.cube(), "after one appended row");
+        let mut edited = ROWS.to_vec();
+        edited.push(("F", "old", "north", "u0"));
+        let rebuilt = CubeSnapshot::from_db(&db_of(&edited), &builder).unwrap();
+        assert_eq!(paired.to_bytes(), rebuilt.to_bytes(), "updated ≡ rebuilt");
     }
 }

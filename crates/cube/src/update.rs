@@ -88,7 +88,7 @@ use scube_common::mmap::{ByteRegion, Store};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
 use scube_fpm::itemset::is_sorted_subset;
-use scube_segindex::{ContextTotals, IndexValues, MeasureSet};
+use scube_segindex::{ContextTotals, IndexValues};
 
 use crate::builder::Materialize;
 use crate::coords::CellCoords;
@@ -526,15 +526,6 @@ fn merge_sub(base: &mut Vec<(u32, u64)>, delta: &[(u32, u64)]) -> Result<()> {
     Ok(())
 }
 
-/// The build configuration an update re-folds under. Snapshots record all
-/// three, so staged cells fold exactly the index subset a rebuild would.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct UpdateConfig {
-    pub(crate) materialize: Materialize,
-    pub(crate) atkinson_b: f64,
-    pub(crate) measures: MeasureSet,
-}
-
 /// Resolved retractions plus the base rows they were matched against.
 #[derive(Default)]
 struct Removals {
@@ -835,7 +826,6 @@ enum Origin {
 struct Stager<'a> {
     view: EditView<'a>,
     cube: &'a SegregationCube,
-    cfg: UpdateConfig,
     /// Staged totals of every context the edit touches.
     contexts: FxHashMap<Vec<ItemId>, StagedCtx>,
 }
@@ -888,7 +878,7 @@ impl Stager<'_> {
             }
             // A stored cell can lose closedness only if it lost rows.
             let may_open = matches!(origin, Origin::Promoted(_)) || !delta.rem.is_empty();
-            if self.cfg.materialize == Materialize::ClosedOnly && may_open {
+            if self.cube.materialize() == Materialize::ClosedOnly && may_open {
                 let base = base.get_or_insert_with(|| view.base_tidset(&items));
                 let witness = match origin {
                     Origin::Promoted(r) => &view.encoded.rows[r].0,
@@ -906,7 +896,7 @@ impl Stager<'_> {
                 minority = Some(hist);
             }
         }
-        let (b, measures) = (self.cfg.atkinson_b, self.cfg.measures);
+        let (b, measures) = (self.cube.atkinson_b(), self.cube.measures());
         let values = match &minority {
             Some(hist) => ctx.totals.fold(hist, b, measures)?,
             None => ctx.totals.fold_whole(b, measures),
@@ -1218,14 +1208,14 @@ pub(crate) struct StagedUpdate {
 /// references only, along the update's phases: encode → resolve removals →
 /// relabel plan → stage contexts → stage dirty cells (re-evaluate or
 /// demote) → stage promotions. Every fallible step of an update is here,
-/// so an `Err` leaves the snapshot byte for byte as it was. `cfg` must be
-/// the configuration the cube was built with. Dirty cells and promotions
-/// fan out over up to `threads` scoped workers.
+/// so an `Err` leaves the snapshot byte for byte as it was. Cells re-fold
+/// and promotions are checked under the parameters the cube was built
+/// with. Dirty cells and promotions fan out over up to `threads` scoped
+/// workers.
 pub(crate) fn stage(
     cube: &SegregationCube,
     vertical: &VerticalDb,
     batch: &UpdateBatch,
-    cfg: UpdateConfig,
     threads: usize,
 ) -> Result<StagedUpdate> {
     let store = &cube.store;
@@ -1244,7 +1234,7 @@ pub(crate) fn stage(
         store.validate_entries(vertical.num_units())?;
     }
     let contexts = stage_contexts(&view, store)?;
-    let mut stager = Stager { view, cube, cfg, contexts };
+    let mut stager = Stager { view, cube, contexts };
     let dirty = stage_dirty_cells(&stager, threads)?;
     let promoted = stage_promotions(&mut stager, &dirty, threads)?;
     let Stager { view, contexts, .. } = stager;
@@ -1286,10 +1276,9 @@ impl StagedUpdate {
         let n_units = vertical.num_units() + encoded.new_units.len() as u32;
         vertical.remove_rows(&removed).expect("staged retractions are sorted, distinct, in range");
         vertical.append_rows(&encoded.rows, n_items, n_units).expect("staged rows fit the spaces");
-        let (labels, cells, n_units_now, store) = cube.update_parts();
+        let (labels, cells, store) = cube.update_parts();
         labels.items.extend(encoded.new_items);
         labels.unit_names.extend(encoded.new_units);
-        *n_units_now = n_units;
         store.contexts.extend(contexts);
         let mut kept = promoted;
         for (coords, staged) in dirty {
@@ -1326,10 +1315,10 @@ impl StagedUpdate {
 /// keys by the item map, the units inside every store entry by the unit
 /// map. Every entry was validated at staging, so its decode cannot fail.
 fn rename_cube(cube: &mut SegregationCube, plan: &Relabel) {
-    let (labels, cells, n_units, store) = cube.update_parts();
+    let n_old_units = cube.num_units();
+    let (labels, cells, store) = cube.update_parts();
     labels.items = permute(std::mem::take(&mut labels.items), &plan.item_map);
     labels.unit_names = permute(std::mem::take(&mut labels.unit_names), &plan.unit_map);
-    let n_old_units = std::mem::replace(n_units, labels.unit_names.len() as u32);
     let items = |ids: &[ItemId]| remap_items(ids, &plan.item_map);
     let coords = |c: &CellCoords| CellCoords { sa: items(&c.sa), ca: items(&c.ca) };
     let entry = |entry: Store<u8>| {

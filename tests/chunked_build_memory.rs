@@ -80,12 +80,7 @@ fn main() {
         assert_eq!(build.stats.n_rows, ROWS);
         assert!(build.chunk_stats.peak_chunk_rows <= CHUNK_ROWS);
         let ChunkedBuild { cube, vertical, .. } = build;
-        let cfg = builder.config();
-        CubeSnapshot::new(cube, vertical).unwrap().with_build_config(
-            cfg.materialize,
-            cfg.atkinson_b,
-            cfg.measures,
-        )
+        CubeSnapshot::new(cube, vertical).unwrap()
     });
 
     let (resident, peak_resident) = measure(|| {

@@ -54,11 +54,7 @@ fn chunked_bytes(rows: &[Row], builder: &CubeBuilder, chunk_rows: usize) -> Vec<
     assert_eq!(stats.rows, rows.len());
     assert!(stats.peak_chunk_rows <= chunk_rows.max(1));
     let cube = builder.build_streaming(&meta, &vertical).expect("streaming build");
-    let cfg = builder.config();
-    CubeSnapshot::new(cube, vertical)
-        .expect("snapshot assembles")
-        .with_build_config(cfg.materialize, cfg.atkinson_b, cfg.measures)
-        .to_bytes()
+    CubeSnapshot::new(cube, vertical).expect("snapshot assembles").to_bytes()
 }
 
 fn check(rows: &[Row], materialize: Materialize) {

@@ -57,7 +57,9 @@ struct Params {
 }
 
 /// `Chunked(k)` streams chunks of `k` rows, `k = 0` standing for
-/// `rows + 1` (one flush, at `finish`); `Parallel(n)` mines and folds on
+/// `rows + 1` (one flush, at `finish`), and pairs the cube with its
+/// postings through `CubeSnapshot::new` alone — the cube's own build
+/// parameters are all the pairing has; `Parallel(n)` mines and folds on
 /// `n` threads.
 #[derive(Debug, Clone, Copy)]
 enum Build {
@@ -387,9 +389,7 @@ impl Model {
                 let (vertical, meta, stats) = enc.into_builder().finish().expect("ingest ends");
                 assert!(stats.peak_chunk_rows <= k, "chunk of {} rows", stats.peak_chunk_rows);
                 let cube = self.builder.build_streaming(&meta, &vertical).expect("build succeeds");
-                let cfg = self.builder.config();
-                let snapshot = CubeSnapshot::new(cube, vertical).expect("the halves pair");
-                snapshot.with_build_config(cfg.materialize, cfg.atkinson_b, cfg.measures)
+                CubeSnapshot::new(cube, vertical).expect("the halves pair")
             }
         }
     }

@@ -293,6 +293,16 @@ fn malformed_meta_fields_are_decode_errors() {
     repatch_both_sums(&mut bad);
     reject(&bad, "min_support");
 
+    // The `n_units` word, just ahead of `min_support`, must count the unit
+    // names the file stores: the cube derives its unit count from them.
+    let n_units = u32::from_le_bytes(good[MIN_SUPPORT - 4..MIN_SUPPORT].try_into().unwrap());
+    for wrong in [0, n_units - 1, n_units + 1, u32::MAX] {
+        let mut bad = good.clone();
+        bad[MIN_SUPPORT - 4..MIN_SUPPORT].copy_from_slice(&wrong.to_le_bytes());
+        repatch_both_sums(&mut bad);
+        reject(&bad, "unit names");
+    }
+
     // Header byte 12, outside both checksums, is the posting representation
     // tag: anything but EWAH's 1 is refused by name.
     for tag in [0u8, 2, 3, 4, 0xFF] {
