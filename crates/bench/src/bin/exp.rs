@@ -616,7 +616,7 @@ fn cube_scale_experiment(smoke: bool) {
         "E20",
         "cube scale: chunked vs resident build + mmap serving (writes BENCH_cube_scale.json)",
     );
-    let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let host_threads = scube_common::par::host_threads();
     let query_threads = 4usize.min(host_threads);
     // (company count, run the resident path too). Mean board size is
     // ~2.8 seats, so the largest scale is ~4.2×10⁶ rows — chunked-only:

@@ -16,11 +16,14 @@
 //!   sharded caches of the concurrent serving layer.
 //! * [`mmap`] — read-only memory-mapped files and the owned-or-mapped
 //!   [`mmap::Store`] backing zero-copy snapshot serving.
+//! * [`par`] — the one fan-out every data-parallel pass runs through:
+//!   owned jobs on scoped workers, results in job order, panics as errors.
 
 pub mod csv;
 pub mod error;
 pub mod hash;
 pub mod mmap;
+pub mod par;
 pub mod sync;
 pub mod table;
 

@@ -16,7 +16,7 @@
 //! scube save  <same input flags> --snapshot cube.scube
 //! scube query --snapshot cube.scube [--mmap] [--sa gender=F] [--ca region=north]
 //!             [--breakdown] [--top 10 --rank dissimilarity --min-total 100]
-//!             [--slice gender=F,region=north] [--threads 4]
+//!             [--slice gender=F,region=north]
 //! scube inspect --snapshot cube.scube
 //! ```
 //!
@@ -41,8 +41,7 @@
 //! postings as a checksummed binary snapshot; `query` serves point / top-k /
 //! slice queries from such a snapshot without re-mining — non-materialized
 //! ⋆-combinations are recomputed exactly from the stored postings. Every
-//! answer comes from one [`ConcurrentCubeEngine`]; `--threads N` only fans
-//! the `--top` ranking out over up to N threads, with bit-identical output.
+//! answer comes from one [`ConcurrentCubeEngine`].
 //! With `--mmap`, the snapshot is memory-mapped instead of read onto the heap:
 //! opening costs O(metadata) however large the file is.
 
@@ -114,8 +113,6 @@ verbs:
     --top <k>            top-k materialized cells by --rank
     --min-total <n>      top-k population filter [1]
     --slice a=v,...      materialized cells fixing these coordinates
-    --threads <n>        rank --top on up to n threads; answers are
-                         identical for any n [1]
 
 required (run / save):
   --final-table <csv>    tabular shortcut: rows already carry a unit column
@@ -164,8 +161,7 @@ fn flag_arity(verb: &str, flag: &str) -> Option<bool> {
         )
         | ("run", "--out" | "--rank")
         | ("save" | "update" | "query" | "inspect", "--snapshot")
-        | ("update", "--add" | "--remove" | "--unit-col")
-        | ("update" | "query", "--threads")
+        | ("update", "--add" | "--remove" | "--unit-col" | "--threads")
         | ("query", "--sa" | "--ca" | "--index" | "--top" | "--rank" | "--min-total" | "--slice") => {
             Some(true)
         }
@@ -506,8 +502,8 @@ fn run_save(args: &[String]) -> Result<String> {
     ))
 }
 
-/// `--threads <n>` of `update` (dirty-cell re-evaluation) and `query`
-/// (`--top` ranking): a worker count of at least 1, defaulting to 1.
+/// `--threads <n>` of `update` (dirty-cell re-evaluation): a worker count
+/// of at least 1, defaulting to 1.
 fn parse_threads(flags: &Flags) -> Result<usize> {
     match flags.get("--threads") {
         None => Ok(1),
@@ -631,7 +627,6 @@ fn significance_lines(
 fn run_query(args: &[String]) -> Result<String> {
     let flags = Flags::new("query", args)?;
     let path = flags.require("--snapshot")?;
-    let threads = parse_threads(&flags)?;
     let load_start = std::time::Instant::now();
     let snap: CubeSnapshot = if flags.has("--mmap") {
         CubeSnapshot::open_mmap(path)?
@@ -708,8 +703,7 @@ fn run_query(args: &[String]) -> Result<String> {
             query_index.unwrap_or(SegIndex::Dissimilarity)
         };
         out.push(format!("top {k} by {rank} (population >= {min_total}):"));
-        let ranked = engine.top_k_batch(&[rank], k, min_total, threads)?.remove(0).1;
-        for (coords, values, x) in ranked {
+        for (coords, values, x) in engine.top_k(rank, k, min_total) {
             out.push(format!(
                 "  {x:.4}  {}  (M={}, T={})",
                 engine.cube().labels().describe(&coords),
@@ -859,19 +853,6 @@ mod tests {
         assert!(answer.contains("D=1.0000"), "{answer}");
         assert!(answer.contains("edu: 3/3"), "{answer}");
 
-        // --threads changes no answer, breakdown included.
-        let q: Vec<String> =
-            ["--snapshot", &p("cube.scube"), "--sa", "gender=F", "--breakdown", "--threads", "4"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        assert_eq!(run_query(&q).unwrap(), answer);
-        let q: Vec<String> = ["--snapshot", &p("cube.scube"), "--top", "3", "--threads", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run_query(&q).unwrap().contains("top 3 by dissimilarity"));
-
         // Top-k and slice render without error.
         let q: Vec<String> =
             ["--snapshot", &p("cube.scube"), "--top", "3"].iter().map(|s| s.to_string()).collect();
@@ -891,9 +872,6 @@ mod tests {
             vec!["--snapshot", &p("cube.scube"), "--breakdown"],
             vec!["--snapshot", &p("cube.scube"), "--rank", "gini"],
             vec!["--snapshot", &p("cube.scube"), "--min-total", "5"],
-            vec!["--snapshot", &p("cube.scube"), "--top", "3", "--threads"],
-            vec!["--snapshot", &p("cube.scube"), "--top", "3", "--threads", "0"],
-            vec!["--snapshot", &p("cube.scube"), "--top", "3", "--threads", "x"],
             // Role confusion: sector is a unit/context-side attribute.
             vec!["--snapshot", &p("cube.scube"), "--ca", "gender=F"],
         ] {
@@ -1083,7 +1061,7 @@ mod tests {
         // A closed subset store leaves (gender=F | *) to the fallback tier
         // (every F row is in the north, so {F} is not closed). The answer
         // folds the snapshot's measure subset and prints the same bytes as
-        // the masked full build, whatever --threads says.
+        // the masked full build.
         std::fs::write(
             p("regions.csv"),
             "gender,region,unitID\nF,north,edu\nF,north,edu\nF,north,agri\nM,north,edu\n\
@@ -1106,11 +1084,7 @@ mod tests {
         assert!(closed.cube().get(&CellCoords::new(vec![women], vec![])).is_none());
         let masked = q(&["--snapshot", &p("all.scube"), "--sa", "gender=F"]).unwrap();
         assert!(masked.contains("D=-") && !masked.contains("G=-"), "{masked}");
-        let closed_path = p("closed.scube");
-        for threads in [&[][..], &["--threads", "1"], &["--threads", "4"]] {
-            let args = [&["--snapshot", &closed_path, "--sa", "gender=F"], threads].concat();
-            assert_eq!(q(&args).unwrap(), masked, "{threads:?}");
-        }
+        assert_eq!(q(&["--snapshot", &p("closed.scube"), "--sa", "gender=F"]).unwrap(), masked);
 
         // A full-suite snapshot serves --significance: deterministic
         // permutation p-values per defined index, or just the --index one.
@@ -1351,6 +1325,11 @@ mod tests {
                 assert!(err.to_string().contains(names), "{verb} {args:?}: {err}");
             }
         }
+        // `query` has no --threads (only `update` fans out): refused, not
+        // silently ignored.
+        let args = strings(&["--snapshot", "c.scube", "--top", "3", "--threads", "2"]);
+        let err = run_query(&args).expect_err("query --threads must be refused");
+        assert!(err.to_string().contains("--threads"), "{err}");
         // A value cannot be another flag.
         let err = run_save(&strings(&["--sa", "--closed"])).unwrap_err();
         assert!(err.to_string().contains("--sa needs a value"), "{err}");

@@ -40,8 +40,8 @@
 //! The HTTP layer (`minihttp`) never panics on wire bytes — malformed
 //! requests get structured 4xx responses. Request handlers additionally run
 //! under `catch_unwind`, so even a panicking handler costs one 500, never
-//! the process. Engine worker panics are already converted to errors inside
-//! `query_batch`/`top_k_batch`.
+//! the process. Worker panics inside a parallel pass (update staging) are
+//! already errors: `scube_common::par` converts them.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,8 +73,6 @@ pub struct DaemonConfig {
     pub cache_capacity: usize,
     /// Worker threads for the dirty-cell re-evaluation phase of an update.
     pub update_threads: usize,
-    /// Worker threads for ranking in `/topk` (clamped per request).
-    pub query_threads: usize,
     /// Maximum accepted request-body length in bytes (`POST /update`
     /// payloads); oversized bodies are refused with a 413 naming this cap.
     pub max_body: usize,
@@ -82,13 +80,12 @@ pub struct DaemonConfig {
 
 impl Default for DaemonConfig {
     fn default() -> Self {
-        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let host = scube_common::par::host_threads();
         DaemonConfig {
             workers: host.clamp(2, 8),
             shards: DEFAULT_SHARDS,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             update_threads: host.min(8),
-            query_threads: host.min(8),
             max_body: Limits::default().max_body,
         }
     }
@@ -408,7 +405,7 @@ fn dispatch(server: &HttpServer, state: &State, req: &HttpRequest) -> (usize, Ht
     let resp = match (req.method.as_str(), verb) {
         ("GET", "query") => cell_query(handle, &req.query, false),
         ("GET", "breakdown") => cell_query(handle, &req.query, true),
-        ("GET", "topk") => top_k(state, handle, &req.query),
+        ("GET", "topk") => top_k(handle, &req.query),
         ("GET", "slice") => slice(handle, &req.query),
         ("GET", "dice") => dice(handle, &req.query),
         ("GET", "stats") => cube_stats(handle),
@@ -745,7 +742,7 @@ fn significance_json(
     Ok(format!("[{}]", entries.join(",")))
 }
 
-fn top_k(state: &State, handle: &CubeHandle, raw_query: &str) -> HttpResponse {
+fn top_k(handle: &CubeHandle, raw_query: &str) -> HttpResponse {
     let params = match query_params(raw_query) {
         Ok(p) => p,
         Err(e) => return bad_request(&e),
@@ -755,22 +752,15 @@ fn top_k(state: &State, handle: &CubeHandle, raw_query: &str) -> HttpResponse {
         Some(ix) => ix,
         None => return bad_request(&format!("unknown index {raw_index:?}")),
     };
-    let (k, min_total, threads) = match (
-        usize_param(&params, "k", 10),
-        u64_param(&params, "min_total", 1),
-        usize_param(&params, "threads", state.config.query_threads),
-    ) {
-        (Ok(k), Ok(m), Ok(t)) => (k, m, t),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return bad_request(&e),
+    let (k, min_total) = match (usize_param(&params, "k", 10), u64_param(&params, "min_total", 1)) {
+        (Ok(k), Ok(m)) => (k, m),
+        (Err(e), _) | (_, Err(e)) => return bad_request(&e),
     };
     let engine = handle.engine();
-    match engine.top_k_batch(&[index], k, min_total, threads) {
-        Ok(mut ranked) => {
-            let (index, rows) = ranked.remove(0);
-            HttpResponse::json(200, topk_json(engine.cube().labels(), index, &rows))
-        }
-        Err(e) => error_response(&e),
-    }
+    HttpResponse::json(
+        200,
+        topk_json(engine.cube().labels(), index, &engine.top_k(index, k, min_total)),
+    )
 }
 
 fn slice(handle: &CubeHandle, raw_query: &str) -> HttpResponse {

@@ -17,8 +17,8 @@
 //!    `(t, k)` runs);
 //! 4. evaluate the selected indexes per cell ([`IndexValues`]) from the
 //!    context's run table and the cell's minority units, counted into
-//!    per-worker reusable [`UnitScratch`] histograms and chunked over
-//!    `std::thread::scope` when `parallel` is on. A cell costs
+//!    per-worker reusable [`UnitScratch`] histograms and fanned out through
+//!    [`scube_common::par`] when `parallel` is on. A cell costs
 //!    O(|tidset|) for its histogram, a sort of its touched (minority)
 //!    units, a galloping lookup of their totals in the context list, a
 //!    sort of their `(t, m)` keys and a pass over the context's runs —
@@ -72,7 +72,7 @@ pub struct CubeConfig {
     pub measures: MeasureSet,
     /// Mine and evaluate on multiple threads.
     pub parallel: bool,
-    /// Worker count when `parallel` (`None` = available parallelism).
+    /// Worker count when `parallel` (`None` = the host's parallelism).
     pub threads: Option<usize>,
 }
 
@@ -88,9 +88,6 @@ impl Default for CubeConfig {
         }
     }
 }
-
-/// One context: its CA items and its run table.
-type Context = (Vec<ItemId>, ContextTotals);
 
 /// One evaluated cell: coordinates, values, and its minority store entry
 /// (`None` when the SA side is `⋆`).
@@ -164,7 +161,8 @@ impl CubeBuilder {
     }
 
     /// Pin the worker count of a parallel build (benchmarks; the default
-    /// follows [`std::thread::available_parallelism`]).
+    /// is [`scube_common::par::host_threads`], and any count is clamped by
+    /// [`scube_common::par::workers`]).
     pub fn threads(mut self, n: usize) -> Self {
         self.config.threads = (n > 0).then_some(n);
         self
@@ -228,9 +226,7 @@ impl CubeBuilder {
         }
 
         let n_threads = if cfg.parallel {
-            cfg.threads.unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            })
+            cfg.threads.unwrap_or_else(scube_common::par::host_threads)
         } else {
             1
         };
@@ -280,7 +276,7 @@ impl CubeBuilder {
         }
 
         // Distinct contexts referenced by surviving cells, in first-seen
-        // order (deterministic for the parallel chunking below).
+        // order (the job order of the fan-out below).
         let mut distinct_contexts: Vec<&CellCoords> = Vec::new();
         let mut seen_contexts: FxHashSet<&[ItemId]> = FxHashSet::default();
         for (i, coords) in splits.iter().enumerate() {
@@ -293,11 +289,7 @@ impl CubeBuilder {
         }
 
         // Per-context run tables over compact ascending (unit, total) lists,
-        // computed in parallel with per-worker scratch buffers.
-        let hist_of = |coords: &CellCoords, scratch: &mut UnitScratch| {
-            vertical.unit_histogram_into(context_source[coords.ca.as_slice()], scratch);
-            ContextTotals::new(scratch.sorted_pairs())
-        };
+        // one job per context, with per-worker scratch buffers.
         let mut context_hists: FxHashMap<Vec<ItemId>, ContextTotals> =
             scube_common::hash::fx_map_with_capacity(distinct_contexts.len() + 1);
         context_hists.insert(
@@ -311,36 +303,16 @@ impl CubeBuilder {
                     .collect(),
             )?,
         );
-        if n_threads > 1 && distinct_contexts.len() > 64 {
-            let chunk = distinct_contexts.len().div_ceil(n_threads);
-            let results: Vec<Result<Vec<Context>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = distinct_contexts
-                    .chunks(chunk)
-                    .map(|ctx_chunk| {
-                        let hist_of = &hist_of;
-                        scope.spawn(move || {
-                            let mut scratch = UnitScratch::new(n_units as u32);
-                            ctx_chunk
-                                .iter()
-                                .map(|coords| {
-                                    Ok((coords.ca.clone(), hist_of(coords, &mut scratch)?))
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
-            for r in results {
-                context_hists.extend(r?);
-            }
-        } else {
-            let mut scratch = UnitScratch::new(n_units as u32);
-            for coords in &distinct_contexts {
-                context_hists.insert(coords.ca.clone(), hist_of(coords, &mut scratch)?);
-            }
-        }
-        drop(distinct_contexts);
+        let contexts = scube_common::par::map(
+            distinct_contexts,
+            n_threads,
+            || UnitScratch::new(n_units as u32),
+            |scratch, coords| {
+                vertical.unit_histogram_into(context_source[coords.ca.as_slice()], scratch);
+                Ok((coords.ca.clone(), ContextTotals::new(scratch.sorted_pairs())?))
+            },
+        )?;
+        context_hists.extend(contexts);
         drop(seen_contexts);
         drop(context_source);
 
@@ -360,62 +332,29 @@ impl CubeBuilder {
         // alone.
         let atkinson_b = cfg.atkinson_b;
         let measures = cfg.measures;
-        let eval = |coords: CellCoords,
-                    tids: &EwahBitmap,
-                    scratch: &mut UnitScratch,
-                    pairs: &mut Vec<(u32, u64)>|
-         -> Result<Evaluated> {
-            let context = &context_hists[&coords.ca];
-            if coords.sa.is_empty() {
-                return Ok((coords, context.fold_whole(atkinson_b, measures), None));
-            }
-            vertical.unit_histogram_into(tids, scratch);
-            scratch.sorted_pairs_into(pairs);
-            let values = context.fold(pairs, atkinson_b, measures)?;
-            Ok((coords, values, Some(encode_entry(pairs))))
-        };
-
+        let evaluated = scube_common::par::map(
+            mined.into_iter().zip(splits),
+            n_threads,
+            || (UnitScratch::new(n_units as u32), Vec::new()),
+            |(scratch, pairs), ((_, tids), coords)| -> Result<Evaluated> {
+                let context = &context_hists[&coords.ca];
+                if coords.sa.is_empty() {
+                    return Ok((coords, context.fold_whole(atkinson_b, measures), None));
+                }
+                vertical.unit_histogram_into(&tids, scratch);
+                scratch.sorted_pairs_into(pairs);
+                let values = context.fold(pairs, atkinson_b, measures)?;
+                Ok((coords, values, Some(encode_entry(pairs))))
+            },
+        )?;
         let mut cells: FxHashMap<CellCoords, IndexValues> =
-            scube_common::hash::fx_map_with_capacity(mined.len() + 1);
+            scube_common::hash::fx_map_with_capacity(evaluated.len() + 1);
         let mut store = MaintenanceStore::default();
-        let mut file = |(coords, values, minority): Evaluated| {
+        for (coords, values, minority) in evaluated {
             if let Some(entry) = minority {
                 store.minorities.insert(coords.clone(), entry);
             }
             cells.insert(coords, values);
-        };
-        if n_threads > 1 && mined.len() > 256 {
-            let chunk = mined.len().div_ceil(n_threads);
-            let mut work = mined.into_iter().zip(splits);
-            let owned: Vec<Vec<_>> =
-                (0..n_threads).map(|_| work.by_ref().take(chunk).collect()).collect();
-            let results: Vec<Result<Vec<Evaluated>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = owned
-                    .into_iter()
-                    .map(|work| {
-                        let eval = &eval;
-                        scope.spawn(move || {
-                            let mut scratch = UnitScratch::new(n_units as u32);
-                            let mut pairs = Vec::new();
-                            work.into_iter()
-                                .map(|((_, tids), coords)| {
-                                    eval(coords, &tids, &mut scratch, &mut pairs)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
-            for r in results {
-                r?.into_iter().for_each(&mut file);
-            }
-        } else {
-            let mut scratch = UnitScratch::new(n_units as u32);
-            let mut pairs = Vec::new();
-            for ((_, tids), coords) in mined.into_iter().zip(splits) {
-                file(eval(coords, &tids, &mut scratch, &mut pairs)?);
-            }
         }
         // Apex cell (⋆ | ⋆): whole population vs itself.
         let apex = context_hists[&Vec::new()].fold_whole(atkinson_b, measures);

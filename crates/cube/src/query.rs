@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use scube_common::{FxHashMap, Result, ScubeError};
-use scube_segindex::{IndexValues, SegIndex};
+use scube_segindex::IndexValues;
 
 use crate::coords::CellCoords;
 use crate::cube::CubeLabels;
@@ -158,42 +158,6 @@ pub(crate) fn resolve_coords(
 /// capacity, and the counter is decremented for every eviction and
 /// replacement (budget-exactness regression tests pin this).
 pub(crate) const BREAKDOWN_TRIPLE_BUDGET: usize = 1 << 20;
-
-/// Descending by index value, ties broken by canonical coordinates — a
-/// total order, so any partition of the cells ranks deterministically.
-pub(crate) fn sort_ranked(rows: &mut RankedCells, k: usize) {
-    rows.sort_by(|a, b| b.2.total_cmp(&a.2).then_with(|| a.0.union().cmp(&b.0.union())));
-    if k > 0 {
-        rows.truncate(k);
-    }
-}
-
-/// One pass over a set of materialized cells ranking every requested index
-/// at once: the whole store, or one worker's chunk of it (the engine then
-/// merges the chunks under [`sort_ranked`]).
-pub(crate) fn rank_cell_list<'a>(
-    cells: impl IntoIterator<Item = (&'a CellCoords, &'a IndexValues)>,
-    indexes: &[SegIndex],
-    k: usize,
-    min_total: u64,
-) -> Vec<(SegIndex, RankedCells)> {
-    let mut per_index: Vec<(SegIndex, RankedCells)> =
-        indexes.iter().map(|&ix| (ix, Vec::new())).collect();
-    for (coords, v) in cells {
-        if coords.is_sa_star() || v.total < min_total {
-            continue;
-        }
-        for (ix, rows) in &mut per_index {
-            if let Some(x) = v.get(*ix) {
-                rows.push((coords.clone(), *v, x));
-            }
-        }
-    }
-    for (_, rows) in &mut per_index {
-        sort_ranked(rows, k);
-    }
-    per_index
-}
 
 const NIL: usize = usize::MAX;
 

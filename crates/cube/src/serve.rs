@@ -37,8 +37,8 @@ use crate::coords::CellCoords;
 use crate::cube::SegregationCube;
 use crate::explore::{CubeExplorer, ExplorerScratch};
 use crate::query::{
-    rank_cell_list, resolve_coords, sort_ranked, AtomicQueryStats, LruCache, QueryStats,
-    RankedCells, BREAKDOWN_TRIPLE_BUDGET, DEFAULT_CACHE_CAPACITY,
+    resolve_coords, AtomicQueryStats, LruCache, QueryStats, RankedCells, BREAKDOWN_TRIPLE_BUDGET,
+    DEFAULT_CACHE_CAPACITY,
 };
 use crate::snapshot::CubeSnapshot;
 
@@ -55,34 +55,33 @@ type Breakdown = std::sync::Arc<[(u32, u64, u64)]>;
 /// One lock-guarded shard of an LRU cache.
 type Shard<V> = SpinLock<LruCache<CellCoords, V>>;
 
-/// Worker threads one batch call will actually spawn: at least the
-/// requested count up to 8× the host's parallelism (floor 8, so concurrency
-/// tests exercise real threads even on a 1-CPU host), never more than one
-/// per item. A runaway request (`--threads 1000000`) must not translate
-/// into thousands of OS threads — `thread::scope` aborts on spawn failure
-/// rather than returning an error. Update staging fans out through it too.
-pub(crate) fn clamp_threads(requested: usize, items: usize) -> usize {
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    requested.max(1).min((8 * host).max(8)).min(items.max(1))
+/// A scratch checked out of an engine's pool; it goes back when dropped.
+/// A worker that panicked drops its scratch instead (the pool regrows on
+/// demand), so a half-updated scratch is never handed out again.
+struct Checkout<'a> {
+    engine: &'a ConcurrentCubeEngine,
+    scratch: Option<ExplorerScratch>,
 }
 
-/// Convert a worker-thread join result into an error instead of
-/// re-panicking. A long-running serving process must survive one poisoned
-/// query: the batch that hit the panic fails with
-/// [`ScubeError::Inconsistent`] (carrying the panic message), the engine
-/// stays healthy, and the panicked worker's scratch is simply not returned
-/// to the pool (the pool regrows on demand).
-fn join_worker<T>(joined: std::thread::Result<T>, what: &str) -> Result<T> {
-    joined.map_err(|payload| {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            s
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.as_str()
-        } else {
-            "non-string panic payload"
-        };
-        ScubeError::Inconsistent(format!("{what} worker panicked: {msg}"))
-    })
+impl std::ops::Deref for Checkout<'_> {
+    type Target = ExplorerScratch;
+    fn deref(&self) -> &ExplorerScratch {
+        self.scratch.as_ref().expect("held until drop")
+    }
+}
+
+impl std::ops::DerefMut for Checkout<'_> {
+    fn deref_mut(&mut self) -> &mut ExplorerScratch {
+        self.scratch.as_mut().expect("held until drop")
+    }
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        if let Some(scratch) = self.scratch.take().filter(|_| !std::thread::panicking()) {
+            self.engine.scratches.lock().push(scratch);
+        }
+    }
 }
 
 /// Owned copies of a view's cells in canonical (sa, ca) order.
@@ -162,7 +161,7 @@ impl ConcurrentCubeEngine {
         // first wave of cold queries finds a scratch waiting; the pool
         // still grows (one allocation, once) if more threads ever query
         // simultaneously.
-        let seed = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let seed = scube_common::par::host_threads();
         let scratches = (0..seed).map(|_| explorer.new_scratch()).collect();
         ConcurrentCubeEngine {
             cube,
@@ -245,12 +244,12 @@ impl ConcurrentCubeEngine {
 
     /// Check a scratch out of the pool (allocating a fresh one only if
     /// every pooled scratch is in use right now).
-    fn checkout(&self) -> ExplorerScratch {
-        self.scratches.lock().pop().unwrap_or_else(|| self.explorer.new_scratch())
-    }
-
-    fn check_in(&self, scratch: ExplorerScratch) {
-        self.scratches.lock().push(scratch);
+    fn checkout(&self) -> Checkout<'_> {
+        let pooled = self.scratches.lock().pop();
+        Checkout {
+            engine: self,
+            scratch: Some(pooled.unwrap_or_else(|| self.explorer.new_scratch())),
+        }
     }
 
     /// Reject coordinates outside this cube's coordinate space: an item id
@@ -328,10 +327,7 @@ impl ConcurrentCubeEngine {
             return Ok(v);
         }
         // Only the cold path needs histogram state.
-        let mut scratch = self.checkout();
-        let out = self.explore(coords, &mut scratch);
-        self.check_in(scratch);
-        out
+        self.explore(coords, &mut self.checkout())
     }
 
     /// Point lookup by attribute/value names, e.g.
@@ -364,9 +360,7 @@ impl ConcurrentCubeEngine {
             return Ok(b.to_vec());
         }
         self.validate(coords)?;
-        let mut scratch = self.checkout();
-        let b = self.explorer.unit_breakdown_with(coords, &mut scratch);
-        self.check_in(scratch);
+        let b = self.explorer.unit_breakdown_with(coords, &mut self.checkout());
         self.stats.record_breakdown_computed();
         let (key, value): (CellCoords, Breakdown) = (coords.clone(), b.as_slice().into());
         // An entry weighs its retained triples, floored at 1 so an empty
@@ -376,99 +370,31 @@ impl ConcurrentCubeEngine {
         Ok(b)
     }
 
-    /// Answer a batch of point queries, fanning contiguous chunks out over
-    /// `threads` scoped worker threads (each with one checked-out scratch
-    /// for its whole chunk). Results come back in input order and are
-    /// bit-identical to issuing the queries serially; the first error wins.
+    /// Answer a batch of point queries, one contiguous run per worker of
+    /// [`scube_common::par`], each with one scratch checked out of the
+    /// pool. Results come back in input order and are bit-identical to
+    /// issuing the queries serially; the first error wins, and a panicking
+    /// worker fails only this call with [`ScubeError::Inconsistent`].
     pub fn query_batch(&self, coords: &[CellCoords], threads: usize) -> Result<Vec<IndexValues>> {
-        let threads = clamp_threads(threads, coords.len());
-        if threads == 1 {
-            let mut scratch = self.checkout();
-            let out: Result<Vec<IndexValues>> =
-                coords.iter().map(|c| self.query_with(c, &mut scratch)).collect();
-            self.check_in(scratch);
-            return out;
-        }
-        let chunk = coords.len().div_ceil(threads);
-        let results: Vec<Result<Vec<IndexValues>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = coords
-                .chunks(chunk)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut scratch = self.checkout();
-                        let out: Result<Vec<IndexValues>> =
-                            chunk.iter().map(|c| self.query_with(c, &mut scratch)).collect();
-                        self.check_in(scratch);
-                        out
-                    })
-                })
-                .collect();
-            // Every handle must be joined — an unjoined panicked scoped
-            // thread re-panics at scope exit, which would abort a daemon.
-            handles.into_iter().map(|h| join_worker(h.join(), "query").and_then(|r| r)).collect()
-        });
-        let mut out = Vec::with_capacity(coords.len());
-        for r in results {
-            out.extend(r?);
-        }
-        Ok(out)
+        let workers = scube_common::par::workers(threads, coords.len());
+        let runs: Vec<Vec<IndexValues>> = scube_common::par::map(
+            coords.chunks(coords.len().div_ceil(workers).max(1)),
+            workers,
+            || self.checkout(),
+            |scratch, run| run.iter().map(|c| self.query_with(c, scratch)).collect(),
+        )?;
+        Ok(runs.concat())
     }
 
     /// Top-k materialized cells by one index (descending), restricted to
     /// real minorities (non-⋆ SA side) with population at least `min_total`.
-    /// `k = 0` returns all matches.
+    /// `k = 0` returns all matches. The order is
+    /// [`crate::report::top_contexts`]'s.
     pub fn top_k(&self, index: SegIndex, k: usize, min_total: u64) -> RankedCells {
-        rank_cell_list(self.cube.cells(), &[index], k, min_total).remove(0).1
-    }
-
-    /// Batched top-k over the materialized store, fanned out over up to
-    /// `threads` scoped worker threads by chunking the *store*: each worker
-    /// ranks its chunk of cells for every requested index (keeping its
-    /// local top-k), and the partial rankings merge under the same total
-    /// order — so even a single-index `--top` query parallelizes, and the
-    /// output is bit-identical for any thread count, in `indexes` order.
-    ///
-    /// A panicking worker fails only this call with
-    /// [`ScubeError::Inconsistent`]; the engine stays healthy for later
-    /// queries.
-    pub fn top_k_batch(
-        &self,
-        indexes: &[SegIndex],
-        k: usize,
-        min_total: u64,
-        threads: usize,
-    ) -> Result<Vec<(SegIndex, RankedCells)>> {
-        let threads = clamp_threads(threads, self.cube.len());
-        if threads == 1 || indexes.is_empty() {
-            return Ok(rank_cell_list(self.cube.cells(), indexes, k, min_total));
-        }
-        let cells: Vec<(&CellCoords, &IndexValues)> = self.cube.cells().collect();
-        let chunk = cells.len().div_ceil(threads);
-        let partials: Vec<Result<Vec<(SegIndex, RankedCells)>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = cells
-                .chunks(chunk)
-                .map(|chunk| {
-                    scope
-                        .spawn(move || rank_cell_list(chunk.iter().copied(), indexes, k, min_total))
-                })
-                .collect();
-            // Join every handle (see `query_batch`) so a panicking ranking
-            // worker becomes an error instead of aborting the process.
-            handles.into_iter().map(|h| join_worker(h.join(), "ranking")).collect()
-        });
-        // Each worker's local top-k contains every global top-k member of
-        // its chunk, so concatenating and re-sorting loses nothing.
-        let mut merged: Vec<(SegIndex, RankedCells)> =
-            indexes.iter().map(|&ix| (ix, Vec::new())).collect();
-        for partial in partials {
-            for ((_, rows), (_, out)) in partial?.into_iter().zip(&mut merged) {
-                out.extend(rows);
-            }
-        }
-        for (_, rows) in &mut merged {
-            sort_ranked(rows, k);
-        }
-        Ok(merged)
+        crate::report::top_contexts(&self.cube, index, k, min_total)
+            .into_iter()
+            .map(|(coords, v, x)| (coords.clone(), *v, x))
+            .collect()
     }
 
     /// Slice: materialized cells fixing all the given `(attr, value)`
@@ -540,7 +466,8 @@ mod tests {
         let (full, _, concurrent) = engines();
         let mut coords: Vec<CellCoords> = full.cells().map(|(c, _)| c.clone()).collect();
         coords.sort();
-        for threads in [1, 2, 5] {
+        // A runaway request is clamped by the fan-out, not refused.
+        for threads in [1, 2, 5, usize::MAX] {
             let batch = concurrent.query_batch(&coords, threads).unwrap();
             assert_eq!(batch.len(), coords.len());
             for (c, got) in coords.iter().zip(&batch) {
@@ -581,31 +508,14 @@ mod tests {
                 .map(|(c, v, x)| (c.clone(), *v, x))
                 .collect()
         };
-        let indexes =
-            [SegIndex::Dissimilarity, SegIndex::Gini, SegIndex::Isolation, SegIndex::Atkinson];
-        let expected: Vec<(SegIndex, RankedCells)> =
-            indexes.iter().map(|&ix| (ix, reference(ix, 4))).collect();
-        for threads in [1, 3, 8] {
-            assert_eq!(
-                engine.top_k_batch(&indexes, 4, 1, threads).unwrap(),
-                expected,
-                "threads {threads}"
-            );
-            // A single index must also rank in parallel (the store is
-            // chunked, not the index list) and merge bit-identically —
-            // including k = 0 (return all).
-            for k in [0, 3] {
-                assert_eq!(
-                    engine.top_k_batch(&[SegIndex::Gini], k, 1, threads).unwrap(),
-                    vec![(SegIndex::Gini, reference(SegIndex::Gini, k))],
-                    "single index, threads {threads}, k {k}"
-                );
+        for index in
+            [SegIndex::Dissimilarity, SegIndex::Gini, SegIndex::Isolation, SegIndex::Atkinson]
+        {
+            // k = 0 returns every match.
+            for k in [0, 3, 4] {
+                assert_eq!(engine.top_k(index, k, 1), reference(index, k), "{index} k {k}");
             }
         }
-        assert_eq!(
-            engine.top_k(SegIndex::Dissimilarity, 3, 1),
-            reference(SegIndex::Dissimilarity, 3)
-        );
 
         // Slice fixes its coordinates, dice drops every other attribute,
         // and both come back in canonical (sa, ca) order.
@@ -674,52 +584,6 @@ mod tests {
         assert_eq!(stats.total(), 2 * full.len() as u64);
     }
 
-    #[test]
-    fn runaway_thread_requests_are_clamped() {
-        // Never more workers than items, never a thread explosion from a
-        // user-supplied count, always at least 1 — and at least 8 allowed
-        // even on a 1-CPU host so concurrency tests stay real.
-        assert_eq!(clamp_threads(1_000_000, 3), 3);
-        assert_eq!(clamp_threads(1_000_000, 100_000) % 8, 0, "cap is a multiple of 8×host");
-        assert!(clamp_threads(1_000_000, 100_000) >= 8);
-        assert!(clamp_threads(1_000_000, 100_000) < 100_000);
-        assert_eq!(clamp_threads(0, 10), 1);
-        assert_eq!(clamp_threads(4, 0), 1);
-        assert_eq!(clamp_threads(8, 100), 8);
-
-        // And end-to-end: an absurd request still answers correctly.
-        let (full, _, concurrent) = engines();
-        let coords: Vec<CellCoords> = full.cells().map(|(c, _)| c.clone()).collect();
-        let batch = concurrent.query_batch(&coords, usize::MAX).unwrap();
-        for (c, got) in coords.iter().zip(&batch) {
-            assert_eq!(full.get(c), Some(got));
-        }
-    }
-
-    /// Regression: a worker panic used to abort the whole process through
-    /// `.expect("query worker panicked")`. The join must instead turn it
-    /// into an error for that one batch. Hostile coordinates no longer
-    /// panic (next test), so nothing a caller can pass makes a worker
-    /// panic; the join path is driven directly.
-    #[test]
-    fn worker_panic_fails_batch_not_process() {
-        let joined = std::thread::scope(|scope| {
-            [
-                scope.spawn(|| panic!("static payload")).join(),
-                scope.spawn(|| panic!("{} payload", "formatted")).join(),
-                scope.spawn(|| std::panic::panic_any(7u8)).join(),
-            ]
-        });
-        let messages: Vec<String> = joined
-            .into_iter()
-            .map(|j| join_worker::<()>(j, "query").unwrap_err().to_string())
-            .collect();
-        assert!(messages[0].contains("query worker panicked: static payload"), "{messages:?}");
-        assert!(messages[1].contains("query worker panicked: formatted payload"), "{messages:?}");
-        assert!(messages[2].contains("non-string panic payload"), "{messages:?}");
-        assert!(join_worker(Ok(5), "query").is_ok());
-    }
-
     /// Item ids beyond the postings used to index out of bounds in
     /// `VerticalDb::tidset`, and an item on the wrong side silently
     /// addressed a cell outside the cube. Both are `InvalidParameter` from
@@ -764,7 +628,7 @@ mod tests {
             assert_eq!(full.get(c), Some(got));
             assert!(engine.unit_breakdown(c).is_ok());
         }
-        assert!(!engine.top_k_batch(&[SegIndex::Gini], 3, 1, 4).unwrap().is_empty());
+        assert!(!engine.top_k(SegIndex::Gini, 3, 1).is_empty());
     }
 
     /// `snapshot` is the inverse of `with_config`: warm both caches (and,

@@ -230,10 +230,10 @@ impl CubeSnapshot {
     }
 
     /// As [`Self::apply_update`], fanning dirty-cell and promotion staging
-    /// over up to `threads` scoped worker threads (clamped to the host, as
-    /// query batches are; per-worker scratches,
-    /// deterministic results — the parallel update is bit-identical to the
-    /// serial one, checked on every update of `tests/cube_model.rs`).
+    /// over up to `threads` workers through [`scube_common::par`] (clamped
+    /// to the host; per-worker scratches, results in job order — the
+    /// parallel update is bit-identical to the serial one, checked on every
+    /// update of `tests/cube_model.rs`).
     pub fn apply_update_threads(
         &mut self,
         batch: &UpdateBatch,

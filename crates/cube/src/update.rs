@@ -56,9 +56,9 @@
 //! or an inconsistent store leaves the snapshot untouched, byte for byte.
 //! Cells are staged with the same [`UnitScratch`] machinery and the same
 //! index fold as [`crate::builder::CubeBuilder`] — identical integer
-//! histograms, hence identical index values — and large dirty sets fan out
-//! over scoped worker threads with per-worker scratches (staging is pure, so
-//! the parallel update is bit-identical to the serial one). The fold reads a
+//! histograms, hence identical index values — and dirty cells fan out
+//! through [`scube_common::par`] with per-worker scratches (staging is pure,
+//! so the parallel update is bit-identical to the serial one). The fold reads a
 //! histogram as a *multiset* of `(m, t)` pairs and orders them itself
 //! (`scube_segindex::indexes`), so a value depends on no unit id and no visit
 //! order: a cell whose histogram the delta did not touch keeps floats that a
@@ -94,7 +94,6 @@ use crate::builder::Materialize;
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
 use crate::histogram;
-use crate::serve::clamp_threads;
 
 /// A batch of appended individuals and retractions, expressed in label
 /// space (`attribute = value` pairs plus a unit name), waiting to be folded
@@ -926,41 +925,6 @@ impl Stager<'_> {
     }
 }
 
-/// Run `stage_one` over `jobs` on up to `threads` scoped workers — clamped
-/// like query batches, so a hostile thread count cannot exhaust the host —
-/// each with its own scratch. Results come back in job order, and staging
-/// is pure, so the parallel pass is bit-identical to the serial one.
-fn fan_out<J: Sync, R: Send>(
-    jobs: &[J],
-    threads: usize,
-    n_units: u32,
-    stage_one: impl Fn(&J, &mut UnitScratch) -> Result<R> + Sync,
-) -> Result<Vec<R>> {
-    let n_workers = clamp_threads(threads, jobs.len());
-    if n_workers == 1 || jobs.len() < 64 {
-        let mut scratch = UnitScratch::new(n_units);
-        return jobs.iter().map(|job| stage_one(job, &mut scratch)).collect();
-    }
-    let stage_one = &stage_one;
-    let parts: Vec<Result<Vec<R>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(jobs.len().div_ceil(n_workers))
-            .map(|part| {
-                scope.spawn(move || {
-                    let mut scratch = UnitScratch::new(n_units);
-                    part.iter().map(|job| stage_one(job, &mut scratch)).collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("update worker panicked")).collect()
-    });
-    let mut out = Vec::with_capacity(jobs.len());
-    for part in parts {
-        out.extend(part?);
-    }
-    Ok(out)
-}
-
 /// Phase: stage every context whose tidset the edit touches. Delta-clean
 /// contexts are skipped *before* their entries are looked into, so on a
 /// mapped snapshot they stay slices of the file.
@@ -992,10 +956,16 @@ fn stage_dirty_cells(
         .filter(|(coords, _)| stager.contexts.contains_key(&coords.ca))
         .map(|(coords, _)| coords.clone())
         .collect();
-    let staged = fan_out(&dirty, threads, stager.view.n_units_after, |coords, scratch| {
-        stager.stage_cell(coords, Origin::Stored, scratch)
-    })?;
-    Ok(dirty.into_iter().zip(staged).collect())
+    let n_units = stager.view.n_units_after;
+    scube_common::par::map(
+        dirty,
+        threads,
+        || UnitScratch::new(n_units),
+        |scratch, coords| {
+            let staged = stager.stage_cell(&coords, Origin::Stored, scratch)?;
+            Ok((coords, staged))
+        },
+    )
 }
 
 /// Phase: stage the promotions. Each candidate's context is staged first —
@@ -1019,10 +989,16 @@ fn stage_promotions(
         }
     }
     let stager = &*stager;
-    let staged = fan_out(&candidates, threads, stager.view.n_units_after, |(coords, r), s| {
-        stager.stage_cell(coords, Origin::Promoted(*r), s)
-    })?;
-    Ok(candidates.into_iter().zip(staged).filter_map(|((c, _), s)| Some((c, s?))).collect())
+    let staged = scube_common::par::map(
+        candidates,
+        threads,
+        || UnitScratch::new(view.n_units_after),
+        |scratch, (coords, r)| {
+            let staged = stager.stage_cell(&coords, Origin::Promoted(r), scratch)?;
+            Ok(staged.map(|s| (coords, s)))
+        },
+    )?;
+    Ok(staged.into_iter().flatten().collect())
 }
 
 /// The promotion candidates: itemsets frequent in the edited table that are
@@ -1210,8 +1186,8 @@ pub(crate) struct StagedUpdate {
 /// demote) → stage promotions. Every fallible step of an update is here,
 /// so an `Err` leaves the snapshot byte for byte as it was. Cells re-fold
 /// and promotions are checked under the parameters the cube was built
-/// with. Dirty cells and promotions fan out over up to `threads` scoped
-/// workers.
+/// with. Dirty cells and promotions fan out over up to `threads` workers
+/// through [`scube_common::par`].
 pub(crate) fn stage(
     cube: &SegregationCube,
     vertical: &VerticalDb,
@@ -1600,8 +1576,8 @@ mod tests {
     /// only three rows of `u0`. The head interns `u2, u0, u1`; retracting
     /// it drops `u0` and *swaps* the survivors (`u1 → 0`, `u2 → 1`) while
     /// no south context gains or loses a row. The 36 SA itemsets keep 72
-    /// cells dirty (`⋆` and north contexts), enough for `threads > 1` to
-    /// really fan out.
+    /// cells dirty (`⋆` and north contexts), enough that every worker of
+    /// `threads > 1` gets some.
     fn north_only_head_db(with_head: bool) -> TransactionDb {
         let schema = Schema::new(vec![
             Attribute::sa("sex"),
@@ -1651,7 +1627,7 @@ mod tests {
                 let mut updated = base.clone();
                 let stats = updated.apply_update_threads(&retract_head, threads).unwrap();
                 assert_eq!(stats.dropped_units, 1, "u0 leaves; u1 and u2 swap ids");
-                assert!(stats.dirty_cells >= 64, "{materialize:?}: workers fan out: {stats:?}");
+                assert!(stats.dirty_cells >= 64, "{materialize:?}: every worker stages: {stats:?}");
                 assert!(
                     stats.clean_cells > 0,
                     "{materialize:?}: south cells stay clean: {stats:?}"

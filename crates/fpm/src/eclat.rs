@@ -3,12 +3,10 @@
 //! The DFS owns its candidate lists, so a node's tidset is *moved* into the
 //! output once its extensions are computed (no per-node clone), and the
 //! tidset-carrying entry point has a parallel twin that fans the first-level
-//! equivalence classes (one frequent item's prefix subtree each) out over
-//! scoped worker threads. Workers claim subtrees dynamically and the
+//! equivalence classes (one frequent item's prefix subtree each) out through
+//! [`scube_common::par`]. Workers claim subtrees dynamically and the
 //! per-subtree outputs are merged back in root order, so the parallel miner
 //! is bit-identical to the serial one.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use scube_bitmap::EwahBitmap;
 use scube_common::Result;
@@ -125,11 +123,9 @@ pub fn mine_vertical_with_tidsets(
     Ok(out)
 }
 
-/// One worker's claimed subtrees: `(root index, subtree output)` pairs.
-type SubtreeBatch = Vec<(usize, Vec<(FrequentItemset, EwahBitmap)>)>;
-
 /// As [`mine_vertical_with_tidsets`], with the first-level equivalence
-/// classes fanned out over `n_threads` scoped workers.
+/// classes (one frequent item's prefix subtree each) fanned out over up to
+/// `n_threads` workers through [`scube_common::par`].
 ///
 /// Workers claim prefix subtrees dynamically (ascending-support root order
 /// gives the small subtrees first, so late claims stay balanced) and the
@@ -142,56 +138,28 @@ pub fn mine_vertical_with_tidsets_parallel(
 ) -> Result<Vec<(FrequentItemset, EwahBitmap)>> {
     validate_min_support(min_support)?;
     let roots = frequent_roots(vertical, min_support);
-    let n_threads = n_threads.clamp(1, roots.len().max(1));
-    if n_threads == 1 {
-        return mine_vertical_with_tidsets(vertical, min_support);
-    }
-
-    let next = AtomicUsize::new(0);
     let roots = &roots;
-    let batches: Vec<SubtreeBatch> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    // One join buffer per worker, reused across all its
-                    // claimed subtrees.
-                    let mut scratch = EwahBitmap::from_sorted(&[]);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= roots.len() {
-                            break;
-                        }
-                        let (item, tids) = &roots[i];
-                        let mut out = Vec::new();
-                        let mut prefix = vec![*item];
-                        out.push((
-                            FrequentItemset { items: prefix.clone(), support: tids.cardinality() },
-                            tids.clone(),
-                        ));
-                        let extensions =
-                            join_extensions(tids, &roots[i + 1..], min_support, &mut scratch);
-                        if !extensions.is_empty() {
-                            dfs_tids(extensions, min_support, &mut prefix, &mut out, &mut scratch);
-                        }
-                        local.push((i, out));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("miner worker panicked")).collect()
-    });
-
-    // Deterministic merge: subtree outputs back in root order.
-    let mut slots: Vec<Vec<(FrequentItemset, EwahBitmap)>> = Vec::new();
-    slots.resize_with(roots.len(), Vec::new);
-    for batch in batches {
-        for (i, out) in batch {
-            slots[i] = out;
-        }
-    }
-    let mut out: Vec<(FrequentItemset, EwahBitmap)> = slots.into_iter().flatten().collect();
+    // One join buffer per worker, reused across all its claimed subtrees.
+    let subtrees = scube_common::par::map(
+        0..roots.len(),
+        n_threads,
+        || EwahBitmap::from_sorted(&[]),
+        |scratch, i| {
+            let (item, tids) = &roots[i];
+            let mut out = Vec::new();
+            let mut prefix = vec![*item];
+            out.push((
+                FrequentItemset { items: prefix.clone(), support: tids.cardinality() },
+                tids.clone(),
+            ));
+            let extensions = join_extensions(tids, &roots[i + 1..], min_support, scratch);
+            if !extensions.is_empty() {
+                dfs_tids(extensions, min_support, &mut prefix, &mut out, scratch);
+            }
+            Ok(out)
+        },
+    )?;
+    let mut out: Vec<(FrequentItemset, EwahBitmap)> = subtrees.into_iter().flatten().collect();
     canonicalize_tids(&mut out);
     Ok(out)
 }

@@ -56,15 +56,21 @@ fn parallel_build_is_identical_on_real_data() {
         .parallel(false)
         .build(&db)
         .unwrap();
-    let parallel = CubeBuilder::new()
-        .min_support(10)
-        .materialize(Materialize::AllFrequent)
-        .parallel(true)
-        .build(&db)
-        .unwrap();
-    assert_eq!(serial.len(), parallel.len());
-    for (coords, v) in serial.cells() {
-        assert_eq!(parallel.get(coords), Some(v));
+    assert!(serial.len() > 256, "enough cells that every worker gets some");
+    // 0 = the host's parallelism; usize::MAX must be clamped to the host,
+    // not allocated or spawned per requested thread.
+    for threads in [0, 2, usize::MAX] {
+        let parallel = CubeBuilder::new()
+            .min_support(10)
+            .materialize(Materialize::AllFrequent)
+            .parallel(true)
+            .threads(threads)
+            .build(&db)
+            .unwrap();
+        assert_eq!(serial.len(), parallel.len(), "threads {threads}");
+        for (coords, v) in serial.cells() {
+            assert_eq!(parallel.get(coords), Some(v), "threads {threads}");
+        }
     }
 }
 

@@ -91,13 +91,12 @@ fn responses_are_bit_identical_to_in_process_engine() {
 
     // Top-k for every index.
     for index in SegIndex::ALL {
-        let ranked =
-            reference.top_k_batch(&[index], 5, MIN_SUPPORT, 2).expect("reference top-k").remove(0);
+        let ranked = reference.top_k(index, 5, MIN_SUPPORT);
         let resp = client
             .get(&format!("/cubes/main/topk?index={}&k=5&min_total={MIN_SUPPORT}", index.name()))
             .expect("topk");
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.text().unwrap(), daemon::topk_json(&labels, ranked.0, &ranked.1));
+        assert_eq!(resp.text().unwrap(), daemon::topk_json(&labels, index, &ranked));
     }
 
     // Slice, dice, and breakdown.

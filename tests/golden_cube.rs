@@ -221,11 +221,9 @@ fn serve_transcript_matches_golden() {
             fmt_values(v)
         ));
     }
-    for (index, ranked) in
-        engine.top_k_batch(&[SegIndex::Dissimilarity, SegIndex::Gini], 3, MIN_SUPPORT, 2).unwrap()
-    {
+    for index in [SegIndex::Dissimilarity, SegIndex::Gini] {
         out.push_str(&format!("top 3 by {index} (population >= {MIN_SUPPORT}):\n"));
-        for (c, v, x) in ranked {
+        for (c, v, x) in engine.top_k(index, 3, MIN_SUPPORT) {
             out.push_str(&format!(
                 "  {x:.6}  {}  (M={}, T={})\n",
                 engine.cube().labels().describe(&c),

@@ -1,6 +1,5 @@
 //! Property test for cube snapshot persistence: `save → load` must be
-//! bit-identical on datagen registries of varying planted skew — mirroring
-//! `tests/parallel_serial_equivalence.rs` for the serving layer.
+//! bit-identical on datagen registries of varying planted skew.
 
 use proptest::prelude::*;
 use scube::prelude::*;
