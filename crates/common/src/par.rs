@@ -1,7 +1,7 @@
 //! One fan-out for every data-parallel pass: [`map`] runs owned jobs on
 //! scoped worker threads and returns their results in job order.
 //!
-//! The cube builder's context and cell phases, the parallel Eclat miner,
+//! The cube builder's root subtrees (Eclat's DFS, folded as it emits),
 //! update staging and batched point queries all go through [`map`]. So one
 //! set of rules holds for all of them:
 //!
@@ -14,8 +14,7 @@
 //! * **Dynamic claiming.** Workers claim the next job from one shared
 //!   iterator, so uneven jobs (Eclat's prefix subtrees) still balance.
 //! * **Inline at one worker.** No thread is spawned. Jobs are taken by
-//!   value, so each is dropped as soon as its call returns; a serial cube
-//!   build frees each mined tidset this way before the next cell.
+//!   value, so each is dropped as soon as its call returns.
 //! * **Panics are errors.** Every worker is joined, and a panicking job
 //!   fails the call with [`ScubeError::Inconsistent`] naming the panic
 //!   payload. A serving process survives one poisoned batch.

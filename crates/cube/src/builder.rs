@@ -3,22 +3,23 @@
 //! The algorithm (from the companion journal paper) in this implementation:
 //!
 //! 1. build the vertical database (item → tidset bitmap);
-//! 2. mine frequent itemsets *with their tidsets* (Eclat-style DFS,
-//!    fanned out over threads when `parallel` is on); under
-//!    [`Materialize::ClosedOnly`], keep only closed ones;
-//! 3. split each itemset `I` into cell coordinates `(A, B)` by attribute
-//!    role; the minority histogram is the per-unit partition of `tidset(I)`
-//!    and the population histogram the per-unit partition of `tidset(B)`.
-//!    Context tidsets are *reused from the miner's output* (a cell's
-//!    context `B` is a subset of its itemset, hence itself frequent and
-//!    already mined), so no posting is ever re-intersected; histograms are
-//!    computed once per distinct context and cached as its run table
-//!    ([`ContextTotals`]: the ascending `(unit, total)` list plus its
-//!    `(t, k)` runs);
+//! 2. walk the frequent itemsets with Eclat's emitting DFS
+//!    ([`scube_fpm::eclat::walk`]), one job per root subtree, fanned out
+//!    through [`scube_common::par`] when `parallel` is on. The roots are
+//!    ordered CA items first, so a cell's context `B` is a prefix of its
+//!    itemset `B ∪ A` in DFS order: an ancestor of the cell's node. Each
+//!    node is folded as the DFS reaches it and its tidset is dropped, so a
+//!    build holds one root-to-leaf path of extension lists, never every
+//!    mined tidset at once;
+//! 3. split each node's itemset into cell coordinates `(A, B)` by attribute
+//!    role. A pure-CA node is the context of every cell in its subtree: its
+//!    per-unit histogram is counted from the tidset live at it and kept, while
+//!    the DFS is below it, as its run table ([`ContextTotals`]: the ascending
+//!    `(unit, total)` list plus its `(t, k)` runs). No posting is ever
+//!    re-intersected and each context is histogrammed once;
 //! 4. evaluate the selected indexes per cell ([`IndexValues`]) from the
 //!    context's run table and the cell's minority units, counted into
-//!    per-worker reusable [`UnitScratch`] histograms and fanned out through
-//!    [`scube_common::par`] when `parallel` is on. A cell costs
+//!    per-worker reusable [`UnitScratch`] histograms. A cell costs
 //!    O(|tidset|) for its histogram, a sort of its touched (minority)
 //!    units, a galloping lookup of their totals in the context list, a
 //!    sort of their `(t, m)` keys and a pass over the context's runs —
@@ -26,18 +27,22 @@
 //!    cell folds the context's runs alone. The same pairs are the cube's
 //!    maintenance store: each cell's ascending `m > 0` pairs become its
 //!    minority entry, and the context lists become the context entries.
-//!    Each mined tidset is dropped once its cell is evaluated, so the store
-//!    grows as the tidsets it replaces are freed.
 //!
-//! The parallel build is bit-identical to the serial one: the miner merges
-//! per-subtree outputs deterministically and cell evaluation is pure.
+//! Under [`Materialize::ClosedOnly`], a node its DFS path proves not closed
+//! (it lacks an item that extends a node of the path at equal support) is
+//! not folded. A closedness test over every emitted `(items, support)` pair
+//! drops the other non-closed nodes at the end, and the store keeps only
+//! the contexts a kept cell references.
+//!
+//! The parallel build is bit-identical to the serial one: workers return
+//! what they fold keyed by coordinates, and cell evaluation is pure.
 
 use scube_bitmap::EwahBitmap;
 use scube_common::mmap::Store;
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, TableMeta, TransactionDb, UnitScratch, VerticalDb};
-use scube_fpm::eclat::{mine_vertical_with_tidsets, mine_vertical_with_tidsets_parallel};
-use scube_fpm::itemset::FrequentItemset;
+use scube_fpm::closed::closed_positions;
+use scube_fpm::eclat::{frequent_roots, walk, Node};
 use scube_segindex::{ContextTotals, IndexValues, MeasureSet, DEFAULT_ATKINSON_B};
 
 use crate::coords::CellCoords;
@@ -231,140 +236,190 @@ impl CubeBuilder {
             1
         };
 
-        // 1-2. Mine frequent itemsets with tidsets (fanning prefix subtrees
-        // out over workers when parallel; both paths are bit-identical).
-        let mut mined: Vec<(FrequentItemset, EwahBitmap)> = if n_threads > 1 {
-            mine_vertical_with_tidsets_parallel(vertical, cfg.min_support, n_threads)?
-        } else {
-            mine_vertical_with_tidsets(vertical, cfg.min_support)?
-        };
-
-        // 3. Split every itemset into (A, B) coordinates by attribute role.
-        let mut splits: Vec<CellCoords> = mined
-            .iter()
-            .map(|(set, _)| CellCoords::split_sorted(&set.items, |it| labels.is_sa_item(it)))
-            .collect();
-
-        // Under ClosedOnly, mark survivors now but filter *after* harvesting
-        // context tidsets: a kept cell's context may itself be non-closed.
-        let keep: Option<Vec<bool>> = (cfg.materialize == Materialize::ClosedOnly).then(|| {
-            let positions = scube_fpm::closed::closed_positions(mined.len(), |i| {
-                (mined[i].0.items.as_slice(), mined[i].0.support)
-            });
-            let mut mask = vec![false; mined.len()];
-            for i in positions {
-                mask[i] = true;
-            }
-            mask
-        });
-
-        // Population histogram (context ⋆).
+        // Population (context ⋆): the totals of the apex and of SA-only cells.
         let n_units = vertical.num_units() as usize;
         let mut population = vec![0u64; n_units];
         for &u in vertical.units() {
             population[u as usize] += 1;
         }
+        let population = ContextTotals::new(
+            population
+                .iter()
+                .enumerate()
+                .filter(|&(_, &t)| t > 0)
+                .map(|(u, &t)| (u as u32, t))
+                .collect(),
+        )?;
 
-        // Every context B of a cell (A, B) is a subset of the cell's
-        // itemset, hence frequent and already mined with its tidset: index
-        // the pure-context itemsets instead of re-intersecting postings.
-        let mut context_source: FxHashMap<&[ItemId], &EwahBitmap> = FxHashMap::default();
-        for ((set, tids), coords) in mined.iter().zip(&splits) {
-            if coords.sa.is_empty() && !coords.ca.is_empty() {
-                context_source.insert(set.items.as_slice(), tids);
-            }
-        }
+        // 2. Roots CA items first (a stable sort keeps ascending support
+        // within each role): a cell's context is then a prefix of its
+        // itemset in DFS order, so an ancestor of the cell's node.
+        let mut roots = frequent_roots(vertical, cfg.min_support)?;
+        roots.sort_by_key(|&(item, _)| labels.is_sa_item(item));
 
-        // Distinct contexts referenced by surviving cells, in first-seen
-        // order (the job order of the fan-out below).
-        let mut distinct_contexts: Vec<&CellCoords> = Vec::new();
-        let mut seen_contexts: FxHashSet<&[ItemId]> = FxHashSet::default();
-        for (i, coords) in splits.iter().enumerate() {
-            if keep.as_ref().is_some_and(|mask| !mask[i]) {
-                continue;
-            }
-            if !coords.ca.is_empty() && seen_contexts.insert(coords.ca.as_slice()) {
-                distinct_contexts.push(coords);
-            }
-        }
-
-        // Per-context run tables over compact ascending (unit, total) lists,
-        // one job per context, with per-worker scratch buffers.
-        let mut context_hists: FxHashMap<Vec<ItemId>, ContextTotals> =
-            scube_common::hash::fx_map_with_capacity(distinct_contexts.len() + 1);
-        context_hists.insert(
-            Vec::new(),
-            ContextTotals::new(
-                population
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &t)| t > 0)
-                    .map(|(u, &t)| (u as u32, t))
-                    .collect(),
-            )?,
-        );
-        let contexts = scube_common::par::map(
-            distinct_contexts,
+        // 3-4. One job per root subtree: each worker folds every node the
+        // DFS emits and drops its tidset before the next one.
+        let fold = FoldInputs { vertical, labels: &labels, population: &population, config: cfg };
+        let roots = &roots;
+        let subtrees = scube_common::par::map(
+            0..roots.len(),
             n_threads,
-            || UnitScratch::new(n_units as u32),
-            |scratch, coords| {
-                vertical.unit_histogram_into(context_source[coords.ca.as_slice()], scratch);
-                Ok((coords.ca.clone(), ContextTotals::new(scratch.sorted_pairs())?))
+            || (EwahBitmap::default(), Folder::new(n_units as u32)),
+            |(join, folder), root| {
+                let mut out = Subtree::default();
+                walk(roots, root, cfg.min_support, join, &mut |node| {
+                    folder.emit(node, &fold, &mut out)
+                })?;
+                Ok(out)
             },
         )?;
-        context_hists.extend(contexts);
-        drop(seen_contexts);
-        drop(context_source);
 
-        // Apply the ClosedOnly filter now that contexts are harvested.
-        if let Some(mask) = keep {
-            let mut keep_iter = mask.iter();
-            mined.retain(|_| *keep_iter.next().expect("mask covers mined"));
-            let mut keep_iter = mask.iter();
-            splits.retain(|_| *keep_iter.next().expect("mask covers splits"));
-        }
+        // Under ClosedOnly, the closed nodes among all emitted: this finds
+        // the non-closed nodes their DFS path could not prove so.
+        let closed: Option<Vec<bool>> = (cfg.materialize == Materialize::ClosedOnly).then(|| {
+            let nodes: Vec<&(Vec<ItemId>, u64)> =
+                subtrees.iter().flat_map(|subtree| &subtree.nodes).collect();
+            let mut mask = vec![false; nodes.len()];
+            for i in closed_positions(nodes.len(), |i| (nodes[i].0.as_slice(), nodes[i].1)) {
+                mask[i] = true;
+            }
+            mask
+        });
 
-        // 4. Evaluate cells, consuming each mined tidset as its cell is
-        // evaluated, and emit the store from the same pairs: the cell's
-        // touched units, sorted, are its ascending `m > 0` pairs — the
-        // minority entry, and what the cell folds from beside the context's
-        // runs. An `A = ⋆` cell's minority is its context: it folds the runs
-        // alone.
-        let atkinson_b = cfg.atkinson_b;
-        let measures = cfg.measures;
-        let evaluated = scube_common::par::map(
-            mined.into_iter().zip(splits),
-            n_threads,
-            || (UnitScratch::new(n_units as u32), Vec::new()),
-            |(scratch, pairs), ((_, tids), coords)| -> Result<Evaluated> {
-                let context = &context_hists[&coords.ca];
-                if coords.sa.is_empty() {
-                    return Ok((coords, context.fold_whole(atkinson_b, measures), None));
-                }
-                vertical.unit_histogram_into(&tids, scratch);
-                scratch.sorted_pairs_into(pairs);
-                let values = context.fold(pairs, atkinson_b, measures)?;
-                Ok((coords, values, Some(encode_entry(pairs))))
-            },
-        )?;
+        let folded: usize = subtrees.iter().map(|subtree| subtree.cells.len()).sum();
         let mut cells: FxHashMap<CellCoords, IndexValues> =
-            scube_common::hash::fx_map_with_capacity(evaluated.len() + 1);
-        let mut store = MaintenanceStore::default();
-        for (coords, values, minority) in evaluated {
-            if let Some(entry) = minority {
-                store.minorities.insert(coords.clone(), entry);
+            scube_common::hash::fx_map_with_capacity(folded + 1);
+        let mut store = MaintenanceStore {
+            minorities: scube_common::hash::fx_map_with_capacity(folded),
+            ..MaintenanceStore::default()
+        };
+        let mut contexts = Vec::new();
+        let mut offset = 0;
+        for subtree in subtrees {
+            for (index, (coords, values, minority)) in subtree.cells {
+                if closed.as_ref().is_some_and(|mask| !mask[offset + index]) {
+                    continue;
+                }
+                if let Some(entry) = minority {
+                    store.minorities.insert(coords.clone(), entry);
+                }
+                cells.insert(coords, values);
             }
-            cells.insert(coords, values);
+            offset += subtree.nodes.len();
+            contexts.extend(subtree.contexts);
         }
+        // The store keeps only the contexts a kept cell references.
+        let referenced: FxHashSet<&[ItemId]> = cells.keys().map(|c| c.ca.as_slice()).collect();
+        store.contexts =
+            contexts.into_iter().filter(|(ca, _)| referenced.contains(ca.as_slice())).collect();
+        store.contexts.insert(Vec::new(), encode_entry(population.units()));
         // Apex cell (⋆ | ⋆): whole population vs itself.
-        let apex = context_hists[&Vec::new()].fold_whole(atkinson_b, measures);
-        cells.insert(CellCoords::apex(), apex);
-        store.contexts = context_hists
-            .into_iter()
-            .map(|(ca, totals)| (ca, encode_entry(totals.units())))
-            .collect();
+        cells.insert(CellCoords::apex(), population.fold_whole(cfg.atkinson_b, cfg.measures));
 
         Ok(SegregationCube::new(cells, labels, cfg, store))
+    }
+}
+
+/// The read-only inputs every worker folds against.
+struct FoldInputs<'a> {
+    vertical: &'a VerticalDb,
+    labels: &'a CubeLabels,
+    population: &'a ContextTotals,
+    config: &'a CubeConfig,
+}
+
+/// What one root's subtree emits: every node's sorted itemset and support
+/// (the closedness test's input), the cells folded at emit, each with its
+/// node's index, and the store entry of every context built on the way.
+#[derive(Default)]
+struct Subtree {
+    nodes: Vec<(Vec<ItemId>, u64)>,
+    cells: Vec<(usize, Evaluated)>,
+    contexts: Vec<(Vec<ItemId>, Store<u8>)>,
+}
+
+/// One worker's reusable fold state and its view of the current DFS path.
+struct Folder {
+    scratch: UnitScratch,
+    pairs: Vec<(u32, u64)>,
+    /// The run tables of the path's pure-CA nodes: `contexts[d]` is the
+    /// context at depth `d + 1`.
+    contexts: Vec<ContextTotals>,
+    /// Per node of the path: the items that extend it at equal support.
+    equal: Vec<Vec<ItemId>>,
+}
+
+impl Folder {
+    fn new(n_units: u32) -> Self {
+        Folder {
+            scratch: UnitScratch::new(n_units),
+            pairs: Vec::new(),
+            contexts: Vec::new(),
+            equal: Vec::new(),
+        }
+    }
+
+    /// Fold one emitted node, then drop its tidset. A pure-CA node is the
+    /// context of every cell in its subtree: its run table is built here,
+    /// from the tidset live at it, before any of those cells is emitted.
+    ///
+    /// Under ClosedOnly a node that lacks an item `e` extending some node
+    /// `N` of its path (itself included) at equal support is not closed,
+    /// since `tids(M ∪ e) = tids(M ∖ N) ∩ tids(N ∪ e) = tids(M)`: it is not
+    /// folded. The closedness test at the end drops any other non-closed
+    /// node (one whose equal-support superset adds an item earlier in root
+    /// order than its path can see).
+    fn emit(&mut self, node: Node<'_>, fold: &FoldInputs<'_>, out: &mut Subtree) -> Result<()> {
+        let support = node.tids.cardinality();
+        let depth = node.items.len();
+        let mut items = node.items.to_vec();
+        items.sort_unstable();
+        let coords = CellCoords::split_sorted(&items, |it| fold.labels.is_sa_item(it));
+        debug_assert!(
+            node.items[..coords.ca.len()].iter().all(|&it| !fold.labels.is_sa_item(it)),
+            "a node's CA items lead its DFS path"
+        );
+        let index = out.nodes.len();
+        out.nodes.push((items, support));
+        if coords.sa.is_empty() {
+            fold.vertical.unit_histogram_into(&node.tids, &mut self.scratch);
+            let totals = ContextTotals::new(self.scratch.sorted_pairs())?;
+            out.contexts.push((coords.ca.clone(), encode_entry(totals.units())));
+            self.contexts.truncate(depth - 1);
+            self.contexts.push(totals);
+        }
+        self.equal.truncate(depth - 1);
+        self.equal.push(
+            node.extensions
+                .iter()
+                .filter(|(_, tids)| tids.cardinality() == support)
+                .map(|&(item, _)| item)
+                .collect(),
+        );
+        let cfg = fold.config;
+        if cfg.materialize == Materialize::ClosedOnly
+            && self.equal.iter().flatten().any(|item| !node.items.contains(item))
+        {
+            return Ok(());
+        }
+        let context = match coords.ca.len() {
+            0 => fold.population,
+            k => &self.contexts[k - 1],
+        };
+        // An `A = ⋆` cell's minority is its context: it folds the runs
+        // alone. Any other cell's touched units, sorted, are its ascending
+        // `m > 0` pairs — its minority entry, and what it folds from beside
+        // the context's runs.
+        let evaluated = if coords.sa.is_empty() {
+            (coords, context.fold_whole(cfg.atkinson_b, cfg.measures), None)
+        } else {
+            fold.vertical.unit_histogram_into(&node.tids, &mut self.scratch);
+            self.scratch.sorted_pairs_into(&mut self.pairs);
+            let values = context.fold(&self.pairs, cfg.atkinson_b, cfg.measures)?;
+            (coords, values, Some(encode_entry(&self.pairs)))
+        };
+        out.cells.push((index, evaluated));
+        Ok(())
     }
 }
 
@@ -467,14 +522,62 @@ mod tests {
 
     #[test]
     fn closed_cube_is_a_restriction_of_full_cube() {
-        let db = sample_db();
+        use scube_fpm::Miner;
+        for (db, min_support) in [(sample_db(), 1), (multi_valued_db(), 2)] {
+            let build = |materialize| {
+                CubeBuilder::new().min_support(min_support).materialize(materialize).build(&db)
+            };
+            let full = build(Materialize::AllFrequent).unwrap();
+            let closed = build(Materialize::ClosedOnly).unwrap();
+            // Exactly the closed frequent itemsets (and the apex) are cells.
+            let mut want: Vec<CellCoords> = scube_fpm::FpGrowth
+                .mine_closed(&db, min_support)
+                .unwrap()
+                .iter()
+                .map(|set| CellCoords::from_itemset(&set.items, &db))
+                .chain([CellCoords::apex()])
+                .collect();
+            want.sort();
+            let mut got: Vec<CellCoords> = closed.cells().map(|(c, _)| c.clone()).collect();
+            got.sort();
+            assert_eq!(got, want);
+            for (coords, v) in closed.cells() {
+                let in_full = full.get(coords).expect("closed cell missing from full cube");
+                assert_eq!(v, in_full, "cell {}", closed.labels().describe(coords));
+            }
+        }
+    }
+
+    #[test]
+    fn closed_cell_keeps_its_non_closed_context() {
+        // Every northern row is a woman: `{north}` is not closed (its
+        // closure adds `F`), yet `(F | north)` is a closed cell whose
+        // context is `{north}`.
+        let schema = Schema::new(vec![Attribute::sa("sex"), Attribute::ca("region")]).unwrap();
+        let mut b = TransactionDbBuilder::new(schema);
+        for (sex, region, unit, n) in [
+            ("F", "north", "u0", 4),
+            ("F", "north", "u1", 2),
+            ("F", "south", "u0", 3),
+            ("M", "south", "u1", 5),
+            ("M", "south", "u0", 1),
+        ] {
+            for _ in 0..n {
+                b.add_row(&[vec![sex], vec![region]], unit).unwrap();
+            }
+        }
+        let db = b.finish();
         let full = CubeBuilder::new().materialize(Materialize::AllFrequent).build(&db).unwrap();
         let closed = CubeBuilder::new().materialize(Materialize::ClosedOnly).build(&db).unwrap();
-        assert!(closed.len() <= full.len());
-        for (coords, v) in closed.cells() {
-            let in_full = full.get(coords).expect("closed cell missing from full cube");
-            assert_eq!(v, in_full, "cell {}", closed.labels().describe(coords));
-        }
+        let cell = closed.coords_by_names(&[("sex", "F")], &[("region", "north")]).unwrap();
+        assert_eq!(closed.get(&cell), full.get(&cell));
+        assert!(closed.get(&cell).is_some());
+        let context = closed.coords_by_names(&[], &[("region", "north")]).unwrap();
+        assert!(closed.get(&context).is_none(), "the context itself is not closed");
+        assert_eq!(
+            crate::histogram::decode(&closed.store.contexts[&cell.ca], 2).unwrap(),
+            [(0, 4), (1, 2)]
+        );
     }
 
     #[test]

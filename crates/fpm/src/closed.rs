@@ -24,8 +24,9 @@ pub fn filter_closed(sets: &[FrequentItemset]) -> Vec<FrequentItemset> {
 /// Indices of the closed entries among `n` itemsets described by `get`
 /// (which returns `(sorted items, support)` for an index).
 ///
-/// Generic over storage so callers that carry payloads alongside each
-/// itemset (e.g. the cube builder's tidsets) can filter without cloning.
+/// Generic over storage so callers that keep itemsets in their own shape
+/// (e.g. the cube builder's per-subtree lists of emitted nodes) can filter
+/// without cloning.
 pub fn closed_positions<'a>(
     n: usize,
     get: impl Fn(usize) -> (&'a [scube_data::ItemId], u64),

@@ -1,18 +1,26 @@
-//! Bounded-memory chunked-build regression (harness = false so the
-//! counting global allocator owns the whole process).
+//! Bounded-memory build regressions (harness = false so the counting
+//! global allocator owns the whole process). Two phases:
 //!
-//! On a ≥10⁵-row wide table, the chunked path (`run_final_table_csv_chunked`:
-//! tid-order chunks tail-appended into the vertical postings, horizontal
-//! table never materialized) must peak well under the resident path
-//! (`FinalTableSpec::load_csv` + `CubeSnapshot::from_db`), while producing
-//! a byte-identical snapshot. The resident peak necessarily covers the
-//! whole horizontal `TransactionDb` *plus* the build output; the chunked
-//! peak holds only the output (postings + cube) and one staged chunk, so
-//! it must stay under half the resident peak here — the fixed fraction
-//! this test pins.
+//! 1. **Chunked vs resident.** On a ≥10⁵-row wide table, the chunked path
+//!    (`run_final_table_csv_chunked`: tid-order chunks tail-appended into
+//!    the vertical postings, horizontal table never materialized) must
+//!    peak well under the resident path (`FinalTableSpec::load_csv` +
+//!    `CubeSnapshot::from_db`), while producing a byte-identical snapshot.
+//!    The resident peak necessarily covers the whole horizontal
+//!    `TransactionDb` *plus* the build output; the chunked peak holds only
+//!    the output (postings + cube) and one staged chunk, so it must stay
+//!    under half the resident peak here — the fixed fraction this test pins.
+//! 2. **Fold on emit.** The builder folds each itemset as the Eclat DFS
+//!    reaches it and drops its tidset, so a build never holds every mined
+//!    tidset at once: on the generator's Italian registry, `build_streaming`
+//!    must peak under half the bytes that `mine_vertical_with_tidsets`'
+//!    output (every frequent itemset with its tidset) retains on the same
+//!    postings. A builder that collects the mined tidsets before folding
+//!    peaks above all of them.
 
 use scube::prelude::*;
-use scube_bench::alloc::{measure, CountingAlloc};
+use scube_bench::alloc::{live_bytes, measure, CountingAlloc};
+use scube_fpm::eclat::mine_vertical_with_tidsets;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -60,6 +68,13 @@ fn spec() -> FinalTableSpec {
 fn main() {
     let dir = std::env::temp_dir().join(format!("scube_chunked_mem_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    chunked_vs_resident(&dir);
+    fold_on_emit(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    println!("chunked_build_memory: ok");
+}
+
+fn chunked_vs_resident(dir: &std::path::Path) {
     let csv = dir.join("wide.csv");
     write_table(&csv);
 
@@ -103,7 +118,41 @@ fn main() {
         "chunked build must peak under half the resident build \
          ({peak_chunked} vs {peak_resident})"
     );
+}
 
-    std::fs::remove_dir_all(&dir).ok();
-    println!("chunked_build_memory: ok");
+fn fold_on_emit(dir: &std::path::Path) {
+    let csv = dir.join("italy.csv");
+    let file = std::fs::File::create(&csv).unwrap();
+    let mut out = std::io::BufWriter::new(file);
+    let stats =
+        scube_datagen::stream_final_table(scube_datagen::BoardsConfig::italy(20_000), &mut out)
+            .unwrap();
+    out.into_inner().unwrap();
+    let (vertical, meta, _) = scube_datagen::final_table_spec()
+        .load_csv_chunked(&csv, scube_data::DEFAULT_CHUNK_ROWS)
+        .unwrap();
+    let min_support = stats.n_rows as u64 / 200;
+    let builder = CubeBuilder::new()
+        .min_support(min_support)
+        .materialize(Materialize::ClosedOnly)
+        .parallel(false); // single-threaded for byte-stable peaks
+
+    let before = live_bytes();
+    let mined = mine_vertical_with_tidsets(&vertical, min_support).unwrap();
+    let mined_bytes = live_bytes() - before;
+    let itemsets = mined.len();
+    drop(mined);
+
+    let (cube, peak_build) = measure(|| builder.build_streaming(&meta, &vertical).unwrap());
+    assert!(cube.len() > 1_000, "a cube of {} cells is too small to measure", cube.len());
+    println!(
+        "fold on emit: {} rows, build peak {peak_build} B, {itemsets} mined itemsets \
+         retain {mined_bytes} B",
+        stats.n_rows
+    );
+    assert!(
+        peak_build < mined_bytes / 2,
+        "the build must peak under half the bytes of every mined tidset \
+         ({peak_build} vs {mined_bytes})"
+    );
 }
