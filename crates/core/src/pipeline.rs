@@ -193,7 +193,9 @@ fn build_chunked(
 }
 
 /// As [`snapshot`], for a final-table build. Byte-identical to
-/// `CubeSnapshot::from_db` on the encoded table.
+/// `CubeSnapshot::from_db` on the encoded table. Like [`snapshot`], it
+/// shares the build's postings and maintenance store, copied on first
+/// write.
 pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
     CubeSnapshot::new(result.cube.clone(), result.vertical.clone())
 }
@@ -203,7 +205,10 @@ pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
 /// built under — plus the vertical postings it was mined from, both carried
 /// over from [`run`], not reconstructed, ready for `scube save` /
 /// [`scube_cube::ConcurrentCubeEngine`] serving without re-mining. Later
-/// updates maintain the cube under its own parameters.
+/// updates maintain the cube under its own parameters. Cells, labels and
+/// the `tid → unit` map are cloned; the postings and the maintenance store
+/// are shared with `result` and copied on first write, so an update to the
+/// snapshot leaves `result` as it was.
 pub fn snapshot(result: &ScubeResult) -> Result<CubeSnapshot> {
     CubeSnapshot::new(result.cube.clone(), result.vertical.clone())
 }
@@ -347,6 +352,46 @@ mod tests {
         let reference =
             CubeSnapshot::from_db(&spec.encode(&table).unwrap(), &CubeBuilder::new()).unwrap();
         assert_eq!(snapshot_chunked(&result).unwrap().to_bytes(), reference.to_bytes());
+    }
+
+    #[test]
+    fn updates_to_shared_snapshots_leave_their_sources_unchanged() {
+        use scube_cube::{CellCoords, ConcurrentCubeEngine, UpdateBatch};
+        let table = rel(
+            &["gender", "region", "unitID"],
+            &[
+                &["F", "north", "u0"],
+                &["F", "south", "u0"],
+                &["M", "north", "u1"],
+                &["F", "north", "u1"],
+                &["M", "south", "u2"],
+                &["M", "north", "u2"],
+            ],
+        );
+        let spec = FinalTableSpec::new("unitID").sa("gender").ca("region");
+        let built = run_final_table(&table, &spec, &CubeBuilder::new()).unwrap();
+        let bytes = snapshot_chunked(&built).unwrap().to_bytes();
+        // An interior retraction that empties unit u0 (postings rebuilt,
+        // then renamed) and an append into a new unit: every copy-on-write
+        // site runs.
+        let mut batch = UpdateBatch::new();
+        batch.remove_tid(0);
+        batch.remove_tid(1);
+        batch.add_row(&[("gender", "F"), ("region", "south")], "u3");
+
+        let mut updated = snapshot_chunked(&built).unwrap();
+        assert_eq!(updated.apply_update(&batch).unwrap().dropped_units, 1, "u0 left");
+        assert_ne!(updated.to_bytes(), bytes, "the update changed the snapshot");
+        assert_eq!(snapshot_chunked(&built).unwrap().to_bytes(), bytes, "but not the build");
+
+        let engine = ConcurrentCubeEngine::new(snapshot_chunked(&built).unwrap());
+        let coords: Vec<CellCoords> = built.cube.cells().map(|(c, _)| c.clone()).collect();
+        let answers = engine.query_batch(&coords, 1).unwrap();
+        let mut next = engine.snapshot();
+        next.apply_update(&batch).unwrap();
+        assert_eq!(next.to_bytes(), updated.to_bytes(), "the engine's snapshot updates alike");
+        assert_eq!(engine.query_batch(&coords, 1).unwrap(), answers, "the engine answers alike");
+        assert_eq!(engine.snapshot().to_bytes(), bytes, "and serves the build's bytes");
     }
 
     #[test]

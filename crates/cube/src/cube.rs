@@ -1,5 +1,7 @@
 //! The materialized segregation data cube.
 
+use std::sync::Arc;
+
 use scube_common::FxHashMap;
 use scube_data::{ItemId, TransactionDb};
 use scube_segindex::{IndexValues, MeasureSet};
@@ -134,8 +136,10 @@ pub struct SegregationCube {
     measures: MeasureSet,
     /// The histograms behind the cell values. Emitted by the builder's
     /// fold or read back by the snapshot decoder — never re-derived — and
-    /// changed only by an update's commit.
-    pub(crate) store: MaintenanceStore,
+    /// changed only by an update's commit. Shared between clones and
+    /// copied on the first write ([`Arc::make_mut`]), so a clone copies
+    /// cells and labels, not the store.
+    pub(crate) store: Arc<MaintenanceStore>,
 }
 
 /// Equal cells, labels and build parameters: the store is how the values
@@ -167,7 +171,7 @@ impl SegregationCube {
             materialize: config.materialize,
             atkinson_b: config.atkinson_b,
             measures: config.measures,
-            store,
+            store: Arc::new(store),
         }
     }
 
@@ -243,11 +247,12 @@ impl SegregationCube {
     }
 
     /// Mutable view of the update commit (`crate::update`): labels, cells
-    /// and the maintenance store, in one borrow.
+    /// and the maintenance store, in one borrow. The store is copied here
+    /// when another clone still shares it.
     pub(crate) fn update_parts(
         &mut self,
     ) -> (&mut CubeLabels, &mut FxHashMap<CellCoords, IndexValues>, &mut MaintenanceStore) {
-        (&mut self.labels, &mut self.cells, &mut self.store)
+        (&mut self.labels, &mut self.cells, Arc::make_mut(&mut self.store))
     }
 
     /// Cells whose coordinates only use the listed attributes (the cells of

@@ -177,11 +177,12 @@ impl ConcurrentCubeEngine {
 
     /// The snapshot this engine serves — the cube (its maintenance store
     /// and build parameters included; a mapped store stays undecoded) and
-    /// its postings, cloned; the inverse of
-    /// [`Self::with_config`]. The engine is immutable, so this is how a
-    /// served cube is updated: apply the batch to the returned snapshot,
-    /// then serve a fresh engine built from it. An update that fails
-    /// leaves this engine as it was.
+    /// its postings; the inverse of [`Self::with_config`]. Cells, labels
+    /// and the `tid → unit` map are cloned; the postings and the store are
+    /// shared with this engine and copied on the first write. The engine
+    /// is immutable, so this is how a served cube is updated: apply the
+    /// batch to the returned snapshot, then serve a fresh engine built
+    /// from it. An update that fails leaves this engine as it was.
     ///
     /// ```
     /// use scube_cube::{ConcurrentCubeEngine, CubeBuilder, UpdateBatch};

@@ -92,8 +92,18 @@
 //! fsyncs it, renames it over the target, and fsyncs the directory, so a
 //! crash mid-save leaves the previous snapshot bytes intact instead of a
 //! torn file, and a save that returned `Ok` survives a power loss.
+//!
+//! `save` streams: the file is written region by region as it is encoded
+//! (slot offsets come from each posting's word count and the store's
+//! length from its entry lengths, so the directory and `meta_sum` are
+//! written first), and no copy of the file exists in memory. The full
+//! checksum is accumulated over the bytes as they pass, carrying partial
+//! words across writes, and is written into the header at `[13..21)`
+//! before the fsync and the rename. [`CubeSnapshot::to_bytes`] runs the
+//! same encoder into one buffer of the file's exact length.
 
 use std::fmt;
+use std::io::{Seek, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -131,7 +141,9 @@ const PREALLOC_CAP: usize = 1 << 16;
 /// materialized and non-materialized cells. The cube records how it was
 /// built (materialization, Atkinson parameter, measure set, min-support),
 /// so updates re-fold, the engine's explorer recomputes and the file
-/// stores exactly what a rebuild under those parameters would.
+/// stores exactly what a rebuild under those parameters would. A clone
+/// shares the postings and the maintenance store, each copied on its first
+/// write, so updating one clone never changes another.
 #[derive(Debug, Clone)]
 pub struct CubeSnapshot {
     pub(crate) cube: SegregationCube,
@@ -242,8 +254,13 @@ impl CubeSnapshot {
         // A mapped store is *scanned* first — O(keys), entries stepped
         // over, not decoded: it changes the store's representation, not its
         // content, and is the one mutation before staging. Each histogram
-        // stays a slice of the mapped file until an update dirties it.
-        self.cube.store.scan(self.cube.labels().num_items())?;
+        // stays a slice of the mapped file until an update dirties it. A
+        // store with nothing to scan is not touched, so a store shared with
+        // another clone is not copied here.
+        if self.cube.store.unscanned.is_some() {
+            let n_items = self.cube.labels().num_items();
+            Arc::make_mut(&mut self.cube.store).scan(n_items)?;
+        }
         let staged = crate::update::stage(&self.cube, &self.vertical, batch, threads)?;
         Ok(staged.commit(&mut self.cube, &mut self.vertical))
     }
@@ -277,65 +294,64 @@ impl CubeSnapshot {
     /// meta region, posting directory, 8-aligned posting slots,
     /// maintenance-store region. Canonical — identical snapshots produce
     /// identical bytes, whatever path (build, load, update, mmap) produced
-    /// the value.
+    /// the value. The same encoder [`Self::save`] streams, into one
+    /// allocation of the file's exact length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let meta = self.encode_meta();
-
-        // Posting slots (8-aligned, zero padding between) + directory.
-        let n_postings = self.vertical.num_items();
-        let postdir_off = META_OFF + meta.len();
-        let slots_off = (postdir_off + n_postings * POSTDIR_ENTRY).next_multiple_of(8);
-        let mut postdir = Vec::with_capacity(n_postings * POSTDIR_ENTRY);
-        let mut slots = Vec::new();
-        for posting in self.vertical.postings() {
-            slots.resize(slots.len().next_multiple_of(8), 0);
-            let start = slots.len();
-            posting.write_slot(&mut slots);
-            put_u64(&mut postdir, (slots_off + start) as u64);
-            put_u64(&mut postdir, (slots.len() - start) as u64);
-            put_u64(&mut postdir, posting.cardinality());
-        }
-        let store_off = slots_off + slots.len();
-        let store_len = store_len(&self.cube.store);
-
-        // Every length is known by now: one allocation of the final size,
-        // no growth while the store — most of the file — is appended.
-        let mut out = Vec::with_capacity(store_off + store_len);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(EwahBitmap::SERIAL_TAG);
-        out.extend_from_slice(&[0u8; 8]); // full checksum, patched below
-        out.extend_from_slice(&[0u8; 3]); // padding to an 8-aligned directory
-        for word in [
-            META_OFF as u64,
-            meta.len() as u64,
-            postdir_off as u64,
-            n_postings as u64,
-            slots_off as u64,
-            slots.len() as u64,
-            store_off as u64,
-            store_len as u64,
-            0, // meta checksum, patched below
-        ] {
-            put_u64(&mut out, word);
-        }
-        out.extend_from_slice(&meta);
-        out.extend_from_slice(&postdir);
-        out.resize(slots_off, 0); // alignment padding before the first slot
-        out.extend_from_slice(&slots);
-        encode_store(&self.cube.store, &mut out);
-        debug_assert_eq!(out.len(), store_off + store_len, "the reservation was exact");
-        let meta_sum = checksum(&[&out[DIR_OFF..DIR_OFF + 8 * 8], &out[META_OFF..slots_off]]);
-        out[DIR_OFF + 8 * 8..META_OFF].copy_from_slice(&meta_sum.to_le_bytes());
-        let full_sum = checksum(&[&out[DIR_OFF..]]);
+        let encoding = self.encoding();
+        let mut out = Vec::with_capacity(encoding.len);
+        let full_sum = encoding.write_to(&mut out).expect("writing to a Vec cannot fail");
         out[13..21].copy_from_slice(&full_sum.to_le_bytes());
         out
     }
 
-    /// The meta region: build configuration, labels, cube metadata, cells
-    /// in canonical (sa, ca) order, and the tid → unit map.
-    fn encode_meta(&self) -> Vec<u8> {
-        let mut meta = Vec::new();
+    /// Everything before the posting slots, encoded: header (full checksum
+    /// zeroed), offset directory with its `meta_sum`, meta region, posting
+    /// directory and alignment padding. O(metadata) — slot offsets come
+    /// from each posting's word count, the store's length from its entry
+    /// lengths — so slots and store are streamed from the snapshot itself.
+    fn encoding(&self) -> Encoding<'_> {
+        let mut head = vec![0u8; META_OFF];
+        head[..8].copy_from_slice(MAGIC);
+        head[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        head[12] = EwahBitmap::SERIAL_TAG;
+        self.encode_meta(&mut head);
+
+        let postings = self.vertical.postings();
+        let postdir_off = head.len();
+        let slots_off = (postdir_off + postings.len() * POSTDIR_ENTRY).next_multiple_of(8);
+        let mut slot_off = slots_off;
+        for posting in postings {
+            let slot_len = posting.stored_words() * 8;
+            put_u64(&mut head, slot_off as u64);
+            put_u64(&mut head, slot_len as u64);
+            put_u64(&mut head, posting.cardinality());
+            slot_off += slot_len;
+        }
+        head.resize(slots_off, 0); // alignment padding before the first slot
+        let store_off = slot_off;
+        let store_len = store_len(&self.cube.store);
+        let directory = [
+            META_OFF,
+            postdir_off - META_OFF,
+            postdir_off,
+            postings.len(),
+            slots_off,
+            store_off - slots_off,
+            store_off,
+            store_len,
+        ];
+        for (i, word) in directory.into_iter().enumerate() {
+            head[DIR_OFF + 8 * i..DIR_OFF + 8 * i + 8]
+                .copy_from_slice(&(word as u64).to_le_bytes());
+        }
+        let meta_sum = checksum(&[&head[DIR_OFF..DIR_OFF + 8 * 8], &head[META_OFF..]]);
+        head[DIR_OFF + 8 * 8..META_OFF].copy_from_slice(&meta_sum.to_le_bytes());
+        Encoding { snapshot: self, head, len: store_off + store_len }
+    }
+
+    /// Append the meta region: build configuration, labels, cube metadata,
+    /// cells in canonical (sa, ca) order, and the tid → unit map.
+    fn encode_meta(&self, meta: &mut Vec<u8>) {
         let labels = self.cube.labels();
 
         // Build configuration.
@@ -343,47 +359,46 @@ impl CubeSnapshot {
             Materialize::AllFrequent => 0,
             Materialize::ClosedOnly => 1,
         });
-        put_u64(&mut meta, self.atkinson_b().to_bits());
+        put_u64(meta, self.atkinson_b().to_bits());
         meta.push(self.measures().bits());
 
         // Labels.
-        put_u32(&mut meta, labels.num_items() as u32);
+        put_u32(meta, labels.num_items() as u32);
         for item in 0..labels.num_items() as ItemId {
-            put_str(&mut meta, labels.attr_of(item));
-            put_str(&mut meta, labels.value_of(item));
+            put_str(meta, labels.attr_of(item));
+            put_str(meta, labels.value_of(item));
             meta.push(labels.is_sa_item(item) as u8);
         }
-        put_str_list(&mut meta, &labels.sa_attrs);
-        put_str_list(&mut meta, &labels.ca_attrs);
-        put_str_list(&mut meta, &labels.unit_names);
+        put_str_list(meta, &labels.sa_attrs);
+        put_str_list(meta, &labels.ca_attrs);
+        put_str_list(meta, &labels.unit_names);
 
         // Cube metadata.
-        put_u32(&mut meta, self.cube.num_units());
-        put_u64(&mut meta, self.cube.min_support());
+        put_u32(meta, self.cube.num_units());
+        put_u64(meta, self.cube.min_support());
 
         // Cells in canonical (sa, ca) order.
         let mut cells: Vec<(&CellCoords, &IndexValues)> = self.cube.cells().collect();
         cells.sort_by(|a, b| a.0.cmp(b.0));
-        put_u32(&mut meta, cells.len() as u32);
+        put_u32(meta, cells.len() as u32);
         let selected: Vec<SegIndex> = self.measures().iter().collect();
         for (coords, values) in cells {
-            put_ids(&mut meta, &coords.sa);
-            put_ids(&mut meta, &coords.ca);
+            put_ids(meta, &coords.sa);
+            put_ids(meta, &coords.ca);
             for &index in &selected {
-                put_f64_opt(&mut meta, values.get(index));
+                put_f64_opt(meta, values.get(index));
             }
-            put_u64(&mut meta, values.minority);
-            put_u64(&mut meta, values.total);
-            put_u32(&mut meta, values.num_units);
+            put_u64(meta, values.minority);
+            put_u64(meta, values.total);
+            put_u32(meta, values.num_units);
         }
 
         // Transaction space and tid → unit map.
-        put_u32(&mut meta, self.vertical.num_transactions());
-        put_u32(&mut meta, self.vertical.num_units());
+        put_u32(meta, self.vertical.num_transactions());
+        put_u32(meta, self.vertical.num_units());
         for &u in self.vertical.units() {
-            put_u32(&mut meta, u);
+            put_u32(meta, u);
         }
-        meta
     }
 
     /// Deserialize a snapshot onto the heap, verifying magic, version,
@@ -399,9 +414,9 @@ impl CubeSnapshot {
         })?;
         let store_bytes = &bytes[d.store_off..d.store_off + d.store_len];
         let mut cube = meta.cube;
-        cube.store = read_store(store_bytes, meta.n_items, |entry| {
+        cube.store = Arc::new(read_store(store_bytes, meta.n_items, |entry| {
             Store::Owned(store_bytes[entry].to_vec())
-        })?;
+        })?);
         let vertical =
             VerticalDb::from_parts(postings, meta.n_transactions, meta.unit_of, meta.v_units)
                 .ok_or_else(|| corrupt("inconsistent vertical database parts"))?;
@@ -522,7 +537,7 @@ impl CubeSnapshot {
         )
         .ok_or_else(|| corrupt("inconsistent vertical database parts"))?;
         let mut cube = meta.cube;
-        cube.store.unscanned = Some(
+        Arc::make_mut(&mut cube.store).unscanned = Some(
             whole.slice(d.store_off, d.store_len).ok_or_else(|| corrupt("store out of bounds"))?,
         );
         CubeSnapshot::new(cube, vertical)
@@ -537,9 +552,18 @@ impl CubeSnapshot {
     /// writer mid-save to prove it) — and once this returns `Ok` the new
     /// bytes survive a power loss. On error the temp file is removed
     /// best-effort.
+    ///
+    /// The file is streamed as it is encoded: no copy of it is built in
+    /// memory, and the full checksum, known once the last byte is written,
+    /// goes into the header before the fsync.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        write_atomic(path, &self.to_bytes())
+        write_atomic(path.as_ref(), |file| {
+            let mut w = std::io::BufWriter::with_capacity(1 << 16, file);
+            let full_sum = self.encoding().write_to(&mut w)?;
+            let file = w.into_inner().map_err(std::io::IntoInnerError::into_error)?;
+            file.seek(std::io::SeekFrom::Start(13))?;
+            file.write_all(&full_sum.to_le_bytes())
+        })
     }
 
     /// Load a snapshot from a file.
@@ -725,14 +749,105 @@ fn checksum(parts: &[&[u8]]) -> u64 {
     h.finish()
 }
 
-/// Atomic, durable file replacement: write to a unique same-directory temp
-/// file, fsync, rename over `path`, fsync the directory. The rename is what
-/// makes an interrupted save harmless — POSIX guarantees the target names
-/// either the old or the new bytes, never a mixture. The directory sync is
-/// what makes a returned `Ok` durable: until the directory entry itself is
-/// on disk, a power loss can still roll the rename back.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
-    use std::io::Write;
+/// [`checksum`] fed piecewise: whatever the write boundaries, `finish`
+/// returns `checksum(&[all bytes fed])`. The hash consumes whole 8-byte
+/// words and treats a shorter tail differently, so up to 7 bytes are
+/// carried across writes until their word is complete.
+#[derive(Default)]
+struct ChecksumStream {
+    hasher: scube_common::hash::FxHasher,
+    carry: [u8; 8],
+    carried: usize,
+    len: u64,
+}
+
+impl ChecksumStream {
+    fn feed(&mut self, mut bytes: &[u8]) {
+        use std::hash::Hasher;
+        self.len += bytes.len() as u64;
+        if self.carried > 0 {
+            let take = bytes.len().min(8 - self.carried);
+            self.carry[self.carried..self.carried + take].copy_from_slice(&bytes[..take]);
+            self.carried += take;
+            bytes = &bytes[take..];
+            if self.carried < 8 {
+                return;
+            }
+            self.hasher.write(&self.carry);
+            self.carried = 0;
+        }
+        let words = bytes.len() - bytes.len() % 8;
+        self.hasher.write(&bytes[..words]);
+        self.carried = bytes.len() - words;
+        self.carry[..self.carried].copy_from_slice(&bytes[words..]);
+    }
+
+    fn finish(mut self) -> u64 {
+        use std::hash::Hasher;
+        self.hasher.write(&self.carry[..self.carried]);
+        self.hasher.write_u64(self.len);
+        self.hasher.finish()
+    }
+}
+
+/// A writer that feeds every byte it passes on into a [`ChecksumStream`].
+struct Summed<W> {
+    inner: W,
+    sum: ChecksumStream,
+}
+
+impl<W: Write> Write for Summed<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.sum.feed(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// A snapshot's encoding ([`CubeSnapshot::encoding`]): the bytes before
+/// the posting slots, and the length of the whole file.
+struct Encoding<'a> {
+    snapshot: &'a CubeSnapshot,
+    head: Vec<u8>,
+    len: usize,
+}
+
+impl Encoding<'_> {
+    /// Write the file in order — header, directory, meta, posting
+    /// directory, slots, store — and return the full checksum of bytes
+    /// `[24..)`. The header's checksum field is written as zeros: the
+    /// caller puts the returned value at `[13..21)`.
+    fn write_to(self, w: &mut impl Write) -> std::io::Result<u64> {
+        w.write_all(&self.head[..DIR_OFF])?;
+        let mut w = Summed { inner: w, sum: ChecksumStream::default() };
+        w.write_all(&self.head[DIR_OFF..])?;
+        let mut slot = Vec::new();
+        for posting in self.snapshot.vertical.postings() {
+            slot.clear();
+            posting.write_slot(&mut slot);
+            w.write_all(&slot)?;
+        }
+        encode_store(&self.snapshot.cube.store, &mut w)?;
+        debug_assert_eq!(DIR_OFF as u64 + w.sum.len, self.len as u64, "the length was exact");
+        Ok(w.sum.finish())
+    }
+}
+
+/// Atomic, durable file replacement: `fill` a unique same-directory temp
+/// file, fsync it, rename it over `path`, fsync the directory. The rename
+/// is what makes an interrupted save harmless — POSIX guarantees the
+/// target names either the old or the new bytes, never a mixture. The
+/// directory sync is what makes a returned `Ok` durable: until the
+/// directory entry itself is on disk, a power loss can still roll the
+/// rename back.
+fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let io = |e: std::io::Error| ScubeError::io_at(path.display().to_string(), e);
@@ -751,7 +866,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     ));
     let result = (|| {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        fill(&mut f)?;
         f.sync_all()?;
         std::fs::rename(&tmp, path)?;
         #[cfg(unix)]
@@ -961,27 +1076,32 @@ fn store_len(store: &MaintenanceStore) -> usize {
 /// copied as it stands, whether it is owned or still a slice of a mapped
 /// file (it came from this writer, so its bytes *are* the canonical
 /// encoding); a region no update has scanned is copied whole.
-fn encode_store(store: &MaintenanceStore, out: &mut Vec<u8>) {
+fn encode_store(store: &MaintenanceStore, w: &mut impl Write) -> std::io::Result<()> {
     if let Some(region) = &store.unscanned {
         debug_assert!(store.contexts.is_empty() && store.minorities.is_empty());
-        out.extend_from_slice(region.as_slice());
-        return;
+        return w.write_all(region.as_slice());
     }
+    let mut key = Vec::new();
     let mut contexts: Vec<(&Vec<ItemId>, &Store<u8>)> = store.contexts.iter().collect();
     contexts.sort_unstable_by_key(|&(ca, _)| ca);
-    put_u32(out, contexts.len() as u32);
+    w.write_all(&(contexts.len() as u32).to_le_bytes())?;
     for (ca, entry) in contexts {
-        put_ids(out, ca);
-        out.extend_from_slice(entry);
+        key.clear();
+        put_ids(&mut key, ca);
+        w.write_all(&key)?;
+        w.write_all(entry)?;
     }
     let mut minorities: Vec<(&CellCoords, &Store<u8>)> = store.minorities.iter().collect();
     minorities.sort_unstable_by_key(|&(coords, _)| coords);
-    put_u32(out, minorities.len() as u32);
+    w.write_all(&(minorities.len() as u32).to_le_bytes())?;
     for (coords, entry) in minorities {
-        put_ids(out, &coords.sa);
-        put_ids(out, &coords.ca);
-        out.extend_from_slice(entry);
+        key.clear();
+        put_ids(&mut key, &coords.sa);
+        put_ids(&mut key, &coords.ca);
+        w.write_all(&key)?;
+        w.write_all(entry)?;
     }
+    Ok(())
 }
 
 /// Whose histogram a store record holds.
@@ -1220,11 +1340,38 @@ mod tests {
     }
 
     #[test]
+    fn checksum_stream_matches_checksum_over_any_split() {
+        // Bytes and split lengths (0–19, so most boundaries fall inside a
+        // word) from a fixed LCG.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for len in (0..64).chain([1_000, 4_099]) {
+            let bytes: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+            for _ in 0..8 {
+                let mut stream = ChecksumStream::default();
+                let mut at = 0;
+                while at < bytes.len() {
+                    let end = (at + next(20) as usize).min(bytes.len());
+                    stream.feed(&bytes[at..end]);
+                    at = end;
+                }
+                assert_eq!(stream.finish(), checksum(&[&bytes]), "{len} bytes");
+            }
+        }
+    }
+
+    #[test]
     fn file_roundtrip() {
         let db = db();
         let snap = CubeSnapshot::from_db(&db, &CubeBuilder::new()).unwrap();
         let path = std::env::temp_dir().join("scube_snapshot_file_roundtrip.scube");
         snap.save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), snap.to_bytes(), "save streams to_bytes");
         let loaded = CubeSnapshot::load(&path).unwrap();
         assert_eq!(loaded.cube(), snap.cube());
         std::fs::remove_file(&path).ok();

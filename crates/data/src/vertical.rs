@@ -4,15 +4,23 @@
 //! the set of transaction ids containing it, stored as one [`EwahBitmap`]
 //! (the paper's JavaEWAH tidsets).
 
+use std::sync::Arc;
+
 use scube_bitmap::EwahBitmap;
 
 use crate::dictionary::ItemId;
 use crate::transactions::{checked_u32, TransactionDb, UnitId};
 
 /// Item-indexed postings plus the `tid → unit` map.
+///
+/// The postings sit behind one `Arc`, copied on the first write: a clone
+/// shares them (a snapshot paired with a finished build, an update staged
+/// off a served engine) and copies only the `tid → unit` map, and the
+/// mutators below copy the postings only when another clone still holds
+/// them.
 #[derive(Debug, Clone)]
 pub struct VerticalDb {
-    postings: Vec<EwahBitmap>,
+    postings: Arc<Vec<EwahBitmap>>,
     n_transactions: u32,
     unit_of: Vec<UnitId>,
     n_units: u32,
@@ -25,7 +33,7 @@ impl VerticalDb {
     /// posting tails, so the grown database is byte-identical to a
     /// one-shot [`Self::build`] on the same rows.
     pub fn empty() -> Self {
-        VerticalDb { postings: Vec::new(), n_transactions: 0, unit_of: Vec::new(), n_units: 0 }
+        VerticalDb { postings: Arc::default(), n_transactions: 0, unit_of: Vec::new(), n_units: 0 }
     }
 
     /// Build from a horizontal database.
@@ -39,7 +47,7 @@ impl VerticalDb {
         }
         let postings = tids.iter().map(|ids| EwahBitmap::from_sorted(ids)).collect();
         VerticalDb {
-            postings,
+            postings: Arc::new(postings),
             n_transactions: db.len() as u32,
             unit_of: db.units().to_vec(),
             n_units: db.num_units() as u32,
@@ -67,7 +75,7 @@ impl VerticalDb {
         if postings.iter().any(|p| p.max_id().is_some_and(|m| m >= universe)) {
             return None;
         }
-        Some(VerticalDb { postings, n_transactions, unit_of, n_units })
+        Some(VerticalDb { postings: Arc::new(postings), n_transactions, unit_of, n_units })
     }
 
     /// As [`Self::from_parts`], but trusting that every posting's tids are
@@ -85,7 +93,7 @@ impl VerticalDb {
         if unit_of.len() != n_transactions as usize || unit_of.iter().any(|&u| u >= n_units) {
             return None;
         }
-        Some(VerticalDb { postings, n_transactions, unit_of, n_units })
+        Some(VerticalDb { postings: Arc::new(postings), n_transactions, unit_of, n_units })
     }
 
     /// Fold a batch of appended transactions into the database in place —
@@ -138,10 +146,13 @@ impl VerticalDb {
                 new_tids[item as usize].push(tid);
             }
         }
-        self.postings.resize_with(n_items_after, || EwahBitmap::from_sorted(&[]));
-        for (item, tids) in new_tids.iter().enumerate() {
-            if !tids.is_empty() {
-                self.postings[item].append_sorted(tids);
+        if n_items_after > self.postings.len() || !rows.is_empty() {
+            let postings = Arc::make_mut(&mut self.postings);
+            postings.resize_with(n_items_after, || EwahBitmap::from_sorted(&[]));
+            for (item, tids) in new_tids.iter().enumerate() {
+                if !tids.is_empty() {
+                    postings[item].append_sorted(tids);
+                }
             }
         }
         self.unit_of.extend(rows.iter().map(|&(_, u)| u));
@@ -186,7 +197,7 @@ impl VerticalDb {
             // Tail retraction: survivors keep their ids; clear the removed
             // tail bits posting by posting.
             let mut scratch = Vec::new();
-            for posting in &mut self.postings {
+            for posting in Arc::make_mut(&mut self.postings) {
                 scratch.clear();
                 posting.for_each(|tid| {
                     if tid >= tids[0] {
@@ -199,7 +210,7 @@ impl VerticalDb {
             // Interior retraction: renumber by rebuilding each posting from
             // the surviving ids in one merge pass over the removal set.
             let mut keep = Vec::new();
-            for posting in &mut self.postings {
+            for posting in Arc::make_mut(&mut self.postings) {
                 keep.clear();
                 let mut r = 0usize;
                 posting.for_each(|tid| {
@@ -246,13 +257,15 @@ impl VerticalDb {
         assert_eq!(unit_map.len(), self.n_units as usize, "one unit_map entry per unit");
         let mut postings: Vec<Option<EwahBitmap>> =
             std::iter::repeat_with(|| None).take(item_map.iter().flatten().count()).collect();
-        for (posting, new) in std::mem::take(&mut self.postings).into_iter().zip(item_map) {
+        let old = Arc::unwrap_or_clone(std::mem::take(&mut self.postings));
+        for (posting, new) in old.into_iter().zip(item_map) {
             match new {
                 Some(new) => postings[*new as usize] = Some(posting),
                 None => assert!(posting.is_empty(), "a dropped item has no transactions"),
             }
         }
-        self.postings = postings.into_iter().map(|p| p.expect("item_map is onto 0..n")).collect();
+        self.postings =
+            Arc::new(postings.into_iter().map(|p| p.expect("item_map is onto 0..n")).collect());
         for unit in &mut self.unit_of {
             *unit = unit_map[*unit as usize].expect("a unit with transactions is kept");
         }

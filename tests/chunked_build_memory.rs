@@ -17,6 +17,12 @@
 //!    output (every frequent itemset with its tidset) retains on the same
 //!    postings. A builder that collects the mined tidsets before folding
 //!    peaks above all of them.
+//! 3. **Save without copies.** A snapshot shares the build's postings and
+//!    maintenance store, and `save` streams the file as it encodes it: on
+//!    the same registry's chunked build, `snapshot_chunked` + `save` must
+//!    grow the heap over the retained build by less than the saved file's
+//!    length. A snapshot that deep-copies the build, or a save that builds
+//!    the file in memory first, grows it by at least that much.
 
 use scube::prelude::*;
 use scube_bench::alloc::{live_bytes, measure, CountingAlloc};
@@ -69,7 +75,9 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("scube_chunked_mem_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     chunked_vs_resident(&dir);
-    fold_on_emit(&dir);
+    let italy = Italy::write(&dir);
+    fold_on_emit(&italy);
+    save_without_copies(&italy, &dir);
     std::fs::remove_dir_all(&dir).ok();
     println!("chunked_build_memory: ok");
 }
@@ -88,14 +96,11 @@ fn chunked_vs_resident(dir: &std::path::Path) {
         .parallel(false); // single-threaded for byte-stable peaks
 
     // Chunked first (the colder cache hurts it, not the resident path).
-    // The snapshot is assembled by move — `snapshot_chunked` clones, which
-    // would double-count the output in the peak.
     let (chunked, peak_chunked) = measure(|| {
         let build = run_final_table_csv_chunked(&csv, &spec, &builder, CHUNK_ROWS).unwrap();
         assert_eq!(build.stats.n_rows, ROWS);
         assert!(build.chunk_stats.peak_chunk_rows <= CHUNK_ROWS);
-        let ChunkedBuild { cube, vertical, .. } = build;
-        CubeSnapshot::new(cube, vertical).unwrap()
+        snapshot_chunked(&build).unwrap()
     });
 
     let (resident, peak_resident) = measure(|| {
@@ -120,39 +125,74 @@ fn chunked_vs_resident(dir: &std::path::Path) {
     );
 }
 
-fn fold_on_emit(dir: &std::path::Path) {
-    let csv = dir.join("italy.csv");
-    let file = std::fs::File::create(&csv).unwrap();
-    let mut out = std::io::BufWriter::new(file);
-    let stats =
-        scube_datagen::stream_final_table(scube_datagen::BoardsConfig::italy(20_000), &mut out)
-            .unwrap();
-    out.into_inner().unwrap();
+/// The generator's Italian registry (20 000 companies) as a final-table
+/// CSV, and the serial ClosedOnly build at rows / 200 both later phases
+/// run on it.
+struct Italy {
+    csv: std::path::PathBuf,
+    rows: usize,
+    builder: CubeBuilder,
+}
+
+impl Italy {
+    fn write(dir: &std::path::Path) -> Italy {
+        let csv = dir.join("italy.csv");
+        let file = std::fs::File::create(&csv).unwrap();
+        let mut out = std::io::BufWriter::new(file);
+        let stats =
+            scube_datagen::stream_final_table(scube_datagen::BoardsConfig::italy(20_000), &mut out)
+                .unwrap();
+        out.into_inner().unwrap();
+        let builder = CubeBuilder::new()
+            .min_support(stats.n_rows as u64 / 200)
+            .materialize(Materialize::ClosedOnly)
+            .parallel(false); // single-threaded for byte-stable peaks
+        Italy { csv, rows: stats.n_rows, builder }
+    }
+}
+
+fn fold_on_emit(italy: &Italy) {
     let (vertical, meta, _) = scube_datagen::final_table_spec()
-        .load_csv_chunked(&csv, scube_data::DEFAULT_CHUNK_ROWS)
+        .load_csv_chunked(&italy.csv, scube_data::DEFAULT_CHUNK_ROWS)
         .unwrap();
-    let min_support = stats.n_rows as u64 / 200;
-    let builder = CubeBuilder::new()
-        .min_support(min_support)
-        .materialize(Materialize::ClosedOnly)
-        .parallel(false); // single-threaded for byte-stable peaks
 
     let before = live_bytes();
-    let mined = mine_vertical_with_tidsets(&vertical, min_support).unwrap();
+    let mined = mine_vertical_with_tidsets(&vertical, italy.builder.config().min_support).unwrap();
     let mined_bytes = live_bytes() - before;
     let itemsets = mined.len();
     drop(mined);
 
-    let (cube, peak_build) = measure(|| builder.build_streaming(&meta, &vertical).unwrap());
+    let (cube, peak_build) = measure(|| italy.builder.build_streaming(&meta, &vertical).unwrap());
     assert!(cube.len() > 1_000, "a cube of {} cells is too small to measure", cube.len());
     println!(
         "fold on emit: {} rows, build peak {peak_build} B, {itemsets} mined itemsets \
          retain {mined_bytes} B",
-        stats.n_rows
+        italy.rows
     );
     assert!(
         peak_build < mined_bytes / 2,
         "the build must peak under half the bytes of every mined tidset \
          ({peak_build} vs {mined_bytes})"
+    );
+}
+
+fn save_without_copies(italy: &Italy, dir: &std::path::Path) {
+    let spec = scube_datagen::final_table_spec();
+    let chunk_rows = scube_data::DEFAULT_CHUNK_ROWS;
+    let before = live_bytes();
+    let built = run_final_table_csv_chunked(&italy.csv, &spec, &italy.builder, chunk_rows).unwrap();
+    let retained = live_bytes() - before;
+
+    let path = dir.join("italy.scube");
+    let ((), growth) = measure(|| snapshot_chunked(&built).unwrap().save(&path).unwrap());
+    let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+    println!(
+        "save without copies: build retains {retained} B, snapshot + save grow {growth} B, \
+         file {file_len} B"
+    );
+    assert!(
+        growth < file_len,
+        "snapshot + save must grow the heap by less than the file they write \
+         ({growth} vs {file_len})"
     );
 }

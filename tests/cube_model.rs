@@ -421,6 +421,7 @@ impl Model {
             Op::SaveOpen(open) => {
                 sut.save(&self.path).expect("save succeeds");
                 let file = std::fs::read(&self.path).expect("the saved file reads");
+                assert!(sut.to_bytes() == file, "{what}: the streamed file differs from to_bytes");
                 let opened = match open {
                     Open::Load => CubeSnapshot::load(&self.path),
                     Open::Mmap => CubeSnapshot::open_mmap(&self.path),
