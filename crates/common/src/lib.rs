@@ -12,8 +12,8 @@
 //! * [`error`] — the shared [`error::ScubeError`] type and `Result` alias.
 //! * [`table`] — plain-text aligned table rendering used by the Visualizer
 //!   and by the experiment binaries to print paper-shaped reports.
-//! * [`sync`] — a minimal, poison-free [`sync::SpinLock`] guarding the
-//!   sharded caches of the concurrent serving layer.
+//! * [`lock`] — the one way the workspace takes a std `Mutex`: a lock
+//!   poisoned by a panicking holder is taken over, not propagated.
 //! * [`mmap`] — read-only memory-mapped files and the owned-or-mapped
 //!   [`mmap::Store`] backing zero-copy snapshot serving.
 //! * [`par`] — the one fan-out every data-parallel pass runs through:
@@ -24,9 +24,36 @@ pub mod error;
 pub mod hash;
 pub mod mmap;
 pub mod par;
-pub mod sync;
 pub mod table;
 
 pub use error::{Result, ScubeError};
 pub use hash::{FxHashMap, FxHashSet};
-pub use sync::SpinLock;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `mutex`, taking over one poisoned by a panicking holder: every
+/// value the workspace guards stays consistent between its O(1) mutations,
+/// so a contained panic costs its own request, never the lock.
+pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A holder that panics poisons a std `Mutex`; `lock` takes it over and
+    /// the value is still there.
+    #[test]
+    fn lock_takes_over_a_poisoned_mutex() {
+        let mutex = Mutex::new(vec![1]);
+        let panicked = std::panic::catch_unwind(|| {
+            let _guard = mutex.lock().unwrap();
+            panic!("holder panics");
+        });
+        assert!(panicked.is_err());
+        assert!(mutex.is_poisoned());
+        lock(&mutex).push(2);
+        assert_eq!(*lock(&mutex), [1, 2]);
+    }
+}

@@ -38,7 +38,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
-use crate::{Result, ScubeError};
+use crate::{lock, Result, ScubeError};
 
 /// The host's available parallelism (1 when it cannot be read).
 pub fn host_threads() -> usize {
@@ -92,7 +92,7 @@ where
         let mut finished: Option<(usize, Result<R>)> = None;
         loop {
             let (i, job) = {
-                let mut shared = shared.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut shared = lock(&shared);
                 match finished.take() {
                     Some((i, Ok(r))) => shared.slots[i] = Some(r),
                     Some((i, Err(e))) if shared.failed.as_ref().is_none_or(|(j, _)| i < *j) => {

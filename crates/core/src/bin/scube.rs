@@ -94,7 +94,6 @@ verbs:
                          match; unknown values or unmatched rows are errors
                          (give --add, --remove, or both)
     --unit-col <col>     the unit column of --add/--remove [unitID]
-    --threads <n>        re-evaluate dirty cells on up to n threads [1]
   scube inspect ...      say what a saved snapshot is made of: region sizes
                          and shares, cell / posting / unit counts, and a
                          census of the maintenance store's histograms
@@ -161,7 +160,7 @@ fn flag_arity(verb: &str, flag: &str) -> Option<bool> {
         )
         | ("run", "--out" | "--rank")
         | ("save" | "update" | "query" | "inspect", "--snapshot")
-        | ("update", "--add" | "--remove" | "--unit-col" | "--threads")
+        | ("update", "--add" | "--remove" | "--unit-col")
         | ("query", "--sa" | "--ca" | "--index" | "--top" | "--rank" | "--min-total" | "--slice") => {
             Some(true)
         }
@@ -502,18 +501,6 @@ fn run_save(args: &[String]) -> Result<String> {
     ))
 }
 
-/// `--threads <n>` of `update` (dirty-cell re-evaluation): a worker count
-/// of at least 1, defaulting to 1.
-fn parse_threads(flags: &Flags) -> Result<usize> {
-    match flags.get("--threads") {
-        None => Ok(1),
-        Some(s) => match s.parse() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ScubeError::InvalidParameter(format!("bad --threads '{s}' (want >= 1)"))),
-        },
-    }
-}
-
 /// `scube update`: fold appended and/or retracted rows into a saved
 /// snapshot, re-save it.
 fn run_update(args: &[String]) -> Result<String> {
@@ -527,12 +514,10 @@ fn run_update(args: &[String]) -> Result<String> {
         ));
     }
     let unit_col = flags.get("--unit-col").unwrap_or("unitID");
-    let threads = parse_threads(&flags)?;
     let add = add_path.map(Relation::read_csv_path).transpose()?;
     let remove = remove_path.map(Relation::read_csv_path).transpose()?;
     let start = std::time::Instant::now();
-    let stats =
-        scube::update_snapshot_file(&path, add.as_ref(), remove.as_ref(), unit_col, threads)?;
+    let stats = scube::update_snapshot_file(&path, add.as_ref(), remove.as_ref(), unit_col)?;
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
         "updated {path}: +{} −{} rows (+{} −{} values, +{} −{} units); {} cells re-evaluated, \
@@ -1202,11 +1187,10 @@ mod tests {
         // the original snapshot bytes.
         let before = std::fs::read(p("cube.scube")).unwrap();
         std::fs::write(p("gone.csv"), "gender,unitID\nF,agri\nM,edu\n").unwrap();
-        let q: Vec<String> =
-            ["--snapshot", &p("cube.scube"), "--remove", &p("gone.csv"), "--threads", "2"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
+        let q: Vec<String> = ["--snapshot", &p("cube.scube"), "--remove", &p("gone.csv")]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let summary = run_update(&q).unwrap();
         assert!(summary.contains("−2 rows"), "{summary}");
         let q: Vec<String> = ["--snapshot", &p("cube.scube"), "--sa", "gender=F"]
@@ -1325,8 +1309,7 @@ mod tests {
                 assert!(err.to_string().contains(names), "{verb} {args:?}: {err}");
             }
         }
-        // `query` has no --threads (only `update` fans out): refused, not
-        // silently ignored.
+        // No verb takes --threads: refused, not silently ignored.
         let args = strings(&["--snapshot", "c.scube", "--top", "3", "--threads", "2"]);
         let err = run_query(&args).expect_err("query --threads must be refused");
         assert!(err.to_string().contains("--threads"), "{err}");

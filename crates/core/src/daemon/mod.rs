@@ -6,10 +6,13 @@
 //! private clone of the served [`CubeSnapshot`] through the incremental
 //! `apply_update` maintenance path, builds a fresh engine from the clone
 //! and swaps it in; a failed update drops the clone and leaves the served
-//! state untouched. Readers clone the `Arc` (O(1), wait-free after the
-//! spinlock), so a concurrent update can never produce a torn answer:
-//! every response is bit-identical to either the complete pre-update or
-//! the complete post-update engine.
+//! state untouched. Readers clone the `Arc` under a brief std `Mutex`
+//! (O(1)), so a concurrent update can never produce a torn answer: every
+//! response is bit-identical to either the complete pre-update or the
+//! complete post-update engine. The fresh engine is the old one's
+//! [`ConcurrentCubeEngine::successor`] and counts into the same tier
+//! counters, so `/stats` also counts queries that finish on the old engine
+//! after the swap.
 //!
 //! # Endpoints
 //!
@@ -20,17 +23,18 @@
 //! | GET | `/cubes/<name>/query?sa=a=v,..&ca=a=v,..` | one cell's indexes |
 //! | GET | `/cubes/<name>/topk?index=gini&k=10&min_total=1` | top-k ranking |
 //! | GET | `/cubes/<name>/slice?fixed=a=v,..` | slice view |
+//! | GET | `/cubes/<name>/dice?attrs=a,b` | dice view |
+//! | GET | `/cubes/<name>/breakdown?sa=a=v,..&ca=a=v,..` | per-unit drill-down |
+//! | GET | `/cubes/<name>/stats` | one cube's cells, units, swaps and tier counters |
+//! | GET | `/stats` | tier counters + per-endpoint request/latency counters |
+//! | POST | `/cubes/<name>/update` | apply an [`UpdateBatch`], hot-swap |
+//! | POST | `/shutdown` | graceful shutdown (drains in-flight requests) |
 //!
 //! `/query` and `/slice` accept an optional `index=<name>` parameter to
 //! answer with that single measure; `/query` additionally accepts
 //! `significance=1` to attach a permutation-test block per index
 //! (deterministic seed, 999 permutations — see
 //! [`scube_segindex::PermutationTest`]).
-//! | GET | `/cubes/<name>/dice?attrs=a,b` | dice view |
-//! | GET | `/cubes/<name>/breakdown?sa=a=v,..&ca=a=v,..` | per-unit drill-down |
-//! | GET | `/stats` | tier counters + per-endpoint request/latency counters |
-//! | POST | `/cubes/<name>/update` | apply an [`UpdateBatch`], hot-swap |
-//! | POST | `/shutdown` | graceful shutdown (drains in-flight requests) |
 //!
 //! With exactly one cube registered, `/query`, `/topk`, `/slice`, `/dice`,
 //! `/breakdown`, and `/update` are aliases for that cube's endpoints.
@@ -49,7 +53,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use minihttp::{percent_decode, HttpRequest, HttpResponse, HttpServer, Limits, RequestOutcome};
-use scube_common::{Result, ScubeError, SpinLock};
+use scube_common::{lock, Result, ScubeError};
 use scube_cube::{
     CellCoords, ConcurrentCubeEngine, CubeLabels, CubeSnapshot, QueryStats, UpdateBatch,
     UpdateStats, DEFAULT_CACHE_CAPACITY, DEFAULT_SHARDS,
@@ -98,15 +102,10 @@ pub struct CubeHandle {
     /// contained panic is simply taken over.
     writer: Mutex<()>,
     /// The engine readers answer from. Swapped atomically (under a brief
-    /// spinlock; readers only clone the `Arc`).
-    serving: SpinLock<Arc<ConcurrentCubeEngine>>,
-    /// Query-tier counters accumulated from engines retired by hot-swaps,
-    /// so `/stats` stays exact across swaps.
-    retired: Mutex<QueryStats>,
+    /// lock; readers only clone the `Arc`).
+    serving: Mutex<Arc<ConcurrentCubeEngine>>,
     /// Number of successful hot-swaps.
     swaps: AtomicU64,
-    shards: usize,
-    cache_capacity: usize,
 }
 
 impl CubeHandle {
@@ -115,41 +114,34 @@ impl CubeHandle {
             ConcurrentCubeEngine::with_config(snapshot, config.shards, config.cache_capacity);
         CubeHandle {
             writer: Mutex::new(()),
-            serving: SpinLock::new(Arc::new(engine)),
-            retired: Mutex::new(QueryStats::default()),
+            serving: Mutex::new(Arc::new(engine)),
             swaps: AtomicU64::new(0),
-            shards: config.shards,
-            cache_capacity: config.cache_capacity,
         }
     }
 
     /// The current serving engine (an O(1) `Arc` clone; the returned engine
     /// keeps answering consistently even across a concurrent hot-swap).
     pub fn engine(&self) -> Arc<ConcurrentCubeEngine> {
-        Arc::clone(&self.serving.lock())
+        Arc::clone(&lock(&self.serving))
     }
 
     /// Apply `batch` to a private clone of the served snapshot and
     /// atomically publish a fresh engine built from it; returns the
     /// update's stats and this swap's number (1 for the first). Readers
     /// holding the old engine finish their in-flight queries against it;
-    /// new requests see the new engine. An error or panic drops the clone,
-    /// so the served state is either entirely old or entirely new.
+    /// new requests see the new engine, and both count into the same
+    /// counters. An error or panic drops the clone, so the served state is
+    /// either entirely old or entirely new.
     pub fn update(&self, batch: &UpdateBatch, threads: usize) -> Result<(UpdateStats, u64)> {
-        let _writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let mut next = self.engine().snapshot();
+        let _writer = lock(&self.writer);
+        // Held to the end, so the old engine is never dropped under the
+        // serving lock; the successor is built before that lock is taken
+        // (an assignment evaluates its value first).
+        let engine = self.engine();
+        let mut next = engine.snapshot();
         let stats = next.apply_update_threads(batch, threads)?;
-        let fresh = ConcurrentCubeEngine::with_config(next, self.shards, self.cache_capacity);
-        let old = std::mem::replace(&mut *self.serving.lock(), Arc::new(fresh));
-        *self.retired.lock().unwrap_or_else(|p| p.into_inner()) += old.stats();
+        *lock(&self.serving) = Arc::new(engine.successor(next));
         Ok((stats, self.swaps.fetch_add(1, Ordering::Relaxed) + 1))
-    }
-
-    /// Exact lifetime query-tier counters: current engine + all retired.
-    pub fn lifetime_stats(&self) -> QueryStats {
-        let mut total = self.engine().stats();
-        total += *self.retired.lock().unwrap_or_else(|p| p.into_inner());
-        total
     }
 
     /// Hot-swaps performed so far.
@@ -821,7 +813,7 @@ fn cube_stats(handle: &CubeHandle) -> HttpResponse {
             engine.cube().len(),
             engine.cube().num_units(),
             handle.swap_count(),
-            query_stats_json(&handle.lifetime_stats()),
+            query_stats_json(&engine.stats()),
         ),
     )
 }
@@ -866,7 +858,7 @@ fn stats_response(state: &State) -> HttpResponse {
                 "\"{}\":{{\"swaps\":{},\"tiers\":{}}}",
                 json::escape(name),
                 handle.swap_count(),
-                query_stats_json(&handle.lifetime_stats()),
+                query_stats_json(&handle.engine().stats()),
             )
         })
         .collect();
@@ -883,14 +875,14 @@ fn stats_response(state: &State) -> HttpResponse {
 
 /// Decode the `POST /update` body:
 /// `{"add":[{"unit":"u0","values":[["sex","F"],..]},..],
-///   "remove":[..same shape..],"remove_tids":[3,7],"threads":4}`.
-fn batch_from_json(doc: &Json) -> std::result::Result<(UpdateBatch, Option<usize>), String> {
+///   "remove":[..same shape..],"remove_tids":[3,7]}`.
+fn batch_from_json(doc: &Json) -> std::result::Result<UpdateBatch, String> {
     if !matches!(doc, Json::Obj(_)) {
         return Err("body must be a JSON object".into());
     }
     if let Json::Obj(members) = doc {
         for (key, _) in members {
-            if !matches!(key.as_str(), "add" | "remove" | "remove_tids" | "threads") {
+            if !matches!(key.as_str(), "add" | "remove" | "remove_tids") {
                 return Err(format!("unknown field {key:?}"));
             }
         }
@@ -935,16 +927,7 @@ fn batch_from_json(doc: &Json) -> std::result::Result<(UpdateBatch, Option<usize
             batch.remove_tid(tid);
         }
     }
-    let threads = match doc.get("threads") {
-        None => None,
-        Some(t) => Some(
-            t.as_u64()
-                .and_then(|t| usize::try_from(t).ok())
-                .filter(|&t| t >= 1)
-                .ok_or("\"threads\" must be a positive integer")?,
-        ),
-    };
-    Ok((batch, threads))
+    Ok(batch)
 }
 
 fn update(state: &State, handle: &CubeHandle, body: &[u8]) -> HttpResponse {
@@ -956,11 +939,11 @@ fn update(state: &State, handle: &CubeHandle, body: &[u8]) -> HttpResponse {
         Ok(d) => d,
         Err(e) => return bad_request(&format!("bad JSON: {e}")),
     };
-    let (batch, threads) = match batch_from_json(&doc) {
+    let batch = match batch_from_json(&doc) {
         Ok(b) => b,
         Err(e) => return bad_request(&e),
     };
-    match handle.update(&batch, threads.unwrap_or(state.config.update_threads)) {
+    match handle.update(&batch, state.config.update_threads) {
         Ok((stats, swaps)) => HttpResponse::json(200, update_stats_json(&stats, swaps)),
         Err(e) => error_response(&e),
     }
@@ -969,6 +952,29 @@ fn update(state: &State, handle: &CubeHandle, body: &[u8]) -> HttpResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scube_cube::CubeBuilder;
+    use scube_data::{Attribute, Schema, TransactionDbBuilder};
+
+    /// A reader that took the engine before a hot-swap and queries it
+    /// after is still counted: the next engine shares the old one's
+    /// counters instead of reading them once at the swap.
+    #[test]
+    fn a_query_on_the_swapped_out_engine_is_counted() {
+        let schema = Schema::new(vec![Attribute::sa("sex"), Attribute::ca("region")]).unwrap();
+        let mut b = TransactionDbBuilder::new(schema);
+        for (sex, unit) in [("F", "u0"), ("M", "u1")] {
+            b.add_row(&[vec![sex], vec!["north"]], unit).unwrap();
+        }
+        let snapshot: CubeSnapshot =
+            CubeSnapshot::from_db(&b.finish(), &CubeBuilder::new()).unwrap();
+        let handle = CubeHandle::new(snapshot, &DaemonConfig::default());
+        let old = handle.engine();
+        let mut batch = UpdateBatch::new();
+        batch.add_row(&[("sex", "F"), ("region", "north")], "u1");
+        handle.update(&batch, 1).unwrap();
+        assert_eq!(old.query_by_names(&[("sex", "F")], &[]).unwrap().minority, 1);
+        assert_eq!(handle.engine().stats().total(), 1);
+    }
 
     #[test]
     fn query_string_decoding() {
@@ -993,13 +999,12 @@ mod tests {
         let doc = Json::parse(
             r#"{"add":[{"unit":"u9","values":[["sex","F"]]}],
                 "remove":[{"unit":"u0","values":[["sex","M"]]}],
-                "remove_tids":[7],"threads":2}"#,
+                "remove_tids":[7]}"#,
         )
         .unwrap();
-        let (batch, threads) = batch_from_json(&doc).unwrap();
+        let batch = batch_from_json(&doc).unwrap();
         assert_eq!(batch.num_rows(), 1);
         assert_eq!(batch.num_removals(), 2);
-        assert_eq!(threads, Some(2));
 
         for bad in [
             r#"[]"#,
@@ -1009,7 +1014,7 @@ mod tests {
             r#"{"add":[{"unit":"u","values":[["only-one"]]}]}"#,
             r#"{"remove_tids":[-1]}"#,
             r#"{"remove_tids":[4294967296]}"#,
-            r#"{"threads":0}"#,
+            r#"{"threads":2}"#,
         ] {
             let doc = Json::parse(bad).unwrap();
             assert!(batch_from_json(&doc).is_err(), "{bad} should fail");

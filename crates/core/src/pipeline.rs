@@ -216,15 +216,15 @@ pub fn snapshot(result: &ScubeResult) -> Result<CubeSnapshot> {
 /// The `scube update` verb: load a snapshot file, fold final-table-shaped
 /// relations of appended (`add`) and retracted (`remove`, matched exactly)
 /// rows into it (`unit_column` names the unit id column), and save the
-/// patched snapshot back. Returns the update stats; the save is atomic
-/// (temp file + rename), so the file holds the previous snapshot until the
-/// update fully succeeds.
+/// patched snapshot back. Dirty cells are re-evaluated on the host's
+/// threads (bit-identical to one). Returns the update stats; the save is
+/// atomic (temp file + rename), so the file holds the previous snapshot
+/// until the update fully succeeds.
 pub fn update_snapshot_file(
     path: impl AsRef<Path>,
     add: Option<&Relation>,
     remove: Option<&Relation>,
     unit_column: &str,
-    threads: usize,
 ) -> Result<UpdateStats> {
     let path = path.as_ref();
     let mut snapshot: CubeSnapshot = CubeSnapshot::load(path)?;
@@ -235,7 +235,7 @@ pub fn update_snapshot_file(
     if let Some(rows) = remove {
         batch.remove_relation(rows, snapshot.cube().labels(), unit_column)?;
     }
-    let stats = snapshot.apply_update_threads(&batch, threads)?;
+    let stats = snapshot.apply_update_threads(&batch, scube_common::par::host_threads())?;
     snapshot.save(path)?;
     Ok(stats)
 }

@@ -51,20 +51,6 @@ impl QueryStats {
     }
 }
 
-impl std::ops::AddAssign for QueryStats {
-    /// Counter-wise sum. Destructuring without `..` makes a new counter a
-    /// compile error here instead of a silently unsummed field.
-    fn add_assign(&mut self, rhs: Self) {
-        let QueryStats { materialized, cached, explored, breakdown_computed, breakdown_cached } =
-            rhs;
-        self.materialized += materialized;
-        self.cached += cached;
-        self.explored += explored;
-        self.breakdown_computed += breakdown_computed;
-        self.breakdown_cached += breakdown_cached;
-    }
-}
-
 /// [`QueryStats`] as relaxed atomic counters: shared by reference across
 /// any number of serving threads; [`Self::load`] takes a plain snapshot.
 #[derive(Debug, Default)]

@@ -10,9 +10,11 @@
 //!   construction, so store hits are lock-free hash lookups;
 //! * **cached** — the fallback cell cache is split into N shards (shard
 //!   chosen by [`CellCoords`] hash), each an independent slab-LRU behind
-//!   its own [`SpinLock`]: two threads only contend when their cells land
+//!   its own std [`Mutex`]: two threads only contend when their cells land
 //!   in the same shard, and critical sections are O(1) probes/inserts —
-//!   never recomputation;
+//!   never recomputation. A lock poisoned by a panicking holder is taken
+//!   over ([`scube_common::lock`]), so a contained panic costs its own
+//!   request, never the shard;
 //! * **explored** — cold cells are recomputed exactly by a shared
 //!   [`CubeExplorer`] through `&self`, with the mutable histogram state
 //!   checked out of a pool of reusable [`ExplorerScratch`]es, so steady-
@@ -23,12 +25,16 @@
 //! bit-identical to the full build (checked by the model-based test
 //! `tests/cube_model.rs`, stress-tested in
 //! `tests/concurrent_stress.rs`). Counters are [`AtomicQueryStats`], so no
-//! update is lost under contention.
+//! update is lost under contention, and [`ConcurrentCubeEngine::successor`]
+//! hands them to the engine that serves the next snapshot, so a query that
+//! finishes on the old engine after a swap is still counted.
 //!
 //! Raw [`CellCoords`] are validated on the cold paths only, so hostile ids
 //! are a [`ScubeError::InvalidParameter`] and the warm tiers pay nothing.
 
-use scube_common::{Result, ScubeError, SpinLock};
+use std::sync::{Arc, Mutex};
+
+use scube_common::{lock, Result, ScubeError};
 use scube_data::TransactionDb;
 use scube_segindex::{IndexValues, SegIndex};
 
@@ -50,10 +56,10 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// Shared, not owned, inside the cache: cloning an `Arc` is O(1), so cache
 /// probes and inserts stay O(1) *inside the shard lock* — the big value
 /// copy happens outside the critical section.
-type Breakdown = std::sync::Arc<[(u32, u64, u64)]>;
+type Breakdown = Arc<[(u32, u64, u64)]>;
 
 /// One lock-guarded shard of an LRU cache.
-type Shard<V> = SpinLock<LruCache<CellCoords, V>>;
+type Shard<V> = Mutex<LruCache<CellCoords, V>>;
 
 /// A scratch checked out of an engine's pool; it goes back when dropped.
 /// A worker that panicked drops its scratch instead (the pool regrows on
@@ -79,7 +85,7 @@ impl std::ops::DerefMut for Checkout<'_> {
 impl Drop for Checkout<'_> {
     fn drop(&mut self) {
         if let Some(scratch) = self.scratch.take().filter(|_| !std::thread::panicking()) {
-            self.engine.scratches.lock().push(scratch);
+            lock(&self.engine.scratches).push(scratch);
         }
     }
 }
@@ -128,8 +134,11 @@ pub struct ConcurrentCubeEngine {
     explorer: CubeExplorer,
     shards: Vec<Shard<IndexValues>>,
     breakdown_shards: Vec<Shard<Breakdown>>,
-    scratches: SpinLock<Vec<ExplorerScratch>>,
-    stats: AtomicQueryStats,
+    scratches: Mutex<Vec<ExplorerScratch>>,
+    /// The total cache capacity [`Self::with_config`] was given.
+    capacity: usize,
+    /// Shared with every [`Self::successor`].
+    stats: Arc<AtomicQueryStats>,
 }
 
 impl ConcurrentCubeEngine {
@@ -166,13 +175,24 @@ impl ConcurrentCubeEngine {
         ConcurrentCubeEngine {
             cube,
             explorer,
-            shards: (0..n_shards).map(|_| SpinLock::new(LruCache::new(per_shard))).collect(),
+            shards: (0..n_shards).map(|_| Mutex::new(LruCache::new(per_shard))).collect(),
             breakdown_shards: (0..n_shards)
-                .map(|_| SpinLock::new(LruCache::with_budget(per_shard, bd_budget)))
+                .map(|_| Mutex::new(LruCache::with_budget(per_shard, bd_budget)))
                 .collect(),
-            scratches: SpinLock::new(scratches),
-            stats: AtomicQueryStats::default(),
+            scratches: Mutex::new(scratches),
+            capacity,
+            stats: Arc::default(),
         }
+    }
+
+    /// The engine that serves `snapshot` next, typically this engine's
+    /// [`Self::snapshot`] with an update applied: the same shard count and
+    /// cache capacity (the caches start cold) and the *same* counters, so
+    /// [`Self::stats`] keeps counting across the swap — including queries
+    /// that finish on this engine after it.
+    pub fn successor(&self, snapshot: CubeSnapshot) -> Self {
+        let next = Self::with_config(snapshot, self.shards.len(), self.capacity);
+        ConcurrentCubeEngine { stats: Arc::clone(&self.stats), ..next }
     }
 
     /// The snapshot this engine serves — the cube (its maintenance store
@@ -181,8 +201,8 @@ impl ConcurrentCubeEngine {
     /// and the `tid → unit` map are cloned; the postings and the store are
     /// shared with this engine and copied on the first write. The engine
     /// is immutable, so this is how a served cube is updated: apply the
-    /// batch to the returned snapshot, then serve a fresh engine built
-    /// from it. An update that fails leaves this engine as it was.
+    /// batch to the returned snapshot, then serve its [`Self::successor`].
+    /// An update that fails leaves this engine as it was.
     ///
     /// ```
     /// use scube_cube::{ConcurrentCubeEngine, CubeBuilder, UpdateBatch};
@@ -199,7 +219,7 @@ impl ConcurrentCubeEngine {
     /// let mut batch = UpdateBatch::new();
     /// batch.add_row(&[("sex", "F"), ("region", "north")], "u1");
     /// next.apply_update(&batch)?;
-    /// let engine = ConcurrentCubeEngine::new(next);
+    /// let engine = engine.successor(next);
     /// assert_eq!(engine.query_by_names(&[("sex", "F")], &[])?.minority, 2);
     /// # Ok::<(), scube_common::ScubeError>(())
     /// ```
@@ -223,7 +243,8 @@ impl ConcurrentCubeEngine {
         self.shards.len()
     }
 
-    /// Which tier answered each query so far, across all threads.
+    /// Which tier answered each query so far, across all threads and every
+    /// engine these counters were handed down through [`Self::successor`].
     pub fn stats(&self) -> QueryStats {
         self.stats.load()
     }
@@ -246,7 +267,7 @@ impl ConcurrentCubeEngine {
     /// Check a scratch out of the pool (allocating a fresh one only if
     /// every pooled scratch is in use right now).
     fn checkout(&self) -> Checkout<'_> {
-        let pooled = self.scratches.lock().pop();
+        let pooled = lock(&self.scratches).pop();
         Checkout {
             engine: self,
             scratch: Some(pooled.unwrap_or_else(|| self.explorer.new_scratch())),
@@ -290,7 +311,7 @@ impl ConcurrentCubeEngine {
         self.stats.record_explored();
         // Clone the key before taking the lock: critical sections stay O(1).
         let key = coords.clone();
-        self.shard_of(coords).lock().insert(key, v);
+        lock(self.shard_of(coords)).insert(key, v);
         Ok(v)
     }
 
@@ -301,7 +322,7 @@ impl ConcurrentCubeEngine {
             self.stats.record_materialized();
             return Some(*v);
         }
-        if let Some(v) = self.shard_of(coords).lock().get(coords).copied() {
+        if let Some(v) = lock(self.shard_of(coords)).get(coords).copied() {
             self.stats.record_cached();
             return Some(v);
         }
@@ -355,7 +376,7 @@ impl ConcurrentCubeEngine {
         let shard = self.breakdown_shard_of(coords);
         // Under the lock only an O(1) `Arc` clone; the value copy for the
         // caller happens after release.
-        let cached: Option<Breakdown> = shard.lock().get(coords).cloned();
+        let cached: Option<Breakdown> = lock(shard).get(coords).cloned();
         if let Some(b) = cached {
             self.stats.record_breakdown_cached();
             return Ok(b.to_vec());
@@ -367,7 +388,7 @@ impl ConcurrentCubeEngine {
         // An entry weighs its retained triples, floored at 1 so an empty
         // breakdown still occupies a slot's worth of the budget.
         let weight = value.len().max(1);
-        shard.lock().insert_weighted(key, value, weight);
+        lock(shard).insert_weighted(key, value, weight);
         Ok(b)
     }
 
@@ -604,7 +625,7 @@ mod tests {
             CellCoords::new(vec![ca_item], vec![]),
             CellCoords::new(vec![], vec![sa_item]),
         ];
-        let pool_before = engine.scratches.lock().len();
+        let pool_before = lock(&engine.scratches).len();
         let refused = |r: Result<()>, what: &str| match r {
             Err(ScubeError::InvalidParameter(_)) => {}
             other => panic!("{what}: expected InvalidParameter, got {other:?}"),
@@ -620,7 +641,7 @@ mod tests {
                 refused(engine.query_batch(&batch, threads).map(drop), "query_batch");
             }
         }
-        assert!(engine.scratches.lock().len() >= pool_before, "scratch pool shrank");
+        assert!(lock(&engine.scratches).len() >= pool_before, "scratch pool shrank");
         assert_eq!(engine.stats().breakdowns(), 0, "a refused drill-down is not counted");
 
         // The engine still answers, bit-identically to the full build.

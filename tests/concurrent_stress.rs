@@ -4,9 +4,9 @@
 //! every shard churns through evictions the whole run. Afterwards the
 //! atomic `QueryStats` counters must sum *exactly* to the number of issued
 //! queries — a lost update anywhere would break the equality — and every
-//! query must have completed (the shard locks are poison-free by
-//! construction: a `SpinLock` releases on unwind and has no poisoned
-//! state, so no thread can inherit a dead shard).
+//! query must have completed (the shard locks are std `Mutex`es taken
+//! through `scube_common::lock`, which takes over a lock poisoned by a
+//! panicking holder, so no thread can inherit a dead shard).
 
 use scube::prelude::*;
 use scube_cube::ConcurrentCubeEngine;

@@ -275,7 +275,7 @@ fn hot_swap_under_concurrent_load_never_tears() {
         // Fire the hot-swap mid-stream.
         std::thread::sleep(std::time::Duration::from_millis(30));
         let mut admin = HttpClient::connect(&addr).expect("connect");
-        let resp = admin.post("/update", br#"{"remove_tids":[0,1,2,3,4],"threads":2}"#).unwrap();
+        let resp = admin.post("/update", br#"{"remove_tids":[0,1,2,3,4]}"#).unwrap();
         assert_eq!(resp.status, 200, "{:?}", resp.text());
         let stats = Json::parse(resp.text().unwrap()).unwrap();
         assert_eq!(stats.get("rows_removed").unwrap().as_u64(), Some(5));
@@ -386,7 +386,7 @@ fn oversized_update_bodies_get_413_naming_the_configured_cap() {
     // A syntactically valid update comfortably over the small cap.
     let row = r#"{"unit":"u_pad","values":[["gender","F"]]}"#;
     let rows: Vec<&str> = std::iter::repeat_n(row, 40).collect();
-    let big_body = format!("{{\"add\":[{}],\"threads\":2}}", rows.join(","));
+    let big_body = format!("{{\"add\":[{}]}}", rows.join(","));
     assert!(big_body.len() > CAP, "body must exceed the small cap");
 
     // Side one: the capped daemon refuses it with a self-explaining 413.
@@ -400,7 +400,7 @@ fn oversized_update_bodies_get_413_naming_the_configured_cap() {
 
     // The daemon survives the refusal and still applies in-cap updates.
     let mut client = HttpClient::connect(&addr).expect("reconnect");
-    let small = format!("{{\"add\":[{row}],\"threads\":2}}");
+    let small = format!("{{\"add\":[{row}]}}");
     assert!(small.len() <= CAP);
     let resp = client.post("/update", small.as_bytes()).expect("small update");
     assert_eq!(resp.status, 200, "{:?}", resp.text());
@@ -450,7 +450,7 @@ fn mmap_served_daemon_matches_heap_daemon() {
     }
 
     let resp = client
-        .post("/update", br#"{"add":[{"unit":"u_new","values":[["gender","F"]]}],"threads":2}"#)
+        .post("/update", br#"{"add":[{"unit":"u_new","values":[["gender","F"]]}]}"#)
         .expect("update over mapped snapshot");
     assert_eq!(resp.status, 200, "{:?}", resp.text());
     let stats = Json::parse(resp.text().unwrap()).expect("valid JSON");
@@ -546,7 +546,7 @@ fn rejected_updates_leave_the_served_cube_untouched() {
     let resp = client
         .post(
             "/update",
-            br#"{"add":[{"unit":"u_after","values":[["gender","F"]]}],"remove_tids":[0],"threads":2}"#,
+            br#"{"add":[{"unit":"u_after","values":[["gender","F"]]}],"remove_tids":[0]}"#,
         )
         .expect("valid update");
     assert_eq!(resp.text().unwrap(), daemon::update_stats_json(&stats, 1));

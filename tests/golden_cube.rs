@@ -1,13 +1,16 @@
 //! Golden-file regression tests: a fixed-seed datagen workload is reduced
 //! to committed, human-readable artefacts — the cube sheet, the top-k
-//! discovery list, and a query-engine transcript over a snapshot
-//! round-trip — compared **verbatim**, so index math, cell enumeration,
-//! snapshot encoding, and query routing can never drift silently.
+//! discovery list, a query-engine transcript over a snapshot round-trip
+//! and the daemon's reply bytes over loopback — compared **verbatim**, so
+//! index math, cell enumeration, snapshot encoding, query routing and the
+//! wire format can never drift silently.
 //!
 //! To regenerate after an *intentional* change:
 //! `GOLDEN_BLESS=1 cargo test -p scube --test golden_cube` and review the
 //! diff under `tests/golden/` like any other code change.
 
+use minihttp::{percent_encode, HttpClient};
+use scube::daemon::{Daemon, DaemonConfig};
 use scube::prelude::*;
 use scube_cube::ConcurrentCubeEngine;
 use scube_data::TransactionDb;
@@ -233,4 +236,104 @@ fn serve_transcript_matches_golden() {
         }
     }
     check("italy_serve_transcript.txt", include_str!("golden/italy_serve_transcript.txt"), &out);
+}
+
+/// The daemon's replies over loopback, one request per line, status and
+/// body verbatim: 13 cells in five forms each, the views, eight error
+/// paths and four `POST /update` bodies, then `/stats` — whose tier
+/// counters cross the hot-swap — with its timings masked. The other daemon
+/// tests compare replies with the daemon's own renderers, so only this
+/// file catches a drift in the format itself.
+#[test]
+fn daemon_replies_match_golden() {
+    let db = final_table();
+    let full = full_cube(&db);
+    let closed = CubeBuilder::new()
+        .min_support(MIN_SUPPORT)
+        .materialize(Materialize::ClosedOnly)
+        .parallel(false);
+    let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &closed).unwrap();
+    let labels = snap.cube().labels().clone();
+    let config = DaemonConfig { workers: 1, ..DaemonConfig::default() };
+    let daemon = Daemon::bind("127.0.0.1:0", vec![("italy".to_string(), snap)], config).unwrap();
+    let addr = daemon.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+    let mut client = HttpClient::connect(&addr).unwrap();
+
+    let mut out = String::new();
+    let mut send = |method: &str, target: &str, body: &str| {
+        let resp = match method {
+            "GET" => client.get(target),
+            _ => client.post(target, body.as_bytes()),
+        }
+        .unwrap();
+        let mut text = resp.text().unwrap().replace('\n', "\\n");
+        for key in ["\"uptime_us\":", "\"micros\":"] {
+            let mut parts = text.split(key);
+            let mut masked = parts.next().unwrap().to_string();
+            for part in parts {
+                masked.push_str(key);
+                masked.push('#');
+                masked.push_str(part.trim_start_matches(|c: char| c.is_ascii_digit()));
+            }
+            text = masked;
+        }
+        let sent = if body.is_empty() { String::new() } else { format!(" {body}") };
+        out.push_str(&format!("{method} {target}{sent} -> {} {text}\n", resp.status));
+    };
+
+    let side = |items: &[u32]| {
+        let pairs: Vec<String> = items
+            .iter()
+            .map(|&i| format!("{}={}", labels.attr_of(i), labels.value_of(i)))
+            .collect();
+        percent_encode(&pairs.join(","))
+    };
+    let mut coords: Vec<CellCoords> = full.cells().map(|(c, _)| c.clone()).collect();
+    coords.sort();
+    let cells: Vec<String> = coords
+        .iter()
+        .step_by(coords.len() / 13)
+        .take(13)
+        .map(|c| format!("sa={}&ca={}", side(&c.sa), side(&c.ca)))
+        .collect();
+    for cell in &cells {
+        for form in ["", "&index=gini", "&significance=1", "&index=atkinson&significance=1"] {
+            send("GET", &format!("/cubes/italy/query?{cell}{form}"), "");
+        }
+        send("GET", &format!("/cubes/italy/breakdown?{cell}"), "");
+    }
+
+    send("GET", "/cubes", "");
+    send("GET", &format!("/query?{}", cells[1]), "");
+    send("GET", "/cubes/italy/topk?index=gini&k=5&min_total=20", "");
+    send("GET", "/cubes/italy/topk?k=3", "");
+    send("GET", "/cubes/italy/slice?fixed=residence%3Dsicilia", "");
+    send("GET", "/cubes/italy/slice?fixed=gender%3DF&index=isolation", "");
+    send("GET", "/cubes/italy/dice?attrs=gender,region", "");
+    send("GET", "/cubes/italy/stats", "");
+
+    send("GET", "/cubes/nope/query", "");
+    send("GET", "/cubes/italy/frobnicate", "");
+    send("POST", "/cubes/italy/query", "");
+    send("GET", "/cubes/italy/query?sa=%zz", "");
+    send("GET", "/cubes/italy/query?sa=gender%3DX", "");
+    send("GET", "/cubes/italy/query?sa=residence%3Dsicilia", "");
+    send("GET", "/cubes/italy/topk?index=bogus", "");
+    send("GET", "/cubes/italy/topk?k=1&k=2", "");
+
+    let unit = &labels.unit_names[0];
+    send("POST", "/cubes/italy/update", "{\"add\":[");
+    send("POST", "/cubes/italy/update", "{\"bogus\":1}");
+    let append = format!(
+        "{{\"add\":[{{\"unit\":\"{unit}\",\"values\":[[\"gender\",\"F\"],[\"residence\",\"sicilia\"]]}}]}}"
+    );
+    send("POST", "/cubes/italy/update", &append);
+    send("POST", "/cubes/italy/update", "{\"remove_tids\":[4294967295]}");
+    send("GET", &format!("/cubes/italy/query?{}", cells[1]), "");
+    send("GET", "/stats", "");
+
+    client.post("/shutdown", b"").unwrap();
+    server.join().unwrap().unwrap();
+    check("italy_daemon_replies.txt", include_str!("golden/italy_daemon_replies.txt"), &out);
 }
