@@ -51,6 +51,16 @@ enum Seg<'a> {
     Lit(&'a [u64]),
 }
 
+impl Seg<'_> {
+    /// Number of words the segment covers.
+    fn len(&self) -> usize {
+        match self {
+            Seg::Clean { nwords, .. } => *nwords as usize,
+            Seg::Lit(words) => words.len(),
+        }
+    }
+}
+
 /// Iterator over the segments of a compressed stream.
 struct RawSegs<'a> {
     words: &'a [u64],
@@ -845,11 +855,92 @@ impl EwahBitmap {
         self.card == 0
     }
 
-    /// Visit every id in increasing order.
+    /// Visit every id in increasing order, the ids [`EwahBitmap::iter`]
+    /// yields. A segment at a time: a ones-run is an id range and a literal
+    /// stretch is scanned by `trailing_zeros`, with no per-bit state.
     pub fn for_each(&self, mut f: impl FnMut(u32)) {
-        for id in self.iter() {
-            f(id);
+        let mut at = 0u64;
+        for seg in RawSegs::new(&self.words) {
+            match seg {
+                Seg::Clean { ones, nwords } => {
+                    if ones {
+                        (at * 64..(at + nwords) * 64).for_each(|id| f(id as u32));
+                    }
+                    at += nwords;
+                }
+                Seg::Lit(words) => {
+                    crate::kernels::for_each_set_bit(words, at * 64, &mut f);
+                    at += words.len() as u64;
+                }
+            }
         }
+    }
+
+    /// The segments covering the first `span` words, each with the index of
+    /// its first word, the last one cut at `span`. A run can claim up to
+    /// 2³² − 1 words, so this clamp is what keeps the dense walkers below
+    /// in bounds on any stream `read_slot` or `map_slot` accepts.
+    fn segs_upto(&self, span: usize) -> impl Iterator<Item = (usize, Seg<'_>)> {
+        let mut at = 0usize;
+        RawSegs::new(&self.words).map_while(move |seg| {
+            let start = at;
+            let room = span - start;
+            let seg = match seg {
+                Seg::Clean { ones, nwords } => Seg::Clean { ones, nwords: nwords.min(room as u64) },
+                Seg::Lit(words) => Seg::Lit(&words[..words.len().min(room)]),
+            };
+            at += seg.len();
+            (start < span).then_some((start, seg))
+        })
+    }
+
+    /// The canonical encoding of dense words, bit `b` of `words[i]` being id
+    /// `64·i + b`: the inverse of [`EwahBitmap::decode_words_into`], in an
+    /// exact-length buffer.
+    pub fn from_words(words: &[u64]) -> Self {
+        let mut out = Appender::new();
+        out.push_words(words);
+        let mut bitmap = out.finish();
+        bitmap.words.vec_mut().shrink_to_fit();
+        bitmap
+    }
+
+    /// Write the first `out.len()` words of the bit vector into `out`: the
+    /// dense form of the set, zero-extended past the stream's end and cut
+    /// at `out.len()`.
+    pub fn decode_words_into(&self, out: &mut [u64]) {
+        let mut end = 0;
+        for (at, seg) in self.segs_upto(out.len()) {
+            end = at + seg.len();
+            match seg {
+                Seg::Clean { ones, .. } => out[at..end].fill(if ones { u64::MAX } else { 0 }),
+                Seg::Lit(words) => out[at..end].copy_from_slice(words),
+            }
+        }
+        out[end..].fill(0);
+    }
+
+    /// Intersect the dense words `out` with this set in place (`out[i] &=`
+    /// word `i` of the bit vector) and return the number of set bits left
+    /// in `out`. One pass over the segments: a zero run clears its words, a
+    /// ones-run only counts them, and a literal stretch runs through the
+    /// fused AND-popcount kernel.
+    pub fn and_words_into(&self, out: &mut [u64]) -> u64 {
+        let (mut end, mut count) = (0, 0);
+        for (at, seg) in self.segs_upto(out.len()) {
+            end = at + seg.len();
+            let dst = &mut out[at..end];
+            count += match seg {
+                Seg::Clean { ones: false, .. } => {
+                    dst.fill(0);
+                    0
+                }
+                Seg::Clean { ones: true, .. } => crate::kernels::popcount_words(dst),
+                Seg::Lit(words) => crate::kernels::and_assign_popcount_words(dst, words),
+            };
+        }
+        out[end..].fill(0);
+        count
     }
 
     /// Collect the ids into a vector (ascending).

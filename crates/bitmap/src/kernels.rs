@@ -1,4 +1,5 @@
-//! Word-level kernels under the EWAH stream merges.
+//! Word-level kernels under the EWAH stream merges and the miner's dense
+//! tidsets.
 //!
 //! Every routine here works on plain `&[u64]` slices and is written as a
 //! straight-line loop over fixed-width chunks (`chunks_exact`), the shape
@@ -10,7 +11,9 @@
 //!
 //! [`EwahBitmap`](crate::EwahBitmap) uses them for literal-run ×
 //! literal-run blocks inside its compressed-stream merge and for bulk
-//! popcounts of literal stretches.
+//! popcounts of literal stretches. The Eclat walk runs its joins straight
+//! on them: it counts a candidate with [`and_popcount_words`] and
+//! histograms a node with [`for_each_set_bit`].
 
 /// Width of the unrolled inner loops, in 64-bit words (a 512-bit stripe).
 const LANES: usize = 8;
@@ -50,6 +53,45 @@ pub fn and_popcount_words(a: &[u64], b: &[u64]) -> u64 {
         .map(|(x, y)| u64::from((x & y).count_ones()))
         .sum();
     acc.iter().sum::<u64>() + tail
+}
+
+/// `dst[i] &= src[i]` over the overlapping prefix, returning the number of
+/// set bits left in that prefix: the AND and its popcount in one pass, with
+/// no second read of `dst`.
+#[inline]
+pub fn and_assign_popcount_words(dst: &mut [u64], src: &[u64]) -> u64 {
+    let n = dst.len().min(src.len());
+    let (dst, src) = (&mut dst[..n], &src[..n]);
+    let mut cd = dst.chunks_exact_mut(LANES);
+    let mut cs = src.chunks_exact(LANES);
+    let mut acc = [0u64; LANES];
+    for (ds, ss) in (&mut cd).zip(&mut cs) {
+        for ((s, d), x) in acc.iter_mut().zip(ds).zip(ss) {
+            *d &= x;
+            *s += u64::from(d.count_ones());
+        }
+    }
+    let mut tail = 0u64;
+    for (d, x) in cd.into_remainder().iter_mut().zip(cs.remainder()) {
+        *d &= x;
+        tail += u64::from(d.count_ones());
+    }
+    acc.iter().sum::<u64>() + tail
+}
+
+/// Call `f` with the id of every set bit of `words`, ascending, where bit
+/// `b` of `words[i]` is id `first + 64·i + b` (narrowed to `u32`, as
+/// [`EwahBitmap::iter`](crate::EwahBitmap::iter) narrows).
+#[inline]
+pub fn for_each_set_bit(words: &[u64], first: u64, mut f: impl FnMut(u32)) {
+    for (i, &w) in words.iter().enumerate() {
+        let base = first + 64 * i as u64;
+        let mut w = w;
+        while w != 0 {
+            f((base + u64::from(w.trailing_zeros())) as u32);
+            w &= w - 1;
+        }
+    }
 }
 
 /// `out[i] = f(a[i], b[i])` over the overlapping prefix; `out` must be at
@@ -104,7 +146,31 @@ mod tests {
     }
 
     #[test]
-    fn map2_variants_agree() {
+    fn and_assign_popcount_matches_naive() {
+        for (na, nb) in [(0usize, 5usize), (7, 7), (37, 41), (64, 20)] {
+            let a: Vec<u64> =
+                (0..na as u64).map(|i| i.wrapping_mul(0x1234_5678_9ABC_DEF1)).collect();
+            let b: Vec<u64> =
+                (0..nb as u64).map(|i| !i.wrapping_mul(0x0FED_CBA9_8765_4321)).collect();
+            let mut got = a.clone();
+            let count = and_assign_popcount_words(&mut got, &b);
+            let n = na.min(nb);
+            let want: Vec<u64> =
+                a.iter().enumerate().map(|(i, &x)| if i < n { x & b[i] } else { x }).collect();
+            assert_eq!(got, want, "{na}x{nb}");
+            assert_eq!(count, and_popcount_words(&a, &b), "{na}x{nb}");
+        }
+    }
+
+    #[test]
+    fn set_bits_ascend_from_the_offset() {
+        let mut ids = Vec::new();
+        for_each_set_bit(&[0b1010, 0, 1 << 63], 128, |id| ids.push(id));
+        assert_eq!(ids, vec![129, 131, 128 + 128 + 63]);
+    }
+
+    #[test]
+    fn map2_into_applies_the_op_over_the_shorter_input() {
         let a: Vec<u64> = (0..100u64).map(|i| i.wrapping_mul(0xDEAD_BEEF_CAFE_F00D)).collect();
         let b: Vec<u64> = (0..90u64).map(|i| i.rotate_left(13) ^ 0xABCD).collect();
         let mut out = vec![0u64; 90];

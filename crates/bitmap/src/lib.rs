@@ -8,15 +8,22 @@
 //! * [`EwahBitmap`] — a 64-bit word-aligned hybrid (EWAH) compressed bitmap:
 //!   runs of identical words are run-length encoded, other words are stored
 //!   verbatim. Fast `AND`/`OR`/`ANDNOT`/`XOR` by merging compressed streams.
-//!   This is **the** tidset of every layer above this crate — vertical
-//!   database, miner, cube, snapshot, query engine — with its snapshot slot
-//!   codec ([`EwahBitmap::write_slot`] / [`EwahBitmap::read_slot`] /
-//!   [`EwahBitmap::map_slot`]).
+//!   This is **the** stored tidset of every layer above this crate —
+//!   vertical database, cube, snapshot, query engine, update path — with
+//!   its snapshot slot codec ([`EwahBitmap::write_slot`] /
+//!   [`EwahBitmap::read_slot`] / [`EwahBitmap::map_slot`]).
 //!
-//! Dense words, sorted id vectors and a per-posting adaptive switch were
-//! measured against EWAH and lost (decision record: `docs/ARCHITECTURE.md`,
-//! "The posting kernel layer"), so the set algebra is `EwahBitmap`'s own
-//! inherent methods. Two conventions hold across them:
+//! For *stored postings*, dense words, sorted id vectors and a per-posting
+//! adaptive switch were measured against EWAH and lost (decision record:
+//! `docs/ARCHITECTURE.md`, "The posting kernel layer"), so the set algebra
+//! is `EwahBitmap`'s own inherent methods. The miner's working set is the
+//! exception: the Eclat walk's tidsets are transient, never saved, and
+//! random with no runs, so they are plain `u64` words
+//! (`docs/ARCHITECTURE.md`, "the miner's working set is dense words").
+//! [`EwahBitmap::decode_words_into`] and [`EwahBitmap::and_words_into`]
+//! cross from a posting into that form, clamped at the dense span on any
+//! stream the slot decoders accept, and [`EwahBitmap::from_words`] encodes
+//! back. Two conventions hold across the set algebra:
 //!
 //! * ids are `u32`, and a bitmap reads as an infinite zero-extended bit
 //!   vector: absent ids are 0 however many words are stored;
@@ -29,8 +36,9 @@
 //!   does panic on an id that is not present, in release builds too.
 //!
 //! Beside the type sit [`mod@kernels`] (the unrolled word loops its merges run
-//! literal blocks through) and [`mod@reference`] (the scalar sorted-vector
-//! oracle the differential tests compare against).
+//! literal blocks through, and the walk runs its dense joins on) and
+//! [`mod@reference`] (the scalar sorted-vector oracle the differential tests
+//! compare against).
 
 pub mod ewah;
 pub mod kernels;

@@ -9,13 +9,22 @@
 //! for canonical-encoding stability against a from-scratch build, by its
 //! snapshot slot bytes — *bit*-identical, not just set-equal.
 //!
+//! The dense-word side the Eclat walk runs on is pinned the same way, on
+//! heap and mapped slots: the segment walkers `decode_words_into` and
+//! `and_words_into` at spans shorter and longer than the set, `from_words`
+//! back to the canonical bytes, the fused `kernels::and_assign_popcount_words`
+//! and `and_popcount_words`, and the segment-walking `for_each` (≡ `iter()`
+//! ≡ the ids). Hostile streams that reach past the dense span are clamped,
+//! and a malformed one is refused at decode, never a panic.
+//!
 //! Deterministic edge grids cover empty / full / single-word /
-//! word-boundary shapes; proptest generators cover skew-varying random
-//! data.
+//! word-boundary / ones-run shapes; proptest generators cover skew-varying
+//! random data.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use scube_bitmap::kernels::{and_assign_popcount_words, and_popcount_words, for_each_set_bit};
 use scube_bitmap::reference;
 use scube_bitmap::EwahBitmap;
 
@@ -54,12 +63,17 @@ fn check_against_reference(lists: &[Vec<u32>]) {
         _ => panic!("intersect_many Some/None mismatch"),
     }
 
+    for (ids, posting) in lists.iter().zip(&postings) {
+        check_dense_decode(ids, posting);
+    }
+
     // Pairwise kernels over every adjacent pair.
     for w in lists.windows(2) {
         let (xs, ys) = (&w[0], &w[1]);
         let px = EwahBitmap::from_sorted(xs);
         let py = EwahBitmap::from_sorted(ys);
         let and = reference::intersect_sorted(xs, ys);
+        check_dense_join(xs, ys, &px, &py, &and);
 
         assert_eq!(px.and(&py).to_vec(), and, "and");
         assert_eq!(px.and_cardinality(&py), and.len() as u64, "and_cardinality");
@@ -92,6 +106,139 @@ fn check_against_reference(lists: &[Vec<u32>]) {
     }
 }
 
+/// The ids of dense words, ascending.
+fn dense_ids(words: &[u64]) -> Vec<u32> {
+    let mut ids = Vec::new();
+    for_each_set_bit(words, 0, |id| ids.push(id));
+    ids
+}
+
+/// Dense words of sorted ids, `span` words long (ids past it dropped).
+fn dense_of(ids: &[u32], span: usize) -> Vec<u64> {
+    let mut words = vec![0u64; span];
+    for &id in ids.iter().filter(|&&id| (id as usize) < span * 64) {
+        words[id as usize / 64] |= 1 << (id % 64);
+    }
+    words
+}
+
+/// Dense spans that cut a set short, match it, and run past it.
+fn spans(ids: &[u32]) -> [usize; 4] {
+    let exact = ids.last().map_or(0, |&max| max as usize / 64 + 1);
+    [0, exact / 2, exact, exact + 3]
+}
+
+/// `for_each` ≡ `iter()` ≡ the ids, and `decode_words_into` at every span
+/// ≡ the ids below the span, zero-filled over stale contents.
+fn check_dense_decode(ids: &[u32], posting: &EwahBitmap) {
+    let mut visited = Vec::new();
+    posting.for_each(|id| visited.push(id));
+    assert_eq!(visited, ids, "for_each");
+    assert_eq!(posting.iter().collect::<Vec<u32>>(), ids, "iter");
+    for span in spans(ids) {
+        let mut words = vec![u64::MAX; span]; // stale contents must vanish
+        posting.decode_words_into(&mut words);
+        assert_eq!(words, dense_of(ids, span), "decode_words_into at span {span}");
+    }
+    // Encoding the dense words back gives the canonical slot bytes.
+    let span = spans(ids)[3];
+    let mut words = vec![0u64; span];
+    posting.decode_words_into(&mut words);
+    assert!(
+        same_slot(&EwahBitmap::from_words(&words), &EwahBitmap::from_sorted(ids)),
+        "from_words"
+    );
+}
+
+/// The dense joins of one pair against the reference intersection: the
+/// fused kernels on two dense sides, and `and_words_into` on a dense side
+/// against a compressed one, at spans shorter and longer than either set.
+fn check_dense_join(xs: &[u32], ys: &[u32], px: &EwahBitmap, py: &EwahBitmap, and: &[u32]) {
+    for span in spans(xs).into_iter().chain(spans(ys)) {
+        let below: Vec<u32> = and.iter().copied().filter(|&id| (id as usize) < span * 64).collect();
+        let (dx, dy) = (dense_of(xs, span), dense_of(ys, span));
+        assert_eq!(and_popcount_words(&dx, &dy), below.len() as u64, "and_popcount at {span}");
+        let mut fused = dx.clone();
+        let count = and_assign_popcount_words(&mut fused, &dy);
+        assert_eq!((dense_ids(&fused), count), (below.clone(), below.len() as u64), "fused");
+        let mut joined = dx;
+        let count = py.and_words_into(&mut joined);
+        assert_eq!((dense_ids(&joined), count), (below.clone(), below.len() as u64), "y into x");
+        let mut joined = dy;
+        let count = px.and_words_into(&mut joined);
+        assert_eq!((dense_ids(&joined), count), (below.clone(), below.len() as u64), "x into y");
+    }
+}
+
+/// One marker word: a clean run of `run` words (of ones when `ones`), then
+/// `lit` literal words.
+fn marker(ones: bool, run: u64, lit: u64) -> u64 {
+    u64::from(ones) | (run << 1) | (lit << 33)
+}
+
+fn slot_bytes(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+#[test]
+fn hostile_streams_are_clamped_at_the_span() {
+    // A ones-run of 2³² − 1 words — 2³⁸ bits, far past any `u32` id — then
+    // one literal: a stream `read_slot` (the `from_parts` path) accepts.
+    let run = (1u64 << 32) - 1;
+    let words = [marker(true, run, 1), 0b101];
+    let card = 64 * run + 2;
+    let hostile = EwahBitmap::read_slot(&slot_bytes(&words), card).expect("structurally valid");
+    for span in [0usize, 1, 5, 64] {
+        let mut dense = vec![0u64; span];
+        hostile.decode_words_into(&mut dense);
+        assert_eq!(dense, vec![u64::MAX; span], "decode at span {span}");
+        let mut dense: Vec<u64> = (0..span as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let before = dense.clone();
+        let count = hostile.and_words_into(&mut dense);
+        assert_eq!(dense, before, "a ones-run is the identity of the AND");
+        assert_eq!(count, and_popcount_words(&before, &before), "span {span}");
+    }
+    // A zero run past the span, the literal never reached.
+    let far = EwahBitmap::read_slot(&slot_bytes(&[marker(false, run, 1), 7]), 3).unwrap();
+    let mut dense = vec![u64::MAX; 3];
+    assert_eq!(far.and_words_into(&mut dense), 0);
+    assert_eq!(dense, [0, 0, 0]);
+    far.decode_words_into(&mut dense);
+    assert_eq!(dense, [0, 0, 0]);
+    // A marker claiming more literals than the slot holds is refused.
+    assert!(EwahBitmap::read_slot(&slot_bytes(&[marker(false, 0, 5), 7]), 3).is_none());
+}
+
+#[test]
+fn dense_walkers_match_on_mapped_slots() {
+    if cfg!(target_endian = "big") {
+        return; // mapped views are little-endian-host only
+    }
+    use scube_common::mmap::{ByteRegion, MmapFile};
+    use std::sync::Arc;
+    let shapes: [Vec<u32>; 4] = [
+        (0..64 * 5).collect(),                 // one ones-run
+        (3..1000).chain(1030..1100).collect(), // runs and literals
+        (0..200_000).step_by(7).chain(200_000..200_640).collect(),
+        vec![63, 64, 127, 128 * 64],
+    ];
+    for (case, ids) in shapes.iter().enumerate() {
+        let p = EwahBitmap::from_sorted(ids);
+        let mut slot = Vec::new();
+        p.write_slot(&mut slot);
+        let path =
+            std::env::temp_dir().join(format!("scube_kernel_eq_{}_{case}.bin", std::process::id()));
+        std::fs::write(&path, &slot).unwrap();
+        let file = Arc::new(MmapFile::open(&path).unwrap());
+        let universe = ids.last().map_or(0, |&m| m + 1);
+        let mapped = EwahBitmap::map_slot(ByteRegion::whole(file), p.cardinality(), universe)
+            .expect("mapped slot decodes");
+        check_dense_decode(ids, &mapped);
+        check_dense_join(ids, ids, &mapped, &mapped, ids);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 #[test]
 fn edge_case_grid() {
     let full_word: Vec<u32> = (0..64).collect();
@@ -100,8 +247,9 @@ fn edge_case_grid() {
     let single = vec![64u32];
     let empty: Vec<u32> = vec![];
     let sparse_tail = vec![0u32, 1_000_000, 33_554_431];
+    let run_then_literals: Vec<u32> = (0..640).chain((700..900).step_by(3)).collect();
     let shapes: &[Vec<u32>] =
-        &[empty.clone(), single, full_word, boundary, three_words, sparse_tail];
+        &[empty.clone(), single, full_word, boundary, three_words, sparse_tail, run_then_literals];
     // Every ordered pair of shapes, plus a triple including empties.
     for a in shapes {
         for b in shapes {

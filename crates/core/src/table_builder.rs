@@ -91,8 +91,7 @@ fn resolve_columns(dataset: &Dataset, exclude_group_attr: Option<&str>) -> Resul
 /// the values over every group connecting the individual to the unit.
 fn final_schema(dataset: &Dataset, columns: &Columns) -> Result<Schema> {
     let mut attrs = Vec::new();
-    for (i, (name, multi)) in dataset.individuals_spec.sa_columns.iter().enumerate() {
-        let _ = i;
+    for (name, multi) in &dataset.individuals_spec.sa_columns {
         let mut a = Attribute::sa(name.clone());
         a.multi_valued = *multi;
         attrs.push(a);
@@ -108,25 +107,25 @@ fn final_schema(dataset: &Dataset, columns: &Columns) -> Result<Schema> {
     Schema::new(attrs)
 }
 
-/// Split one CSV cell according to its multi-valued flag.
-fn cell_values(cell: &str, multi: bool) -> Vec<String> {
+/// Split one CSV cell according to its multi-valued flag, borrowing the
+/// values from the cell.
+fn cell_values(cell: &str, multi: bool) -> Vec<&str> {
     if multi {
         cell.split(scube_data::MULTI_VALUE_SEPARATOR)
             .map(str::trim)
             .filter(|v| !v.is_empty())
-            .map(str::to_string)
             .collect()
     } else if cell.trim().is_empty() {
         Vec::new()
     } else {
-        vec![cell.trim().to_string()]
+        vec![cell.trim()]
     }
 }
 
 /// Node attributes for SToC: every attribute value of the node's relation
 /// row, interned to dense codes.
 fn node_attributes(rel: &Relation, cols: &[(usize, bool)]) -> NodeAttributes {
-    let mut dict: scube_common::FxHashMap<String, u32> = scube_common::FxHashMap::default();
+    let mut dict: scube_common::FxHashMap<&str, u32> = scube_common::FxHashMap::default();
     let mut rows = Vec::with_capacity(rel.len());
     for row in rel.rows() {
         let mut codes = Vec::new();
@@ -196,7 +195,7 @@ fn build_by_group_attribute(dataset: &Dataset, unit_attr: &str) -> Result<FinalT
 
     for (ind, groups) in adjacency.iter().enumerate() {
         // Unit values this individual reaches, with the groups per unit.
-        let mut units: Vec<(String, Vec<u32>)> = Vec::new();
+        let mut units: Vec<(&str, Vec<u32>)> = Vec::new();
         for &g in groups {
             for unit in cell_values(&dataset.groups.rows()[g as usize][unit_col], unit_multi) {
                 match units.iter_mut().find(|(u, _)| *u == unit) {
@@ -290,20 +289,20 @@ fn build_by_individual_clusters(
 
 /// Values of one final-table row: the individual's own attributes followed
 /// by the union of the linking groups' context attributes.
-fn row_values(
-    dataset: &Dataset,
+fn row_values<'a>(
+    dataset: &'a Dataset,
     columns: &Columns,
     ind: usize,
     groups: &[u32],
-) -> Vec<Vec<String>> {
+) -> Vec<Vec<&'a str>> {
     let ind_row = &dataset.individuals.rows()[ind];
-    let mut values: Vec<Vec<String>> =
+    let mut values: Vec<Vec<&str>> =
         Vec::with_capacity(columns.ind_sa.len() + columns.ind_ca.len() + columns.grp_ca.len());
     for &(c, multi) in columns.ind_sa.iter().chain(columns.ind_ca.iter()) {
         values.push(cell_values(&ind_row[c], multi));
     }
     for &(c, multi, _) in &columns.grp_ca {
-        let mut union: Vec<String> = Vec::new();
+        let mut union: Vec<&str> = Vec::new();
         for &g in groups {
             for v in cell_values(&dataset.groups.rows()[g as usize][c], multi) {
                 if !union.contains(&v) {

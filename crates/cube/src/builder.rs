@@ -8,25 +8,28 @@
 //!    through [`scube_common::par`] when `parallel` is on. The roots are
 //!    ordered CA items first, so a cell's context `B` is a prefix of its
 //!    itemset `B ∪ A` in DFS order: an ancestor of the cell's node. Each
-//!    node is folded as the DFS reaches it and its tidset is dropped, so a
-//!    build holds one root-to-leaf path of extension lists, never every
-//!    mined tidset at once;
+//!    node is folded as the DFS reaches it, borrowing its tidset, which the
+//!    DFS drops once the fold returns, so a build holds one root-to-leaf
+//!    path of extension lists, never every mined tidset at once. The walk's tidsets are dense `u64` words with a cached support,
+//!    not postings: nothing here encodes or counts a bitmap;
 //! 3. split each node's itemset into cell coordinates `(A, B)` by attribute
 //!    role. A pure-CA node is the context of every cell in its subtree: its
-//!    per-unit histogram is counted from the tidset live at it and kept, while
-//!    the DFS is below it, as its run table ([`ContextTotals`]: the ascending
+//!    per-unit histogram is counted from the tidset's words
+//!    ([`VerticalDb::unit_histogram_words_into`]) and kept, while the DFS is
+//!    below it, as its run table ([`ContextTotals`]: the ascending
 //!    `(unit, total)` list plus its `(t, k)` runs). No posting is ever
 //!    re-intersected and each context is histogrammed once;
 //! 4. evaluate the selected indexes per cell ([`IndexValues`]) from the
 //!    context's run table and the cell's minority units, counted into
-//!    per-worker reusable [`UnitScratch`] histograms. A cell costs
-//!    O(|tidset|) for its histogram, a sort of its touched (minority)
-//!    units, a galloping lookup of their totals in the context list, a
-//!    sort of their `(t, m)` keys and a pass over the context's runs —
-//!    never a per-unit histogram or sort of the whole context; an `A = ⋆`
-//!    cell folds the context's runs alone. The same pairs are the cube's
-//!    maintenance store: each cell's ascending `m > 0` pairs become its
-//!    minority entry, and the context lists become the context entries.
+//!    per-worker reusable [`UnitScratch`] histograms. A cell costs a scan
+//!    of its tidset's words plus O(|tidset|) for its histogram, a sort of
+//!    its touched (minority) units, a galloping lookup of their totals in
+//!    the context list, a sort of their `(t, m)` keys and a pass over the
+//!    context's runs — never a per-unit histogram or sort of the whole
+//!    context; an `A = ⋆` cell folds the context's runs alone. The same
+//!    pairs are the cube's maintenance store: each cell's ascending `m > 0`
+//!    pairs become its minority entry, and the context lists become the
+//!    context entries.
 //!
 //! Under [`Materialize::ClosedOnly`], a node its DFS path proves not closed
 //! (it lacks an item that extends a node of the path at equal support) is
@@ -37,7 +40,6 @@
 //! The parallel build is bit-identical to the serial one: workers return
 //! what they fold keyed by coordinates, and cell evaluation is pure.
 
-use scube_bitmap::EwahBitmap;
 use scube_common::mmap::Store;
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, TableMeta, TransactionDb, UnitScratch, VerticalDb};
@@ -264,12 +266,10 @@ impl CubeBuilder {
         let subtrees = scube_common::par::map(
             0..roots.len(),
             n_threads,
-            || (EwahBitmap::default(), Folder::new(n_units as u32)),
-            |(join, folder), root| {
+            || Folder::new(n_units as u32),
+            |folder, root| {
                 let mut out = Subtree::default();
-                walk(roots, root, cfg.min_support, join, &mut |node| {
-                    folder.emit(node, &fold, &mut out)
-                })?;
+                walk(roots, root, cfg.min_support, &mut |node| folder.emit(node, &fold, &mut out))?;
                 Ok(out)
             },
         )?;
@@ -359,9 +359,9 @@ impl Folder {
         }
     }
 
-    /// Fold one emitted node, then drop its tidset. A pure-CA node is the
-    /// context of every cell in its subtree: its run table is built here,
-    /// from the tidset live at it, before any of those cells is emitted.
+    /// Fold one emitted node. A pure-CA node is the context of every cell
+    /// in its subtree: its run table is built here, from the node's tidset
+    /// words, before any of those cells is emitted.
     ///
     /// Under ClosedOnly a node that lacks an item `e` extending some node
     /// `N` of its path (itself included) at equal support is not closed,
@@ -370,7 +370,7 @@ impl Folder {
     /// node (one whose equal-support superset adds an item earlier in root
     /// order than its path can see).
     fn emit(&mut self, node: Node<'_>, fold: &FoldInputs<'_>, out: &mut Subtree) -> Result<()> {
-        let support = node.tids.cardinality();
+        let support = node.support;
         let depth = node.items.len();
         let mut items = node.items.to_vec();
         items.sort_unstable();
@@ -382,7 +382,7 @@ impl Folder {
         let index = out.nodes.len();
         out.nodes.push((items, support));
         if coords.sa.is_empty() {
-            fold.vertical.unit_histogram_into(&node.tids, &mut self.scratch);
+            fold.vertical.unit_histogram_words_into(node.tids, &mut self.scratch);
             let totals = ContextTotals::new(self.scratch.sorted_pairs())?;
             out.contexts.push((coords.ca.clone(), encode_entry(totals.units())));
             self.contexts.truncate(depth - 1);
@@ -392,7 +392,7 @@ impl Folder {
         self.equal.push(
             node.extensions
                 .iter()
-                .filter(|(_, tids)| tids.cardinality() == support)
+                .filter(|(_, tids)| tids.card == support)
                 .map(|&(item, _)| item)
                 .collect(),
         );
@@ -413,7 +413,7 @@ impl Folder {
         let evaluated = if coords.sa.is_empty() {
             (coords, context.fold_whole(cfg.atkinson_b, cfg.measures), None)
         } else {
-            fold.vertical.unit_histogram_into(&node.tids, &mut self.scratch);
+            fold.vertical.unit_histogram_words_into(node.tids, &mut self.scratch);
             self.scratch.sorted_pairs_into(&mut self.pairs);
             let values = context.fold(&self.pairs, cfg.atkinson_b, cfg.measures)?;
             (coords, values, Some(encode_entry(&self.pairs)))

@@ -24,7 +24,9 @@ struct ItemInfo {
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     items: Vec<ItemInfo>,
-    lookup: FxHashMap<(AttrId, String), ItemId>,
+    /// `lookup[attr]`: value → id, queried by `&str`, so a lookup that hits
+    /// allocates nothing.
+    lookup: Vec<FxHashMap<Box<str>, ItemId>>,
 }
 
 impl Dictionary {
@@ -36,19 +38,22 @@ impl Dictionary {
     /// Intern `(attr, value)`, returning its id (existing or fresh).
     /// Errors, interning nothing, when a fresh id would not fit a `u32`.
     pub fn intern(&mut self, attr: AttrId, value: &str) -> Result<ItemId> {
-        if let Some(&id) = self.lookup.get(&(attr, value.to_string())) {
+        if let Some(id) = self.get(attr, value) {
             return Ok(id);
         }
         let id = next_id(self.items.len(), "dictionary items")?;
         self.items.push(ItemInfo { attr, value: value.to_string() });
-        self.lookup.insert((attr, value.to_string()), id);
+        let attr = usize::from(attr);
+        if self.lookup.len() <= attr {
+            self.lookup.resize_with(attr + 1, FxHashMap::default);
+        }
+        self.lookup[attr].insert(value.into(), id);
         Ok(id)
     }
 
     /// Id of an already-interned item.
     pub fn get(&self, attr: AttrId, value: &str) -> Option<ItemId> {
-        // Temporary key allocation; lookups are off the hot path.
-        self.lookup.get(&(attr, value.to_string())).copied()
+        self.lookup.get(usize::from(attr))?.get(value).copied()
     }
 
     /// Attribute of an item.
@@ -105,6 +110,7 @@ mod tests {
         assert_eq!(d.value_of(id), "north");
         assert_eq!(d.get(3, "north"), Some(id));
         assert_eq!(d.get(3, "south"), None);
+        assert_eq!(d.get(4, "north"), None); // an attribute with no items
     }
 
     #[test]

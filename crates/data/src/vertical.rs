@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use scube_bitmap::kernels::for_each_set_bit;
 use scube_bitmap::EwahBitmap;
 
 use crate::dictionary::ItemId;
@@ -366,20 +367,25 @@ impl VerticalDb {
     /// O(|touched units|) instead of O(n_units), which is what makes cube
     /// cell evaluation O(Σ|tidset|) overall rather than O(cells × n_units).
     pub fn unit_histogram_into(&self, tids: &EwahBitmap, scratch: &mut UnitScratch) {
+        self.reset_scratch(scratch);
+        tids.for_each(|tid| scratch.bump(self.unit_of[tid as usize]));
+    }
+
+    /// [`Self::unit_histogram_into`] over a dense tidset, bit `b` of
+    /// `words[i]` being tid `64·i + b`: the Eclat walk's form, which the
+    /// cube builder histograms without encoding it.
+    pub fn unit_histogram_words_into(&self, words: &[u64], scratch: &mut UnitScratch) {
+        self.reset_scratch(scratch);
+        for_each_set_bit(words, 0, |tid| scratch.bump(self.unit_of[tid as usize]));
+    }
+
+    fn reset_scratch(&self, scratch: &mut UnitScratch) {
         assert_eq!(
             scratch.counts.len(),
             self.n_units as usize,
             "scratch sized for a different unit count"
         );
         scratch.clear();
-        tids.for_each(|tid| {
-            let u = self.unit_of[tid as usize];
-            let slot = &mut scratch.counts[u as usize];
-            if *slot == 0 {
-                scratch.touched.push(u);
-            }
-            *slot += 1;
-        });
     }
 }
 
@@ -416,10 +422,10 @@ impl UnitScratch {
         &self.touched
     }
 
-    /// Add one observation of `unit` — the manual fill used for delta
-    /// histograms whose transactions are not (or no longer) in any
-    /// database, e.g. batch rows before they are appended and retracted
-    /// rows after they are resolved.
+    /// Add one observation of `unit` — the per-tid body of both histogram
+    /// fills above, and the manual fill used for delta histograms whose
+    /// transactions are not (or no longer) in any database, e.g. batch rows
+    /// before they are appended and retracted rows after they are resolved.
     #[inline]
     pub fn bump(&mut self, unit: UnitId) {
         let slot = &mut self.counts[unit as usize];
@@ -526,6 +532,10 @@ mod tests {
             let dense = dense_histogram(&v, &tids);
             v.unit_histogram_into(&tids, &mut scratch);
             assert_eq!(scratch.counts(), &dense[..], "{items:?}");
+            let mut words = vec![u64::MAX; 2]; // stale contents must vanish
+            tids.decode_words_into(&mut words);
+            v.unit_histogram_words_into(&words, &mut scratch);
+            assert_eq!(scratch.counts(), &dense[..], "{items:?} as words");
             let pairs = scratch.sorted_pairs();
             let expected: Vec<(u32, u64)> = dense
                 .iter()
