@@ -174,14 +174,35 @@ impl TransactionDbBuilder {
         Ok(u)
     }
 
+    /// Intern `value` as an item of attribute `attr`, returning its id
+    /// (existing or fresh). `value` is stored as given, so it must be what
+    /// [`Self::encode_row`] would store: trimmed and non-empty. Errors,
+    /// interning nothing, when `attr` is not in the schema, `value` is
+    /// blank or untrimmed, or a fresh id would not fit a `u32`.
+    pub fn intern_item(&mut self, attr: AttrId, value: &str) -> Result<ItemId> {
+        if usize::from(attr) >= self.schema.len() {
+            return Err(ScubeError::Schema(format!(
+                "attribute {attr} is not in a schema of {}",
+                self.schema.len()
+            )));
+        }
+        if value.is_empty() || value.trim().len() != value.len() {
+            return Err(ScubeError::Schema(format!(
+                "attribute '{}': value {value:?} is blank or untrimmed",
+                self.schema.attr(attr).name
+            )));
+        }
+        self.dictionary.intern(attr, value)
+    }
+
     /// Validate and dictionary-encode one row *without* appending it to the
     /// horizontal store: the sorted, deduplicated item ids land in an
     /// internal scratch buffer (borrowed by the return value) and the unit
-    /// name is interned. [`Self::add_row`] is exactly this plus the append;
-    /// the chunked vertical builder calls it directly, so both construction
-    /// paths intern through literally the same code and the first-occurrence
-    /// dictionary order that snapshot byte-identity depends on cannot drift
-    /// between them.
+    /// name is interned. [`Self::add_row`] is exactly this plus
+    /// [`Self::add_encoded_row`]; the chunked vertical builder calls it
+    /// directly, so both construction paths intern through literally the
+    /// same code and the first-occurrence dictionary order that snapshot
+    /// byte-identity depends on cannot drift between them.
     pub fn encode_row<S: AsRef<str>>(
         &mut self,
         values: &[Vec<S>],
@@ -225,14 +246,43 @@ impl TransactionDbBuilder {
     /// Errors, leaving the stored rows untouched, when the row is invalid or
     /// would push the transaction or item-occurrence count past `u32`.
     pub fn add_row<S: AsRef<str>>(&mut self, values: &[Vec<S>], unit: &str) -> Result<()> {
-        let (unit_id, items) = self.encode_row(values, unit)?;
-        let n_items = items.len();
+        let (unit_id, _) = self.encode_row(values, unit)?;
+        let items = std::mem::take(&mut self.scratch);
+        let added = self.add_encoded_row(&items, unit_id);
+        self.scratch = items;
+        added
+    }
+
+    /// Append one row already encoded by this builder: `items` strictly
+    /// ascending ids it interned ([`Self::intern_item`],
+    /// [`Self::encode_row`]; at most one per single-valued attribute, which
+    /// is the caller's to keep), `unit` an id from [`Self::intern_unit`]. Every row reaches the store through
+    /// here, [`Self::add_row`]'s too. Errors, leaving the stored rows
+    /// untouched, when an id was not interned by this builder, `items` is
+    /// not strictly ascending, or the row would push the transaction or
+    /// item-occurrence count past `u32`.
+    pub fn add_encoded_row(&mut self, items: &[ItemId], unit: UnitId) -> Result<()> {
+        if items.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(ScubeError::Inconsistent("row items are not strictly ascending".into()));
+        }
+        if let Some(&last) = items.last().filter(|&&i| i as usize >= self.dictionary.len()) {
+            return Err(ScubeError::Inconsistent(format!(
+                "row item {last} was not interned (dictionary holds {})",
+                self.dictionary.len()
+            )));
+        }
+        if unit as usize >= self.unit_names.len() {
+            return Err(ScubeError::Inconsistent(format!(
+                "row unit {unit} was not interned ({} units)",
+                self.unit_names.len()
+            )));
+        }
         checked_u32(self.units.len(), 1, "transactions").map_err(ScubeError::Inconsistent)?;
-        let end = checked_u32(self.items.len(), n_items, "item occurrences")
+        let end = checked_u32(self.items.len(), items.len(), "item occurrences")
             .map_err(ScubeError::Inconsistent)?;
-        self.items.extend_from_slice(&self.scratch);
+        self.items.extend_from_slice(items);
         self.offsets.push(end);
-        self.units.push(unit_id);
+        self.units.push(unit);
         Ok(())
     }
 
@@ -323,6 +373,69 @@ mod tests {
         assert_eq!(db.unit_of(0), db.unit_of(2));
         assert_ne!(db.unit_of(0), db.unit_of(1));
         assert_eq!(db.unit_name(0), "u1");
+    }
+
+    /// The same rows, once through `add_row` and once through the ids
+    /// `intern_item` / `intern_unit` hand out plus `add_encoded_row`.
+    #[test]
+    fn encoded_rows_equal_string_rows_to_the_byte() {
+        let rows: [([&[&str]; 3], &str); 4] = [
+            ([&["F"], &["north"], &["edu", "transport"]], "u1"),
+            ([&["M"], &[" south "], &["edu", "edu"]], "u2"),
+            ([&["F"], &[""], &[]], "u1"),
+            ([&["M"], &["north"], &["agri", " ", "edu"]], "u3"),
+        ];
+        let mut by_string = TransactionDbBuilder::new(schema());
+        let mut by_id = TransactionDbBuilder::new(schema());
+        for (cells, unit) in &rows {
+            let values: Vec<Vec<&str>> = cells.iter().map(|c| c.to_vec()).collect();
+            by_string.add_row(&values, unit).unwrap();
+            let mut items = Vec::new();
+            for (a, cell) in cells.iter().enumerate() {
+                for v in cell.iter().map(|v| v.trim()).filter(|v| !v.is_empty()) {
+                    items.push(by_id.intern_item(a as AttrId, v).unwrap());
+                }
+            }
+            items.sort_unstable();
+            items.dedup();
+            let unit = by_id.intern_unit(unit).unwrap();
+            by_id.add_encoded_row(&items, unit).unwrap();
+        }
+        let (a, b) = (by_string.finish(), by_id.finish());
+        assert_eq!(a.items, b.items);
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.units, b.units);
+        assert_eq!(a.unit_names, b.unit_names);
+        assert_eq!(a.dictionary.len(), b.dictionary.len());
+        for i in 0..a.dictionary.len() as ItemId {
+            assert_eq!(a.dictionary.attr_of(i), b.dictionary.attr_of(i));
+            assert_eq!(a.dictionary.value_of(i), b.dictionary.value_of(i));
+        }
+    }
+
+    #[test]
+    fn encoded_rows_must_use_this_builders_ids() {
+        let mut b = TransactionDbBuilder::new(schema());
+        let f = b.intern_item(0, "F").unwrap();
+        let north = b.intern_item(1, "north").unwrap();
+        let u = b.intern_unit("u").unwrap();
+        for (items, unit, what) in [
+            (vec![north, f], u, "ascending"),
+            (vec![f, f], u, "ascending"),
+            (vec![f, north + 1], u, "interned"),
+            (vec![f], u + 1, "interned"),
+        ] {
+            let err = b.add_encoded_row(&items, unit).unwrap_err().to_string();
+            assert!(err.contains(what), "{items:?} {unit}: {err}");
+        }
+        assert!(b.is_empty(), "a refused row stores nothing");
+        for (attr, value) in [(3, "x"), (0, ""), (0, " F")] {
+            assert!(b.intern_item(attr, value).is_err(), "{attr} {value:?}");
+        }
+        assert_eq!(b.dictionary().len(), 2, "a refused value interns nothing");
+        b.add_encoded_row(&[f, north], u).unwrap();
+        b.add_encoded_row(&[], u).unwrap();
+        assert_eq!(b.len(), 2);
     }
 
     #[test]
