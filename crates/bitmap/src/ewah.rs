@@ -238,6 +238,35 @@ impl Appender {
         Appender { words: buf, marker_pos: 0, run_bit: false, run_len: 0, lit_cnt: 0, card: 0 }
     }
 
+    /// Resume the canonical stream `bitmap` at its end: the appender it
+    /// would have been in after its last pushed word, and the number of
+    /// words the stream covers. Only the markers are read (a hop per
+    /// marker); the words are taken over, copied only if mapped.
+    fn resume(mut bitmap: EwahBitmap) -> (Self, u64) {
+        let words = bitmap.words.take_vec();
+        if words.is_empty() {
+            return (Appender::with_buffer(words), 0);
+        }
+        let (mut marker_pos, mut covered) = (0, 0);
+        loop {
+            let (_, run, lit) = decode_marker(words[marker_pos]);
+            covered += run + lit;
+            let next = marker_pos + 1 + lit as usize;
+            if next >= words.len() {
+                break;
+            }
+            marker_pos = next;
+        }
+        let (run_bit, mut run_len, lit_cnt) = decode_marker(words[marker_pos]);
+        if lit_cnt == 0 && !run_bit {
+            // A trailing zero run (which `finish` never leaves) covers nothing.
+            covered -= run_len;
+            run_len = 0;
+        }
+        let out = Appender { words, marker_pos, run_bit, run_len, lit_cnt, card: bitmap.card };
+        (out, covered)
+    }
+
     fn seal_marker(&mut self) {
         self.words[self.marker_pos] = encode_marker(self.run_bit, self.run_len, self.lit_cnt);
     }
@@ -778,23 +807,51 @@ impl EwahBitmap {
     /// than every id already present — the shape of a delta-ingest append,
     /// where new transaction ids always follow the existing ones.
     ///
-    /// An id at or below the current maximum is not rejected: the append is
-    /// a stream union, so such an id is simply added (or, when already
-    /// present, absorbed) and the result is still the canonical encoding of
-    /// the union.
+    /// A true tail-append: the stream's markers are hopped to the last one,
+    /// the [`Appender`] resumes there (taking back the last literal word
+    /// when the first new id falls inside it) and pushes only the new
+    /// words, so the cost is the marker count plus the appended span, never
+    /// a merge of the stored words. On a canonical stream the result is the
+    /// same word stream `from_sorted` builds from the concatenated ids, so
+    /// byte-identical snapshots do not depend on the construction path.
     ///
     /// # Panics
-    /// If `ids` is not strictly increasing.
+    /// If `ids` is not strictly increasing or its first id is not above
+    /// every id already present.
     pub fn append_sorted(&mut self, ids: &[u32]) {
-        if ids.is_empty() {
+        let Some(&first) = ids.first() else {
             return;
+        };
+        let (mut out, mut covered) = Appender::resume(std::mem::take(self));
+        let mut word = 0u64;
+        let mut at = u64::from(first) / 64;
+        if at + 1 == covered && out.lit_cnt > 0 {
+            // The first id shares the last stored word: take it back.
+            word = out.words.pop().expect("a literal follows its marker");
+            out.lit_cnt -= 1;
+            out.card -= u64::from(word.count_ones());
+            covered -= 1;
         }
-        // Merging the two compressed streams is O(stored words) without
-        // decompressing anything, and the Appender re-compresses greedily,
-        // so the result is the same canonical word stream `from_sorted`
-        // would build from the concatenated id list — byte-identical
-        // snapshots do not depend on the construction path.
-        *self = self.or(&EwahBitmap::from_sorted(ids));
+        assert!(
+            at >= covered && word >> (first % 64) == 0,
+            "appended ids must follow every id present"
+        );
+        out.push_clean(false, at - covered);
+        let mut prev = None;
+        for &id in ids {
+            assert!(prev.is_none_or(|p| id > p), "ids must be strictly increasing");
+            prev = Some(id);
+            let w = u64::from(id) / 64;
+            if w != at {
+                out.push_word(word);
+                out.push_clean(false, w - at - 1);
+                at = w;
+                word = 0;
+            }
+            word |= 1u64 << (id % 64);
+        }
+        out.push_word(word);
+        *self = out.finish();
     }
 
     /// Remove strictly increasing ids from the set, all of which must be
@@ -941,6 +998,22 @@ impl EwahBitmap {
         }
         out[end..].fill(0);
         count
+    }
+
+    /// The number of ids this set shares with the dense words `words`,
+    /// cut at `words.len()`: [`EwahBitmap::and_words_into`]'s count, with
+    /// nothing written. A zero run costs nothing, a ones-run counts its
+    /// words, and a literal stretch runs through the AND-popcount kernel.
+    pub fn and_words_cardinality(&self, words: &[u64]) -> u64 {
+        self.segs_upto(words.len())
+            .map(|(at, seg)| match seg {
+                Seg::Clean { ones: false, .. } => 0,
+                Seg::Clean { ones: true, nwords } => {
+                    crate::kernels::popcount_words(&words[at..at + nwords as usize])
+                }
+                Seg::Lit(lit) => crate::kernels::and_popcount_words(&words[at..], lit),
+            })
+            .sum()
     }
 
     /// Collect the ids into a vector (ascending).

@@ -30,10 +30,10 @@
 //! * every constructor and operation produces the *canonical* word stream of
 //!   its result set — a pure function of the set, never of the build path —
 //!   which is what keeps updated snapshots byte-identical to rebuilt ones.
-//!   So [`EwahBitmap::append_sorted`], a stream union, does not panic on an
-//!   id at or below the current maximum: it yields the canonical encoding of
-//!   the union (only unsorted input panics). [`EwahBitmap::remove_sorted`]
-//!   does panic on an id that is not present, in release builds too.
+//!   [`EwahBitmap::append_sorted`] is a tail-append that resumes the
+//!   canonical stream at its end, so it panics on an id at or below the
+//!   current maximum, as [`EwahBitmap::remove_sorted`] panics on an id that
+//!   is not present, in release builds too.
 //!
 //! Beside the type sit [`mod@kernels`] (the unrolled word loops its merges run
 //! literal blocks through, and the walk runs its dense joins on) and
@@ -133,6 +133,14 @@ mod tests {
             (vec![0u32, 64, 1000], vec![1001, 1002, 5000]),
             ((0..300).collect::<Vec<u32>>(), (300..420).collect::<Vec<u32>>()),
             (vec![7u32], vec![1_000_000]),
+            // The first new id shares the last stored literal word, and
+            // filling that word turns it into a ones-run.
+            (vec![0u32, 1], vec![2, 5, 64]),
+            ((0..63).collect::<Vec<u32>>(), vec![63]),
+            ((0..63).collect::<Vec<u32>>(), (63..200).collect::<Vec<u32>>()),
+            // A ones-run ends the stream; then a zero gap before the append.
+            ((0..128).collect::<Vec<u32>>(), vec![128, 129]),
+            ((0..128).collect::<Vec<u32>>(), vec![70_000]),
         ] {
             let mut appended = EwahBitmap::from_sorted(&base);
             appended.append_sorted(&delta);
@@ -144,6 +152,18 @@ mod tests {
             // byte-identity after an update relies on this.
             assert_eq!(slot(&appended), slot(&scratch), "{base:?} + {delta:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "appended ids must follow every id present")]
+    fn append_sorted_refuses_an_id_inside_the_last_word() {
+        EwahBitmap::from_sorted(&[3, 9]).append_sorted(&[5, 70]);
+    }
+
+    #[test]
+    #[should_panic(expected = "appended ids must follow every id present")]
+    fn append_sorted_refuses_an_id_below_the_last_word() {
+        EwahBitmap::from_sorted(&[3, 200]).append_sorted(&[64]);
     }
 
     #[test]

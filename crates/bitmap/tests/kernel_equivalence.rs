@@ -10,8 +10,9 @@
 //! snapshot slot bytes — *bit*-identical, not just set-equal.
 //!
 //! The dense-word side the Eclat walk runs on is pinned the same way, on
-//! heap and mapped slots: the segment walkers `decode_words_into` and
-//! `and_words_into` at spans shorter and longer than the set, `from_words`
+//! heap and mapped slots: the segment walkers `decode_words_into`,
+//! `and_words_into` and its write-free count `and_words_cardinality` at
+//! spans shorter and longer than the set, `from_words`
 //! back to the canonical bytes, the fused `kernels::and_assign_popcount_words`
 //! and `and_popcount_words`, and the segment-walking `for_each` (≡ `iter()`
 //! ≡ the ids). Hostile streams that reach past the dense span are clamped,
@@ -152,7 +153,8 @@ fn check_dense_decode(ids: &[u32], posting: &EwahBitmap) {
 
 /// The dense joins of one pair against the reference intersection: the
 /// fused kernels on two dense sides, and `and_words_into` on a dense side
-/// against a compressed one, at spans shorter and longer than either set.
+/// against a compressed one (and its count, `and_words_cardinality`), at
+/// spans shorter and longer than either set.
 fn check_dense_join(xs: &[u32], ys: &[u32], px: &EwahBitmap, py: &EwahBitmap, and: &[u32]) {
     for span in spans(xs).into_iter().chain(spans(ys)) {
         let below: Vec<u32> = and.iter().copied().filter(|&id| (id as usize) < span * 64).collect();
@@ -161,6 +163,8 @@ fn check_dense_join(xs: &[u32], ys: &[u32], px: &EwahBitmap, py: &EwahBitmap, an
         let mut fused = dx.clone();
         let count = and_assign_popcount_words(&mut fused, &dy);
         assert_eq!((dense_ids(&fused), count), (below.clone(), below.len() as u64), "fused");
+        assert_eq!(py.and_words_cardinality(&dx), below.len() as u64, "count of y in x");
+        assert_eq!(px.and_words_cardinality(&dy), below.len() as u64, "count of x in y");
         let mut joined = dx;
         let count = py.and_words_into(&mut joined);
         assert_eq!((dense_ids(&joined), count), (below.clone(), below.len() as u64), "y into x");
@@ -194,6 +198,7 @@ fn hostile_streams_are_clamped_at_the_span() {
         assert_eq!(dense, vec![u64::MAX; span], "decode at span {span}");
         let mut dense: Vec<u64> = (0..span as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         let before = dense.clone();
+        assert_eq!(hostile.and_words_cardinality(&before), and_popcount_words(&before, &before));
         let count = hostile.and_words_into(&mut dense);
         assert_eq!(dense, before, "a ones-run is the identity of the AND");
         assert_eq!(count, and_popcount_words(&before, &before), "span {span}");
@@ -201,6 +206,7 @@ fn hostile_streams_are_clamped_at_the_span() {
     // A zero run past the span, the literal never reached.
     let far = EwahBitmap::read_slot(&slot_bytes(&[marker(false, run, 1), 7]), 3).unwrap();
     let mut dense = vec![u64::MAX; 3];
+    assert_eq!(far.and_words_cardinality(&dense), 0);
     assert_eq!(far.and_words_into(&mut dense), 0);
     assert_eq!(dense, [0, 0, 0]);
     far.decode_words_into(&mut dense);

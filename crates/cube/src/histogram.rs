@@ -107,21 +107,37 @@ pub fn entry_len(bytes: &[u8]) -> Result<usize> {
         .ok_or_else(|| corrupt("payload length runs past the store region"))
 }
 
-/// Decode and validate exactly one entry over a universe of `n_units`
-/// units. Every accepted `entry` is the [`encode`] of what comes back.
-pub fn decode(entry: &[u8], n_units: u32) -> Result<Vec<(u32, u64)>> {
+/// Read an entry's two header varints: its pair count, checked against
+/// the payload it declares and holds, and the offset of that payload.
+fn header(entry: &[u8]) -> Result<(u64, usize)> {
     let mut pos = 0;
     let n_pairs = read_varint(entry, &mut pos)?;
     let payload_len = read_varint(entry, &mut pos)?;
     if (entry.len() - pos) as u64 != payload_len {
         return Err(corrupt("payload length disagrees with the entry"));
     }
-    // A pair takes at least two bytes, which also bounds the allocation by
+    // A pair takes at least two bytes, which also bounds an allocation by
     // bytes actually in hand.
     if n_pairs > payload_len / 2 {
         return Err(corrupt("fewer pairs in the payload than declared"));
     }
-    let mut pairs = Vec::with_capacity(n_pairs as usize);
+    Ok((n_pairs, pos))
+}
+
+/// Decode and validate exactly one entry over a universe of `n_units`
+/// units. Every accepted `entry` is the [`encode`] of what comes back.
+pub fn decode(entry: &[u8], n_units: u32) -> Result<Vec<(u32, u64)>> {
+    let mut pairs = Vec::with_capacity(header(entry)?.0 as usize);
+    decode_each(entry, n_units, |unit, count| pairs.push((unit, count)))?;
+    Ok(pairs)
+}
+
+/// [`decode`] without the list: hand each `(unit, count)` pair to `pair`
+/// in ascending unit order as it is read. The validation is the same; an
+/// `Err` may come after some pairs were handed over, so a caller acts on
+/// them only once the whole entry decoded.
+pub fn decode_each(entry: &[u8], n_units: u32, mut pair: impl FnMut(u32, u64)) -> Result<()> {
+    let (n_pairs, mut pos) = header(entry)?;
     let mut next = 0u64;
     for _ in 0..n_pairs {
         let gap = read_varint(entry, &mut pos)?;
@@ -132,13 +148,13 @@ pub fn decode(entry: &[u8], n_units: u32) -> Result<Vec<(u32, u64)>> {
         let count = read_varint(entry, &mut pos)?
             .checked_add(1)
             .ok_or_else(|| corrupt("count overflows 64 bits"))?;
-        pairs.push((unit as u32, count));
+        pair(unit as u32, count);
         next = unit + 1;
     }
     if pos != entry.len() {
         return Err(corrupt("more pairs in the payload than declared"));
     }
-    Ok(pairs)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1400,22 +1400,32 @@ mod tests {
         assert_eq!(mapped.to_bytes(), file, "an unscanned region re-saves verbatim");
 
         // One appended row in the north: `⋆` and north contexts are dirty,
-        // south ones are not.
+        // south ones are not. Of a dirty context's cells, only those whose
+        // own histogram the row moved (their itemset lies inside it) are
+        // re-encoded; the others keep their mapped entries.
         let mut batch = UpdateBatch::new();
         batch.add_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
         mapped.apply_update(&batch).unwrap();
         let store = &mapped.cube.store;
         assert!(store.unscanned.is_none(), "the first update scanned the region");
-        let south = mapped.cube().labels().find_item("region", "south").unwrap();
-        let entries =
-            store.contexts.iter().chain(store.minorities.iter().map(|(coords, e)| (&coords.ca, e)));
-        let (mut clean, mut dirty) = (0, 0);
-        for (ca, entry) in entries {
+        let labels = mapped.cube().labels();
+        let south = labels.find_item("region", "south").unwrap();
+        let row: Vec<ItemId> = [("sex", "F"), ("age", "young"), ("region", "north")]
+            .iter()
+            .map(|&(attr, value)| labels.find_item(attr, value).unwrap())
+            .collect();
+        let (mut clean, mut dirty, mut kept) = (0, 0, 0);
+        for (ca, entry) in &store.contexts {
             let is_clean = ca.contains(&south);
             assert_eq!(entry.is_mapped(), is_clean, "context {ca:?}: only dirtied entries move");
             *(if is_clean { &mut clean } else { &mut dirty }) += 1;
         }
-        assert!(clean > 0 && dirty > 0, "{clean} clean, {dirty} dirty");
+        for (coords, entry) in &store.minorities {
+            let moved = coords.union().iter().all(|it| row.contains(it));
+            assert_eq!(entry.is_mapped(), !moved, "cell {coords:?}: only moved entries re-encode");
+            kept += usize::from(!moved && !coords.ca.contains(&south));
+        }
+        assert!(clean > 0 && dirty > 0 && kept > 0, "{clean} clean, {dirty} dirty, {kept} kept");
 
         // Mapped slices copied out verbatim beside re-encoded entries are
         // still canonical: byte-identical to a rebuild on the edited rows.

@@ -37,9 +37,9 @@
 //!    batches: a net gain requires an appended occurrence). Each distinct
 //!    frequent-item projection of a row is walked level-wise (Apriori: a
 //!    `k + 1`-set is counted only when all its `k`-subsets are frequent), so
-//!    no row is too wide. A candidate is then staged exactly like a dirty
-//!    cell — its base histogram counted from postings instead of decoded
-//!    from the store, advanced by the same deltas, put to the same
+//!    no row is too wide. A candidate is then staged like a dirty cell —
+//!    its base histogram counted from `base(X)`'s dense words instead of
+//!    decoded from the store, advanced by the same deltas, put to the same
 //!    closedness test with its generating row as the witness — so
 //!    promotion is exact.
 //!
@@ -54,15 +54,31 @@
 //! appended rows in, staged labels, cells and store entries pushed, unused
 //! contexts dropped, and a rename when the ids moved. So a rejected batch
 //! or an inconsistent store leaves the snapshot untouched, byte for byte.
-//! Cells are staged with the same [`UnitScratch`] machinery and the same
-//! index fold as [`crate::builder::CubeBuilder`] — identical integer
-//! histograms, hence identical index values — and dirty cells fan out
-//! through [`scube_common::par`] with per-worker scratches (staging is pure,
-//! so the parallel update is bit-identical to the serial one). The fold reads a
-//! histogram as a *multiset* of `(m, t)` pairs and orders them itself
-//! (`scube_segindex::indexes`), so a value depends on no unit id and no visit
-//! order: a cell whose histogram the delta did not touch keeps floats that a
-//! rebuild would reproduce to the bit, however the batch renumbers the units.
+//!
+//! **Per-context jobs over dense words.** Dirty cells are sorted by context
+//! and fan out through [`scube_common::par`] one job per context (staging
+//! is pure, so the parallel update is bit-identical to the serial one).
+//! Each worker holds one `u32` per unit: a job fills it with its context's
+//! staged totals `t` and clears it from the same unit list afterwards, so a
+//! cell reads each unit's `t` in O(1). A stored minority entry is then
+//! walked once: each pair is decoded (with [`crate::histogram`]'s
+//! validation), checked for domination against its unit's *base* `t` (the
+//! staged `t` less the context's own per-unit delta, at most a batch
+//! long), advanced by the cell's own delta, and keyed `t << 32 | m` for
+//! [`ContextTotals::fold_keys`] — the tail of [`ContextTotals::fold`],
+//! which the builder and the explorer fold through, so every producer
+//! yields the same floats. A cell whose own delta is empty keeps its
+//! stored entry; it is still checked and folded, since its context moved.
+//! Closedness runs on two dense tidsets of ⌈rows/64⌉ words per worker: a
+//! job's `base(B)`, decoded once when its cells may lose closedness, and a
+//! cell's `base(X)`, that copy narrowed by the cell's SA postings. The
+//! witness is `base(X)`'s first bit that was not retracted, and each
+//! extender's kept count is its posting counted against those words. The
+//! fold reads a histogram as a *multiset* of `(m, t)` pairs and orders them
+//! itself (`scube_segindex::indexes`), so a value depends on no unit id and
+//! no visit order: a cell whose histogram the delta did not touch keeps
+//! floats that a rebuild would reproduce to the bit, however the batch
+//! renumbers the units.
 //!
 //! **Dictionary maintenance.** Appends extend the label dictionary at the
 //! tail in first-seen order, matching a rebuild on base-then-delta rows.
@@ -382,8 +398,9 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 /// snapshot serves in place ([`Store::Mapped`]) and what the heap holds
 /// ([`Store::Owned`]). `(unit, count)` pairs exist only transiently: an
 /// update decodes — and thereby validates — exactly the entries its delta
-/// dirties, and re-encodes them while staging; everything else stays bytes,
-/// and a mapped entry no update has dirtied is never copied at all.
+/// dirties, and re-encodes those whose own delta moved them; everything
+/// else stays bytes, and a mapped entry no update has re-encoded is never
+/// copied at all.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MaintenanceStore {
     /// Distinct cell contexts → entry of the `(unit, total)` pairs.
@@ -425,22 +442,35 @@ impl MaintenanceStore {
     /// Decode every entry once — range-checking its units against
     /// `n_units` — and require each cell's minority counts to be dominated
     /// by its context's totals (minority units are populated units with
-    /// `m ≤ t`); the decoded forms are dropped as the walk moves on. Heap
-    /// loads run this up front, so a crafted store errors at load instead
-    /// of mid-update; so does a relabeling update, which is about to
-    /// rewrite every entry. The store must [`Self::covers`] its cube.
+    /// `m ≤ t`, looked up in a unit-indexed array the context's totals fill
+    /// and clear); nothing decoded is kept. Heap loads run this up front,
+    /// so a crafted store errors at load instead of mid-update; so does a
+    /// relabeling update, which is about to rewrite every entry. The store
+    /// must [`Self::covers`] its cube.
     pub(crate) fn validate_entries(&self, n_units: u32) -> Result<()> {
         let mut cells_of: FxHashMap<&[ItemId], Vec<&Store<u8>>> = FxHashMap::default();
         for (coords, minority) in &self.minorities {
             cells_of.entry(&coords.ca).or_default().push(minority);
         }
+        let mut t = vec![0u64; n_units as usize];
         for (ca, totals) in &self.contexts {
             let totals = histogram::decode(totals, n_units)?;
-            for minority in cells_of.get(ca.as_slice()).into_iter().flatten() {
-                if !dominated(&histogram::decode(minority, n_units)?, &totals) {
-                    return Err(not_dominated());
-                }
+            for &(u, count) in &totals {
+                t[u as usize] = count;
             }
+            let checked = cells_of.get(ca.as_slice()).into_iter().flatten().try_for_each(|entry| {
+                let mut dominated = true;
+                histogram::decode_each(entry, n_units, |u, m| dominated &= m <= t[u as usize])?;
+                if dominated {
+                    Ok(())
+                } else {
+                    Err(not_dominated())
+                }
+            });
+            for &(u, _) in &totals {
+                t[u as usize] = 0;
+            }
+            checked?;
         }
         Ok(())
     }
@@ -451,78 +481,58 @@ pub(crate) fn encode_entry(pairs: &[(u32, u64)]) -> Store<u8> {
     Store::Owned(histogram::encode(pairs))
 }
 
-/// Whether every `minority` unit is a `totals` unit with `m ≤ t` (both
-/// ascending by unit).
-fn dominated(minority: &[(u32, u64)], totals: &[(u32, u64)]) -> bool {
-    let mut ti = totals.iter().peekable();
-    minority.iter().all(|&(mu, mc)| {
-        while ti.next_if(|&&(tu, _)| tu < mu).is_some() {}
-        matches!(ti.peek(), Some(&&(tu, tc)) if tu == mu && mc <= tc)
-    })
-}
-
 fn not_dominated() -> ScubeError {
     ScubeError::Inconsistent(
         "snapshot: a cell's minority histogram is not dominated by its context's totals".into(),
     )
 }
 
-/// Add `delta` into `base`, both ascending by unit (a sorted merge; counts
-/// are exact `u64` sums, which is what keeps updated histograms identical
-/// to recomputed ones).
-fn merge_add(base: &mut Vec<(u32, u64)>, delta: &[(u32, u64)]) {
-    if delta.is_empty() {
-        return;
-    }
-    let mut out = Vec::with_capacity(base.len() + delta.len());
-    let mut d = delta.iter().peekable();
-    for &(u, c) in base.iter() {
-        while let Some(&pair) = d.next_if(|&&(du, _)| du < u) {
-            out.push(pair);
-        }
-        out.push((u, c + d.next_if(|&&(du, _)| du == u).map_or(0, |&(_, dc)| dc)));
-    }
-    out.extend(d);
-    *base = out;
+/// What a delta does to a histogram, per unit: `(unit, appended,
+/// retracted)`, ascending by unit, one entry per unit the delta's rows
+/// belong to — so never longer than the batch.
+type UnitDelta = Vec<(u32, u64, u64)>;
+
+/// One unit's count moved by a delta: `count + appended − retracted`,
+/// exact integers, which is what keeps updated histograms identical to
+/// recomputed ones. Retracting more than the base and the append hold means
+/// the maintenance store and the delta disagree: a hard error, raised
+/// **before** anything is mutated, so the snapshot stays untouched. A
+/// hostile count cannot overflow: the sum saturates, and such a count
+/// fails the domination or the row-space check first.
+fn moved_count(unit: u32, count: u64, appended: u64, retracted: u64) -> Result<u64> {
+    let held = count.saturating_add(appended);
+    held.checked_sub(retracted).ok_or_else(|| {
+        ScubeError::Inconsistent(if held == 0 {
+            format!("update: histogram subtraction references unit {unit} absent from the base")
+        } else {
+            format!("update: histogram subtraction underflow at unit {unit} ({held} − {retracted})")
+        })
+    })
 }
 
-/// Subtract `delta` from `base`, both ascending by unit. Every delta unit
-/// must be dominated by the base (`present with count ≥ delta count`) —
-/// exact integer subtraction is what keeps retracted histograms identical
-/// to recomputed ones. Underflow (or a missing unit) means the maintenance
-/// store and the delta disagree: a hard error, raised **before** anything
-/// is mutated, so the snapshot stays untouched.
-fn merge_sub(base: &mut Vec<(u32, u64)>, delta: &[(u32, u64)]) -> Result<()> {
-    if delta.is_empty() {
-        return Ok(());
-    }
-    let mut out = Vec::with_capacity(base.len());
-    let mut j = 0;
-    for &(u, c) in base.iter() {
-        if j < delta.len() && delta[j].0 == u {
-            let d = delta[j].1;
-            j += 1;
-            match c.checked_sub(d) {
-                Some(0) => {}
-                Some(rest) => out.push((u, rest)),
-                None => {
-                    return Err(ScubeError::Inconsistent(format!(
-                        "update: histogram subtraction underflow at unit {u} ({c} − {d})"
-                    )))
-                }
-            }
-        } else {
-            out.push((u, c));
+/// Move ascending `(unit, count)` pairs by a delta ([`moved_count`] per
+/// unit, a merge of the two ascending lists); units that reach 0 leave.
+fn advance_pairs(base: &[(u32, u64)], delta: &[(u32, u64, u64)]) -> Result<Vec<(u32, u64)>> {
+    let mut out = Vec::with_capacity(base.len() + delta.len());
+    let mut push = |unit, moved: Result<u64>| {
+        match moved? {
+            0 => {}
+            count => out.push((unit, count)),
         }
+        Ok::<_, ScubeError>(())
+    };
+    let mut d = delta.iter().peekable();
+    for &(u, count) in base {
+        while let Some(&(du, added, retracted)) = d.next_if(|&&(du, ..)| du < u) {
+            push(du, moved_count(du, 0, added, retracted))?;
+        }
+        let (added, retracted) = d.next_if(|&&(du, ..)| du == u).map_or((0, 0), |d| (d.1, d.2));
+        push(u, moved_count(u, count, added, retracted))?;
     }
-    if j < delta.len() {
-        return Err(ScubeError::Inconsistent(format!(
-            "update: histogram subtraction references unit {} absent from the base",
-            delta[j].0
-        )));
+    for &(du, added, retracted) in d {
+        push(du, moved_count(du, 0, added, retracted))?;
     }
-    *base = out;
-    Ok(())
+    Ok(out)
 }
 
 /// Resolved retractions plus the base rows they were matched against.
@@ -701,63 +711,106 @@ impl<'a> EditView<'a> {
         items.iter().all(|&it| (it as usize) < self.vertical.num_items())
     }
 
-    /// `base(X)`: the base transactions holding `items`.
-    fn base_tidset(&self, items: &[ItemId]) -> EwahBitmap {
-        if self.in_base(items) {
-            self.vertical.tidset(items)
-        } else {
-            EwahBitmap::new()
-        }
-    }
-
-    /// `|edited(X)|`, with no tidset of the full table materialized.
-    fn support(&self, items: &[ItemId]) -> u64 {
-        let base = if self.in_base(items) { self.vertical.support(items) } else { 0 };
+    /// `|edited(X)|`, from `base(X)`'s words (written into `words`).
+    fn support(&self, items: &[ItemId], words: &mut [u64]) -> u64 {
+        let base = self.base_words(items, words);
         let d = self.delta(items);
         base - d.rem.cardinality() + d.add.cardinality()
     }
 
-    /// Per-unit counts of base transactions, ascending by unit.
-    fn count(&self, base: &EwahBitmap, scratch: &mut UnitScratch) -> Vec<(u32, u64)> {
-        scratch.clear();
-        base.for_each(|t| scratch.bump(self.vertical.unit_of(t)));
-        scratch.sorted_pairs()
-    }
-
-    /// Move a base histogram to the edited table: `+ hist(add) − hist(rem)`,
-    /// exact integer sums over delta-sized tidsets. Appended tids histogram
+    /// Per-unit counts of a delta into `out`: appended tids histogram
     /// through the batch rows' units, retracted ones through the base
-    /// `tid → unit` map; the subtraction hard-errors unless dominated.
-    fn advance(
-        &self,
-        hist: &mut Vec<(u32, u64)>,
-        delta: &Delta,
-        scratch: &mut UnitScratch,
-    ) -> Result<()> {
-        scratch.clear();
-        delta.add.for_each(|t| scratch.bump(self.encoded.rows[(t - self.new_base) as usize].1));
-        merge_add(hist, &scratch.sorted_pairs());
-        merge_sub(hist, &self.count(&delta.rem, scratch))
+    /// `tid → unit` map.
+    fn unit_delta(&self, delta: &Delta, out: &mut UnitDelta) {
+        out.clear();
+        delta.add.for_each(|t| out.push((self.encoded.rows[(t - self.new_base) as usize].1, 1, 0)));
+        delta.rem.for_each(|t| out.push((self.vertical.unit_of(t), 0, 1)));
+        out.sort_unstable_by_key(|&(u, ..)| u);
+        out.dedup_by(|next, run| {
+            let same = next.0 == run.0;
+            if same {
+                run.1 += next.1;
+                run.2 += next.2;
+            }
+            same
+        });
     }
 
     /// A context's staged totals from its base totals.
-    fn stage_context(
-        &self,
-        base: Vec<(u32, u64)>,
-        delta: Delta,
-        scratch: &mut UnitScratch,
-    ) -> Result<StagedCtx> {
-        let mut totals = base.clone();
-        self.advance(&mut totals, &delta, scratch)?;
-        Ok(StagedCtx { base, totals: ContextTotals::new(totals)?, delta })
+    fn stage_context(&self, base: &[(u32, u64)], delta: Delta) -> Result<StagedCtx> {
+        let mut moved = UnitDelta::new();
+        self.unit_delta(&delta, &mut moved);
+        let totals = ContextTotals::new(advance_pairs(base, &moved)?)?;
+        Ok(StagedCtx { totals, delta, moved })
     }
 
-    /// An edited transaction holding `items` (given `base(X)`): its first
-    /// surviving base row, else an appended one. Only asked after a
-    /// retraction, when the base rows are at hand.
-    fn surviving_row(&self, items: &[ItemId], base: &EwahBitmap) -> &[ItemId] {
+    /// `base(X)`, the base transactions holding `items`, as dense words
+    /// over the base rows (bit `b` of `words[i]` is tid `64·i + b`): the
+    /// first posting decoded, the others ANDed in. Returns `|base(X)|`.
+    fn base_words(&self, items: &[ItemId], words: &mut [u64]) -> u64 {
+        let postings = self.vertical.postings();
+        match items {
+            _ if !self.in_base(items) => {
+                words.fill(0);
+                0
+            }
+            [] => {
+                let n = self.vertical.num_transactions();
+                words.fill(u64::MAX);
+                if let (Some(last), 1..) = (words.last_mut(), n % 64) {
+                    *last = (1 << (n % 64)) - 1;
+                }
+                u64::from(n)
+            }
+            [first, rest @ ..] => {
+                let first = &postings[*first as usize];
+                first.decode_words_into(words);
+                let mut card = first.cardinality();
+                for &it in rest {
+                    card = postings[it as usize].and_words_into(words);
+                }
+                card
+            }
+        }
+    }
+
+    /// `base(A ∪ B)` from `base(B)`'s words: a copy of them with `A`'s
+    /// postings ANDed in (an item new in the batch holds no base row).
+    fn narrow_words(&self, context: &[u64], sa: &[ItemId], words: &mut [u64]) {
+        words.copy_from_slice(context);
+        for &it in sa {
+            match self.vertical.postings().get(it as usize) {
+                Some(posting) => posting.and_words_into(words),
+                None => {
+                    words.fill(0);
+                    return;
+                }
+            };
+        }
+    }
+
+    /// An edited transaction holding `items`, given `base(X)`'s words: the
+    /// first base row among them that is not retracted, else an appended
+    /// row. Only asked after a retraction, when the base rows are at hand.
+    fn witness(&self, items: &[ItemId], base: &[u64]) -> &[ItemId] {
         let removed = &self.removals.tids;
-        match base.iter().find(|t| removed.binary_search(t).is_err()) {
+        let mut r = 0;
+        let mut kept = None;
+        'words: for (i, &word) in base.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let t = 64 * i as u32 + word.trailing_zeros();
+                while removed.get(r).is_some_and(|&gone| gone < t) {
+                    r += 1;
+                }
+                if removed.get(r) != Some(&t) {
+                    kept = Some(t);
+                    break 'words;
+                }
+                word &= word - 1;
+            }
+        }
+        match kept {
             Some(t) => &self.removals.base_rows[t as usize].0,
             None => self
                 .encoded
@@ -771,24 +824,25 @@ impl<'a> EditView<'a> {
         }
     }
 
-    /// Exact closedness of `items` (edited support `support`, base tidset
-    /// `base`, delta `delta`) in the edited table. An extender `j` must
-    /// occur in **every** edited transaction holding `items`, in particular
-    /// in `witness`, one of them — so only the witness's other items are
-    /// tried, each by `|base(X)∩Pⱼ| − |rem(X)∩remPⱼ| + |add(X)∩addPⱼ|`,
-    /// without materializing a tidset. A demotion passes its surviving
-    /// row, a promotion its generating appended row.
+    /// Exact closedness of `items` (edited support `support`, `base(X)`'s
+    /// words `base`, delta `delta`) in the edited table. An extender `j`
+    /// must occur in **every** edited transaction holding `items`, in
+    /// particular in `witness`, one of them — so only the witness's other
+    /// items are tried, each by `|base(X)∩Pⱼ| − |rem(X)∩remPⱼ| +
+    /// |add(X)∩addPⱼ|`: the first term counts `Pⱼ` against the words, the
+    /// other two are delta-sized. A demotion passes its surviving row, a
+    /// promotion its generating appended row.
     fn closed_after_edit(
         &self,
         items: &[ItemId],
-        base: &EwahBitmap,
         delta: &Delta,
         support: u64,
         witness: &[ItemId],
+        base: &[u64],
     ) -> bool {
+        let postings = self.vertical.postings();
         !witness.iter().filter(|j| items.binary_search(j).is_err()).any(|&j| {
-            let kept =
-                self.vertical.postings().get(j as usize).map_or(0, |p| base.and_cardinality(p));
+            let kept = postings.get(j as usize).map_or(0, |p| p.and_words_cardinality(base));
             kept - delta.rem.and_cardinality(&self.rem[j as usize])
                 + delta.add.and_cardinality(&self.add[j as usize])
                 == support
@@ -796,29 +850,43 @@ impl<'a> EditView<'a> {
     }
 }
 
+/// A dense tidset over the base rows: ⌈rows/64⌉ words.
+fn dense_words(view: &EditView) -> Vec<u64> {
+    vec![0; (view.vertical.num_transactions() as usize).div_ceil(64)]
+}
+
 /// A context's totals, staged.
 struct StagedCtx {
-    /// The base totals: decoded from the store (what the stored minorities
-    /// of its cells must be dominated by), or counted from postings for a
-    /// context a promotion creates.
-    base: Vec<(u32, u64)>,
     /// The totals after the edit, as the run table its cells fold from.
     totals: ContextTotals,
     delta: Delta,
+    /// What the edit moved the totals by: a unit's base `t` is its staged
+    /// `t` less this, which is how its stored cells are checked for
+    /// domination without the base totals at hand.
+    moved: UnitDelta,
 }
 
-/// A cell that survives staging: the entry of its minority histogram
-/// (`None` for `⋆`-SA cells, which store none) and its values.
+/// A cell that survives staging: the entry of its minority histogram when
+/// the edit changed it (`None` for `⋆`-SA cells, which store none, and for
+/// cells whose own delta is empty, which keep theirs) and its values.
 type StagedCell = (Option<Store<u8>>, IndexValues);
 
-/// Where a staged cell's base minority histogram comes from.
-#[derive(Debug, Clone, Copy)]
-enum Origin {
-    /// A materialized cell: decoded from the store.
-    Stored,
-    /// A promotion candidate: counted from postings. The appended row
-    /// (batch index) that generates it is its closedness witness.
-    Promoted(usize),
+/// A dirty-cell worker's scratch.
+struct CellScratch {
+    /// The staged `t` of every unit of the context being staged, 0
+    /// elsewhere: one `u32` per unit, filled from the context's units once
+    /// per job and cleared from the same list after it.
+    t: Vec<u32>,
+    /// The cell's own delta, per unit.
+    own: UnitDelta,
+    /// The cell's advanced minority pairs (only when its own delta moved
+    /// them), and their fold keys `t << 32 | m`.
+    pairs: Vec<(u32, u64)>,
+    keys: Vec<u64>,
+    /// `base(B)` of the job's context `B`, filled once per job when its
+    /// cells may lose closedness, and `base(X)` of the cell being staged.
+    context: Vec<u64>,
+    base: Vec<u64>,
 }
 
 /// The read-only state the cell phases share.
@@ -830,15 +898,163 @@ struct Stager<'a> {
 }
 
 impl Stager<'_> {
-    /// Stage one cell in the edited table: advance its base minority
-    /// histogram by the delta, decide support and closedness, and fold its
-    /// values from the staged integer histograms (the builder's fold, so
-    /// the floats are a rebuild's). `None` = not a cell after the edit.
-    fn stage_cell(
+    /// Whether the cube keeps only closed itemsets.
+    fn closed_only(&self) -> bool {
+        self.cube.materialize() == Materialize::ClosedOnly
+    }
+
+    /// Stage the stored cells of one touched context — one job. The
+    /// context's staged `t` enters the worker's unit-indexed scratch once;
+    /// every cell then looks its units up in O(1).
+    fn stage_context_cells(
+        &self,
+        cells: &[&CellCoords],
+        s: &mut CellScratch,
+    ) -> Result<Vec<(CellCoords, Option<StagedCell>)>> {
+        let ctx = &self.contexts[&cells[0].ca];
+        if self.closed_only() && !ctx.delta.rem.is_empty() {
+            self.view.base_words(&cells[0].ca, &mut s.context);
+        }
+        // `ContextTotals` bounds `T`, hence every `t`, by the u32 row space.
+        for &(u, t) in ctx.totals.units() {
+            s.t[u as usize] = t as u32;
+        }
+        let staged = cells
+            .iter()
+            .map(|&coords| Ok((coords.clone(), self.stage_stored(coords, ctx, s)?)))
+            .collect();
+        for &(u, _) in ctx.totals.units() {
+            s.t[u as usize] = 0;
+        }
+        staged
+    }
+
+    /// Stage one stored cell in the edited table: advance its minority
+    /// histogram by its own delta, decide support and closedness, and fold
+    /// its values from the staged integer histograms (the builder's fold,
+    /// so the floats are a rebuild's). `None` = not a cell after the edit.
+    fn stage_stored(
         &self,
         coords: &CellCoords,
-        origin: Origin,
-        scratch: &mut UnitScratch,
+        ctx: &StagedCtx,
+        s: &mut CellScratch,
+    ) -> Result<Option<StagedCell>> {
+        let (b, measures) = (self.cube.atkinson_b(), self.cube.measures());
+        let items = coords.union();
+        if coords.sa.is_empty() {
+            // `A = ⋆` ⇒ minority ≡ population (the builder's apex path).
+            let support = ctx.totals.total();
+            if !items.is_empty() && !self.stored_keeps(coords, &ctx.delta, support, s) {
+                return Ok(None);
+            }
+            return Ok(Some((None, ctx.totals.fold_whole(b, measures))));
+        }
+        let delta = self.view.delta(&items);
+        self.view.unit_delta(&delta, &mut s.own);
+        let entry = self.cube.store.minorities.get(coords).ok_or_else(|| {
+            ScubeError::Inconsistent("update: cell missing from maintenance store".into())
+        })?;
+        let support = self.advance_stored(entry, ctx, s)?;
+        if !self.stored_keeps(coords, &delta, support, s) {
+            return Ok(None);
+        }
+        let values = ctx.totals.fold_keys(&mut s.keys, b, measures)?;
+        let moved = !s.own.is_empty();
+        Ok(Some((moved.then(|| encode_entry(&s.pairs)), values)))
+    }
+
+    /// One pass over a stored minority entry: each pair is decoded (which
+    /// validates the entry), checked against its unit's base `t` —
+    /// domination is what only the pair shows — advanced by the cell's own
+    /// delta `s.own`, and keyed `t << 32 | m` against the staged `t` for
+    /// [`ContextTotals::fold_keys`]. The advanced pairs are kept for
+    /// re-encoding only when the own delta moved them. Returns the support.
+    fn advance_stored(&self, entry: &[u8], ctx: &StagedCtx, s: &mut CellScratch) -> Result<u64> {
+        let CellScratch { t, own, pairs, keys, .. } = s;
+        let (t, own, moved) = (&*t, &*own, ctx.moved.as_slice());
+        pairs.clear();
+        keys.clear();
+        let (mut support, mut dominated, mut failed) = (0u64, true, None);
+        let mut emit = |u: u32, count: Result<u64>| match count {
+            Ok(0) => {}
+            Ok(m) => {
+                support = support.saturating_add(m);
+                keys.push(u64::from(t[u as usize]) << 32 | m);
+                if !own.is_empty() {
+                    pairs.push((u, m));
+                }
+            }
+            Err(e) => {
+                failed.get_or_insert(e);
+            }
+        };
+        let (mut next_own, mut next_moved) = (0, 0);
+        histogram::decode_each(entry, self.view.vertical.num_units(), |u, m| {
+            // Own-delta units below `u` had no stored minority.
+            while let Some(&(du, added, retracted)) = own.get(next_own).filter(|d| d.0 < u) {
+                emit(du, moved_count(du, 0, added, retracted));
+                next_own += 1;
+            }
+            while moved.get(next_moved).is_some_and(|d| d.0 < u) {
+                next_moved += 1;
+            }
+            let t_now = u64::from(t[u as usize]);
+            let t_base = match moved.get(next_moved) {
+                Some(&(mu, added, retracted)) if mu == u => t_now + retracted - added,
+                _ => t_now,
+            };
+            dominated &= m <= t_base;
+            let (added, retracted) = match own.get(next_own) {
+                Some(&(du, added, retracted)) if du == u => {
+                    next_own += 1;
+                    (added, retracted)
+                }
+                _ => (0, 0),
+            };
+            emit(u, moved_count(u, m, added, retracted));
+        })?;
+        for &(du, added, retracted) in &own[next_own..] {
+            emit(du, moved_count(du, 0, added, retracted));
+        }
+        if !dominated {
+            return Err(not_dominated());
+        }
+        failed.map_or(Ok(support), Err)
+    }
+
+    /// Whether a stored cell (over a non-empty itemset) is still one after
+    /// the edit: frequent, and — under [`Materialize::ClosedOnly`], when it
+    /// lost rows, the only way it can lose closedness — still closed, with
+    /// its first surviving row as the witness. `base(X)` narrows the job's
+    /// `base(B)` by the cell's SA items.
+    fn stored_keeps(
+        &self,
+        coords: &CellCoords,
+        delta: &Delta,
+        support: u64,
+        s: &mut CellScratch,
+    ) -> bool {
+        if support < self.cube.min_support() {
+            return false;
+        }
+        if !self.closed_only() || delta.rem.is_empty() {
+            return true;
+        }
+        let (view, items) = (&self.view, coords.union());
+        view.narrow_words(&s.context, &coords.sa, &mut s.base);
+        let witness = view.witness(&items, &s.base);
+        view.closed_after_edit(&items, delta, support, witness, &s.base)
+    }
+
+    /// Stage one promotion candidate, generated by appended row `row`:
+    /// support, closedness (the row is the witness) and base histogram all
+    /// come from `base(X)`'s words, and the histogram is then advanced by
+    /// the candidate's delta like a stored cell's. `None` = not a cell.
+    fn stage_promoted(
+        &self,
+        coords: &CellCoords,
+        row: usize,
+        (units, own, words): &mut (UnitScratch, UnitDelta, Vec<u64>),
     ) -> Result<Option<StagedCell>> {
         let view = &self.view;
         let ctx = &self.contexts[&coords.ca];
@@ -850,78 +1066,24 @@ impl Stager<'_> {
             own_delta = view.delta(&items);
             &own_delta
         };
-        // A stored cell's support is the sum of its advanced histogram; a
-        // promotion's needs only cardinalities, so its histogram is counted
-        // once the cell is known to stay. `A = ⋆` ⇒ minority ≡ population
-        // (the builder's apex path).
-        let mut base: Option<EwahBitmap> = None;
-        let mut minority = match origin {
-            Origin::Stored if !coords.sa.is_empty() => {
-                Some(self.stored_minority(coords, ctx, delta, scratch)?)
-            }
-            _ => None,
-        };
-        let support = match origin {
-            Origin::Stored => match &minority {
-                Some(hist) => hist.iter().map(|p| p.1).sum(),
-                None => ctx.totals.total(),
-            },
-            Origin::Promoted(_) => {
-                let base = base.insert(view.base_tidset(&items));
-                base.cardinality() - delta.rem.cardinality() + delta.add.cardinality()
-            }
-        };
-        if !items.is_empty() {
-            if support < self.cube.min_support() {
-                return Ok(None);
-            }
-            // A stored cell can lose closedness only if it lost rows.
-            let may_open = matches!(origin, Origin::Promoted(_)) || !delta.rem.is_empty();
-            if self.cube.materialize() == Materialize::ClosedOnly && may_open {
-                let base = base.get_or_insert_with(|| view.base_tidset(&items));
-                let witness = match origin {
-                    Origin::Promoted(r) => &view.encoded.rows[r].0,
-                    Origin::Stored => view.surviving_row(&items, base),
-                };
-                if !view.closed_after_edit(&items, base, delta, support, witness) {
-                    return Ok(None);
-                }
-            }
-        }
-        if let (Origin::Promoted(_), Some(base)) = (origin, &base) {
-            if !coords.sa.is_empty() {
-                let mut hist = view.count(base, scratch);
-                view.advance(&mut hist, delta, scratch)?;
-                minority = Some(hist);
-            }
+        let base = view.base_words(&items, words);
+        let support = base - delta.rem.cardinality() + delta.add.cardinality();
+        let witness = &view.encoded.rows[row].0;
+        if support < self.cube.min_support()
+            || (self.closed_only()
+                && !view.closed_after_edit(&items, delta, support, witness, words))
+        {
+            return Ok(None);
         }
         let (b, measures) = (self.cube.atkinson_b(), self.cube.measures());
-        let values = match &minority {
-            Some(hist) => ctx.totals.fold(hist, b, measures)?,
-            None => ctx.totals.fold_whole(b, measures),
-        };
-        Ok(Some((minority.as_deref().map(encode_entry), values)))
-    }
-
-    /// A stored cell's minority histogram, decoded (which validates the
-    /// entry), checked against its context's stored totals — domination is
-    /// what only the pair shows — and advanced by the delta.
-    fn stored_minority(
-        &self,
-        coords: &CellCoords,
-        ctx: &StagedCtx,
-        delta: &Delta,
-        scratch: &mut UnitScratch,
-    ) -> Result<Vec<(u32, u64)>> {
-        let entry = self.cube.store.minorities.get(coords).ok_or_else(|| {
-            ScubeError::Inconsistent("update: cell missing from maintenance store".into())
-        })?;
-        let mut hist = histogram::decode(entry, self.view.vertical.num_units())?;
-        if !dominated(&hist, &ctx.base) {
-            return Err(not_dominated());
+        if coords.sa.is_empty() {
+            return Ok(Some((None, ctx.totals.fold_whole(b, measures))));
         }
-        self.view.advance(&mut hist, delta, scratch)?;
-        Ok(hist)
+        view.vertical.unit_histogram_words_into(words, units);
+        view.unit_delta(delta, own);
+        let minority = advance_pairs(&units.sorted_pairs(), own)?;
+        let values = ctx.totals.fold(&minority, b, measures)?;
+        Ok(Some((Some(encode_entry(&minority)), values)))
     }
 }
 
@@ -932,7 +1094,6 @@ fn stage_contexts(
     view: &EditView,
     store: &MaintenanceStore,
 ) -> Result<FxHashMap<Vec<ItemId>, StagedCtx>> {
-    let mut scratch = UnitScratch::new(view.n_units_after);
     let mut staged = FxHashMap::default();
     for (ca, entry) in &store.contexts {
         let delta = view.delta(ca);
@@ -940,37 +1101,46 @@ fn stage_contexts(
             continue;
         }
         let base = histogram::decode(entry, view.vertical.num_units())?;
-        staged.insert(ca.clone(), view.stage_context(base, delta, &mut scratch)?);
+        staged.insert(ca.clone(), view.stage_context(&base, delta)?);
     }
     Ok(staged)
 }
 
-/// Phase: stage every cell of a touched context (`None` = demoted).
+/// Phase: stage every cell of a touched context (`None` = demoted), one
+/// job per context: the cells are sorted by context, so each job fills its
+/// worker's `t` scratch once.
 fn stage_dirty_cells(
     stager: &Stager,
     threads: usize,
 ) -> Result<Vec<(CellCoords, Option<StagedCell>)>> {
-    let dirty: Vec<CellCoords> = stager
+    let mut dirty: Vec<&CellCoords> = stager
         .cube
         .cells()
-        .filter(|(coords, _)| stager.contexts.contains_key(&coords.ca))
-        .map(|(coords, _)| coords.clone())
+        .map(|(coords, _)| coords)
+        .filter(|coords| stager.contexts.contains_key(&coords.ca))
         .collect();
-    let n_units = stager.view.n_units_after;
-    scube_common::par::map(
-        dirty,
+    dirty.sort_unstable_by(|x, y| (&x.ca, &x.sa).cmp(&(&y.ca, &y.sa)));
+    let jobs: Vec<&[&CellCoords]> = dirty.chunk_by(|x, y| x.ca == y.ca).collect();
+    let view = &stager.view;
+    let staged = scube_common::par::map(
+        jobs,
         threads,
-        || UnitScratch::new(n_units),
-        |scratch, coords| {
-            let staged = stager.stage_cell(&coords, Origin::Stored, scratch)?;
-            Ok((coords, staged))
+        || CellScratch {
+            t: vec![0; view.n_units_after as usize],
+            own: UnitDelta::new(),
+            pairs: Vec::new(),
+            keys: Vec::new(),
+            context: dense_words(view),
+            base: dense_words(view),
         },
-    )
+        |scratch, cells| stager.stage_context_cells(cells, scratch),
+    )?;
+    Ok(staged.into_iter().flatten().collect())
 }
 
 /// Phase: stage the promotions. Each candidate's context is staged first —
-/// counted from postings when no cell had it — and the candidate itself is
-/// then a dirty cell whose base histogram is counted instead of decoded.
+/// counted from `base(B)`'s words when no cell had it — and the candidate
+/// itself is then staged from `base(X)`'s words.
 fn stage_promotions(
     stager: &mut Stager,
     dirty: &[(CellCoords, Option<StagedCell>)],
@@ -980,24 +1150,22 @@ fn stage_promotions(
         dirty.iter().filter(|(_, staged)| staged.is_none()).map(|(coords, _)| coords).collect();
     let candidates = promotion_candidates(&stager.view, stager.cube, &demoted);
     let view = &stager.view;
-    let mut scratch = UnitScratch::new(view.n_units_after);
+    let scratch =
+        || (UnitScratch::new(view.vertical.num_units()), UnitDelta::new(), dense_words(view));
+    let (mut units, _, mut words) = scratch();
     for (coords, _) in &candidates {
         if !stager.contexts.contains_key(&coords.ca) {
-            let base = view.count(&view.base_tidset(&coords.ca), &mut scratch);
-            let ctx = view.stage_context(base, view.delta(&coords.ca), &mut scratch)?;
+            view.base_words(&coords.ca, &mut words);
+            view.vertical.unit_histogram_words_into(&words, &mut units);
+            let ctx = view.stage_context(&units.sorted_pairs(), view.delta(&coords.ca))?;
             stager.contexts.insert(coords.ca.clone(), ctx);
         }
     }
     let stager = &*stager;
-    let staged = scube_common::par::map(
-        candidates,
-        threads,
-        || UnitScratch::new(view.n_units_after),
-        |scratch, (coords, r)| {
-            let staged = stager.stage_cell(&coords, Origin::Promoted(r), scratch)?;
-            Ok(staged.map(|s| (coords, s)))
-        },
-    )?;
+    let staged = scube_common::par::map(candidates, threads, scratch, |scratch, (coords, r)| {
+        let staged = stager.stage_promoted(&coords, r, scratch)?;
+        Ok(staged.map(|s| (coords, s)))
+    })?;
     Ok(staged.into_iter().flatten().collect())
 }
 
@@ -1022,14 +1190,16 @@ fn promotion_candidates(
         Some(new) => view.encoded.new_items[new].2,
     };
     let coords_of = |items: &[ItemId]| CellCoords::split_sorted(items, is_sa);
+    // `base(X)`'s words for each support the walk asks for.
+    let mut words = dense_words(view);
     let mut memo: FxHashMap<Vec<ItemId>, bool> = FxHashMap::default();
-    let mut frequent = |items: &[ItemId]| {
+    let mut frequent = |items: &[ItemId], words: &mut [u64]| {
         if let Some(&known) = memo.get(items) {
             return known;
         }
         let coords = coords_of(items);
         let known = (cube.get(&coords).is_some() && !demoted.contains(&coords))
-            || view.support(items) >= min_support;
+            || view.support(items, words) >= min_support;
         memo.insert(items.to_vec(), known);
         known
     };
@@ -1037,8 +1207,11 @@ fn promotion_candidates(
     let mut seen: FxHashSet<Vec<ItemId>> = FxHashSet::default();
     let mut candidates = Vec::new();
     for (r, (row, _)) in view.encoded.rows.iter().enumerate() {
-        let projection: Vec<ItemId> =
-            row.iter().copied().filter(|&it| view.support(&[it]) >= min_support).collect();
+        let projection: Vec<ItemId> = row
+            .iter()
+            .copied()
+            .filter(|&it| view.support(&[it], &mut words) >= min_support)
+            .collect();
         // Categorical deltas repeat row shapes heavily: one walk per
         // distinct projection bounds the work by shape count.
         if projection.is_empty() || !seen_projections.insert(projection.clone()) {
@@ -1054,7 +1227,7 @@ fn promotion_candidates(
                     }
                 }
             }
-            level = next_level(&level, &mut frequent);
+            level = next_level(&level, &mut |items| frequent(items, &mut words));
         }
     }
     candidates
@@ -1508,8 +1681,19 @@ mod tests {
     /// require byte-identity with a from-scratch snapshot on the edited
     /// table, for one materialization × threshold.
     fn check_churn(remove: &[u32], delta: &[Row], materialize: Materialize, min_support: u64) {
+        check_churn_on(BASE, remove, delta, materialize, min_support);
+    }
+
+    /// [`check_churn`] on the snapshot of `base`.
+    fn check_churn_on(
+        base: &[Row],
+        remove: &[u32],
+        delta: &[Row],
+        materialize: Materialize,
+        min_support: u64,
+    ) {
         let builder = CubeBuilder::new().min_support(min_support).materialize(materialize);
-        let mut updated = CubeSnapshot::from_db(&db(BASE), &builder).unwrap();
+        let mut updated = CubeSnapshot::from_db(&db(base), &builder).unwrap();
         let mut b = batch(delta);
         for &t in remove {
             b.remove_tid(t);
@@ -1522,7 +1706,7 @@ mod tests {
             updated.cube().len(),
             "stats partition the surviving store"
         );
-        let edited: Vec<Row> = BASE
+        let edited: Vec<Row> = base
             .iter()
             .enumerate()
             .filter(|(i, _)| !remove.contains(&(*i as u32)))
@@ -1543,6 +1727,77 @@ mod tests {
         for minsup in [1, 2, 3] {
             for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
                 check_churn(remove, delta, materialize, minsup);
+            }
+        }
+    }
+
+    #[test]
+    fn closedness_witness_skips_a_retracted_first_row() {
+        // Rows 2 (M, old, north) and 7 (M, young, north) hold (M | north).
+        // With row 2 gone, row 7 is the witness: its `young` extends the
+        // cell, which the retracted row's `old` would not show.
+        check_churn_all(&[2], &[]);
+        check_churn_all(&[2], DELTA);
+    }
+
+    #[test]
+    fn closedness_witness_falls_back_to_an_appended_row() {
+        // Both base rows of (M | north) go while an appended row holds it:
+        // that row is the witness, and its `young` extends the cell.
+        check_churn_all(&[2, 7], &[("M", "young", "north", "u1")]);
+        check_churn_all(
+            &[0, 1, 2, 7],
+            &[("M", "young", "north", "u0"), ("F", "old", "north", "u1")],
+        );
+    }
+
+    #[test]
+    fn dense_base_ending_in_a_partial_word_matches_rebuild() {
+        // 70 rows: every `base(X)` spans one full word and six bits of a
+        // second. Retracting the whole first word puts every witness in the
+        // partial one.
+        let base: Vec<Row> = BASE.iter().cycle().take(70).copied().collect();
+        let first_word: Vec<u32> = (0..64).collect();
+        let tail = [64, 69];
+        for (remove, delta) in [(&first_word[..], &[][..]), (&first_word, DELTA), (&tail, DELTA)] {
+            for min_support in [1, 3, 20] {
+                for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
+                    check_churn_on(&base, remove, delta, materialize, min_support);
+                }
+            }
+        }
+        // Nothing frequent before, the `⋆` context promoted by the append:
+        // its totals are counted from the universe's words.
+        for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
+            check_churn_on(&base, &[], DELTA, materialize, 72);
+        }
+    }
+
+    #[test]
+    fn a_minority_unit_outside_its_context_is_refused_whatever_ran_before() {
+        // u0 lives only in the north, u1 only in the south; the `⋆` context,
+        // whose job runs first, holds both.
+        let rows: &[Row] = &[
+            ("F", "young", "north", "u0"),
+            ("M", "old", "north", "u0"),
+            ("F", "old", "south", "u1"),
+            ("M", "young", "south", "u1"),
+        ];
+        let builder = CubeBuilder::new().min_support(1).materialize(Materialize::AllFrequent);
+        let mut snap = CubeSnapshot::from_db(&db(rows), &builder).unwrap();
+        let coords = snap.cube().coords_by_names(&[("sex", "F")], &[("region", "north")]).unwrap();
+        // (sex=F | north) claims a woman in u1, which the north lacks.
+        let store = std::sync::Arc::make_mut(&mut snap.cube.store);
+        store.minorities.insert(coords, encode_entry(&[(0, 1), (1, 1)]));
+        let bytes = snap.to_bytes();
+        // A man's northern row leaves the cell's own histogram alone (its
+        // entry is kept); a woman's moves it. Both dirty the north.
+        for row in [("M", "old", "north", "u0"), ("F", "old", "north", "u0")] {
+            for threads in [1, 2] {
+                let mut s = snap.clone();
+                let err = s.apply_update_threads(&batch(&[row]), threads).unwrap_err().to_string();
+                assert!(err.contains("not dominated"), "{row:?}, {threads} threads: {err}");
+                assert_eq!(s.to_bytes(), bytes, "{row:?}: a refused batch mutates nothing");
             }
         }
     }
@@ -1890,12 +2145,17 @@ mod tests {
 
     #[test]
     fn histogram_subtraction_underflow_is_a_hard_error() {
-        let mut base = vec![(0u32, 2u64), (2, 1)];
-        assert!(merge_sub(&mut base, &[(0, 3)]).is_err(), "underflow");
-        assert!(merge_sub(&mut base, &[(1, 1)]).is_err(), "unit absent from base");
-        assert_eq!(base, vec![(0, 2), (2, 1)], "failed subtraction must not mutate");
-        assert!(merge_sub(&mut base, &[(0, 2)]).is_ok());
-        assert_eq!(base, vec![(2, 1)], "exact-zero pairs are removed");
+        let base = vec![(0u32, 2u64), (2, 1)];
+        assert!(advance_pairs(&base, &[(0, 0, 3)]).is_err(), "underflow");
+        assert!(advance_pairs(&base, &[(1, 0, 1)]).is_err(), "unit absent from base");
+        assert!(advance_pairs(&base, &[(0, 1, 4)]).is_err(), "underflow past an append");
+        assert_eq!(advance_pairs(&base, &[(0, 0, 2)]).unwrap(), [(2, 1)], "zero pairs leave");
+        assert_eq!(
+            advance_pairs(&base, &[(0, 1, 1), (1, 2, 1), (3, 1, 0)]).unwrap(),
+            [(0, 2), (1, 1), (2, 1), (3, 1)],
+            "appends add units, a unit appended and retracted in one batch nets out"
+        );
+        assert_eq!(advance_pairs(&base, &[(1, 1, 1)]).unwrap(), base, "a net-zero new unit");
     }
 
     #[test]

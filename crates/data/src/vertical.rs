@@ -168,10 +168,11 @@ impl VerticalDb {
     /// Surviving transactions are renumbered downwards (`tid' = tid −
     /// |removed ≤ tid|`), exactly the ids a from-scratch build on the
     /// edited data would assign, so snapshot byte-identity survives
-    /// retraction. When the removed set is a suffix of the tid space the
-    /// renumbering is the identity and every affected posting shrinks in
-    /// place via [`EwahBitmap::remove_sorted`]; otherwise the postings are
-    /// rebuilt from the surviving rows in one pass. Items are never dropped
+    /// retraction. Postings whose ids all precede the first removed tid are
+    /// left alone. When the removed set is a suffix of the tid space the
+    /// renumbering is the identity and every other posting shrinks in
+    /// place via [`EwahBitmap::remove_sorted`]; otherwise they are rebuilt
+    /// from their surviving ids in one pass. Items are never dropped
     /// here even when their posting empties — dictionary garbage collection
     /// is [`Self::rename`]'s.
     ///
@@ -193,12 +194,16 @@ impl VerticalDb {
         if tids.is_empty() {
             return Ok(());
         }
+        // A posting whose ids all precede the first retracted tid neither
+        // loses an id nor renumbers one: it is skipped, marker hops only.
+        let touched =
+            |posting: &EwahBitmap| posting.max_id().is_some_and(|m| m >= u64::from(tids[0]));
         let is_suffix = tids[0] as usize == self.n_transactions as usize - tids.len();
         if is_suffix {
             // Tail retraction: survivors keep their ids; clear the removed
-            // tail bits posting by posting.
+            // tail bits of each posting that reaches into the tail.
             let mut scratch = Vec::new();
-            for posting in Arc::make_mut(&mut self.postings) {
+            for posting in Arc::make_mut(&mut self.postings).iter_mut().filter(|p| touched(p)) {
                 scratch.clear();
                 posting.for_each(|tid| {
                     if tid >= tids[0] {
@@ -211,7 +216,7 @@ impl VerticalDb {
             // Interior retraction: renumber by rebuilding each posting from
             // the surviving ids in one merge pass over the removal set.
             let mut keep = Vec::new();
-            for posting in Arc::make_mut(&mut self.postings) {
+            for posting in Arc::make_mut(&mut self.postings).iter_mut().filter(|p| touched(p)) {
                 keep.clear();
                 let mut r = 0usize;
                 posting.for_each(|tid| {

@@ -195,6 +195,10 @@ fn fold_counts(c: &UnitCounts, atkinson_b: f64, measures: MeasureSet) -> IndexVa
     fold(c.minority(), c.total(), c.num_units() as u32, runs, atkinson_b, measures)
 }
 
+fn too_many_units(t: u64) -> ScubeError {
+    ScubeError::Inconsistent(format!("more minority units of total {t} than the context holds"))
+}
+
 /// A context's population, held as the run table a cube cell folds from:
 /// its ascending `(unit, t)` list, that list's `(t, k)` runs (ascending
 /// `t`, `k` units each) and `T`. Built once per context, it folds any cell
@@ -272,10 +276,9 @@ impl ContextTotals {
     /// [`IndexValues::compute_masked`] over the per-unit histogram.
     ///
     /// Each minority unit's `t` is found by a galloping cursor over the
-    /// list, only the minority keys are sorted, and each minority run's
-    /// `k` is subtracted from its context run to leave the `m = 0` runs. A
-    /// unit absent from the context, `m = 0`, `m > t` or a non-ascending
-    /// list is an `Err`.
+    /// list and the pairs become [`Self::fold_keys`]' keys. A unit absent
+    /// from the context, `m = 0`, `m > t` (which also keeps `m` inside its
+    /// key's 32 bits) or a non-ascending list is an `Err`.
     pub fn fold(
         &self,
         minority: &[(u32, u64)],
@@ -284,7 +287,6 @@ impl ContextTotals {
     ) -> Result<IndexValues> {
         let mut keys: Vec<u64> = Vec::with_capacity(minority.len());
         let mut cursor = 0usize;
-        let mut m_total = 0u64;
         for &(u, m) in minority {
             let rest = &self.units[cursor..];
             let mut bound = 1;
@@ -304,31 +306,58 @@ impl ContextTotals {
                 )));
             }
             cursor += i + 1;
-            m_total += m;
             keys.push(t << 32 | m);
         }
-        let runs = || {
-            keys.sort_unstable();
-            let distinct = keys.chunk_by(|a, b| a == b).count();
-            let mut runs = Vec::with_capacity(distinct + self.runs.len());
-            collapse_sorted(&keys, |k| (k >> 32, k & u64::from(u32::MAX)), &mut runs);
-            // Minority runs ascend by `t`: walk them beside the context's
-            // runs and leave each `t`'s remaining units at `m = 0`.
-            let mut next = 0;
-            for &(t, mut k) in &self.runs {
-                while next < runs.len() && runs[next].total == t {
-                    k -= runs[next].units;
-                    next += 1;
-                }
-                if k > 0 {
-                    runs.push(Run { minority: 0, total: t, units: k });
-                }
+        self.fold_keys(&mut keys, atkinson_b, measures)
+    }
+
+    /// The values of a cell of this context given as one key `t << 32 | m`
+    /// per minority unit, in any order, `t` being that unit's context total
+    /// (the units themselves are not needed: a caller that already holds
+    /// each unit's `t` skips [`Self::fold`]'s lookup). `keys` is sorted in
+    /// place. Only the minority keys are sorted, and each minority run's
+    /// `k` is subtracted from its context run to leave the `m = 0` runs.
+    ///
+    /// A key with `m = 0` or `m > t`, or more keys of one `t` than the
+    /// context has units of that `t`, is an `Err`.
+    pub fn fold_keys(
+        &self,
+        keys: &mut [u64],
+        atkinson_b: f64,
+        measures: MeasureSet,
+    ) -> Result<IndexValues> {
+        let mut m_total = 0u64;
+        for &key in keys.iter() {
+            let (t, m) = (key >> 32, key & u64::from(u32::MAX));
+            if m == 0 || m > t {
+                return Err(ScubeError::Inconsistent(format!(
+                    "a minority of {m} is not in 1..={t}"
+                )));
             }
-            canonical_order(&mut runs);
-            runs
-        };
+            m_total += m;
+        }
+        keys.sort_unstable();
+        let distinct = keys.chunk_by(|a, b| a == b).count();
+        let mut runs = Vec::with_capacity(distinct + self.runs.len());
+        collapse_sorted(keys, |k| (k >> 32, k & u64::from(u32::MAX)), &mut runs);
+        // Minority runs ascend by `t`: walk them beside the context's runs
+        // and leave each `t`'s remaining units at `m = 0`.
+        let mut next = 0;
+        for &(t, mut k) in &self.runs {
+            while next < distinct && runs[next].total == t {
+                k = k.checked_sub(runs[next].units).ok_or_else(|| too_many_units(t))?;
+                next += 1;
+            }
+            if k > 0 {
+                runs.push(Run { minority: 0, total: t, units: k });
+            }
+        }
+        if next < distinct {
+            return Err(too_many_units(runs[next].total));
+        }
+        canonical_order(&mut runs);
         let n = self.units.len() as u32;
-        Ok(fold(m_total, self.total, n, runs, atkinson_b, measures))
+        Ok(fold(m_total, self.total, n, || runs, atkinson_b, measures))
     }
 
     /// The values of the context's own `A = ⋆` cell (minority ≡

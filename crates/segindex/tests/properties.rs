@@ -141,11 +141,15 @@ fn split_cell(pairs: &[(u64, u64)]) -> (ContextTotals, Vec<(u32, u64)>) {
     (ContextTotals::new(context).expect("valid context"), minority)
 }
 
-/// The run-table entry against the per-unit fold on one histogram: every
-/// one of the 63 measure subsets, to the bit, for the cell and for the
-/// context's own `A = ⋆` cell (every unit at `m = t`).
+/// The run-table entries against the per-unit fold on one histogram: every
+/// one of the 63 measure subsets, to the bit, for the cell — through the
+/// unit lookup of `fold` and through the keyed entry `fold_keys`, its keys
+/// handed over in reverse unit order — and for the context's own `A = ⋆`
+/// cell (every unit at `m = t`).
 fn assert_run_table_matches_per_unit(pairs: &[(u64, u64)], b: f64) {
     let (context, minority) = split_cell(pairs);
+    let keys: Vec<u64> =
+        pairs.iter().rev().filter(|p| p.0 > 0).map(|&(m, t)| t << 32 | m).collect();
     let per_unit = counts(pairs);
     let whole = counts(&pairs.iter().map(|&(_, t)| (t, t)).collect::<Vec<_>>());
     let bits = |v: &IndexValues| {
@@ -155,6 +159,8 @@ fn assert_run_table_matches_per_unit(pairs: &[(u64, u64)], b: f64) {
         let set = MeasureSet::from_bits(bitset).unwrap();
         let cell = context.fold(&minority, b, set).expect("a valid cell folds");
         assert_eq!(bits(&cell), bits(&IndexValues::compute_masked(&per_unit, b, set)), "{set}");
+        let keyed = context.fold_keys(&mut keys.clone(), b, set).expect("valid keys fold");
+        assert_eq!(bits(&keyed), bits(&cell), "keyed {set}");
         let star = context.fold_whole(b, set);
         assert_eq!(bits(&star), bits(&IndexValues::compute_masked(&whole, b, set)), "⋆ {set}");
     }
@@ -421,6 +427,21 @@ fn run_table_rejects_what_is_not_a_cell_of_its_context() {
         ("repeated unit", &[(1, 1), (1, 1)]),
     ] {
         assert!(fold(minority).is_err(), "{case}");
+    }
+    // The keyed entry: the context has two units of `t = 5`, one of `t = 8`.
+    let fold_keys = |keys: &[(u64, u64)]| {
+        let mut keys: Vec<u64> = keys.iter().map(|&(m, t)| t << 32 | m).collect();
+        context.fold_keys(&mut keys, 0.5, MeasureSet::FULL)
+    };
+    assert_eq!(fold_keys(&[(8, 8), (2, 5)]).unwrap(), fold(&[(1, 2), (5, 8)]).unwrap());
+    for (case, keys) in [
+        ("m = 0", &[(0, 5)][..]),
+        ("m > t", &[(6, 5)]),
+        ("a t the context lacks", &[(1, 6)]),
+        ("a t past the context's largest", &[(1, 9)]),
+        ("more units of a t than the context has", &[(1, 5), (2, 5), (3, 5)]),
+    ] {
+        assert!(fold_keys(keys).is_err(), "keyed: {case}");
     }
     for (case, units) in [
         ("t = 0", vec![(1, 5), (2, 0)]),

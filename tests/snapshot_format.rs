@@ -479,8 +479,21 @@ fn assemble(head: &[u8], contexts: &[Record], minorities: &[Record]) -> Vec<u8> 
 
 /// `from_bytes` must refuse `bytes` at load; `open_mmap` attaches the store
 /// unread, so there the first update must refuse it — before mutating
-/// anything. Both errors must name `needle`.
+/// anything. Both errors must name `needle`. The update appends one
+/// northern row, which dirties the `⋆` and north contexts and every cell
+/// under them.
 fn refused_by_both_opens(what: &str, bytes: &[u8], needle: &str) {
+    refused_by_both_opens_after(what, bytes, needle, ("F", "young", "north"));
+}
+
+/// [`refused_by_both_opens`], the first update appending one `(sex, age,
+/// region)` row in unit `u0`.
+fn refused_by_both_opens_after(
+    what: &str,
+    bytes: &[u8],
+    needle: &str,
+    (sex, age, region): (&str, &str, &str),
+) {
     let err = CubeSnapshot::from_bytes(bytes).expect_err(what).to_string();
     assert!(err.contains(needle), "{what}, heap load: {err}");
     if cfg!(target_endian = "big") {
@@ -489,10 +502,8 @@ fn refused_by_both_opens(what: &str, bytes: &[u8], needle: &str) {
     let path = temp_file("hostile_store", bytes);
     let mut mapped = CubeSnapshot::open_mmap(&path).expect("the mapped open reads no entry");
     let cube_before = mapped.cube().clone();
-    // One appended northern row dirties the `⋆` and north contexts and
-    // every cell under them.
     let mut batch = UpdateBatch::new();
-    batch.add_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
+    batch.add_row(&[("sex", sex), ("age", age), ("region", region)], "u0");
     let err = mapped.apply_update(&batch).expect_err(what).to_string();
     assert!(err.contains(needle), "{what}, first update: {err}");
     assert_eq!(mapped.cube(), &cube_before, "{what}: the cube is untouched");
@@ -569,15 +580,31 @@ fn hostile_store_entries_are_refused_by_both_opens() {
         .iter()
         .position(|r| r.key.ends_with(&[&1u32.to_le_bytes()[..], &north.to_le_bytes()].concat()))
         .unwrap();
-    for (cell, pairs) in [(apex_cell, vec![(0, 5), (1, 1)]), (north_cell, vec![(1, 2)])] {
+    // Counts of 2⁶³ are well-formed too: refused, never an overflow.
+    let huge = 1u64 << 63;
+    for (cell, pairs) in [
+        (apex_cell, vec![(0, 5), (1, 1)]),
+        (north_cell, vec![(1, 2)]),
+        (apex_cell, vec![(0, huge), (1, huge)]),
+    ] {
         let mut minorities = minorities.clone();
         let stored = histogram::decode(&minorities[cell].entry, 2).unwrap();
         assert_ne!(stored, pairs);
         minorities[cell].entry = histogram::encode(&pairs);
+        let hostile = assemble(&head, &contexts, &minorities);
         refused_by_both_opens(
             "a minority entry not dominated by its context",
-            &assemble(&head, &contexts, &minorities),
+            &hostile,
             "not dominated",
+        );
+        // A man's row misses both cells' items: their own deltas are empty,
+        // so the update keeps their entries instead of re-encoding them —
+        // and must still check them against the context it dirtied.
+        refused_by_both_opens_after(
+            "a kept minority entry not dominated by its context",
+            &hostile,
+            "not dominated",
+            ("M", "old", "north"),
         );
     }
 }
