@@ -238,10 +238,14 @@ impl Appender {
         Appender { words: buf, marker_pos: 0, run_bit: false, run_len: 0, lit_cnt: 0, card: 0 }
     }
 
-    /// Resume the canonical stream `bitmap` at its end: the appender it
-    /// would have been in after its last pushed word, and the number of
-    /// words the stream covers. Only the markers are read (a hop per
-    /// marker); the words are taken over, copied only if mapped.
+    /// Resume the stream `bitmap` at its end: the appender it would have
+    /// been in after its last pushed word, and the number of words the
+    /// stream covers. Only the markers are read (a hop per marker); the
+    /// words are taken over, copied only if mapped. The count is the span
+    /// up to the last set bit only when the stream ends as
+    /// [`Self::finish`] leaves it ([`canonical_tail`]), which every
+    /// constructor guarantees and both slot loaders check. The card is
+    /// the caller's to set.
     fn resume(mut bitmap: EwahBitmap) -> (Self, u64) {
         let words = bitmap.words.take_vec();
         if words.is_empty() {
@@ -257,14 +261,8 @@ impl Appender {
             }
             marker_pos = next;
         }
-        let (run_bit, mut run_len, lit_cnt) = decode_marker(words[marker_pos]);
-        if lit_cnt == 0 && !run_bit {
-            // A trailing zero run (which `finish` never leaves) covers nothing.
-            covered -= run_len;
-            run_len = 0;
-        }
-        let out = Appender { words, marker_pos, run_bit, run_len, lit_cnt, card: bitmap.card };
-        (out, covered)
+        let (run_bit, run_len, lit_cnt) = decode_marker(words[marker_pos]);
+        (Appender { words, marker_pos, run_bit, run_len, lit_cnt, card: 0 }, covered)
     }
 
     fn seal_marker(&mut self) {
@@ -627,12 +625,28 @@ fn push_not_words(out: &mut Appender, lit: &[u64], block: &mut [u64; OP_BLOCK]) 
     }
 }
 
+/// Whether a stream whose last marker sits at `last` ends as
+/// [`Appender::finish`] leaves it: in a non-zero literal or a ones-run, or
+/// as the lone empty marker of the empty set — never in a zero literal, a
+/// zero run or an empty marker, which would stretch the span the stream
+/// covers past its last set bit. [`EwahBitmap::append_sorted`] resumes a
+/// stream at that span, so both slot loaders refuse any other tail.
+fn canonical_tail(words: &[u64], last: usize) -> bool {
+    match decode_marker(words[last]) {
+        (_, _, 1..) => words[words.len() - 1] != 0,
+        (ones, run, 0) => (ones && run > 0) || (last == 0 && words[0] == 0),
+    }
+}
+
 /// Walk a compressed stream and return its cardinality, or `None` when the
-/// marker structure is inconsistent with the word count (corrupt input).
+/// marker structure is inconsistent with the word count or the stream
+/// does not end in a [`canonical_tail`] (corrupt input).
 fn validate_stream(words: &[u64]) -> Option<u64> {
     let mut pos = 0usize;
+    let mut last = 0usize;
     let mut card = 0u64;
     while pos < words.len() {
+        last = pos;
         let (ones, run, lit) = decode_marker(words[pos]);
         if ones {
             card = card.checked_add(64u64.checked_mul(run)?)?;
@@ -647,7 +661,7 @@ fn validate_stream(words: &[u64]) -> Option<u64> {
         }
         pos = lit_end;
     }
-    Some(card)
+    (words.is_empty() || canonical_tail(words, last)).then_some(card)
 }
 
 /// Which kind of segment covers the last represented word of a stream —
@@ -659,16 +673,18 @@ enum LastSeg {
 }
 
 /// Structure-only walk for the mapped path: verify the marker chain tiles
-/// the buffer exactly and that no represented bit can be `>= universe`,
-/// without reading any literal word except (possibly) the final one — the
-/// cost is proportional to the number of markers, not the data, which is
-/// what keeps `open_mmap` O(ms) on multi-GB snapshots.
+/// the buffer exactly, ends in a [`canonical_tail`] and that no represented
+/// bit can be `>= universe`, without reading any literal word except the
+/// final one — the cost is proportional to the number of markers, not the
+/// data, which is what keeps `open_mmap` O(ms) on multi-GB snapshots.
 fn validate_stream_structure(words: &[u64], universe: u32) -> bool {
     let max_words = u64::from(universe).div_ceil(64);
     let mut pos = 0usize;
     let mut span = 0u64; // words represented so far
     let mut last: Option<LastSeg> = None;
+    let mut last_marker = 0usize;
     while pos < words.len() {
+        last_marker = pos;
         let (ones, run, lit) = decode_marker(words[pos]);
         let lit_start = pos + 1;
         let Some(lit_end) = lit_start.checked_add(lit as usize) else { return false };
@@ -687,7 +703,7 @@ fn validate_stream_structure(words: &[u64], universe: u32) -> bool {
         }
         pos = lit_end;
     }
-    if span > max_words {
+    if span > max_words || !(words.is_empty() || canonical_tail(words, last_marker)) {
         return false;
     }
     // Words before the last one only hold bits < 64·(max_words - 1) ≤
@@ -725,8 +741,9 @@ impl EwahBitmap {
     }
 
     /// Decode an owned bitmap from a slot (the heap-load path). Fully
-    /// validating: `None` on any structural defect or when the stream does
-    /// not hold exactly `card` set bits. Bit *positions* are not bounded
+    /// validating: `None` on any structural defect, on a stream that does
+    /// not end as a canonical one does, or when the stream does not hold
+    /// exactly `card` set bits. Bit *positions* are not bounded
     /// here — a slot may set bits past any universe, or past 2³² — so a
     /// loader checks [`EwahBitmap::max_id`] before trusting the ids.
     pub fn read_slot(bytes: &[u8], card: u64) -> Option<Self> {
@@ -742,13 +759,13 @@ impl EwahBitmap {
     }
 
     /// Borrow a bitmap from a mapped slot (the `open_mmap` path), zero-copy,
-    /// validating *structure* only — enough to guarantee that every later
-    /// operation is panic-free and that every id the bitmap can produce is
-    /// `< universe`, in time proportional to the number of markers rather
-    /// than the data. `card` comes from the checksummed posting directory
-    /// and is trusted; a slot whose actual contents disagree may answer
-    /// queries wrong, but never crashes. Callers must have checked the host
-    /// is little-endian first.
+    /// validating *structure* only — the marker chain and the stream's
+    /// tail, enough to guarantee that every later operation is panic-free
+    /// and that every id the bitmap can produce is `< universe`, in time
+    /// proportional to the number of markers rather than the data. `card`
+    /// comes from the checksummed posting directory and is trusted; a slot
+    /// whose actual contents disagree may answer queries wrong, but never
+    /// crashes. Callers must have checked the host is little-endian first.
     pub fn map_slot(region: ByteRegion, card: u64, universe: u32) -> Option<Self> {
         let words = MappedSlice::<u64>::new(region)?;
         if !validate_stream_structure(&words, universe) {
@@ -822,6 +839,9 @@ impl EwahBitmap {
         let Some(&first) = ids.first() else {
             return;
         };
+        // Every id is new, so the card is counted, not recounted: a mapped
+        // posting's card comes from its directory entry, not its words.
+        let card = self.card.saturating_add(ids.len() as u64);
         let (mut out, mut covered) = Appender::resume(std::mem::take(self));
         let mut word = 0u64;
         let mut at = u64::from(first) / 64;
@@ -829,7 +849,6 @@ impl EwahBitmap {
             // The first id shares the last stored word: take it back.
             word = out.words.pop().expect("a literal follows its marker");
             out.lit_cnt -= 1;
-            out.card -= u64::from(word.count_ones());
             covered -= 1;
         }
         assert!(
@@ -851,7 +870,7 @@ impl EwahBitmap {
             word |= 1u64 << (id % 64);
         }
         out.push_word(word);
-        *self = out.finish();
+        *self = EwahBitmap { card, ..out.finish() };
     }
 
     /// Remove strictly increasing ids from the set, all of which must be

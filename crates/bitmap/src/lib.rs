@@ -258,4 +258,55 @@ mod tests {
             std::fs::remove_file(&path).ok();
         }
     }
+
+    /// `append_sorted` resumes a stream at the span its markers cover, so a
+    /// tail that covers words past the last set bit — a zero literal, a
+    /// zero run, an empty marker — would misplace the append. Both loaders
+    /// refuse such a slot; the tails `finish` leaves pass.
+    #[test]
+    fn slot_loaders_refuse_a_tail_finish_never_leaves() {
+        use scube_common::mmap::MmapFile;
+        use std::sync::Arc;
+        let marker = |ones: bool, run: u64, lit: u64| u64::from(ones) | run << 1 | lit << 33;
+        let bytes = |words: &[u64]| words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        let refused: [(&str, Vec<u64>, u64); 5] = [
+            ("trailing zero literals", vec![marker(false, 0, 3), 1, 0, 0], 1),
+            (
+                "a zero run, then an empty marker",
+                vec![marker(false, 0, 1), 5, marker(false, 1, 0), 0],
+                2,
+            ),
+            ("a trailing zero run", vec![marker(false, 0, 1), 5, marker(false, 4, 0)], 2),
+            ("an empty marker after a ones-run", vec![marker(true, 1, 0), marker(true, 0, 0)], 64),
+            ("a lone empty ones marker", vec![marker(true, 0, 0)], 0),
+        ];
+        let accepted: [(&str, Vec<u64>, u64); 4] = [
+            ("no words", vec![], 0),
+            ("the empty marker", vec![0], 0),
+            ("a ones-run", vec![marker(false, 0, 1), 5, marker(true, 2, 0)], 130),
+            ("a non-zero literal", vec![marker(false, 3, 1), 1 << 63], 1),
+        ];
+        let path = std::env::temp_dir().join(format!("scube_slot_tail_{}.bin", std::process::id()));
+        for (what, words, card) in refused.iter().chain(&accepted) {
+            let ok = accepted.iter().any(|(name, ..)| name == what);
+            let slot = bytes(words);
+            assert_eq!(EwahBitmap::read_slot(&slot, *card).is_some(), ok, "{what}: heap");
+            if cfg!(target_endian = "big") {
+                continue; // mapped views are little-endian-host only
+            }
+            std::fs::write(&path, &slot).unwrap();
+            let file = Arc::new(MmapFile::open(&path).unwrap());
+            let mapped = EwahBitmap::map_slot(ByteRegion::whole(file), *card, 1 << 20);
+            assert_eq!(mapped.is_some(), ok, "{what}: mapped");
+            // What a loader accepts takes an append at the next free id.
+            if let Some(mut posting) = mapped {
+                let next = posting.max_id().map_or(0, |m| m as u32 + 1);
+                let mut ids = posting.to_vec();
+                posting.append_sorted(&[next, next + 70]);
+                ids.extend([next, next + 70]);
+                assert_eq!(posting, EwahBitmap::from_sorted(&ids), "{what}: append");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -55,16 +55,19 @@
 //! contexts dropped, and a rename when the ids moved. So a rejected batch
 //! or an inconsistent store leaves the snapshot untouched, byte for byte.
 //!
-//! **Per-context jobs over dense words.** Dirty cells are sorted by context
-//! and fan out through [`scube_common::par`] one job per context (staging
-//! is pure, so the parallel update is bit-identical to the serial one).
-//! Each worker holds one `u32` per unit: a job fills it with its context's
-//! staged totals `t` and clears it from the same unit list afterwards, so a
-//! cell reads each unit's `t` in O(1). A stored minority entry is then
-//! walked once: each pair is decoded (with [`crate::histogram`]'s
-//! validation), checked for domination against its unit's *base* `t` (the
-//! staged `t` less the context's own per-unit delta, at most a batch
-//! long), advanced by the cell's own delta, and keyed `t << 32 | m` for
+//! **Per-context jobs over dense words.** Dirty cells, and then promotion
+//! candidates, are sorted by context and fan out through
+//! [`scube_common::par`] one job per context (staging is pure, so the
+//! parallel update is bit-identical to the serial one); both kinds go
+//! through one `Stager::stage_cell`. Each worker holds one `u32` per unit:
+//! a job fills it with its context's staged totals `t` when its first cell
+//! folds a minority and clears it from the same unit list afterwards, so a
+//! cell reads each unit's `t` in O(1). A minority is then walked once: each
+//! pair of a stored entry is decoded (with [`crate::histogram`]'s
+//! validation; a promotion's pairs are counted from `base(X)`'s words),
+//! checked for domination against its unit's *base* `t` (the staged `t`
+//! less the context's own per-unit delta, at most a batch long), advanced
+//! by the cell's own delta, and keyed `t << 32 | m` for
 //! [`ContextTotals::fold_keys`] — the tail of [`ContextTotals::fold`],
 //! which the builder and the explorer fold through, so every producer
 //! yields the same floats. A cell whose own delta is empty keeps its
@@ -510,29 +513,57 @@ fn moved_count(unit: u32, count: u64, appended: u64, retracted: u64) -> Result<u
     })
 }
 
+/// A merge of ascending base `(unit, count)` pairs, handed to
+/// [`Self::pair`] one by one, with an ascending delta: `visit(unit, count,
+/// appended, retracted)` runs once per unit of either list, in ascending
+/// unit order (a unit only the delta holds has a count of 0), the delta's
+/// tail at [`Self::finish`]. The one walk every histogram an update
+/// advances runs through.
+struct DeltaMerge<'a, V> {
+    delta: &'a [(u32, u64, u64)],
+    visit: V,
+}
+
+impl<V: FnMut(u32, u64, u64, u64)> DeltaMerge<'_, V> {
+    fn pair(&mut self, u: u32, count: u64) {
+        while let Some((&(du, added, retracted), rest)) = self.delta.split_first() {
+            if du > u {
+                break;
+            }
+            self.delta = rest;
+            if du == u {
+                return (self.visit)(u, count, added, retracted);
+            }
+            (self.visit)(du, 0, added, retracted);
+        }
+        (self.visit)(u, count, 0, 0);
+    }
+
+    fn finish(mut self) {
+        for &(du, added, retracted) in self.delta {
+            (self.visit)(du, 0, added, retracted);
+        }
+    }
+}
+
 /// Move ascending `(unit, count)` pairs by a delta ([`moved_count`] per
-/// unit, a merge of the two ascending lists); units that reach 0 leave.
+/// unit); units that reach 0 leave.
 fn advance_pairs(base: &[(u32, u64)], delta: &[(u32, u64, u64)]) -> Result<Vec<(u32, u64)>> {
     let mut out = Vec::with_capacity(base.len() + delta.len());
-    let mut push = |unit, moved: Result<u64>| {
-        match moved? {
-            0 => {}
-            count => out.push((unit, count)),
-        }
-        Ok::<_, ScubeError>(())
+    let mut failed = None;
+    let mut merge = DeltaMerge {
+        delta,
+        visit: |u, count, added, retracted| match moved_count(u, count, added, retracted) {
+            Ok(0) => {}
+            Ok(count) => out.push((u, count)),
+            Err(e) => {
+                failed.get_or_insert(e);
+            }
+        },
     };
-    let mut d = delta.iter().peekable();
-    for &(u, count) in base {
-        while let Some(&(du, added, retracted)) = d.next_if(|&&(du, ..)| du < u) {
-            push(du, moved_count(du, 0, added, retracted))?;
-        }
-        let (added, retracted) = d.next_if(|&&(du, ..)| du == u).map_or((0, 0), |d| (d.1, d.2));
-        push(u, moved_count(u, count, added, retracted))?;
-    }
-    for &(du, added, retracted) in d {
-        push(du, moved_count(du, 0, added, retracted))?;
-    }
-    Ok(out)
+    base.iter().for_each(|&(u, count)| merge.pair(u, count));
+    merge.finish();
+    failed.map_or(Ok(out), Err)
 }
 
 /// Resolved retractions plus the base rows they were matched against.
@@ -861,32 +892,74 @@ struct StagedCtx {
     totals: ContextTotals,
     delta: Delta,
     /// What the edit moved the totals by: a unit's base `t` is its staged
-    /// `t` less this, which is how its stored cells are checked for
+    /// `t` less this, which is how a cell's base minority is checked for
     /// domination without the base totals at hand.
     moved: UnitDelta,
 }
 
 /// A cell that survives staging: the entry of its minority histogram when
 /// the edit changed it (`None` for `⋆`-SA cells, which store none, and for
-/// cells whose own delta is empty, which keep theirs) and its values.
+/// stored cells whose own delta is empty, which keep theirs) and its values.
 type StagedCell = (Option<Store<u8>>, IndexValues);
 
-/// A dirty-cell worker's scratch.
+/// Where a cell to stage comes from, which decides where its base minority
+/// histogram and its closedness witness are read.
+#[derive(Clone, Copy)]
+enum Origin {
+    /// A cell of the cube: its histogram is its store entry, its witness
+    /// the first of its base rows the edit keeps.
+    Stored,
+    /// A promotion candidate generated by the appended row at this index:
+    /// its histogram is counted from `base(X)`'s words, and the row is its
+    /// witness.
+    Promoted(usize),
+}
+
+/// A cell's base minority histogram, as [`Stager::advance_minority`]
+/// reads it.
+enum BaseMinority<'a> {
+    /// A stored cell's entry, decoded (and validated) as it is walked.
+    Entry(&'a [u8]),
+    /// A promotion candidate's pairs, counted from `base(X)`'s words.
+    Pairs(&'a [(u32, u64)]),
+}
+
+/// A cell-staging worker's scratch.
 struct CellScratch {
     /// The staged `t` of every unit of the context being staged, 0
-    /// elsewhere: one `u32` per unit, filled from the context's units once
-    /// per job and cleared from the same list after it.
+    /// elsewhere: one `u32` per unit, filled from the context's units by
+    /// the job's first cell that folds a minority (`t_filled`) and cleared
+    /// from the same list after the job.
     t: Vec<u32>,
+    t_filled: bool,
     /// The cell's own delta, per unit.
     own: UnitDelta,
     /// The cell's advanced minority pairs (only when its own delta moved
     /// them), and their fold keys `t << 32 | m`.
     pairs: Vec<(u32, u64)>,
     keys: Vec<u64>,
-    /// `base(B)` of the job's context `B`, filled once per job when its
-    /// cells may lose closedness, and `base(X)` of the cell being staged.
+    /// `base(B)` of the job's context `B`, for stored cells that may lose
+    /// closedness, and `base(X)` of the cell being staged; the first is
+    /// allocated by the first job that needs it.
     context: Vec<u64>,
     base: Vec<u64>,
+    /// A promotion's base histogram, allocated by the first promotion.
+    units: Option<UnitScratch>,
+}
+
+impl CellScratch {
+    fn new(view: &EditView) -> Self {
+        CellScratch {
+            t: vec![0; view.n_units_after as usize],
+            t_filled: false,
+            own: UnitDelta::new(),
+            pairs: Vec::new(),
+            keys: Vec::new(),
+            context: Vec::new(),
+            base: dense_words(view),
+            units: None,
+        }
+    }
 }
 
 /// The read-only state the cell phases share.
@@ -903,98 +976,111 @@ impl Stager<'_> {
         self.cube.materialize() == Materialize::ClosedOnly
     }
 
-    /// Stage the stored cells of one touched context — one job. The
-    /// context's staged `t` enters the worker's unit-indexed scratch once;
-    /// every cell then looks its units up in O(1).
-    fn stage_context_cells(
+    /// Stage the cells of one context — one job, all of one origin. The
+    /// context's staged `t` enters the worker's unit-indexed scratch at
+    /// most once; every cell then looks its units up in O(1).
+    fn stage_job(
         &self,
-        cells: &[&CellCoords],
+        cells: &[(&CellCoords, Origin)],
         s: &mut CellScratch,
     ) -> Result<Vec<(CellCoords, Option<StagedCell>)>> {
-        let ctx = &self.contexts[&cells[0].ca];
-        if self.closed_only() && !ctx.delta.rem.is_empty() {
-            self.view.base_words(&cells[0].ca, &mut s.context);
-        }
-        // `ContextTotals` bounds `T`, hence every `t`, by the u32 row space.
-        for &(u, t) in ctx.totals.units() {
-            s.t[u as usize] = t as u32;
+        let (ca, origin) = (&cells[0].0.ca, cells[0].1);
+        let ctx = &self.contexts[ca];
+        if matches!(origin, Origin::Stored) && self.closed_only() && !ctx.delta.rem.is_empty() {
+            if s.context.is_empty() {
+                s.context = dense_words(&self.view);
+            }
+            self.view.base_words(ca, &mut s.context);
         }
         let staged = cells
             .iter()
-            .map(|&coords| Ok((coords.clone(), self.stage_stored(coords, ctx, s)?)))
+            .map(|&(coords, origin)| Ok((coords.clone(), self.stage_cell(coords, ctx, origin, s)?)))
             .collect();
-        for &(u, _) in ctx.totals.units() {
-            s.t[u as usize] = 0;
+        if std::mem::take(&mut s.t_filled) {
+            for &(u, _) in ctx.totals.units() {
+                s.t[u as usize] = 0;
+            }
         }
         staged
     }
 
-    /// Stage one stored cell in the edited table: advance its minority
-    /// histogram by its own delta, decide support and closedness, and fold
-    /// its values from the staged integer histograms (the builder's fold,
-    /// so the floats are a rebuild's). `None` = not a cell after the edit.
-    fn stage_stored(
+    /// Stage one cell in the edited table: its support, closedness and
+    /// values, the minority histogram advanced by the cell's own delta and
+    /// folded from the staged integer histograms (the builder's fold, so
+    /// the floats are a rebuild's). `None` = not a cell after the edit.
+    fn stage_cell(
         &self,
         coords: &CellCoords,
         ctx: &StagedCtx,
+        origin: Origin,
         s: &mut CellScratch,
     ) -> Result<Option<StagedCell>> {
-        let (b, measures) = (self.cube.atkinson_b(), self.cube.measures());
-        let items = coords.union();
-        if coords.sa.is_empty() {
+        let (view, items) = (&self.view, coords.union());
+        let own_delta;
+        let delta = if coords.sa.is_empty() {
+            &ctx.delta
+        } else {
+            own_delta = view.delta(&items);
+            view.unit_delta(&own_delta, &mut s.own);
+            &own_delta
+        };
+        let support = match origin {
             // `A = ⋆` ⇒ minority ≡ population (the builder's apex path).
-            let support = ctx.totals.total();
-            if !items.is_empty() && !self.stored_keeps(coords, &ctx.delta, support, s) {
-                return Ok(None);
+            Origin::Stored if coords.sa.is_empty() => ctx.totals.total(),
+            Origin::Stored => {
+                let entry = self.cube.store.minorities.get(coords).ok_or_else(|| {
+                    ScubeError::Inconsistent("update: cell missing from maintenance store".into())
+                })?;
+                self.advance_minority(ctx, s, BaseMinority::Entry(entry))?
             }
-            return Ok(Some((None, ctx.totals.fold_whole(b, measures))));
-        }
-        let delta = self.view.delta(&items);
-        self.view.unit_delta(&delta, &mut s.own);
-        let entry = self.cube.store.minorities.get(coords).ok_or_else(|| {
-            ScubeError::Inconsistent("update: cell missing from maintenance store".into())
-        })?;
-        let support = self.advance_stored(entry, ctx, s)?;
-        if !self.stored_keeps(coords, &delta, support, s) {
+            Origin::Promoted(_) => {
+                let base = view.base_words(&items, &mut s.base);
+                base - delta.rem.cardinality() + delta.add.cardinality()
+            }
+        };
+        if !items.is_empty() && !self.keeps(coords, &items, delta, support, origin, s) {
             return Ok(None);
         }
+        let (b, measures) = (self.cube.atkinson_b(), self.cube.measures());
+        if coords.sa.is_empty() {
+            return Ok(Some((None, ctx.totals.fold_whole(b, measures))));
+        }
+        if let Origin::Promoted(_) = origin {
+            let units = s.units.get_or_insert_with(|| UnitScratch::new(view.vertical.num_units()));
+            view.vertical.unit_histogram_words_into(&s.base, units);
+            let base = units.sorted_pairs();
+            self.advance_minority(ctx, s, BaseMinority::Pairs(&base))?;
+        }
         let values = ctx.totals.fold_keys(&mut s.keys, b, measures)?;
-        let moved = !s.own.is_empty();
-        Ok(Some((moved.then(|| encode_entry(&s.pairs)), values)))
+        Ok(Some(((!s.own.is_empty()).then(|| encode_entry(&s.pairs)), values)))
     }
 
-    /// One pass over a stored minority entry: each pair is decoded (which
-    /// validates the entry), checked against its unit's base `t` —
-    /// domination is what only the pair shows — advanced by the cell's own
-    /// delta `s.own`, and keyed `t << 32 | m` against the staged `t` for
-    /// [`ContextTotals::fold_keys`]. The advanced pairs are kept for
-    /// re-encoding only when the own delta moved them. Returns the support.
-    fn advance_stored(&self, entry: &[u8], ctx: &StagedCtx, s: &mut CellScratch) -> Result<u64> {
+    /// One pass over a cell's base minority pairs: each is checked against
+    /// its unit's base `t` — domination is what only the pair shows —
+    /// advanced by the cell's own delta `s.own`, and keyed `t << 32 | m`
+    /// against the staged `t` for [`ContextTotals::fold_keys`]. The
+    /// advanced pairs are kept for re-encoding only when the own delta
+    /// moved them. Returns the support.
+    fn advance_minority(
+        &self,
+        ctx: &StagedCtx,
+        s: &mut CellScratch,
+        base: BaseMinority,
+    ) -> Result<u64> {
+        if !s.t_filled {
+            // `ContextTotals` bounds `T`, hence every `t`, by the u32 row space.
+            for &(u, t) in ctx.totals.units() {
+                s.t[u as usize] = t as u32;
+            }
+            s.t_filled = true;
+        }
         let CellScratch { t, own, pairs, keys, .. } = s;
         let (t, own, moved) = (&*t, &*own, ctx.moved.as_slice());
         pairs.clear();
         keys.clear();
         let (mut support, mut dominated, mut failed) = (0u64, true, None);
-        let mut emit = |u: u32, count: Result<u64>| match count {
-            Ok(0) => {}
-            Ok(m) => {
-                support = support.saturating_add(m);
-                keys.push(u64::from(t[u as usize]) << 32 | m);
-                if !own.is_empty() {
-                    pairs.push((u, m));
-                }
-            }
-            Err(e) => {
-                failed.get_or_insert(e);
-            }
-        };
-        let (mut next_own, mut next_moved) = (0, 0);
-        histogram::decode_each(entry, self.view.vertical.num_units(), |u, m| {
-            // Own-delta units below `u` had no stored minority.
-            while let Some(&(du, added, retracted)) = own.get(next_own).filter(|d| d.0 < u) {
-                emit(du, moved_count(du, 0, added, retracted));
-                next_own += 1;
-            }
+        let mut next_moved = 0;
+        let visit = |u, m, added, retracted| {
             while moved.get(next_moved).is_some_and(|d| d.0 < u) {
                 next_moved += 1;
             }
@@ -1004,86 +1090,67 @@ impl Stager<'_> {
                 _ => t_now,
             };
             dominated &= m <= t_base;
-            let (added, retracted) = match own.get(next_own) {
-                Some(&(du, added, retracted)) if du == u => {
-                    next_own += 1;
-                    (added, retracted)
+            match moved_count(u, m, added, retracted) {
+                Ok(0) => {}
+                Ok(m) => {
+                    support = support.saturating_add(m);
+                    keys.push(t_now << 32 | m);
+                    if !own.is_empty() {
+                        pairs.push((u, m));
+                    }
                 }
-                _ => (0, 0),
-            };
-            emit(u, moved_count(u, m, added, retracted));
-        })?;
-        for &(du, added, retracted) in &own[next_own..] {
-            emit(du, moved_count(du, 0, added, retracted));
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
+        };
+        let mut merge = DeltaMerge { delta: own, visit };
+        match base {
+            BaseMinority::Entry(entry) => {
+                let n_units = self.view.vertical.num_units();
+                histogram::decode_each(entry, n_units, |u, m| merge.pair(u, m))?;
+            }
+            BaseMinority::Pairs(base) => base.iter().for_each(|&(u, m)| merge.pair(u, m)),
         }
+        merge.finish();
         if !dominated {
             return Err(not_dominated());
         }
         failed.map_or(Ok(support), Err)
     }
 
-    /// Whether a stored cell (over a non-empty itemset) is still one after
-    /// the edit: frequent, and — under [`Materialize::ClosedOnly`], when it
-    /// lost rows, the only way it can lose closedness — still closed, with
-    /// its first surviving row as the witness. `base(X)` narrows the job's
-    /// `base(B)` by the cell's SA items.
-    fn stored_keeps(
+    /// Whether a non-empty itemset with edited support `support` is a cell
+    /// after the edit: frequent and, under [`Materialize::ClosedOnly`],
+    /// closed. A stored cell can lose closedness only by losing rows; its
+    /// witness is its first surviving row, found in `base(X)` — the job's
+    /// `base(B)` narrowed by the cell's SA items. A promotion candidate's
+    /// witness is its generating row, and `s.base` already holds
+    /// `base(X)`.
+    fn keeps(
         &self,
         coords: &CellCoords,
+        items: &[ItemId],
         delta: &Delta,
         support: u64,
+        origin: Origin,
         s: &mut CellScratch,
     ) -> bool {
         if support < self.cube.min_support() {
             return false;
         }
-        if !self.closed_only() || delta.rem.is_empty() {
+        if !self.closed_only() {
             return true;
         }
-        let (view, items) = (&self.view, coords.union());
-        view.narrow_words(&s.context, &coords.sa, &mut s.base);
-        let witness = view.witness(&items, &s.base);
-        view.closed_after_edit(&items, delta, support, witness, &s.base)
-    }
-
-    /// Stage one promotion candidate, generated by appended row `row`:
-    /// support, closedness (the row is the witness) and base histogram all
-    /// come from `base(X)`'s words, and the histogram is then advanced by
-    /// the candidate's delta like a stored cell's. `None` = not a cell.
-    fn stage_promoted(
-        &self,
-        coords: &CellCoords,
-        row: usize,
-        (units, own, words): &mut (UnitScratch, UnitDelta, Vec<u64>),
-    ) -> Result<Option<StagedCell>> {
         let view = &self.view;
-        let ctx = &self.contexts[&coords.ca];
-        let items = coords.union();
-        let own_delta;
-        let delta = if coords.sa.is_empty() {
-            &ctx.delta
-        } else {
-            own_delta = view.delta(&items);
-            &own_delta
+        let witness = match origin {
+            Origin::Stored if delta.rem.is_empty() => return true,
+            Origin::Stored => {
+                view.narrow_words(&s.context, &coords.sa, &mut s.base);
+                view.witness(items, &s.base)
+            }
+            Origin::Promoted(row) => &view.encoded.rows[row].0,
         };
-        let base = view.base_words(&items, words);
-        let support = base - delta.rem.cardinality() + delta.add.cardinality();
-        let witness = &view.encoded.rows[row].0;
-        if support < self.cube.min_support()
-            || (self.closed_only()
-                && !view.closed_after_edit(&items, delta, support, witness, words))
-        {
-            return Ok(None);
-        }
-        let (b, measures) = (self.cube.atkinson_b(), self.cube.measures());
-        if coords.sa.is_empty() {
-            return Ok(Some((None, ctx.totals.fold_whole(b, measures))));
-        }
-        view.vertical.unit_histogram_words_into(words, units);
-        view.unit_delta(delta, own);
-        let minority = advance_pairs(&units.sorted_pairs(), own)?;
-        let values = ctx.totals.fold(&minority, b, measures)?;
-        Ok(Some((Some(encode_entry(&minority)), values)))
+        view.closed_after_edit(items, delta, support, witness, &s.base)
     }
 }
 
@@ -1106,41 +1173,42 @@ fn stage_contexts(
     Ok(staged)
 }
 
-/// Phase: stage every cell of a touched context (`None` = demoted), one
-/// job per context: the cells are sorted by context, so each job fills its
+/// Stage `cells` (`None` = not a cell after the edit), one job per
+/// context: the cells are sorted by context, so each job fills its
 /// worker's `t` scratch once.
-fn stage_dirty_cells(
+fn stage_cells(
     stager: &Stager,
+    mut cells: Vec<(&CellCoords, Origin)>,
     threads: usize,
 ) -> Result<Vec<(CellCoords, Option<StagedCell>)>> {
-    let mut dirty: Vec<&CellCoords> = stager
-        .cube
-        .cells()
-        .map(|(coords, _)| coords)
-        .filter(|coords| stager.contexts.contains_key(&coords.ca))
-        .collect();
-    dirty.sort_unstable_by(|x, y| (&x.ca, &x.sa).cmp(&(&y.ca, &y.sa)));
-    let jobs: Vec<&[&CellCoords]> = dirty.chunk_by(|x, y| x.ca == y.ca).collect();
-    let view = &stager.view;
+    cells.sort_unstable_by(|(x, _), (y, _)| (&x.ca, &x.sa).cmp(&(&y.ca, &y.sa)));
+    let jobs: Vec<&[(&CellCoords, Origin)]> = cells.chunk_by(|x, y| x.0.ca == y.0.ca).collect();
     let staged = scube_common::par::map(
         jobs,
         threads,
-        || CellScratch {
-            t: vec![0; view.n_units_after as usize],
-            own: UnitDelta::new(),
-            pairs: Vec::new(),
-            keys: Vec::new(),
-            context: dense_words(view),
-            base: dense_words(view),
-        },
-        |scratch, cells| stager.stage_context_cells(cells, scratch),
+        || CellScratch::new(&stager.view),
+        |scratch, cells| stager.stage_job(cells, scratch),
     )?;
     Ok(staged.into_iter().flatten().collect())
 }
 
+/// Phase: stage every cell of a touched context (`None` = demoted).
+fn stage_dirty_cells(
+    stager: &Stager,
+    threads: usize,
+) -> Result<Vec<(CellCoords, Option<StagedCell>)>> {
+    let dirty = stager
+        .cube
+        .cells()
+        .filter(|(coords, _)| stager.contexts.contains_key(&coords.ca))
+        .map(|(coords, _)| (coords, Origin::Stored))
+        .collect();
+    stage_cells(stager, dirty, threads)
+}
+
 /// Phase: stage the promotions. Each candidate's context is staged first —
-/// counted from `base(B)`'s words when no cell had it — and the candidate
-/// itself is then staged from `base(X)`'s words.
+/// counted from `base(B)`'s words when no cell had it — and the candidates
+/// are then staged like dirty cells, from `base(X)`'s words.
 fn stage_promotions(
     stager: &mut Stager,
     dirty: &[(CellCoords, Option<StagedCell>)],
@@ -1150,9 +1218,7 @@ fn stage_promotions(
         dirty.iter().filter(|(_, staged)| staged.is_none()).map(|(coords, _)| coords).collect();
     let candidates = promotion_candidates(&stager.view, stager.cube, &demoted);
     let view = &stager.view;
-    let scratch =
-        || (UnitScratch::new(view.vertical.num_units()), UnitDelta::new(), dense_words(view));
-    let (mut units, _, mut words) = scratch();
+    let (mut units, mut words) = (UnitScratch::new(view.vertical.num_units()), dense_words(view));
     for (coords, _) in &candidates {
         if !stager.contexts.contains_key(&coords.ca) {
             view.base_words(&coords.ca, &mut words);
@@ -1161,12 +1227,9 @@ fn stage_promotions(
             stager.contexts.insert(coords.ca.clone(), ctx);
         }
     }
-    let stager = &*stager;
-    let staged = scube_common::par::map(candidates, threads, scratch, |scratch, (coords, r)| {
-        let staged = stager.stage_promoted(&coords, r, scratch)?;
-        Ok(staged.map(|s| (coords, s)))
-    })?;
-    Ok(staged.into_iter().flatten().collect())
+    let cells = candidates.iter().map(|(coords, row)| (coords, Origin::Promoted(*row))).collect();
+    let staged = stage_cells(stager, cells, threads)?;
+    Ok(staged.into_iter().filter_map(|(coords, staged)| Some((coords, staged?))).collect())
 }
 
 /// The promotion candidates: itemsets frequent in the edited table that are

@@ -31,6 +31,9 @@
 //!   `from_bytes` and, through `open_mmap`, at the first update that
 //!   trusts the entry: before anything is mutated, the snapshot still
 //!   re-saving to the file's bytes.
+//! * Posting slots are bounded as well: one whose set bits alias past the
+//!   universe, and one whose stream ends past its last set bit (which an
+//!   update's tail-append would resume at), are refused by every open.
 //!
 //! To regenerate the goldens after an *intentional* format change:
 //! `GOLDEN_BLESS=1 cargo test -p scube --test snapshot_format` and review
@@ -622,11 +625,9 @@ fn a_posting_aliasing_past_the_universe_is_refused_by_every_open() {
     let put = |bytes: &mut [u8], at: usize, word: u64| {
         bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
     };
-    // Directory words 2..=6: postdir_off, n_postings, slots_off, slots_len,
-    // store_off.
-    let dir = |i: usize| word(&bytes, DIR_OFF + 8 * i);
-    let (postdir_off, n_postings) = (dir(2) as usize, dir(3) as usize);
-    let (slots_off, slots_len, store_off) = (dir(4) as usize, dir(5), dir(6) as usize);
+    // Directory words 2 and 4: postdir_off, slots_off.
+    let (postdir_off, slots_off) =
+        (word(&bytes, DIR_OFF + 16) as usize, word(&bytes, DIR_OFF + 32) as usize);
     let marker = |run: u64, lit: u64| (run << 1) | (lit << 33);
     let refused = |what: &str, bytes: &[u8]| {
         let err = CubeSnapshot::from_bytes(bytes).expect_err(what).to_string();
@@ -649,22 +650,84 @@ fn a_posting_aliasing_past_the_universe_is_refused_by_every_open() {
     refused("every tid past 2^32", &wrapped);
 
     // The last posting's highest tid moved to bit 2³² + tid, beside the
-    // real ones: the slot grows by a marker and a literal, so its directory
-    // entry, the slots length and the store offset move with it.
+    // real ones: the slot grows by a marker and a literal.
     let ids: Vec<u32> = good.vertical().postings().last().unwrap().iter().collect();
     let (&high, low) = ids.split_last().unwrap();
     assert!(!low.is_empty() && high < 64, "fixture: one literal word, several tids");
     let low_word = low.iter().fold(0u64, |w, &tid| w | 1 << tid);
     let slot = [marker(0, 1), low_word, marker((1 << 26) - 1, 1), 1u64 << high];
+    refused("one tid past 2^32 beside real ones", &with_last_slot(&bytes, &slot));
+}
+
+/// `bytes` with its last posting's slot — the one the store follows —
+/// replaced by `slot`: its directory entry, the slots length and the store
+/// offset move with the slot's size, and both checksums are recomputed.
+fn with_last_slot(bytes: &[u8], slot: &[u64]) -> Vec<u8> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let put = |bytes: &mut [u8], at: usize, word: u64| {
+        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    };
+    // Directory words 2..=6: postdir_off, n_postings, slots_off, slots_len,
+    // store_off.
+    let dir = |i: usize| word(DIR_OFF + 8 * i);
+    let (postdir_off, n_postings) = (dir(2) as usize, dir(3) as usize);
+    let (slots_len, store_off) = (dir(5), dir(6) as usize);
     let entry = postdir_off + 24 * (n_postings - 1);
-    let slot_off = word(&bytes, entry) as usize;
-    let mut beside = bytes[..slot_off].to_vec();
-    beside.extend(slot.iter().flat_map(|w| w.to_le_bytes()));
-    beside.extend_from_slice(&bytes[store_off..]);
-    let grown = (beside.len() - bytes.len()) as u64;
-    put(&mut beside, entry + 8, 8 * slot.len() as u64);
-    put(&mut beside, DIR_OFF + 8 * 5, slots_len + grown);
-    put(&mut beside, DIR_OFF + 8 * 6, store_off as u64 + grown);
-    repatch_both_sums(&mut beside);
-    refused("one tid past 2^32 beside real ones", &beside);
+    let slot_off = word(entry) as usize;
+    assert_eq!(slot_off + word(entry + 8) as usize, store_off, "the last slot ends the region");
+    let mut out = bytes[..slot_off].to_vec();
+    out.extend(slot.iter().flat_map(|w| w.to_le_bytes()));
+    out.extend_from_slice(&bytes[store_off..]);
+    let grown = out.len() as u64 - bytes.len() as u64;
+    put(&mut out, entry + 8, 8 * slot.len() as u64);
+    put(&mut out, DIR_OFF + 8 * 5, slots_len + grown);
+    put(&mut out, DIR_OFF + 8 * 6, store_off as u64 + grown);
+    repatch_both_sums(&mut out);
+    out
+}
+
+/// A posting slot may hold the right ids and still end past its last set
+/// bit — in zero literals, a zero run or an empty marker — which no
+/// encoder writes. An update appends to postings at the span their markers
+/// cover, so such a tail would misplace the appended tids (or trip the
+/// append's own check mid-commit): every open refuses the slot instead,
+/// and no update ever sees it.
+#[test]
+fn a_posting_ending_past_its_last_set_bit_is_refused_by_every_open() {
+    let good = golden_build(MeasureSet::FULL);
+    let bytes = good.to_bytes();
+    let marker = |run: u64, lit: u64| (run << 1) | (lit << 33);
+    let ids: Vec<u32> = good.vertical().postings().last().unwrap().iter().collect();
+    assert!(ids.last().is_some_and(|&max| max < 64), "fixture: one literal word");
+    let w = ids.iter().fold(0u64, |w, &tid| w | 1 << tid);
+    assert_eq!(with_last_slot(&bytes, &[marker(0, 1), w]), bytes, "the fixture's own slot");
+    for (what, slot) in [
+        ("two trailing zero literals", vec![marker(0, 3), w, 0, 0]),
+        ("a zero run, then an empty marker", vec![marker(0, 1), w, marker(1, 0), marker(0, 0)]),
+        ("a trailing zero run", vec![marker(0, 1), w, marker(3, 0)]),
+    ] {
+        let hostile = with_last_slot(&bytes, &slot);
+        let err = CubeSnapshot::from_bytes(&hostile).expect_err(what).to_string();
+        assert!(err.contains("malformed posting slot"), "{what}, heap: {err}");
+        if cfg!(target_endian = "little") {
+            for verified in [false, true] {
+                let err = open_mapped("tail", &hostile, verified).expect_err(what).to_string();
+                assert!(err.contains("malformed posting slot"), "{what}, mapped: {err}");
+            }
+        }
+    }
+    // The encoder's own slot opens, and a retraction and an append through
+    // either open give the bytes the same update gives the built snapshot.
+    let mut batch = UpdateBatch::new();
+    batch.remove_tid(0).add_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
+    let mut expected = good.clone();
+    expected.apply_update(&batch).unwrap();
+    let mut heap = CubeSnapshot::from_bytes(&bytes).unwrap();
+    heap.apply_update(&batch).unwrap();
+    assert_eq!(heap.to_bytes(), expected.to_bytes(), "heap open, then update");
+    if cfg!(target_endian = "little") {
+        let mut mapped = open_mapped("tail_ok", &bytes, false).unwrap();
+        mapped.apply_update(&batch).unwrap();
+        assert_eq!(mapped.to_bytes(), expected.to_bytes(), "mapped open, then update");
+    }
 }
