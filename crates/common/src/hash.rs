@@ -17,7 +17,14 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// The Fx hash function: `state = (state <<< 5 ^ word) * SEED` per word.
+/// The Fx hash function: `state = (state <<< 5 ^ word) * SEED` per word,
+/// finished by a rotation.
+///
+/// The multiply leaves the state's low bits depending only on the low
+/// bytes of each word, and hashbrown picks a bucket from the low bits, so
+/// the raw state piles keys that differ only in their high bytes (`c0` …
+/// `c1499999`, say) into a few buckets. `finish` rotates the well-mixed
+/// high bits down, as the rustc-hash 2.x finisher does.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     state: u64,
@@ -33,7 +40,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -151,6 +158,21 @@ mod tests {
             h2.write(&bytes);
             assert_eq!(h1.finish(), h2.finish(), "len {len}");
         }
+    }
+
+    #[test]
+    fn low_bits_spread_keys_that_differ_in_high_bytes() {
+        // The unit keys of the 4.2 M-row scale run, bucketed by the low 16
+        // bits a hash table indexes with: 1.5 M keys, a mean load of 22.9.
+        // The unrotated state piled 15 671 keys into one bucket.
+        const KEYS: u32 = 1_500_000;
+        let mut load = vec![0u32; 1 << 16];
+        for i in 0..KEYS {
+            load[(hash_of(&format!("c{i}")) & 0xffff) as usize] += 1;
+        }
+        let fullest = *load.iter().max().unwrap();
+        let mean = f64::from(KEYS) / f64::from(1u32 << 16);
+        assert!(f64::from(fullest) <= 4.0 * mean, "fullest bucket {fullest}, mean {mean:.1}");
     }
 
     #[test]

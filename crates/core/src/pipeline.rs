@@ -395,6 +395,52 @@ mod tests {
     }
 
     #[test]
+    fn labels_are_shared_until_a_batch_writes_them() {
+        use scube_cube::{ConcurrentCubeEngine, UpdateBatch};
+        let table = rel(
+            &["gender", "region", "unitID"],
+            &[
+                &["F", "north", "u0"],
+                &["F", "south", "u0"],
+                &["M", "north", "u1"],
+                &["F", "north", "u1"],
+                &["M", "south", "u2"],
+            ],
+        );
+        let spec = FinalTableSpec::new("unitID").sa("gender").ca("region");
+        let built = run_final_table(&table, &spec, &CubeBuilder::new()).unwrap();
+        let engine = ConcurrentCubeEngine::new(snapshot_chunked(&built).unwrap());
+        let source = engine.snapshot();
+        let (labels, bytes) = (source.cube().labels().clone(), source.to_bytes());
+        let shared = |next: &scube_cube::CubeSnapshot| {
+            std::ptr::eq(next.cube().labels(), source.cube().labels())
+        };
+        assert!(shared(&engine.snapshot()), "a snapshot shares the served labels");
+
+        // An append of known labels and a retraction of row 3, which is no
+        // item's or unit's first occurrence: nothing to write.
+        let mut known = UpdateBatch::new();
+        known.add_row(&[("gender", "M"), ("region", "north")], "u0");
+        known.remove_tid(3);
+        // A new unit; and the retraction of u2's only row, which renames.
+        let mut adds = UpdateBatch::new();
+        adds.add_row(&[("gender", "F"), ("region", "south")], "u3");
+        let mut renames = UpdateBatch::new();
+        renames.remove_tid(4);
+
+        for (batch, writes) in [(&known, false), (&adds, true), (&renames, true)] {
+            let mut next = engine.snapshot();
+            let stats = next.apply_update(batch).unwrap();
+            assert_eq!(stats.new_units + stats.dropped_units, usize::from(writes), "{stats:?}");
+            assert_eq!(shared(&next), !writes, "{stats:?}");
+            assert_eq!(next.cube().labels() == &labels, !writes, "{stats:?}");
+            assert_eq!(source.cube().labels(), &labels, "the source keeps its labels");
+            assert_eq!(source.to_bytes(), bytes, "and its bytes");
+            assert_eq!(engine.snapshot().to_bytes(), bytes, "as does the engine");
+        }
+    }
+
+    #[test]
     fn snapshots_follow_membership_intervals() {
         let d = dataset();
         let config =

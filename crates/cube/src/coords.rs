@@ -43,16 +43,22 @@ impl CellCoords {
     /// core of [`Self::from_itemset`] and the label-based splits used by
     /// builds that never materialize a [`TransactionDb`].
     pub fn split_sorted(items: &[ItemId], is_sa: impl Fn(ItemId) -> bool) -> Self {
-        let mut sa = Vec::new();
-        let mut ca = Vec::new();
+        let mut coords = CellCoords::default();
+        coords.split_sorted_into(items, is_sa);
+        coords
+    }
+
+    /// [`Self::split_sorted`] into `self`, reusing its two buffers.
+    pub(crate) fn split_sorted_into(&mut self, items: &[ItemId], is_sa: impl Fn(ItemId) -> bool) {
+        self.sa.clear();
+        self.ca.clear();
         for &item in items {
             if is_sa(item) {
-                sa.push(item);
+                self.sa.push(item);
             } else {
-                ca.push(item);
+                self.ca.push(item);
             }
         }
-        CellCoords { sa, ca }
     }
 
     /// The union itemset `A ∪ B`, sorted.

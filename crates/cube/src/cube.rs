@@ -129,7 +129,9 @@ impl CubeLabels {
 #[derive(Debug, Clone)]
 pub struct SegregationCube {
     cells: FxHashMap<CellCoords, IndexValues>,
-    labels: CubeLabels,
+    /// Shared between clones like the store, and copied on the first
+    /// write: only an update that adds a label or renames writes them.
+    labels: Arc<CubeLabels>,
     min_support: u64,
     materialize: Materialize,
     atkinson_b: f64,
@@ -138,7 +140,7 @@ pub struct SegregationCube {
     /// fold or read back by the snapshot decoder — never re-derived — and
     /// changed only by an update's commit. Shared between clones and
     /// copied on the first write ([`Arc::make_mut`]), so a clone copies
-    /// cells and labels, not the store.
+    /// the cells, not the store or the labels.
     pub(crate) store: Arc<MaintenanceStore>,
 }
 
@@ -166,7 +168,7 @@ impl SegregationCube {
     ) -> Self {
         SegregationCube {
             cells,
-            labels,
+            labels: Arc::new(labels),
             min_support: config.min_support,
             materialize: config.materialize,
             atkinson_b: config.atkinson_b,
@@ -248,10 +250,12 @@ impl SegregationCube {
 
     /// Mutable view of the update commit (`crate::update`): labels, cells
     /// and the maintenance store, in one borrow. The store is copied here
-    /// when another clone still shares it.
+    /// when another clone still shares it; the labels are handed over
+    /// shared, for the commit to copy only when it writes them.
     pub(crate) fn update_parts(
         &mut self,
-    ) -> (&mut CubeLabels, &mut FxHashMap<CellCoords, IndexValues>, &mut MaintenanceStore) {
+    ) -> (&mut Arc<CubeLabels>, &mut FxHashMap<CellCoords, IndexValues>, &mut MaintenanceStore)
+    {
         (&mut self.labels, &mut self.cells, Arc::make_mut(&mut self.store))
     }
 

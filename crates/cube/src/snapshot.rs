@@ -34,7 +34,7 @@
 //! [8..12)   format version (u32, 8)
 //! [12]      posting representation tag (EwahBitmap::SERIAL_TAG = 1; any
 //!           other value is an error)
-//! [13..21)  FxHash checksum (u64) of bytes [24..)   — the full checksum
+//! [13..21)  checksum (u64) of bytes [24..)   — the full checksum
 //! [21..24)  zero padding
 //! [24..96)  offset directory: nine u64s
 //!             meta_off, meta_len, postdir_off, n_postings,
@@ -57,7 +57,7 @@
 //!           pairs, see [`crate::histogram`]
 //! ```
 //!
-//! `meta_sum` is an FxHash over the directory (sans itself), the meta
+//! `meta_sum` is the same sum over the directory (sans itself), the meta
 //! region, and the posting directory — everything `open_mmap` must trust
 //! *eagerly*. Verifying it costs O(metadata), not O(file): posting slots
 //! are validated structurally per slot ([`EwahBitmap::map_slot`], enough to
@@ -732,21 +732,52 @@ impl fmt::Display for SnapshotCensus {
     }
 }
 
-/// FxHash over the concatenated `parts` — fast, deterministic, and plenty
-/// for detecting truncation and bit rot (this is an integrity check, not
-/// an authenticity one). The full checksum hashes one part; `meta_sum`
+/// The v8 checksum's hash, part of the file format: FxHash's word step,
+/// `state = (state <<< 5 ^ word) · K`, over whole 8-byte little-endian
+/// words, then one 4-byte word and single bytes for a part's tail, and
+/// the raw state as the sum. It is its own type so that the general
+/// hasher ([`scube_common::hash::FxHasher`]) can change without moving a
+/// byte of any file.
+#[derive(Default)]
+struct SumHasher {
+    state: u64,
+}
+
+impl SumHasher {
+    fn word(&mut self, word: u64) {
+        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let mut tail = words.remainder();
+        if let Some((w, rest)) = tail.split_first_chunk::<4>() {
+            self.word(u64::from(u32::from_le_bytes(*w)));
+            tail = rest;
+        }
+        for &b in tail {
+            self.word(u64::from(b));
+        }
+    }
+}
+
+/// [`SumHasher`] over the concatenated `parts` — fast, deterministic, and
+/// plenty for detecting truncation and bit rot (this is an integrity check,
+/// not an authenticity one). The full checksum hashes one part; `meta_sum`
 /// hashes two, its coverage skipping the `meta_sum` word itself.
 fn checksum(parts: &[&[u8]]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = scube_common::hash::FxHasher::default();
+    let mut h = SumHasher::default();
     let mut len = 0u64;
     for part in parts {
         h.write(part);
         len += part.len() as u64;
     }
     // Fold the length in so a truncated all-zero tail cannot collide.
-    h.write_u64(len);
-    h.finish()
+    h.word(len);
+    h.state
 }
 
 /// [`checksum`] fed piecewise: whatever the write boundaries, `finish`
@@ -755,7 +786,7 @@ fn checksum(parts: &[&[u8]]) -> u64 {
 /// carried across writes until their word is complete.
 #[derive(Default)]
 struct ChecksumStream {
-    hasher: scube_common::hash::FxHasher,
+    hasher: SumHasher,
     carry: [u8; 8],
     carried: usize,
     len: u64,
@@ -763,7 +794,6 @@ struct ChecksumStream {
 
 impl ChecksumStream {
     fn feed(&mut self, mut bytes: &[u8]) {
-        use std::hash::Hasher;
         self.len += bytes.len() as u64;
         if self.carried > 0 {
             let take = bytes.len().min(8 - self.carried);
@@ -783,10 +813,9 @@ impl ChecksumStream {
     }
 
     fn finish(mut self) -> u64 {
-        use std::hash::Hasher;
         self.hasher.write(&self.carry[..self.carried]);
-        self.hasher.write_u64(self.len);
-        self.hasher.finish()
+        self.hasher.word(self.len);
+        self.hasher.state
     }
 }
 

@@ -37,7 +37,9 @@
 //!    batches: a net gain requires an appended occurrence). Each distinct
 //!    frequent-item projection of a row is walked level-wise (Apriori: a
 //!    `k + 1`-set is counted only when all its `k`-subsets are frequent), so
-//!    no row is too wide. A candidate is then staged like a dirty cell —
+//!    no row is too wide; an item's support is read off stored
+//!    cardinalities, and the walk interns each itemset it meets once,
+//!    allocating nothing per subset. A candidate is then staged like a dirty cell —
 //!    its base histogram counted from `base(X)`'s dense words instead of
 //!    decoded from the store, advanced by the same deltas, put to the same
 //!    closedness test with its generating row as the witness — so
@@ -54,6 +56,18 @@
 //! appended rows in, staged labels, cells and store entries pushed, unused
 //! contexts dropped, and a rename when the ids moved. So a rejected batch
 //! or an inconsistent store leaves the snapshot untouched, byte for byte.
+//!
+//! **Nothing sized by the table, outside the dirty cells.** The batch's
+//! names are resolved in one pass over the item labels and one over the
+//! unit names, each ending once every name is found, into a batch-sized map
+//! (no map of the cube's labels is built). Retractions resolve through the
+//! postings: a row match's candidates are the tids its items' postings
+//! share, filtered by unit, and a candidate matches only if its row —
+//! rebuilt from the postings, one membership test per item — holds exactly
+//! those items; the retracted rows' items are each posting ∧ the retracted
+//! set. No horizontal table is built. The labels sit behind an `Arc`
+//! shared with the clone the update started from, and the commit copies
+//! them only when the batch adds a label or renames.
 //!
 //! **Per-context jobs over dense words.** Dirty cells, and then promotion
 //! candidates, are sorted by context and fan out through
@@ -75,8 +89,10 @@
 //! Closedness runs on two dense tidsets of ⌈rows/64⌉ words per worker: a
 //! job's `base(B)`, decoded once when its cells may lose closedness, and a
 //! cell's `base(X)`, that copy narrowed by the cell's SA postings. The
-//! witness is `base(X)`'s first bit that was not retracted, and each
-//! extender's kept count is its posting counted against those words. The
+//! witness is the row of `base(X)`'s first bit that was not retracted,
+//! rebuilt from the postings into the worker's scratch and reused while
+//! that tid repeats, and each extender's kept count is its posting counted
+//! against those words. The
 //! fold reads a histogram as a *multiset* of `(m, t)` pairs and orders them
 //! itself (`scube_segindex::indexes`), so a value depends on no unit id and
 //! no visit order: a cell whose histogram the delta did not touch keeps
@@ -92,15 +108,21 @@
 //! *rename*: `VerticalDb::rename` permutes the postings and maps the
 //! `tid → unit` map, and labels, cell coordinates and store keys and units
 //! are remapped to the ids a rebuild would assign. Nothing is rebuilt, and
-//! by the invariance above the rename dirties no cell. Retractions that move
-//! no first occurrence and empty nothing skip it. The within-row tie-break
-//! is attribute-major, then prior id, which matches a rebuild's interning
-//! whenever a row lists each attribute's values in dictionary order: always
-//! for single-valued attributes, and for multi-valued ones as
+//! by the invariance above the rename dirties no cell. A retraction that
+//! moves no first occurrence skips it, and that is decided without a scan:
+//! an item's first occurrence is its posting's first bit, and a unit's is
+//! its first tid in the `tid → unit` map, read only until every retracted
+//! unit has shown up. Otherwise the new first occurrences come from each
+//! posting's first surviving bit and one pass over that map. The within-row
+//! tie-break is attribute-major, then prior id, which matches a rebuild's
+//! interning whenever a row lists each attribute's values in dictionary
+//! order: always for single-valued attributes, and for multi-valued ones as
 //! `final_table_relation` writes them (the datagen final tables have two).
 //! Values of one multi-valued attribute listed out of that order and
 //! re-first-seen together in one row may tie-break differently than their
 //! cell order.
+
+use std::sync::Arc;
 
 use scube_bitmap::EwahBitmap;
 use scube_common::mmap::{ByteRegion, Store};
@@ -310,18 +332,60 @@ struct EncodedBatch {
     new_units: Vec<String>,
 }
 
-/// Resolve the batch against the current labels, interning new values and
-/// units in first-seen order — per row, SA attributes before CA attributes,
-/// mirroring the schema order of every final-table build.
-fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch> {
-    let mut item_lookup: FxHashMap<(String, String), ItemId> = FxHashMap::default();
-    for (id, (attr, value, _)) in labels.items.iter().enumerate() {
-        item_lookup.insert((attr.clone(), value.clone()), id as ItemId);
+/// The id of a name the cube's labels do not hold (yet).
+const ABSENT: u32 = u32::MAX;
+
+/// Every distinct `(attribute, value)` pair and unit name the batch
+/// names, appended or retracted, mapped to its id: a base id, a batch-new
+/// id once [`encode_batch`] has interned it, else [`ABSENT`]. Batch-sized:
+/// the cube's labels are only read, never mapped.
+struct BatchLabels<'b> {
+    items: FxHashMap<(&'b str, &'b str), ItemId>,
+    units: FxHashMap<&'b str, UnitId>,
+}
+
+impl<'b> BatchLabels<'b> {
+    /// Resolve the batch's names in one pass over the cube's item labels
+    /// and one over its unit names, each ending once every name is found;
+    /// nothing is allocated per label.
+    fn resolve(batch: &'b UpdateBatch, labels: &'b CubeLabels) -> Self {
+        let mut ids = BatchLabels { items: FxHashMap::default(), units: FxHashMap::default() };
+        for (pairs, unit) in batch.rows.iter().chain(&batch.remove_rows) {
+            for (attr, value) in pairs.iter().filter(|(_, value)| !value.is_empty()) {
+                ids.items.insert((attr.as_str(), value.as_str()), ABSENT);
+            }
+            ids.units.insert(unit.as_str(), ABSENT);
+        }
+        let items = labels.items.iter().map(|(attr, value, _)| (attr.as_str(), value.as_str()));
+        fill_ids(&mut ids.items, items);
+        fill_ids(&mut ids.units, labels.unit_names.iter().map(String::as_str));
+        ids
     }
-    let mut unit_lookup: FxHashMap<String, UnitId> = FxHashMap::default();
-    for (id, name) in labels.unit_names.iter().enumerate() {
-        unit_lookup.insert(name.clone(), id as UnitId);
+}
+
+/// Give each key of `ids` its position in `labels` (distinct keys), ending
+/// the pass once every key has one.
+fn fill_ids<K: std::hash::Hash + Eq>(ids: &mut FxHashMap<K, u32>, labels: impl Iterator<Item = K>) {
+    let mut missing = ids.len();
+    for (id, label) in labels.enumerate() {
+        if missing == 0 {
+            break;
+        }
+        if let Some(slot) = ids.get_mut(&label) {
+            *slot = id as u32;
+            missing -= 1;
+        }
     }
+}
+
+/// Encode the appended rows against the resolved names, interning new
+/// values and units in first-seen order — per row, SA attributes before CA
+/// attributes, mirroring the schema order of every final-table build.
+fn encode_batch<'b>(
+    batch: &'b UpdateBatch,
+    labels: &CubeLabels,
+    ids: &mut BatchLabels<'b>,
+) -> Result<EncodedBatch> {
     let is_sa: FxHashMap<&str, bool> = labels
         .sa_attrs
         .iter()
@@ -331,7 +395,7 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 
     let mut out = EncodedBatch { rows: Vec::new(), new_items: Vec::new(), new_units: Vec::new() };
     let n_base_items = labels.num_items();
-    let n_base_units = labels.unit_names.len();
+    let n_base_units = labels.unit_names.len() as UnitId;
     for (pairs, unit) in &batch.rows {
         for (attr, _) in pairs {
             if !is_sa.contains_key(attr.as_str()) {
@@ -352,21 +416,22 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
                 if a != attr || value.is_empty() {
                     continue;
                 }
-                let sa = is_sa[attr.as_str()];
-                let id = *item_lookup.entry((a.clone(), value.clone())).or_insert_with(|| {
-                    out.new_items.push((a.clone(), value.clone(), sa));
-                    (n_base_items + out.new_items.len() - 1) as ItemId
-                });
-                items.push(id);
+                let id = ids.items.get_mut(&(a.as_str(), value.as_str())).expect("resolved");
+                if *id == ABSENT {
+                    *id = (n_base_items + out.new_items.len()) as ItemId;
+                    out.new_items.push((a.clone(), value.clone(), is_sa[attr.as_str()]));
+                }
+                items.push(*id);
             }
         }
         items.sort_unstable();
         items.dedup();
-        let unit_id = *unit_lookup.entry(unit.clone()).or_insert_with(|| {
+        let unit_id = ids.units.get_mut(unit.as_str()).expect("resolved");
+        if *unit_id == ABSENT {
+            *unit_id = n_base_units + out.new_units.len() as UnitId;
             out.new_units.push(unit.clone());
-            (n_base_units + out.new_units.len() - 1) as UnitId
-        });
-        out.rows.push((items, unit_id));
+        }
+        out.rows.push((items, *unit_id));
     }
     Ok(out)
 }
@@ -566,29 +631,19 @@ fn advance_pairs(base: &[(u32, u64)], delta: &[(u32, u64, u64)]) -> Result<Vec<(
     failed.map_or(Ok(out), Err)
 }
 
-/// Resolved retractions plus the base rows they were matched against.
-#[derive(Default)]
-struct Removals {
-    /// Sorted, distinct retracted tids, in pre-update numbering.
-    tids: Vec<u32>,
-    /// Every base row (sorted item ids + unit) when the batch retracts,
-    /// empty otherwise: closedness witnesses and the relabel scan read it.
-    base_rows: Vec<(Vec<ItemId>, UnitId)>,
-}
-
 /// Validate and resolve the batch's retractions against the current
-/// snapshot: tids must be in range and distinct, and row-match retractions
-/// must reference only values and units present in the dictionary and must
-/// each claim a distinct matching row — any miss is an error, never a
-/// silent no-op.
+/// snapshot into sorted, distinct tids: tids must be in range and distinct,
+/// and row-match retractions must reference only values and units present
+/// in the dictionary and must each claim a distinct matching row — any
+/// miss is an error, never a silent no-op. A row match's candidates are the
+/// tids its items' postings share; the first one in ascending order that
+/// lies in its unit, is unclaimed and holds no other item wins, each
+/// candidate's row rebuilt from the postings.
 fn resolve_removals(
     batch: &UpdateBatch,
-    labels: &CubeLabels,
+    ids: &BatchLabels,
     vertical: &VerticalDb,
-) -> Result<Removals> {
-    if batch.remove_tids.is_empty() && batch.remove_rows.is_empty() {
-        return Ok(Removals::default());
-    }
+) -> Result<Vec<u32>> {
     let n = vertical.num_transactions();
     let mut claimed: FxHashSet<u32> = FxHashSet::default();
     for &t in &batch.remove_tids {
@@ -601,58 +656,47 @@ fn resolve_removals(
             return Err(ScubeError::InvalidParameter(format!("update: tid {t} retracted twice")));
         }
     }
-    let base_rows = vertical.transactions();
-    if !batch.remove_rows.is_empty() {
-        let mut item_lookup: FxHashMap<(&str, &str), ItemId> = FxHashMap::default();
-        for (id, (attr, value, _)) in labels.items.iter().enumerate() {
-            item_lookup.insert((attr.as_str(), value.as_str()), id as ItemId);
-        }
-        let unit_lookup: FxHashMap<&str, UnitId> = labels
-            .unit_names
-            .iter()
-            .enumerate()
-            .map(|(id, name)| (name.as_str(), id as UnitId))
-            .collect();
-        let mut by_shape: FxHashMap<(&[ItemId], UnitId), Vec<u32>> = FxHashMap::default();
-        for (t, (items, unit)) in base_rows.iter().enumerate() {
-            by_shape.entry((items.as_slice(), *unit)).or_default().push(t as u32);
-        }
-        for (pairs, unit) in &batch.remove_rows {
-            let mut items: Vec<ItemId> = Vec::with_capacity(pairs.len());
-            for (attr, value) in pairs {
-                if value.is_empty() {
-                    continue;
-                }
-                let Some(&id) = item_lookup.get(&(attr.as_str(), value.as_str())) else {
-                    return Err(ScubeError::InvalidParameter(format!(
-                        "update: retraction references {attr}={value}, which is absent from \
-                         the snapshot's dictionary"
-                    )));
-                };
-                items.push(id);
+    let (n_items, n_units) = (vertical.num_items() as ItemId, vertical.num_units());
+    let mut row = Vec::new();
+    for (pairs, unit) in &batch.remove_rows {
+        let mut items: Vec<ItemId> = Vec::with_capacity(pairs.len());
+        for (attr, value) in pairs {
+            if value.is_empty() {
+                continue;
             }
-            items.sort_unstable();
-            items.dedup();
-            let Some(&uid) = unit_lookup.get(unit.as_str()) else {
+            let id = ids.items[&(attr.as_str(), value.as_str())];
+            if id >= n_items {
                 return Err(ScubeError::InvalidParameter(format!(
-                    "update: retraction references unknown unit '{unit}'"
+                    "update: retraction references {attr}={value}, which is absent from the \
+                     snapshot's dictionary"
                 )));
-            };
-            let found = by_shape
-                .get(&(items.as_slice(), uid))
-                .and_then(|tids| tids.iter().find(|t| !claimed.contains(t)))
-                .copied();
-            let Some(t) = found else {
-                return Err(ScubeError::InvalidParameter(format!(
-                    "update: retraction ({pairs:?}, {unit}) matches no remaining row"
-                )));
-            };
-            claimed.insert(t);
+            }
+            items.push(id);
         }
+        items.sort_unstable();
+        items.dedup();
+        let uid = ids.units[unit.as_str()];
+        if uid >= n_units {
+            return Err(ScubeError::InvalidParameter(format!(
+                "update: retraction references unknown unit '{unit}'"
+            )));
+        }
+        let found = vertical.tidset(&items).iter().find(|&t| {
+            vertical.unit_of(t) == uid && !claimed.contains(&t) && {
+                vertical.row_into(t, &mut row);
+                row == items
+            }
+        });
+        let Some(t) = found else {
+            return Err(ScubeError::InvalidParameter(format!(
+                "update: retraction ({pairs:?}, {unit}) matches no remaining row"
+            )));
+        };
+        claimed.insert(t);
     }
     let mut tids: Vec<u32> = claimed.into_iter().collect();
     tids.sort_unstable();
-    Ok(Removals { tids, base_rows })
+    Ok(tids)
 }
 
 /// The appended and the retracted transactions holding an itemset: the two
@@ -675,10 +719,12 @@ struct EditView<'a> {
     vertical: &'a VerticalDb,
     /// The batch's rows, encoded; row `i` becomes tid `new_base + i`.
     encoded: EncodedBatch,
-    removals: Removals,
+    /// Sorted, distinct retracted tids, pre-update numbering.
+    removed: Vec<u32>,
     /// Per item, the appended tids holding it.
     add: Vec<EwahBitmap>,
-    /// Per item, the retracted tids holding it.
+    /// Per item, the retracted tids holding it: its posting ∧ the
+    /// retracted set.
     rem: Vec<EwahBitmap>,
     /// Every appended and every retracted tid: the `⋆` context's delta.
     all: Delta,
@@ -687,8 +733,8 @@ struct EditView<'a> {
 }
 
 impl<'a> EditView<'a> {
-    fn new(vertical: &'a VerticalDb, encoded: EncodedBatch, removals: Removals) -> Result<Self> {
-        let new_base = vertical.num_transactions() - removals.tids.len() as u32;
+    fn new(vertical: &'a VerticalDb, encoded: EncodedBatch, removed: Vec<u32>) -> Result<Self> {
+        let new_base = vertical.num_transactions() - removed.len() as u32;
         let n_after = u32::try_from(new_base as usize + encoded.rows.len()).map_err(|_| {
             ScubeError::InvalidParameter("update: the edited table exceeds u32 rows".into())
         })?;
@@ -699,25 +745,23 @@ impl<'a> EditView<'a> {
                 add_tids[it as usize].push(new_base + i as u32);
             }
         }
-        let mut rem_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
-        for &t in &removals.tids {
-            for &it in &removals.base_rows[t as usize].0 {
-                rem_tids[it as usize].push(t);
-            }
-        }
-        let postings =
-            |tids: Vec<Vec<u32>>| tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect();
         let all = Delta {
             add: EwahBitmap::from_sorted(&(new_base..n_after).collect::<Vec<u32>>()),
-            rem: EwahBitmap::from_sorted(&removals.tids),
+            rem: EwahBitmap::from_sorted(&removed),
         };
+        let mut rem: Vec<EwahBitmap> = if removed.is_empty() {
+            Vec::new()
+        } else {
+            vertical.postings().iter().map(|posting| posting.and(&all.rem)).collect()
+        };
+        rem.resize(n_items_after, EwahBitmap::new());
         Ok(EditView {
             vertical,
             n_units_after: vertical.num_units() + encoded.new_units.len() as u32,
             encoded,
-            removals,
-            add: postings(add_tids),
-            rem: postings(rem_tids),
+            removed,
+            add: add_tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect(),
+            rem,
             all,
             new_base,
         })
@@ -820,14 +864,17 @@ impl<'a> EditView<'a> {
         }
     }
 
-    /// An edited transaction holding `items`, given `base(X)`'s words: the
-    /// first base row among them that is not retracted, else an appended
-    /// row. Only asked after a retraction, when the base rows are at hand.
-    fn witness(&self, items: &[ItemId], base: &[u64]) -> &[ItemId] {
-        let removed = &self.removals.tids;
+    /// `|edited({it})|`, from cardinalities alone.
+    fn item_support(&self, it: ItemId) -> u64 {
+        let base = self.vertical.postings().get(it as usize).map_or(0, EwahBitmap::cardinality);
+        base - self.rem[it as usize].cardinality() + self.add[it as usize].cardinality()
+    }
+
+    /// The first tid of `base(X)`'s words that was not retracted.
+    fn first_kept(&self, base: &[u64]) -> Option<u32> {
+        let removed = &self.removed;
         let mut r = 0;
-        let mut kept = None;
-        'words: for (i, &word) in base.iter().enumerate() {
+        for (i, &word) in base.iter().enumerate() {
             let mut word = word;
             while word != 0 {
                 let t = 64 * i as u32 + word.trailing_zeros();
@@ -835,24 +882,24 @@ impl<'a> EditView<'a> {
                     r += 1;
                 }
                 if removed.get(r) != Some(&t) {
-                    kept = Some(t);
-                    break 'words;
+                    return Some(t);
                 }
                 word &= word - 1;
             }
         }
-        match kept {
-            Some(t) => &self.removals.base_rows[t as usize].0,
-            None => self
-                .encoded
-                .rows
-                .iter()
-                .map(|(row, _)| row.as_slice())
-                .find(|row| is_sorted_subset(items, row))
-                // Support > 0 guarantees a row; treat the impossible as
-                // closed so the rebuild-identity tests would expose it.
-                .unwrap_or(&[]),
-        }
+        None
+    }
+
+    /// The first appended row holding `items`.
+    fn appended_holding(&self, items: &[ItemId]) -> &[ItemId] {
+        self.encoded
+            .rows
+            .iter()
+            .map(|(row, _)| row.as_slice())
+            .find(|row| is_sorted_subset(items, row))
+            // Support > 0 guarantees a row; treat the impossible as closed
+            // so the rebuild-identity tests would expose it.
+            .unwrap_or(&[])
     }
 
     /// Exact closedness of `items` (edited support `support`, `base(X)`'s
@@ -945,6 +992,10 @@ struct CellScratch {
     base: Vec<u64>,
     /// A promotion's base histogram, allocated by the first promotion.
     units: Option<UnitScratch>,
+    /// The row of base tid `witness_tid`, rebuilt from the postings: the
+    /// last closedness witness, reused while its tid repeats.
+    witness: Vec<ItemId>,
+    witness_tid: Option<u32>,
 }
 
 impl CellScratch {
@@ -958,6 +1009,8 @@ impl CellScratch {
             context: Vec::new(),
             base: dense_words(view),
             units: None,
+            witness: Vec::new(),
+            witness_tid: None,
         }
     }
 }
@@ -1123,7 +1176,8 @@ impl Stager<'_> {
     /// after the edit: frequent and, under [`Materialize::ClosedOnly`],
     /// closed. A stored cell can lose closedness only by losing rows; its
     /// witness is its first surviving row, found in `base(X)` — the job's
-    /// `base(B)` narrowed by the cell's SA items. A promotion candidate's
+    /// `base(B)` narrowed by the cell's SA items — and rebuilt from the
+    /// postings into `s.witness`, else an appended row. A promotion candidate's
     /// witness is its generating row, and `s.base` already holds
     /// `base(X)`.
     fn keeps(
@@ -1146,7 +1200,16 @@ impl Stager<'_> {
             Origin::Stored if delta.rem.is_empty() => return true,
             Origin::Stored => {
                 view.narrow_words(&s.context, &coords.sa, &mut s.base);
-                view.witness(items, &s.base)
+                match view.first_kept(&s.base) {
+                    Some(t) => {
+                        if s.witness_tid != Some(t) {
+                            view.vertical.row_into(t, &mut s.witness);
+                            s.witness_tid = Some(t);
+                        }
+                        &s.witness
+                    }
+                    None => view.appended_holding(items),
+                }
             }
             Origin::Promoted(row) => &view.encoded.rows[row].0,
         };
@@ -1240,7 +1303,10 @@ fn stage_promotions(
 /// walked level-wise (Apriori: a `k + 1`-set is counted only when all its
 /// `k`-subsets are frequent), so the walk costs the row's frequent subsets
 /// and their border, whatever the row's width. A kept cell is frequent by
-/// construction and costs no count.
+/// construction and costs no count, and an item's support is three stored
+/// cardinalities. Levels are flat runs of `k` ids and every itemset met is
+/// interned once into an [`ItemsetMemo`]; coordinates are split into one
+/// scratch, cloned only for a candidate.
 fn promotion_candidates(
     view: &EditView,
     cube: &SegregationCube,
@@ -1252,76 +1318,127 @@ fn promotion_candidates(
         None => cube.labels().is_sa_item(it),
         Some(new) => view.encoded.new_items[new].2,
     };
-    let coords_of = |items: &[ItemId]| CellCoords::split_sorted(items, is_sa);
+    let mut coords = CellCoords::default();
     // `base(X)`'s words for each support the walk asks for.
     let mut words = dense_words(view);
-    let mut memo: FxHashMap<Vec<ItemId>, bool> = FxHashMap::default();
-    let mut frequent = |items: &[ItemId], words: &mut [u64]| {
-        if let Some(&known) = memo.get(items) {
-            return known;
-        }
-        let coords = coords_of(items);
-        let known = (cube.get(&coords).is_some() && !demoted.contains(&coords))
-            || view.support(items, words) >= min_support;
-        memo.insert(items.to_vec(), known);
-        known
-    };
+    let mut memo = ItemsetMemo::default();
     let mut seen_projections: FxHashSet<Vec<ItemId>> = FxHashSet::default();
-    let mut seen: FxHashSet<Vec<ItemId>> = FxHashSet::default();
+    let (mut level, mut next) = (Vec::new(), Vec::new());
     let mut candidates = Vec::new();
     for (r, (row, _)) in view.encoded.rows.iter().enumerate() {
-        let projection: Vec<ItemId> = row
-            .iter()
-            .copied()
-            .filter(|&it| view.support(&[it], &mut words) >= min_support)
-            .collect();
+        level.clear();
+        level.extend(row.iter().copied().filter(|&it| view.item_support(it) >= min_support));
         // Categorical deltas repeat row shapes heavily: one walk per
         // distinct projection bounds the work by shape count.
-        if projection.is_empty() || !seen_projections.insert(projection.clone()) {
+        if level.is_empty() || !seen_projections.insert(level.clone()) {
             continue;
         }
-        let mut level: Vec<Vec<ItemId>> = projection.iter().map(|&it| vec![it]).collect();
+        let mut k = 1;
         while !level.is_empty() {
-            for items in &level {
-                if seen.insert(items.clone()) {
-                    let coords = coords_of(items);
+            for items in level.chunks_exact(k) {
+                // Every set of a level is frequent: a singleton by the
+                // projection, a larger one by the join that kept it.
+                let entry = memo.entry(items, || true);
+                if !std::mem::replace(&mut entry.emitted, true) {
+                    coords.split_sorted_into(items, is_sa);
                     if cube.get(&coords).is_none() {
-                        candidates.push((coords, r));
+                        candidates.push((coords.clone(), r));
                     }
                 }
             }
-            level = next_level(&level, &mut |items| frequent(items, &mut words));
+            next_level(&level, k, &mut next, |z| {
+                let known = || {
+                    coords.split_sorted_into(z, is_sa);
+                    (cube.get(&coords).is_some() && !demoted.contains(&coords))
+                        || view.support(z, &mut words) >= min_support
+                };
+                memo.entry(z, known).frequent
+            });
+            std::mem::swap(&mut level, &mut next);
+            k += 1;
         }
     }
     candidates
 }
 
-/// The Apriori join of one level: the `k + 1`-sets whose `k`-subsets all lie
-/// in `level` (lexicographically sorted, each set ascending), kept when
-/// `frequent`. The result is sorted the same way.
+/// The itemsets a promotion walk has met, each interned once: its ids
+/// copied into one flat buffer, found again through its hash, with no
+/// allocation per itemset.
+#[derive(Default)]
+struct ItemsetMemo {
+    /// Every interned itemset's ids, back to back.
+    items: Vec<ItemId>,
+    entries: Vec<MemoEntry>,
+    /// An itemset's hash → the last entry interned with that hash.
+    heads: FxHashMap<u64, u32>,
+}
+
+struct MemoEntry {
+    /// The itemset's span in [`ItemsetMemo::items`].
+    span: std::ops::Range<u32>,
+    /// The previous entry with the same hash ([`ABSENT`] = none).
+    next: u32,
+    /// Whether the itemset is frequent in the edited table.
+    frequent: bool,
+    /// Whether the walk has emitted it (as a candidate, when no cell).
+    emitted: bool,
+}
+
+impl ItemsetMemo {
+    /// The entry of `items`, interned on first sight with `frequent()`.
+    fn entry(&mut self, items: &[ItemId], frequent: impl FnOnce() -> bool) -> &mut MemoEntry {
+        use std::hash::{Hash, Hasher};
+        let mut h = scube_common::hash::FxHasher::default();
+        items.hash(&mut h);
+        let hash = h.finish();
+        let mut at = self.heads.get(&hash).copied().unwrap_or(ABSENT);
+        while at != ABSENT {
+            let entry = &self.entries[at as usize];
+            if self.items[entry.span.start as usize..entry.span.end as usize] == *items {
+                return &mut self.entries[at as usize];
+            }
+            at = entry.next;
+        }
+        let start = self.items.len() as u32;
+        self.items.extend_from_slice(items);
+        let next = self.heads.insert(hash, self.entries.len() as u32).unwrap_or(ABSENT);
+        let span = start..self.items.len() as u32;
+        self.entries.push(MemoEntry { span, next, frequent: frequent(), emitted: false });
+        self.entries.last_mut().expect("just pushed")
+    }
+}
+
+/// The Apriori join of one level of `k`-sets, flat in `level` (sorted
+/// lexicographically, each set ascending): into `next`, the `k + 1`-sets
+/// whose `k`-subsets all lie in `level`, kept when `frequent`, sorted the
+/// same way.
 fn next_level(
-    level: &[Vec<ItemId>],
-    frequent: &mut impl FnMut(&[ItemId]) -> bool,
-) -> Vec<Vec<ItemId>> {
-    let members: FxHashSet<&[ItemId]> = level.iter().map(Vec::as_slice).collect();
-    let mut next = Vec::new();
-    for (i, x) in level.iter().enumerate() {
-        let prefix = &x[..x.len() - 1];
-        for y in level[i + 1..].iter().take_while(|y| y.starts_with(prefix)) {
-            let mut z = x.clone();
-            z.push(y[y.len() - 1]);
+    level: &[ItemId],
+    k: usize,
+    next: &mut Vec<ItemId>,
+    mut frequent: impl FnMut(&[ItemId]) -> bool,
+) {
+    next.clear();
+    let sets: Vec<&[ItemId]> = level.chunks_exact(k).collect();
+    let (mut z, mut sub) = (Vec::with_capacity(k + 1), Vec::with_capacity(k));
+    for (i, x) in sets.iter().enumerate() {
+        let prefix = &x[..k - 1];
+        for y in sets[i + 1..].iter().take_while(|y| y.starts_with(prefix)) {
+            z.clear();
+            z.extend_from_slice(x);
+            z.push(y[k - 1]);
             // Dropping either of the last two items leaves `y` or `x`.
-            let subsets_frequent = (0..z.len() - 2).all(|drop| {
-                let mut sub = z.clone();
-                sub.remove(drop);
-                members.contains(sub.as_slice())
+            let subsets_frequent = (0..k - 1).all(|drop| {
+                sub.clear();
+                sub.extend_from_slice(&z[..drop]);
+                sub.extend_from_slice(&z[drop + 1..]);
+                sets.binary_search(&sub.as_slice()).is_ok()
             });
             if subsets_frequent && frequent(&z) {
-                next.push(z);
+                next.extend_from_slice(&z);
             }
         }
     }
-    next
 }
 
 /// The item/unit renaming a retraction induces: a rebuild on the edited
@@ -1340,33 +1457,52 @@ struct Relabel {
 /// nothing). Ids never reach a cell *value* — the index fold reads a
 /// histogram as a multiset of `(m, t)` pairs and orders them itself — so
 /// the plan only renames at commit; no float is recomputed because of it.
-/// Only a first-occurrence scan runs here, O(Σ row width). Ties inside one
-/// row order attribute-major (SA attributes in label order, then CA
-/// attributes — the schema order every final-table spec declares) and by
-/// old id within an attribute, which matches a rebuild's interning for
-/// single-valued-per-row attributes (the shape of every final table in
-/// this workspace).
+/// When no retracted row is the first occurrence of one of its items or of
+/// its unit ([`moves_a_first_occurrence`]), every surviving id keeps its
+/// rank and there is no plan. Otherwise first occurrences come from each
+/// posting's first surviving bit and one pass over the `tid → unit` map.
+/// Ties inside one row order attribute-major (SA attributes in label
+/// order, then CA attributes — the schema order every final-table spec
+/// declares) and by old id within an attribute, which matches a rebuild's
+/// interning for single-valued-per-row attributes (the shape of every
+/// final table in this workspace).
 fn relabel_plan(view: &EditView, labels: &CubeLabels) -> Option<Relabel> {
-    let removals = &view.removals;
-    if removals.tids.is_empty() {
+    let removed = &view.removed;
+    if removed.is_empty() || !moves_a_first_occurrence(view) {
         return None;
     }
     // First occurrence (edited tid) of every item and unit, old id space;
-    // `u32::MAX` = never occurs.
+    // `u32::MAX` = never occurs. A survivor's edited tid is its base tid
+    // less the retracted tids before it.
     let n_base_items = labels.num_items();
     let mut first_item = vec![u32::MAX; n_base_items + view.encoded.new_items.len()];
+    for (first, posting) in first_item.iter_mut().zip(view.vertical.postings()) {
+        let mut r = 0;
+        *first = posting
+            .iter()
+            .find(|&t| {
+                while removed.get(r).is_some_and(|&gone| gone < t) {
+                    r += 1;
+                }
+                removed.get(r) != Some(&t)
+            })
+            .map_or(u32::MAX, |t| t - r as u32);
+    }
     let mut first_unit = vec![u32::MAX; view.n_units_after as usize];
-    let survivors = removals
-        .base_rows
-        .iter()
-        .enumerate()
-        .filter(|(t, _)| removals.tids.binary_search(&(*t as u32)).is_err())
-        .map(|(_, row)| row);
-    for (t, (row, unit)) in survivors.chain(&view.encoded.rows).enumerate() {
-        for &it in row {
-            first_item[it as usize] = first_item[it as usize].min(t as u32);
+    let mut r = 0;
+    for (t, &unit) in view.vertical.units().iter().enumerate() {
+        if removed.get(r) == Some(&(t as u32)) {
+            r += 1;
+        } else if first_unit[unit as usize] == u32::MAX {
+            first_unit[unit as usize] = (t - r) as u32;
         }
-        first_unit[*unit as usize] = first_unit[*unit as usize].min(t as u32);
+    }
+    for (i, (row, unit)) in view.encoded.rows.iter().enumerate() {
+        let t = view.new_base + i as u32;
+        for &it in row {
+            first_item[it as usize] = first_item[it as usize].min(t);
+        }
+        first_unit[*unit as usize] = first_unit[*unit as usize].min(t);
     }
     let attr_pos: FxHashMap<&str, usize> = labels
         .sa_attrs
@@ -1384,6 +1520,42 @@ fn relabel_plan(view: &EditView, labels: &CubeLabels) -> Option<Relabel> {
     let unit_map = first_seen_ids(&first_unit, |_| 0);
     let identity = |map: &[Option<u32>]| map.iter().enumerate().all(|(i, m)| *m == Some(i as u32));
     (!identity(&item_map) || !identity(&unit_map)).then_some(Relabel { item_map, unit_map })
+}
+
+/// Whether a retracted row is the first occurrence of one of its items or
+/// of its unit. An item's first occurrence is its posting's first bit,
+/// compared with the first of its retracted tids. A unit's is its first
+/// tid in the `tid → unit` map, read from the start only until every
+/// retracted unit has shown up before its first retracted row.
+fn moves_a_first_occurrence(view: &EditView) -> bool {
+    let postings = view.vertical.postings();
+    let first_bit = |posting: &EwahBitmap| posting.iter().next();
+    let item_moves = |(rem, posting)| first_bit(rem).is_some_and(|t| first_bit(posting) == Some(t));
+    if view.rem.iter().zip(postings).any(item_moves) {
+        return true;
+    }
+    // Per unit, its first retracted tid (`u32::MAX` = none).
+    let mut first_removed = vec![u32::MAX; view.vertical.num_units() as usize];
+    let mut pending = 0;
+    for &t in view.removed.iter().rev() {
+        let first = &mut first_removed[view.vertical.unit_of(t) as usize];
+        pending += usize::from(*first == u32::MAX);
+        *first = t;
+    }
+    for (t, &unit) in view.vertical.units().iter().enumerate() {
+        match first_removed[unit as usize] {
+            u32::MAX => {}
+            first if first == t as u32 => return true,
+            _ => {
+                first_removed[unit as usize] = u32::MAX;
+                pending -= 1;
+                if pending == 0 {
+                    return false;
+                }
+            }
+        }
+    }
+    false
 }
 
 /// New ids in first-occurrence order, ties by `rank` then old id; `None`
@@ -1436,9 +1608,10 @@ pub(crate) fn stage(
             "update: maintenance store does not cover the cube".into(),
         ));
     }
-    let encoded = encode_batch(batch, cube.labels())?;
-    let removals = resolve_removals(batch, cube.labels(), vertical)?;
-    let view = EditView::new(vertical, encoded, removals)?;
+    let mut ids = BatchLabels::resolve(batch, cube.labels());
+    let encoded = encode_batch(batch, cube.labels(), &mut ids)?;
+    let removed = resolve_removals(batch, &ids, vertical)?;
+    let view = EditView::new(vertical, encoded, removed)?;
     let relabel = relabel_plan(&view, cube.labels());
     // A renaming commit re-encodes every store entry under new unit ids:
     // validate them all now, while a corrupt mapped entry can still error.
@@ -1451,7 +1624,7 @@ pub(crate) fn stage(
     let promoted = stage_promotions(&mut stager, &dirty, threads)?;
     let Stager { view, contexts, .. } = stager;
     Ok(StagedUpdate {
-        removed: view.removals.tids,
+        removed: view.removed,
         encoded: view.encoded,
         contexts: contexts
             .into_iter()
@@ -1489,8 +1662,13 @@ impl StagedUpdate {
         vertical.remove_rows(&removed).expect("staged retractions are sorted, distinct, in range");
         vertical.append_rows(&encoded.rows, n_items, n_units).expect("staged rows fit the spaces");
         let (labels, cells, store) = cube.update_parts();
-        labels.items.extend(encoded.new_items);
-        labels.unit_names.extend(encoded.new_units);
+        // Labels are shared with the clones they came from, and copied
+        // only when the batch adds to them.
+        if !encoded.new_items.is_empty() || !encoded.new_units.is_empty() {
+            let labels = Arc::make_mut(labels);
+            labels.items.extend(encoded.new_items);
+            labels.unit_names.extend(encoded.new_units);
+        }
         store.contexts.extend(contexts);
         let mut kept = promoted;
         for (coords, staged) in dirty {
@@ -1529,6 +1707,7 @@ impl StagedUpdate {
 fn rename_cube(cube: &mut SegregationCube, plan: &Relabel) {
     let n_old_units = cube.num_units();
     let (labels, cells, store) = cube.update_parts();
+    let labels = Arc::make_mut(labels);
     labels.items = permute(std::mem::take(&mut labels.items), &plan.item_map);
     labels.unit_names = permute(std::mem::take(&mut labels.unit_names), &plan.unit_map);
     let items = |ids: &[ItemId]| remap_items(ids, &plan.item_map);
@@ -2091,6 +2270,102 @@ mod tests {
         let mut b4 = b3.clone();
         b4.remove_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
         assert!(over.apply_update(&b4).is_err());
+    }
+
+    #[test]
+    fn a_row_match_claims_only_an_equal_row() {
+        // Rows 0 and 1 share a unit, and row 0's items strictly contain
+        // row 1's (row 1 has no age). Row 0 comes first and holds every
+        // item row 1 does, so only the exact-row check keeps it unclaimed.
+        let rows: &[(&str, Option<&str>, &str, &str)] = &[
+            ("F", Some("young"), "north", "u0"),
+            ("F", None, "north", "u0"),
+            ("M", Some("old"), "south", "u1"),
+            ("F", None, "south", "u1"),
+        ];
+        let db = |keep: &dyn Fn(usize) -> bool| {
+            let mut b = TransactionDbBuilder::new(
+                Schema::new(vec![
+                    Attribute::sa("sex"),
+                    Attribute::sa("age"),
+                    Attribute::ca("region"),
+                ])
+                .unwrap(),
+            );
+            for (_, (sex, age, region, unit)) in rows.iter().enumerate().filter(|(t, _)| keep(*t)) {
+                b.add_row(&[vec![*sex], age.iter().copied().collect(), vec![*region]], unit)
+                    .unwrap();
+            }
+            b.finish()
+        };
+        let narrow = [("sex", "F"), ("region", "north")];
+        let wide = [("sex", "F"), ("age", "young"), ("region", "north")];
+        let blank = [("sex", "F"), ("age", ""), ("region", "north")];
+        for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
+            let builder = CubeBuilder::new().min_support(1).materialize(materialize);
+            let base = CubeSnapshot::from_db(&db(&|_| true), &builder).unwrap();
+            for (pairs, unit, claimed) in
+                [(&narrow[..], "u0", 1), (&wide[..], "u0", 0), (&blank[..], "u0", 1)]
+            {
+                let mut b = UpdateBatch::new();
+                b.remove_row(pairs, unit);
+                let mut edited = base.clone();
+                edited.apply_update(&b).unwrap();
+                let rebuilt = CubeSnapshot::from_db(&db(&|t| t != claimed), &builder).unwrap();
+                assert_eq!(
+                    edited.to_bytes(),
+                    rebuilt.to_bytes(),
+                    "{materialize:?}: {pairs:?} must claim row {claimed}"
+                );
+            }
+            // Unit u1 holds (F, south) but no (F, north) row.
+            let mut b = UpdateBatch::new();
+            b.remove_row(&narrow, "u1");
+            let mut refused = base.clone();
+            let err = refused.apply_update(&b).unwrap_err().to_string();
+            assert!(err.contains("matches no remaining row"), "{err}");
+            assert_eq!(refused.to_bytes(), base.to_bytes());
+        }
+    }
+
+    #[test]
+    fn interior_retraction_of_no_first_occurrence_matches_rebuild() {
+        // BASE first-occurs every item and unit in rows 0, 2 and 3: rows 1,
+        // 4, 5 and 6 are nobody's first occurrence, so nothing is renamed.
+        check_churn_all(&[1, 5], &[]);
+        check_churn_all(&[4, 6], &[]);
+        check_churn_all(&[1, 4, 5, 6], DELTA);
+    }
+
+    #[test]
+    fn retracting_a_units_first_row_moves_ids_past_another_unit() {
+        // Row 1 is u1's first row, but every item in it first occurs in
+        // row 0. u1's next row comes after u2's first, so retracting row 1
+        // swaps the ids of u1 and u2: only the units' first occurrences
+        // show it.
+        let base: &[Row] = &[
+            ("F", "young", "north", "u0"),
+            ("F", "young", "north", "u1"),
+            ("M", "old", "south", "u2"),
+            ("M", "old", "south", "u1"),
+        ];
+        for min_support in [1, 2] {
+            for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
+                check_churn_on(base, &[1], &[], materialize, min_support);
+                check_churn_on(
+                    base,
+                    &[1],
+                    &[("F", "old", "north", "u2")],
+                    materialize,
+                    min_support,
+                );
+            }
+        }
+        let mut snap = CubeSnapshot::from_db(&db(base), &CubeBuilder::new()).unwrap();
+        let mut b = UpdateBatch::new();
+        b.remove_tid(1);
+        snap.apply_update(&b).unwrap();
+        assert_eq!(snap.cube().labels().unit_names, ["u0", "u2", "u1"]);
     }
 
     #[test]

@@ -278,17 +278,14 @@ impl VerticalDb {
         self.n_units = unit_map.iter().flatten().count() as u32;
     }
 
-    /// Reconstruct the horizontal rows: per transaction, its sorted item
-    /// ids plus its unit. One pass over every posting — the retraction
-    /// path uses this to match removal rows and closedness witnesses and
-    /// to re-derive dictionary intern order.
-    pub fn transactions(&self) -> Vec<(Vec<ItemId>, UnitId)> {
-        let mut rows: Vec<(Vec<ItemId>, UnitId)> =
-            self.unit_of.iter().map(|&u| (Vec::new(), u)).collect();
-        for (item, posting) in self.postings.iter().enumerate() {
-            posting.for_each(|tid| rows[tid as usize].0.push(item as ItemId));
-        }
-        rows
+    /// The row of one transaction: the ascending ids of the items whose
+    /// postings hold `tid`, into `row` (cleared first). One membership test
+    /// per item, so a row costs the dictionary, not the table; an update
+    /// rebuilds the rows it matches and its closedness witnesses this way.
+    pub fn row_into(&self, tid: u32, row: &mut Vec<ItemId>) {
+        row.clear();
+        let items = 0..self.postings.len() as ItemId;
+        row.extend(items.filter(|&it| self.postings[it as usize].contains(tid)));
     }
 
     /// Posting of one item.
@@ -702,11 +699,10 @@ mod tests {
     fn transactions_reconstruct_rows() {
         let db = small_db();
         let v = VerticalDb::build(&db);
-        let rows = v.transactions();
-        assert_eq!(rows.len(), 4);
-        for (t, (items, unit)) in rows.iter().enumerate() {
-            assert_eq!(items.as_slice(), db.transaction(t), "row {t}");
-            assert_eq!(*unit, db.units()[t], "row {t}");
+        let mut row = vec![99];
+        for t in 0..4 {
+            v.row_into(t, &mut row);
+            assert_eq!(row.as_slice(), db.transaction(t as usize), "row {t}");
         }
     }
 }

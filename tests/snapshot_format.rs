@@ -39,12 +39,10 @@
 //! `GOLDEN_BLESS=1 cargo test -p scube --test snapshot_format` and review
 //! the binary diff like any other code change.
 
-use std::hash::Hasher;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 use scube::prelude::*;
-use scube_common::hash::FxHasher;
 use scube_cube::histogram;
 use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
 
@@ -115,15 +113,28 @@ fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// FxHash of the concatenated parts, length folded in — the checksum both
-/// snapshot sums use.
+/// The checksum both snapshot sums use, as the v8 format defines it: the
+/// FxHash word step `state = (state <<< 5 ^ word) · K` over each part's
+/// 8-byte little-endian words, then a 4-byte word and single bytes for the
+/// part's tail, then the total length as one word; the raw state is the
+/// sum.
 fn fx(parts: &[&[u8]]) -> [u8; 8] {
-    let mut h = FxHasher::default();
+    let mut state = 0u64;
+    let mut word = |w: u64| state = (state.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
     for part in parts {
-        h.write(part);
+        let mut rest = *part;
+        while rest.len() >= 8 {
+            word(u64::from_le_bytes(rest[..8].try_into().unwrap()));
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            word(u64::from(u32::from_le_bytes(rest[..4].try_into().unwrap())));
+            rest = &rest[4..];
+        }
+        rest.iter().for_each(|&b| word(u64::from(b)));
     }
-    h.write_u64(parts.iter().map(|p| p.len() as u64).sum());
-    h.finish().to_le_bytes()
+    word(parts.iter().map(|p| p.len() as u64).sum());
+    state.to_le_bytes()
 }
 
 /// Recompute the full checksum (header bytes 13..21) over a mutated file.
