@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Bitmaps are logically infinite and zero-extended, so trailing zero runs
-//! are never stored. Binary operations merge the two compressed streams in
-//! `O(stored words)` without decompressing to a dense form.
+//! are never stored. The type is the storage codec of a tidset; its set
+//! algebra crosses into plain `u64` words (decode, AND into, count, gather)
+//! in one walk over the segments, and every intersection runs on the words.
 
 use scube_common::mmap::{ByteRegion, MappedSlice, Store};
 
@@ -101,110 +102,6 @@ impl<'a> Iterator for RawSegs<'a> {
     }
 }
 
-/// Word-granular cursor over a compressed stream, zero-extended at the end.
-struct Cursor<'a> {
-    segs: RawSegs<'a>,
-    cur: Cur<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Cur<'a> {
-    Clean { ones: bool, left: u64 },
-    Lit { words: &'a [u64], i: usize },
-    End,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bitmap: &'a EwahBitmap) -> Self {
-        let mut c = Cursor { segs: RawSegs::new(&bitmap.words), cur: Cur::End };
-        c.bump();
-        c
-    }
-
-    fn bump(&mut self) {
-        self.cur = match self.segs.next() {
-            Some(Seg::Clean { ones, nwords }) => Cur::Clean { ones, left: nwords },
-            Some(Seg::Lit(words)) => Cur::Lit { words, i: 0 },
-            None => Cur::End,
-        };
-    }
-
-    fn is_end(&self) -> bool {
-        matches!(self.cur, Cur::End)
-    }
-
-    /// Consume and return the next word, or `None` past the stored end.
-    fn next_word(&mut self) -> Option<u64> {
-        match &mut self.cur {
-            Cur::Clean { ones, left } => {
-                let w = if *ones { u64::MAX } else { 0 };
-                *left -= 1;
-                if *left == 0 {
-                    self.bump();
-                }
-                Some(w)
-            }
-            Cur::Lit { words, i } => {
-                let w = words[*i];
-                *i += 1;
-                if *i == words.len() {
-                    self.bump();
-                }
-                Some(w)
-            }
-            Cur::End => None,
-        }
-    }
-
-    /// If positioned on a clean segment, report `(ones, remaining_words)`.
-    fn peek_clean(&self) -> Option<(bool, u64)> {
-        match self.cur {
-            Cur::Clean { ones, left } => Some((ones, left)),
-            _ => None,
-        }
-    }
-
-    /// Consume `n` words from the current clean segment (`n` ≤ remaining).
-    fn consume_clean(&mut self, n: u64) {
-        match &mut self.cur {
-            Cur::Clean { left, .. } => {
-                debug_assert!(n <= *left);
-                *left -= n;
-                if *left == 0 {
-                    self.bump();
-                }
-            }
-            _ => unreachable!("consume_clean on non-clean cursor"),
-        }
-    }
-
-    /// If positioned on a literal segment, borrow its remaining words.
-    ///
-    /// The slice borrows the *bitmap* (lifetime `'a`), not the cursor, so
-    /// callers can keep it across a later [`Cursor::consume_lit`] — that is
-    /// what lets the merge hand whole literal blocks to the word kernels.
-    fn peek_lit(&self) -> Option<&'a [u64]> {
-        match self.cur {
-            Cur::Lit { words, i } => Some(&words[i..]),
-            _ => None,
-        }
-    }
-
-    /// Consume `n` words from the current literal segment (`n` ≤ remaining).
-    fn consume_lit(&mut self, n: usize) {
-        match &mut self.cur {
-            Cur::Lit { words, i } => {
-                debug_assert!(*i + n <= words.len());
-                *i += n;
-                if *i == words.len() {
-                    self.bump();
-                }
-            }
-            _ => unreachable!("consume_lit on non-literal cursor"),
-        }
-    }
-}
-
 /// Builds an EWAH stream from a sequence of words, run-compressing on the fly.
 #[derive(Debug)]
 pub struct Appender {
@@ -229,9 +126,7 @@ impl Appender {
     }
 
     /// Start an empty stream that reuses `buf`'s allocation (cleared
-    /// first). This is what makes the batched k-way AND allocation-free:
-    /// the ping-pong accumulators hand their buffers back and forth
-    /// instead of allocating a fresh word vector per step.
+    /// first).
     pub fn with_buffer(mut buf: Vec<u64>) -> Self {
         buf.clear();
         buf.push(0);
@@ -395,160 +290,6 @@ impl EwahBitmap {
         SetBits { segs: RawSegs::new(&self.words), word_index: 0, state: SetBitsState::NeedSeg }
     }
 
-    /// Complement within the universe `[0, nbits)`.
-    #[must_use]
-    pub fn not_upto(&self, nbits: u64) -> EwahBitmap {
-        let full_words = nbits / 64;
-        let rem_bits = (nbits % 64) as u32;
-        let mut cur = Cursor::new(self);
-        let mut out = Appender::new();
-        let mut done = 0u64;
-        while done < full_words {
-            match cur.peek_clean() {
-                Some((ones, left)) => {
-                    let n = left.min(full_words - done);
-                    out.push_clean(!ones, n);
-                    cur.consume_clean(n);
-                    done += n;
-                }
-                None => {
-                    let w = cur.next_word().unwrap_or(0);
-                    out.push_word(!w);
-                    done += 1;
-                }
-            }
-        }
-        if rem_bits > 0 {
-            let w = cur.next_word().unwrap_or(0);
-            let mask = (1u64 << rem_bits) - 1;
-            out.push_word(!w & mask);
-        }
-        out.finish()
-    }
-
-    fn binary_op(&self, other: &EwahBitmap, op: BinOp) -> EwahBitmap {
-        self.binary_op_with_buffer(other, op, Vec::new())
-    }
-
-    /// The compressed-stream merge, writing into a reused word buffer.
-    ///
-    /// Unlike the classic word-at-a-time merge, segments are consumed in
-    /// *blocks*: clean×clean runs emit one clean run (as before), a clean
-    /// run meeting a literal block resolves the whole overlap at once
-    /// (copy / zero-run / unrolled NOT, depending on the op), and two
-    /// literal blocks run through the unrolled word kernels in
-    /// [`crate::kernels`] via a stack chunk. The [`Appender`] re-compresses
-    /// greedily either way, so the output stream is bit-identical to the
-    /// scalar merge's.
-    fn binary_op_with_buffer(&self, other: &EwahBitmap, op: BinOp, buf: Vec<u64>) -> EwahBitmap {
-        let mut a = Cursor::new(self);
-        let mut b = Cursor::new(other);
-        let mut out = Appender::with_buffer(buf);
-        let mut block = [0u64; OP_BLOCK];
-        loop {
-            if a.is_end() && b.is_end() {
-                break;
-            }
-            if a.is_end() || b.is_end() {
-                // Zero-extended tail: the op degenerates per side.
-                match op {
-                    BinOp::And => break, // x AND 0 = 0
-                    BinOp::AndNot => {
-                        if a.is_end() {
-                            break; // 0 \ x = 0
-                        }
-                        copy_rest(&mut a, &mut out); // x \ 0 = x
-                        break;
-                    }
-                    BinOp::Or | BinOp::Xor => {
-                        let rest = if a.is_end() { &mut b } else { &mut a };
-                        copy_rest(rest, &mut out);
-                        break;
-                    }
-                }
-            }
-            match (a.peek_clean(), b.peek_clean()) {
-                (Some((oa, la)), Some((ob, lb))) => {
-                    let n = la.min(lb);
-                    let ones = match op {
-                        BinOp::And => oa && ob,
-                        BinOp::Or => oa || ob,
-                        BinOp::AndNot => oa && !ob,
-                        BinOp::Xor => oa != ob,
-                    };
-                    out.push_clean(ones, n);
-                    a.consume_clean(n);
-                    b.consume_clean(n);
-                }
-                (Some((oa, la)), None) => {
-                    let lit = b.peek_lit().expect("not end, not clean");
-                    let n = la.min(lit.len() as u64) as usize;
-                    let lit = &lit[..n];
-                    match (op, oa) {
-                        (BinOp::And, true) | (BinOp::Or, false) | (BinOp::Xor, false) => {
-                            out.push_words(lit)
-                        }
-                        (BinOp::And, false) | (BinOp::AndNot, false) => {
-                            out.push_clean(false, n as u64)
-                        }
-                        (BinOp::Or, true) => out.push_clean(true, n as u64),
-                        (BinOp::AndNot, true) | (BinOp::Xor, true) => {
-                            push_not_words(&mut out, lit, &mut block)
-                        }
-                    }
-                    a.consume_clean(n as u64);
-                    b.consume_lit(n);
-                }
-                (None, Some((ob, lb))) => {
-                    let lit = a.peek_lit().expect("not end, not clean");
-                    let n = lb.min(lit.len() as u64) as usize;
-                    let lit = &lit[..n];
-                    match (op, ob) {
-                        (BinOp::And, true)
-                        | (BinOp::Or, false)
-                        | (BinOp::AndNot, false)
-                        | (BinOp::Xor, false) => out.push_words(lit),
-                        (BinOp::And, false) | (BinOp::AndNot, true) => {
-                            out.push_clean(false, n as u64)
-                        }
-                        (BinOp::Or, true) => out.push_clean(true, n as u64),
-                        (BinOp::Xor, true) => push_not_words(&mut out, lit, &mut block),
-                    }
-                    a.consume_lit(n);
-                    b.consume_clean(n as u64);
-                }
-                (None, None) => {
-                    let wa = a.peek_lit().expect("not end, not clean");
-                    let wb = b.peek_lit().expect("not end, not clean");
-                    let n = wa.len().min(wb.len());
-                    let mut i = 0;
-                    while i < n {
-                        let k = OP_BLOCK.min(n - i);
-                        let dst = &mut block[..k];
-                        let (xa, xb) = (&wa[i..i + k], &wb[i..i + k]);
-                        match op {
-                            BinOp::And => crate::kernels::map2_into(xa, xb, dst, |x, y| x & y),
-                            BinOp::Or => crate::kernels::map2_into(xa, xb, dst, |x, y| x | y),
-                            BinOp::AndNot => crate::kernels::map2_into(xa, xb, dst, |x, y| x & !y),
-                            BinOp::Xor => crate::kernels::map2_into(xa, xb, dst, |x, y| x ^ y),
-                        }
-                        out.push_words(dst);
-                        i += k;
-                    }
-                    a.consume_lit(n);
-                    b.consume_lit(n);
-                }
-            }
-        }
-        out.finish()
-    }
-
-    /// Symmetric difference.
-    #[must_use]
-    pub fn xor(&self, other: &EwahBitmap) -> EwahBitmap {
-        self.binary_op(other, BinOp::Xor)
-    }
-
     /// Position of the highest set bit, or `None` when empty. One pass over
     /// the compressed segments (no decompression).
     ///
@@ -579,49 +320,6 @@ impl EwahBitmap {
             }
         }
         max
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum BinOp {
-    And,
-    Or,
-    AndNot,
-    Xor,
-}
-
-/// Stack chunk (in words) for literal-block op results: 1 KiB, enough to
-/// amortize loop overhead while staying cache- and stack-friendly.
-const OP_BLOCK: usize = 128;
-
-fn copy_rest(cur: &mut Cursor<'_>, out: &mut Appender) {
-    loop {
-        match cur.peek_clean() {
-            Some((ones, left)) => {
-                out.push_clean(ones, left);
-                cur.consume_clean(left);
-            }
-            None => match cur.peek_lit() {
-                Some(lit) => {
-                    let n = lit.len();
-                    out.push_words(lit);
-                    cur.consume_lit(n);
-                }
-                None => break,
-            },
-        }
-    }
-}
-
-/// Push `!lit` through a stack chunk (ones-run meeting a literal block
-/// under AND-NOT / XOR).
-fn push_not_words(out: &mut Appender, lit: &[u64], block: &mut [u64; OP_BLOCK]) {
-    let mut i = 0;
-    while i < lit.len() {
-        let k = OP_BLOCK.min(lit.len() - i);
-        crate::kernels::not_words_into(&lit[i..i + k], &mut block[..k]);
-        out.push_words(&block[..k]);
-        i += k;
     }
 }
 
@@ -775,13 +473,13 @@ impl EwahBitmap {
     }
 }
 
-/// The set algebra every layer above this crate calls. A bitmap behaves like
-/// an *infinite, zero-extended* bit vector: ids absent from the set read as
-/// 0 regardless of how many words are stored.
+/// The constructors, the tail-append and the dense-word set algebra every
+/// layer above this crate calls. A bitmap behaves like an *infinite,
+/// zero-extended* bit vector: ids absent from the set read as 0 regardless
+/// of how many words are stored.
 impl EwahBitmap {
     /// The full universe `{0, 1, …, n-1}`: a run of set words plus at most
-    /// one literal, not an id walk — the cube layers request the universe
-    /// for every empty-context lookup.
+    /// one literal, not an id walk.
     pub fn full(n: u32) -> Self {
         let nbits = u64::from(n);
         let mut a = Appender::new();
@@ -871,54 +569,6 @@ impl EwahBitmap {
         }
         out.push_word(word);
         *self = EwahBitmap { card, ..out.finish() };
-    }
-
-    /// Remove strictly increasing ids from the set, all of which must be
-    /// present — the shape of a delta-retract, where the caller already
-    /// intersected the removal set with this posting.
-    ///
-    /// The result is the canonical encoding: removing ids and rebuilding
-    /// from scratch give the same word stream
-    /// (`remove_sorted_matches_from_scratch_build`), which is what keeps
-    /// retracted snapshots byte-identical to rebuilt ones.
-    ///
-    /// # Panics
-    /// If `ids` is not strictly increasing or contains an id not present in
-    /// the set.
-    pub fn remove_sorted(&mut self, ids: &[u32]) {
-        if ids.is_empty() {
-            return;
-        }
-        let removal = EwahBitmap::from_sorted(ids);
-        // A real assert (not debug-only): the check is one streaming pass
-        // over the compressed words, and silently dropping an absent id
-        // would desynchronize the caller's histograms from the postings in
-        // release builds.
-        assert_eq!(self.and_cardinality(&removal), removal.card, "removed ids must all be present");
-        // Stream difference: both compressed streams merge word by word
-        // without decompressing, and the Appender re-compresses greedily,
-        // so the result is the same canonical word stream `from_sorted`
-        // would build from the surviving ids — byte-identical snapshots do
-        // not depend on the construction path.
-        *self = self.binary_op(&removal, BinOp::AndNot);
-    }
-
-    /// Set intersection.
-    #[must_use]
-    pub fn and(&self, other: &Self) -> Self {
-        self.binary_op(other, BinOp::And)
-    }
-
-    /// Set union.
-    #[must_use]
-    pub fn or(&self, other: &Self) -> Self {
-        self.binary_op(other, BinOp::Or)
-    }
-
-    /// Set difference (`self \ other`).
-    #[must_use]
-    pub fn andnot(&self, other: &Self) -> Self {
-        self.binary_op(other, BinOp::AndNot)
     }
 
     /// Number of ids in the set (a stored field, not a popcount).
@@ -1035,114 +685,40 @@ impl EwahBitmap {
             .sum()
     }
 
+    /// Gather the membership of the ascending `ids` into dense words: bit
+    /// `i` of `out` (bit `i % 64` of `out[i / 64]`) is set when `ids[i]` is
+    /// in the set, so the result is numbered by position in `ids`, not by
+    /// id. `out` is zeroed first and must hold ⌈`ids.len()` / 64⌉ words.
+    /// One walk over the segments up to the last id's word, clamped there
+    /// like the walkers above. Returns the number of bits set.
+    pub fn gather_words_into(&self, ids: &[u32], out: &mut [u64]) -> u64 {
+        debug_assert!(ids.windows(2).all(|w| w[0] <= w[1]), "ids must ascend");
+        out.fill(0);
+        let span = ids.last().map_or(0, |&last| last as usize / 64 + 1);
+        let (mut i, mut count) = (0, 0);
+        for (at, seg) in self.segs_upto(span) {
+            let end = at + seg.len();
+            // Ascending ids below `at` were all taken by earlier segments.
+            while let Some(&id) = ids.get(i).filter(|&&id| (id as usize / 64) < end) {
+                let hit = match seg {
+                    Seg::Clean { ones, .. } => ones,
+                    Seg::Lit(words) => words[id as usize / 64 - at] >> (id % 64) & 1 == 1,
+                };
+                if hit {
+                    out[i / 64] |= 1 << (i % 64);
+                    count += 1;
+                }
+                i += 1;
+            }
+        }
+        count
+    }
+
     /// Collect the ids into a vector (ascending).
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.card as usize);
         self.for_each(|id| v.push(id));
         v
-    }
-
-    /// Intersection into a caller-owned accumulator, reusing its storage.
-    ///
-    /// This is the allocation-free building block of the batched k-way AND:
-    /// [`EwahBitmap::intersect_many`] ping-pongs two accumulators through
-    /// it, so any number of steps costs at most two buffers. (The
-    /// intersection of compressed streams can outgrow either input's
-    /// storage, so true in-place is not possible, but buffer recycling gets
-    /// the same steady-state behavior.)
-    pub fn and_into(&self, other: &Self, out: &mut Self) {
-        let buf = out.words.take_vec();
-        *out = self.binary_op_with_buffer(other, BinOp::And, buf);
-    }
-
-    /// In-place intersection (`*self &= other`).
-    pub fn and_assign(&mut self, other: &Self) {
-        *self = self.and(other);
-    }
-
-    /// Batched k-way intersection: smallest-cardinality first (the running
-    /// intersection can only shrink), empty short-circuit, and **no per-step
-    /// posting allocation** — two accumulators ping-pong through
-    /// [`EwahBitmap::and_into`], so k steps cost at most two buffers
-    /// regardless of k.
-    ///
-    /// `None` when `postings` is empty (an empty *intersection* of zero sets
-    /// would be the full universe, which a posting cannot represent without
-    /// knowing `n`).
-    pub fn intersect_many(postings: &[&Self]) -> Option<Self> {
-        match postings {
-            [] => None,
-            [one] => Some((*one).clone()),
-            _ => {
-                let mut order: Vec<&Self> = postings.to_vec();
-                order.sort_by_key(|p| p.card);
-                let mut acc = order[0].clone();
-                let mut spare = EwahBitmap::new();
-                for p in &order[1..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    acc.and_into(p, &mut spare);
-                    std::mem::swap(&mut acc, &mut spare);
-                }
-                Some(acc)
-            }
-        }
-    }
-
-    /// Cardinality of the intersection, without materializing it — the hot
-    /// operation of support counting in Eclat and of per-unit histograms in
-    /// the cube builder.
-    pub fn and_cardinality(&self, other: &Self) -> u64 {
-        // Streaming count: like binary_op(And) but without building output.
-        // Clean runs annihilate (zeros) or popcount the other side's
-        // literal block wholesale (ones); literal×literal blocks run
-        // through the unrolled fused AND-popcount kernel.
-        let mut a = Cursor::new(self);
-        let mut b = Cursor::new(other);
-        let mut count = 0u64;
-        loop {
-            if a.is_end() || b.is_end() {
-                break;
-            }
-            match (a.peek_clean(), b.peek_clean()) {
-                (Some((oa, la)), Some((ob, lb))) => {
-                    let n = la.min(lb);
-                    if oa && ob {
-                        count += 64 * n;
-                    }
-                    a.consume_clean(n);
-                    b.consume_clean(n);
-                }
-                (Some((oa, la)), None) => {
-                    let lit = b.peek_lit().expect("not end, not clean");
-                    let n = la.min(lit.len() as u64) as usize;
-                    if oa {
-                        count += crate::kernels::popcount_words(&lit[..n]);
-                    }
-                    a.consume_clean(n as u64);
-                    b.consume_lit(n);
-                }
-                (None, Some((ob, lb))) => {
-                    let lit = a.peek_lit().expect("not end, not clean");
-                    let n = lb.min(lit.len() as u64) as usize;
-                    if ob {
-                        count += crate::kernels::popcount_words(&lit[..n]);
-                    }
-                    a.consume_lit(n);
-                    b.consume_clean(n as u64);
-                }
-                (None, None) => {
-                    let wa = a.peek_lit().expect("not end, not clean");
-                    let wb = b.peek_lit().expect("not end, not clean");
-                    let n = wa.len().min(wb.len());
-                    count += crate::kernels::and_popcount_words(&wa[..n], &wb[..n]);
-                    a.consume_lit(n);
-                    b.consume_lit(n);
-                }
-            }
-        }
-        count
     }
 
     /// Membership test, one pass over the compressed segments.
@@ -1175,33 +751,7 @@ impl PartialEq for EwahBitmap {
     /// Semantic equality: equal sets compare equal even if their compressed
     /// encodings differ (e.g. a literal word `0` vs a clean zero run).
     fn eq(&self, other: &Self) -> bool {
-        if self.card != other.card {
-            return false;
-        }
-        let mut a = Cursor::new(self);
-        let mut b = Cursor::new(other);
-        loop {
-            if a.is_end() && b.is_end() {
-                return true;
-            }
-            match (a.peek_clean(), b.peek_clean()) {
-                (Some((oa, la)), Some((ob, lb))) => {
-                    if oa != ob {
-                        return false;
-                    }
-                    let n = la.min(lb);
-                    a.consume_clean(n);
-                    b.consume_clean(n);
-                }
-                _ => {
-                    let wa = a.next_word().unwrap_or(0);
-                    let wb = b.next_word().unwrap_or(0);
-                    if wa != wb {
-                        return false;
-                    }
-                }
-            }
-        }
+        self.card == other.card && self.iter().eq(other.iter())
     }
 }
 
@@ -1342,56 +892,32 @@ mod tests {
     fn and_overlapping() {
         let a = bm(&[1, 2, 3, 100, 200]);
         let b = bm(&[2, 100, 300]);
-        assert_eq!(a.and(&b).to_vec(), vec![2, 100]);
-        assert_eq!(a.and_cardinality(&b), 2);
-    }
-
-    #[test]
-    fn or_disjoint() {
-        let a = bm(&[1, 1000]);
-        let b = bm(&[5, 500]);
-        assert_eq!(a.or(&b).to_vec(), vec![1, 5, 500, 1000]);
-    }
-
-    #[test]
-    fn andnot_and_xor() {
-        let a = bm(&[1, 2, 3, 4]);
-        let b = bm(&[2, 4, 6]);
-        assert_eq!(a.andnot(&b).to_vec(), vec![1, 3]);
-        assert_eq!(b.andnot(&a).to_vec(), vec![6]);
-        assert_eq!(a.xor(&b).to_vec(), vec![1, 3, 6]);
+        let mut words = vec![0u64; 5];
+        a.decode_words_into(&mut words);
+        assert_eq!(b.and_words_cardinality(&words), 2);
+        assert_eq!(b.and_words_into(&mut words), 2);
+        assert_eq!(EwahBitmap::from_words(&words).to_vec(), vec![2, 100]);
+        let mut gathered = [0u64];
+        assert_eq!(a.gather_words_into(&[2, 100, 300], &mut gathered), 2);
+        assert_eq!(gathered, [0b011]);
     }
 
     #[test]
     fn ops_with_empty() {
         let a = bm(&[1, 2, 3]);
         let e = EwahBitmap::new();
-        assert_eq!(a.and(&e).to_vec(), Vec::<u32>::new());
-        assert_eq!(a.or(&e).to_vec(), vec![1, 2, 3]);
-        assert_eq!(e.or(&a).to_vec(), vec![1, 2, 3]);
-        assert_eq!(a.andnot(&e).to_vec(), vec![1, 2, 3]);
-        assert_eq!(e.andnot(&a).to_vec(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn not_upto() {
-        let a = bm(&[0, 2, 4]);
-        assert_eq!(a.not_upto(6).to_vec(), vec![1, 3, 5]);
-        assert_eq!(a.not_upto(5).to_vec(), vec![1, 3]);
-        assert_eq!(a.not_upto(0).to_vec(), Vec::<u32>::new());
-        let e = EwahBitmap::new();
-        assert_eq!(e.not_upto(130).cardinality(), 130);
-    }
-
-    #[test]
-    fn not_upto_word_boundary() {
-        let a = bm(&[63, 64]);
-        let c = a.not_upto(128);
-        assert_eq!(c.cardinality(), 126);
-        assert!(!c.contains(63));
-        assert!(!c.contains(64));
-        assert!(c.contains(0));
-        assert!(c.contains(127));
+        let mut words = vec![u64::MAX; 2];
+        e.decode_words_into(&mut words);
+        assert_eq!(words, [0, 0]);
+        a.decode_words_into(&mut words);
+        assert_eq!(e.and_words_cardinality(&words), 0);
+        assert_eq!(e.and_words_into(&mut words), 0);
+        assert_eq!(words, [0, 0]);
+        let mut gathered = [u64::MAX];
+        assert_eq!(e.gather_words_into(&[1, 2, 3], &mut gathered), 0);
+        assert_eq!(gathered, [0]);
+        assert_eq!(a.gather_words_into(&[], &mut []), 0);
+        assert_eq!(EwahBitmap::from_words(&[0, 0]), e);
     }
 
     #[test]
@@ -1402,15 +928,14 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         // Different construction path, same set.
-        let d = bm(&[1]).or(&bm(&[2, 3]));
-        assert_eq!(a, d);
-    }
-
-    #[test]
-    fn double_negation_is_identity() {
-        let ids = vec![0, 7, 63, 64, 300];
-        let a = bm(&ids);
-        assert_eq!(a.not_upto(301).not_upto(301), a);
+        assert_eq!(a, EwahBitmap::from_words(&[0b1110]));
+        // Different encoding, same set: a literal word 0 where the
+        // canonical stream has a clean zero run.
+        let slot: Vec<u8> =
+            [encode_marker(false, 0, 2), 0, 0b1110].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let literal_zero = EwahBitmap::read_slot(&slot, 3).expect("structurally valid");
+        assert_eq!(literal_zero, bm(&[65, 66, 67]));
+        assert_ne!(literal_zero, bm(&[65, 66, 68]));
     }
 
     #[test]
@@ -1444,8 +969,14 @@ mod tests {
     fn and_cardinality_matches_materialized() {
         let a = bm(&(0..5000).step_by(3).collect::<Vec<_>>());
         let b = bm(&(0..5000).step_by(7).collect::<Vec<_>>());
-        assert_eq!(a.and_cardinality(&b), a.and(&b).cardinality());
-        assert_eq!(b.and_cardinality(&a), a.and(&b).cardinality());
+        let expect: Vec<u32> = (0..5000).step_by(21).collect();
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let mut words = vec![0u64; 5000usize.div_ceil(64)];
+            x.decode_words_into(&mut words);
+            assert_eq!(y.and_words_cardinality(&words), expect.len() as u64);
+            assert_eq!(y.and_words_into(&mut words), expect.len() as u64);
+            assert_eq!(EwahBitmap::from_words(&words), bm(&expect));
+        }
     }
 
     #[test]

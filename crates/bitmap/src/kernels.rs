@@ -1,5 +1,4 @@
-//! Word-level kernels under the EWAH stream merges and the miner's dense
-//! tidsets.
+//! Word-level kernels of the dense set algebra.
 //!
 //! Every routine here works on plain `&[u64]` slices and is written as a
 //! straight-line loop over fixed-width chunks (`chunks_exact`), the shape
@@ -9,11 +8,10 @@
 //! never trim trailing zeros or track cardinality; the caller owns the
 //! encoding invariants.
 //!
-//! [`EwahBitmap`](crate::EwahBitmap) uses them for literal-run ×
-//! literal-run blocks inside its compressed-stream merge and for bulk
-//! popcounts of literal stretches. The Eclat walk runs its joins straight
-//! on them: it counts a candidate with [`and_popcount_words`] and
-//! histograms a node with [`for_each_set_bit`].
+//! [`EwahBitmap`](crate::EwahBitmap) runs its literal stretches through
+//! them when it crosses into dense words. The Eclat walk and the update
+//! path run their joins straight on them: they count a candidate with
+//! [`and_popcount_words`] and histogram a node with [`for_each_set_bit`].
 
 /// Width of the unrolled inner loops, in 64-bit words (a 512-bit stripe).
 const LANES: usize = 8;
@@ -94,35 +92,6 @@ pub fn for_each_set_bit(words: &[u64], first: u64, mut f: impl FnMut(u32)) {
     }
 }
 
-/// `out[i] = f(a[i], b[i])` over the overlapping prefix; `out` must be at
-/// least that long. The closure is monomorphized per call site, so each op
-/// gets its own unrolled loop.
-#[inline]
-pub fn map2_into(a: &[u64], b: &[u64], out: &mut [u64], f: impl Fn(u64, u64) -> u64) {
-    let n = a.len().min(b.len());
-    let (a, b, out) = (&a[..n], &b[..n], &mut out[..n]);
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    let mut co = out.chunks_exact_mut(LANES);
-    for ((xs, ys), os) in (&mut ca).zip(&mut cb).zip(&mut co) {
-        for ((o, x), y) in os.iter_mut().zip(xs).zip(ys) {
-            *o = f(*x, *y);
-        }
-    }
-    for ((o, x), y) in co.into_remainder().iter_mut().zip(ca.remainder()).zip(cb.remainder()) {
-        *o = f(*x, *y);
-    }
-}
-
-/// `out[i] = !src[i]` (used by the EWAH merge when a ones-run meets a
-/// literal block under AND-NOT / XOR).
-#[inline]
-pub fn not_words_into(src: &[u64], out: &mut [u64]) {
-    for (o, s) in out[..src.len()].iter_mut().zip(src) {
-        *o = !s;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,24 +136,5 @@ mod tests {
         let mut ids = Vec::new();
         for_each_set_bit(&[0b1010, 0, 1 << 63], 128, |id| ids.push(id));
         assert_eq!(ids, vec![129, 131, 128 + 128 + 63]);
-    }
-
-    #[test]
-    fn map2_into_applies_the_op_over_the_shorter_input() {
-        let a: Vec<u64> = (0..100u64).map(|i| i.wrapping_mul(0xDEAD_BEEF_CAFE_F00D)).collect();
-        let b: Vec<u64> = (0..90u64).map(|i| i.rotate_left(13) ^ 0xABCD).collect();
-        let mut out = vec![0u64; 90];
-        map2_into(&a, &b, &mut out, |x, y| x & !y);
-        for i in 0..90 {
-            assert_eq!(out[i], a[i] & !b[i]);
-        }
-    }
-
-    #[test]
-    fn not_words() {
-        let src = [0u64, u64::MAX, 0x0F0F];
-        let mut out = [0u64; 3];
-        not_words_into(&src, &mut out);
-        assert_eq!(out, [u64::MAX, 0, !0x0F0Fu64]);
     }
 }

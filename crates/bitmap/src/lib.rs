@@ -7,38 +7,36 @@
 //!
 //! * [`EwahBitmap`] — a 64-bit word-aligned hybrid (EWAH) compressed bitmap:
 //!   runs of identical words are run-length encoded, other words are stored
-//!   verbatim. Fast `AND`/`OR`/`ANDNOT`/`XOR` by merging compressed streams.
-//!   This is **the** stored tidset of every layer above this crate —
-//!   vertical database, cube, snapshot, query engine, update path — with
-//!   its snapshot slot codec ([`EwahBitmap::write_slot`] /
+//!   verbatim. This is **the** stored tidset of every layer above this
+//!   crate — vertical database, cube, snapshot, query engine, update path —
+//!   with its snapshot slot codec ([`EwahBitmap::write_slot`] /
 //!   [`EwahBitmap::read_slot`] / [`EwahBitmap::map_slot`]).
 //!
 //! For *stored postings*, dense words, sorted id vectors and a per-posting
 //! adaptive switch were measured against EWAH and lost (decision record:
-//! `docs/ARCHITECTURE.md`, "The posting kernel layer"), so the set algebra
-//! is `EwahBitmap`'s own inherent methods. The miner's working set is the
-//! exception: the Eclat walk's tidsets are transient, never saved, and
-//! random with no runs, so they are plain `u64` words
-//! (`docs/ARCHITECTURE.md`, "the miner's working set is dense words").
-//! [`EwahBitmap::decode_words_into`] and [`EwahBitmap::and_words_into`]
-//! cross from a posting into that form, clamped at the dense span on any
+//! `docs/ARCHITECTURE.md`, "The posting kernel layer"), so postings stay
+//! EWAH. The set algebra does not: every intersection runs on plain `u64`
+//! words (bit `b` of word `i` is id `64·i + b`), which is what the Eclat
+//! walk, the explorer and the update path hold their working tidsets in.
+//! A posting crosses into that form in one walk over its segments —
+//! [`EwahBitmap::decode_words_into`], [`EwahBitmap::and_words_into`],
+//! [`EwahBitmap::and_words_cardinality`] and the positional gather
+//! [`EwahBitmap::gather_words_into`] — clamped at the dense span on any
 //! stream the slot decoders accept, and [`EwahBitmap::from_words`] encodes
-//! back. Two conventions hold across the set algebra:
+//! back. Two conventions hold:
 //!
 //! * ids are `u32`, and a bitmap reads as an infinite zero-extended bit
 //!   vector: absent ids are 0 however many words are stored;
-//! * every constructor and operation produces the *canonical* word stream of
-//!   its result set — a pure function of the set, never of the build path —
-//!   which is what keeps updated snapshots byte-identical to rebuilt ones.
+//! * every constructor produces the *canonical* word stream of its set — a
+//!   pure function of the set, never of the build path — which is what
+//!   keeps updated snapshots byte-identical to rebuilt ones.
 //!   [`EwahBitmap::append_sorted`] is a tail-append that resumes the
 //!   canonical stream at its end, so it panics on an id at or below the
-//!   current maximum, as [`EwahBitmap::remove_sorted`] panics on an id that
-//!   is not present, in release builds too.
+//!   current maximum, in release builds too.
 //!
-//! Beside the type sit [`mod@kernels`] (the unrolled word loops its merges run
-//! literal blocks through, and the walk runs its dense joins on) and
-//! [`mod@reference`] (the scalar sorted-vector oracle the differential tests
-//! compare against).
+//! Beside the type sit [`mod@kernels`] (the unrolled word loops the dense
+//! algebra runs on) and [`mod@reference`] (the scalar sorted-vector oracle
+//! the differential tests compare against).
 
 pub mod ewah;
 pub mod kernels;
@@ -59,9 +57,23 @@ mod tests {
         (bytes, p.cardinality())
     }
 
+    /// The k-way intersection on dense words, as its callers run it: the
+    /// smallest posting decoded over its own span, every posting ANDed in.
+    fn intersect_all(postings: &[&EwahBitmap]) -> Vec<u32> {
+        let smallest = postings.iter().min_by_key(|p| p.cardinality()).expect("non-empty");
+        let mut words = vec![0; smallest.max_id().map_or(0, |m| m as usize / 64 + 1)];
+        smallest.decode_words_into(&mut words);
+        for p in postings {
+            p.and_words_into(&mut words);
+        }
+        EwahBitmap::from_words(&words).to_vec()
+    }
+
     #[test]
     fn intersect_all_empty_input() {
-        assert!(EwahBitmap::intersect_many(&[]).is_none());
+        let a = EwahBitmap::from_sorted(&[1, 64, 700]);
+        assert!(intersect_all(&[&a, &EwahBitmap::new()]).is_empty());
+        assert!(intersect_all(&[&EwahBitmap::new()]).is_empty());
     }
 
     #[test]
@@ -69,15 +81,13 @@ mod tests {
         let a = EwahBitmap::from_sorted(&[1, 2, 3, 4, 5]);
         let b = EwahBitmap::from_sorted(&[2, 4, 6]);
         let c = EwahBitmap::from_sorted(&[4, 5, 6]);
-        let r = EwahBitmap::intersect_many(&[&a, &b, &c]).unwrap();
-        assert_eq!(r.to_vec(), vec![4]);
+        assert_eq!(intersect_all(&[&a, &b, &c]), vec![4]);
     }
 
     #[test]
     fn intersect_all_single() {
         let a = EwahBitmap::from_sorted(&[7, 9]);
-        let r = EwahBitmap::intersect_many(&[&a]).unwrap();
-        assert_eq!(r.to_vec(), vec![7, 9]);
+        assert_eq!(intersect_all(&[&a]), vec![7, 9]);
     }
 
     #[test]
@@ -93,7 +103,12 @@ mod tests {
     #[test]
     fn full_intersects_like_identity() {
         let a = EwahBitmap::from_sorted(&[3, 64, 1000]);
-        assert_eq!(EwahBitmap::full(2000).and(&a).to_vec(), vec![3, 64, 1000]);
+        let mut words = vec![0u64; 2000usize.div_ceil(64)];
+        a.decode_words_into(&mut words);
+        let before = words.clone();
+        assert_eq!(EwahBitmap::full(2000).and_words_into(&mut words), 3);
+        assert_eq!(words, before);
+        assert_eq!(intersect_all(&[&EwahBitmap::full(2000), &a]), vec![3, 64, 1000]);
     }
 
     #[test]
@@ -101,26 +116,12 @@ mod tests {
         let a = EwahBitmap::from_sorted(&(0..400).step_by(2).collect::<Vec<u32>>());
         let b = EwahBitmap::from_sorted(&(0..400).step_by(3).collect::<Vec<u32>>());
         let c = EwahBitmap::from_sorted(&(0..400).step_by(5).collect::<Vec<u32>>());
-        let batched = EwahBitmap::intersect_many(&[&a, &b, &c]).unwrap();
-        let folded = a.and(&b).and(&c);
-        assert_eq!(batched, folded);
-        assert_eq!(batched.to_vec(), (0..400).step_by(30).collect::<Vec<u32>>());
-        // Disjoint input short-circuits to empty.
+        let expect: Vec<u32> = (0..400).step_by(30).collect();
+        assert_eq!(intersect_all(&[&a, &b, &c]), expect);
+        assert_eq!(intersect_all(&[&c, &a, &b]), expect, "order does not matter");
+        // A posting past every other's span leaves nothing.
         let d = EwahBitmap::from_sorted(&[401]);
-        assert!(EwahBitmap::intersect_many(&[&a, &d, &b]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn and_into_and_assign_match_and() {
-        let a = EwahBitmap::from_sorted(&[1, 3, 5, 64, 65, 900]);
-        let b = EwahBitmap::from_sorted(&[3, 64, 900, 1000]);
-        let expect = a.and(&b);
-        let mut out = EwahBitmap::from_sorted(&[7, 8]); // stale contents must be overwritten
-        a.and_into(&b, &mut out);
-        assert_eq!(out, expect);
-        let mut c = a.clone();
-        c.and_assign(&b);
-        assert_eq!(c, expect);
+        assert!(intersect_all(&[&a, &d, &b]).is_empty());
     }
 
     #[test]
@@ -164,40 +165,6 @@ mod tests {
     #[should_panic(expected = "appended ids must follow every id present")]
     fn append_sorted_refuses_an_id_below_the_last_word() {
         EwahBitmap::from_sorted(&[3, 200]).append_sorted(&[64]);
-    }
-
-    #[test]
-    fn remove_sorted_matches_from_scratch_build() {
-        for (base, removed) in [
-            (vec![0u32, 3], vec![0u32, 3]),
-            (vec![0u32, 1, 5], vec![]),
-            (vec![0u32, 1, 5], vec![1]),
-            (vec![3u32, 63, 64, 65, 200], vec![63, 64]),
-            (vec![0u32, 64, 1000, 1001, 5000], vec![1000, 5000]),
-            ((0..420).collect::<Vec<u32>>(), (0..420).step_by(3).collect::<Vec<u32>>()),
-            ((0..300).collect::<Vec<u32>>(), (100..300).collect::<Vec<u32>>()),
-            (vec![7u32, 1_000_000], vec![1_000_000]),
-        ] {
-            let mut shrunk = EwahBitmap::from_sorted(&base);
-            shrunk.remove_sorted(&removed);
-            let survivors: Vec<u32> =
-                base.iter().copied().filter(|id| !removed.contains(id)).collect();
-            let scratch = EwahBitmap::from_sorted(&survivors);
-            assert_eq!(shrunk, scratch, "{base:?} - {removed:?}");
-            assert_eq!(shrunk.to_vec(), survivors, "{base:?} - {removed:?}");
-            // Canonical encoding must not depend on the build path:
-            // snapshot byte-identity after a retraction relies on this.
-            assert_eq!(slot(&shrunk), slot(&scratch), "{base:?} - {removed:?}");
-        }
-    }
-
-    #[test]
-    fn remove_sorted_rejects_absent_ids() {
-        let result = std::panic::catch_unwind(|| {
-            let mut p = EwahBitmap::from_sorted(&[1, 5, 9]);
-            p.remove_sorted(&[5, 6]);
-        });
-        assert!(result.is_err(), "removing an absent id must panic");
     }
 
     const SLOT_CASES: [&[u32]; 6] = [

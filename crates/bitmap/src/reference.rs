@@ -1,10 +1,10 @@
 //! Scalar reference implementations over sorted id vectors.
 //!
-//! Every optimized kernel in this crate — the unrolled word loops, the
-//! compressed-stream block paths, the batched k-way AND — is pinned against
-//! these deliberately boring linear merges by the differential property
-//! tests (`tests/kernel_equivalence.rs`): one element at a time, one fresh
-//! vector per step, nothing to get wrong.
+//! The dense set algebra of this crate — the segment walkers, the unrolled
+//! word loops, the k-way intersection its callers run on them — is pinned
+//! against these deliberately boring linear merges by the differential
+//! property tests (`tests/kernel_equivalence.rs`): one element at a time,
+//! one fresh vector per step, nothing to get wrong.
 
 /// Linear-merge intersection of two strictly increasing id slices.
 pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -22,24 +22,6 @@ pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
         }
     }
     out
-}
-
-/// Cardinality of the intersection, scalar two-pointer scan.
-pub fn intersect_cardinality_sorted(a: &[u32], b: &[u32]) -> u64 {
-    let (mut i, mut j) = (0, 0);
-    let mut n = 0u64;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
 }
 
 /// Pairwise-fold k-way intersection: each step materializes a fresh vector.
@@ -64,7 +46,6 @@ mod tests {
         let a = [1u32, 3, 5, 7, 9];
         let b = [3u32, 4, 5, 9, 10];
         assert_eq!(intersect_sorted(&a, &b), vec![3, 5, 9]);
-        assert_eq!(intersect_cardinality_sorted(&a, &b), 3);
         assert_eq!(intersect_all_sorted(&[&a, &b, &[5u32, 9]]).unwrap(), vec![5, 9]);
         assert!(intersect_all_sorted(&[]).is_none());
     }

@@ -1,28 +1,23 @@
-//! Differential tests pinning every optimized `EwahBitmap` kernel
-//! bit-identical to the scalar reference (`scube_bitmap::reference`, plain
-//! sorted-vector merges).
+//! Differential tests pinning the dense set algebra of `EwahBitmap` to the
+//! scalar reference (`scube_bitmap::reference`, plain sorted-vector
+//! merges), on heap and mapped slots.
 //!
-//! Covered kernels: the batched k-way AND (`intersect_many`), the
-//! buffer-reusing `and_into` and `and_assign`, and the word-unrolled
-//! compressed-stream merges (exercised through `and` / `or` / `andnot` /
-//! `and_cardinality`). Every result is checked both for answer equality and
-//! for canonical-encoding stability against a from-scratch build, by its
-//! snapshot slot bytes — *bit*-identical, not just set-equal.
-//!
-//! The dense-word side the Eclat walk runs on is pinned the same way, on
-//! heap and mapped slots: the segment walkers `decode_words_into`,
-//! `and_words_into` and its write-free count `and_words_cardinality` at
-//! spans shorter and longer than the set, `from_words`
-//! back to the canonical bytes, the fused `kernels::and_assign_popcount_words`
-//! and `and_popcount_words`, and the segment-walking `for_each` (≡ `iter()`
-//! ≡ the ids). Hostile streams that reach past the dense span are clamped,
-//! and a malformed one is refused at decode, never a panic.
+//! Covered: the k-way intersection every caller runs (the smallest posting
+//! decoded, the others ANDed in with `and_words_into`) against
+//! `reference::intersect_all_sorted`; the segment walkers
+//! `decode_words_into`, `and_words_into` and its write-free count
+//! `and_words_cardinality` at spans shorter and longer than the set; the
+//! positional gather `gather_words_into` against membership in the ids;
+//! `from_words` back to the canonical bytes (*bit*-identical to a
+//! from-scratch build, not just set-equal); the fused
+//! `kernels::and_assign_popcount_words` and `and_popcount_words`; and the
+//! segment-walking `for_each` (≡ `iter()` ≡ the ids). Hostile streams that
+//! reach past the dense span are clamped, and a malformed one is refused at
+//! decode, never a panic.
 //!
 //! Deterministic edge grids cover empty / full / single-word /
 //! word-boundary / ones-run shapes; proptest generators cover skew-varying
 //! random data.
-
-use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use scube_bitmap::kernels::{and_assign_popcount_words, and_popcount_words, for_each_set_bit};
@@ -39,29 +34,26 @@ fn same_slot(a: &EwahBitmap, b: &EwahBitmap) -> bool {
     x == y
 }
 
-/// Every optimized entry point vs the scalar reference, plus canonical
-/// encoding of every result vs a from-scratch build of the reference
-/// answer.
+/// Every dense entry point vs the scalar reference, plus canonical encoding
+/// of the k-way result vs a from-scratch build of the reference answer.
 fn check_against_reference(lists: &[Vec<u32>]) {
-    let encodes_like_scratch = |got: &EwahBitmap, expect_ids: &[u32], what: &str| {
-        let scratch = EwahBitmap::from_sorted(expect_ids);
-        assert!(same_slot(got, &scratch), "{what}: encoding differs from from-scratch build");
-        assert_eq!(got.cardinality(), scratch.cardinality(), "{what}: cardinality");
-    };
     let postings: Vec<EwahBitmap> = lists.iter().map(|ids| EwahBitmap::from_sorted(ids)).collect();
-    let refs: Vec<&EwahBitmap> = postings.iter().collect();
     let slices: Vec<&[u32]> = lists.iter().map(|v| v.as_slice()).collect();
 
-    // Batched k-way AND vs scalar pairwise fold.
-    let expect = reference::intersect_all_sorted(&slices);
-    let got = EwahBitmap::intersect_many(&refs);
-    match (&expect, &got) {
-        (None, None) => {}
-        (Some(e), Some(g)) => {
-            assert_eq!(g.to_vec(), *e, "intersect_many answer");
-            encodes_like_scratch(g, e, "intersect_many");
+    // k-way: decode the smallest posting over its span, AND the rest in.
+    if let Some(expect) = reference::intersect_all_sorted(&slices) {
+        let smallest = postings.iter().min_by_key(|p| p.cardinality()).expect("non-empty");
+        let mut words = vec![u64::MAX; smallest.max_id().map_or(0, |m| m as usize / 64 + 1)];
+        smallest.decode_words_into(&mut words);
+        let mut count = smallest.cardinality();
+        for p in &postings {
+            count = p.and_words_into(&mut words);
         }
-        _ => panic!("intersect_many Some/None mismatch"),
+        assert_eq!(dense_ids(&words), expect, "k-way answer");
+        assert_eq!(count, expect.len() as u64, "k-way count");
+        let encoded = EwahBitmap::from_words(&words);
+        assert!(same_slot(&encoded, &EwahBitmap::from_sorted(&expect)), "k-way encoding");
+        assert_eq!(encoded.cardinality(), expect.len() as u64, "k-way cardinality");
     }
 
     for (ids, posting) in lists.iter().zip(&postings) {
@@ -71,40 +63,23 @@ fn check_against_reference(lists: &[Vec<u32>]) {
     // Pairwise kernels over every adjacent pair.
     for w in lists.windows(2) {
         let (xs, ys) = (&w[0], &w[1]);
-        let px = EwahBitmap::from_sorted(xs);
-        let py = EwahBitmap::from_sorted(ys);
+        let (px, py) = (EwahBitmap::from_sorted(xs), EwahBitmap::from_sorted(ys));
         let and = reference::intersect_sorted(xs, ys);
         check_dense_join(xs, ys, &px, &py, &and);
-
-        assert_eq!(px.and(&py).to_vec(), and, "and");
-        assert_eq!(px.and_cardinality(&py), and.len() as u64, "and_cardinality");
-        assert_eq!(
-            px.and_cardinality(&py),
-            reference::intersect_cardinality_sorted(xs, ys),
-            "and_cardinality vs scalar count"
-        );
-
-        let mut out = EwahBitmap::from_sorted(&[9, 100, 110]); // stale state must vanish
-        px.and_into(&py, &mut out);
-        assert_eq!(out.to_vec(), and, "and_into");
-        encodes_like_scratch(&out, &and, "and_into");
-
-        let mut assigned = px.clone();
-        assigned.and_assign(&py);
-        assert_eq!(assigned.to_vec(), and, "and_assign");
-        encodes_like_scratch(&assigned, &and, "and_assign");
-
-        // or / andnot via the BTreeSet model (the unrolled word paths
-        // serve all four ops).
-        let sx: BTreeSet<u32> = xs.iter().copied().collect();
-        let sy: BTreeSet<u32> = ys.iter().copied().collect();
-        let or: Vec<u32> = sx.union(&sy).copied().collect();
-        let diff: Vec<u32> = sx.difference(&sy).copied().collect();
-        assert_eq!(px.or(&py).to_vec(), or, "or");
-        assert_eq!(px.andnot(&py).to_vec(), diff, "andnot");
-        encodes_like_scratch(&px.or(&py), &or, "or");
-        encodes_like_scratch(&px.andnot(&py), &diff, "andnot");
+        check_gather(xs, &px, ys);
+        check_gather(ys, &py, xs);
     }
+}
+
+/// `posting.gather_words_into(probe)` sets bit `i` exactly when `probe[i]`
+/// is one of `ids`, over stale contents, and counts those bits.
+fn check_gather(ids: &[u32], posting: &EwahBitmap, probe: &[u32]) {
+    let expect: Vec<u32> = (0..probe.len() as u32)
+        .filter(|&i| ids.binary_search(&probe[i as usize]).is_ok())
+        .collect();
+    let mut out = vec![u64::MAX; probe.len().div_ceil(64)];
+    let count = posting.gather_words_into(probe, &mut out);
+    assert_eq!((dense_ids(&out), count), (expect.clone(), expect.len() as u64), "gather");
 }
 
 /// The ids of dense words, ascending.
@@ -203,8 +178,16 @@ fn hostile_streams_are_clamped_at_the_span() {
         assert_eq!(dense, before, "a ones-run is the identity of the AND");
         assert_eq!(count, and_popcount_words(&before, &before), "span {span}");
     }
+    // The gather clamps at the last id's word: every `u32` id lies in the
+    // run, the top one included.
+    let ids = [0u32, 1, 64 * 5, u32::MAX - 1, u32::MAX];
+    let mut gathered = [0u64];
+    assert_eq!(hostile.gather_words_into(&ids, &mut gathered), 5);
+    assert_eq!(gathered, [0b11111]);
     // A zero run past the span, the literal never reached.
     let far = EwahBitmap::read_slot(&slot_bytes(&[marker(false, run, 1), 7]), 3).unwrap();
+    assert_eq!(far.gather_words_into(&ids, &mut gathered), 0);
+    assert_eq!(gathered, [0]);
     let mut dense = vec![u64::MAX; 3];
     assert_eq!(far.and_words_cardinality(&dense), 0);
     assert_eq!(far.and_words_into(&mut dense), 0);
@@ -241,6 +224,9 @@ fn dense_walkers_match_on_mapped_slots() {
             .expect("mapped slot decodes");
         check_dense_decode(ids, &mapped);
         check_dense_join(ids, ids, &mapped, &mapped, ids);
+        let probe: Vec<u32> = (0..ids.last().map_or(0, |&m| m + 100)).step_by(3).collect();
+        check_gather(ids, &mapped, &probe);
+        check_gather(ids, &mapped, ids);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,6 +1,6 @@
-//! Model-based property tests: `EwahBitmap` must agree with `BTreeSet<u32>`
-//! on all operations, and its snapshot slot codec must be a byte fixed
-//! point.
+//! Model-based property tests: `EwahBitmap` and its dense set algebra must
+//! agree with `BTreeSet<u32>` on all operations, and its snapshot slot codec
+//! must be a byte fixed point.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -30,6 +30,24 @@ fn clustered_ids() -> impl Strategy<Value = Vec<u32>> {
         })
 }
 
+/// Dense words covering ids below `64 * span`, bit `b` of word `i` being
+/// id `64·i + b`.
+fn dense(p: &EwahBitmap, span: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; span]; // stale contents must vanish
+    p.decode_words_into(&mut words);
+    words
+}
+
+/// The words spanning every id of `sets`.
+fn span_of(sets: &[&[u32]]) -> usize {
+    sets.iter().filter_map(|v| v.last()).max().map_or(0, |&m| m as usize / 64 + 1)
+}
+
+/// The ids of dense words, ascending.
+fn ids_of(words: &[u64]) -> Vec<u32> {
+    EwahBitmap::from_words(words).to_vec()
+}
+
 fn check_all_ops(xs: &[u32], ys: &[u32]) {
     let sx: BTreeSet<u32> = xs.iter().copied().collect();
     let sy: BTreeSet<u32> = ys.iter().copied().collect();
@@ -40,48 +58,45 @@ fn check_all_ops(xs: &[u32], ys: &[u32]) {
     assert_eq!(px.to_vec(), xs, "roundtrip");
 
     let and: Vec<u32> = sx.intersection(&sy).copied().collect();
-    let or: Vec<u32> = sx.union(&sy).copied().collect();
-    let diff: Vec<u32> = sx.difference(&sy).copied().collect();
+    let span = span_of(&[xs, ys]);
 
-    assert_eq!(px.and(&py).to_vec(), and, "and");
-    assert_eq!(px.or(&py).to_vec(), or, "or");
-    assert_eq!(px.andnot(&py).to_vec(), diff, "andnot");
-    assert_eq!(px.and_cardinality(&py), and.len() as u64, "and_cardinality");
+    // The dense intersection, in both orders, and its write-free count.
+    let mut x_words = dense(&px, span);
+    assert_eq!(ids_of(&x_words), xs, "decode_words_into");
+    assert_eq!(py.and_words_cardinality(&x_words), and.len() as u64, "and_words_cardinality");
+    assert_eq!(py.and_words_into(&mut x_words), and.len() as u64, "and_words_into count");
+    let mut y_words = dense(&py, span);
+    px.and_words_into(&mut y_words);
+    assert_eq!(x_words, y_words, "the dense AND commutes");
+    assert_eq!(ids_of(&x_words), and, "and_words_into");
 
-    // Algebraic laws.
-    assert_eq!(px.and(&py).to_vec(), py.and(&px).to_vec(), "and commutes");
-    assert_eq!(px.or(&py).to_vec(), py.or(&px).to_vec(), "or commutes");
-    assert_eq!(px.andnot(&py).or(&px.and(&py)).to_vec(), xs, "partition law: (x\\y) ∪ (x∩y) = x");
+    // The gather: bit `i` is `ys[i] ∈ x`, numbered by position in `ys`.
+    let mut gathered = vec![u64::MAX; ys.len().div_ceil(64)];
+    let count = px.gather_words_into(ys, &mut gathered);
+    let expect: Vec<u32> = (0..ys.len() as u32).filter(|&i| sx.contains(&ys[i as usize])).collect();
+    assert_eq!(ids_of(&gathered), expect, "gather_words_into");
+    assert_eq!(count, and.len() as u64, "gather_words_into count");
 
-    // Kernel entry points must agree with the materializing `and`.
-    let mut out = EwahBitmap::from_sorted(&[]);
-    px.and_into(&py, &mut out);
-    assert_eq!(out.to_vec(), and, "and_into");
-    let mut assigned = px.clone();
-    assigned.and_assign(&py);
-    assert_eq!(assigned.to_vec(), and, "and_assign");
-    let kway = EwahBitmap::intersect_many(&[&px, &py, &px]).expect("non-empty input");
-    assert_eq!(kway.to_vec(), and, "intersect_many");
-
-    // In-place edits equal a from-scratch build of the edited set: growing
-    // `xs` from any prefix, and shrinking it by the ids it shares with `ys`.
+    // In-place growth equals a from-scratch build of the grown set.
     let (base, tail) = xs.split_at(xs.len() / 2);
     let mut grown = EwahBitmap::from_sorted(base);
     grown.append_sorted(tail);
     assert_eq!(grown, px, "append_sorted");
     assert_eq!(grown.to_vec(), xs, "append_sorted ids");
-    let mut shrunk = px.clone();
-    shrunk.remove_sorted(&and);
-    assert_eq!(shrunk, EwahBitmap::from_sorted(&diff), "remove_sorted");
-    assert_eq!(shrunk.to_vec(), diff, "remove_sorted ids");
 
     // The universe: `full(n)` is `{0, …, n-1}` and an identity for AND.
     let n = (xs.len() + ys.len()) as u32;
     let full = EwahBitmap::full(n);
     assert_eq!(full.cardinality(), u64::from(n), "full({n}) cardinality");
     assert_eq!(full.to_vec(), (0..n).collect::<Vec<u32>>(), "full({n})");
+    let mut gathered = vec![0u64; ys.len().div_ceil(64)];
+    full.gather_words_into(ys, &mut gathered);
+    let below: Vec<u32> = (0..ys.len() as u32).filter(|&i| ys[i as usize] < n).collect();
+    assert_eq!(ids_of(&gathered), below, "gather over the ones-run of full({n})");
     let universe = xs.last().map_or(0, |&m| m + 1);
-    assert_eq!(EwahBitmap::full(universe).and(&px), px, "full(max + 1) is an AND identity");
+    let mut words = dense(&px, span);
+    EwahBitmap::full(universe).and_words_into(&mut words);
+    assert_eq!(ids_of(&words), xs, "full(max + 1) is an AND identity");
 
     // Membership.
     for &id in xs.iter().take(20) {
@@ -115,13 +130,12 @@ fn check_ewah_slot(xs: &[u32], ys: &[u32]) {
     let mut grown = EwahBitmap::from_sorted(base);
     grown.append_sorted(tail);
     assert_eq!(slot_of(&grown), slot, "append_sorted is canonical");
+    // A dense result encodes canonically: the union narrowed back to `xs`.
     let union: Vec<u32> = sx.union(&sy).copied().collect();
-    let extra: Vec<u32> = sy.difference(&sx).copied().collect();
-    let mut shrunk = EwahBitmap::from_sorted(&union);
-    shrunk.remove_sorted(&extra);
-    assert_eq!(slot_of(&shrunk), slot, "remove_sorted is canonical");
-    let q = EwahBitmap::from_sorted(ys);
-    assert_eq!(slot_of(&p.andnot(&q).or(&p.and(&q))), slot, "op results are canonical");
+    let mut words = vec![0u64; union.last().map_or(0, |&m| m as usize / 64 + 1)];
+    EwahBitmap::from_sorted(&union).decode_words_into(&mut words);
+    p.and_words_into(&mut words);
+    assert_eq!(slot_of(&EwahBitmap::from_words(&words)), slot, "from_words is canonical");
 
     // Heap decode.
     let heap = EwahBitmap::read_slot(&slot, card).expect("own slot decodes");
@@ -153,11 +167,18 @@ fn check_ewah_slot(xs: &[u32], ys: &[u32]) {
     assert_eq!(mapped.to_vec(), xs, "map_slot agrees with the model");
     assert_eq!(mapped.cardinality(), card);
     assert_eq!(slot_of(&mapped), slot, "map_slot re-encodes to the same bytes");
-    // Mutating a mapped bitmap copies it out and stays canonical.
+    // Mutating a mapped bitmap copies it out and stays canonical: an
+    // append, then the tail cut off again through dense words.
     let mut edited = mapped.clone();
     edited.append_sorted(&[universe + 70]);
-    edited.remove_sorted(&[universe + 70]);
-    assert_eq!(slot_of(&edited), slot, "edit round trip over a mapped bitmap");
+    assert_eq!(edited.max_id(), Some(u64::from(universe + 70)), "append over a mapped bitmap");
+    let mut words = vec![0u64; (universe as usize).div_ceil(64)];
+    edited.decode_words_into(&mut words);
+    assert_eq!(
+        slot_of(&EwahBitmap::from_words(&words)),
+        slot,
+        "edit round trip over a mapped bitmap"
+    );
     // A universe at or below the largest id is refused: this is the check
     // that keeps `unit_of[tid]` in bounds when serving a mapped snapshot.
     if let Some(&max) = xs.last() {
@@ -199,21 +220,15 @@ proptest! {
     }
 
     #[test]
-    fn ewah_not_upto_model(xs in sorted_ids(2_000, 300), n in 0u64..2_500) {
-        let s: BTreeSet<u32> = xs.iter().copied().collect();
-        let expected: Vec<u32> = (0..n as u32).filter(|i| !s.contains(i)).collect();
-        let got = EwahBitmap::from_sorted(&xs).not_upto(n);
-        prop_assert_eq!(got.to_vec(), expected);
-    }
-
-    #[test]
     fn ewah_semantic_eq_reflexive(xs in clustered_ids(), ys in clustered_ids()) {
         let a = EwahBitmap::from_sorted(&xs);
         let b = EwahBitmap::from_sorted(&ys);
         prop_assert_eq!(xs == ys, a == b);
-        // Bitmaps built through different op paths still compare equal.
-        let via_ops = a.andnot(&b).or(&a.and(&b));
-        prop_assert_eq!(via_ops, a.clone());
+        // Bitmaps built through different paths still compare equal.
+        prop_assert_eq!(EwahBitmap::from_words(&dense(&a, span_of(&[&xs, &ys]))), a.clone());
+        let mut grown = EwahBitmap::from_sorted(&xs[..xs.len() / 2]);
+        grown.append_sorted(&xs[xs.len() / 2..]);
+        prop_assert_eq!(grown, a.clone());
     }
 
     #[test]
@@ -227,18 +242,22 @@ proptest! {
             EwahBitmap::from_sorted(&ys),
             EwahBitmap::from_sorted(&zs),
         );
-        prop_assert_eq!(a.and(&b).and(&c), a.and(&b.and(&c)));
-        prop_assert_eq!(a.or(&b).or(&c), a.or(&b.or(&c)));
-        // Distributivity: a ∩ (b ∪ c) = (a∩b) ∪ (a∩c)
-        prop_assert_eq!(a.and(&b.or(&c)), a.and(&b).or(&a.and(&c)));
+        // The dense k-way AND gives one answer whichever posting is
+        // decoded first and in whichever order the others are ANDed in.
+        let span = span_of(&[&xs, &ys, &zs]);
+        let kway = |first: &EwahBitmap, rest: [&EwahBitmap; 2]| {
+            let mut words = dense(first, span);
+            for p in rest {
+                p.and_words_into(&mut words);
+            }
+            words
+        };
+        let abc = kway(&a, [&b, &c]);
+        prop_assert_eq!(&abc, &kway(&c, [&b, &a]));
+        prop_assert_eq!(&abc, &kway(&b, [&c, &a]));
+        let model: Vec<u32> =
+            xs.iter().copied().filter(|id| ys.contains(id) && zs.contains(id)).collect();
+        prop_assert_eq!(ids_of(&abc), model);
     }
 
-    #[test]
-    fn ewah_xor_model(xs in sorted_ids(3_000, 200), ys in sorted_ids(3_000, 200)) {
-        let sx: BTreeSet<u32> = xs.iter().copied().collect();
-        let sy: BTreeSet<u32> = ys.iter().copied().collect();
-        let expected: Vec<u32> = sx.symmetric_difference(&sy).copied().collect();
-        let got = EwahBitmap::from_sorted(&xs).xor(&EwahBitmap::from_sorted(&ys));
-        prop_assert_eq!(got.to_vec(), expected);
-    }
 }

@@ -12,7 +12,8 @@
 //! The explorer splits cleanly into an **immutable** half (the vertical
 //! postings and the Atkinson parameter, shared freely across threads) and a
 //! **mutable** half ([`ExplorerScratch`]: two reusable [`UnitScratch`]
-//! histograms and the cell's minority pairs). The `&mut self` methods
+//! histograms, the cell's minority pairs and its context and minority
+//! tidsets as dense words). The `&mut self` methods
 //! ([`CubeExplorer::values_at`], [`CubeExplorer::unit_breakdown`]) lend the
 //! explorer's own scratch to the same evaluation — the convenient form for
 //! a reference computation — while the `_with` variants take `&self` plus
@@ -21,40 +22,25 @@
 //! worker threads, each with a checked-out scratch, so cold recomputation
 //! never allocates per query.
 
-use scube_bitmap::EwahBitmap;
 use scube_common::Result;
 use scube_data::{TransactionDb, UnitScratch, VerticalDb};
 use scube_segindex::{ContextTotals, IndexValues, MeasureSet, DEFAULT_ATKINSON_B};
 
 use crate::coords::CellCoords;
 
-/// Tidset of `A ∪ B` given the already-intersected context tidset of `B`,
-/// instead of re-intersecting the `ca` postings from scratch: one batched
-/// k-way AND, smallest posting first, no per-step allocation (`⋆` contexts
-/// intersect the SA postings directly).
-pub(crate) fn minority_tidset(
-    vertical: &VerticalDb,
-    coords: &CellCoords,
-    context: &EwahBitmap,
-) -> EwahBitmap {
-    if coords.ca.is_empty() {
-        return vertical.tidset(&coords.sa);
-    }
-    let mut refs: Vec<&EwahBitmap> = Vec::with_capacity(1 + coords.sa.len());
-    refs.push(context);
-    refs.extend(coords.sa.iter().map(|&item| vertical.posting(item)));
-    EwahBitmap::intersect_many(&refs).expect("context plus non-empty SA side")
-}
-
 /// The mutable half of cell evaluation: two reusable per-unit histograms
-/// (minority and population) and the buffer of the cell's minority pairs.
-/// One scratch per worker thread lets any number of threads evaluate cells
-/// through a shared [`CubeExplorer`] without a single histogram allocation.
+/// (minority and population), the buffer of the cell's minority pairs, and
+/// the context and minority tidsets as dense words, which grow on first use
+/// to the spans the queries need. One scratch per worker thread lets any
+/// number of threads evaluate cells through a shared [`CubeExplorer`]
+/// without a single histogram allocation.
 #[derive(Debug, Clone)]
 pub struct ExplorerScratch {
     minority: UnitScratch,
     total: UnitScratch,
     pairs: Vec<(u32, u64)>,
+    context_words: Vec<u64>,
+    minority_words: Vec<u64>,
 }
 
 impl ExplorerScratch {
@@ -64,6 +50,8 @@ impl ExplorerScratch {
             minority: UnitScratch::new(n_units),
             total: UnitScratch::new(n_units),
             pairs: Vec::new(),
+            context_words: Vec::new(),
+            minority_words: Vec::new(),
         }
     }
 }
@@ -139,11 +127,20 @@ impl CubeExplorer {
         scratch: &mut ExplorerScratch,
     ) -> Vec<(u32, u64)> {
         // The context side; the full tid universe when it is `⋆`.
-        let total_tids = vertical.tidset(&coords.ca);
-        vertical.unit_histogram_into(&total_tids, &mut scratch.total);
+        let context = &mut scratch.context_words;
+        vertical.tidset_words_into(&coords.ca, context);
+        vertical.unit_histogram_words_into(context, &mut scratch.total);
         if !coords.sa.is_empty() {
-            let minority_tids = minority_tidset(vertical, coords, &total_tids);
-            vertical.unit_histogram_into(&minority_tids, &mut scratch.minority);
+            // `A ∪ B` narrows the context's words by the SA postings rather
+            // than intersecting the CA postings again; a `⋆` context
+            // intersects the SA postings directly.
+            let minority = &mut scratch.minority_words;
+            if coords.ca.is_empty() {
+                vertical.tidset_words_into(&coords.sa, minority);
+            } else {
+                vertical.narrow_words_into(context, &coords.sa, minority);
+            }
+            vertical.unit_histogram_words_into(minority, &mut scratch.minority);
         }
         scratch.total.sorted_pairs()
     }

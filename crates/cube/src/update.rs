@@ -6,9 +6,10 @@
 //! artifact instead: an [`UpdateBatch`] of appended rows and retractions
 //! (by tid or by exact row match) is folded into the existing
 //! [`VerticalDb`] — postings extended at their tails via
-//! [`EwahBitmap::append_sorted`], shrunk via [`EwahBitmap::remove_sorted`] — and
-//! only the affected cells are recomputed. The result is **bit-identical**
-//! to a full rebuild on the edited data (the model-based test
+//! [`EwahBitmap::append_sorted`], cut or rebuilt by
+//! [`VerticalDb::remove_rows`] — and only the affected cells are
+//! recomputed. The result is **bit-identical** to a full rebuild on the
+//! edited data (the model-based test
 //! `tests/cube_model.rs` checks it after every operation) because the
 //! maintenance store holds exact integer sufficient statistics, and
 //! integers subtract as exactly as they add: `hist(edited) = hist(base) +
@@ -50,7 +51,7 @@
 //! the index folds, promotions included — runs in `stage`, which reads the
 //! cube, postings and store through shared references only. It sees the
 //! *edited* table through the unmodified base postings plus delta-sized
-//! postings of the appended and retracted rows: `|edited(X)| = |base(X)| −
+//! dense sets of the appended and retracted rows: `|edited(X)| = |base(X)| −
 //! |rem(X)| + |add(X)|`. The one `&mut` step, `StagedUpdate::commit`,
 //! cannot fail, and has one path for every batch: retracted rows out,
 //! appended rows in, staged labels, cells and store entries pushed, unused
@@ -64,10 +65,10 @@
 //! postings: a row match's candidates are the tids its items' postings
 //! share, filtered by unit, and a candidate matches only if its row —
 //! rebuilt from the postings, one membership test per item — holds exactly
-//! those items; the retracted rows' items are each posting ∧ the retracted
-//! set. No horizontal table is built. The labels sit behind an `Arc`
-//! shared with the clone the update started from, and the commit copies
-//! them only when the batch adds a label or renames.
+//! those items; which retracted rows hold an item is gathered from its
+//! posting at the retracted tids. No horizontal table is built. The labels
+//! sit behind an `Arc` shared with the clone the update started from, and
+//! the commit copies them only when the batch adds a label or renames.
 //!
 //! **Per-context jobs over dense words.** Dirty cells, and then promotion
 //! candidates, are sorted by context and fan out through
@@ -86,13 +87,13 @@
 //! which the builder and the explorer fold through, so every producer
 //! yields the same floats. A cell whose own delta is empty keeps its
 //! stored entry; it is still checked and folded, since its context moved.
-//! Closedness runs on two dense tidsets of ⌈rows/64⌉ words per worker: a
-//! job's `base(B)`, decoded once when its cells may lose closedness, and a
-//! cell's `base(X)`, that copy narrowed by the cell's SA postings. The
-//! witness is the row of `base(X)`'s first bit that was not retracted,
-//! rebuilt from the postings into the worker's scratch and reused while
-//! that tid repeats, and each extender's kept count is its posting counted
-//! against those words. The
+//! Closedness runs on two dense tidsets per worker, each at most ⌈rows/64⌉
+//! words and grown on first use: a job's `base(B)`, intersected once when
+//! its cells may lose closedness, and a cell's `base(X)`, that copy
+//! narrowed by the cell's SA postings. The witness is the row of
+//! `base(X)`'s first bit that was not retracted, rebuilt from the postings
+//! into the worker's scratch and reused while that tid repeats, and each
+//! extender's kept count is its posting counted against those words. The
 //! fold reads a histogram as a *multiset* of `(m, t)` pairs and orders them
 //! itself (`scube_segindex::indexes`), so a value depends on no unit id and
 //! no visit order: a cell whose histogram the delta did not touch keeps
@@ -124,6 +125,7 @@
 
 use std::sync::Arc;
 
+use scube_bitmap::kernels::{and_popcount_words, for_each_set_bit, popcount_words};
 use scube_bitmap::EwahBitmap;
 use scube_common::mmap::{ByteRegion, Store};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
@@ -700,32 +702,72 @@ fn resolve_removals(
 }
 
 /// The appended and the retracted transactions holding an itemset: the two
-/// delta-sized tidsets an edit moves it by.
+/// delta-sized tidsets an edit moves it by, as dense words in batch-local
+/// numbering.
 #[derive(Clone)]
 struct Delta {
-    /// Final numbering: appended rows follow the survivors.
-    add: EwahBitmap,
-    /// Pre-update numbering.
-    rem: EwahBitmap,
+    /// Bit `i`: the batch's appended row `i`.
+    add: Vec<u64>,
+    /// Bit `i`: the retracted tid `removed[i]`.
+    rem: Vec<u64>,
+}
+
+impl Delta {
+    fn added(&self) -> u64 {
+        popcount_words(&self.add)
+    }
+
+    fn retracted(&self) -> u64 {
+        popcount_words(&self.rem)
+    }
+}
+
+/// One dense set of batch positions per item, ⌈positions/64⌉ words each,
+/// back to back: item `it`'s set is `words[it·stride..][..stride]`.
+struct ItemSets {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl ItemSets {
+    /// `n_items` empty sets over `positions` batch positions.
+    fn new(n_items: usize, positions: usize) -> Self {
+        let stride = positions.div_ceil(64);
+        ItemSets { words: vec![0; n_items * stride], stride }
+    }
+
+    fn of(&self, it: ItemId) -> &[u64] {
+        &self.words[it as usize * self.stride..][..self.stride]
+    }
+
+    fn of_mut(&mut self, it: ItemId) -> &mut [u64] {
+        &mut self.words[it as usize * self.stride..][..self.stride]
+    }
+}
+
+/// The first `n` positions, set.
+fn first_positions(n: usize) -> Vec<u64> {
+    let mut words = vec![0; n.div_ceil(64)];
+    (0..n).for_each(|i| words[i / 64] |= 1 << (i % 64));
+    words
 }
 
 /// The edited table `(base ∖ retracted) ⧺ appended`, read through the
-/// unmodified base postings plus per-item postings of the two deltas. The
-/// sides are only ever intersected within themselves, so their different
-/// numberings never meet. Every support, histogram and closedness test an
-/// update stages comes from here: `|edited(X)| = |base(X)| − |rem(X)| +
-/// |add(X)|`.
+/// unmodified base postings plus per-item dense sets of the two deltas,
+/// numbered by position in the batch. The sides are only ever intersected
+/// within themselves, so their different numberings never meet. Every
+/// support, histogram and closedness test an update stages comes from here:
+/// `|edited(X)| = |base(X)| − |rem(X)| + |add(X)|`.
 struct EditView<'a> {
     vertical: &'a VerticalDb,
     /// The batch's rows, encoded; row `i` becomes tid `new_base + i`.
     encoded: EncodedBatch,
     /// Sorted, distinct retracted tids, pre-update numbering.
     removed: Vec<u32>,
-    /// Per item, the appended tids holding it.
-    add: Vec<EwahBitmap>,
-    /// Per item, the retracted tids holding it: its posting ∧ the
-    /// retracted set.
-    rem: Vec<EwahBitmap>,
+    /// Per item, the appended rows holding it.
+    add: ItemSets,
+    /// Per item, the retracted tids holding it, gathered from its posting.
+    rem: ItemSets,
     /// Every appended and every retracted tid: the `⋆` context's delta.
     all: Delta,
     new_base: u32,
@@ -735,32 +777,30 @@ struct EditView<'a> {
 impl<'a> EditView<'a> {
     fn new(vertical: &'a VerticalDb, encoded: EncodedBatch, removed: Vec<u32>) -> Result<Self> {
         let new_base = vertical.num_transactions() - removed.len() as u32;
-        let n_after = u32::try_from(new_base as usize + encoded.rows.len()).map_err(|_| {
+        u32::try_from(new_base as usize + encoded.rows.len()).map_err(|_| {
             ScubeError::InvalidParameter("update: the edited table exceeds u32 rows".into())
         })?;
         let n_items_after = vertical.num_items() + encoded.new_items.len();
-        let mut add_tids: Vec<Vec<u32>> = vec![Vec::new(); n_items_after];
+        let mut add = ItemSets::new(n_items_after, encoded.rows.len());
         for (i, (items, _)) in encoded.rows.iter().enumerate() {
             for &it in items {
-                add_tids[it as usize].push(new_base + i as u32);
+                add.of_mut(it)[i / 64] |= 1 << (i % 64);
             }
         }
-        let all = Delta {
-            add: EwahBitmap::from_sorted(&(new_base..n_after).collect::<Vec<u32>>()),
-            rem: EwahBitmap::from_sorted(&removed),
-        };
-        let mut rem: Vec<EwahBitmap> = if removed.is_empty() {
-            Vec::new()
-        } else {
-            vertical.postings().iter().map(|posting| posting.and(&all.rem)).collect()
-        };
-        rem.resize(n_items_after, EwahBitmap::new());
+        let mut rem = ItemSets::new(n_items_after, removed.len());
+        if !removed.is_empty() {
+            for (it, posting) in vertical.postings().iter().enumerate() {
+                posting.gather_words_into(&removed, rem.of_mut(it as ItemId));
+            }
+        }
+        let all =
+            Delta { add: first_positions(encoded.rows.len()), rem: first_positions(removed.len()) };
         Ok(EditView {
             vertical,
             n_units_after: vertical.num_units() + encoded.new_units.len() as u32,
             encoded,
             removed,
-            add: add_tids.iter().map(|t| EwahBitmap::from_sorted(t)).collect(),
+            add,
             rem,
             all,
             new_base,
@@ -769,13 +809,15 @@ impl<'a> EditView<'a> {
 
     /// `add(X)` and `rem(X)`; for `X = ⋆`, every appended and retracted tid.
     fn delta(&self, items: &[ItemId]) -> Delta {
-        if items.is_empty() {
+        let Some((&first, rest)) = items.split_first() else {
             return self.all.clone();
-        }
-        // One batched k-way AND per side.
-        let side = |postings: &[EwahBitmap]| {
-            let refs: Vec<&EwahBitmap> = items.iter().map(|&it| &postings[it as usize]).collect();
-            EwahBitmap::intersect_many(&refs).expect("items is not empty")
+        };
+        let side = |sets: &ItemSets| {
+            let mut words = sets.of(first).to_vec();
+            for &it in rest {
+                words.iter_mut().zip(sets.of(it)).for_each(|(w, x)| *w &= x);
+            }
+            words
         };
         Delta { add: side(&self.add), rem: side(&self.rem) }
     }
@@ -787,10 +829,10 @@ impl<'a> EditView<'a> {
     }
 
     /// `|edited(X)|`, from `base(X)`'s words (written into `words`).
-    fn support(&self, items: &[ItemId], words: &mut [u64]) -> u64 {
+    fn support(&self, items: &[ItemId], words: &mut Vec<u64>) -> u64 {
         let base = self.base_words(items, words);
         let d = self.delta(items);
-        base - d.rem.cardinality() + d.add.cardinality()
+        base - d.retracted() + d.added()
     }
 
     /// Per-unit counts of a delta into `out`: appended tids histogram
@@ -798,8 +840,10 @@ impl<'a> EditView<'a> {
     /// `tid → unit` map.
     fn unit_delta(&self, delta: &Delta, out: &mut UnitDelta) {
         out.clear();
-        delta.add.for_each(|t| out.push((self.encoded.rows[(t - self.new_base) as usize].1, 1, 0)));
-        delta.rem.for_each(|t| out.push((self.vertical.unit_of(t), 0, 1)));
+        for_each_set_bit(&delta.add, 0, |i| out.push((self.encoded.rows[i as usize].1, 1, 0)));
+        for_each_set_bit(&delta.rem, 0, |i| {
+            out.push((self.vertical.unit_of(self.removed[i as usize]), 0, 1));
+        });
         out.sort_unstable_by_key(|&(u, ..)| u);
         out.dedup_by(|next, run| {
             let same = next.0 == run.0;
@@ -820,54 +864,20 @@ impl<'a> EditView<'a> {
     }
 
     /// `base(X)`, the base transactions holding `items`, as dense words
-    /// over the base rows (bit `b` of `words[i]` is tid `64·i + b`): the
-    /// first posting decoded, the others ANDed in. Returns `|base(X)|`.
-    fn base_words(&self, items: &[ItemId], words: &mut [u64]) -> u64 {
-        let postings = self.vertical.postings();
-        match items {
-            _ if !self.in_base(items) => {
-                words.fill(0);
-                0
-            }
-            [] => {
-                let n = self.vertical.num_transactions();
-                words.fill(u64::MAX);
-                if let (Some(last), 1..) = (words.last_mut(), n % 64) {
-                    *last = (1 << (n % 64)) - 1;
-                }
-                u64::from(n)
-            }
-            [first, rest @ ..] => {
-                let first = &postings[*first as usize];
-                first.decode_words_into(words);
-                let mut card = first.cardinality();
-                for &it in rest {
-                    card = postings[it as usize].and_words_into(words);
-                }
-                card
-            }
+    /// over the base rows (bit `b` of `words[i]` is tid `64·i + b`), no
+    /// words when an item is new in the batch. Returns `|base(X)|`.
+    fn base_words(&self, items: &[ItemId], words: &mut Vec<u64>) -> u64 {
+        if !self.in_base(items) {
+            words.clear();
+            return 0;
         }
-    }
-
-    /// `base(A ∪ B)` from `base(B)`'s words: a copy of them with `A`'s
-    /// postings ANDed in (an item new in the batch holds no base row).
-    fn narrow_words(&self, context: &[u64], sa: &[ItemId], words: &mut [u64]) {
-        words.copy_from_slice(context);
-        for &it in sa {
-            match self.vertical.postings().get(it as usize) {
-                Some(posting) => posting.and_words_into(words),
-                None => {
-                    words.fill(0);
-                    return;
-                }
-            };
-        }
+        self.vertical.tidset_words_into(items, words)
     }
 
     /// `|edited({it})|`, from cardinalities alone.
     fn item_support(&self, it: ItemId) -> u64 {
         let base = self.vertical.postings().get(it as usize).map_or(0, EwahBitmap::cardinality);
-        base - self.rem[it as usize].cardinality() + self.add[it as usize].cardinality()
+        base - popcount_words(self.rem.of(it)) + popcount_words(self.add.of(it))
     }
 
     /// The first tid of `base(X)`'s words that was not retracted.
@@ -921,16 +931,11 @@ impl<'a> EditView<'a> {
         let postings = self.vertical.postings();
         !witness.iter().filter(|j| items.binary_search(j).is_err()).any(|&j| {
             let kept = postings.get(j as usize).map_or(0, |p| p.and_words_cardinality(base));
-            kept - delta.rem.and_cardinality(&self.rem[j as usize])
-                + delta.add.and_cardinality(&self.add[j as usize])
+            kept - and_popcount_words(&delta.rem, self.rem.of(j))
+                + and_popcount_words(&delta.add, self.add.of(j))
                 == support
         })
     }
-}
-
-/// A dense tidset over the base rows: ⌈rows/64⌉ words.
-fn dense_words(view: &EditView) -> Vec<u64> {
-    vec![0; (view.vertical.num_transactions() as usize).div_ceil(64)]
 }
 
 /// A context's totals, staged.
@@ -986,8 +991,7 @@ struct CellScratch {
     pairs: Vec<(u32, u64)>,
     keys: Vec<u64>,
     /// `base(B)` of the job's context `B`, for stored cells that may lose
-    /// closedness, and `base(X)` of the cell being staged; the first is
-    /// allocated by the first job that needs it.
+    /// closedness, and `base(X)` of the cell being staged.
     context: Vec<u64>,
     base: Vec<u64>,
     /// A promotion's base histogram, allocated by the first promotion.
@@ -1007,7 +1011,7 @@ impl CellScratch {
             pairs: Vec::new(),
             keys: Vec::new(),
             context: Vec::new(),
-            base: dense_words(view),
+            base: Vec::new(),
             units: None,
             witness: Vec::new(),
             witness_tid: None,
@@ -1039,10 +1043,7 @@ impl Stager<'_> {
     ) -> Result<Vec<(CellCoords, Option<StagedCell>)>> {
         let (ca, origin) = (&cells[0].0.ca, cells[0].1);
         let ctx = &self.contexts[ca];
-        if matches!(origin, Origin::Stored) && self.closed_only() && !ctx.delta.rem.is_empty() {
-            if s.context.is_empty() {
-                s.context = dense_words(&self.view);
-            }
+        if matches!(origin, Origin::Stored) && self.closed_only() && ctx.delta.retracted() > 0 {
             self.view.base_words(ca, &mut s.context);
         }
         let staged = cells
@@ -1088,7 +1089,7 @@ impl Stager<'_> {
             }
             Origin::Promoted(_) => {
                 let base = view.base_words(&items, &mut s.base);
-                base - delta.rem.cardinality() + delta.add.cardinality()
+                base - delta.retracted() + delta.added()
             }
         };
         if !items.is_empty() && !self.keeps(coords, &items, delta, support, origin, s) {
@@ -1197,9 +1198,11 @@ impl Stager<'_> {
         }
         let view = &self.view;
         let witness = match origin {
-            Origin::Stored if delta.rem.is_empty() => return true,
+            Origin::Stored if delta.retracted() == 0 => return true,
             Origin::Stored => {
-                view.narrow_words(&s.context, &coords.sa, &mut s.base);
+                // `base(A ∪ B)` from `base(B)`: an item new in the batch
+                // holds no base row.
+                view.vertical.narrow_words_into(&s.context, &coords.sa, &mut s.base);
                 match view.first_kept(&s.base) {
                     Some(t) => {
                         if s.witness_tid != Some(t) {
@@ -1227,7 +1230,7 @@ fn stage_contexts(
     let mut staged = FxHashMap::default();
     for (ca, entry) in &store.contexts {
         let delta = view.delta(ca);
-        if delta.add.is_empty() && delta.rem.is_empty() {
+        if delta.added() == 0 && delta.retracted() == 0 {
             continue;
         }
         let base = histogram::decode(entry, view.vertical.num_units())?;
@@ -1281,7 +1284,7 @@ fn stage_promotions(
         dirty.iter().filter(|(_, staged)| staged.is_none()).map(|(coords, _)| coords).collect();
     let candidates = promotion_candidates(&stager.view, stager.cube, &demoted);
     let view = &stager.view;
-    let (mut units, mut words) = (UnitScratch::new(view.vertical.num_units()), dense_words(view));
+    let (mut units, mut words) = (UnitScratch::new(view.vertical.num_units()), Vec::new());
     for (coords, _) in &candidates {
         if !stager.contexts.contains_key(&coords.ca) {
             view.base_words(&coords.ca, &mut words);
@@ -1320,7 +1323,7 @@ fn promotion_candidates(
     };
     let mut coords = CellCoords::default();
     // `base(X)`'s words for each support the walk asks for.
-    let mut words = dense_words(view);
+    let mut words = Vec::new();
     let mut memo = ItemsetMemo::default();
     let mut seen_projections: FxHashSet<Vec<ItemId>> = FxHashSet::default();
     let (mut level, mut next) = (Vec::new(), Vec::new());
@@ -1524,14 +1527,20 @@ fn relabel_plan(view: &EditView, labels: &CubeLabels) -> Option<Relabel> {
 
 /// Whether a retracted row is the first occurrence of one of its items or
 /// of its unit. An item's first occurrence is its posting's first bit,
-/// compared with the first of its retracted tids. A unit's is its first
+/// compared with the first of its retracted tids, the retracted tid at
+/// its retracted set's first position. A unit's is its first
 /// tid in the `tid → unit` map, read from the start only until every
 /// retracted unit has shown up before its first retracted row.
 fn moves_a_first_occurrence(view: &EditView) -> bool {
-    let postings = view.vertical.postings();
-    let first_bit = |posting: &EwahBitmap| posting.iter().next();
-    let item_moves = |(rem, posting)| first_bit(rem).is_some_and(|t| first_bit(posting) == Some(t));
-    if view.rem.iter().zip(postings).any(item_moves) {
+    let first_retracted = |it: usize| {
+        let words = view.rem.of(it as ItemId);
+        let k = words.iter().position(|&w| w != 0)?;
+        Some(view.removed[64 * k + words[k].trailing_zeros() as usize])
+    };
+    let item_moves = |(it, posting): (usize, &EwahBitmap)| {
+        first_retracted(it).is_some_and(|t| posting.iter().next() == Some(t))
+    };
+    if view.vertical.postings().iter().enumerate().any(item_moves) {
         return true;
     }
     // Per unit, its first retracted tid (`u32::MAX` = none).

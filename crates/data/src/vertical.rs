@@ -170,9 +170,11 @@ impl VerticalDb {
     /// edited data would assign, so snapshot byte-identity survives
     /// retraction. Postings whose ids all precede the first removed tid are
     /// left alone. When the removed set is a suffix of the tid space the
-    /// renumbering is the identity and every other posting shrinks in
-    /// place via [`EwahBitmap::remove_sorted`]; otherwise they are rebuilt
-    /// from their surviving ids in one pass. Items are never dropped
+    /// renumbering is the identity and every other posting is cut at the
+    /// first removed tid: decoded to dense words up to it, its last word
+    /// masked, and encoded back ([`EwahBitmap::from_words`], the canonical
+    /// stream of the survivors). Otherwise they are rebuilt from their
+    /// surviving ids in one pass. Items are never dropped
     /// here even when their posting empties — dictionary garbage collection
     /// is [`Self::rename`]'s.
     ///
@@ -200,17 +202,16 @@ impl VerticalDb {
             |posting: &EwahBitmap| posting.max_id().is_some_and(|m| m >= u64::from(tids[0]));
         let is_suffix = tids[0] as usize == self.n_transactions as usize - tids.len();
         if is_suffix {
-            // Tail retraction: survivors keep their ids; clear the removed
-            // tail bits of each posting that reaches into the tail.
-            let mut scratch = Vec::new();
+            // Tail retraction: survivors keep their ids; cut each posting
+            // that reaches into the tail at the first removed tid.
+            let cut = tids[0];
+            let mut words = vec![0u64; (cut as usize).div_ceil(64)];
             for posting in Arc::make_mut(&mut self.postings).iter_mut().filter(|p| touched(p)) {
-                scratch.clear();
-                posting.for_each(|tid| {
-                    if tid >= tids[0] {
-                        scratch.push(tid);
-                    }
-                });
-                posting.remove_sorted(&scratch);
+                posting.decode_words_into(&mut words);
+                if let (Some(last), 1..) = (words.last_mut(), cut % 64) {
+                    *last &= (1 << (cut % 64)) - 1;
+                }
+                *posting = EwahBitmap::from_words(&words);
             }
         } else {
             // Interior retraction: renumber by rebuilding each posting from
@@ -324,41 +325,61 @@ impl VerticalDb {
     }
 
     /// Tidset of an itemset (intersection of item postings), or the
-    /// universe when the itemset is empty.
-    ///
-    /// Routed through the batched k-way AND ([`EwahBitmap::intersect_many`]):
-    /// smallest posting first, empty short-circuit, and no per-step posting
-    /// allocation however many items the set has.
+    /// universe when the itemset is empty: [`Self::tidset_words_into`],
+    /// encoded.
     pub fn tidset(&self, itemset: &[ItemId]) -> EwahBitmap {
-        match itemset {
-            [] => EwahBitmap::full(self.n_transactions),
-            [single] => self.postings[*single as usize].clone(),
-            _ => {
-                let refs: Vec<&EwahBitmap> =
-                    itemset.iter().map(|&it| &self.postings[it as usize]).collect();
-                EwahBitmap::intersect_many(&refs).expect("non-empty itemset")
-            }
-        }
+        let mut words = Vec::new();
+        self.tidset_words_into(itemset, &mut words);
+        EwahBitmap::from_words(&words)
     }
 
-    /// Support of an itemset: the batched AND over all but the largest
-    /// posting, then one streaming `and_cardinality` — the final (and
-    /// biggest) intersection is never materialized.
-    pub fn support(&self, itemset: &[ItemId]) -> u64 {
-        match itemset {
-            [] => u64::from(self.n_transactions),
-            [single] => self.postings[*single as usize].cardinality(),
-            [a, b] => self.postings[*a as usize].and_cardinality(&self.postings[*b as usize]),
-            _ => {
-                let mut refs: Vec<&EwahBitmap> =
-                    itemset.iter().map(|&it| &self.postings[it as usize]).collect();
-                refs.sort_by_cached_key(|p| p.cardinality());
-                let (largest, init) = refs.split_last().expect("len >= 3");
-                match EwahBitmap::intersect_many(init) {
-                    Some(acc) if !acc.is_empty() => acc.and_cardinality(largest),
-                    _ => 0,
-                }
+    /// The tidset of an itemset as dense words, bit `b` of `words[i]` being
+    /// tid `64·i + b`, and its cardinality. The smallest posting is decoded
+    /// over its own span and the others are ANDed in, stopping once the
+    /// intersection is empty; an empty itemset gives the universe's
+    /// ⌈n/64⌉ words. `words` is resized to that span, so a reused buffer
+    /// grows only to the largest span it has held.
+    pub fn tidset_words_into(&self, itemset: &[ItemId], words: &mut Vec<u64>) -> u64 {
+        let posting = |it: ItemId| &self.postings[it as usize];
+        let Some(smallest) = itemset.iter().copied().min_by_key(|&it| posting(it).cardinality())
+        else {
+            let n = self.n_transactions;
+            words.clear();
+            words.resize((n as usize).div_ceil(64), u64::MAX);
+            if let (Some(last), 1..) = (words.last_mut(), n % 64) {
+                *last = (1 << (n % 64)) - 1;
             }
+            return u64::from(n);
+        };
+        let first = posting(smallest);
+        let span = first.max_id().map_or(0, |m| m as usize / 64 + 1);
+        words.truncate(span);
+        words.resize(span, 0);
+        first.decode_words_into(words);
+        let mut card = first.cardinality();
+        for &it in itemset.iter().filter(|&&it| it != smallest) {
+            if card == 0 {
+                break;
+            }
+            card = posting(it).and_words_into(words);
+        }
+        card
+    }
+
+    /// The dense tidset `words` narrowed by the postings of `items`, into
+    /// `out`: a copy of them with each posting ANDed in. An item past the
+    /// postings holds no transaction, so it leaves `out` empty.
+    pub fn narrow_words_into(&self, words: &[u64], items: &[ItemId], out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(words);
+        for &it in items {
+            match self.postings.get(it as usize) {
+                Some(posting) => posting.and_words_into(out),
+                None => {
+                    out.clear();
+                    return;
+                }
+            };
         }
     }
 
@@ -496,11 +517,27 @@ mod tests {
         let v = VerticalDb::build(&db);
         let f = item(&db, 0, "F");
         let n = item(&db, 1, "n");
-        assert_eq!(v.tidset(&[f, n]).to_vec(), vec![0, 3]);
-        assert_eq!(v.support(&[f, n]), 2);
-        assert_eq!(v.support(&[]), 4);
-        assert_eq!(v.support(&[f]), 3);
-        assert_eq!(v.tidset(&[]).cardinality(), 4);
+        let cases = [
+            (vec![f, n], vec![0, 3]),
+            (vec![n, f], vec![0, 3]),
+            (vec![f], vec![0, 2, 3]),
+            (vec![], vec![0, 1, 2, 3]),
+        ];
+        for (items, tids) in cases {
+            assert_eq!(v.tidset(&items).to_vec(), tids, "{items:?}");
+            let mut words = vec![u64::MAX; 9]; // stale contents must vanish
+            assert_eq!(v.tidset_words_into(&items, &mut words), tids.len() as u64, "{items:?}");
+            let mut dense = Vec::new();
+            for_each_set_bit(&words, 0, |t| dense.push(t));
+            assert_eq!((dense, words.len()), (tids, 1), "{items:?}: one word spans the table");
+        }
+        assert_eq!(v.tidset(&[]), EwahBitmap::full(4));
+        let (mut context, mut narrowed) = (Vec::new(), vec![u64::MAX; 3]);
+        v.tidset_words_into(&[n], &mut context);
+        v.narrow_words_into(&context, &[f], &mut narrowed);
+        assert_eq!(narrowed, [0b1001], "n narrowed by F");
+        v.narrow_words_into(&context, &[f, 99], &mut narrowed);
+        assert!(narrowed.is_empty(), "an item past the postings holds no transaction");
     }
 
     /// Per-unit head-counts of `tids`, counted densely off the tid → unit
@@ -683,6 +720,53 @@ mod tests {
             (out, v.units().to_vec(), v.num_transactions(), v.num_units(), v.num_items())
         };
         assert_eq!(bytes(&v), bytes(&rebuilt), "rename after an interior removal");
+    }
+
+    /// A retraction leaves every posting's slot bytes equal to a build of
+    /// the surviving rows, after a suffix cut and after an interior
+    /// renumbering: over a ones-run posting, a literal one, one ending
+    /// mid-word and one holding only the last row.
+    #[test]
+    fn remove_rows_slots_match_from_scratch_build() {
+        const N: u32 = 300;
+        // Item `i` is attribute `i`'s one value; which rows hold it.
+        let holds: [fn(u32) -> bool; 5] =
+            [|_| true, |t| t % 3 == 0, |t| t < 130, |t| (100..=170).contains(&t), |t| t == N - 1];
+        // Every value is interned before any row, so the edited and the
+        // rebuilt database share item ids.
+        let build = |tids: &mut dyn Iterator<Item = u32>| {
+            let attrs = (0..holds.len()).map(|i| Attribute::sa(format!("a{i}"))).collect();
+            let mut b = TransactionDbBuilder::new(Schema::new(attrs).unwrap());
+            for attr in 0..holds.len() {
+                b.intern_item(attr as u16, "x").unwrap();
+            }
+            let unit = b.intern_unit("u").unwrap();
+            for t in tids {
+                let items: Vec<ItemId> =
+                    (0..holds.len() as ItemId).filter(|&i| holds[i as usize](t)).collect();
+                b.add_encoded_row(&items, unit).unwrap();
+            }
+            VerticalDb::build(&b.finish())
+        };
+        let slots = |v: &VerticalDb| -> Vec<(Vec<u8>, u64)> {
+            v.postings()
+                .iter()
+                .map(|p| {
+                    let mut bytes = Vec::new();
+                    p.write_slot(&mut bytes);
+                    (bytes, p.cardinality())
+                })
+                .collect()
+        };
+        let suffixes = [200, 171, 150, 128, N - 1].map(|cut| (cut..N).collect::<Vec<u32>>());
+        let interior = [vec![0, 63, 64, 170, N - 1], (5..10).chain([250]).collect()];
+        for removed in suffixes.iter().chain(&interior) {
+            let mut v = build(&mut (0..N));
+            v.remove_rows(removed).unwrap();
+            let rebuilt = build(&mut (0..N).filter(|t| !removed.contains(t)));
+            assert_eq!(slots(&v), slots(&rebuilt), "{removed:?}");
+            assert_eq!(v.num_transactions(), rebuilt.num_transactions(), "{removed:?}");
+        }
     }
 
     #[test]

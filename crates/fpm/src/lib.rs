@@ -5,13 +5,16 @@
 //! itemsets over the encoded population table (the original tool shells out
 //! to Borgelt's FPGrowth; we implement the miners natively):
 //!
-//! * [`FpGrowth`] — the reference miner: FP-tree construction plus
-//!   recursive conditional-tree mining;
-//! * [`Eclat`] — vertical mining by intersection of
-//!   [`scube_bitmap::EwahBitmap`] tidsets;
+//! * [`FpGrowth`] — FP-tree construction plus recursive conditional-tree
+//!   mining, the algorithm the original tool runs;
+//! * [`Eclat`] — vertical mining by intersection of tidsets held as dense
+//!   `u64` words, each root's [`scube_bitmap::EwahBitmap`] posting decoded
+//!   once per walk; the cube builder mines through its walk
+//!   ([`eclat::walk`]);
 //! * [`Apriori`] — the classical level-wise baseline, kept for the
 //!   efficiency comparison (experiment E11);
-//! * [`naive`] — an intentionally simple exponential oracle used by tests;
+//! * [`naive`] — an intentionally simple exponential oracle, the reference
+//!   every miner is checked against in the tests;
 //! * [`closed::filter_closed`] — reduce any result to closed itemsets
 //!   (no strict superset with equal support).
 //!
