@@ -478,18 +478,6 @@ impl EwahBitmap {
 /// zero-extended* bit vector: ids absent from the set read as 0 regardless
 /// of how many words are stored.
 impl EwahBitmap {
-    /// The full universe `{0, 1, …, n-1}`: a run of set words plus at most
-    /// one literal, not an id walk.
-    pub fn full(n: u32) -> Self {
-        let nbits = u64::from(n);
-        let mut a = Appender::new();
-        a.push_clean(true, nbits / 64);
-        if nbits % 64 != 0 {
-            a.push_word((1u64 << (nbits % 64)) - 1);
-        }
-        a.finish()
-    }
-
     /// Build from strictly increasing ids.
     ///
     /// # Panics
@@ -988,7 +976,7 @@ mod tests {
         assert_eq!(b.max_id(), Some(u64::from(u32::MAX)));
         assert_eq!(EwahBitmap::new().max_id(), None);
         assert_eq!(bm(&[3, 64]).max_id(), Some(64));
-        assert_eq!(EwahBitmap::full(128).max_id(), Some(127));
+        assert_eq!(EwahBitmap::from_words(&[u64::MAX; 2]).max_id(), Some(127));
         // Past the limit: a decoded slot with its one bit at 2³² iterates
         // as id 0 (positions narrow to `u32`), but `max_id` reports the
         // position the stream really holds.

@@ -90,13 +90,26 @@ mod tests {
         assert_eq!(intersect_all(&[&a]), vec![7, 9]);
     }
 
+    /// The universe `{0, …, n-1}` as dense words, the way
+    /// `VerticalDb::tidset_words_into` builds it for `⋆`.
+    fn universe_words(n: u32) -> Vec<u64> {
+        let mut words = vec![u64::MAX; (n as usize).div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            *words.last_mut().expect("n > 0") = (1u64 << (n % 64)) - 1;
+        }
+        words
+    }
+
     #[test]
     fn full_matches_from_sorted() {
         for n in [0u32, 1, 63, 64, 65, 128, 1000] {
             let expected: Vec<u32> = (0..n).collect();
-            let f = EwahBitmap::full(n);
-            assert_eq!(f.to_vec(), expected, "full({n})");
-            assert_eq!(f.cardinality(), u64::from(n), "cardinality of full({n})");
+            let f = EwahBitmap::from_words(&universe_words(n));
+            assert_eq!(f, EwahBitmap::from_sorted(&expected), "universe {n}");
+            assert_eq!(f.to_vec(), expected, "universe {n}");
+            assert_eq!(f.cardinality(), u64::from(n), "cardinality of universe {n}");
+            // A run of set words and at most one literal, not a word per 64 ids.
+            assert!(f.stored_words() <= 3, "universe {n}: {} words", f.stored_words());
         }
     }
 
@@ -106,9 +119,10 @@ mod tests {
         let mut words = vec![0u64; 2000usize.div_ceil(64)];
         a.decode_words_into(&mut words);
         let before = words.clone();
-        assert_eq!(EwahBitmap::full(2000).and_words_into(&mut words), 3);
+        let full = EwahBitmap::from_words(&universe_words(2000));
+        assert_eq!(full.and_words_into(&mut words), 3);
         assert_eq!(words, before);
-        assert_eq!(intersect_all(&[&EwahBitmap::full(2000), &a]), vec![3, 64, 1000]);
+        assert_eq!(intersect_all(&[&full, &a]), vec![3, 64, 1000]);
     }
 
     #[test]

@@ -84,19 +84,19 @@ fn check_all_ops(xs: &[u32], ys: &[u32]) {
     assert_eq!(grown, px, "append_sorted");
     assert_eq!(grown.to_vec(), xs, "append_sorted ids");
 
-    // The universe: `full(n)` is `{0, …, n-1}` and an identity for AND.
+    // The universe `{0, …, n-1}`, a ones-run, is an identity for AND.
     let n = (xs.len() + ys.len()) as u32;
-    let full = EwahBitmap::full(n);
-    assert_eq!(full.cardinality(), u64::from(n), "full({n}) cardinality");
-    assert_eq!(full.to_vec(), (0..n).collect::<Vec<u32>>(), "full({n})");
+    let full = EwahBitmap::from_sorted(&(0..n).collect::<Vec<u32>>());
+    assert_eq!(full.cardinality(), u64::from(n), "universe {n} cardinality");
+    assert_eq!(full.to_vec(), (0..n).collect::<Vec<u32>>(), "universe {n}");
     let mut gathered = vec![0u64; ys.len().div_ceil(64)];
     full.gather_words_into(ys, &mut gathered);
     let below: Vec<u32> = (0..ys.len() as u32).filter(|&i| ys[i as usize] < n).collect();
-    assert_eq!(ids_of(&gathered), below, "gather over the ones-run of full({n})");
+    assert_eq!(ids_of(&gathered), below, "gather over the ones-run of universe {n}");
     let universe = xs.last().map_or(0, |&m| m + 1);
     let mut words = dense(&px, span);
-    EwahBitmap::full(universe).and_words_into(&mut words);
-    assert_eq!(ids_of(&words), xs, "full(max + 1) is an AND identity");
+    EwahBitmap::from_sorted(&(0..universe).collect::<Vec<u32>>()).and_words_into(&mut words);
+    assert_eq!(ids_of(&words), xs, "the universe to max + 1 is an AND identity");
 
     // Membership.
     for &id in xs.iter().take(20) {

@@ -903,7 +903,7 @@ mod tests {
         // The inspector accounts for every byte of the file it names.
         let census = run_inspect(&["--snapshot".to_string(), p("cube.scube")]).unwrap();
         let file_len = std::fs::metadata(p("cube.scube")).unwrap().len();
-        assert!(census.contains(&format!("format version 8, {file_len} bytes")), "{census}");
+        assert!(census.contains(&format!("format version 9, {file_len} bytes")), "{census}");
         let sum = census.lines().find(|l| l.contains("regions sum")).expect("a regions-sum line");
         assert!(sum.contains(&format!(" {file_len} B")), "{census}");
         assert!(census.contains("3 cells, 2 postings, 6 transactions, 2 units"), "{census}");
@@ -1021,7 +1021,7 @@ mod tests {
         .collect();
         run_save(&args).unwrap();
         let bytes = std::fs::read(p("subset.scube")).unwrap();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 8, "the version word");
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 9, "the version word");
         let subset = MeasureSet::only(SegIndex::Gini).with(SegIndex::Isolation);
         let saved: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(saved.measures(), subset, "the snapshot names the subset");

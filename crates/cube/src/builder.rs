@@ -27,9 +27,10 @@
 //!    the context list, a sort of their `(t, m)` keys and a pass over the
 //!    context's runs — never a per-unit histogram or sort of the whole
 //!    context; an `A = ⋆` cell folds the context's runs alone. The same
-//!    pairs are the cube's maintenance store: each cell's ascending `m > 0`
-//!    pairs become its minority entry, and the context lists become the
-//!    context entries.
+//!    counts are the cube's maintenance store: each cell's minority run
+//!    table (its distinct `(t, m > 0)` pairs with their unit counts)
+//!    becomes its minority entry, and the context lists become the context
+//!    entries.
 //!
 //! Under [`Materialize::ClosedOnly`], a node its DFS path proves not closed
 //! (it lacks an item that extends a node of the path at equal support) is
@@ -49,6 +50,7 @@ use scube_segindex::{ContextTotals, IndexValues, MeasureSet, DEFAULT_ATKINSON_B}
 
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
+use crate::histogram;
 use crate::update::{encode_entry, MaintenanceStore};
 
 /// Cell materialization strategy.
@@ -408,15 +410,17 @@ impl Folder {
         };
         // An `A = ⋆` cell's minority is its context: it folds the runs
         // alone. Any other cell's touched units, sorted, are its ascending
-        // `m > 0` pairs — its minority entry, and what it folds from beside
-        // the context's runs.
+        // `m > 0` pairs; their run table is its minority entry, and what
+        // it folds from beside the context's runs.
         let evaluated = if coords.sa.is_empty() {
             (coords, context.fold_whole(cfg.atkinson_b, cfg.measures), None)
         } else {
             fold.vertical.unit_histogram_words_into(node.tids, &mut self.scratch);
             self.scratch.sorted_pairs_into(&mut self.pairs);
-            let values = context.fold(&self.pairs, cfg.atkinson_b, cfg.measures)?;
-            (coords, values, Some(encode_entry(&self.pairs)))
+            let runs = context.minority_runs(&self.pairs)?;
+            let values = context.fold_runs(&runs, cfg.atkinson_b, cfg.measures)?;
+            let entry = Store::Owned(histogram::encode_runs(&runs, context.runs()));
+            (coords, values, Some(entry))
         };
         out.cells.push((index, evaluated));
         Ok(())
@@ -675,6 +679,31 @@ mod tests {
         counts.into_iter().collect()
     }
 
+    /// A cell's minority run table and its context's distinct totals
+    /// `(t, k)`, both counted from the raw rows: per unit of the context,
+    /// its total `t` and the cell's minority `m` there; the `m ≥ 1` pairs,
+    /// counted by `(t, m)`.
+    fn runs_counted_from_rows(
+        db: &TransactionDb,
+        coords: &CellCoords,
+    ) -> (Vec<scube_segindex::Run>, Vec<(u64, u64)>) {
+        let totals = counted_from_rows(db, &coords.ca);
+        let minority = counted_from_rows(db, &coords.union());
+        let mut runs = std::collections::BTreeMap::new();
+        let mut distinct = std::collections::BTreeMap::new();
+        for &(u, t) in &totals {
+            *distinct.entry(t).or_insert(0u64) += 1;
+            if let Some(&(_, m)) = minority.iter().find(|p| p.0 == u) {
+                *runs.entry((t, m)).or_insert(0u64) += 1;
+            }
+        }
+        let runs = runs
+            .into_iter()
+            .map(|((total, minority), units)| scube_segindex::Run { minority, total, units })
+            .collect();
+        (runs, distinct.into_iter().collect())
+    }
+
     #[test]
     fn store_matches_histograms_counted_from_rows() {
         use scube_segindex::SegIndex;
@@ -708,10 +737,13 @@ mod tests {
                         let cells: Vec<&CellCoords> =
                             cube.cells().map(|(c, _)| c).filter(|c| !c.sa.is_empty()).collect();
                         assert_eq!(store.minorities.len(), cells.len(), "{case}: minority keys");
+                        // A cell's entry is its run table, against its
+                        // context's distinct totals: both from raw rows.
                         for coords in cells {
                             let entry = store.minorities.get(coords).expect("every cell stored");
-                            let want = counted_from_rows(&db, &coords.union());
-                            assert_eq!(decode(entry), want, "{case}: {coords:?}");
+                            let (runs, totals) = runs_counted_from_rows(&db, coords);
+                            let got = crate::histogram::decode_runs(entry, &totals).unwrap();
+                            assert_eq!(got, runs, "{case}: {coords:?}");
                         }
                         // The run-table fold ≡ the per-unit fold of the
                         // histograms counted from rows, `m = 0` units and

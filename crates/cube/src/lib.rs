@@ -60,5 +60,5 @@ pub use explore::{CubeExplorer, ExplorerScratch};
 pub use query::{AtomicQueryStats, QueryStats, RankedCells, DEFAULT_CACHE_CAPACITY};
 pub use report::{fig1_grid, radial_series, to_csv, top_contexts};
 pub use serve::{ConcurrentCubeEngine, DEFAULT_SHARDS};
-pub use snapshot::{CubeSnapshot, SnapshotCensus, StoreCensus};
+pub use snapshot::{CubeSnapshot, RunCensus, SnapshotCensus, StoreCensus};
 pub use update::{UpdateBatch, UpdateStats};

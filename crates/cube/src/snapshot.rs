@@ -13,13 +13,14 @@
 //!
 //! ## Format
 //!
-//! There is one on-disk layout, identified by the version word 8; a file
+//! There is one on-disk layout, identified by the version word 9; a file
 //! carrying any other version word is rejected with an error that names
-//! the version found (re-create such a snapshot with `scube save`). Word 7
-//! is the same layout with the store's histograms as fixed-width
-//! `(unit u32, count u64)` pairs — 12 bytes a pair where an entry of
-//! [`crate::histogram`] takes about 2 — and word 6 additionally folded
-//! cell values in unit order.
+//! the version found (re-create such a snapshot with `scube save`). Word 8
+//! is the same layout with each cell's minority stored as its per-unit
+//! `(unit, m)` pairs instead of its run table — on one unit per company,
+//! thousands of pairs a cell where the run table holds a few dozen runs;
+//! word 7 stored every histogram as fixed-width `(unit u32, count u64)`
+//! pairs, and word 6 additionally folded cell values in unit order.
 //!
 //! Fixed-width integers are little-endian; strings are `u32` length +
 //! UTF-8 bytes. Everything but the store is laid out as fixed-width
@@ -31,7 +32,7 @@
 //!
 //! ```text
 //! [0..8)    magic  "SCUBESNP"
-//! [8..12)   format version (u32, 8)
+//! [8..12)   format version (u32, 9)
 //! [12]      posting representation tag (EwahBitmap::SERIAL_TAG = 1; any
 //!           other value is an error)
 //! [13..21)  checksum (u64) of bytes [24..)   — the full checksum
@@ -51,10 +52,12 @@
 //! slots     posting slots (EwahBitmap::write_slot), each at an 8-aligned
 //!           file offset, zero padding between slots
 //! store     maintenance store: context totals, then cell minorities, each
-//!           a u32 count followed by (key ids, histogram entry) records in
-//!           sorted key order — an entry being `varint n_pairs, varint
-//!           payload_len, payload` of delta-varint (unit gap, count − 1)
-//!           pairs, see [`crate::histogram`]
+//!           a u32 count followed by (key ids, entry) records in sorted key
+//!           order — an entry being `varint n, varint payload_len,
+//!           payload`: for a context, n delta-varint (unit gap, count − 1)
+//!           pairs; for a cell, its n minority runs (t index step among
+//!           the context's distinct totals with a k ≥ 2 flag, m code,
+//!           k − 2 when flagged), see [`crate::histogram`]
 //! ```
 //!
 //! `meta_sum` is the same sum over the directory (sans itself), the meta
@@ -112,7 +115,7 @@ use scube_bitmap::EwahBitmap;
 use scube_common::mmap::{ByteRegion, MappedSlice, MmapFile, Store};
 use scube_common::{FxHashMap, Result, ScubeError};
 use scube_data::{ItemId, TransactionDb, VerticalDb};
-use scube_segindex::{IndexValues, MeasureSet, SegIndex};
+use scube_segindex::{ContextTotals, IndexValues, MeasureSet, SegIndex};
 
 use crate::builder::{CubeBuilder, CubeConfig, Materialize};
 use crate::coords::CellCoords;
@@ -121,7 +124,7 @@ use crate::histogram;
 use crate::update::{MaintenanceStore, UpdateBatch, UpdateStats};
 
 const MAGIC: &[u8; 8] = b"SCUBESNP";
-const VERSION: u32 = 8;
+const VERSION: u32 = 9;
 const HEADER_LEN: usize = 8 + 4 + 1 + 8;
 /// Offset directory: starts 8-aligned after the header + 3 pad bytes.
 const DIR_OFF: usize = HEADER_LEN + 3;
@@ -601,11 +604,11 @@ pub struct SnapshotCensus {
     pub units: u32,
     /// The store's context-totals entries.
     pub contexts: StoreCensus,
-    /// The store's cell-minority entries.
-    pub minorities: StoreCensus,
+    /// The store's cell run tables.
+    pub minorities: RunCensus,
 }
 
-/// Census of one half of the maintenance store.
+/// Census of the store's context-totals entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCensus {
     /// Histogram entries.
@@ -626,47 +629,90 @@ pub struct StoreCensus {
     pub max_count: u64,
 }
 
+/// Census of the store's cell minority run tables.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCensus {
+    /// Run-table entries.
+    pub entries: u64,
+    /// `(t, m, k)` runs over all entries.
+    pub runs: u64,
+    /// The minority units the runs stand for: `Σ k`.
+    pub units: u64,
+    /// Bytes of the keys (item-id lists).
+    pub key_bytes: u64,
+    /// Bytes of the entries.
+    pub entry_bytes: u64,
+    /// Runs in the smallest, the median and the largest entry.
+    pub runs_per_entry: (u64, u64, u64),
+    /// Runs of one unit (`k = 1`).
+    pub k_one: u64,
+    /// The largest `k`.
+    pub max_k: u64,
+}
+
+/// The smallest, the median and the largest of `sizes` (sorted here).
+fn spread(sizes: &mut [u64]) -> (u64, u64, u64) {
+    sizes.sort_unstable();
+    match (sizes.first(), sizes.last()) {
+        (Some(&min), Some(&max)) => (min, sizes[sizes.len() / 2], max),
+        _ => (0, 0, 0),
+    }
+}
+
 /// Take the census of a snapshot file. Everything but the store comes from
 /// the offset directory and the meta region — O(metadata), verified against
 /// `meta_sum` like any mapped open; the store census is one sequential
-/// scan through the same validating decoder loads and updates use, so a
-/// file this accepts has a well-formed store.
+/// scan through the same validating decoders loads and updates use (each
+/// run table against its context's totals, which precede it), so a file
+/// this accepts has a well-formed store.
 pub fn inspect(path: impl AsRef<Path>) -> Result<SnapshotCensus> {
     let file = MmapFile::open(path.as_ref())?;
     let bytes = file.as_bytes();
     let (d, meta) = CubeSnapshot::parse_preamble(bytes, false)?;
     let postdir_end = d.postdir_off + d.n_postings * POSTDIR_ENTRY;
     let names = &meta.cube.labels().unit_names;
-    let mut contexts = (StoreCensus::default(), Vec::new());
-    let mut minorities = (StoreCensus::default(), Vec::new());
+    let (mut contexts, mut pair_sizes) = (StoreCensus::default(), Vec::new());
+    let (mut minorities, mut run_sizes) = (RunCensus::default(), Vec::new());
+    let mut totals: FxHashMap<Vec<ItemId>, Vec<(u64, u64)>> = FxHashMap::default();
     let store = &bytes[d.store_off..d.store_off + d.store_len];
     let ids = |n: usize| 4 + 4 * n as u64;
     scan_store(store, meta.n_items, |key, entry| {
-        let ((census, sizes), key_bytes) = match &key {
-            StoreKey::Context(ca) => (&mut contexts, ids(ca.len())),
-            StoreKey::Minority(c) => (&mut minorities, ids(c.sa.len()) + ids(c.ca.len())),
-        };
-        let pairs = histogram::decode(&store[entry.clone()], meta.v_units)?;
-        census.entries += 1;
-        census.pairs += pairs.len() as u64;
-        census.key_bytes += key_bytes;
-        census.entry_bytes += entry.len() as u64;
-        sizes.push(pairs.len() as u64);
-        let mut next = 0u32;
-        for &(unit, count) in &pairs {
-            census.count_one += u64::from(count == 1);
-            census.one_byte_gaps += u64::from(unit - next <= 127);
-            census.max_count = census.max_count.max(count);
-            next = unit + 1;
+        match key {
+            StoreKey::Context(ca) => {
+                let pairs = histogram::decode(&store[entry.clone()], meta.v_units)?;
+                contexts.entries += 1;
+                contexts.pairs += pairs.len() as u64;
+                contexts.key_bytes += ids(ca.len());
+                contexts.entry_bytes += entry.len() as u64;
+                pair_sizes.push(pairs.len() as u64);
+                let mut next = 0u32;
+                for &(unit, count) in &pairs {
+                    contexts.count_one += u64::from(count == 1);
+                    contexts.one_byte_gaps += u64::from(unit - next <= 127);
+                    contexts.max_count = contexts.max_count.max(count);
+                    next = unit + 1;
+                }
+                totals.insert(ca, ContextTotals::new(pairs)?.runs().to_vec());
+            }
+            StoreKey::Minority(c) => {
+                let context = totals.get(&c.ca).ok_or_else(|| corrupt("a cell has no context"))?;
+                let runs = histogram::decode_runs(&store[entry.clone()], context)?;
+                minorities.entries += 1;
+                minorities.runs += runs.len() as u64;
+                minorities.key_bytes += ids(c.sa.len()) + ids(c.ca.len());
+                minorities.entry_bytes += entry.len() as u64;
+                run_sizes.push(runs.len() as u64);
+                for run in &runs {
+                    minorities.units += run.units;
+                    minorities.k_one += u64::from(run.units == 1);
+                    minorities.max_k = minorities.max_k.max(run.units);
+                }
+            }
         }
         Ok(())
     })?;
-    for (census, sizes) in [&mut contexts, &mut minorities] {
-        sizes.sort_unstable();
-        if let (Some(&min), Some(&max)) = (sizes.first(), sizes.last()) {
-            census.pairs_per_entry = (min, sizes[sizes.len() / 2], max);
-        }
-    }
+    contexts.pairs_per_entry = spread(&mut pair_sizes);
+    minorities.runs_per_entry = spread(&mut run_sizes);
     Ok(SnapshotCensus {
         version: VERSION,
         file_bytes: bytes.len() as u64,
@@ -684,8 +730,8 @@ pub fn inspect(path: impl AsRef<Path>) -> Result<SnapshotCensus> {
         postings: d.n_postings,
         transactions: meta.n_transactions,
         units: meta.v_units,
-        contexts: contexts.0,
-        minorities: minorities.0,
+        contexts,
+        minorities,
     })
 }
 
@@ -711,28 +757,42 @@ impl fmt::Display for SnapshotCensus {
             "{} cells, {} postings, {} transactions, {} units",
             self.cells, self.postings, self.transactions, self.units
         )?;
-        for (name, c) in [("contexts", &self.contexts), ("minorities", &self.minorities)] {
-            let (min, median, max) = c.pairs_per_entry;
-            writeln!(
-                f,
-                "store {name}: entries {}, pairs {}, key bytes {}, entry bytes {} ({:.2} B/pair), \
-                 pairs per entry min {min} / median {median} / max {max}, count = 1 {:.1} %, \
-                 one-byte gaps {:.1} %, max count {}",
-                c.entries,
-                c.pairs,
-                c.key_bytes,
-                c.entry_bytes,
-                c.entry_bytes as f64 / c.pairs.max(1) as f64,
-                share(c.count_one, c.pairs),
-                share(c.one_byte_gaps, c.pairs),
-                c.max_count
-            )?;
-        }
-        Ok(())
+        let c = &self.contexts;
+        let (min, median, max) = c.pairs_per_entry;
+        writeln!(
+            f,
+            "store contexts: entries {}, pairs {}, key bytes {}, entry bytes {} ({:.2} B/pair), \
+             pairs per entry min {min} / median {median} / max {max}, count = 1 {:.1} %, \
+             one-byte gaps {:.1} %, max count {}",
+            c.entries,
+            c.pairs,
+            c.key_bytes,
+            c.entry_bytes,
+            c.entry_bytes as f64 / c.pairs.max(1) as f64,
+            share(c.count_one, c.pairs),
+            share(c.one_byte_gaps, c.pairs),
+            c.max_count
+        )?;
+        let r = &self.minorities;
+        let (min, median, max) = r.runs_per_entry;
+        writeln!(
+            f,
+            "store minorities: entries {}, runs {} ({} units), key bytes {}, entry bytes {} \
+             ({:.2} B/run), runs per entry min {min} / median {median} / max {max}, \
+             k = 1 {:.1} %, max k {}",
+            r.entries,
+            r.runs,
+            r.units,
+            r.key_bytes,
+            r.entry_bytes,
+            r.entry_bytes as f64 / r.runs.max(1) as f64,
+            share(r.k_one, r.runs),
+            r.max_k
+        )
     }
 }
 
-/// The v8 checksum's hash, part of the file format: FxHash's word step,
+/// The snapshot checksum's hash, part of the file format: FxHash's word step,
 /// `state = (state <<< 5 ^ word) · K`, over whole 8-byte little-endian
 /// words, then one 4-byte word and single bytes for a part's tail, and
 /// the raw state as the sum. It is its own type so that the general
@@ -1430,31 +1490,30 @@ mod tests {
 
         // One appended row in the north: `⋆` and north contexts are dirty,
         // south ones are not. Of a dirty context's cells, only those whose
-        // own histogram the row moved (their itemset lies inside it) are
-        // re-encoded; the others keep their mapped entries.
+        // run table came out with other bytes (a unit of theirs moved, or
+        // their context's distinct totals did) are re-encoded; the others
+        // keep their mapped entries.
+        let before = CubeSnapshot::from_bytes(&file).unwrap();
         let mut batch = UpdateBatch::new();
         batch.add_row(&[("sex", "F"), ("age", "young"), ("region", "north")], "u0");
         mapped.apply_update(&batch).unwrap();
         let store = &mapped.cube.store;
         assert!(store.unscanned.is_none(), "the first update scanned the region");
-        let labels = mapped.cube().labels();
-        let south = labels.find_item("region", "south").unwrap();
-        let row: Vec<ItemId> = [("sex", "F"), ("age", "young"), ("region", "north")]
-            .iter()
-            .map(|&(attr, value)| labels.find_item(attr, value).unwrap())
-            .collect();
-        let (mut clean, mut dirty, mut kept) = (0, 0, 0);
+        let south = mapped.cube().labels().find_item("region", "south").unwrap();
+        let (mut clean, mut dirty, mut kept, mut moved) = (0, 0, 0, 0);
         for (ca, entry) in &store.contexts {
             let is_clean = ca.contains(&south);
             assert_eq!(entry.is_mapped(), is_clean, "context {ca:?}: only dirtied entries move");
             *(if is_clean { &mut clean } else { &mut dirty }) += 1;
         }
         for (coords, entry) in &store.minorities {
-            let moved = coords.union().iter().all(|it| row.contains(it));
-            assert_eq!(entry.is_mapped(), !moved, "cell {coords:?}: only moved entries re-encode");
-            kept += usize::from(!moved && !coords.ca.contains(&south));
+            let same = **entry == *before.cube.store.minorities[coords];
+            assert_eq!(entry.is_mapped(), same, "cell {coords:?}: only changed entries re-encode");
+            kept += usize::from(same && !coords.ca.contains(&south));
+            moved += usize::from(!same);
         }
-        assert!(clean > 0 && dirty > 0 && kept > 0, "{clean} clean, {dirty} dirty, {kept} kept");
+        assert!(clean > 0 && dirty > 0, "{clean} clean, {dirty} dirty contexts");
+        assert!(kept > 0 && moved > 0, "{kept} dirty-context cells kept, {moved} re-encoded");
 
         // Mapped slices copied out verbatim beside re-encoded entries are
         // still canonical: byte-identical to a rebuild on the edited rows.

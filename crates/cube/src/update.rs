@@ -47,7 +47,8 @@
 //!    promotion is exact.
 //!
 //! **Stage, then commit.** Every fallible step of an update — validation,
-//! the dominated subtraction (which hard-errors on underflow), closedness,
+//! the exact subtractions and run moves (a count past zero or a missing
+//! run is a hard error), closedness,
 //! the index folds, promotions included — runs in `stage`, which reads the
 //! cube, postings and store through shared references only. It sees the
 //! *edited* table through the unmodified base postings plus delta-sized
@@ -70,23 +71,34 @@
 //! sit behind an `Arc` shared with the clone the update started from, and
 //! the commit copies them only when the batch adds a label or renames.
 //!
-//! **Per-context jobs over dense words.** Dirty cells, and then promotion
+//! **Per-context jobs over run tables.** Dirty cells, and then promotion
 //! candidates, are sorted by context and fan out through
 //! [`scube_common::par`] one job per context (staging is pure, so the
 //! parallel update is bit-identical to the serial one); both kinds go
-//! through one `Stager::stage_cell`. Each worker holds one `u32` per unit:
-//! a job fills it with its context's staged totals `t` when its first cell
-//! folds a minority and clears it from the same unit list afterwards, so a
-//! cell reads each unit's `t` in O(1). A minority is then walked once: each
-//! pair of a stored entry is decoded (with [`crate::histogram`]'s
-//! validation; a promotion's pairs are counted from `base(X)`'s words),
-//! checked for domination against its unit's *base* `t` (the staged `t`
-//! less the context's own per-unit delta, at most a batch long), advanced
-//! by the cell's own delta, and keyed `t << 32 | m` for
-//! [`ContextTotals::fold_keys`] — the tail of [`ContextTotals::fold`],
-//! which the builder and the explorer fold through, so every producer
-//! yields the same floats. A cell whose own delta is empty keeps its
-//! stored entry; it is still checked and folded, since its context moved.
+//! through one `Stager::stage_cell`. A stored cell's entry is its minority
+//! run table (`(t, m, k)`: `k` units of population `t` and minority `m ≥
+//! 1`), and a batch moves at most one run unit per unit it touches, so a
+//! dirty cell is staged in three steps, none sized by the cell's units:
+//!
+//! 1. its entry is decoded (with [`crate::histogram`]'s validation)
+//!    against `base(B)`'s distinct totals, which its context's staged
+//!    totals give back once the context's moved units are undone;
+//! 2. each unit `u` the edit moved in the context moves one run unit from
+//!    `(t_old, m_old)` to `(t_new, m_new)`: `t_old` and `t_new` are the
+//!    context's, `m_old = |base(X) ∩ rows(u)|` is counted from per-item
+//!    dense sets over `S`, the base rows of the batch's units (one pass
+//!    over the `tid → unit` map, each posting gathered at `S` once per
+//!    batch), and `m_new` adds the cell's own delta. A run the table
+//!    lacks is an `Inconsistent` error, raised before the commit;
+//! 3. the runs fold through [`ContextTotals::fold_runs`] — which
+//!    [`ContextTotals::fold`], the builder's and the explorer's fold, ends
+//!    in too, so every producer yields the same floats — and are
+//!    re-encoded against the staged totals; an entry whose bytes did not
+//!    change stays as it was (a mapped slice stays mapped).
+//!
+//! A promotion candidate has no entry: its `(unit, m)` pairs are counted
+//! from `base(X)`'s words, advanced by its own delta, and collapsed into
+//! runs through the context's galloping unit lookup, as the builder does.
 //! Closedness runs on two dense tidsets per worker, each at most ⌈rows/64⌉
 //! words and grown on first use: a job's `base(B)`, intersected once when
 //! its cells may lose closedness, and a cell's `base(X)`, that copy
@@ -107,9 +119,10 @@
 //! removes a value's last row (the value leaves the dictionary) or its
 //! first row (its intern position moves) makes the commit end with a
 //! *rename*: `VerticalDb::rename` permutes the postings and maps the
-//! `tid → unit` map, and labels, cell coordinates and store keys and units
-//! are remapped to the ids a rebuild would assign. Nothing is rebuilt, and
-//! by the invariance above the rename dirties no cell. A retraction that
+//! `tid → unit` map, and labels, cell coordinates, store keys and the
+//! units inside context entries are remapped to the ids a rebuild would
+//! assign; a run table names no unit and is re-keyed unread. Nothing is
+//! rebuilt, and by the invariance above the rename dirties no cell. A retraction that
 //! moves no first occurrence skips it, and that is decided without a scan:
 //! an item's first occurrence is its posting's first bit, and a unit's is
 //! its first tid in the `tid → unit` map, read only until every retracted
@@ -131,7 +144,7 @@ use scube_common::mmap::{ByteRegion, Store};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
 use scube_fpm::itemset::is_sorted_subset;
-use scube_segindex::{ContextTotals, IndexValues};
+use scube_segindex::{ContextTotals, IndexValues, Run};
 
 use crate::builder::Materialize;
 use crate::coords::CellCoords;
@@ -438,44 +451,45 @@ fn encode_batch<'b>(
     Ok(out)
 }
 
-/// The cube's *sufficient statistics*: the integer per-unit histograms
-/// every cell value is computed from, kept inside the cube so updates
-/// never have to re-derive them from the full postings. There is one
-/// derivation: the builder's fold emits each entry from the histograms it
-/// evaluates the cell with; a snapshot carries the store and never
-/// reconstructs it.
+/// The cube's *sufficient statistics*: the integer counts every cell value
+/// is computed from, kept inside the cube so updates never have to
+/// re-derive them from the full postings. There is one derivation: the
+/// builder's fold emits each entry from the counts it evaluates the cell
+/// with; a snapshot carries the store and never reconstructs it.
 ///
-/// Per distinct context `B`, the ascending `(unit, total)` pairs of
-/// `tidset(B)`; per materialized cell with a non-`⋆` minority side, the
-/// ascending `(unit, minority)` pairs of `tidset(A ∪ B)` (`A = ⋆` cells
-/// mirror the context totals and store nothing). Histograms are plain
-/// `u64` counts, so `hist(base ⧺ delta) = hist(base) + hist(delta)`
-/// **exactly** — folding a delta in means histogramming only the appended
-/// transactions and adding, after which the recomputed index values equal
-/// a from-scratch rebuild bit for bit. This is what turns dirty-cell
-/// re-evaluation from `O(Σ |full tidset|)` into `O(Σ |delta tidset| +
-/// dirty contexts' units + dirty cells × (minority units + context runs))`:
-/// a cell folds from its context's run table ([`ContextTotals`]) and its
-/// own minority pairs, never a pass over every context unit. Counts are
-/// exact integers, so retractions *subtract* as losslessly as appends add —
-/// with a domination check turning any disagreement between store and
-/// delta into a hard error before mutation.
+/// Per distinct context `B`, the ascending `(unit, t)` pairs of
+/// `tidset(B)`; per materialized cell with a non-`⋆` minority side, its
+/// **minority run table**: the distinct `(t, m)` pairs with `m ≥ 1` of
+/// `tidset(A ∪ B)`'s units, each with its unit count `k` (`A = ⋆` cells
+/// mirror the context totals and store nothing). Every index is a function
+/// of that table and the context's runs — the `m = 0` units are whatever
+/// the minority runs leave of each context run — so a cell stores no unit
+/// id and folds in O(runs). Counts are exact integers, so
+/// `hist(base ⧺ delta) = hist(base) + hist(delta)` **exactly**, and
+/// retractions subtract as losslessly as appends add: a context entry
+/// advances by its per-unit delta, and a cell's runs by one run unit per
+/// unit the batch moved in its context (the module docs), which turns
+/// dirty-cell re-evaluation into `O(Σ |delta tidset| + dirty contexts'
+/// units + dirty cells × (runs + batch units))`. A disagreement between
+/// store and delta — a run the batch cannot find, a subtraction past zero
+/// — is a hard error before mutation.
 ///
-/// A histogram has **one form — its canonical bytes**
-/// ([`crate::histogram`], about 2 B per pair): the same entry is what
-/// the builder emits, what the snapshot file stores (canonical
-/// order: contexts by item list, cells by coordinates), what a mapped
-/// snapshot serves in place ([`Store::Mapped`]) and what the heap holds
-/// ([`Store::Owned`]). `(unit, count)` pairs exist only transiently: an
-/// update decodes — and thereby validates — exactly the entries its delta
-/// dirties, and re-encodes those whose own delta moved them; everything
+/// An entry has **one form — its canonical bytes** ([`crate::histogram`]:
+/// about 2 B per context pair or minority run): the same entry is what
+/// the builder emits, what the snapshot file stores (canonical order:
+/// contexts by item list, cells by coordinates), what a mapped snapshot
+/// serves in place ([`Store::Mapped`]) and what the heap holds
+/// ([`Store::Owned`]). Pairs and runs exist only transiently: an update
+/// decodes — and thereby validates — exactly the entries its delta
+/// dirties, and keeps every entry whose bytes did not change; everything
 /// else stays bytes, and a mapped entry no update has re-encoded is never
 /// copied at all.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MaintenanceStore {
     /// Distinct cell contexts → entry of the `(unit, total)` pairs.
     pub(crate) contexts: FxHashMap<Vec<ItemId>, Store<u8>>,
-    /// Cells with a non-`⋆` SA side → entry of the `(unit, minority)` pairs.
+    /// Cells with a non-`⋆` SA side → entry of the minority run table,
+    /// against the context's distinct totals.
     pub(crate) minorities: FxHashMap<CellCoords, Store<u8>>,
     /// The store region of a mapped snapshot no update has looked at yet:
     /// `open_mmap` attaches it without scanning (queries never touch the
@@ -487,8 +501,8 @@ pub(crate) struct MaintenanceStore {
 
 impl MaintenanceStore {
     /// Key-level consistency against a cube: every cell's context has
-    /// totals, every non-`⋆`-SA cell has minority counts, and nothing else
-    /// is stored. What the entries *hold* is [`Self::validate_entries`]'
+    /// totals, every non-`⋆`-SA cell has a run table, and nothing else is
+    /// stored. What the entries *hold* is [`Self::validate_entries`]'
     /// business (heap loads, eagerly) or is checked entry by entry as an
     /// update decodes what its delta dirties (mapped opens).
     pub(crate) fn covers(&self, cube: &SegregationCube) -> bool {
@@ -509,52 +523,40 @@ impl MaintenanceStore {
             && want_ctx.iter().all(|&ca| self.contexts.contains_key(ca))
     }
 
-    /// Decode every entry once — range-checking its units against
-    /// `n_units` — and require each cell's minority counts to be dominated
-    /// by its context's totals (minority units are populated units with
-    /// `m ≤ t`, looked up in a unit-indexed array the context's totals fill
-    /// and clear); nothing decoded is kept. Heap loads run this up front,
-    /// so a crafted store errors at load instead of mid-update; so does a
-    /// relabeling update, which is about to rewrite every entry. The store
-    /// must [`Self::covers`] its cube.
+    /// Decode every entry once and drop it: each context's pairs —
+    /// range-checking its units against `n_units` — into its run table,
+    /// and each cell's runs against that table's distinct totals, which
+    /// is where a `t` index past the context, `m > t` or more units of a
+    /// `t` than the context holds is refused. Heap loads run this up
+    /// front, so a crafted store errors at load instead of mid-update. The
+    /// store must [`Self::covers`] its cube.
     pub(crate) fn validate_entries(&self, n_units: u32) -> Result<()> {
         let mut cells_of: FxHashMap<&[ItemId], Vec<&Store<u8>>> = FxHashMap::default();
         for (coords, minority) in &self.minorities {
             cells_of.entry(&coords.ca).or_default().push(minority);
         }
-        let mut t = vec![0u64; n_units as usize];
+        let mut runs = Vec::new();
         for (ca, totals) in &self.contexts {
-            let totals = histogram::decode(totals, n_units)?;
-            for &(u, count) in &totals {
-                t[u as usize] = count;
+            let totals = ContextTotals::new(histogram::decode(totals, n_units)?)?;
+            for entry in cells_of.get(ca.as_slice()).into_iter().flatten() {
+                histogram::decode_runs_into(entry, totals.runs(), &mut runs)?;
             }
-            let checked = cells_of.get(ca.as_slice()).into_iter().flatten().try_for_each(|entry| {
-                let mut dominated = true;
-                histogram::decode_each(entry, n_units, |u, m| dominated &= m <= t[u as usize])?;
-                if dominated {
-                    Ok(())
-                } else {
-                    Err(not_dominated())
-                }
-            });
-            for &(u, _) in &totals {
-                t[u as usize] = 0;
-            }
-            checked?;
         }
         Ok(())
     }
+
+    /// Decode every context entry once, range-checking its units against
+    /// `n_units`. A renaming update runs this before it stages anything:
+    /// its commit rewrites every context entry under new unit ids, while a
+    /// run table names no unit and is only re-keyed.
+    fn validate_contexts(&self, n_units: u32) -> Result<()> {
+        self.contexts.values().try_for_each(|entry| histogram::decode(entry, n_units).map(drop))
+    }
 }
 
-/// A histogram in the one form the store keeps it in.
+/// A context's histogram in the one form the store keeps it in.
 pub(crate) fn encode_entry(pairs: &[(u32, u64)]) -> Store<u8> {
     Store::Owned(histogram::encode(pairs))
-}
-
-fn not_dominated() -> ScubeError {
-    ScubeError::Inconsistent(
-        "snapshot: a cell's minority histogram is not dominated by its context's totals".into(),
-    )
 }
 
 /// What a delta does to a histogram, per unit: `(unit, appended,
@@ -568,7 +570,7 @@ type UnitDelta = Vec<(u32, u64, u64)>;
 /// the maintenance store and the delta disagree: a hard error, raised
 /// **before** anything is mutated, so the snapshot stays untouched. A
 /// hostile count cannot overflow: the sum saturates, and such a count
-/// fails the domination or the row-space check first.
+/// fails the row-space check first.
 fn moved_count(unit: u32, count: u64, appended: u64, retracted: u64) -> Result<u64> {
     let held = count.saturating_add(appended);
     held.checked_sub(retracted).ok_or_else(|| {
@@ -580,57 +582,56 @@ fn moved_count(unit: u32, count: u64, appended: u64, retracted: u64) -> Result<u
     })
 }
 
-/// A merge of ascending base `(unit, count)` pairs, handed to
-/// [`Self::pair`] one by one, with an ascending delta: `visit(unit, count,
-/// appended, retracted)` runs once per unit of either list, in ascending
-/// unit order (a unit only the delta holds has a count of 0), the delta's
-/// tail at [`Self::finish`]. The one walk every histogram an update
-/// advances runs through.
-struct DeltaMerge<'a, V> {
-    delta: &'a [(u32, u64, u64)],
-    visit: V,
-}
-
-impl<V: FnMut(u32, u64, u64, u64)> DeltaMerge<'_, V> {
-    fn pair(&mut self, u: u32, count: u64) {
-        while let Some((&(du, added, retracted), rest)) = self.delta.split_first() {
-            if du > u {
-                break;
-            }
-            self.delta = rest;
-            if du == u {
-                return (self.visit)(u, count, added, retracted);
-            }
-            (self.visit)(du, 0, added, retracted);
-        }
-        (self.visit)(u, count, 0, 0);
-    }
-
-    fn finish(mut self) {
-        for &(du, added, retracted) in self.delta {
-            (self.visit)(du, 0, added, retracted);
-        }
-    }
-}
-
-/// Move ascending `(unit, count)` pairs by a delta ([`moved_count`] per
-/// unit); units that reach 0 leave.
+/// Move ascending `(unit, count)` pairs by an ascending delta
+/// ([`moved_count`] per unit, a unit only the delta holds counting from
+/// 0); units that reach 0 leave.
 fn advance_pairs(base: &[(u32, u64)], delta: &[(u32, u64, u64)]) -> Result<Vec<(u32, u64)>> {
     let mut out = Vec::with_capacity(base.len() + delta.len());
-    let mut failed = None;
-    let mut merge = DeltaMerge {
-        delta,
-        visit: |u, count, added, retracted| match moved_count(u, count, added, retracted) {
-            Ok(0) => {}
-            Ok(count) => out.push((u, count)),
-            Err(e) => {
-                failed.get_or_insert(e);
-            }
-        },
-    };
-    base.iter().for_each(|&(u, count)| merge.pair(u, count));
-    merge.finish();
-    failed.map_or(Ok(out), Err)
+    let mut base = base.iter().copied().peekable();
+    for &(unit, added, retracted) in delta {
+        while let Some(pair) = base.next_if(|&(u, _)| u < unit) {
+            out.push(pair);
+        }
+        let count = base.next_if(|&(u, _)| u == unit).map_or(0, |(_, count)| count);
+        match moved_count(unit, count, added, retracted)? {
+            0 => {}
+            count => out.push((unit, count)),
+        }
+    }
+    out.extend(base);
+    Ok(out)
+}
+
+/// A unit an edit moves within one context: its slot among the batch's
+/// units ([`EditView`]), its delta and its total before and after.
+struct Moved {
+    unit: u32,
+    slot: u32,
+    t_base: u64,
+    t_now: u64,
+}
+
+/// One run unit out of the `(t, m)` run of an ascending run table (`k`
+/// may reach 0, and such runs are dropped after the moves): a table that
+/// lacks it disagrees with the postings.
+fn take_run(runs: &mut [Run], t: u64, m: u64) -> Result<()> {
+    match runs.binary_search_by_key(&(t, m), |r| (r.total, r.minority)) {
+        Ok(i) if runs[i].units > 0 => {
+            runs[i].units -= 1;
+            Ok(())
+        }
+        _ => Err(ScubeError::Inconsistent(format!(
+            "update: a stored run table lacks the run ({m} of {t}) of a unit the batch moves"
+        ))),
+    }
+}
+
+/// One run unit into the `(t, m)` run of an ascending run table.
+fn put_run(runs: &mut Vec<Run>, t: u64, m: u64) {
+    match runs.binary_search_by_key(&(t, m), |r| (r.total, r.minority)) {
+        Ok(i) => runs[i].units += 1,
+        Err(i) => runs.insert(i, Run { minority: m, total: t, units: 1 }),
+    }
 }
 
 /// Validate and resolve the batch's retractions against the current
@@ -770,6 +771,16 @@ struct EditView<'a> {
     rem: ItemSets,
     /// Every appended and every retracted tid: the `⋆` context's delta.
     all: Delta,
+    /// Each unit the batch touches — an appended row's or a retracted
+    /// row's — → its slot, `0..n_slots` in first-seen order; [`ABSENT`]
+    /// for every other unit.
+    slot_of: Vec<u32>,
+    n_slots: usize,
+    /// `S`, the base rows of the batch's units (ascending): each one's
+    /// unit slot.
+    s_slot: Vec<u32>,
+    /// Per item, the rows of `S` holding it, gathered from its posting.
+    base_s: ItemSets,
     new_base: u32,
     n_units_after: u32,
 }
@@ -795,16 +806,80 @@ impl<'a> EditView<'a> {
         }
         let all =
             Delta { add: first_positions(encoded.rows.len()), rem: first_positions(removed.len()) };
+        let n_units_after = vertical.num_units() + encoded.new_units.len() as u32;
+        let mut slot_of = vec![ABSENT; n_units_after as usize];
+        let mut n_slots = 0;
+        let retracted_units = removed.iter().map(|&t| vertical.unit_of(t));
+        for unit in encoded.rows.iter().map(|&(_, unit)| unit).chain(retracted_units) {
+            if slot_of[unit as usize] == ABSENT {
+                slot_of[unit as usize] = n_slots;
+                n_slots += 1;
+            }
+        }
+        // `S`: one pass over the `tid → unit` map, then each posting
+        // gathered at `S` once.
+        let (mut s_tids, mut s_slot) = (Vec::new(), Vec::new());
+        if n_slots > 0 {
+            for (t, &unit) in vertical.units().iter().enumerate() {
+                let slot = slot_of[unit as usize];
+                if slot != ABSENT {
+                    s_tids.push(t as u32);
+                    s_slot.push(slot);
+                }
+            }
+        }
+        let mut base_s = ItemSets::new(n_items_after, s_tids.len());
+        if !s_tids.is_empty() {
+            for (it, posting) in vertical.postings().iter().enumerate() {
+                posting.gather_words_into(&s_tids, base_s.of_mut(it as ItemId));
+            }
+        }
         Ok(EditView {
             vertical,
-            n_units_after: vertical.num_units() + encoded.new_units.len() as u32,
             encoded,
             removed,
             add,
             rem,
             all,
+            slot_of,
+            n_slots: n_slots as usize,
+            s_slot,
+            base_s,
             new_base,
+            n_units_after,
         })
+    }
+
+    /// What an edit does to `X` (`items`, delta `delta`) per unit the
+    /// batch touches, into `counts` by unit slot: `[|base(X) ∩ rows(u)|,
+    /// |add(X) ∩ rows(u)|, |rem(X) ∩ rows(u)|]`. The first count comes from
+    /// `X`'s items' sets over `S`, ANDed into `words`; the other two from
+    /// the delta, which lies inside the batch's units.
+    fn unit_moves(
+        &self,
+        items: &[ItemId],
+        delta: &Delta,
+        words: &mut Vec<u64>,
+        counts: &mut Vec<[u64; 3]>,
+    ) {
+        counts.clear();
+        counts.resize(self.n_slots, [0; 3]);
+        match items.split_first() {
+            None => self.s_slot.iter().for_each(|&slot| counts[slot as usize][0] += 1),
+            Some((&first, rest)) => {
+                words.clear();
+                words.extend_from_slice(self.base_s.of(first));
+                for &it in rest {
+                    words.iter_mut().zip(self.base_s.of(it)).for_each(|(w, x)| *w &= x);
+                }
+                for_each_set_bit(words, 0, |p| counts[self.s_slot[p as usize] as usize][0] += 1);
+            }
+        }
+        let slot = |unit: UnitId| self.slot_of[unit as usize] as usize;
+        for_each_set_bit(&delta.add, 0, |i| counts[slot(self.encoded.rows[i as usize].1)][1] += 1);
+        for_each_set_bit(&delta.rem, 0, |i| {
+            counts[slot(self.vertical.unit_of(self.removed[i as usize]))][2] += 1;
+        });
     }
 
     /// `add(X)` and `rem(X)`; for `X = ⋆`, every appended and retracted tid.
@@ -855,12 +930,28 @@ impl<'a> EditView<'a> {
         });
     }
 
-    /// A context's staged totals from its base totals.
+    /// A context's staged totals from its base totals, with the units the
+    /// edit moves in it and the distinct totals its cells' run tables were
+    /// stored against.
     fn stage_context(&self, base: &[(u32, u64)], delta: Delta) -> Result<StagedCtx> {
-        let mut moved = UnitDelta::new();
-        self.unit_delta(&delta, &mut moved);
-        let totals = ContextTotals::new(advance_pairs(base, &moved)?)?;
-        Ok(StagedCtx { totals, delta, moved })
+        let mut deltas = UnitDelta::new();
+        self.unit_delta(&delta, &mut deltas);
+        let staged = advance_pairs(base, &deltas)?;
+        let t_of = |pairs: &[(u32, u64)], unit: u32| {
+            pairs.binary_search_by_key(&unit, |&(u, _)| u).map_or(0, |i| pairs[i].1)
+        };
+        let moved: Vec<Moved> = deltas
+            .iter()
+            .map(|&(unit, ..)| Moved {
+                unit,
+                slot: self.slot_of[unit as usize],
+                t_base: t_of(base, unit),
+                t_now: t_of(&staged, unit),
+            })
+            .collect();
+        let totals = ContextTotals::new(staged)?;
+        let base_runs = base_runs(totals.runs(), &moved);
+        Ok(StagedCtx { totals, base_runs, delta, moved })
     }
 
     /// `base(X)`, the base transactions holding `items`, as dense words
@@ -940,56 +1031,70 @@ impl<'a> EditView<'a> {
 
 /// A context's totals, staged.
 struct StagedCtx {
-    /// The totals after the edit, as the run table its cells fold from.
+    /// The totals after the edit, as the run table its cells fold from and
+    /// their run tables are re-encoded against.
     totals: ContextTotals,
+    /// The distinct totals `(t, k)` of `base(B)`: what the context's
+    /// stored run tables are decoded against.
+    base_runs: Vec<(u64, u64)>,
     delta: Delta,
-    /// What the edit moved the totals by: a unit's base `t` is its staged
-    /// `t` less this, which is how a cell's base minority is checked for
-    /// domination without the base totals at hand.
-    moved: UnitDelta,
+    /// The units the edit moves in the context, ascending: at most one per
+    /// unit of the batch.
+    moved: Vec<Moved>,
 }
 
-/// A cell that survives staging: the entry of its minority histogram when
-/// the edit changed it (`None` for `⋆`-SA cells, which store none, and for
-/// stored cells whose own delta is empty, which keep theirs) and its values.
+/// A context's distinct totals `(t, k)` before an edit, from those after
+/// it: each moved unit goes back from `t_now` to `t_base` (a total of 0 is
+/// no unit).
+fn base_runs(staged: &[(u64, u64)], moved: &[Moved]) -> Vec<(u64, u64)> {
+    let mut runs = staged.to_vec();
+    for m in moved {
+        if m.t_now > 0 {
+            let i = runs.binary_search_by_key(&m.t_now, |&(t, _)| t);
+            runs[i.expect("a staged unit's total is a staged run")].1 -= 1;
+        }
+        if m.t_base > 0 {
+            match runs.binary_search_by_key(&m.t_base, |&(t, _)| t) {
+                Ok(i) => runs[i].1 += 1,
+                Err(i) => runs.insert(i, (m.t_base, 1)),
+            }
+        }
+    }
+    runs.retain(|&(_, k)| k > 0);
+    runs
+}
+
+/// A cell that survives staging: the entry of its minority run table when
+/// the edit changed its bytes (`None` for `⋆`-SA cells, which store none,
+/// and for stored cells whose entry came out the same, which keep theirs)
+/// and its values.
 type StagedCell = (Option<Store<u8>>, IndexValues);
 
 /// Where a cell to stage comes from, which decides where its base minority
-/// histogram and its closedness witness are read.
+/// and its closedness witness are read.
 #[derive(Clone, Copy)]
 enum Origin {
-    /// A cell of the cube: its histogram is its store entry, its witness
-    /// the first of its base rows the edit keeps.
+    /// A cell of the cube: its base minority is its stored run table, its
+    /// witness the first of its base rows the edit keeps.
     Stored,
     /// A promotion candidate generated by the appended row at this index:
-    /// its histogram is counted from `base(X)`'s words, and the row is its
-    /// witness.
+    /// its base histogram is counted from `base(X)`'s words, and the row is
+    /// its witness.
     Promoted(usize),
 }
 
-/// A cell's base minority histogram, as [`Stager::advance_minority`]
-/// reads it.
-enum BaseMinority<'a> {
-    /// A stored cell's entry, decoded (and validated) as it is walked.
-    Entry(&'a [u8]),
-    /// A promotion candidate's pairs, counted from `base(X)`'s words.
-    Pairs(&'a [(u32, u64)]),
-}
-
 /// A cell-staging worker's scratch.
+#[derive(Default)]
 struct CellScratch {
-    /// The staged `t` of every unit of the context being staged, 0
-    /// elsewhere: one `u32` per unit, filled from the context's units by
-    /// the job's first cell that folds a minority (`t_filled`) and cleared
-    /// from the same list after the job.
-    t: Vec<u32>,
-    t_filled: bool,
-    /// The cell's own delta, per unit.
+    /// Per batch-unit slot, what the edit does to the cell there
+    /// ([`EditView::unit_moves`]), and the dense `base(X) ∩ S` behind it.
+    moves: Vec<[u64; 3]>,
+    s_words: Vec<u64>,
+    /// The cell's minority run table, and its entry.
+    runs: Vec<Run>,
+    entry: Vec<u8>,
+    /// A promotion's own delta, per unit.
     own: UnitDelta,
-    /// The cell's advanced minority pairs (only when its own delta moved
-    /// them), and their fold keys `t << 32 | m`.
-    pairs: Vec<(u32, u64)>,
-    keys: Vec<u64>,
     /// `base(B)` of the job's context `B`, for stored cells that may lose
     /// closedness, and `base(X)` of the cell being staged.
     context: Vec<u64>,
@@ -1000,23 +1105,6 @@ struct CellScratch {
     /// last closedness witness, reused while its tid repeats.
     witness: Vec<ItemId>,
     witness_tid: Option<u32>,
-}
-
-impl CellScratch {
-    fn new(view: &EditView) -> Self {
-        CellScratch {
-            t: vec![0; view.n_units_after as usize],
-            t_filled: false,
-            own: UnitDelta::new(),
-            pairs: Vec::new(),
-            keys: Vec::new(),
-            context: Vec::new(),
-            base: Vec::new(),
-            units: None,
-            witness: Vec::new(),
-            witness_tid: None,
-        }
-    }
 }
 
 /// The read-only state the cell phases share.
@@ -1033,9 +1121,7 @@ impl Stager<'_> {
         self.cube.materialize() == Materialize::ClosedOnly
     }
 
-    /// Stage the cells of one context — one job, all of one origin. The
-    /// context's staged `t` enters the worker's unit-indexed scratch at
-    /// most once; every cell then looks its units up in O(1).
+    /// Stage the cells of one context — one job, all of one origin.
     fn stage_job(
         &self,
         cells: &[(&CellCoords, Origin)],
@@ -1046,22 +1132,16 @@ impl Stager<'_> {
         if matches!(origin, Origin::Stored) && self.closed_only() && ctx.delta.retracted() > 0 {
             self.view.base_words(ca, &mut s.context);
         }
-        let staged = cells
+        cells
             .iter()
             .map(|&(coords, origin)| Ok((coords.clone(), self.stage_cell(coords, ctx, origin, s)?)))
-            .collect();
-        if std::mem::take(&mut s.t_filled) {
-            for &(u, _) in ctx.totals.units() {
-                s.t[u as usize] = 0;
-            }
-        }
-        staged
+            .collect()
     }
 
     /// Stage one cell in the edited table: its support, closedness and
-    /// values, the minority histogram advanced by the cell's own delta and
-    /// folded from the staged integer histograms (the builder's fold, so
-    /// the floats are a rebuild's). `None` = not a cell after the edit.
+    /// values, its minority run table advanced by the edit and folded
+    /// against the staged context (the builder's fold, so the floats are a
+    /// rebuild's). `None` = not a cell after the edit.
     fn stage_cell(
         &self,
         coords: &CellCoords,
@@ -1075,9 +1155,9 @@ impl Stager<'_> {
             &ctx.delta
         } else {
             own_delta = view.delta(&items);
-            view.unit_delta(&own_delta, &mut s.own);
             &own_delta
         };
+        let mut stored = None;
         let support = match origin {
             // `A = ⋆` ⇒ minority ≡ population (the builder's apex path).
             Origin::Stored if coords.sa.is_empty() => ctx.totals.total(),
@@ -1085,7 +1165,10 @@ impl Stager<'_> {
                 let entry = self.cube.store.minorities.get(coords).ok_or_else(|| {
                     ScubeError::Inconsistent("update: cell missing from maintenance store".into())
                 })?;
-                self.advance_minority(ctx, s, BaseMinority::Entry(entry))?
+                stored = Some(entry);
+                histogram::decode_runs_into(entry, &ctx.base_runs, &mut s.runs)?;
+                self.advance_runs(&items, delta, ctx, s)?;
+                s.runs.iter().fold(0u64, |sum, r| sum.saturating_add(r.units * r.minority))
             }
             Origin::Promoted(_) => {
                 let base = view.base_words(&items, &mut s.base);
@@ -1102,75 +1185,47 @@ impl Stager<'_> {
         if let Origin::Promoted(_) = origin {
             let units = s.units.get_or_insert_with(|| UnitScratch::new(view.vertical.num_units()));
             view.vertical.unit_histogram_words_into(&s.base, units);
-            let base = units.sorted_pairs();
-            self.advance_minority(ctx, s, BaseMinority::Pairs(&base))?;
+            view.unit_delta(delta, &mut s.own);
+            let pairs = advance_pairs(&units.sorted_pairs(), &s.own)?;
+            s.runs = ctx.totals.minority_runs(&pairs)?;
         }
-        let values = ctx.totals.fold_keys(&mut s.keys, b, measures)?;
-        Ok(Some(((!s.own.is_empty()).then(|| encode_entry(&s.pairs)), values)))
+        let values = ctx.totals.fold_runs(&s.runs, b, measures)?;
+        s.entry.clear();
+        histogram::encode_runs_into(&s.runs, ctx.totals.runs(), &mut s.entry);
+        let unchanged = stored.is_some_and(|entry| **entry == *s.entry);
+        Ok(Some(((!unchanged).then(|| Store::Owned(s.entry.clone())), values)))
     }
 
-    /// One pass over a cell's base minority pairs: each is checked against
-    /// its unit's base `t` — domination is what only the pair shows —
-    /// advanced by the cell's own delta `s.own`, and keyed `t << 32 | m`
-    /// against the staged `t` for [`ContextTotals::fold_keys`]. The
-    /// advanced pairs are kept for re-encoding only when the own delta
-    /// moved them. Returns the support.
-    fn advance_minority(
+    /// Move a stored cell's base run table `s.runs` by the edit: each unit
+    /// the edit moves in the context moves one run unit from `(t_base,
+    /// m_old)` to `(t_now, m_new)`, `m_old` counted from `base(X) ∩ S` and
+    /// `m_new` adding the cell's own delta there (`m = 0` is no run). Every
+    /// unit leaves its old run before any enters a new one, so a run the
+    /// base table lacks is an error whatever the order.
+    fn advance_runs(
         &self,
+        items: &[ItemId],
+        delta: &Delta,
         ctx: &StagedCtx,
         s: &mut CellScratch,
-        base: BaseMinority,
-    ) -> Result<u64> {
-        if !s.t_filled {
-            // `ContextTotals` bounds `T`, hence every `t`, by the u32 row space.
-            for &(u, t) in ctx.totals.units() {
-                s.t[u as usize] = t as u32;
+    ) -> Result<()> {
+        let CellScratch { moves, s_words, runs, .. } = s;
+        self.view.unit_moves(items, delta, s_words, moves);
+        for m in &ctx.moved {
+            let m_old = moves[m.slot as usize][0];
+            if m_old > 0 {
+                take_run(runs, m.t_base, m_old)?;
             }
-            s.t_filled = true;
         }
-        let CellScratch { t, own, pairs, keys, .. } = s;
-        let (t, own, moved) = (&*t, &*own, ctx.moved.as_slice());
-        pairs.clear();
-        keys.clear();
-        let (mut support, mut dominated, mut failed) = (0u64, true, None);
-        let mut next_moved = 0;
-        let visit = |u, m, added, retracted| {
-            while moved.get(next_moved).is_some_and(|d| d.0 < u) {
-                next_moved += 1;
+        for m in &ctx.moved {
+            let [m_old, added, retracted] = moves[m.slot as usize];
+            let m_new = moved_count(m.unit, m_old, added, retracted)?;
+            if m_new > 0 {
+                put_run(runs, m.t_now, m_new);
             }
-            let t_now = u64::from(t[u as usize]);
-            let t_base = match moved.get(next_moved) {
-                Some(&(mu, added, retracted)) if mu == u => t_now + retracted - added,
-                _ => t_now,
-            };
-            dominated &= m <= t_base;
-            match moved_count(u, m, added, retracted) {
-                Ok(0) => {}
-                Ok(m) => {
-                    support = support.saturating_add(m);
-                    keys.push(t_now << 32 | m);
-                    if !own.is_empty() {
-                        pairs.push((u, m));
-                    }
-                }
-                Err(e) => {
-                    failed.get_or_insert(e);
-                }
-            }
-        };
-        let mut merge = DeltaMerge { delta: own, visit };
-        match base {
-            BaseMinority::Entry(entry) => {
-                let n_units = self.view.vertical.num_units();
-                histogram::decode_each(entry, n_units, |u, m| merge.pair(u, m))?;
-            }
-            BaseMinority::Pairs(base) => base.iter().for_each(|&(u, m)| merge.pair(u, m)),
         }
-        merge.finish();
-        if !dominated {
-            return Err(not_dominated());
-        }
-        failed.map_or(Ok(support), Err)
+        runs.retain(|r| r.units > 0);
+        Ok(())
     }
 
     /// Whether a non-empty itemset with edited support `support` is a cell
@@ -1249,12 +1304,9 @@ fn stage_cells(
 ) -> Result<Vec<(CellCoords, Option<StagedCell>)>> {
     cells.sort_unstable_by(|(x, _), (y, _)| (&x.ca, &x.sa).cmp(&(&y.ca, &y.sa)));
     let jobs: Vec<&[(&CellCoords, Origin)]> = cells.chunk_by(|x, y| x.0.ca == y.0.ca).collect();
-    let staged = scube_common::par::map(
-        jobs,
-        threads,
-        || CellScratch::new(&stager.view),
-        |scratch, cells| stager.stage_job(cells, scratch),
-    )?;
+    let staged = scube_common::par::map(jobs, threads, CellScratch::default, |scratch, cells| {
+        stager.stage_job(cells, scratch)
+    })?;
     Ok(staged.into_iter().flatten().collect())
 }
 
@@ -1622,10 +1674,11 @@ pub(crate) fn stage(
     let removed = resolve_removals(batch, &ids, vertical)?;
     let view = EditView::new(vertical, encoded, removed)?;
     let relabel = relabel_plan(&view, cube.labels());
-    // A renaming commit re-encodes every store entry under new unit ids:
+    // A renaming commit re-encodes every context entry under new unit ids:
     // validate them all now, while a corrupt mapped entry can still error.
+    // Run tables name no unit; the commit only re-keys them.
     if relabel.is_some() {
-        store.validate_entries(vertical.num_units())?;
+        store.validate_contexts(vertical.num_units())?;
     }
     let contexts = stage_contexts(&view, store)?;
     let mut stager = Stager { view, cube, contexts };
@@ -1711,8 +1764,10 @@ impl StagedUpdate {
 }
 
 /// Rename a committed cube under `plan`: labels, cell coordinates and store
-/// keys by the item map, the units inside every store entry by the unit
-/// map. Every entry was validated at staging, so its decode cannot fail.
+/// keys by the item map, the units inside every context entry by the unit
+/// map; a run table holds no unit id, so a minority entry moves to its new
+/// key as it stands. Every context entry was validated at staging, so its
+/// decode cannot fail.
 fn rename_cube(cube: &mut SegregationCube, plan: &Relabel) {
     let n_old_units = cube.num_units();
     let (labels, cells, store) = cube.update_parts();
@@ -1723,7 +1778,7 @@ fn rename_cube(cube: &mut SegregationCube, plan: &Relabel) {
     let coords = |c: &CellCoords| CellCoords { sa: items(&c.sa), ca: items(&c.ca) };
     let entry = |entry: Store<u8>| {
         let mut pairs = histogram::decode(&entry, n_old_units)
-            .expect("store entries were validated at staging");
+            .expect("context entries were validated at staging");
         for p in pairs.iter_mut() {
             p.0 = plan.unit_map[p.0 as usize].expect("populated unit survives");
         }
@@ -1735,10 +1790,8 @@ fn rename_cube(cube: &mut SegregationCube, plan: &Relabel) {
         .into_iter()
         .map(|(ca, e)| (items(&ca), entry(e)))
         .collect();
-    store.minorities = std::mem::take(&mut store.minorities)
-        .into_iter()
-        .map(|(c, e)| (coords(&c), entry(e)))
-        .collect();
+    store.minorities =
+        std::mem::take(&mut store.minorities).into_iter().map(|(c, e)| (coords(&c), e)).collect();
 }
 
 /// Reorder `entries` by `map` (old index → new index, `None` = dropped);
@@ -2025,7 +2078,7 @@ mod tests {
     }
 
     #[test]
-    fn a_minority_unit_outside_its_context_is_refused_whatever_ran_before() {
+    fn a_run_the_batch_cannot_find_is_refused_whatever_ran_before() {
         // u0 lives only in the north, u1 only in the south; the `⋆` context,
         // whose job runs first, holds both.
         let rows: &[Row] = &[
@@ -2037,17 +2090,27 @@ mod tests {
         let builder = CubeBuilder::new().min_support(1).materialize(Materialize::AllFrequent);
         let mut snap = CubeSnapshot::from_db(&db(rows), &builder).unwrap();
         let coords = snap.cube().coords_by_names(&[("sex", "F")], &[("region", "north")]).unwrap();
-        // (sex=F | north) claims a woman in u1, which the north lacks.
+        // (sex=F | north) is one woman of u0, whose northern total is 2: the
+        // run (m 1, t 2). Planted instead: (m 2, t 2), a well-formed table
+        // of the north (one unit of total 2) that the postings contradict.
+        let north = [(2, 1)];
+        let stored = histogram::decode_runs(&snap.cube.store.minorities[&coords], &north).unwrap();
+        assert_eq!(stored, [Run { minority: 1, total: 2, units: 1 }]);
+        let planted = [Run { minority: 2, total: 2, units: 1 }];
         let store = std::sync::Arc::make_mut(&mut snap.cube.store);
-        store.minorities.insert(coords, encode_entry(&[(0, 1), (1, 1)]));
+        store.minorities.insert(coords, Store::Owned(histogram::encode_runs(&planted, &north)));
         let bytes = snap.to_bytes();
-        // A man's northern row leaves the cell's own histogram alone (its
-        // entry is kept); a woman's moves it. Both dirty the north.
+        // A man's northern row leaves the cell's own minority alone and a
+        // woman's moves it; both move u0's total, so u0's run (m 1, t 2)
+        // must leave the table, which lacks it.
         for row in [("M", "old", "north", "u0"), ("F", "old", "north", "u0")] {
             for threads in [1, 2] {
                 let mut s = snap.clone();
                 let err = s.apply_update_threads(&batch(&[row]), threads).unwrap_err().to_string();
-                assert!(err.contains("not dominated"), "{row:?}, {threads} threads: {err}");
+                assert!(
+                    err.contains("lacks the run (1 of 2)"),
+                    "{row:?}, {threads} threads: {err}"
+                );
                 assert_eq!(s.to_bytes(), bytes, "{row:?}: a refused batch mutates nothing");
             }
         }

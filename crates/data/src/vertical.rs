@@ -531,7 +531,7 @@ mod tests {
             for_each_set_bit(&words, 0, |t| dense.push(t));
             assert_eq!((dense, words.len()), (tids, 1), "{items:?}: one word spans the table");
         }
-        assert_eq!(v.tidset(&[]), EwahBitmap::full(4));
+        assert_eq!(v.tidset(&[]), EwahBitmap::from_sorted(&[0, 1, 2, 3]));
         let (mut context, mut narrowed) = (Vec::new(), vec![u64::MAX; 3]);
         v.tidset_words_into(&[n], &mut context);
         v.narrow_words_into(&context, &[f], &mut narrowed);

@@ -13,10 +13,14 @@
 //! * **per unit** — a [`UnitCounts`] histogram, every unit's key sorted
 //!   (the standalone index functions and [`IndexValues::compute_masked`]);
 //! * **from the context's runs** — [`ContextTotals`] holds a context's
-//!   `(t, k)` runs once, and a cube cell sorts only its minority units'
-//!   keys and subtracts each minority run's `k` from its context run to
-//!   leave the `m = 0` runs (`A = ⋆` cells fold the context's runs with
-//!   `m = t`).
+//!   `(t, k)` runs once, and a cube cell brings only its minority run
+//!   table (its [`Run`]s with `m ≥ 1`): [`ContextTotals::fold_runs`]
+//!   subtracts each minority run's `k` from its context run to leave the
+//!   `m = 0` runs. A cell's minority units' keys sort and collapse into
+//!   that table ([`ContextTotals::minority_runs`], which
+//!   [`ContextTotals::fold`] runs first), or the table is the cube's
+//!   stored one, advanced by an update (`A = ⋆` cells fold the context's
+//!   runs with `m = t`).
 //!
 //! Both yield the same multiset in the same order, so they agree to the
 //! bit. Two consequences the rest of the workspace relies on:
@@ -58,11 +62,18 @@ fn entropy(p: f64) -> f64 {
     e
 }
 
-/// `units` units of a histogram sharing one `(minority, total)` pair.
-struct Run {
-    minority: u64,
-    total: u64,
-    units: u64,
+/// `units` units of a histogram sharing one `(minority, total)` pair: one
+/// row of a run table. A cell's minority run table — its runs with
+/// `minority ≥ 1`, strictly ascending by `(total, minority)` — is what
+/// [`ContextTotals::fold_runs`] folds and what a cube stores per cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// `m`: the minority of each unit of the run.
+    pub minority: u64,
+    /// `t`: the population of each unit of the run.
+    pub total: u64,
+    /// `k`: how many units share the pair.
+    pub units: u64,
 }
 
 /// Collapse sorted pair keys — `t` in the high half, `m` in the low one,
@@ -270,21 +281,43 @@ impl ContextTotals {
         self.total
     }
 
+    /// The context's distinct totals: `(t, k)`, `k` units of total `t`,
+    /// ascending by `t`. A cell's minority runs are stored against this
+    /// list, each run's `t` as its index here.
+    pub fn runs(&self) -> &[(u64, u64)] {
+        &self.runs
+    }
+
     /// The values of a cell of this context whose minority is the strictly
     /// ascending `(unit, m)` pairs with `0 < m ≤ t` (the context's units
     /// absent from the list have `m = 0`): bit-equal to
     /// [`IndexValues::compute_masked`] over the per-unit histogram.
-    ///
-    /// Each minority unit's `t` is found by a galloping cursor over the
-    /// list and the pairs become [`Self::fold_keys`]' keys. A unit absent
-    /// from the context, `m = 0`, `m > t` (which also keeps `m` inside its
-    /// key's 32 bits) or a non-ascending list is an `Err`.
+    /// [`Self::minority_runs`], then [`Self::fold_runs`].
     pub fn fold(
         &self,
         minority: &[(u32, u64)],
         atkinson_b: f64,
         measures: MeasureSet,
     ) -> Result<IndexValues> {
+        self.fold_table(self.runs_with_room(minority, self.runs.len())?, atkinson_b, measures)
+    }
+
+    /// The minority run table of a cell given as strictly ascending
+    /// `(unit, m)` pairs: the pairs' distinct `(t, m)` with their unit
+    /// counts, ascending by `(t, m)`. Each unit's `t` is found by a
+    /// galloping cursor over the context's list, and the keys `t << 32 |
+    /// m` are sorted as plain integers, which brings equal pairs together.
+    /// A unit absent from the context, `m = 0`, `m > t` (which also keeps
+    /// `m` inside its key's 32 bits) or a non-ascending list is an `Err`;
+    /// whether the context holds that many units of each `t` is
+    /// [`Self::fold_runs`]' check.
+    pub fn minority_runs(&self, minority: &[(u32, u64)]) -> Result<Vec<Run>> {
+        self.runs_with_room(minority, 0)
+    }
+
+    /// [`Self::minority_runs`] in a list with room for `room` more runs
+    /// (the fold's `m = 0` runs), so the fold needs no second list.
+    fn runs_with_room(&self, minority: &[(u32, u64)], room: usize) -> Result<Vec<Run>> {
         let mut keys: Vec<u64> = Vec::with_capacity(minority.len());
         let mut cursor = 0usize;
         for &(u, m) in minority {
@@ -308,51 +341,67 @@ impl ContextTotals {
             cursor += i + 1;
             keys.push(t << 32 | m);
         }
-        self.fold_keys(&mut keys, atkinson_b, measures)
+        keys.sort_unstable();
+        let mut runs = Vec::with_capacity(keys.chunk_by(|a, b| a == b).count() + room);
+        collapse_sorted(&keys, |k| (k >> 32, k & u64::from(u32::MAX)), &mut runs);
+        Ok(runs)
     }
 
-    /// The values of a cell of this context given as one key `t << 32 | m`
-    /// per minority unit, in any order, `t` being that unit's context total
-    /// (the units themselves are not needed: a caller that already holds
-    /// each unit's `t` skips [`Self::fold`]'s lookup). `keys` is sorted in
-    /// place. Only the minority keys are sorted, and each minority run's
-    /// `k` is subtracted from its context run to leave the `m = 0` runs.
+    /// The values of a cell of this context given as its minority run
+    /// table — runs strictly ascending by `(t, m)`, each `0 < m ≤ t` and
+    /// `k ≥ 1` — the one entry every fold of a cell ends in ([`Self::fold`]
+    /// after [`Self::minority_runs`], and a cube's stored run tables). Each minority
+    /// run's `k` is subtracted from the context run of its `t`, which
+    /// leaves the `m = 0` runs; the units themselves are never needed.
     ///
-    /// A key with `m = 0` or `m > t`, or more keys of one `t` than the
-    /// context has units of that `t`, is an `Err`.
-    pub fn fold_keys(
+    /// A run out of order or outside `1..=t`, or more units of one `t`
+    /// than the context has, is an `Err`.
+    pub fn fold_runs(
         &self,
-        keys: &mut [u64],
+        minority: &[Run],
         atkinson_b: f64,
         measures: MeasureSet,
     ) -> Result<IndexValues> {
+        let mut runs = Vec::with_capacity(minority.len() + self.runs.len());
+        runs.extend_from_slice(minority);
+        self.fold_table(runs, atkinson_b, measures)
+    }
+
+    /// [`Self::fold_runs`] over `runs`, the minority runs, which is given
+    /// the room for the context's `m = 0` runs and folded in place.
+    fn fold_table(
+        &self,
+        mut runs: Vec<Run>,
+        atkinson_b: f64,
+        measures: MeasureSet,
+    ) -> Result<IndexValues> {
+        let minority = runs.len();
         let mut m_total = 0u64;
-        for &key in keys.iter() {
-            let (t, m) = (key >> 32, key & u64::from(u32::MAX));
-            if m == 0 || m > t {
+        let mut prev = (0, 0);
+        for &Run { minority: m, total: t, units: k } in &runs {
+            if m == 0 || m > t || k == 0 || (t, m) <= prev {
                 return Err(ScubeError::Inconsistent(format!(
-                    "a minority of {m} is not in 1..={t}"
+                    "a minority run ({m} of {t}) × {k} is not in 1..={t} or not ascending"
                 )));
             }
-            m_total += m;
+            prev = (t, m);
         }
-        keys.sort_unstable();
-        let distinct = keys.chunk_by(|a, b| a == b).count();
-        let mut runs = Vec::with_capacity(distinct + self.runs.len());
-        collapse_sorted(keys, |k| (k >> 32, k & u64::from(u32::MAX)), &mut runs);
         // Minority runs ascend by `t`: walk them beside the context's runs
         // and leave each `t`'s remaining units at `m = 0`.
         let mut next = 0;
         for &(t, mut k) in &self.runs {
-            while next < distinct && runs[next].total == t {
-                k = k.checked_sub(runs[next].units).ok_or_else(|| too_many_units(t))?;
+            while next < minority && runs[next].total == t {
+                let run = runs[next];
+                k = k.checked_sub(run.units).ok_or_else(|| too_many_units(t))?;
+                // `k · m ≤ k · t ≤ T`, within the u32 row space.
+                m_total += run.units * run.minority;
                 next += 1;
             }
             if k > 0 {
                 runs.push(Run { minority: 0, total: t, units: k });
             }
         }
-        if next < distinct {
+        if next < minority {
             return Err(too_many_units(runs[next].total));
         }
         canonical_order(&mut runs);

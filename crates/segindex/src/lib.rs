@@ -37,6 +37,6 @@ pub mod significance;
 pub use counts::{UnitCell, UnitCounts};
 pub use indexes::{
     atkinson, correlation_ratio, dissimilarity, gini, information, interaction, isolation,
-    ContextTotals, IndexValues, MeasureSet, SegIndex, DEFAULT_ATKINSON_B,
+    ContextTotals, IndexValues, MeasureSet, Run, SegIndex, DEFAULT_ATKINSON_B,
 };
 pub use significance::{PermutationTest, TestResult};

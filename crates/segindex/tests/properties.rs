@@ -7,7 +7,7 @@
 //! context's [`ContextTotals`] run table plus a cell's minority units).
 
 use proptest::prelude::*;
-use scube_segindex::{atkinson, ContextTotals, IndexValues, MeasureSet, SegIndex, UnitCounts};
+use scube_segindex::{atkinson, ContextTotals, IndexValues, MeasureSet, Run, SegIndex, UnitCounts};
 
 /// The textbook per-unit formulas (Massey & Denton), one pass per index in
 /// unit-visit order with Gini sorting `(p_i, t_i)` as floats — what the
@@ -143,13 +143,20 @@ fn split_cell(pairs: &[(u64, u64)]) -> (ContextTotals, Vec<(u32, u64)>) {
 
 /// The run-table entries against the per-unit fold on one histogram: every
 /// one of the 63 measure subsets, to the bit, for the cell — through the
-/// unit lookup of `fold` and through the keyed entry `fold_keys`, its keys
-/// handed over in reverse unit order — and for the context's own `A = ⋆`
-/// cell (every unit at `m = t`).
+/// unit lookup of `fold` and through `fold_runs` on the run table counted
+/// here from the pairs, apart from `minority_runs` — and for the context's
+/// own `A = ⋆` cell (every unit at `m = t`).
 fn assert_run_table_matches_per_unit(pairs: &[(u64, u64)], b: f64) {
     let (context, minority) = split_cell(pairs);
-    let keys: Vec<u64> =
-        pairs.iter().rev().filter(|p| p.0 > 0).map(|&(m, t)| t << 32 | m).collect();
+    let mut counted = std::collections::BTreeMap::new();
+    for &(m, t) in pairs.iter().filter(|p| p.0 > 0) {
+        *counted.entry((t, m)).or_insert(0u64) += 1;
+    }
+    let runs: Vec<Run> = counted
+        .into_iter()
+        .map(|((total, minority), units)| Run { minority, total, units })
+        .collect();
+    assert_eq!(context.minority_runs(&minority).unwrap(), runs, "the run table");
     let per_unit = counts(pairs);
     let whole = counts(&pairs.iter().map(|&(_, t)| (t, t)).collect::<Vec<_>>());
     let bits = |v: &IndexValues| {
@@ -159,8 +166,8 @@ fn assert_run_table_matches_per_unit(pairs: &[(u64, u64)], b: f64) {
         let set = MeasureSet::from_bits(bitset).unwrap();
         let cell = context.fold(&minority, b, set).expect("a valid cell folds");
         assert_eq!(bits(&cell), bits(&IndexValues::compute_masked(&per_unit, b, set)), "{set}");
-        let keyed = context.fold_keys(&mut keys.clone(), b, set).expect("valid keys fold");
-        assert_eq!(bits(&keyed), bits(&cell), "keyed {set}");
+        let folded = context.fold_runs(&runs, b, set).expect("a valid run table folds");
+        assert_eq!(bits(&folded), bits(&cell), "run table {set}");
         let star = context.fold_whole(b, set);
         assert_eq!(bits(&star), bits(&IndexValues::compute_masked(&whole, b, set)), "⋆ {set}");
     }
@@ -428,20 +435,25 @@ fn run_table_rejects_what_is_not_a_cell_of_its_context() {
     ] {
         assert!(fold(minority).is_err(), "{case}");
     }
-    // The keyed entry: the context has two units of `t = 5`, one of `t = 8`.
-    let fold_keys = |keys: &[(u64, u64)]| {
-        let mut keys: Vec<u64> = keys.iter().map(|&(m, t)| t << 32 | m).collect();
-        context.fold_keys(&mut keys, 0.5, MeasureSet::FULL)
+    // The run table: the context has two units of `t = 5`, one of `t = 8`.
+    let fold_runs = |runs: &[(u64, u64, u64)]| {
+        let runs: Vec<Run> =
+            runs.iter().map(|&(m, t, k)| Run { minority: m, total: t, units: k }).collect();
+        context.fold_runs(&runs, 0.5, MeasureSet::FULL)
     };
-    assert_eq!(fold_keys(&[(8, 8), (2, 5)]).unwrap(), fold(&[(1, 2), (5, 8)]).unwrap());
-    for (case, keys) in [
-        ("m = 0", &[(0, 5)][..]),
-        ("m > t", &[(6, 5)]),
-        ("a t the context lacks", &[(1, 6)]),
-        ("a t past the context's largest", &[(1, 9)]),
-        ("more units of a t than the context has", &[(1, 5), (2, 5), (3, 5)]),
+    assert_eq!(fold_runs(&[(2, 5, 1), (8, 8, 1)]).unwrap(), fold(&[(1, 2), (5, 8)]).unwrap());
+    for (case, runs) in [
+        ("m = 0", &[(0, 5, 1)][..]),
+        ("m > t", &[(6, 5, 1)]),
+        ("k = 0", &[(2, 5, 0)]),
+        ("a t the context lacks", &[(1, 6, 1)]),
+        ("a t past the context's largest", &[(1, 9, 1)]),
+        ("more units of a t than the context has", &[(1, 5, 2), (2, 5, 1)]),
+        ("one run over its t's units", &[(1, 5, 3)]),
+        ("descending", &[(8, 8, 1), (2, 5, 1)]),
+        ("repeated run", &[(2, 5, 1), (2, 5, 1)]),
     ] {
-        assert!(fold_keys(keys).is_err(), "keyed: {case}");
+        assert!(fold_runs(runs).is_err(), "run table: {case}");
     }
     for (case, units) in [
         ("t = 0", vec![(1, 5), (2, 0)]),

@@ -92,7 +92,7 @@ fn multi_index_sheet_matches_golden() {
         .measures(measures);
     let snap: CubeSnapshot = CubeSnapshot::from_db(&db, &closed).unwrap();
     let bytes = snap.to_bytes();
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 8, "the version word");
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 9, "the version word");
     let loaded: CubeSnapshot = CubeSnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(loaded.measures(), measures);
     assert_eq!(loaded.to_bytes(), bytes, "load → save is a fixed point");

@@ -19,18 +19,24 @@
 //! * Under single-byte mutations of everything the opens trust eagerly,
 //!   `from_bytes` and `open_mmap_verified` always agree — both error, or
 //!   both open to equal snapshots — and nothing ever panics.
-//! * The store's histogram codec (`scube_cube::histogram`) is pinned from
-//!   both ends. One property: an entry and its histogram are two views of
-//!   one thing — `decode(encode(h)) == h` for random ascending histograms
-//!   (empty ones, counts past 2³², the unit `u32::MAX − 1`),
-//!   `encode(decode(b)) == b` for every byte string the decoder accepts,
-//!   and no byte mutation makes it panic — which is what "one logical
-//!   snapshot, one byte representation" rests on. And hostile bytes: every
-//!   malformed entry the format can hold, planted behind recomputed
-//!   checksums so that only the decoder can object — at load through
-//!   `from_bytes` and, through `open_mmap`, at the first update that
-//!   trusts the entry: before anything is mutated, the snapshot still
-//!   re-saving to the file's bytes.
+//! * The store's two entry codecs (`scube_cube::histogram`) are pinned
+//!   from both ends. Two properties: an entry and what it holds are two
+//!   views of one thing — `decode(encode(h)) == h` for random ascending
+//!   context histograms (empty ones, counts past 2³², the unit
+//!   `u32::MAX − 1`) and for random minority run tables against random
+//!   distinct totals (`t` and `k` past 2³²), `encode(decode(b)) == b` for
+//!   every byte string the decoder accepts, and no byte mutation makes it
+//!   panic — which is what "one logical snapshot, one byte representation"
+//!   rests on. And hostile bytes: every malformed entry the format can
+//!   hold — in a context histogram, and in a run table (a `t` index past
+//!   the context, `m > t`, more units of a `t` than the context has, an
+//!   over-long varint, a `k − 2` behind a clear flag) — planted behind
+//!   recomputed checksums so that only the decoder can object, at load
+//!   through `from_bytes` and, through `open_mmap`, at the first update
+//!   that trusts the entry: before anything is mutated, the snapshot
+//!   still re-saving to the file's bytes. A well-formed run table the
+//!   postings contradict is refused by the first update through either
+//!   open.
 //! * Posting slots are bounded as well: one whose set bits alias past the
 //!   universe, and one whose stream ends past its last set bit (which an
 //!   update's tail-append would resume at), are refused by every open.
@@ -45,9 +51,10 @@ use proptest::prelude::*;
 use scube::prelude::*;
 use scube_cube::histogram;
 use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
+use scube_segindex::Run;
 
 /// The one version word this build reads and writes.
-const VERSION: u32 = 8;
+const VERSION: u32 = 9;
 /// Layout constants (see the `scube_cube::snapshot` module docs): the
 /// offset directory's nine words start at 24, the meta region at 96, and
 /// the meta region opens with the build configuration — materialization
@@ -113,7 +120,7 @@ fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// The checksum both snapshot sums use, as the v8 format defines it: the
+/// The checksum both snapshot sums use, as the format defines it: the
 /// FxHash word step `state = (state <<< 5 ^ word) · K` over each part's
 /// 8-byte little-endian words, then a 4-byte word and single bytes for the
 /// part's tail, then the total length as one word; the raw state is the
@@ -245,7 +252,8 @@ fn golden_truncations_and_corruptions_error_never_panic() {
 #[test]
 fn every_other_version_word_is_rejected_by_both_opens() {
     let good = golden_build(MeasureSet::FULL).to_bytes();
-    for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 9, 99, u32::MAX] {
+    // 8 is the last format before minority run tables: refused by name too.
+    for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 8, 10, 99, u32::MAX] {
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let named = format!("version {version} ");
@@ -435,6 +443,70 @@ proptest! {
     }
 }
 
+/// A context's distinct totals `(t, k)` and a minority run table over
+/// them: each total a small or a huge step above the last, its `k` small
+/// or huge, and a seed-drawn share of its units split over ascending
+/// minorities in `1..=t` (`m = t` included), one run each.
+fn run_tables() -> impl Strategy<Value = (Vec<(u64, u64)>, Vec<Run>)> {
+    let step = (0u8..8, 1u64..40, 1u64..1 << 40);
+    let units = (0u8..8, 1u64..6, 6u64..1 << 40);
+    proptest::collection::vec((step, units, any::<u64>()), 0..24).prop_map(|draws| {
+        let (mut totals, mut runs) = (Vec::new(), Vec::new());
+        let mut t = 0u64;
+        for ((step_kind, small_step, big_step), (k_kind, small_k, big_k), mut bits) in draws {
+            t += if step_kind < 6 { small_step } else { big_step };
+            let k = if k_kind < 6 { small_k } else { big_k };
+            totals.push((t, k));
+            let (mut left, mut m) = (k, 0u64);
+            while left > 0 && bits % 4 != 0 {
+                m = if (bits >> 2) % 6 == 0 { t } else { m + 1 + (bits >> 5) % 7 };
+                if m > t || runs.last().is_some_and(|r: &Run| (r.total, r.minority) >= (t, m)) {
+                    break;
+                }
+                let units = if (bits >> 8) % 2 == 0 { left } else { 1 + (bits >> 9) % left };
+                runs.push(Run { minority: m, total: t, units });
+                left -= units;
+                bits = bits.rotate_right(13) ^ 0x9e37_79b9_7f4a_7c15;
+            }
+        }
+        (totals, runs)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn a_run_table_and_its_entry_are_one_thing(
+        (totals, runs) in run_tables(),
+        edits in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..4),
+        cut in any::<u32>(),
+    ) {
+        let entry = histogram::encode_runs(&runs, &totals);
+        prop_assert_eq!(histogram::entry_len(&entry).unwrap(), entry.len());
+        prop_assert_eq!(&histogram::decode_runs(&entry, &totals).unwrap(), &runs);
+        // The context is checked: the totals less the last one a run uses.
+        if let Some(last) = runs.last() {
+            let used = totals.iter().position(|&(t, _)| t == last.total).unwrap();
+            prop_assert!(histogram::decode_runs(&entry, &totals[..used]).is_err());
+        }
+
+        // Mutants — overwritten bytes, then a truncation — never panic,
+        // and whatever is still accepted is still canonical.
+        let mut mutant = entry.clone();
+        for (at, byte) in edits {
+            let at = at as usize % mutant.len();
+            mutant[at] = byte;
+        }
+        for candidate in [&mutant[..], &mutant[..cut as usize % (mutant.len() + 1)]] {
+            let _ = histogram::entry_len(candidate);
+            if let Ok(decoded) = histogram::decode_runs(candidate, &totals) {
+                prop_assert_eq!(&histogram::encode_runs(&decoded, &totals)[..], candidate);
+            }
+        }
+    }
+}
+
 /// One store record: its raw key bytes and its entry bytes.
 #[derive(Clone)]
 struct Record {
@@ -585,42 +657,83 @@ fn hostile_store_entries_are_refused_by_both_opens() {
         "snapshot:",
     );
 
-    // A minority entry its context does not dominate: (sex=F | ⋆) claims 5
-    // women in unit 0, which holds 4 people; (sex=F | north) claims 2 in
-    // unit 1, where the north has 1. Both are well-formed entries.
+    // The run tables. (sex=F | ⋆) — the apex cell — is three women of u0
+    // and one of u1, each unit of total 4: the ⋆ context's one distinct
+    // total, held by two units. Its runs (m 1, t 4) and (m 3, t 4): index
+    // 0 each, the second with m_code 3 − 1 − 1.
     let apex_cell = minorities.iter().position(|r| r.key.ends_with(&[0, 0, 0, 0])).unwrap();
-    let north = 2u32; // sex=F 0, age=young 1, region=north 2: first-seen order
-    let north_cell = minorities
-        .iter()
-        .position(|r| r.key.ends_with(&[&1u32.to_le_bytes()[..], &north.to_le_bytes()].concat()))
-        .unwrap();
-    // Counts of 2⁶³ are well-formed too: refused, never an overflow.
-    let huge = 1u64 << 63;
-    for (cell, pairs) in [
-        (apex_cell, vec![(0, 5), (1, 1)]),
-        (north_cell, vec![(1, 2)]),
-        (apex_cell, vec![(0, huge), (1, huge)]),
-    ] {
+    let star = [(4, 2)];
+    let runs = |runs: &[(u64, u64)]| -> Vec<Run> {
+        runs.iter().map(|&(minority, units)| Run { minority, total: 4, units }).collect()
+    };
+    assert_eq!(minorities[apex_cell].entry, [2, 4, 0, 0, 0, 1], "fixture: the apex cell's runs");
+    assert_eq!(
+        histogram::decode_runs(&minorities[apex_cell].entry, &star).unwrap(),
+        runs(&[(1, 1), (3, 1)])
+    );
+    let hostile_runs: Vec<(&str, Vec<u8>, &str)> = vec![
+        ("a t index past the context", vec![1, 2, 1 << 1, 0], "past its context's totals"),
+        ("a t step past the context", vec![2, 4, 0, 0, 1 << 1, 0], "past its context's totals"),
+        (
+            "a t step past u64",
+            vec![2, 13, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0],
+            "past its context's totals",
+        ),
+        ("m > t", vec![1, 2, 0, 4], "not in 1..=4"),
+        ("m > t after a run of the same t", vec![2, 4, 0, 0, 0, 3], "not in 1..=4"),
+        ("more units of a t than the context has", vec![1, 3, 1, 0, 1], "more minority units"),
+        ("two runs of a t over its units", vec![2, 5, 1, 0, 0, 0, 0], "more minority units"),
+        ("an over-long m_code varint", vec![1, 3, 0, 0x80, 0x00], "over-long"),
+        ("an over-long n_runs varint", vec![0x81, 0x00, 2, 0, 0], "over-long"),
+        (
+            "k − 2 past u64",
+            vec![1, 12, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+            "overflows",
+        ),
+        ("a k − 2 behind a clear flag", vec![1, 3, 0, 0, 0], "more runs"),
+        ("a flag with no k − 2", vec![1, 2, 1, 0], "truncated"),
+        ("fewer runs than n_runs", vec![2, 2, 0, 0], "fewer runs"),
+    ];
+    for (what, entry, needle) in hostile_runs {
         let mut minorities = minorities.clone();
-        let stored = histogram::decode(&minorities[cell].entry, 2).unwrap();
-        assert_ne!(stored, pairs);
-        minorities[cell].entry = histogram::encode(&pairs);
-        let hostile = assemble(&head, &contexts, &minorities);
-        refused_by_both_opens(
-            "a minority entry not dominated by its context",
-            &hostile,
-            "not dominated",
-        );
-        // A man's row misses both cells' items: their own deltas are empty,
-        // so the update keeps their entries instead of re-encoding them —
-        // and must still check them against the context it dirtied.
-        refused_by_both_opens_after(
-            "a kept minority entry not dominated by its context",
-            &hostile,
-            "not dominated",
-            ("M", "old", "north"),
-        );
+        minorities[apex_cell].entry = entry;
+        refused_by_both_opens(what, &assemble(&head, &contexts, &minorities), needle);
     }
+
+    // A well-formed run table the postings contradict: (m 1, t 4) and (m 2,
+    // t 4) decode against the ⋆ context, but u0 holds three of the apex
+    // cell's women. Any batch in u0 moves u0's total, so its run (m 3, t 4)
+    // must leave the table — the first update through either open refuses
+    // the batch, whether its row is a woman's (the cell's own minority
+    // moves) or a man's (only the total does).
+    let mut contradicted = minorities.clone();
+    contradicted[apex_cell].entry = histogram::encode_runs(&runs(&[(1, 1), (2, 1)]), &star);
+    let contradicted = assemble(&head, &contexts, &contradicted);
+    for (sex, age) in [("F", "young"), ("M", "old")] {
+        refused_by_the_first_update(&contradicted, "lacks the run (3 of 4)", (sex, age, "north"));
+    }
+}
+
+/// A store whose entries every decoder accepts, but which the postings
+/// contradict: both opens load it, and the first update through either
+/// refuses its batch — appending one `(sex, age, region)` row in unit `u0`
+/// — naming `needle`, before anything is mutated.
+fn refused_by_the_first_update(bytes: &[u8], needle: &str, (sex, age, region): (&str, &str, &str)) {
+    let mut batch = UpdateBatch::new();
+    batch.add_row(&[("sex", sex), ("age", age), ("region", region)], "u0");
+    let mut opened = vec![("heap", CubeSnapshot::from_bytes(bytes).expect("every entry decodes"))];
+    let path = temp_file("contradicted_store", bytes);
+    if cfg!(target_endian = "little") {
+        opened.push(("mapped", CubeSnapshot::open_mmap(&path).expect("mapped open")));
+    }
+    for (how, mut snap) in opened {
+        let cube_before = snap.cube().clone();
+        let err = snap.apply_update(&batch).expect_err(how).to_string();
+        assert!(err.contains(needle), "{how}, {sex} {age}: {err}");
+        assert_eq!(snap.cube(), &cube_before, "{how}: the cube is untouched");
+        assert_eq!(snap.to_bytes(), bytes, "{how}: the snapshot still re-saves to the file");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// A posting slot whose set bits lie at or past 2³² decodes (the
