@@ -4,14 +4,20 @@
 //! or a binary — the counters are global, so the registering binary owns
 //! every allocation in the process:
 //!
-//! ```ignore
+//! ```
 //! use scube_bench::alloc::{measure, CountingAlloc};
 //!
 //! #[global_allocator]
 //! static ALLOC: CountingAlloc = CountingAlloc;
 //!
-//! let (db, peak) = measure(|| expensive_build());
-//! println!("peak allocation growth: {peak} bytes");
+//! # fn expensive_build() -> Vec<u64> {
+//! #     (0..1_000).collect()
+//! # }
+//! fn main() {
+//!     let (db, peak) = measure(|| expensive_build());
+//!     println!("peak allocation growth: {peak} bytes");
+//!     assert!(peak >= db.len() * std::mem::size_of::<u64>());
+//! }
 //! ```
 //!
 //! [`measure`] reports *growth over the live heap at entry*, so separate

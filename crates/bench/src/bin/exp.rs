@@ -13,7 +13,7 @@
 //! scenario3    E8  — bipartite company communities
 //! compare      E9  — Italy vs Estonia cross-comparison
 //! temporal     E10 — Estonian 20-year snapshot trend
-//! scale        E11 — efficiency: cube build scaling and ablations
+//! scale        E11 — efficiency: cube build scaling and closed-cube compression
 //! simpson      E12 — the wrong-granularity (Simpson's paradox) warning
 //! significance E13 — permutation tests on discovered contexts (extension)
 //! cube-scale   E20 — the data-scale axis: datagen streams up to ~4×10⁶
@@ -43,7 +43,6 @@ use scube::prelude::*;
 use scube_bench::{estonia_dataset, fmt, italy_dataset, italy_final_table};
 use scube_common::table::{Align, TextTable};
 use scube_cube::CubeExplorer;
-use scube_fpm::{Apriori, Eclat, FpGrowth, Miner};
 
 /// The counting allocator owns the whole process so E20 can report peak
 /// build allocation for the resident vs chunked construction paths. It
@@ -421,9 +420,9 @@ fn temporal(scale: usize) {
     print!("{}", table.render());
 }
 
-/// E11 — efficiency: scaling and ablations.
+/// E11 — efficiency: build scaling and closed-cube compression.
 fn scale_experiment() {
-    banner("E11", "efficiency: cube construction scaling and ablations");
+    banner("E11", "efficiency: cube construction scaling and closed-cube compression");
 
     println!("\n-- cube build time vs population (min_support = 0.5% of rows) --");
     let mut table = TextTable::new()
@@ -472,33 +471,8 @@ fn scale_experiment() {
     }
     print!("{}", table.render());
 
-    println!("\n-- miner comparison (4000 companies) --");
-    let db = italy_final_table(4000);
-    let mut table = TextTable::new()
-        .header(["min_support", "itemsets", "fpgrowth", "eclat(ewah)", "apriori"])
-        .aligns(vec![Align::Right, Align::Right, Align::Right, Align::Right, Align::Right]);
-    for rel_minsup in [0.02f64, 0.01, 0.005] {
-        let minsup = ((db.len() as f64 * rel_minsup) as u64).max(1);
-        let t0 = Instant::now();
-        let fp = FpGrowth.mine(&db, minsup).unwrap();
-        let t_fp = t0.elapsed();
-        let t0 = Instant::now();
-        let _ec = Eclat.mine(&db, minsup).unwrap();
-        let t_ec = t0.elapsed();
-        let t0 = Instant::now();
-        let _ap = Apriori.mine(&db, minsup).unwrap();
-        let t_ap = t0.elapsed();
-        table.row([
-            minsup.to_string(),
-            fp.len().to_string(),
-            format!("{t_fp:?}"),
-            format!("{t_ec:?}"),
-            format!("{t_ap:?}"),
-        ]);
-    }
-    print!("{}", table.render());
-
     println!("\n-- closed-cube compression (4000 companies) --");
+    let db = italy_final_table(4000);
     let minsup = (db.len() as u64 / 200).max(1);
     let full = CubeBuilder::new()
         .min_support(minsup)

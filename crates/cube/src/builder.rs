@@ -526,7 +526,6 @@ mod tests {
 
     #[test]
     fn closed_cube_is_a_restriction_of_full_cube() {
-        use scube_fpm::Miner;
         for (db, min_support) in [(sample_db(), 1), (multi_valued_db(), 2)] {
             let build = |materialize| {
                 CubeBuilder::new().min_support(min_support).materialize(materialize).build(&db)
@@ -534,8 +533,7 @@ mod tests {
             let full = build(Materialize::AllFrequent).unwrap();
             let closed = build(Materialize::ClosedOnly).unwrap();
             // Exactly the closed frequent itemsets (and the apex) are cells.
-            let mut want: Vec<CellCoords> = scube_fpm::FpGrowth
-                .mine_closed(&db, min_support)
+            let mut want: Vec<CellCoords> = scube_fpm::naive::mine_closed(&db, min_support)
                 .unwrap()
                 .iter()
                 .map(|set| CellCoords::from_itemset(&set.items, &db))

@@ -7,26 +7,14 @@
 
 use scube_common::FxHashMap;
 
-use crate::itemset::FrequentItemset;
-
-/// Keep only the closed itemsets of a mining result.
-///
-/// Supports are grouped first: a superset with *different* support can
-/// never witness non-closedness, so each itemset is only checked against
-/// the (few) longer itemsets in its own support bucket.
-pub fn filter_closed(sets: &[FrequentItemset]) -> Vec<FrequentItemset> {
-    let kept = closed_positions(sets.len(), |i| (&sets[i].items, sets[i].support));
-    let mut out: Vec<FrequentItemset> = kept.into_iter().map(|i| sets[i].clone()).collect();
-    crate::itemset::sort_canonical(&mut out);
-    out
-}
-
 /// Indices of the closed entries among `n` itemsets described by `get`
-/// (which returns `(sorted items, support)` for an index).
+/// (which returns `(sorted items, support)` for an index), ascending.
 ///
 /// Generic over storage so callers that keep itemsets in their own shape
 /// (e.g. the cube builder's per-subtree lists of emitted nodes) can filter
-/// without cloning.
+/// without cloning. Supports are grouped first: a superset with *different*
+/// support can never witness non-closedness, so each itemset is only checked
+/// against the (few) longer itemsets in its own support bucket.
 pub fn closed_positions<'a>(
     n: usize,
     get: impl Fn(usize) -> (&'a [scube_data::ItemId], u64),
@@ -55,16 +43,24 @@ pub fn closed_positions<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::itemset::FrequentItemset;
     use crate::testutil::db_from_sets;
-    use crate::{naive, Miner};
+    use crate::{eclat, naive};
+
+    /// The closed sets among `sets`, in their order.
+    fn closed(sets: &[FrequentItemset]) -> Vec<FrequentItemset> {
+        closed_positions(sets.len(), |i| (&sets[i].items, sets[i].support))
+            .into_iter()
+            .map(|i| sets[i].clone())
+            .collect()
+    }
 
     #[test]
     fn matches_definition_on_example() {
         let db = db_from_sets(&[&[0, 1, 2], &[0, 1], &[0, 2], &[0]]);
         let all = naive::mine(&db, 2).unwrap();
-        let got = filter_closed(&all);
         let expected = naive::mine_closed(&db, 2).unwrap();
-        assert_eq!(got, expected);
+        assert_eq!(closed(&all), expected);
     }
 
     #[test]
@@ -74,7 +70,7 @@ mod tests {
             FrequentItemset::new(vec![1], 4),
             FrequentItemset::new(vec![0, 1], 3),
         ];
-        assert_eq!(filter_closed(&sets).len(), 3);
+        assert_eq!(closed(&sets).len(), 3);
     }
 
     #[test]
@@ -84,17 +80,29 @@ mod tests {
             FrequentItemset::new(vec![0, 1], 3),
             FrequentItemset::new(vec![0, 1, 2], 3),
         ];
-        let closed = filter_closed(&sets);
+        let closed = closed(&sets);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].items, vec![0, 1, 2]);
     }
 
     #[test]
     fn closed_preserves_maximal_per_tidset() {
-        // Via the trait on a richer database.
-        let db = db_from_sets(&[&[0, 1, 2, 3], &[0, 1, 2], &[0, 1], &[2, 3], &[0, 3]]);
-        let got = crate::FpGrowth.mine_closed(&db, 1).unwrap();
-        let expected = naive::mine_closed(&db, 1).unwrap();
-        assert_eq!(got, expected);
+        // Over the collecting miner's output, as the builder keeps cells.
+        let databases: [&[&[u8]]; 2] = [
+            &[&[0, 1, 2, 3], &[0, 1, 2], &[0, 1], &[2, 3], &[0, 3]],
+            &[&[0, 1, 2], &[0, 1], &[0, 2], &[0]],
+        ];
+        for sets in databases {
+            let db = db_from_sets(sets);
+            for minsup in 1..=2 {
+                let mined: Vec<FrequentItemset> = eclat::mine_with_tidsets(&db, minsup)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(set, _)| set)
+                    .collect();
+                let expected = naive::mine_closed(&db, minsup).unwrap();
+                assert_eq!(closed(&mined), expected, "{sets:?} minsup {minsup}");
+            }
+        }
     }
 }

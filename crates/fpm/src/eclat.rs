@@ -5,8 +5,8 @@
 //! joined. The callback borrows the node's tidset, and the DFS drops it as
 //! soon as the callback returns (its children hold their own), so a walk
 //! holds at most one root-to-leaf path of extension lists at a time.
-//! Collecting into a `Vec` ([`mine_vertical_with_tidsets`], [`Eclat::mine`])
-//! is one such callback. A parallel caller fans the root indices out itself
+//! Collecting into a `Vec` ([`mine_vertical_with_tidsets`]) is one such
+//! callback. A parallel caller fans the root indices out itself
 //! (the cube builder does, through [`scube_common::par`]): subtrees share
 //! nothing but the read-only roots.
 //!
@@ -32,32 +32,8 @@ use scube_bitmap::EwahBitmap;
 use scube_common::Result;
 use scube_data::{ItemId, TransactionDb, VerticalDb};
 
-use crate::itemset::{sort_canonical, FrequentItemset};
-use crate::{validate_min_support, Miner};
-
-/// The Eclat miner.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Eclat;
-
-impl Miner for Eclat {
-    fn name(&self) -> &'static str {
-        "eclat"
-    }
-
-    fn mine(&self, db: &TransactionDb, min_support: u64) -> Result<Vec<FrequentItemset>> {
-        let vertical = VerticalDb::build(db);
-        let roots = frequent_roots(&vertical, min_support)?;
-        let mut out = Vec::new();
-        walk_all(&roots, min_support, |node| {
-            let mut items = node.items.to_vec();
-            items.sort_unstable();
-            out.push(FrequentItemset { items, support: node.support });
-            Ok(())
-        })?;
-        sort_canonical(&mut out);
-        Ok(out)
-    }
-}
+use crate::itemset::FrequentItemset;
+use crate::validate_min_support;
 
 /// A tidset of the walk: dense words (bit `b` of word `i` is tid
 /// `64·i + b`) and its cached cardinality.
@@ -178,7 +154,8 @@ fn descend(
     Ok(())
 }
 
-/// Eclat that also returns each itemset's tidset.
+/// Every frequent itemset of `db` with its tidset: the collecting miner,
+/// [`mine_vertical_with_tidsets`] over `db`'s vertical database.
 pub fn mine_with_tidsets(
     db: &TransactionDb,
     min_support: u64,
@@ -221,12 +198,29 @@ mod tests {
 
     #[test]
     fn matches_naive() {
-        let db = db_from_sets(&[&[0, 1, 2], &[0, 1], &[0, 2], &[0], &[1, 2, 3]]);
-        for minsup in 1..=3 {
-            let got = Eclat.mine(&db, minsup).unwrap();
-            let expected = crate::naive::mine(&db, minsup).unwrap();
-            assert_eq!(got, expected, "minsup {minsup}");
+        let databases: [&[&[u8]]; 6] = [
+            &[&[0, 1, 2], &[0, 1], &[0, 2], &[0]],
+            &[&[0, 1, 2], &[0, 1], &[0, 2], &[0], &[1, 2, 3]],
+            &[&[0, 1, 2], &[0, 1], &[0, 2], &[0], &[1, 2, 3], &[3]],
+            // The transactions of Han et al.'s FP-Growth paper (relabelled).
+            &[&[0, 1, 2, 3, 4], &[0, 1, 2, 5], &[1, 6, 7], &[1, 2, 8], &[0, 1, 2, 5], &[0, 2, 9]],
+            &[],
+            &[&[0, 1]],
+        ];
+        for sets in databases {
+            let db = db_from_sets(sets);
+            for minsup in 1..=4 {
+                let got: Vec<FrequentItemset> = mine_with_tidsets(&db, minsup)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(set, _)| set)
+                    .collect();
+                let expected = crate::naive::mine(&db, minsup).unwrap();
+                assert_eq!(got, expected, "{sets:?} minsup {minsup}");
+            }
         }
+        // A single transaction at minimum support 1: {v0}, {v1}, {v0, v1}.
+        assert_eq!(mine_with_tidsets(&db_from_sets(&[&[0, 1]]), 1).unwrap().len(), 3);
     }
 
     #[test]
@@ -249,7 +243,6 @@ mod tests {
     #[test]
     fn rejects_zero_min_support() {
         let db = db_from_sets(&[&[0]]);
-        assert!(Eclat.mine(&db, 0).is_err());
         assert!(mine_with_tidsets(&db, 0).is_err());
         assert!(frequent_roots(&VerticalDb::build(&db), 0).is_err());
     }

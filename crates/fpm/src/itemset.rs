@@ -5,7 +5,7 @@ use scube_data::ItemId;
 /// An itemset with its absolute support.
 ///
 /// Items are stored sorted ascending by id, which makes itemsets directly
-/// comparable and hashable across miners.
+/// comparable and hashable, the miner's against the oracle's.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FrequentItemset {
     /// Sorted item ids.

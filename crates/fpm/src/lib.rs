@@ -2,58 +2,32 @@
 //! Frequent and closed itemset mining.
 //!
 //! SCube enumerates candidate cube cells by mining frequent (closed)
-//! itemsets over the encoded population table (the original tool shells out
-//! to Borgelt's FPGrowth; we implement the miners natively):
+//! itemsets over the encoded population table. The original tool shells out
+//! to Borgelt's FPGrowth; this crate has one native miner and its oracle:
 //!
-//! * [`FpGrowth`] — FP-tree construction plus recursive conditional-tree
-//!   mining, the algorithm the original tool runs;
-//! * [`Eclat`] — vertical mining by intersection of tidsets held as dense
+//! * [`eclat`] — vertical mining by intersection of tidsets held as dense
 //!   `u64` words, each root's [`scube_bitmap::EwahBitmap`] posting decoded
-//!   once per walk; the cube builder mines through its walk
-//!   ([`eclat::walk`]);
-//! * [`Apriori`] — the classical level-wise baseline, kept for the
-//!   efficiency comparison (experiment E11);
-//! * [`naive`] — an intentionally simple exponential oracle, the reference
-//!   every miner is checked against in the tests;
-//! * [`closed::filter_closed`] — reduce any result to closed itemsets
-//!   (no strict superset with equal support).
+//!   once per walk. Every cube build (resident, chunked, parallel) mines
+//!   through its one DFS, [`eclat::walk`];
+//!   [`eclat::mine_vertical_with_tidsets`] collects it;
+//! * [`naive`] — an intentionally simple exponential oracle that Eclat's
+//!   walk is held to in the tests;
+//! * [`closed::closed_positions`] — the closed entries of a mining result
+//!   (no strict superset with equal support), as the cube builder keeps
+//!   them.
 //!
-//! All miners return the same canonical output — itemsets sorted by item id
-//! with absolute supports — and are cross-checked against each other and
-//! against the oracle in the test suite.
+//! The collector and the oracle return the same canonical output: itemsets
+//! sorted by item id with absolute supports, ordered by length and then
+//! items.
 
-pub mod apriori;
 pub mod closed;
 pub mod eclat;
-pub mod fpgrowth;
 pub mod itemset;
 pub mod naive;
 
-pub use apriori::Apriori;
-pub use closed::filter_closed;
-pub use eclat::Eclat;
-pub use fpgrowth::FpGrowth;
 pub use itemset::FrequentItemset;
 
 use scube_common::{Result, ScubeError};
-use scube_data::TransactionDb;
-
-/// A frequent-itemset mining algorithm.
-pub trait Miner {
-    /// Short algorithm name (used in benchmark reports).
-    fn name(&self) -> &'static str;
-
-    /// Mine all itemsets with absolute support ≥ `min_support`.
-    ///
-    /// The empty itemset is *not* reported (its support is the database
-    /// size by definition); itemsets are canonical (ids ascending).
-    fn mine(&self, db: &TransactionDb, min_support: u64) -> Result<Vec<FrequentItemset>>;
-
-    /// Mine and keep only closed itemsets.
-    fn mine_closed(&self, db: &TransactionDb, min_support: u64) -> Result<Vec<FrequentItemset>> {
-        Ok(filter_closed(&self.mine(db, min_support)?))
-    }
-}
 
 pub(crate) fn validate_min_support(min_support: u64) -> Result<()> {
     if min_support == 0 {

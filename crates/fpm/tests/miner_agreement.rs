@@ -1,10 +1,12 @@
-//! Property tests: all miners agree with the brute-force oracle (and hence
-//! with each other) on random databases, for both all-frequent and closed
-//! mining.
+//! Property tests: the one miner, Eclat's walk as its collector returns it,
+//! agrees with the brute-force oracle on random databases, for both
+//! all-frequent and closed mining.
 
 use proptest::prelude::*;
 use scube_data::{Attribute, Schema, TransactionDb, TransactionDbBuilder};
-use scube_fpm::{naive, Apriori, Eclat, FpGrowth, Miner};
+use scube_fpm::closed::closed_positions;
+use scube_fpm::eclat::mine_with_tidsets;
+use scube_fpm::{naive, FrequentItemset};
 
 fn db_from_sets(sets: &[Vec<u8>]) -> TransactionDb {
     let schema = Schema::new(vec![Attribute::ca("x").multi()]).unwrap();
@@ -14,6 +16,20 @@ fn db_from_sets(sets: &[Vec<u8>]) -> TransactionDb {
         b.add_row(&[vals], "u").unwrap();
     }
     b.finish()
+}
+
+/// Every frequent itemset, as Eclat's walk visits it.
+fn mine(db: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
+    mine_with_tidsets(db, min_support).unwrap().into_iter().map(|(set, _)| set).collect()
+}
+
+/// The closed ones among [`mine`]'s, as the cube builder keeps them.
+fn mine_closed(db: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
+    let all = mine(db, min_support);
+    closed_positions(all.len(), |i| (&all[i].items, all[i].support))
+        .into_iter()
+        .map(|i| all[i].clone())
+        .collect()
 }
 
 fn random_db() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -28,25 +44,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn all_miners_agree_with_oracle(sets in random_db(), minsup in 1u64..5) {
+    fn mining_agrees_with_oracle(sets in random_db(), minsup in 1u64..5) {
         let db = db_from_sets(&sets);
-        let expected = naive::mine(&db, minsup).unwrap();
-        let fp = FpGrowth.mine(&db, minsup).unwrap();
-        let ec = Eclat.mine(&db, minsup).unwrap();
-        let ap = Apriori.mine(&db, minsup).unwrap();
-        prop_assert_eq!(&fp, &expected, "fpgrowth");
-        prop_assert_eq!(&ec, &expected, "eclat");
-        prop_assert_eq!(&ap, &expected, "apriori");
+        prop_assert_eq!(mine(&db, minsup), naive::mine(&db, minsup).unwrap());
     }
 
     #[test]
     fn closed_mining_agrees_with_oracle(sets in random_db(), minsup in 1u64..5) {
         let db = db_from_sets(&sets);
-        let expected = naive::mine_closed(&db, minsup).unwrap();
-        let fp = FpGrowth.mine_closed(&db, minsup).unwrap();
-        let ec = Eclat.mine_closed(&db, minsup).unwrap();
-        prop_assert_eq!(&fp, &expected);
-        prop_assert_eq!(&ec, &expected);
+        prop_assert_eq!(mine_closed(&db, minsup), naive::mine_closed(&db, minsup).unwrap());
     }
 
     #[test]
@@ -54,8 +60,8 @@ proptest! {
         // Raising min_support can only shrink the result, and every
         // surviving itemset keeps its exact support value.
         let db = db_from_sets(&sets);
-        let low = FpGrowth.mine(&db, 1).unwrap();
-        let high = FpGrowth.mine(&db, 3).unwrap();
+        let low = mine(&db, 1);
+        let high = mine(&db, 3);
         prop_assert!(high.len() <= low.len());
         for h in &high {
             prop_assert!(h.support >= 3);
@@ -68,7 +74,7 @@ proptest! {
     fn supports_are_exact(sets in random_db(), minsup in 1u64..4) {
         // Verify each reported support against a direct scan.
         let db = db_from_sets(&sets);
-        let result = FpGrowth.mine(&db, minsup).unwrap();
+        let result = mine(&db, minsup);
         for set in result.iter().take(50) {
             let count = db
                 .iter()
@@ -81,8 +87,8 @@ proptest! {
     #[test]
     fn closed_is_subset_with_same_maximal_sets(sets in random_db(), minsup in 1u64..4) {
         let db = db_from_sets(&sets);
-        let all = FpGrowth.mine(&db, minsup).unwrap();
-        let closed = FpGrowth.mine_closed(&db, minsup).unwrap();
+        let all = mine(&db, minsup);
+        let closed = mine_closed(&db, minsup);
         prop_assert!(closed.len() <= all.len());
         // Every closed set is frequent with identical support.
         for c in &closed {
