@@ -42,18 +42,9 @@ pub fn closed_positions<'a>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::itemset::FrequentItemset;
-    use crate::testutil::db_from_sets;
-    use crate::{eclat, naive};
-
-    /// The closed sets among `sets`, in their order.
-    fn closed(sets: &[FrequentItemset]) -> Vec<FrequentItemset> {
-        closed_positions(sets.len(), |i| (&sets[i].items, sets[i].support))
-            .into_iter()
-            .map(|i| sets[i].clone())
-            .collect()
-    }
+    use crate::naive;
+    use crate::testutil::{closed, collect, db_from_sets};
 
     #[test]
     fn matches_definition_on_example() {
@@ -88,21 +79,10 @@ mod tests {
     #[test]
     fn closed_preserves_maximal_per_tidset() {
         // Over the collecting miner's output, as the builder keeps cells.
-        let databases: [&[&[u8]]; 2] = [
-            &[&[0, 1, 2, 3], &[0, 1, 2], &[0, 1], &[2, 3], &[0, 3]],
-            &[&[0, 1, 2], &[0, 1], &[0, 2], &[0]],
-        ];
-        for sets in databases {
-            let db = db_from_sets(sets);
-            for minsup in 1..=2 {
-                let mined: Vec<FrequentItemset> = eclat::mine_with_tidsets(&db, minsup)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(set, _)| set)
-                    .collect();
-                let expected = naive::mine_closed(&db, minsup).unwrap();
-                assert_eq!(closed(&mined), expected, "{sets:?} minsup {minsup}");
-            }
+        let db = db_from_sets(&[&[0, 1, 2, 3], &[0, 1, 2], &[0, 1], &[2, 3], &[0, 3]]);
+        for minsup in 1..=2 {
+            let expected = naive::mine_closed(&db, minsup).unwrap();
+            assert_eq!(closed(&collect(&db, minsup)), expected, "minsup {minsup}");
         }
     }
 }
